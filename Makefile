@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-strict lint-sarif race vuln check check-fast bench bench-smoke bench-smoke-fig10a bench-smoke-kv bench-diff cover cover-smoke profile
+.PHONY: all build test vet lint lint-strict lint-sarif race vuln check check-fast bench bench-smoke bench-smoke-fig10a bench-smoke-kv bench-test bench-diff cover cover-smoke profile
 
 all: build
 
@@ -82,57 +82,46 @@ bench:
 # B/op jump long before it costs enough wall time to trip the sim-rate
 # warning. Runs at CAMSIM_SHARDS=1 — serial shard windows — so the gate
 # tracks the single-worker engine.
-bench-smoke:
+#
+# bench-smoke-fig10a is the focused single-shard sim-rate gate: the Fig 10a
+# sort benchmark alone through the same steps. The full pass covers every
+# figure, but this one names the single-worker engine explicitly so a
+# single-shard dispatch regression is called out on its own line even if
+# someone retunes the suite-wide smoke shard count.
+#
+# bench-smoke-kv is the same focused gate for the KV-cache serving
+# benchmark — the one workload that writes to the array under load, so a
+# scatter-path or tier-bookkeeping perf regression shows up here even when
+# the read-dominated figures stay flat.
+#
+# One rule serves all three: SMOKE_BENCH selects the benchmarks, the target
+# name ($@) names the scratch JSON and the messages, and SMOKE_THEN lists
+# the focused gates the full pass runs afterwards. All warn-only.
+bench-smoke:        SMOKE_BENCH = Benchmark.*
+bench-smoke:        SMOKE_THEN  = bench-smoke-fig10a bench-smoke-kv
+bench-smoke-fig10a: SMOKE_BENCH = ^BenchmarkFig10a_Sort$$
+bench-smoke-kv:     SMOKE_BENCH = ^BenchmarkKV_Serving$$
+
+bench-smoke bench-smoke-fig10a bench-smoke-kv:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) test -c -o "$$tmp/camsim.test" . && \
-	{ for b in $$("$$tmp/camsim.test" -test.list 'Benchmark.*' | grep '^Benchmark'); do \
+	{ for b in $$("$$tmp/camsim.test" -test.list '$(SMOKE_BENCH)' | grep '^Benchmark'); do \
 		CAMSIM_SHARDS=1 "$$tmp/camsim.test" -test.run XXX -test.bench "^$${b}\$$" -test.benchmem -test.benchtime 1x; \
-	done; } | $(GO) run ./cmd/benchjson -o bench-smoke.json
+	done; } | $(GO) run ./cmd/benchjson -o $@.json
 	@base=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1); \
 	if [ -n "$$base" ]; then \
-		$(GO) run ./cmd/benchjson -diff -warn-sim-regress 20 -warn-bytes-regress 30 "$$base" bench-smoke.json; \
+		$(GO) run ./cmd/benchjson -diff -warn-sim-regress 20 -warn-bytes-regress 30 "$$base" $@.json; \
 	else \
-		echo "bench-smoke: no committed BENCH_<n>.json baseline, skipping diff"; \
+		echo "$@: no committed BENCH_<n>.json baseline, skipping diff"; \
 	fi
-	@rm -f bench-smoke.json
-	@$(MAKE) --no-print-directory bench-smoke-fig10a
-	@$(MAKE) --no-print-directory bench-smoke-kv
+	@rm -f $@.json
+	@for t in $(SMOKE_THEN); do $(MAKE) --no-print-directory $$t || exit 1; done
 
-# bench-smoke-fig10a is the focused single-shard sim-rate gate: one run of
-# the Fig 10a sort benchmark pinned to CAMSIM_SHARDS=1, diffed against the
-# committed baseline with the same warn-only 20% threshold. The full smoke
-# pass above covers every figure, but this step names the single-worker
-# engine explicitly so a single-shard dispatch regression is called out on
-# its own line even if someone retunes the suite-wide smoke shard count.
-bench-smoke-fig10a:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) test -c -o "$$tmp/camsim.test" . && \
-	CAMSIM_SHARDS=1 "$$tmp/camsim.test" -test.run XXX -test.bench '^BenchmarkFig10a_Sort$$' -test.benchmem -test.benchtime 1x \
-		| $(GO) run ./cmd/benchjson -o bench-smoke-fig10a.json
-	@base=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1); \
-	if [ -n "$$base" ]; then \
-		$(GO) run ./cmd/benchjson -diff -warn-sim-regress 20 -warn-bytes-regress 30 "$$base" bench-smoke-fig10a.json; \
-	else \
-		echo "bench-smoke-fig10a: no committed BENCH_<n>.json baseline, skipping diff"; \
-	fi
-	@rm -f bench-smoke-fig10a.json
-
-# bench-smoke-kv is the same focused single-shard gate for the KV-cache
-# serving benchmark — the one workload that writes to the array under load,
-# so a scatter-path or tier-bookkeeping perf regression shows up here even
-# when the read-dominated figures stay flat. Warn-only, like its siblings.
-bench-smoke-kv:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) test -c -o "$$tmp/camsim.test" . && \
-	CAMSIM_SHARDS=1 "$$tmp/camsim.test" -test.run XXX -test.bench '^BenchmarkKV_Serving$$' -test.benchmem -test.benchtime 1x \
-		| $(GO) run ./cmd/benchjson -o bench-smoke-kv.json
-	@base=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1); \
-	if [ -n "$$base" ]; then \
-		$(GO) run ./cmd/benchjson -diff -warn-sim-regress 20 -warn-bytes-regress 30 "$$base" bench-smoke-kv.json; \
-	else \
-		echo "bench-smoke-kv: no committed BENCH_<n>.json baseline, skipping diff"; \
-	fi
-	@rm -f bench-smoke-kv.json
+# bench-test runs the benchmark program's own tests. bench/ is a module of
+# its own (BENCHMARK.json names it), so `go test ./...` from the root never
+# reaches them; -short skips the 8-seed kv guard.
+bench-test:
+	cd bench && $(GO) test -short ./...
 
 # cover profiles the fault-critical data plane — the packages the fault
 # injection and recovery machinery runs through, plus the KV-cache tier

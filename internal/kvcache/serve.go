@@ -61,11 +61,25 @@ func (s Stats) TokensPerSec() float64 {
 // inflight is one batched transfer's completion record, shared by every
 // key it covers. Whoever needs a covered key first settles the whole
 // batch (state transitions run exactly once, in the settling proc).
+//
+// The record is published in Server.pend before the backend has returned
+// the handle, and a backend's Start*List may yield (CAM's publish does), so
+// another session can find it with h still nil. Such a waiter creates issued
+// and parks on it; the common path never allocates the signal.
 type inflight struct {
-	h    xfer.Handle
-	keys []Key
-	fill bool
-	done bool
+	h      xfer.Handle
+	issued *sim.Signal // lazily created by a waiter that arrived before h
+	keys   []Key
+	fill   bool
+	done   bool
+}
+
+// setHandle records the started transfer and releases early waiters.
+func (f *inflight) setHandle(h xfer.Handle) {
+	f.h = h
+	if f.issued != nil {
+		f.issued.Fire()
+	}
 }
 
 // Server runs the multi-session serving workload over one list backend.
@@ -273,7 +287,7 @@ func (s *Server) evict(p *sim.Proc, victims []Key) {
 			s.pend[k] = spill
 		}
 		s.stats.Spills += uint64(len(s.dirty))
-		spill.h = s.lb.StartScatterList(p, ids, s.buf, offs)
+		spill.setHandle(s.lb.StartScatterList(p, ids, s.buf, offs))
 		s.settle(p, spill)
 	}
 	s.kickFrames()
@@ -284,6 +298,12 @@ func (s *Server) evict(p *sim.Proc, victims []Key) {
 func (s *Server) settle(p *sim.Proc, f *inflight) {
 	if f.done {
 		return
+	}
+	if f.h == nil {
+		if f.issued == nil {
+			f.issued = s.env.E.NewSignal("kv.issued")
+		}
+		p.Wait(f.issued)
 	}
 	f.h.Wait(p)
 	if f.done {
@@ -320,7 +340,7 @@ func (s *Server) startFill(p *sim.Proc, keys []Key, frames []int32) *inflight {
 		s.pend[k] = fill
 	}
 	s.stats.Fills += uint64(len(keys))
-	fill.h = s.lb.StartGatherList(p, ids, s.buf, offs)
+	fill.setHandle(s.lb.StartGatherList(p, ids, s.buf, offs))
 	return fill
 }
 

@@ -385,8 +385,9 @@ func (src *Payload) gather(out []extent, srcOff, n, dstOff int64) []extent {
 		e := &src.extents[i]
 		a, b := clip(e, srcOff, n)
 		// The appends below fill the caller's stack buffer ([8]extent in
-		// PayloadCopy); they spill to the heap only for sources fragmented
-		// past eight segments, which mergeExtents keeps rare.
+		// PayloadCopy); they spill to the heap only when the source range
+		// spans more than eight extents. Payloads stay fully merged (see
+		// replaceRange), so that takes eight content boundaries in one copy.
 		switch e.kind {
 		case extZero:
 			out = append(out, extent{off: a + rel, n: b - a, kind: extZero}) //camlint:allow hotalloc -- stack segbuf, spills only past 8 segments
@@ -407,8 +408,16 @@ func (src *Payload) gather(out []extent, srcOff, n, dstOff int64) []extent {
 }
 
 // replaceRange substitutes the extent coverage of [off, off+n) with repl
-// (already positioned at absolute offsets), releasing references the
-// replaced coverage held and merging mergeable neighbors afterwards.
+// (already positioned at absolute offsets; compacted in place), releasing
+// references the replaced coverage held.
+//
+// The list is fully merged — no two adjacent extents are mergeable — before
+// and after every call (NewPayload, Bytes and replaceRange are its only
+// writers), so a splice can create mergeable pairs only at its own seams:
+// inside repl, between repl and the piece or extent before it, and between
+// repl and the piece or extent after it. Its cost is therefore the extents
+// it overlaps plus one move of the list's tail when the extent count
+// changes, never a pass over the whole list.
 func (p *Payload) replaceRange(off, n int64, repl ...extent) {
 	// First extent overlapping off.
 	i := p.findIdx(off)
@@ -458,57 +467,81 @@ func (p *Payload) replaceRange(off, n int64, repl ...extent) {
 			e.ch.retain()
 		}
 	}
-	// Splice: [0,i) + head? + repl + tail? + [j,len).
-	extra := 0
+	// Merge the seams. A trimmed piece stays unmergeable with its outer
+	// neighbor, so the window is: extent or head before, repl, tail or
+	// extent after. [lo, hi) is the run of old extents the result rewrites.
+	w := 0
+	for k := 1; k < len(repl); k++ {
+		if !repl[w].absorb(repl[k]) {
+			w++
+			repl[w] = repl[k]
+		}
+	}
+	repl = repl[:w+1]
+	last := &repl[w]
+	lo, hi := i, j
 	if hasHead {
-		extra++
+		if head.absorb(repl[0]) {
+			repl[0], hasHead = head, false
+		}
+	} else if i > 0 {
+		if prev := p.extents[i-1]; prev.absorb(repl[0]) {
+			repl[0] = prev
+			lo--
+		}
 	}
 	if hasTail {
-		extra++
+		if last.absorb(tail) {
+			hasTail = false
+		}
+	} else if j < len(p.extents) && last.absorb(p.extents[j]) {
+		hi++
 	}
-	need := i + extra + len(repl) + len(p.extents) - j
-	out := p.extents
-	if cap(out) < need {
-		//camlint:allow hotalloc -- extent-slice growth: capacity is retained across reuse, so growth amortizes to the payload's fragmentation high-water mark
-		out = make([]extent, need)
-		copy(out, p.extents[:i])
+	// Splice: [0,lo) + head? + repl + tail? + [hi,len).
+	mid := lo + len(repl)
+	if hasHead {
+		mid++
+	}
+	if hasTail {
+		mid++
+	}
+	old := p.extents
+	need := mid + len(old) - hi
+	out, grow := old, cap(old) < need
+	if grow {
+		//camlint:allow hotalloc -- extent-slice growth doubles the retained capacity, so it amortizes to O(1) per splice and stops at the payload's fragmentation high-water mark
+		out = make([]extent, need, max(need, 2*cap(old)))
+		copy(out, old[:lo])
 	} else {
-		out = out[:need]
+		out = old[:need]
 	}
-	copy(out[need-(len(p.extents)-j):], p.extents[j:])
-	w := i
+	if grow || mid != hi {
+		copy(out[mid:], old[hi:])
+	}
 	if hasHead {
-		out[w] = head
-		w++
+		out[lo] = head
+		lo++
 	}
-	copy(out[w:], repl)
-	w += len(repl)
+	lo += copy(out[lo:], repl)
 	if hasTail {
-		out[w] = tail
+		out[lo] = tail
 	}
 	p.extents = out
-	p.mergeExtents()
 }
 
-// mergeExtents coalesces adjacent extents of the same kind: zeros always,
-// materialized ranges always (they index the same backing), references
-// when they continue the same chunk (dropping the duplicate reference).
-func (p *Payload) mergeExtents() {
-	w := 0
-	for r := 1; r < len(p.extents); r++ {
-		a, b := &p.extents[w], p.extents[r]
-		if a.kind == b.kind &&
-			(a.kind != extRef || (a.ch == b.ch && a.chOff+a.n == b.chOff)) {
-			a.n += b.n
-			if a.kind == extRef {
-				b.ch.release()
-			}
-			continue
-		}
-		w++
-		p.extents[w] = b
+// absorb extends a over b when b continues it — zeros always, materialized
+// ranges always (they index the same backing), references when b continues
+// a's chunk (dropping the duplicate reference) — and reports whether it did.
+// b must start where a ends.
+func (a *extent) absorb(b extent) bool {
+	if a.kind != b.kind || (a.kind == extRef && (a.ch != b.ch || a.chOff+a.n != b.chOff)) {
+		return false
 	}
-	p.extents = p.extents[:w+1]
+	a.n += b.n
+	if a.kind == extRef {
+		b.ch.release()
+	}
+	return true
 }
 
 // findIdx locates the first extent overlapping off (binary search — cache

@@ -1,0 +1,239 @@
+package mem
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+)
+
+// checkInvariants verifies the extent-list and reference-count invariants
+// over a set of payloads that together own every live chunk: each list is
+// sorted, gap-free and covers [0, size); no two adjacent extents are
+// mergeable (the rule the whole-list merge pass used to enforce, kept here
+// as the reference the seam-only merge in replaceRange is checked against);
+// and every chunk's refs equals the number of extents pointing at it.
+func checkInvariants(ps ...*Payload) error {
+	held := map[*Chunk]int32{}
+	for pi, p := range ps {
+		var end int64
+		for k := range p.extents {
+			e := &p.extents[k]
+			if e.off != end || e.n <= 0 {
+				return fmt.Errorf("payload %d extent %d: [%d,+%d) does not continue coverage ending at %d", pi, k, e.off, e.n, end)
+			}
+			end = e.off + e.n
+			switch e.kind {
+			case extMat:
+				if int64(len(p.data)) != p.size {
+					return fmt.Errorf("payload %d extent %d: materialized without backing", pi, k)
+				}
+			case extRef:
+				if e.ch == nil || e.chOff < 0 || e.chOff+e.n > int64(len(e.ch.data)) {
+					return fmt.Errorf("payload %d extent %d: reference [%d,+%d) outside its chunk", pi, k, e.chOff, e.n)
+				}
+				held[e.ch]++
+			}
+			if k == 0 {
+				continue
+			}
+			if a := &p.extents[k-1]; a.kind == e.kind &&
+				(a.kind != extRef || (a.ch == e.ch && a.chOff+a.n == e.chOff)) {
+				return fmt.Errorf("payload %d extents %d and %d are mergeable (kind %d)", pi, k-1, k, e.kind)
+			}
+		}
+		if end != p.size {
+			return fmt.Errorf("payload %d: extents cover [0,%d), size %d", pi, end, p.size)
+		}
+	}
+	for ch, n := range held {
+		if ch.refs != n {
+			return fmt.Errorf("chunk %p: refs %d, %d extents point at it", ch, ch.refs, n)
+		}
+	}
+	return nil
+}
+
+// fuzzPayloadSizes are small and unequal so random offsets hit extent seams,
+// first/last extents and cross-payload clipping often.
+var fuzzPayloadSizes = [...]int{64, 48, 80}
+
+const fuzzOpBytes = 5
+
+// Op codes of the FuzzPayloadOps interpreter.
+const (
+	fzWrite     = iota // WriteAt of a pattern whose first byte is non-zero
+	fzWriteZero        // WriteAt of zeros
+	fzSetZero
+	fzRead
+	fzRangeZero
+	fzCopy    // PayloadCopy, src may equal dst (overlapping self-copy)
+	fzBytes   // materialize and compare
+	fzPoke    // materialize and write one byte through the slice
+	fzRelease // Release and recreate the payload
+	fzOps
+)
+
+// fuzzPayloadOps interprets data as a sequence of five-byte ops — opcode,
+// payload selector (dst in bits 0-1, src in bits 2-3), offset, length,
+// argument — over lazy payloads mirrored by plain byte slices. Operands are
+// reduced into range, so every input is a legal trace.
+func fuzzPayloadOps(t *testing.T, data []byte) {
+	var ps [len(fuzzPayloadSizes)]*Payload
+	var model [len(fuzzPayloadSizes)][]byte
+	for i, n := range fuzzPayloadSizes {
+		ps[i] = NewPayload(int64(n), false)
+		model[i] = make([]byte, n)
+	}
+	seen := map[*Chunk]bool{}
+	check := func(step int, what string) {
+		t.Helper()
+		if err := checkInvariants(ps[:]...); err != nil {
+			t.Fatalf("step %d (%s): %v", step, what, err)
+		}
+		for _, p := range ps {
+			for k := range p.extents {
+				if p.extents[k].kind == extRef {
+					seen[p.extents[k].ch] = true
+				}
+			}
+		}
+	}
+	for step := 0; (step+1)*fuzzOpBytes <= len(data); step++ {
+		op := data[step*fuzzOpBytes:][:fuzzOpBytes]
+		di, si := int(op[1]&3)%len(ps), int(op[1]>>2&3)%len(ps)
+		p, m := ps[di], model[di]
+		off := int(op[2]) % len(m)
+		n := 1 + int(op[3])%(len(m)-off)
+		what := fmt.Sprintf("op %d p%d [%d,+%d) arg %d", op[0]%fzOps, di, off, n, op[4])
+		switch op[0] % fzOps {
+		case fzWrite:
+			src := make([]byte, n)
+			for k := range src {
+				src[k] = byte(int(op[4]) + k*31)
+			}
+			src[0] |= 1
+			p.WriteAt(src, int64(off))
+			copy(m[off:], src)
+		case fzWriteZero:
+			p.WriteAt(make([]byte, n), int64(off))
+			clear(m[off : off+n])
+		case fzSetZero:
+			p.SetZero(int64(off), int64(n))
+			clear(m[off : off+n])
+		case fzRead:
+			got := bytes.Repeat([]byte{0xA5}, n) // dirty: ReadAt must overwrite all of it
+			p.ReadAt(got, int64(off))
+			if !bytes.Equal(got, m[off:off+n]) {
+				t.Fatalf("step %d (%s): ReadAt = %x, model %x", step, what, got, m[off:off+n])
+			}
+		case fzRangeZero:
+			if got, want := p.RangeZero(int64(off), int64(n)), AllZero(m[off:off+n]); got != want {
+				t.Fatalf("step %d (%s): RangeZero = %v, model %v", step, what, got, want)
+			}
+		case fzCopy:
+			src, sm := ps[si], model[si]
+			soff := int(op[4]) % len(sm)
+			if n > len(sm)-soff {
+				n = len(sm) - soff
+			}
+			what += fmt.Sprintf(" from p%d@%d n=%d", si, soff, n)
+			PayloadCopy(p, int64(off), src, int64(soff), int64(n))
+			copy(m[off:off+n], sm[soff:soff+n]) // memmove: overlap-safe like the gather-first copy
+		case fzBytes:
+			if got := p.Bytes(); !bytes.Equal(got, m) {
+				t.Fatalf("step %d (%s): Bytes = %x, model %x", step, what, got, m)
+			}
+		case fzPoke:
+			p.Bytes()[off] = op[4]
+			m[off] = op[4]
+		case fzRelease:
+			p.Release()
+			ps[di] = NewPayload(int64(len(m)), false)
+			clear(m)
+		}
+		check(step, what)
+	}
+	for i, p := range ps {
+		if got := p.Bytes(); !bytes.Equal(got, model[i]) {
+			t.Fatalf("final: payload %d = %x, model %x", i, got, model[i])
+		}
+		p.Release()
+	}
+	for ch := range seen {
+		if ch.refs != 0 {
+			t.Fatalf("chunk %p still holds %d references after every payload was released", ch, ch.refs)
+		}
+	}
+}
+
+// fz encodes one interpreter op; src and arg are ignored by ops that do not
+// use them.
+func fz(op, dst, src, off, n, arg int) []byte {
+	return []byte{byte(op), byte(dst | src<<2), byte(off), byte(n - 1), byte(arg)}
+}
+
+func fzSeq(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
+
+// fuzzPayloadSeeds are the seam cases of replaceRange; plain `go test` runs
+// them as FuzzPayloadOps/seed#<index>.
+var fuzzPayloadSeeds = [][]byte{
+	// replace-one-extent-count-unchanged
+	fzSeq(
+		fz(fzWrite, 0, 0, 16, 16, 1), fz(fzWrite, 0, 0, 16, 16, 2), fz(fzRead, 0, 0, 0, 64, 0)),
+	// split-ref-into-head-and-tail
+	fzSeq(
+		fz(fzWrite, 0, 0, 0, 64, 1), fz(fzWrite, 0, 0, 16, 16, 2), // +2, the chunk gains a reference
+		fz(fzRead, 0, 0, 0, 64, 0), fz(fzRelease, 0, 0, 0, 1, 0)),
+	// split-zero-then-merge-both-seams
+	fzSeq(
+		fz(fzWrite, 0, 0, 16, 16, 1), fz(fzSetZero, 0, 0, 16, 16, 0), fz(fzRangeZero, 0, 0, 0, 64, 0)),
+	// rejoin-chunk-across-both-seams
+	fzSeq(
+		fz(fzWrite, 0, 0, 0, 48, 1), fz(fzCopy, 1, 0, 0, 48, 0), // p1 shares p0's chunk
+		fz(fzWrite, 1, 0, 16, 16, 9), fz(fzCopy, 1, 0, 16, 16, 16), // restore the middle: head+mid+tail are one reference again
+		fz(fzRead, 1, 0, 0, 48, 0)),
+	// merge-left-seam-only
+	fzSeq(
+		fz(fzWrite, 0, 0, 16, 16, 1), fz(fzSetZero, 0, 0, 16, 8, 0), fz(fzRead, 0, 0, 0, 64, 0)),
+	// merge-right-seam-only
+	fzSeq(
+		fz(fzWrite, 0, 0, 16, 16, 1), fz(fzSetZero, 0, 0, 24, 8, 0), fz(fzRead, 0, 0, 0, 64, 0)),
+	// first-and-last-extent
+	fzSeq(
+		fz(fzWrite, 0, 0, 0, 8, 1), fz(fzWrite, 0, 0, 56, 8, 2), fz(fzWrite, 0, 0, 0, 8, 3),
+		fz(fzWrite, 0, 0, 56, 8, 4), fz(fzSetZero, 0, 0, 0, 8, 0), fz(fzSetZero, 0, 0, 56, 8, 0)),
+	// collapse-many
+	fzSeq(
+		fz(fzWrite, 0, 0, 0, 4, 1), fz(fzWrite, 0, 0, 8, 4, 2), fz(fzWrite, 0, 0, 16, 4, 3),
+		fz(fzWrite, 0, 0, 24, 4, 4), fz(fzWrite, 0, 0, 32, 4, 5), fz(fzWrite, 0, 0, 40, 4, 6),
+		fz(fzWrite, 0, 0, 2, 40, 7), // head of the first ref + one ref + tail of the last
+		fz(fzSetZero, 0, 0, 0, 64, 0)),
+	// fragmented-source-spills-gather
+	fzSeq(
+		fz(fzWrite, 2, 0, 0, 4, 1), fz(fzWrite, 2, 0, 8, 4, 2), fz(fzWrite, 2, 0, 16, 4, 3),
+		fz(fzWrite, 2, 0, 24, 4, 4), fz(fzWrite, 2, 0, 32, 4, 5), fz(fzWrite, 2, 0, 40, 4, 6),
+		fz(fzCopy, 0, 2, 4, 48, 0), fz(fzCopy, 0, 2, 5, 48, 1), fz(fzRead, 0, 0, 0, 64, 0)),
+	// overlapping-self-copy
+	fzSeq(
+		fz(fzWrite, 0, 0, 0, 32, 1), fz(fzCopy, 0, 0, 16, 32, 0), fz(fzCopy, 0, 0, 0, 32, 8),
+		fz(fzRead, 0, 0, 0, 64, 0)),
+	// materialized-source
+	fzSeq(
+		fz(fzWrite, 1, 0, 8, 8, 1), fz(fzPoke, 1, 0, 30, 1, 7), // p1 is one materialized extent: bytes, then zeros
+		fz(fzCopy, 0, 1, 0, 48, 0), fz(fzCopy, 0, 1, 40, 8, 40), fz(fzWrite, 1, 0, 4, 8, 3), // refs over a materialized base
+		fz(fzCopy, 2, 1, 0, 48, 0), fz(fzBytes, 0, 0, 0, 1, 0), fz(fzBytes, 2, 0, 0, 1, 0)),
+	// zero-source-over-refs
+	fzSeq(
+		fz(fzWrite, 0, 0, 0, 64, 1), fz(fzCopy, 0, 1, 8, 40, 0), fz(fzWriteZero, 0, 0, 48, 16, 0),
+		fz(fzRangeZero, 0, 0, 8, 56, 0)),
+}
+
+// FuzzPayloadOps drives random op sequences over three lazy payloads against
+// plain byte-slice models, checking content, the fully-merged extent
+// invariant and chunk reference counts after every op.
+func FuzzPayloadOps(f *testing.F) {
+	for _, seed := range fuzzPayloadSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(fuzzPayloadOps)
+}
