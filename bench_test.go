@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"camsim/internal/harness"
+	"camsim/internal/sim"
 )
 
 // benchCfg picks quick workloads unless CAMSIM_FULL=1 requests paper scale.
@@ -21,7 +22,10 @@ func benchCfg() harness.RunConfig {
 // times the experiment and emits the paper's rows/series. It also reports
 // sim-ns/op — virtual nanoseconds simulated per iteration — so the bench
 // history tracks the engine's simulation rate (sim-ns/op ÷ ns/op), not
-// just wall time that shifts when workloads are re-scaled.
+// just wall time that shifts when workloads are re-scaled — and the exact
+// event-queue cost behind that time: events dispatched per iteration and the
+// share of pushes each queue lane took (deterministic, so a change in them
+// is a change in the model or the queue, never noise).
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	e, ok := harness.Get(id)
@@ -30,12 +34,20 @@ func runExperiment(b *testing.B, id string) {
 	}
 	var out string
 	var simTotal int64
+	var ev sim.QueueStats
 	for i := 0; i < b.N; i++ {
 		r := e.Run(benchCfg())
 		simTotal += int64(r.SimElapsed)
+		ev.Add(r.Events)
 		out = r.String()
 	}
 	b.ReportMetric(float64(simTotal)/float64(b.N), "sim-ns/op")
+	if pushes := float64(ev.Pushes()); pushes > 0 {
+		b.ReportMetric(float64(ev.Dispatched)/float64(b.N), "events/op")
+		b.ReportMetric(float64(ev.NowPushes)/pushes, "now-share")
+		b.ReportMetric(float64(ev.WheelPushes)/pushes, "wheel-share")
+		b.ReportMetric(float64(ev.OverflowPushes)/pushes, "overflow-share")
+	}
 	if out != "" {
 		b.Log("\n" + out)
 	}

@@ -225,12 +225,10 @@ func New(e *sim.Engine, cfg Config, g *gpu.GPU, devs []*ssd.Device) *System {
 		s.deadq = append(s.deadq, deadlineQueue{})
 		// One completion-delivery state machine per device (stands in for
 		// the per-warp pollers whose thread cost is modeled by PinThreads).
-		// It rides the device's event wheel: every wake is a direct callback
-		// on the heap the device's own events live in.
 		poll := &devPoll{s: s, dev: i}
 		poll.wake = poll.expireWake
 		s.pollers = append(s.pollers, poll)
-		e.ScheduleCallbackOn(d.Wheel(), 0, poll)
+		e.ScheduleCallback(0, poll)
 	}
 	return s
 }
@@ -408,11 +406,11 @@ const (
 // time, then park on the batch fan-in. This removes two goroutine switches
 // per submitted command from the synchronous loop.
 type batchMachine struct {
-	a       *Array
-	op      nvme.Opcode
-	blocks  []uint64
-	buf     *gpu.Buffer
-	off     int64
+	a      *Array
+	op     nvme.Opcode
+	blocks []uint64
+	buf    *gpu.Buffer
+	off    int64
 	// offs, when non-nil, gives each block its own buffer offset (list
 	// batches); off is unused then.
 	offs    []int64
@@ -503,7 +501,7 @@ func (a *Array) prepBatch(op nvme.Opcode, blocks []uint64, buf *gpu.Buffer, off 
 func (a *Array) launchBatch(m *batchMachine) {
 	s := a.s
 	need := s.ThreadsNeeded(len(s.devs))
-	held, ok := s.g.PinThreadsCallback(need, 0, m)
+	held, ok := s.g.PinThreadsCallback(need, m)
 	m.held = held
 	if ok {
 		m.Run()
@@ -563,7 +561,7 @@ func (m *batchMachine) Run() {
 		m.runAddr = m.buf.Addr + mem.Addr(m.blockOff(i))
 		m.runLen = run
 		m.phase = bmGranted
-		if !s.slots[dev].AcquireCallback(1, 0, m) {
+		if !s.slots[dev].AcquireCallback(1, m) {
 			return
 		}
 		m.pushRun()
@@ -757,7 +755,7 @@ func (c *devPoll) poll() {
 				if next <= s.e.Now() {
 					continue // deadline already due; expire on the next pass
 				}
-				qp.CQ.OnPost.WaitCallback(s.devs[dev].Wheel(), c)
+				qp.CQ.OnPost.WaitCallback(0, c)
 				if c.timer == nil || c.timerAt > next || !c.timer.Revive(c.wake) {
 					if c.timer != nil {
 						c.timer.Cancel()
@@ -775,7 +773,7 @@ func (c *devPoll) poll() {
 				// it in place.
 				c.timer.Cancel()
 			}
-			qp.CQ.OnPost.WaitCallback(s.devs[dev].Wheel(), c)
+			qp.CQ.OnPost.WaitCallback(0, c)
 			return
 		}
 		qp.CQ.OnPost.Reset()

@@ -193,15 +193,15 @@ func (g *GPU) PinThreads(p *sim.Proc, n int64) (held int64, release func()) {
 
 // PinThreadsCallback is the callback-machine form of PinThreads: it reports
 // the clamped slot count and whether it was acquired inline; if not, cb
-// runs on wheel once the slots are held. Release with UnpinThreads(held).
-func (g *GPU) PinThreadsCallback(n int64, wheel int, cb sim.Callback) (held int64, acquired bool) {
+// runs once the slots are held. Release with UnpinThreads(held).
+func (g *GPU) PinThreadsCallback(n int64, cb sim.Callback) (held int64, acquired bool) {
 	if n > g.TotalThreads() {
 		n = g.TotalThreads()
 	}
 	if n <= 0 {
 		return 0, true
 	}
-	return n, g.threads.AcquireCallback(n, wheel, cb)
+	return n, g.threads.AcquireCallback(n, cb)
 }
 
 // UnpinThreads releases slots held via PinThreadsCallback.

@@ -63,6 +63,9 @@ type Result struct {
 	// simulated spans, not one clock reading). cambench reports it next to
 	// its wall-clock number.
 	SimElapsed sim.Time
+	// Events is the event-queue traffic of those same engines, summed: how
+	// many events the result cost and which queue lanes carried them.
+	Events sim.QueueStats
 }
 
 // String renders everything.
@@ -119,6 +122,7 @@ func register(id, title string, run func(cfg RunConfig) *Result) {
 		// releasing them here is what lets a worker pool run thousands
 		// of experiment engines without accumulating goroutines.
 		for _, env := range acct.envs {
+			r.Events.Add(env.E.QueueStats())
 			env.E.Shutdown()
 		}
 		return r

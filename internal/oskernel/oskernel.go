@@ -418,7 +418,7 @@ func (m *submitMachine) Run() {
 		r.dev = dev
 		m.phase = smGranted
 		// Respect the in-flight bound (kernel tag allocation).
-		if !s.slots[dev].AcquireCallback(1, 0, m) {
+		if !s.slots[dev].AcquireCallback(1, m) {
 			return
 		}
 		m.Run()

@@ -43,8 +43,8 @@ type Options struct {
 	// instead of a private one. This is how a machine declares shard
 	// affinity in a clustered simulation (sim.Cluster): constructing the Env
 	// on a shard's engine pins the fabric, host memory, GPU, and every SSD
-	// (each still on its own event wheel) to that shard, and the device
-	// constructors' affinity checks then reject any cross-shard wiring.
+	// to that shard, and the device constructors' affinity checks then
+	// reject any cross-shard wiring.
 	Engine *sim.Engine
 }
 

@@ -11,11 +11,12 @@
 // it blocks (Sleep, Wait, Acquire, ...) or returns, and control passes back
 // to the engine. Virtual time only advances between events.
 //
-// The engine's hot path is allocation-free in steady state: events live by
-// value in a 4-ary heap (no boxing), the dominant "resume process p at time
-// t" event carries the process pointer instead of a closure, and finished
-// process goroutines park on a free list for reuse by the next Go call. See
-// DESIGN.md §7 for the profile that motivated each of these.
+// The engine's hot path is allocation-free in steady state: every pending
+// event is an (at, seq, Callback) triple in the engine's one event queue — a
+// zero-delay ring, a calendar of 512 ns buckets threaded through a payload
+// slab, and an overflow heap (events.go; DESIGN.md §12) — process resumes
+// schedule the *Proc itself as the Callback, and finished process
+// goroutines park on a free list for reuse by the next Go call.
 package sim
 
 import (
@@ -65,31 +66,6 @@ func (t Time) String() string {
 type Engine struct {
 	now Time
 	seq uint64
-	// wheels are the per-shard event heaps: wheel 0 is the host/default
-	// wheel, and each device claims its own via NewWheel. Dispatch order is
-	// the global (at, seq) minimum across wheel heads, so the partition is
-	// semantics-free — it exists to keep each heap shallow and cache-hot,
-	// and to give the shard coordinator (see shard.go) a per-shard pending
-	// set it can run in parallel windows.
-	wheels []eventQueue
-	// heads caches wheels[i].head() so the cross-wheel minimum scan touches
-	// one compact array.
-	heads   []wheelHead
-	pending int
-	// minW/secondHead cache the head scan across dispatch iterations: minW is
-	// the argmin wheel and secondHead a lower bound on every other wheel's
-	// head. Between full scans only minW pops (RunUntil dispatches solely from
-	// the minimum), and pushes to other wheels fold into the bound, so the
-	// next dispatch needs a full rescan only when minW's head climbs past
-	// secondHead. minValid gates the cache (false after NewWheel/Shutdown).
-	minW       int
-	secondHead wheelHead
-	minValid   bool
-	// curWheel is the wheel of the event being executed right now; events
-	// scheduled during execution land on the same wheel (a device's command
-	// pipeline stays on the device's wheel), while process resumes always
-	// follow the process's own pin.
-	curWheel int
 	// shard, when non-nil, is the cluster shard this engine belongs to;
 	// used only to diagnose cross-shard affinity violations.
 	shard *Shard
@@ -105,85 +81,32 @@ type Engine struct {
 	free []*Proc
 
 	stopped bool
+
+	// q holds every pending event; dispatch order is its (at, seq) minimum.
+	q eventQueue
 }
 
 // New returns an empty engine at virtual time zero.
 func New() *Engine {
-	return &Engine{
-		yield:  make(chan struct{}),
-		wheels: make([]eventQueue, 1),
-		heads:  []wheelHead{emptyHead},
-	}
+	return &Engine{yield: make(chan struct{})}
 }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// NewWheel allocates a new event wheel and returns its index. Devices call
-// this once at construction and pin their controller process to it
-// (GoWheel); everything the device schedules from inside its own events
-// then stays on its wheel. Wheel 0 is the host/default wheel.
-func (e *Engine) NewWheel() int {
-	e.wheels = append(e.wheels, eventQueue{})
-	e.heads = append(e.heads, emptyHead)
-	e.minValid = false
-	return len(e.wheels) - 1
-}
+// QueueStats reports the event-queue traffic counters accumulated so far.
+func (e *Engine) QueueStats() QueueStats { return e.q.stats }
 
-// Wheels reports the number of event wheels (1 + one per NewWheel call).
-func (e *Engine) Wheels() int { return len(e.wheels) }
+// funcCallback adapts a closure to Callback. Func values are pointer-shaped,
+// so the conversion to the interface allocates nothing.
+type funcCallback func()
 
-// CurWheel reports the wheel of the event being executed right now (0 when
-// called from outside the run loop). Callback state machines capture it at
-// construction to pin their self-scheduled events the same way Go pins a
-// process's resumes.
-func (e *Engine) CurWheel() int { return e.curWheel }
-
-// pushEvent inserts ev into wheel w and refreshes its cached head.
-//
-//camlint:hotpath
-func (e *Engine) pushEvent(w int, ev event) {
-	e.checkAffinity()
-	q := &e.wheels[w]
-	if ev.at <= e.now {
-		// Zero-delay events land on the wheel's sorted FIFO lane instead
-		// of the heap: at most the current instant, seq monotone, so
-		// append order is dispatch order.
-		q.pushNow(ev)
-	} else {
-		q.push(ev)
-	}
-	e.pending++
-	if h := (wheelHead{at: ev.at, seq: ev.seq}); h.at < e.heads[w].at ||
-		(h.at == e.heads[w].at && h.seq < e.heads[w].seq) {
-		e.heads[w] = h
-	}
-	if e.minValid && w != e.minW {
-		// Fold the push into the dispatch cache: a smaller head on another
-		// wheel either steals the argmin (the old minimum is folded into the
-		// lower bound) or tightens the bound. secondHead may undershoot the
-		// true runner-up — that only costs a spare rescan, never a wrong pop.
-		h := e.heads[w]
-		m := e.heads[e.minW]
-		if h.at < m.at || (h.at == m.at && h.seq < m.seq) {
-			if m.at < e.secondHead.at || (m.at == e.secondHead.at && m.seq < e.secondHead.seq) {
-				e.secondHead = m
-			}
-			e.minW = w
-		} else if h.at < e.secondHead.at || (h.at == e.secondHead.at && h.seq < e.secondHead.seq) {
-			e.secondHead = h
-		}
-	}
-}
+func (f funcCallback) Run() { f() }
 
 // Schedule runs fn at now+delay. A negative delay is treated as zero.
 // Callbacks run on the engine goroutine and must not block.
 func (e *Engine) Schedule(delay Time, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.seq++
-	e.pushEvent(e.curWheel, event{at: e.now + delay, seq: e.seq, fn: fn})
+	e.ScheduleCallback(delay, funcCallback(fn))
 }
 
 // Callback is a pre-built scheduled action. Objects that run through many
@@ -194,26 +117,20 @@ type Callback interface {
 	Run()
 }
 
-// ScheduleCallback runs cb.Run at now+delay. It is the allocation-free
-// sibling of Schedule: storing an interface whose dynamic type is a pointer
-// allocates nothing.
+// ScheduleCallback runs cb.Run at now+delay; a negative delay is treated as
+// zero. Storing an interface whose dynamic type is a pointer allocates
+// nothing, so this is the allocation-free way to schedule anything: state
+// machines, timers, and process resumes (a *Proc's Run hands it control).
+//
+//camlint:hotpath
 func (e *Engine) ScheduleCallback(delay Time, cb Callback) {
-	if delay < 0 {
-		delay = 0
-	}
+	e.checkAffinity()
 	e.seq++
-	e.pushEvent(e.curWheel, event{at: e.now + delay, seq: e.seq, cb: cb})
-}
-
-// ScheduleCallbackOn is ScheduleCallback targeting an explicit wheel instead
-// of inheriting the current one. Devices use it to start their poller state
-// machines on their own wheel from host context (Start runs on wheel 0).
-func (e *Engine) ScheduleCallbackOn(wheel int, delay Time, cb Callback) {
-	if delay < 0 {
-		delay = 0
+	if delay <= 0 {
+		e.q.pushNow(event{at: e.now, seq: e.seq, cb: cb})
+		return
 	}
-	e.seq++
-	e.pushEvent(wheel, event{at: e.now + delay, seq: e.seq, cb: cb})
+	e.q.push(e.now+delay, e.seq, cb)
 }
 
 // Timer is a cancellable scheduled callback. A Cancel before the due time
@@ -269,20 +186,6 @@ func (e *Engine) ScheduleTimer(delay Time, fn func()) *Timer {
 	return t
 }
 
-// scheduleResume queues the allocation-free fast-path event that hands
-// control to p at now+delay. Every internal wakeup (Sleep, Signal.Fire,
-// Store.Put, Resource.Release, Go) goes through here instead of boxing a
-// fresh closure per event.
-//
-//camlint:hotpath
-func (e *Engine) scheduleResume(p *Proc, delay Time) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.seq++
-	e.pushEvent(p.wheel, event{at: e.now + delay, seq: e.seq, p: p})
-}
-
 // killSignal is the panic value used to unwind a process goroutine during
 // Shutdown. It is recovered by the process loop and never escapes.
 type killSignal struct{}
@@ -297,8 +200,6 @@ type Proc struct {
 	fn     func(p *Proc)
 	done   bool
 	killed bool
-	// wheel is the event wheel this process's resume events land on.
-	wheel int
 	// liveIdx is this process's index in e.live, -1 when not live.
 	liveIdx int
 }
@@ -313,18 +214,8 @@ func (p *Proc) Engine() *Engine { return p.e }
 func (p *Proc) Now() Time { return p.e.now }
 
 // Go starts fn as a new simulation process. The process begins executing at
-// the current virtual time, after already-queued events at that time. The
-// process inherits the wheel of the event that spawned it (wheel 0 when
-// started from outside the run loop).
+// the current virtual time, after already-queued events at that time.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	return e.GoWheel(e.curWheel, name, fn)
-}
-
-// GoWheel starts fn as a new simulation process pinned to the given event
-// wheel: its resume events (Sleep, Signal wakeups) land on that wheel.
-// Devices pin their controller processes to their own wheel so their whole
-// event stream shards together.
-func (e *Engine) GoWheel(wheel int, name string, fn func(p *Proc)) *Proc {
 	var p *Proc
 	if n := len(e.free); n > 0 {
 		p = e.free[n-1]
@@ -337,9 +228,8 @@ func (e *Engine) GoWheel(wheel int, name string, fn func(p *Proc)) *Proc {
 		go p.loop()
 	}
 	p.fn = fn
-	p.wheel = wheel
 	e.addLive(p)
-	e.scheduleResume(p, 0)
+	e.ScheduleCallback(0, p)
 	return p
 }
 
@@ -398,8 +288,11 @@ func (e *Engine) unlive(p *Proc) {
 	p.liveIdx = -1
 }
 
-// runProc transfers control to p and waits for it to block or finish.
-func (e *Engine) runProc(p *Proc) {
+// Run implements Callback: it transfers control to p and waits for it to
+// block or finish. The engine invokes it when a resume event scheduled for p
+// comes due; it is not for users.
+func (p *Proc) Run() {
+	e := p.e
 	prev := e.current
 	e.current = p
 	p.resume <- struct{}{}
@@ -425,7 +318,7 @@ func (p *Proc) block() {
 // Sleep suspends the process for d of virtual time (d<=0 is a yield to
 // events already queued at the current instant).
 func (p *Proc) Sleep(d Time) {
-	p.e.scheduleResume(p, d)
+	p.e.ScheduleCallback(d, p)
 	p.block()
 }
 
@@ -448,66 +341,32 @@ func (p *Proc) Yield() { p.Sleep(0) }
 func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 
 // RunUntil processes events with timestamps <= deadline. Events beyond the
-// deadline remain queued; the clock is left at min(deadline, last event).
-// Dispatch order is the strict global (at, seq) minimum across all wheels,
-// so the wheel partition never changes behavior — only locality.
+// deadline remain queued; the clock is left at the last event dispatched.
+// Dispatch order is the strict global (at, seq) minimum.
 //
 //camlint:hotpath
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for e.pending > 0 && !e.stopped {
-		// Cross-wheel minimum. Fast path: the cached argmin still beats the
-		// secondHead lower bound, so no other wheel can hold an earlier
-		// event (pops only ever happen here, and pushes maintain the cache).
-		// Ties are impossible between live events (seq is unique), and an
-		// all-empty tie at (MaxTime, ^0) exits via the deadline check.
-		var w int
-		var h wheelHead
-		if m := e.heads[e.minW]; e.minValid &&
-			(m.at < e.secondHead.at || (m.at == e.secondHead.at && m.seq <= e.secondHead.seq)) {
-			w, h = e.minW, m
-		} else {
-			// Full scan of the compact head cache; rebuild the runner-up
-			// bound alongside the minimum.
-			w = 0
-			h = e.heads[0]
-			second := emptyHead
-			for i := 1; i < len(e.heads); i++ {
-				hi := e.heads[i]
-				if hi.at < h.at || (hi.at == h.at && hi.seq < h.seq) {
-					second = h
-					w, h = i, hi
-				} else if hi.at < second.at || (hi.at == second.at && hi.seq < second.seq) {
-					second = hi
-				}
-			}
-			e.minW, e.secondHead, e.minValid = w, second, true
-		}
-		if h.at > deadline {
+	q := &e.q
+	for !e.stopped {
+		ev, ok := q.popMinUntil(deadline)
+		if !ok {
 			break
 		}
-		q := &e.wheels[w]
-		ev := q.popMin()
-		e.heads[w] = q.head()
-		e.pending--
 		if t, ok := ev.cb.(*Timer); ok && t.dead {
+			// Canceled: discard without advancing the clock — or the
+			// queue's floor, which must never pass it.
 			t.done = true
-			continue // canceled: discard without advancing the clock
+			q.stats.DeadTimers++
+			continue
 		}
 		if ev.at > e.now {
 			e.now = ev.at
+			q.advance(ev.at)
 		}
-		e.curWheel = w
-		switch {
-		case ev.p != nil:
-			e.runProc(ev.p)
-		case ev.cb != nil:
-			ev.cb.Run()
-		default:
-			ev.fn()
-		}
+		q.stats.Dispatched++
+		ev.cb.Run()
 	}
-	e.curWheel = 0
 	return e.now
 }
 
@@ -542,11 +401,7 @@ func (e *Engine) Shutdown() {
 		e.free = e.free[:len(e.free)-1]
 		e.kill(p)
 	}
-	e.wheels = make([]eventQueue, 1)
-	e.heads = []wheelHead{emptyHead}
-	e.pending = 0
-	e.minW = 0
-	e.minValid = false
+	e.q = eventQueue{stats: e.q.stats}
 }
 
 // kill wakes p with the killed flag set and waits for its goroutine to
@@ -557,23 +412,18 @@ func (e *Engine) kill(p *Proc) {
 	<-e.yield
 }
 
-// Pending reports the number of queued events across all wheels.
-func (e *Engine) Pending() int { return e.pending }
+// Pending reports the number of queued events.
+func (e *Engine) Pending() int { return e.q.len() }
 
 // Live reports the number of started-but-unfinished processes.
 func (e *Engine) Live() int { return len(e.live) }
 
-// sigWaiter is one parked waiter on a Signal: a process (resumed via the
-// allocation-free fast path on its own wheel) or a callback (scheduled on
-// the wheel it registered with). Both consume exactly one event with one
-// sequence number when the signal fires, in registration order, so swapping
-// a process waiter for a callback waiter never perturbs the event trace.
+// sigWaiter is one parked waiter on a Signal: a Callback (a *Proc for a
+// blocked process) scheduled as one zero-delay event when the signal fires,
+// in registration order — so swapping a process waiter for a state machine
+// never perturbs the event trace — or run inline (see WaitInline).
 type sigWaiter struct {
-	p     *Proc
-	cb    Callback
-	wheel int
-	// inline runs cb synchronously inside Fire instead of scheduling an
-	// event (see WaitInline).
+	cb     Callback
 	inline bool
 }
 
@@ -610,14 +460,10 @@ func (s *Signal) Fire() {
 	for i := range ws {
 		w := ws[i]
 		ws[i] = sigWaiter{}
-		switch {
-		case w.p != nil:
-			s.e.scheduleResume(w.p, 0)
-		case w.inline:
+		if w.inline {
 			w.cb.Run()
-		default:
-			s.e.seq++
-			s.e.pushEvent(w.wheel, event{at: s.e.now, seq: s.e.seq, cb: w.cb})
+		} else {
+			s.e.ScheduleCallback(0, w.cb)
 		}
 	}
 	if s.waiters == nil {
@@ -642,25 +488,28 @@ func (p *Proc) Wait(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, sigWaiter{p: p})
+	s.waiters = append(s.waiters, sigWaiter{cb: p})
 	p.block()
 }
 
-// WaitCallback registers cb to be scheduled on the given wheel when the
-// signal fires. It is the callback-state-machine analogue of Wait: a poller
-// that has drained its work parks here and is re-entered by a direct call
-// instead of a goroutine rendezvous. If the signal has already fired the
-// callback is scheduled immediately; pollers that must not consume an event
-// in that case check Fired() first, exactly as process loops do before Wait.
+// WaitCallback registers cb to be scheduled when the signal fires. It is the
+// callback-state-machine analogue of Wait: a poller that has drained its
+// work parks here and is re-entered by a direct call instead of a goroutine
+// rendezvous. If the signal has already fired the callback is scheduled
+// immediately; pollers that must not consume an event in that case check
+// Fired() first, exactly as process loops do before Wait.
+//
+// The first argument is ignored. It named a per-device event wheel before
+// the engine had one queue, and stays only because the frozen benchmark
+// module (bench/drives.go) calls WaitCallback(0, r).
 //
 //camlint:hotpath
-func (s *Signal) WaitCallback(wheel int, cb Callback) {
+func (s *Signal) WaitCallback(_ int, cb Callback) {
 	if s.fired {
-		s.e.seq++
-		s.e.pushEvent(wheel, event{at: s.e.now, seq: s.e.seq, cb: cb})
+		s.e.ScheduleCallback(0, cb)
 		return
 	}
-	s.waiters = append(s.waiters, sigWaiter{cb: cb, wheel: wheel}) //camlint:allow hotalloc -- Fire recycles the backing array; steady state appends into retained capacity
+	s.waiters = append(s.waiters, sigWaiter{cb: cb}) //camlint:allow hotalloc -- Fire recycles the backing array; steady state appends into retained capacity
 }
 
 // WaitInline registers cb to run synchronously inside Fire, at the firing
@@ -695,15 +544,11 @@ func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
 	// on s (Fire removes waiters synchronously, so at an exact tie the
 	// already-processed Fire wins and the timer becomes a no-op instead of
 	// resuming p a second time).
-	s.waiters = append(s.waiters, sigWaiter{p: p})
+	s.waiters = append(s.waiters, sigWaiter{cb: p})
 	t := p.e.ScheduleTimer(d, func() {
-		for i, w := range s.waiters {
-			if w.p == p {
-				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-				expired = true
-				p.e.runProc(p)
-				return
-			}
+		if s.CancelWaitCallback(p) {
+			expired = true
+			p.Run()
 		}
 	})
 	// Wrap the resume from Fire: mark fired before control returns.
@@ -718,7 +563,7 @@ func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
 
 // blockNoted blocks like block, but if resumed by a Signal.Fire (rather than
 // the timeout callback) it records that by setting *fired. Fire path: the
-// process is scheduled via scheduleResume without expired set.
+// process is scheduled as a plain resume event without expired set.
 func (p *Proc) blockNoted(fired, expired *bool) {
 	if p.killed {
 		panic(killSignal{})

@@ -1,384 +1,397 @@
 package sim
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
-// event is one pending queue entry as handed across the queue API: the
-// common resume case (p != nil) carries the process to hand control to with
-// no closure and no heap allocation; cb carries a pre-built Callback object
-// (pooled command state machines schedule themselves this way without
-// boxing a closure per phase); the general case carries an arbitrary fn
-// closure.
+// event is one pending queue entry: the instant it is due, the insertion
+// sequence that orders ties, and the action to run. Everything the engine
+// schedules — process resumes (*Proc), pooled state machines, timers and
+// plain closures (funcCallback) — is a Callback, so dispatch is one
+// interface call.
 type event struct {
 	at  Time
 	seq uint64
-	p   *Proc    // fast-path: resume this process
-	cb  Callback // pooled-callback path (nil → run fn)
-	fn  func()   // general callback path
+	cb  Callback
 }
 
-// slotBits is how much of an eventKey's packed word the payload-slot index
-// occupies; the insertion sequence lives above it. 24 bits allow 16M events
-// pending on one wheel at once, and leave 40 bits of sequence — a trillion
-// events per run — before overflow (both guarded in push).
+// slotBits is how much of an eventKey's packed word the slab-slot index
+// occupies; the insertion sequence lives above it. 24 bits allow 16M timed
+// events pending at once and leave 40 bits of sequence — a trillion events
+// per run — before overflow (both guarded in push).
 const slotBits = 24
 
 const slotMask = 1<<slotBits - 1
 
 // eventKey is the timed lanes' compact ordering record: the event timestamp
-// plus the insertion sequence packed above the payload-slot index. Ordering
-// by (at, sq) equals ordering by (at, seq) — sequences are unique, so the
-// slot bits can never decide a comparison — while keeping entries at
-// 16 bytes: bucket sorts and heap sifts move and compare a third of the
-// full event struct, and four keys pack into a single cache line. The same
-// key format flows between the near-horizon wheel buckets and the overflow
-// heap, so promotion moves 16 bytes and never touches the payload slab.
+// plus the insertion sequence packed above the slab-slot index. Ordering by
+// (at, sq) equals ordering by (at, seq) — sequences are unique, so the slot
+// bits can never decide a comparison — while keeping entries at 16 bytes:
+// run sorts and heap sifts move four keys per cache line and never touch the
+// callback.
 type eventKey struct {
 	at Time
-	sq uint64 // seq<<slotBits | payload slot
+	sq uint64 // seq<<slotBits | slab slot
 }
 
 func keyLess(a, b eventKey) bool {
 	return a.at < b.at || (a.at == b.at && a.sq < b.sq)
 }
 
-func keyCmp(a, b eventKey) int {
-	if a.at != b.at {
-		if a.at < b.at {
-			return -1
-		}
-		return 1
-	}
-	if a.sq != b.sq {
-		if a.sq < b.sq {
-			return -1
-		}
-		return 1
-	}
-	return 0
+// slabEntry parks one timed event: its key, its callback and the link that
+// threads it onto its calendar bucket's list (or onto the free list). Links
+// are slot+1, so the zero value is the empty list.
+type slabEntry struct {
+	key  eventKey
+	cb   Callback
+	next int32
 }
 
-// eventPayload is the callback part of a timed-lane event, parked in a slab
-// indexed by the key's slot bits so bucket sorts and heap sifts never move
-// it.
-type eventPayload struct {
-	p  *Proc
-	cb Callback
-	fn func()
-}
-
-// Timing-wheel geometry. One bucket spans 8.192 µs and the ring holds 64
-// buckets, so the near horizon covers ≈524 µs past the queue's floor —
-// comfortably beyond the NVMe poll/completion latencies (60 ns poll
-// iterations through ≈82 µs write media latency) that dominate the event
-// mix, while millisecond-scale timeouts and harness sleeps take the
-// overflow heap.
+// Calendar geometry, derived from the measured event mix of the paper's
+// headline point (cam-read-4k: 5.0 events per I/O, ≈1 500 pending; DESIGN.md
+// §12): 52 % of pushes land 64–511 ns ahead and 40 % 8 µs–1 ms ahead, so a
+// 512 ns bucket keeps the sorted run at ≈12 keys and a 2048-bucket ring puts
+// the horizon at 1.05 ms, past every media and DMA phase; only
+// millisecond-scale timeouts and harness sleeps take the overflow heap.
 const (
-	wheelWidthBits = 13
-	wheelBuckets   = 64
-	wheelSlotMask  = wheelBuckets - 1
+	calWidthBits = 9
+	calWords     = 32 // occupancy bitmap words: one bit each in the uint32 summary
+	calBuckets   = calWords * 64
+	calMask      = calBuckets - 1
 )
 
 // bucketOf maps a timestamp to its absolute bucket number.
-func bucketOf(at Time) uint64 { return uint64(at) >> wheelWidthBits }
+func bucketOf(at Time) uint64 { return uint64(at) >> calWidthBits }
 
-// wheelBucket is one ring slot: an append-mostly vector of keys with a
-// consumed prefix. Only keys[hidx:] are live; sorted reports whether that
-// live region is ordered by (at, sq). Buckets sort lazily — on first
-// consumption — so off-horizon inserts cost an append and nothing else.
-type wheelBucket struct {
-	keys   []eventKey
-	hidx   int
-	sorted bool
+// QueueStats counts the engine's event traffic by lane. The counters are
+// exact and deterministic, so tests and benchmarks can assert the mix a
+// workload produces instead of inferring it from a profile.
+type QueueStats struct {
+	Dispatched     uint64 // events run (dead timers excluded)
+	NowPushes      uint64 // zero-delay lane
+	WheelPushes    uint64 // calendar, including pushes into the active run
+	OverflowPushes uint64 // past the horizon at push time
+	Promotions     uint64 // overflow events moved into the calendar
+	DeadTimers     uint64 // canceled timers discarded at dispatch
+	Activations    uint64 // buckets gathered into the run
+	RunKeysSorted  uint64 // keys those gathers sorted
+	RunInserts     uint64 // pushes that landed in the active run
 }
 
-// eventQueue orders pending events through three lanes:
+// Add accumulates o into s, for totals across engines.
+func (s *QueueStats) Add(o QueueStats) {
+	s.Dispatched += o.Dispatched
+	s.NowPushes += o.NowPushes
+	s.WheelPushes += o.WheelPushes
+	s.OverflowPushes += o.OverflowPushes
+	s.Promotions += o.Promotions
+	s.DeadTimers += o.DeadTimers
+	s.Activations += o.Activations
+	s.RunKeysSorted += o.RunKeysSorted
+	s.RunInserts += o.RunInserts
+}
+
+// Pushes reports the events scheduled, all lanes.
+func (s QueueStats) Pushes() uint64 { return s.NowPushes + s.WheelPushes + s.OverflowPushes }
+
+// eventQueue orders an engine's pending events through three lanes:
 //
-//   - nowq: the zero-delay lane. Events whose timestamp equals the engine's
-//     current instant at push time; the clock never rewinds and seq is
-//     globally monotone, so appends arrive already sorted and a plain ring
-//     replaces any sifting — the dominant case in a polling-heavy DES.
-//   - the near-horizon timing wheel: 64 buckets of 8.192 µs covering
-//     [floor, floor+524 µs). Inserts are O(1) appends (or an ordered insert
-//     into the active bucket); the active bucket sorts once when dispatch
-//     reaches it, so per-event cost is one amortized small sort share
-//     instead of a full-heap siftDown per pop.
+//   - nowq: the zero-delay lane. Events pushed for the engine's current
+//     instant; the clock never rewinds and seq is monotone, so appends arrive
+//     already sorted and a ring replaces any sifting.
+//   - the calendar: calBuckets buckets of 512 ns covering [floor, floor +
+//     1.05 ms). A bucket is a 4-byte list head threaded through the slab, so
+//     a push is a link and a bit. When dispatch reaches the earliest occupied
+//     bucket its keys are gathered into run, sorted once, and popped from its
+//     tail; pushes for the run's own bucket binary-insert into it.
 //   - the overflow 4-ary heap: everything at or beyond the horizon. As the
-//     floor (the latest timestamp dispatched from this queue) advances past
-//     bucket boundaries, newly addressable overflow events promote into the
-//     wheel — each event promotes at most once.
+//     floor advances, newly addressable events promote into the calendar —
+//     each at most once.
 //
-// All three lanes index one shared payload slab through the key's slot
-// bits; moving a key between lanes never touches the payload. The dispatch
-// order is exactly the global (at, seq) minimum: the wheel strictly
-// precedes the overflow heap whenever it is non-empty (wheel events live in
-// buckets below the horizon, heap events at or beyond it), so the head is a
-// three-way compare away.
+// The dispatch order is exactly the global (at, seq) minimum: the run
+// precedes every occupied bucket (see calInsert), the calendar precedes the
+// heap (advance promotes everything below the horizon), and the now lane's
+// head is compared against the timed head on every pop.
 //
-// An Engine holds one eventQueue per wheel (see Engine.NewWheel): sharding
-// the pending set by device keeps each bucket ring hot in cache, while the
-// global dispatch order stays exactly (at, seq) via the wheel-head merge in
-// RunUntil.
+// The floor only ever advances to the engine's clock, and every push times at
+// or after the clock, so no push can land behind the window.
 type eventQueue struct {
-	// Near-horizon wheel lane. occ is the ring occupancy bitmap (bit i =
-	// ring slot i holds live keys); wbase is the absolute bucket number of
-	// the window start, advanced only by dispatch (every pending and future
-	// event of this queue times at or after the latest dispatched event, so
-	// buckets behind it are empty forever); wlen counts wheel-lane events.
-	bks   [wheelBuckets]wheelBucket
-	occ   uint64
+	n     int // pending events, all lanes
+	stats QueueStats
+
+	nowq ring[event]
+
+	// run is the active bucket's keys sorted descending, so the earliest
+	// pops off the tail. runOn marks it active for bucket runBucket, whose
+	// list is empty and occupancy bit clear meanwhile; an active run may be
+	// empty (its bucket drained but not yet left).
+	run       []eventKey
+	runBucket uint64
+	runOn     bool
+
+	heap []eventKey // overflow lane
+
+	slab []slabEntry
+	free int32 // free-slot list through slabEntry.next
+
+	// wbase is the absolute bucket number of the window start. occ has one
+	// bit per ring slot holding a non-empty list and sum one bit per
+	// non-zero occ word.
 	wbase uint64
-	wlen  int
-
-	keys []eventKey     // overflow heap lane ordering records
-	pay  []eventPayload // payload slab, indexed by key slot bits
-	free []int32        // recycled slab slots
-	// nowq is the zero-delay lane (see above).
-	nowq    []event
-	nowHead int
+	sum   uint32
+	occ   [calWords]uint64
+	heads [calBuckets]int32
 }
 
-// wheelHead mirrors the (at, seq) key of a wheel's earliest event so the
-// cross-wheel minimum is a scan over a compact array instead of a pointer
-// chase into every queue. An empty wheel parks at (MaxTime, ^0), which no
-// real event can tie: seq starts at 1 and at is clamped to MaxTime.
-type wheelHead struct {
-	at  Time
-	seq uint64
-}
+func (q *eventQueue) len() int { return q.n }
 
-// emptyHead is the parked key of a wheel with no pending events.
-var emptyHead = wheelHead{at: MaxTime, seq: ^uint64(0)}
-
-// minSlot reports the ring slot of the earliest occupied bucket. Callers
-// guarantee q.occ != 0. The rotation turns "first occupied slot at or after
-// the window start, circularly" into a trailing-zeros count.
-func (q *eventQueue) minSlot() int {
-	r := bits.RotateLeft64(q.occ, -int(q.wbase&wheelSlotMask))
-	return int((q.wbase + uint64(bits.TrailingZeros64(r))) & wheelSlotMask)
-}
-
-// wheelMin returns the wheel lane's earliest key, sorting the active bucket
-// on first consumption. Callers guarantee q.wlen > 0.
-func (q *eventQueue) wheelMin() eventKey {
-	b := &q.bks[q.minSlot()]
-	if !b.sorted {
-		slices.SortFunc(b.keys[b.hidx:], keyCmp)
-		b.sorted = true
-	}
-	return b.keys[b.hidx]
-}
-
-// wheelInsert files k into its ring bucket. The active (minimum) bucket
-// takes an ordered insert into its live region so the queue head stays
-// exact; every other bucket takes a plain append, staying sorted for free
-// when pushes arrive in order.
-//
-//camlint:hotpath
-func (q *eventQueue) wheelInsert(k eventKey) {
-	s := int(bucketOf(k.at) & wheelSlotMask)
-	b := &q.bks[s]
-	n := len(b.keys)
-	if n == 0 {
-		b.keys = append(b.keys, k) //camlint:allow hotalloc -- amortized bucket growth; steady state reuses capacity
-		b.hidx = 0
-		b.sorted = true
-		q.occ |= 1 << uint(s)
-		q.wlen++
-		return
-	}
-	if b.sorted && s == q.minSlot() {
-		// Ordered insert into the live region of the active bucket: a push
-		// can land before already-filed keys (the consumed prefix is always
-		// earlier — wheel pushes time strictly after the queue floor).
-		lo, hi := b.hidx, n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if keyLess(b.keys[mid], k) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		b.keys = append(b.keys, eventKey{}) //camlint:allow hotalloc -- amortized bucket growth; steady state reuses capacity
-		copy(b.keys[lo+1:], b.keys[lo:])
-		b.keys[lo] = k
-	} else {
-		if b.sorted && keyLess(k, b.keys[n-1]) {
-			b.sorted = false
-		}
-		b.keys = append(b.keys, k) //camlint:allow hotalloc -- amortized bucket growth; steady state reuses capacity
-	}
-	q.wlen++
-}
-
-// wheelPop removes and returns the wheel lane's earliest key. Callers
-// guarantee q.wlen > 0.
-//
-//camlint:hotpath
-func (q *eventQueue) wheelPop() eventKey {
-	s := q.minSlot()
-	b := &q.bks[s]
-	if !b.sorted {
-		slices.SortFunc(b.keys[b.hidx:], keyCmp)
-		b.sorted = true
-	}
-	k := b.keys[b.hidx]
-	b.hidx++
-	if b.hidx == len(b.keys) {
-		b.keys = b.keys[:0]
-		b.hidx = 0
-		b.sorted = false
-		q.occ &^= 1 << uint(s)
-	}
-	q.wlen--
-	return k
-}
-
-// advance slides the window start to the bucket of the just-dispatched
-// timestamp and promotes overflow events that became addressable. Every
-// remaining event of this queue times at or after at (dispatch takes the
-// queue minimum), so the buckets being slid past are empty by construction;
-// each overflow event promotes into the ring at most once.
-func (q *eventQueue) advance(at Time) {
-	ab := bucketOf(at)
-	if ab <= q.wbase {
-		return
-	}
-	q.wbase = ab
-	for len(q.keys) > 0 && bucketOf(q.keys[0].at) < q.wbase+wheelBuckets {
-		q.wheelInsert(q.heapPop())
-	}
-}
-
-// head reports the queue's current minimum key across all three lanes. The
-// wheel strictly precedes the overflow heap when non-empty, the nowq lane
-// is sorted so its head is its first live entry, and the lexicographic
-// (at, seq) comparison picks the global lane minimum.
-func (q *eventQueue) head() wheelHead {
-	h := emptyHead
-	if q.wlen > 0 {
-		k := q.wheelMin()
-		h = wheelHead{at: k.at, seq: k.sq >> slotBits}
-	} else if len(q.keys) > 0 {
-		h = wheelHead{at: q.keys[0].at, seq: q.keys[0].sq >> slotBits}
-	}
-	if q.nowHead < len(q.nowq) {
-		f := &q.nowq[q.nowHead]
-		if f.at < h.at || (f.at == h.at && f.seq < h.seq) {
-			h = wheelHead{at: f.at, seq: f.seq}
-		}
-	}
-	return h
-}
-
-func (q *eventQueue) len() int { return q.wlen + len(q.keys) + len(q.nowq) - q.nowHead }
-
-// pushNow appends ev to the zero-delay lane. Callers guarantee ev.at equals
-// the engine's current instant, which keeps the lane sorted by construction.
+// pushNow appends an event due at the engine's current instant.
 //
 //camlint:hotpath
 func (q *eventQueue) pushNow(ev event) {
-	q.nowq = append(q.nowq, ev) //camlint:allow hotalloc -- amortized ring growth; steady state reuses capacity
+	q.nowq.pushBack(ev)
+	q.n++
+	q.stats.NowPushes++
 }
 
-// popMin removes and returns the earliest event across all lanes.
+// push parks a timed event (at later than the engine's clock) in a slab
+// slot and files its key into the calendar or, past the horizon, the
+// overflow heap.
 //
 //camlint:hotpath
-func (q *eventQueue) popMin() event {
-	// Candidate from the timed lanes: the wheel wins over the overflow heap
-	// outright (its buckets all precede the horizon; the heap starts at it).
-	var k eventKey
-	haveTimed := true
-	fromWheel := false
-	switch {
-	case q.wlen > 0:
-		k = q.wheelMin()
-		fromWheel = true
-	case len(q.keys) > 0:
-		k = q.keys[0]
-	default:
-		haveTimed = false
-	}
-	if q.nowHead < len(q.nowq) {
-		f := &q.nowq[q.nowHead]
-		if !haveTimed || f.at < k.at || (f.at == k.at && f.seq < k.sq>>slotBits) {
-			ev := *f
-			*f = event{} // never pin a dead callback or process
-			q.nowHead++
-			if q.nowHead == len(q.nowq) {
-				q.nowq = q.nowq[:0]
-				q.nowHead = 0
-			}
-			q.advance(ev.at)
-			return ev
-		}
-	}
-	if fromWheel {
-		k = q.wheelPop()
-	} else {
-		k = q.heapPop()
-	}
-	slot := int32(k.sq & slotMask)
-	pl := q.pay[slot]
-	q.pay[slot] = eventPayload{}
-	q.free = append(q.free, slot) //camlint:allow hotalloc -- free list grows to the pending-event high-water mark, then reuses capacity
-	q.advance(k.at)
-	return event{at: k.at, seq: k.sq >> slotBits, p: pl.p, cb: pl.cb, fn: pl.fn}
-}
-
-// push inserts ev: the callback part parks in a slab slot, and a compact
-// (at, seq|slot) key files into the near-horizon wheel or, past the
-// horizon, sifts up the overflow heap.
-func (q *eventQueue) push(ev event) {
-	if ev.seq >= 1<<(64-slotBits) {
+func (q *eventQueue) push(at Time, seq uint64, cb Callback) {
+	if seq >= 1<<(64-slotBits) {
 		panic("sim: event sequence overflows key packing")
 	}
-	var slot int32
-	if n := len(q.free); n > 0 {
-		slot = q.free[n-1]
-		q.free = q.free[:n-1]
+	slot := q.free - 1
+	if slot >= 0 {
+		q.free = q.slab[slot].next
 	} else {
-		slot = int32(len(q.pay))
+		slot = int32(len(q.slab))
 		if slot > slotMask {
-			panic("sim: too many pending events on one wheel")
+			panic("sim: too many pending timed events")
 		}
-		q.pay = append(q.pay, eventPayload{}) //camlint:allow hotalloc -- amortized slab growth; steady state reuses capacity
+		q.slab = append(q.slab, slabEntry{}) //camlint:allow hotalloc -- amortized slab growth to the pending high-water mark; steady state reuses freed slots
 	}
-	q.pay[slot] = eventPayload{p: ev.p, cb: ev.cb, fn: ev.fn}
-	k := eventKey{at: ev.at, sq: ev.seq<<slotBits | uint64(slot)}
-	if bucketOf(ev.at) < q.wbase+wheelBuckets {
-		q.wheelInsert(k)
+	k := eventKey{at: at, sq: seq<<slotBits | uint64(slot)}
+	q.slab[slot] = slabEntry{key: k, cb: cb}
+	q.n++
+	if bucketOf(at) >= q.wbase+calBuckets {
+		q.stats.OverflowPushes++
+		q.heapPush(k)
 		return
 	}
-	q.heapPush(k)
+	q.stats.WheelPushes++
+	q.calInsert(k)
+}
+
+// calInsert files k, which lies inside the window, into the run or onto its
+// bucket's list. A key for a bucket before the active run's — possible only
+// when the run was gathered ahead of the clock, by a deadline or next-event
+// peek — first hands the run back to its bucket so the run stays the
+// calendar's earliest.
+//
+//camlint:hotpath
+func (q *eventQueue) calInsert(k eventKey) {
+	b := bucketOf(k.at)
+	if q.runOn {
+		if b == q.runBucket {
+			q.runInsert(k)
+			return
+		}
+		if b < q.runBucket {
+			q.handBack()
+		}
+	}
+	s := uint(b) & calMask
+	slot := int32(k.sq & slotMask)
+	q.slab[slot].next = q.heads[s]
+	q.heads[s] = slot + 1
+	q.occ[s>>6] |= 1 << (s & 63)
+	q.sum |= 1 << (s >> 6)
+}
+
+// runInsert places k in the descending run by binary search.
+func (q *eventQueue) runInsert(k eventKey) {
+	q.stats.RunInserts++
+	lo, hi := 0, len(q.run)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keyLess(k, q.run[mid]) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	q.run = append(q.run, eventKey{}) //camlint:allow hotalloc -- amortized run growth to the largest bucket population; steady state reuses capacity
+	copy(q.run[lo+1:], q.run[lo:])
+	q.run[lo] = k
+}
+
+// handBack returns the run's keys to their bucket's list.
+func (q *eventQueue) handBack() {
+	q.runOn = false
+	run := q.run
+	q.run = run[:0]
+	for _, k := range run {
+		q.calInsert(k)
+	}
+}
+
+// minBucket reports the absolute number of the earliest occupied bucket.
+// Callers guarantee q.sum != 0. The scan is circular from the window start:
+// the rest of the start's word, then the next non-empty word by rotating the
+// summary — which, after a full turn, is the start's word again, where only
+// bits below the start can remain.
+func (q *eventQueue) minBucket() uint64 {
+	s := uint(q.wbase) & calMask
+	w, b := s>>6, s&63
+	if m := q.occ[w] >> b; m != 0 {
+		return q.wbase + uint64(bits.TrailingZeros64(m))
+	}
+	i := uint(bits.TrailingZeros32(bits.RotateLeft32(q.sum, -int(w+1))))
+	m := q.occ[(w+1+i)&(calWords-1)]
+	return q.wbase + uint64(64-b+i*64) + uint64(bits.TrailingZeros64(m))
+}
+
+// activate gathers bucket b's list into the run, insertion-sorting it
+// descending on the way: lists are newest-first and later pushes mostly time
+// later, so the common insert is an append.
+//
+//camlint:hotpath
+func (q *eventQueue) activate(b uint64) {
+	s := uint(b) & calMask
+	run := q.run[:0]
+	for i := q.heads[s]; i != 0; {
+		e := &q.slab[i-1]
+		k := e.key
+		i = e.next
+		j := len(run)
+		run = append(run, k) //camlint:allow hotalloc -- amortized run growth to the largest bucket population; steady state reuses capacity
+		for j > 0 && (run[j-1].at < k.at || (run[j-1].at == k.at && run[j-1].sq < k.sq)) {
+			run[j] = run[j-1]
+			j--
+		}
+		run[j] = k
+	}
+	q.heads[s] = 0
+	if q.occ[s>>6] &^= 1 << (s & 63); q.occ[s>>6] == 0 {
+		q.sum &^= 1 << (s >> 6)
+	}
+	q.run, q.runBucket, q.runOn = run, b, true
+	q.stats.Activations++
+	q.stats.RunKeysSorted += uint64(len(run))
+}
+
+// timedHead reports the earliest timed key: the run's tail; else, gathering
+// it, the earliest occupied bucket's — unless that bucket lies after lim, in
+// which case the caller's now-lane head wins and nothing is gathered; else
+// the overflow heap's top.
+func (q *eventQueue) timedHead(lim uint64) (k eventKey, ok bool) {
+	if len(q.run) == 0 {
+		q.runOn = false
+		if q.sum == 0 {
+			if len(q.heap) == 0 {
+				return k, false
+			}
+			return q.heap[0], true
+		}
+		b := q.minBucket()
+		if b > lim {
+			return k, false
+		}
+		q.activate(b)
+	}
+	return q.run[len(q.run)-1], true
+}
+
+// minTime reports the earliest pending event's timestamp, MaxTime if none.
+func (q *eventQueue) minTime() Time {
+	t := MaxTime
+	if k, ok := q.timedHead(^uint64(0)); ok {
+		t = k.at
+	}
+	if q.nowq.len() > 0 && q.nowq.front().at < t {
+		t = q.nowq.front().at
+	}
+	return t
+}
+
+// popMinUntil removes and returns the earliest event across all lanes if it
+// is due at or before deadline.
+//
+//camlint:hotpath
+func (q *eventQueue) popMinUntil(deadline Time) (event, bool) {
+	lim := ^uint64(0)
+	var f *event
+	if q.nowq.len() > 0 {
+		f = q.nowq.front()
+		lim = bucketOf(f.at)
+	}
+	k, timed := q.timedHead(lim)
+	if f != nil && (!timed || f.at < k.at || (f.at == k.at && f.seq < k.sq>>slotBits)) {
+		if f.at > deadline {
+			return event{}, false
+		}
+		q.n--
+		return q.nowq.popFront(), true
+	}
+	if !timed || k.at > deadline {
+		return event{}, false
+	}
+	if n := len(q.run); n > 0 {
+		q.run = q.run[:n-1]
+	} else {
+		q.heapPop()
+	}
+	slot := int32(k.sq & slotMask)
+	e := &q.slab[slot]
+	cb := e.cb
+	e.cb = nil // never pin a dead callback or process
+	e.next = q.free
+	q.free = slot + 1
+	q.n--
+	return event{at: k.at, seq: k.sq >> slotBits, cb: cb}, true
+}
+
+// advance slides the window start to the bucket of the engine's clock and
+// promotes overflow events that became addressable. Every pending event
+// times at or after the clock, so the buckets slid past are empty.
+//
+//camlint:hotpath
+func (q *eventQueue) advance(now Time) {
+	nb := bucketOf(now)
+	if nb <= q.wbase {
+		return
+	}
+	q.wbase = nb
+	for len(q.heap) > 0 && bucketOf(q.heap[0].at) < nb+calBuckets {
+		q.stats.Promotions++
+		q.calInsert(q.heapPop())
+	}
 }
 
 // heapPush sifts k up the overflow heap.
 func (q *eventQueue) heapPush(k eventKey) {
-	q.keys = append(q.keys, k) //camlint:allow hotalloc -- amortized heap growth; steady state reuses capacity
-	i := len(q.keys) - 1
+	q.heap = append(q.heap, k) //camlint:allow hotalloc -- amortized heap growth; steady state reuses capacity
+	i := len(q.heap) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		p := q.keys[parent]
+		p := q.heap[parent]
 		if k.at > p.at || (k.at == p.at && k.sq > p.sq) {
 			break
 		}
-		q.keys[i] = p
+		q.heap[i] = p
 		i = parent
 	}
-	q.keys[i] = k
+	q.heap[i] = k
 }
 
 // heapPop removes and returns the overflow heap's earliest key. Callers
-// guarantee len(q.keys) > 0.
+// guarantee len(q.heap) > 0.
 func (q *eventQueue) heapPop() eventKey {
-	top := q.keys[0]
-	n := len(q.keys) - 1
-	q.keys[0] = q.keys[n]
-	q.keys = q.keys[:n]
+	top := q.heap[0]
+	n := len(q.heap) - 1
+	q.heap[0] = q.heap[n]
+	q.heap = q.heap[:n]
 	if n > 1 {
 		q.siftDown(0)
 	}
@@ -386,21 +399,21 @@ func (q *eventQueue) heapPop() eventKey {
 }
 
 func (q *eventQueue) siftDown(i int) {
-	n := len(q.keys)
-	k := q.keys[i]
+	n := len(q.heap)
+	k := q.heap[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
 		min := first
-		mk := q.keys[first]
+		mk := q.heap[first]
 		last := first + 4
 		if last > n {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			ck := q.keys[c]
+			ck := q.heap[c]
 			if ck.at < mk.at || (ck.at == mk.at && ck.sq < mk.sq) {
 				min, mk = c, ck
 			}
@@ -408,8 +421,8 @@ func (q *eventQueue) siftDown(i int) {
 		if mk.at > k.at || (mk.at == k.at && mk.sq > k.sq) {
 			break
 		}
-		q.keys[i] = mk
+		q.heap[i] = mk
 		i = min
 	}
-	q.keys[i] = k
+	q.heap[i] = k
 }

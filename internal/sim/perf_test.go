@@ -215,3 +215,79 @@ func TestShutdownInsideRunPanics(t *testing.T) {
 	e.Run()
 	e.Shutdown()
 }
+
+// benchChain is a callback that reschedules itself, one delay after
+// another from a shared table, while the benchmark's event budget lasts.
+type benchChain struct {
+	e      *Engine
+	delays []Time
+	i      int
+	left   *int
+}
+
+func (c *benchChain) Run() {
+	if *c.left > 0 {
+		*c.left--
+		c.i++
+		c.e.ScheduleCallback(c.delays[c.i&(len(c.delays)-1)], c)
+	}
+}
+
+// BenchmarkEventQueue times one schedule-and-dispatch per op through each
+// queue lane — the now ring, the calendar, the overflow heap with promotion
+// — and through the mix the calendar was sized for: the cam-read-4k
+// workload's delay histogram (DESIGN.md §12; 52 % 64–511 ns, 40 % 8 µs–1 ms,
+// 7 % zero, the rest in between) at its ≈1 500 pending events.
+func BenchmarkEventQueue(b *testing.B) {
+	uniform := func(lo, hi Time) func(*RNG) Time {
+		return func(r *RNG) Time { return lo + Time(r.Int63n(int64(hi-lo+1))) }
+	}
+	camread := func(r *RNG) Time {
+		switch p := r.Int63n(100); {
+		case p < 52:
+			return uniform(64, 511)(r)
+		case p < 92:
+			return uniform(8*Microsecond, Millisecond)(r)
+		case p < 99:
+			return 0
+		default:
+			return uniform(512, 8*Microsecond)(r)
+		}
+	}
+	for _, lane := range []struct {
+		name   string
+		chains int
+		delay  func(*RNG) Time
+	}{
+		{"now", 64, func(*RNG) Time { return 0 }},
+		{"near", 64, uniform(Microsecond, 400*Microsecond)},
+		{"far", 64, uniform(Millisecond, 20*Millisecond)},
+		{"camread-mix", 1500, camread},
+	} {
+		b.Run(lane.name, func(b *testing.B) {
+			e := New()
+			defer e.Shutdown()
+			rng := NewRNG(42)
+			delays := make([]Time, 4096)
+			for i := range delays {
+				delays[i] = lane.delay(rng)
+			}
+			left := 0
+			cs := make([]*benchChain, lane.chains)
+			for i := range cs {
+				cs[i] = &benchChain{e: e, delays: delays, i: i * 61, left: &left}
+			}
+			drive := func(n int) {
+				left = n
+				for _, c := range cs {
+					c.Run()
+				}
+				e.Run()
+			}
+			drive(16 * lane.chains) // grow slab, run, ring and heap to their working sizes
+			b.ReportAllocs()
+			b.ResetTimer()
+			drive(b.N)
+		})
+	}
+}

@@ -16,15 +16,13 @@ type Resource struct {
 	usageInt   float64 // ∫ inUse dt, in unit·ns
 }
 
+// resWaiter is one parked request: the grant is delivered by scheduling cb
+// — the blocked *Proc itself, or a state machine's continuation — as a
+// zero-delay event. Both kinds share the one FIFO ring, so admission order
+// between processes and state machines is exact arrival order.
 type resWaiter struct {
-	p *Proc
-	// cb/wheel are the callback-machine variant: when cb is non-nil the
-	// grant is delivered as a zero-delay event on wheel instead of a
-	// process resume. Both kinds share the one FIFO ring, so admission
-	// order between processes and state machines is exact arrival order.
-	cb    Callback
-	wheel int
-	n     int64
+	cb Callback
+	n  int64
 }
 
 // NewResource creates a resource with the given capacity (> 0).
@@ -84,16 +82,16 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 		r.inUse += n
 		return
 	}
-	r.waiters.pushBack(resWaiter{p: p, n: n})
+	r.waiters.pushBack(resWaiter{cb: p, n: n})
 	p.block()
 }
 
 // AcquireCallback is the callback-machine form of Acquire: it reports true
 // if the units were taken immediately; otherwise the waiter is parked FIFO
-// (interleaved with process waiters) and cb runs via a zero-delay event on
-// wheel once the units have been assigned to it. Callers should return
-// after a false result and treat cb.Run as the continuation.
-func (r *Resource) AcquireCallback(n int64, wheel int, cb Callback) bool {
+// (interleaved with process waiters) and cb runs via a zero-delay event
+// once the units have been assigned to it. Callers should return after a
+// false result and treat cb.Run as the continuation.
+func (r *Resource) AcquireCallback(n int64, cb Callback) bool {
 	if n <= 0 {
 		return true
 	}
@@ -105,7 +103,7 @@ func (r *Resource) AcquireCallback(n int64, wheel int, cb Callback) bool {
 		r.inUse += n
 		return true
 	}
-	r.waiters.pushBack(resWaiter{cb: cb, wheel: wheel, n: n})
+	r.waiters.pushBack(resWaiter{cb: cb, n: n})
 	return false
 }
 
@@ -140,11 +138,7 @@ func (r *Resource) Release(n int64) {
 		}
 		r.integrate()
 		r.inUse += w.n
-		if w.cb != nil {
-			r.e.ScheduleCallbackOn(w.wheel, 0, w.cb)
-		} else {
-			r.e.scheduleResume(w.p, 0)
-		}
+		r.e.ScheduleCallback(0, w.cb)
 		r.waiters.popFront()
 	}
 }

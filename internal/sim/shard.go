@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the sharded DES coordinator: a Cluster partitions a
-// simulation into Shards (one Engine each — its own event wheels, RNG
+// simulation into Shards (one Engine each — its own event queue, RNG
 // stream, and worker goroutine) synchronized by conservative lookahead
 // exchange, the classic Chandy–Misra–Bryant null-message discipline
 // specialized to a barrier form:
@@ -27,7 +27,7 @@ import (
 // processed; and the barrier sort order is independent of worker timing.
 // Therefore the cluster's trace is identical at any worker count, including
 // the degenerate serial schedule — which is exactly how `-shards 1` degrades
-// to today's single-wheel behavior.
+// to the plain single-engine behavior.
 //
 // The lookahead is physical, not invented: cross-shard topology edges map to
 // fabric hops, and Link.XferTime of the minimum message size bounds how soon
@@ -201,18 +201,6 @@ func (c *Cluster) Connect(src, dst *Shard, name string, lookahead Time) *CrossLi
 	return l
 }
 
-// nextEventTime reports the earliest pending event time on e, MaxTime if
-// none.
-func (e *Engine) nextEventTime() Time {
-	t := MaxTime
-	for _, h := range e.heads {
-		if h.at < t {
-			t = h.at
-		}
-	}
-	return t
-}
-
 // checkAffinity diagnoses cross-shard misassignment: scheduling work onto a
 // shard's engine while the cluster is mid-window but the shard's own worker
 // is not the one executing. The nil fast path keeps standalone engines (the
@@ -237,7 +225,7 @@ func (c *Cluster) Run() Time {
 		// T: global minimum next-event time across shards.
 		t := MaxTime
 		for _, s := range c.shards {
-			if h := s.eng.nextEventTime(); h < t {
+			if h := s.eng.q.minTime(); h < t {
 				t = h
 			}
 		}
@@ -338,21 +326,12 @@ func (c *Cluster) exchangeBoundary() {
 		return a.seq < b.seq
 	})
 	for i := range c.xchg {
+		// An arrival in the destination's past would be a lookahead
+		// violation, which Send already rejects; Schedule's clamp of a
+		// negative delay is purely defensive.
 		ev := &c.xchg[i]
-		ev.dst.eng.injectBoundary(ev.at, ev.fn)
+		ev.dst.eng.Schedule(ev.at-ev.dst.eng.now, ev.fn)
 	}
-}
-
-// injectBoundary schedules fn at absolute time at on the host wheel. Called
-// only between windows; a boundary event arriving in the shard's past would
-// mean a lookahead violation, which Send already rejects, so this clamps
-// defensively and never rewinds the clock.
-func (e *Engine) injectBoundary(at Time, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.pushEvent(0, event{at: at, seq: e.seq, fn: fn})
 }
 
 // Shutdown releases every shard engine's process goroutines and stops the

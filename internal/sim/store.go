@@ -19,13 +19,12 @@ type Store[T any] struct {
 
 type storeGetter[T any] struct {
 	p *Proc
-	// sink/wheel are the callback-consumer variant: when sink is non-nil
-	// the getter is itself the scheduled Callback that delivers to it.
-	sink  StoreSink[T]
-	wheel int
-	s     *Store[T]
-	v     T
-	ok    bool
+	// sink is the callback-consumer variant: when non-nil the getter is
+	// itself the scheduled Callback that delivers to it.
+	sink StoreSink[T]
+	s    *Store[T]
+	v    T
+	ok   bool
 }
 
 // Run delivers the value to the parked sink (engine-callback context). The
@@ -71,6 +70,16 @@ func (s *Store[T]) release(g *storeGetter[T]) {
 	s.free = append(s.free, g)
 }
 
+// wake schedules the zero-delay event that hands g its outcome: the getter
+// record itself for a sink, the blocked process otherwise.
+func (s *Store[T]) wake(g *storeGetter[T]) {
+	if g.sink != nil {
+		s.e.ScheduleCallback(0, g)
+	} else {
+		s.e.ScheduleCallback(0, g.p)
+	}
+}
+
 // Put enqueues v, waking the oldest blocked getter if any. Put after Close
 // panics.
 func (s *Store[T]) Put(v T) {
@@ -80,11 +89,7 @@ func (s *Store[T]) Put(v T) {
 	if s.getters.len() > 0 {
 		g := s.getters.popFront()
 		g.v, g.ok = v, true
-		if g.sink != nil {
-			s.e.ScheduleCallbackOn(g.wheel, 0, g)
-		} else {
-			s.e.scheduleResume(g.p, 0)
-		}
+		s.wake(g)
 		return
 	}
 	s.items.pushBack(v)
@@ -110,12 +115,11 @@ func (s *Store[T]) Get(p *Proc) (v T, ok bool) {
 // GetCallback is the callback-machine form of Get: if an item is queued it
 // is delivered to sink synchronously (before GetCallback returns), otherwise
 // the sink is parked FIFO alongside blocked process getters and receives the
-// item via a zero-delay event on wheel when one is Put. Callers should
-// return immediately after GetCallback and treat StoreItem as the
-// continuation.
+// item via a zero-delay event when one is Put. Callers should return
+// immediately after GetCallback and treat StoreItem as the continuation.
 //
 //camlint:hotpath
-func (s *Store[T]) GetCallback(wheel int, sink StoreSink[T]) {
+func (s *Store[T]) GetCallback(sink StoreSink[T]) {
 	if s.items.len() > 0 {
 		sink.StoreItem(s.items.popFront(), true)
 		return
@@ -126,7 +130,7 @@ func (s *Store[T]) GetCallback(wheel int, sink StoreSink[T]) {
 		return
 	}
 	g := s.getter(nil)
-	g.sink, g.wheel, g.s = sink, wheel, s
+	g.sink, g.s = sink, s
 	s.getters.pushBack(g)
 }
 
@@ -147,11 +151,7 @@ func (s *Store[T]) Close() {
 	s.closed = true
 	for s.getters.len() > 0 {
 		g := s.getters.popFront()
-		if g.sink != nil {
-			s.e.ScheduleCallbackOn(g.wheel, 0, g)
-		} else {
-			s.e.scheduleResume(g.p, 0)
-		}
+		s.wake(g)
 	}
 }
 

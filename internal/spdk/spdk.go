@@ -386,9 +386,9 @@ func (d *Driver) Start() {
 	}
 	d.started = true
 	for _, r := range d.reactors {
-		st := &reactorStep{r: r, wheel: d.e.CurWheel(), armed: d.cfg.CmdTimeout > 0}
+		st := &reactorStep{r: r, armed: d.cfg.CmdTimeout > 0}
 		st.wake = st.deadlineWake
-		d.e.ScheduleCallbackOn(st.wheel, 0, st)
+		d.e.ScheduleCallback(0, st)
 	}
 }
 
@@ -470,7 +470,6 @@ const (
 //camlint:pool
 type reactorStep struct {
 	r     *Reactor
-	wheel int   // wheel self-scheduled events land on (the old process pin)
 	phase uint8 // current sweep position / resume point
 	armed bool  // cfg.CmdTimeout > 0, constant
 	// progressed records whether the current sweep did any work; an idle
@@ -617,7 +616,7 @@ func (s *reactorStep) Run() {
 			r.flight[di][cqe.CID] = nil
 			s.creq, s.cdi, s.cqe = req, di, cqe
 			s.phase = rpCompleteB
-			e.ScheduleCallbackOn(s.wheel, cfg.CompleteCost, s)
+			e.ScheduleCallback(cfg.CompleteCost, s)
 			return
 
 		case rpSubmitB:
@@ -750,7 +749,7 @@ func (s *reactorStep) Run() {
 			// submissions or a completion arrives.
 			r.Stat.Charge(cfg.PollIterInstr*float64(len(r.devs)), cfg.IPC)
 			s.phase = rpIdleSlept
-			e.ScheduleCallbackOn(s.wheel, cfg.PollIterCost*sim.Time(len(r.devs)), s)
+			e.ScheduleCallback(cfg.PollIterCost*sim.Time(len(r.devs)), s)
 			return
 
 		case rpIdleSlept:
@@ -784,7 +783,7 @@ func (s *reactorStep) Run() {
 			}
 			s.sig = sig
 			s.phase = rpSigWake
-			sig.WaitCallback(s.wheel, s)
+			sig.WaitCallback(0, s)
 			if next > 0 {
 				if s.timer == nil || s.timerAt > next || !s.timer.Revive(s.wake) {
 					if s.timer != nil {
@@ -839,7 +838,7 @@ func (s *reactorStep) submitA(req *Request, ret uint8) bool {
 	s.subReq = req
 	s.subRet = ret
 	s.phase = rpSubmitB
-	r.d.e.ScheduleCallbackOn(s.wheel, r.d.cfg.SubmitCost, s)
+	r.d.e.ScheduleCallback(r.d.cfg.SubmitCost, s)
 	return true
 }
 

@@ -54,7 +54,7 @@ type dbRelay struct {
 
 func newDBRelay(d *Device, sig *sim.Signal) {
 	r := &dbRelay{d: d, sig: sig} //camlint:allow hotalloc -- one relay per created queue, wired at admin time
-	sig.WaitCallback(d.wheel, r)
+	sig.WaitCallback(0, r)
 }
 
 // Run acknowledges the queue doorbell and rings the controller
@@ -64,7 +64,7 @@ func newDBRelay(d *Device, sig *sim.Signal) {
 func (r *dbRelay) Run() {
 	r.sig.Reset()
 	r.d.kickCtrl()
-	r.sig.WaitCallback(r.d.wheel, r)
+	r.sig.WaitCallback(0, r)
 }
 
 // RingAdmin publishes admin submissions.

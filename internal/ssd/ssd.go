@@ -121,12 +121,6 @@ type Device struct {
 	ftl   *FTL
 	rng   *sim.RNG
 
-	// wheel is the device's private event wheel: the controller process and
-	// every event it schedules (command phases, completions) heap together,
-	// keeping the per-device pending set shallow and cache-hot. Dispatch
-	// order across devices is unchanged — wheels merge by global (time, seq).
-	wheel int
-
 	qps         []*nvme.QueuePair
 	admin       *adminState
 	anyDoorbell *sim.Signal
@@ -193,7 +187,6 @@ func New(e *sim.Engine, name string, cfg Config, fab *pcie.Fabric, space *mem.Sp
 		e:           e,
 		fab:         fab,
 		space:       space,
-		wheel:       e.NewWheel(),
 		store:       NewStore(uint64(cfg.CapacityBytes) / nvme.LBASize),
 		ftl:         NewFTL(DefaultFTLConfig(cfg.CapacityBytes, op)),
 		rng:         sim.NewRNG(cfg.Seed),
@@ -222,11 +215,6 @@ func (d *Device) SetTracer(tr *trace.Tracer) { d.tr = tr }
 
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
-
-// Wheel reports the device's private event wheel. Host-side pollers bound
-// to one device (completion loops, CQ relays) schedule their wake events on
-// it so the device's whole event stream stays on one heap.
-func (d *Device) Wheel() int { return d.wheel }
 
 // Engine reports the engine the device lives on (its shard affinity).
 func (d *Device) Engine() *sim.Engine { return d.e }
@@ -287,7 +275,7 @@ func (d *Device) Start() {
 	}
 	d.running = true
 	d.ctrl.d = d
-	d.e.ScheduleCallbackOn(d.wheel, 0, &d.ctrl)
+	d.e.ScheduleCallback(0, &d.ctrl)
 }
 
 // ctrlPoll is the controller main loop as an engine-callback state machine.

@@ -125,6 +125,6 @@ func (b *SPDKBackend) startList(blocks []uint64, buf *gpu.Buffer, offs []int64, 
 	n := int64(len(blocks))
 	*x = spdkXfer{b: b, read: read, buf: buf, blocks: blocks, offs: offs,
 		granules: n, remaining: n, sig: s}
-	b.pool.GetCallback(0, x)
+	b.pool.GetCallback(x)
 	return sigHandle{s}
 }

@@ -261,7 +261,7 @@ func (b *SPDKBackend) start(p *sim.Proc, off, n int64, buf *gpu.Buffer, bufOff i
 	}
 	*x = spdkXfer{b: b, read: read, off: off, buf: buf, bufOff: bufOff,
 		granules: n / b.g, remaining: n / b.g, sig: s}
-	b.pool.GetCallback(0, x)
+	b.pool.GetCallback(x)
 	return sigHandle{s}
 }
 
@@ -319,7 +319,7 @@ func (x *spdkXfer) StoreItem(st *spdk.StagedGPUIO, ok bool) {
 		st.WriteFromGPUAsync(dev, slba, x.buf, bufOff, b.g, g)
 	}
 	if x.next < x.granules {
-		b.pool.GetCallback(0, x)
+		b.pool.GetCallback(x)
 	}
 }
 
@@ -446,7 +446,7 @@ func (b *POSIXBackend) start(p *sim.Proc, off, n int64, buf *gpu.Buffer, bufOff 
 	}
 	*x = posixXfer{b: b, read: read, off: off, buf: buf, bufOff: bufOff,
 		granules: n / b.g, remaining: n / b.g, sig: s}
-	b.pool.GetCallback(0, x)
+	b.pool.GetCallback(x)
 	return sigHandle{s}
 }
 
@@ -486,7 +486,7 @@ func (x *posixXfer) StoreItem(h *posixHelper, ok bool) {
 	g.off, g.bufOff = x.off+done, x.bufOff+done
 	g.start()
 	if x.next < x.granules {
-		b.pool.GetCallback(0, x)
+		b.pool.GetCallback(x)
 	}
 }
 
