@@ -14,7 +14,6 @@ package oskernel
 
 import (
 	"fmt"
-	"sort"
 
 	"camsim/internal/cpustat"
 	"camsim/internal/hostmem"
@@ -164,7 +163,8 @@ func DefaultConfig(kind StackKind) Config {
 
 // Request is one in-flight kernel I/O. Callers either fill Data (the
 // classic []byte form; Submit wraps it into a payload view) or set
-// Pay/PayOff/N directly to move content by reference.
+// Pay/PayOff/N directly to move content by reference. Submit reuses a Done
+// signal left by an earlier, completed use of the same Request.
 type Request struct {
 	Op     nvme.Opcode
 	Offset int64  // byte offset in the striped block device
@@ -193,12 +193,16 @@ type Stack struct {
 	// fs/io_map/block layers that bound IOPS regardless of device count.
 	kernelBusyUntil sim.Time
 
-	slots    []*sim.Resource // per-device in-flight limiter
-	inflight []map[uint16]*Request
+	slots []*sim.Resource // per-device in-flight limiter
+	// inflight maps command identifier to request, QueueDepth entries per
+	// device; nil marks a free identifier.
+	inflight [][]*Request
 	nextCID  []uint16
 
 	// freeSubmit recycles SubmitAsync machines.
 	freeSubmit []*submitMachine
+	// freeReq recycles the synchronous path's requests, Done signal included.
+	freeReq []*Request
 
 	// bounce is the per-device kernel DMA staging area: one slot of
 	// StripeBytes per command identifier, so concurrent commands never
@@ -207,9 +211,23 @@ type Stack struct {
 
 	Stat cpustat.Counters
 
-	// layer time integrals for Fig 3
-	LayerTime map[string]sim.Time
+	// LayerTime holds the layer time integrals for Fig 3, indexed by the
+	// Layer constants.
+	LayerTime [numLayers]sim.Time
 }
+
+// Indices into Stack.LayerTime, in the order a request walks the layers.
+const (
+	LayerUser = iota
+	LayerFilesystem
+	LayerIOMap
+	LayerBlockIO
+	LayerCompletion
+	numLayers
+)
+
+// layerNames are LayerBreakdown's keys, by layer index.
+var layerNames = [numLayers]string{"user", "filesystem", "iomap", "blockio", "completion"}
 
 // NewStack builds a stack over devices; each device gets one kernel queue
 // pair (rings live in host DRAM, as the kernel allocates them).
@@ -218,12 +236,11 @@ func NewStack(e *sim.Engine, kind StackKind, cfg Config, hm *hostmem.Memory, dev
 		panic("oskernel: no devices")
 	}
 	s := &Stack{
-		Kind:      kind,
-		cfg:       cfg,
-		e:         e,
-		hm:        hm,
-		devs:      devs,
-		LayerTime: make(map[string]sim.Time),
+		Kind: kind,
+		cfg:  cfg,
+		e:    e,
+		hm:   hm,
+		devs: devs,
 	}
 	for i, d := range devs {
 		sqMem := hm.Alloc(fmt.Sprintf("k%s.sq%d", kind, i), int64(cfg.QueueDepth)*nvme.SQESize)
@@ -233,7 +250,7 @@ func NewStack(e *sim.Engine, kind StackKind, cfg Config, hm *hostmem.Memory, dev
 		qp := d.CreateQueuePair(fmt.Sprintf("kernel-%d", kind), sqMem.MakeEager(), cqMem.MakeEager(), cfg.QueueDepth)
 		s.qps = append(s.qps, qp)
 		s.slots = append(s.slots, e.NewResource(fmt.Sprintf("kslots%d", i), int64(cfg.QueueDepth)-1))
-		s.inflight = append(s.inflight, make(map[uint16]*Request))
+		s.inflight = append(s.inflight, make([]*Request, cfg.QueueDepth))
 		s.nextCID = append(s.nextCID, 0)
 		s.bounce = append(s.bounce, hm.Alloc(fmt.Sprintf("k%s.bounce%d", kind, i),
 			int64(cfg.QueueDepth)*cfg.StripeBytes))
@@ -272,46 +289,60 @@ func (s *Stack) costs(op nvme.Opcode) LayerCosts {
 // r.Done fires when the completion has been delivered. The request must not
 // cross a stripe boundary (callers split large I/O, as the block layer
 // does).
+//
+//camlint:hotpath
 func (s *Stack) Submit(p *sim.Proc, r *Request) {
-	n := s.normalize(r)
-	r.Done = s.e.NewSignal("kreq")
-	c := s.costs(r.Op)
+	s.normalize(r)
 
 	// User layer runs on the caller.
-	p.Sleep(c.User)
-	s.LayerTime["user"] += c.User
+	p.Sleep(s.costs(r.Op).User)
+	p.SleepUntil(s.claimKernel(r))
+	s.chargePath(r)
 
-	// The kernel path (fs → io_map → block, plus the eventual completion
-	// handling reserved up front) is serialized across all submitters:
-	// this shared path is what keeps every kernel stack below the device
-	// line regardless of thread count.
-	iomap := c.IOMap + c.IOMapPage*sim.Time(extraPages(n))
-	kcost := c.Filesystem + iomap + c.BlockIO + c.Completion
+	// Respect the in-flight bound (kernel tag allocation).
+	r.dev, _ = s.locate(r.Offset)
+	s.slots[r.dev].Acquire(p, 1)
+	s.issue(r)
+}
+
+// claimKernel books r's pass through the kernel path (fs → io_map → block,
+// plus the eventual completion handling reserved up front) and reports when
+// it ends. The path is serialized across all submitters: this shared window
+// is what keeps every kernel stack below the device line regardless of
+// thread count. Called once the user layer has been slept, it also charges
+// all five layers to the Fig 3 integrals.
+func (s *Stack) claimKernel(r *Request) sim.Time {
+	c := s.costs(r.Op)
+	iomap := c.IOMap + c.IOMapPage*sim.Time(extraPages(r.N))
 	start := s.e.Now()
 	if s.kernelBusyUntil > start {
 		start = s.kernelBusyUntil
 	}
-	end := start + kcost
+	end := start + c.Filesystem + iomap + c.BlockIO + c.Completion
 	s.kernelBusyUntil = end
-	s.LayerTime["filesystem"] += c.Filesystem
-	s.LayerTime["iomap"] += iomap
-	s.LayerTime["blockio"] += c.BlockIO
-	s.LayerTime["completion"] += c.Completion
-	p.SleepUntil(end)
+	s.LayerTime[LayerUser] += c.User
+	s.LayerTime[LayerFilesystem] += c.Filesystem
+	s.LayerTime[LayerIOMap] += iomap
+	s.LayerTime[LayerBlockIO] += c.BlockIO
+	s.LayerTime[LayerCompletion] += c.Completion
+	return end
+}
 
-	instr := s.cfg.PathInstructions + 120*float64(extraPages(n))
+// chargePath charges the instructions r retires in the kernel path.
+func (s *Stack) chargePath(r *Request) {
+	instr := s.cfg.PathInstructions + 120*float64(extraPages(r.N))
 	if r.Op == nvme.OpWrite {
 		// The write path touches the page cache bypass and FUA logic.
 		instr *= 1.12
 	}
 	s.Stat.Charge(instr, s.cfg.IPC)
+}
 
-	dev, lba := s.locate(r.Offset)
-	r.dev = dev
-
-	// Respect the in-flight bound (kernel tag allocation).
-	s.slots[dev].Acquire(p, 1)
-
+// issue takes a command identifier on r.dev (the caller holds a slot there),
+// pushes r's SQE and rings the doorbell.
+func (s *Stack) issue(r *Request) {
+	dev := r.dev
+	_, lba := s.locate(r.Offset)
 	cid := s.allocCID(dev)
 	r.cid = cid
 	s.inflight[dev][cid] = r
@@ -328,7 +359,7 @@ func (s *Stack) Submit(p *sim.Proc, r *Request) {
 		NSID:   1,
 		PRP1:   uint64(s.bounce[dev].Addr) + uint64(int64(cid)*s.cfg.StripeBytes),
 		SLBA:   lba,
-		NLB:    uint32(n / nvme.LBASize),
+		NLB:    uint32(r.N / nvme.LBASize),
 	}
 	if err := s.qps[dev].SQ.Push(sqe); err != nil {
 		panic("oskernel: SQ overflow despite slot limiter: " + err.Error())
@@ -343,16 +374,13 @@ func (s *Stack) Submit(p *sim.Proc, r *Request) {
 // been delivered, exactly as with Submit.
 func (s *Stack) SubmitAsync(r *Request, onSubmitted sim.Callback) {
 	s.normalize(r)
-	r.Done = s.e.NewSignal("kreq")
-	c := s.costs(r.Op)
 
 	m := s.getSubmit()
 	m.r, m.onSubmitted = r, onSubmitted
 
 	// User layer runs on the caller.
-	s.LayerTime["user"] += c.User
 	m.phase = smKernel
-	s.e.ScheduleCallback(c.User, m)
+	s.e.ScheduleCallback(s.costs(r.Op).User, m)
 }
 
 // submitMachine phases.
@@ -386,65 +414,23 @@ func (m *submitMachine) Run() {
 	s, r := m.s, m.r
 	switch m.phase {
 	case smKernel:
-		n := r.N
-		c := s.costs(r.Op)
-		// The kernel path (fs → io_map → block, plus the eventual
-		// completion handling reserved up front) is serialized across all
-		// submitters — claimed here, after the user layer, exactly where
-		// the synchronous path claims it.
-		iomap := c.IOMap + c.IOMapPage*sim.Time(extraPages(n))
-		kcost := c.Filesystem + iomap + c.BlockIO + c.Completion
-		start := s.e.Now()
-		if s.kernelBusyUntil > start {
-			start = s.kernelBusyUntil
-		}
-		end := start + kcost
-		s.kernelBusyUntil = end
-		s.LayerTime["filesystem"] += c.Filesystem
-		s.LayerTime["iomap"] += iomap
-		s.LayerTime["blockio"] += c.BlockIO
-		s.LayerTime["completion"] += c.Completion
+		// Claimed here, after the user layer, exactly where the synchronous
+		// path claims it.
 		m.phase = smSlot
-		s.e.ScheduleCallback(end-s.e.Now(), m)
+		s.e.ScheduleCallback(s.claimKernel(r)-s.e.Now(), m)
 
 	case smSlot:
-		n := r.N
-		instr := s.cfg.PathInstructions + 120*float64(extraPages(n))
-		if r.Op == nvme.OpWrite {
-			instr *= 1.12
-		}
-		s.Stat.Charge(instr, s.cfg.IPC)
-		dev, _ := s.locate(r.Offset)
-		r.dev = dev
+		s.chargePath(r)
+		r.dev, _ = s.locate(r.Offset)
 		m.phase = smGranted
 		// Respect the in-flight bound (kernel tag allocation).
-		if !s.slots[dev].AcquireCallback(1, m) {
+		if !s.slots[r.dev].AcquireCallback(1, m) {
 			return
 		}
 		m.Run()
 
 	case smGranted:
-		n := r.N
-		_, lba := s.locate(r.Offset)
-		dev := r.dev
-		cid := s.allocCID(dev)
-		r.cid = cid
-		s.inflight[dev][cid] = r
-		if r.Op == nvme.OpWrite {
-			s.bounceStage(r, true)
-		}
-		sqe := nvme.SQE{
-			Opcode: r.Op,
-			CID:    cid,
-			NSID:   1,
-			PRP1:   uint64(s.bounce[dev].Addr) + uint64(int64(cid)*s.cfg.StripeBytes),
-			SLBA:   lba,
-			NLB:    uint32(n / nvme.LBASize),
-		}
-		if err := s.qps[dev].SQ.Push(sqe); err != nil {
-			panic("oskernel: SQ overflow despite slot limiter: " + err.Error())
-		}
-		s.devs[dev].Ring(s.qps[dev])
+		s.issue(r)
 		onSubmitted := m.onSubmitted
 		m.r, m.onSubmitted = nil, nil
 		s.freeSubmit = append(s.freeSubmit, m) //camlint:allow hotalloc -- amortized free-list growth
@@ -453,9 +439,10 @@ func (m *submitMachine) Run() {
 }
 
 // normalize validates a request, wraps a []byte buffer into a payload view
-// when needed, and reports the request length. The request must not cross a
-// stripe boundary (callers split large I/O, as the block layer does).
-func (s *Stack) normalize(r *Request) int64 {
+// when needed so that Pay/PayOff/N describe the content either way, and arms
+// r.Done. The request must not cross a stripe boundary (callers split large
+// I/O, as the block layer does).
+func (s *Stack) normalize(r *Request) {
 	n := r.N
 	if r.Pay == nil {
 		n = int64(len(r.Data))
@@ -472,7 +459,11 @@ func (s *Stack) normalize(r *Request) int64 {
 	if r.Pay == nil {
 		r.Pay, r.PayOff, r.N, r.wrap = mem.WrapBytes(r.Data), 0, n, true
 	}
-	return n
+	if r.Done == nil {
+		r.Done = s.e.NewSignal("kreq")
+	} else {
+		r.Done.Reset()
+	}
 }
 
 // bounceStage moves request content between the user payload and command
@@ -500,7 +491,7 @@ func (s *Stack) bounceStage(r *Request, toSlot bool) {
 func (s *Stack) allocCID(dev int) uint16 {
 	for i := uint32(0); i < s.cfg.QueueDepth; i++ {
 		cid := (s.nextCID[dev] + uint16(i)) % uint16(s.cfg.QueueDepth)
-		if _, busy := s.inflight[dev][cid]; !busy {
+		if s.inflight[dev][cid] == nil {
 			s.nextCID[dev] = cid + 1
 			return cid
 		}
@@ -591,7 +582,7 @@ func (k *kcqStep) deliver(r *Request, cid uint16, status nvme.Status) {
 	s, dev := k.s, k.dev
 	// The CID (and its bounce slot) stays reserved until the copy-out
 	// finishes, so a reissued command cannot clobber it.
-	delete(s.inflight[dev], cid)
+	s.inflight[dev][cid] = nil
 	if r.Op == nvme.OpRead {
 		// DMA landed in the staging slot: one DRAM crossing for the DMA
 		// write, one for the copy-to-user read.
@@ -634,53 +625,66 @@ func (s *Stack) WriteAtP(p *sim.Proc, off int64, pay *mem.Payload, payOff, n int
 	return s.syncIO(p, nvme.OpWrite, off, pay, payOff, n)
 }
 
+// syncIO splits [off, off+n) on stripe boundaries like the block layer
+// would; md-RAID0 submits the per-stripe bios in parallel and the syscall
+// returns when the last completes (the kernel path itself stays serialized
+// in Submit). It reports the status of the last stripe that failed.
+//
+//camlint:hotpath
 func (s *Stack) syncIO(p *sim.Proc, op nvme.Opcode, off int64, pay *mem.Payload, payOff, n int64) nvme.Status {
-	// Split on stripe boundaries like the block layer would; md-RAID0
-	// submits the per-stripe bios in parallel and the syscall returns
-	// when the last completes (the kernel path itself stays serialized
-	// in Submit).
-	st := nvme.StatusSuccess
-	var reqs []*Request
+	// Up to four stripes are tracked on the stack; longer I/O spills.
+	var buf [4]*Request
+	reqs := buf[:0]
 	for n > 0 {
 		chunk := s.cfg.StripeBytes - off%s.cfg.StripeBytes
 		if chunk > n {
 			chunk = n
 		}
-		r := &Request{Op: op, Offset: off, Pay: pay, PayOff: payOff, N: chunk}
+		r := s.getReq()
+		r.Op, r.Offset, r.Pay, r.PayOff, r.N = op, off, pay, payOff, chunk
 		s.Submit(p, r)
-		reqs = append(reqs, r)
+		reqs = append(reqs, r) //camlint:allow hotalloc -- grows only past four stripes; a 4 KiB request is one
 		off += chunk
 		payOff += chunk
 		n -= chunk
 	}
+	st := nvme.StatusSuccess
 	for _, r := range reqs {
 		p.Wait(r.Done)
 		if r.Status != nvme.StatusSuccess {
 			st = r.Status
 		}
+		r.Pay = nil
+		s.freeReq = append(s.freeReq, r) //camlint:allow hotalloc -- amortized free-list growth
 	}
 	return st
 }
 
+// getReq returns a recycled (or fresh) request for the synchronous path. A
+// recycled one keeps its fired Done signal for Submit to re-arm; the caller
+// sets the fields that describe the I/O and completion overwrites Status.
+func (s *Stack) getReq() *Request {
+	if k := len(s.freeReq); k > 0 {
+		r := s.freeReq[k-1]
+		s.freeReq = s.freeReq[:k-1]
+		return r
+	}
+	return &Request{} //camlint:allow hotalloc -- pool miss grows to the concurrency high-water mark, then reuses
+}
+
 // LayerBreakdown reports the fraction of total accounted time spent in each
 // of the paper's four layers (completion folded into Block I/O would hide
-// it, so it is reported separately).
+// it, so it is reported separately). Layers never charged are omitted.
 func (s *Stack) LayerBreakdown() map[string]float64 {
-	layers := make([]string, 0, len(s.LayerTime))
-	for k := range s.LayerTime {
-		layers = append(layers, k)
-	}
-	sort.Strings(layers)
 	var total sim.Time
-	for _, k := range layers {
-		total += s.LayerTime[k]
+	for _, t := range s.LayerTime {
+		total += t
 	}
-	out := make(map[string]float64, len(s.LayerTime))
-	if total == 0 {
-		return out
-	}
-	for _, k := range layers {
-		out[k] = float64(s.LayerTime[k]) / float64(total)
+	out := make(map[string]float64, numLayers)
+	for i, t := range s.LayerTime {
+		if t > 0 {
+			out[layerNames[i]] = float64(t) / float64(total)
+		}
 	}
 	return out
 }

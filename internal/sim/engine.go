@@ -6,17 +6,18 @@
 // runnable at any instant, so a given seed always produces the same event
 // trace, the same metrics, and the same data movement.
 //
-// Processes are ordinary goroutines that rendezvous with the engine through
-// per-process channels: the engine resumes a process, the process runs until
-// it blocks (Sleep, Wait, Acquire, ...) or returns, and control passes back
-// to the engine. Virtual time only advances between events.
+// Processes are coroutines: the engine switches into a process, the process
+// runs until it blocks (Sleep, Wait, Acquire, ...) or returns, and control
+// switches straight back to the engine — one direct hand-off each way on the
+// caller's thread, no channel and no pass through the Go scheduler
+// (coro.go). Virtual time only advances between events.
 //
 // The engine's hot path is allocation-free in steady state: every pending
 // event is an (at, seq, Callback) triple in the engine's one event queue — a
 // zero-delay ring, a calendar of 512 ns buckets threaded through a payload
 // slab, and an overflow heap (events.go; DESIGN.md §12) — process resumes
 // schedule the *Proc itself as the Callback, and finished process
-// goroutines park on a free list for reuse by the next Go call.
+// coroutines park on a free list for reuse by the next Go call.
 package sim
 
 import (
@@ -72,12 +73,10 @@ type Engine struct {
 	// current is the process whose code is executing right now, nil while
 	// the engine itself (or a plain callback) runs.
 	current *Proc
-	// yield is the rendezvous channel processes use to hand control back.
-	yield chan struct{}
 	// live holds every started-but-unfinished process (order is
 	// insertion order with swap-removal; Shutdown's kill order follows it).
 	live []*Proc
-	// free parks finished process goroutines for reuse by the next Go.
+	// free parks finished process coroutines for reuse by the next Go.
 	free []*Proc
 
 	stopped bool
@@ -88,7 +87,7 @@ type Engine struct {
 
 // New returns an empty engine at virtual time zero.
 func New() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now reports the current virtual time.
@@ -186,19 +185,27 @@ func (e *Engine) ScheduleTimer(delay Time, fn func()) *Timer {
 	return t
 }
 
-// killSignal is the panic value used to unwind a process goroutine during
+// killSignal is the panic value used to unwind a process coroutine during
 // Shutdown. It is recovered by the process loop and never escapes.
 type killSignal struct{}
 
-// Proc is a simulation process: a goroutine interleaved with the engine so
-// that exactly one process runs at a time. Finished processes are recycled:
-// a *Proc handle is only valid until its function returns.
+// Proc is a simulation process: a coroutine the engine switches into and
+// out of, so that exactly one process runs at a time. Finished processes
+// are recycled: a *Proc handle is only valid until its function returns.
+//
+// A panic in a process function surfaces in the caller of Engine.Run (or
+// RunUntil), like a panic in a plain callback: the process is removed from
+// the live set, its coroutine is gone, and the engine can still be Shutdown.
 type Proc struct {
-	e      *Engine
-	name   string
-	resume chan struct{}
+	e    *Engine
+	name string
+	// next switches into the coroutine until it yields or ends, yield
+	// switches back out of it (false: the coroutine is being stopped), stop
+	// ends it. All three come from newCoroutine.
+	next   func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 	fn     func(p *Proc)
-	done   bool
 	killed bool
 	// liveIdx is this process's index in e.live, -1 when not live.
 	liveIdx int
@@ -222,10 +229,9 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 		p.name = name
-		p.done = false
 	} else {
-		p = &Proc{e: e, name: name, resume: make(chan struct{})}
-		go p.loop()
+		p = &Proc{e: e, name: name}
+		p.next, p.stop = newCoroutine(p.loop)
 	}
 	p.fn = fn
 	e.addLive(p)
@@ -233,37 +239,36 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// loop is the body of every process goroutine: run one process function per
-// wakeup, then park on the engine's free list until Go hands out this
-// goroutine again. A kill wakeup (Shutdown) exits the loop instead.
-func (p *Proc) loop() {
+// loop is the body of every process coroutine: run one process function per
+// resume, then park on the engine's free list until Go hands this coroutine
+// out again. A stop (Shutdown) while parked or blocked ends the loop instead.
+func (p *Proc) loop(yield func(struct{}) bool) {
 	e := p.e
+	p.yield = yield
 	for {
-		<-p.resume
-		if p.killed {
-			break
-		}
 		p.invoke()
 		if p.killed {
-			break
+			return
 		}
 		p.fn = nil
-		p.done = true
 		e.unlive(p)
 		e.free = append(e.free, p)
-		e.yield <- struct{}{}
+		if !yield(struct{}{}) {
+			return
+		}
 	}
-	e.unlive(p)
-	e.yield <- struct{}{}
 }
 
-// invoke runs the process function, absorbing the Shutdown unwind panic.
+// invoke runs the process function, absorbing the Shutdown unwind panic. Any
+// other panic retires the process and carries on out of the coroutine, into
+// whoever resumed it.
 func (p *Proc) invoke() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, kill := r.(killSignal); kill && p.killed {
 				return
 			}
+			p.e.unlive(p)
 			panic(r)
 		}
 	}()
@@ -288,29 +293,38 @@ func (e *Engine) unlive(p *Proc) {
 	p.liveIdx = -1
 }
 
-// Run implements Callback: it transfers control to p and waits for it to
-// block or finish. The engine invokes it when a resume event scheduled for p
-// comes due; it is not for users.
+// Run implements Callback: it switches into p and returns when p blocks or
+// finishes. The engine invokes it when a resume event scheduled for p comes
+// due; it is not for users. If the process function panics, the panic
+// continues here, with the engine back outside any process.
+//
+//camlint:hotpath
 func (p *Proc) Run() {
 	e := p.e
 	prev := e.current
 	e.current = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.current = prev
+	defer e.setCurrent(prev)
+	p.next()
 }
+
+// setCurrent exists so that Run can defer a plain method call: a deferred
+// closure reads as an allocation to hotalloc.
+func (e *Engine) setCurrent(p *Proc) { e.current = p }
 
 // block suspends the calling process until something resumes it.
 // Must only be called from within that process.
+//
+//camlint:hotpath
 func (p *Proc) block() {
 	if p.killed {
 		// Deferred cleanup running during a Shutdown unwind must not
 		// re-enter the scheduler; keep unwinding instead.
 		panic(killSignal{})
 	}
-	p.e.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
+		// Shutdown is stopping the coroutine: unwind through the process
+		// function's deferred cleanup.
+		p.killed = true
 		panic(killSignal{})
 	}
 }
@@ -374,16 +388,17 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // Pending events stay queued, so Run can be called again to continue.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Shutdown releases every process goroutine the engine still owns: processes
-// left blocked when the run reached quiescence (a controller waiting on a
-// doorbell that will never ring) and finished processes parked on the free
-// list. Each is woken with a kill flag and unwinds via panic/recover, running
-// its deferred cleanup on the way out; pending events are then discarded.
+// Shutdown releases every process coroutine the engine still owns: processes
+// started but never run, processes left blocked when the run reached
+// quiescence (a controller waiting on a doorbell that will never ring) and
+// finished processes parked on the free list. A blocked process is stopped
+// where it waits and unwinds via panic/recover, running its deferred cleanup
+// on the way out; pending events are then discarded.
 //
 // Call it after Run returns, never from inside a running simulation. The
 // engine is spent afterwards: metrics and state remain readable, but no new
 // processes or events should be added. Without Shutdown an abandoned engine
-// leaks one goroutine per blocked or parked process until process exit —
+// leaks one coroutine (a parked goroutine) per blocked or parked process —
 // harmless for a handful of engines, fatal for a harness that builds
 // thousands.
 func (e *Engine) Shutdown() {
@@ -404,12 +419,11 @@ func (e *Engine) Shutdown() {
 	e.q = eventQueue{stats: e.q.stats}
 }
 
-// kill wakes p with the killed flag set and waits for its goroutine to
-// unwind and exit.
+// kill stops p's coroutine — never started, blocked, or parked — and returns
+// once it has unwound and exited.
 func (e *Engine) kill(p *Proc) {
-	p.killed = true
-	p.resume <- struct{}{}
-	<-e.yield
+	p.stop()
+	e.unlive(p)
 }
 
 // Pending reports the number of queued events.
@@ -484,11 +498,13 @@ func (s *Signal) Reset() {
 
 // Wait blocks the process until the signal fires (returns immediately if it
 // already has).
+//
+//camlint:hotpath
 func (p *Proc) Wait(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, sigWaiter{cb: p})
+	s.waiters = append(s.waiters, sigWaiter{cb: p}) //camlint:allow hotalloc -- Fire recycles the backing array; steady state appends into retained capacity
 	p.block()
 }
 
@@ -539,7 +555,6 @@ func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
 		return false
 	}
 	expired := false
-	fired := false
 	// The timer and the signal race; the timer only acts if p still waits
 	// on s (Fire removes waiters synchronously, so at an exact tie the
 	// already-processed Fire wins and the timer becomes a no-op instead of
@@ -551,31 +566,13 @@ func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
 			p.Run()
 		}
 	})
-	// Wrap the resume from Fire: mark fired before control returns.
-	// Fire resumes p directly; detect which path ran via flags set above
-	// or below.
-	p.blockNoted(&fired, &expired)
-	if fired {
-		t.Cancel()
+	p.block()
+	// Resumed by Fire's event unless the timer got there first.
+	if expired {
+		return false
 	}
-	return fired
-}
-
-// blockNoted blocks like block, but if resumed by a Signal.Fire (rather than
-// the timeout callback) it records that by setting *fired. Fire path: the
-// process is scheduled as a plain resume event without expired set.
-func (p *Proc) blockNoted(fired, expired *bool) {
-	if p.killed {
-		panic(killSignal{})
-	}
-	p.e.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(killSignal{})
-	}
-	if !*expired {
-		*fired = true
-	}
+	t.Cancel()
+	return true
 }
 
 // CancelWaitCallback removes a callback waiter registered with WaitCallback

@@ -9,7 +9,7 @@ import (
 // The hot-path ceilings below pin the engine's allocation behavior: plain
 // events, process wakeups, and store hand-offs must stay allocation-free in
 // steady state. Each test prewarms first so one-time capacity growth (event
-// queue, rings, free lists, goroutine spawns) is excluded, then measures a
+// queue, rings, free lists, coroutine creation) is excluded, then measures a
 // batch and asserts a small absolute ceiling rather than exact zero to stay
 // robust against incidental runtime allocations.
 
@@ -160,20 +160,7 @@ func TestShutdownReleasesBlockedProcesses(t *testing.T) {
 		t.Fatalf("deferred cleanups ran %d times, want 4", cleanups)
 	}
 
-	// Exited goroutines are reaped asynchronously; poll with generous
-	// headroom instead of demanding an exact count.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines = %d long after Shutdown, baseline %d",
-				runtime.NumGoroutine(), before)
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitGoroutines(t, before)
 }
 
 func TestShutdownReleasesPooledProcesses(t *testing.T) {
@@ -187,11 +174,100 @@ func TestShutdownReleasesPooledProcesses(t *testing.T) {
 		t.Fatalf("Live() = %d, want 0 (all workers finished)", e.Live())
 	}
 	e.Shutdown()
+	awaitGoroutines(t, before)
+}
+
+// TestShutdownReleasesEveryProcessState covers the states a process
+// coroutine can be in when Shutdown stops it: created but never switched
+// into, a pooled coroutine handed out again but not yet run, blocked in Wait
+// under a deferred cleanup that itself tries to block, and parked on the
+// free list.
+func TestShutdownReleasesEveryProcessState(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New()
+	for i := 0; i < 4; i++ {
+		e.Go("worker", func(p *Proc) { p.Sleep(1) })
+	}
+	sig := e.NewSignal("never")
+	cleanup, afterSleep := false, false
+	e.Go("wait-then-sleep", func(p *Proc) {
+		defer func() {
+			cleanup = true
+			p.Sleep(5) // must keep unwinding, not hand control back
+			afterSleep = true
+		}()
+		p.Wait(sig)
+	})
+	e.Run()
+	if e.Live() != 1 || len(e.free) != 4 {
+		t.Fatalf("Live() = %d, parked = %d; want 1 blocked and 4 parked", e.Live(), len(e.free))
+	}
+	ran := false
+	e.Go("reused-never-run", func(p *Proc) { ran = true })
+	if len(e.free) != 3 {
+		t.Fatalf("Go did not reuse a parked coroutine: %d still parked, want 3", len(e.free))
+	}
+	parked := e.free
+	e.free = nil // force the next Go to build a coroutine
+	e.Go("fresh-never-run", func(p *Proc) { ran = true })
+	e.free = parked
+	if e.Live() != 3 {
+		t.Fatalf("Live() = %d before Shutdown, want 3", e.Live())
+	}
+	e.Shutdown()
+	if e.Live() != 0 || e.Pending() != 0 {
+		t.Fatalf("after Shutdown: Live() = %d, Pending() = %d; want 0, 0", e.Live(), e.Pending())
+	}
+	if ran {
+		t.Fatal("Shutdown ran a process that had never been switched into")
+	}
+	if !cleanup || afterSleep {
+		t.Fatalf("deferred cleanup: ran = %v, continued past its Sleep = %v; want true, false", cleanup, afterSleep)
+	}
+	awaitGoroutines(t, before)
+}
+
+// TestProcPanicSurfacesInRun pins the panic contract: a panic in a process
+// function arrives in the caller of Run, where it can be recovered; the
+// engine is left outside any process with the panicked one gone from the
+// live set, so Shutdown still works and releases everything else.
+func TestProcPanicSurfacesInRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New()
+	sig := e.NewSignal("never")
+	e.Go("bystander", func(p *Proc) { p.Wait(sig) })
+	e.Go("boom", func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v from Run, want the process's panic value", got)
+	}
+	if e.current != nil {
+		t.Fatal("engine still inside a process after the panic")
+	}
+	if e.Live() != 1 {
+		t.Fatalf("Live() = %d after the panic, want 1 (the bystander)", e.Live())
+	}
+	e.Shutdown()
+	if e.Live() != 0 {
+		t.Fatalf("Live() = %d after Shutdown, want 0", e.Live())
+	}
+	awaitGoroutines(t, before)
+}
+
+// awaitGoroutines waits for the goroutine count to fall back to a baseline
+// taken before the test built its engine. Exited goroutines are reaped
+// asynchronously, so it polls instead of demanding the count at once.
+func awaitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		}
+	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines = %d long after Shutdown, baseline %d",
 				runtime.NumGoroutine(), before)
@@ -290,4 +366,26 @@ func BenchmarkEventQueue(b *testing.B) {
 			drive(b.N)
 		})
 	}
+}
+
+// BenchmarkProcSwitch times one process round trip: a Sleep(1ns) schedules
+// the resume event, switches out to the engine, and the engine switches back
+// in when the event comes due.
+func BenchmarkProcSwitch(b *testing.B) {
+	e := New()
+	defer e.Shutdown()
+	n := 0
+	sleeper := func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Sleep(Nanosecond)
+		}
+	}
+	n = 1000
+	e.Go("sleeper", sleeper) // create the coroutine, grow the queue
+	e.Run()
+	n = b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Go("sleeper", sleeper)
+	e.Run()
 }
