@@ -15,6 +15,7 @@ package bam
 
 import (
 	"fmt"
+	"slices"
 
 	"camsim/internal/fault"
 	"camsim/internal/gpu"
@@ -83,8 +84,8 @@ type System struct {
 	qps  []*nvme.QueuePair // one per device (first queue of each set)
 
 	slots []*sim.Resource
-	// flight maps [device][CID] to the in-flight command's batch fan-in,
-	// block count, and deadline; a flat slice sized to the queue depth
+	// flight maps [device][CID] to the in-flight command's batch fan-in
+	// and deadline; a flat slice sized to the queue depth
 	// replaces the per-device map this used to be (fan == nil marks a
 	// free slot).
 	flight [][]flightEntry
@@ -112,7 +113,6 @@ type System struct {
 // flightEntry is one in-flight command's completion routing.
 type flightEntry struct {
 	fan      *fanin
-	blocks   int
 	deadline sim.Time
 }
 
@@ -264,13 +264,6 @@ type Array struct {
 	cache      *gpucache.Cache
 	// CacheHitCost is the GPU time to serve one block from the cache.
 	CacheHitCost sim.Time
-	// CoalesceLimit caps how many stripe-contiguous blocks one batch
-	// merges into a single multi-block NVMe command (bounded by the queue
-	// ring's MDTS-equivalent; 0 or 1 keeps one command per block, the
-	// published figure configuration — see cam.Config.CoalesceLimit for
-	// the rationale). Cache-fronted arrays never coalesce: hit checks are
-	// per block.
-	CoalesceLimit int
 }
 
 // AttachCache fronts the array with a GPU-memory cache (line size must
@@ -329,7 +322,7 @@ func (a *Array) batch(p *sim.Proc, op nvme.Opcode, blocks []uint64, buf *gpu.Buf
 	}
 	s := a.s
 	ss := s.getSyncSink()
-	a.batchAsync(op, blocks, buf, off, ss)
+	a.Start(op, blocks, buf, off, nil, ss)
 	p.Wait(ss.done)
 	errs := ss.errs
 	s.putSyncSink(ss)
@@ -340,31 +333,6 @@ func (a *Array) batch(p *sim.Proc, op nvme.Opcode, blocks []uint64, buf *gpu.Buf
 // (engine-callback context).
 type BatchSink interface {
 	BatchDone(errs int)
-}
-
-// GatherAsync is the callback-machine form of Gather: the sink runs once
-// every block is resident (or failed). The blocks slice must stay unchanged
-// until then.
-func (a *Array) GatherAsync(blocks []uint64, dst *gpu.Buffer, dstOff int64, sink BatchSink) {
-	a.batchAsync(nvme.OpRead, blocks, dst, dstOff, sink)
-}
-
-// ScatterAsync is the callback-machine form of Scatter.
-func (a *Array) ScatterAsync(blocks []uint64, src *gpu.Buffer, srcOff int64, sink BatchSink) {
-	a.batchAsync(nvme.OpWrite, blocks, src, srcOff, sink)
-}
-
-// GatherListAsync is GatherAsync with explicit per-block destinations:
-// block blocks[i] lands at dst offset offs[i]. Both slices must stay
-// unchanged until the sink runs. Stripe-runs still coalesce when the
-// offsets happen to be contiguous at BlockBytes stride.
-func (a *Array) GatherListAsync(blocks []uint64, offs []int64, dst *gpu.Buffer, sink BatchSink) {
-	a.batchAsyncList(nvme.OpRead, blocks, offs, dst, sink)
-}
-
-// ScatterListAsync is ScatterAsync with explicit per-block sources.
-func (a *Array) ScatterListAsync(blocks []uint64, offs []int64, src *gpu.Buffer, sink BatchSink) {
-	a.batchAsyncList(nvme.OpWrite, blocks, offs, src, sink)
 }
 
 // syncSink adapts BatchSink to a signal for the synchronous wrappers.
@@ -395,39 +363,31 @@ func (s *System) putSyncSink(ss *syncSink) { s.syncFree = append(s.syncFree, ss)
 // arm).
 const (
 	bmLoop     uint8 = iota // scanning blocks / between submissions
-	bmGranted               // queue slot granted for the pending run
+	bmGranted               // queue slot granted for block i
 	bmHitSlept              // cache-hit service time slept
 	bmDone                  // fan-in drained; finish the batch
 )
 
 // batchMachine runs one Gather/Scatter as a callback state machine: pin the
-// I/O warps, walk the block list submitting stripe-runs (each submission
-// sleeps the warp-serialized doorbell cost), sleep accumulated cache-hit
-// time, then park on the batch fan-in. This removes two goroutine switches
-// per submitted command from the synchronous loop.
+// I/O warps, walk the block list submitting one command per block (each
+// submission sleeps the warp-serialized doorbell cost), sleep accumulated
+// cache-hit time, then park on the batch fan-in. This removes two goroutine
+// switches per submitted command from the synchronous loop.
 type batchMachine struct {
-	a      *Array
-	op     nvme.Opcode
-	blocks []uint64
-	buf    *gpu.Buffer
-	off    int64
-	// offs, when non-nil, gives each block its own buffer offset (list
-	// batches); off is unused then.
+	a  *Array
+	op nvme.Opcode
+	// blocks and offs (block i's offset inside buf) are the machine's own
+	// copies, taken at Start; their capacity is retained across reuse.
+	blocks  []uint64
 	offs    []int64
+	buf     *gpu.Buffer
 	sink    BatchSink
 	fan     *fanin
 	held    int64
-	limit   int
 	phase   uint8
 	i       int
 	hitTime sim.Time
 	missIdx []int
-	// pending run while blocked on a queue slot
-	runDev  int
-	runLBA  uint64
-	runNLB  uint32
-	runAddr mem.Addr
-	runLen  int
 }
 
 func (s *System) getBatch() *batchMachine {
@@ -439,54 +399,28 @@ func (s *System) getBatch() *batchMachine {
 	return &batchMachine{}
 }
 
-// batchAsync starts a batch machine; empty batches complete inline.
-func (a *Array) batchAsync(op nvme.Opcode, blocks []uint64, buf *gpu.Buffer, off int64, sink BatchSink) {
-	if len(blocks) == 0 {
-		sink.BatchDone(0)
-		return
-	}
-	m := a.prepBatch(op, blocks, buf, off, sink)
-	a.launchBatch(m)
-}
-
-// batchAsyncList starts a list-batch machine (explicit per-block offsets).
-func (a *Array) batchAsyncList(op nvme.Opcode, blocks []uint64, offs []int64, buf *gpu.Buffer, sink BatchSink) {
-	if len(blocks) != len(offs) {
-		panic("bam: list batch blocks/offs length mismatch")
+// Start is the callback-machine form of Gather (op nvme.OpRead) and Scatter
+// (nvme.OpWrite): the sink runs once every block is resident (or failed).
+// Block i moves to or from buf offset off + i*BlockBytes, or offs[i] when
+// offs is non-nil. The machine copies the ids and offsets, so both slices
+// are the caller's again as soon as Start returns. Empty batches complete
+// inline.
+func (a *Array) Start(op nvme.Opcode, blocks []uint64, buf *gpu.Buffer, off int64, offs []int64, sink BatchSink) {
+	if offs != nil {
+		buf.CheckBlocks(len(blocks), offs, a.BlockBytes)
 	}
 	if len(blocks) == 0 {
 		sink.BatchDone(0)
 		return
 	}
-	for _, off := range offs {
-		if off < 0 || off+a.BlockBytes > buf.Size() {
-			panic("bam: list batch entry does not fit in buffer")
-		}
-	}
-	m := a.prepBatch(op, blocks, buf, 0, sink)
-	m.offs = offs
-	a.launchBatch(m)
-}
-
-// blockOff reports block i's offset inside the batch buffer.
-func (m *batchMachine) blockOff(i int) int64 {
-	if m.offs != nil {
-		return m.offs[i]
-	}
-	return m.off + int64(i)*m.a.BlockBytes
-}
-
-// prepBatch fills a pooled machine with the batch parameters.
-func (a *Array) prepBatch(op nvme.Opcode, blocks []uint64, buf *gpu.Buffer, off int64, sink BatchSink) *batchMachine {
 	s := a.s
 	m := s.getBatch()
-	m.a, m.op, m.blocks, m.buf, m.off, m.sink = a, op, blocks, buf, off, sink
-	m.limit = 1
-	if a.cache == nil && a.CoalesceLimit > 1 {
-		m.limit = a.CoalesceLimit
-		if max := int((spdkMDTS) / a.BlockBytes); m.limit > max {
-			m.limit = max
-		}
+	m.a, m.op, m.buf, m.sink = a, op, buf, sink
+	m.blocks = append(m.blocks[:0], blocks...)
+	// A list's offsets are copied; a range's are its stride, filled in.
+	m.offs = append(slices.Grow(m.offs[:0], len(blocks)), offs...)
+	for i := len(offs); i < len(blocks); i++ {
+		m.offs = append(m.offs, off+int64(i)*a.BlockBytes)
 	}
 	// Hold the fan-in above zero until every command is submitted:
 	// submission can block on queue slots, so early completions may race
@@ -494,14 +428,8 @@ func (a *Array) prepBatch(op nvme.Opcode, blocks []uint64, buf *gpu.Buffer, off 
 	m.fan = s.getFanin()
 	m.fan.remaining = 1
 	m.phase = bmLoop
-	return m
-}
-
-// launchBatch pins the I/O warps and starts the machine.
-func (a *Array) launchBatch(m *batchMachine) {
-	s := a.s
-	need := s.ThreadsNeeded(len(s.devs))
-	held, ok := s.g.PinThreadsCallback(need, m)
+	// Pin the I/O warps, then run.
+	held, ok := s.g.PinThreadsCallback(s.ThreadsNeeded(len(s.devs)), m)
 	m.held = held
 	if ok {
 		m.Run()
@@ -516,7 +444,7 @@ func (m *batchMachine) Run() {
 	s := a.s
 	switch m.phase {
 	case bmGranted:
-		m.pushRun()
+		m.push()
 		return
 	case bmHitSlept:
 		m.awaitFan()
@@ -526,14 +454,12 @@ func (m *batchMachine) Run() {
 		return
 	}
 	// bmLoop: resume the block scan.
-	blocks := m.blocks
-	ndev := uint64(len(s.devs))
-	for m.i < len(blocks) {
+	for m.i < len(m.blocks) {
 		i := m.i
-		b := blocks[i]
+		b := m.blocks[i]
 		if a.cache != nil && m.op == nvme.OpRead {
 			if lineOff, hit := a.cache.LookupRef(b); hit {
-				mem.PayloadCopy(m.buf.Payload(), m.blockOff(i),
+				mem.PayloadCopy(m.buf.Payload(), m.offs[i],
 					a.cache.Payload(), lineOff, a.BlockBytes)
 				m.hitTime += a.CacheHitCost
 				m.i++
@@ -544,27 +470,12 @@ func (m *batchMachine) Run() {
 		if a.cache != nil && m.op == nvme.OpWrite {
 			a.cache.Invalidate(b)
 		}
-		// Extend a stripe-contiguous run (same device, consecutive LBAs;
-		// batch order makes destinations contiguous — list batches must
-		// additionally keep their explicit offsets contiguous).
-		run := coalesceRun(blocks, i, m.limit, ndev)
-		if m.offs != nil {
-			k := 1
-			for k < run && m.offs[i+k] == m.offs[i]+int64(k)*a.BlockBytes {
-				k++
-			}
-			run = k
-		}
-		dev, lba := a.locate(b)
-		m.runDev, m.runLBA = dev, lba
-		m.runNLB = uint32(int64(run) * a.BlockBytes / nvme.LBASize)
-		m.runAddr = m.buf.Addr + mem.Addr(m.blockOff(i))
-		m.runLen = run
+		dev, _ := a.locate(b)
 		m.phase = bmGranted
 		if !s.slots[dev].AcquireCallback(1, m) {
 			return
 		}
-		m.pushRun()
+		m.push()
 		return
 	}
 	// Scan complete: serve the accumulated cache-hit time, then wait out
@@ -579,16 +490,17 @@ func (m *batchMachine) Run() {
 	m.awaitFan()
 }
 
-// pushRun publishes the pending stripe-run (queue slot already held) and
-// sleeps the warp-serialized submission cost before resuming the scan.
+// push publishes block i's command (queue slot already held) and sleeps the
+// warp-serialized submission cost before resuming the scan.
 //
 //camlint:hotpath
-func (m *batchMachine) pushRun() {
-	s := m.a.s
-	dev := m.runDev
+func (m *batchMachine) push() {
+	a := m.a
+	s := a.s
+	dev, lba := a.locate(m.blocks[m.i])
 	cid := s.allocCID(dev)
 	m.fan.remaining++
-	ent := flightEntry{fan: m.fan, blocks: m.runLen}
+	ent := flightEntry{fan: m.fan}
 	if s.cfg.CmdTimeout > 0 {
 		ent.deadline = s.e.Now() + s.cfg.CmdTimeout
 		// Constant timeout at non-decreasing submit times: FIFO order keeps
@@ -596,7 +508,8 @@ func (m *batchMachine) pushRun() {
 		s.deadq[dev].push(cid, ent.deadline)
 	}
 	s.flight[dev][cid] = ent
-	sqe := nvme.SQE{Opcode: m.op, CID: cid, NSID: 1, PRP1: uint64(m.runAddr), SLBA: m.runLBA, NLB: m.runNLB}
+	sqe := nvme.SQE{Opcode: m.op, CID: cid, NSID: 1, PRP1: uint64(m.buf.Addr + mem.Addr(m.offs[m.i])),
+		SLBA: lba, NLB: uint32(a.BlockBytes / nvme.LBASize)}
 	if err := s.qps[dev].SQ.Push(sqe); err != nil {
 		panic("bam: SQ overflow despite slot limiter: " + err.Error())
 	}
@@ -608,7 +521,7 @@ func (m *batchMachine) pushRun() {
 		// sleep against the new deadline.
 		s.qps[dev].CQ.OnPost.Fire()
 	}
-	m.i += m.runLen
+	m.i++
 	m.phase = bmLoop
 	// Warp-serialized submission cost; amortized across the batch by
 	// submitting from many warps in reality — charge a fraction.
@@ -635,7 +548,7 @@ func (m *batchMachine) finish() {
 		for _, i := range m.missIdx {
 			lineOff := a.cache.InsertRef(m.blocks[i])
 			mem.PayloadCopy(a.cache.Payload(), lineOff,
-				m.buf.Payload(), m.blockOff(i), a.BlockBytes)
+				m.buf.Payload(), m.offs[i], a.BlockBytes)
 		}
 	}
 	s.putFanin(fan)
@@ -643,33 +556,12 @@ func (m *batchMachine) finish() {
 		s.g.UnpinThreads(m.held)
 	}
 	sink := m.sink
-	m.a, m.blocks, m.buf, m.sink, m.fan = nil, nil, nil, nil, nil
-	m.offs = nil
+	m.a, m.buf, m.sink, m.fan = nil, nil, nil, nil
 	m.missIdx = m.missIdx[:0]
 	m.i, m.hitTime, m.held = 0, 0, 0
 	s.batchFree = append(s.batchFree, m) //camlint:allow hotalloc -- amortized free-list growth
 	sink.BatchDone(errs)
 }
-
-// coalesceRun reports the length of the stripe-contiguous run starting at
-// index i: successive block ids must grow by the device count (same device,
-// next LBA), capped by limit.
-func coalesceRun(blocks []uint64, i, limit int, ndev uint64) int {
-	b := blocks[i]
-	run := 1
-	for run < limit && i+run < len(blocks) {
-		if blocks[i+run] != b+uint64(run)*ndev {
-			break
-		}
-		run++
-	}
-	return run
-}
-
-// spdkMDTS mirrors the device's maximum data transfer size per command
-// (spdk.MaxTransfer; duplicated to avoid an import cycle with the CAM
-// backend packages).
-const spdkMDTS = 128 << 10
 
 func (s *System) allocCID(dev int) uint16 {
 	depth := uint16(s.cfg.QueueDepth)
@@ -686,7 +578,7 @@ func (s *System) allocCID(dev int) uint16 {
 
 // devPoll is one device's completion poller as an engine-callback state
 // machine (it used to be a process): it folds arriving CQEs into their
-// batch fan-ins, counting failed commands' blocks into the batch error
+// batch fan-ins, counting failed commands into the batch error
 // tally, and — when CmdTimeout is armed — abandons commands whose deadline
 // passed so a lost command fails the batch instead of hanging it. Each
 // OnPost wake is a direct call instead of a goroutine rendezvous.
@@ -739,8 +631,8 @@ func (c *devPoll) poll() {
 				panic("bam: completion for unknown CID")
 			}
 			if cqe.Status != nvme.StatusSuccess {
-				ent.fan.errors += ent.blocks
-				s.stats.FailedBlocks += uint64(ent.blocks)
+				ent.fan.errors++
+				s.stats.FailedBlocks++
 			}
 			s.flight[dev][cqe.CID] = flightEntry{}
 			s.slots[dev].Release(1)
@@ -825,9 +717,9 @@ func (s *System) expire(dev int) bool {
 			continue // CQE already posted; the poll loop reaps it
 		}
 		s.stats.Timeouts++
-		s.stats.FailedBlocks += uint64(ent.blocks)
+		s.stats.FailedBlocks++
 		s.tr.Emit(trace.IOTimeout, s.devs[dev].Name, "bam abandon", int64(cid))
-		ent.fan.errors += ent.blocks
+		ent.fan.errors++
 		s.flight[dev][cid] = flightEntry{}
 		s.slots[dev].Release(1)
 		s.faninRef(ent.fan, -1)

@@ -253,43 +253,9 @@ func TestCacheLineSizeMismatchPanics(t *testing.T) {
 	arr.AttachCache(c)
 }
 
-func TestGatherCoalescesStripeRuns(t *testing.T) {
-	r := newRig(3, DefaultConfig())
-	arr := r.sys.NewArray(4096)
-	arr.CoalesceLimit = 8
-	n := 8
-	src := r.g.Alloc("src", int64(n)*4096)
-	dst := r.g.Alloc("dst", int64(n)*4096)
-	rng := sim.NewRNG(17)
-	for i := range src.Bytes() {
-		src.Bytes()[i] = byte(rng.Uint64())
-	}
-	// Two stripe-contiguous 4-runs: {0,3,6,9} on nvme0, {1,4,7,10} on
-	// nvme1 → one multi-block command per device instead of eight.
-	blocks := []uint64{0, 3, 6, 9, 1, 4, 7, 10}
-	r.e.Go("kernel", func(p *sim.Proc) {
-		arr.Scatter(p, blocks, src, 0)
-		arr.Gather(p, blocks, dst, 0)
-	})
-	r.e.Run()
-	if !bytes.Equal(src.Bytes(), dst.Bytes()) {
-		t.Fatal("coalesced scatter/gather round trip mismatch")
-	}
-	var reads, writes uint64
-	for _, d := range r.devs {
-		s := d.Stats()
-		reads += s.ReadCmds
-		writes += s.WriteCmds
-	}
-	if reads != 2 || writes != 2 {
-		t.Fatalf("reads=%d writes=%d, want 2 each (one command per 4-run)", reads, writes)
-	}
-}
-
 func TestGatherCoalescingSplitsNonContiguous(t *testing.T) {
 	r := newRig(3, DefaultConfig())
 	arr := r.sys.NewArray(4096)
-	arr.CoalesceLimit = 8
 	dst := r.g.Alloc("dst", 3*4096)
 	// 0 and 6 share nvme0 but skip LBA-adjacent block 3; 1 is nvme1.
 	blocks := []uint64{0, 6, 1}
@@ -302,6 +268,6 @@ func TestGatherCoalescingSplitsNonContiguous(t *testing.T) {
 		reads += d.Stats().ReadCmds
 	}
 	if reads != 3 {
-		t.Fatalf("reads=%d, want 3 (gap and stripe boundary must split)", reads)
+		t.Fatalf("reads=%d, want 3 (one command per block)", reads)
 	}
 }

@@ -50,19 +50,6 @@ type Config struct {
 	// once (the descriptor ring size).
 	MaxOutstanding int
 
-	// CoalesceLimit caps how many stripe-contiguous blocks the polling
-	// thread merges into one multi-block NVMe command (further bounded by
-	// the device MDTS). 0 or 1 keeps one command per block.
-	//
-	// The published figure configuration leaves this off: merging changes
-	// command boundaries, and with them device service and jitter draws,
-	// so enabling it perturbs the calibrated timing. The evaluation
-	// workloads are random-access — across the full figure suite only 2
-	// of ~5M adjacent request pairs are stripe-contiguous — so per-block
-	// commands lose nothing there; sequential pipelines are where the
-	// merge pays (see DESIGN.md §8).
-	CoalesceLimit int
-
 	// PollPickup is the CPU polling thread's mean latency to notice a
 	// newly written doorbell.
 	PollPickup sim.Time
@@ -140,8 +127,8 @@ type Batch struct {
 	published sim.Time
 	completed sim.Time
 	errors    int
-	// remaining counts outstanding NVMe commands (coalesced runs), plus
-	// one publishing hold while the polling thread is still submitting.
+	// remaining counts outstanding NVMe commands, plus one publishing hold
+	// while the polling thread is still submitting.
 	remaining int
 }
 
@@ -166,7 +153,7 @@ func (b *Batch) Latency() sim.Time { return b.completed - b.published }
 type Stats struct {
 	Batches        uint64
 	Requests       uint64 // logical blocks processed
-	Commands       uint64 // NVMe commands issued (≤ Requests when coalescing)
+	Commands       uint64 // NVMe commands issued (one per block)
 	FailedRequests uint64
 	FailedBatches  uint64 // batches that completed with >= 1 failed block
 	BytesRead      int64
@@ -203,7 +190,11 @@ type Manager struct {
 	fireDoorbell func()
 	batchQ       *sim.Store[*Batch]
 	slotRes      *sim.Resource // outstanding-batch limiter
-	freeSlots    []int         // region-1/2 slot free list
+	// freeSlots is the region-1/2 slot free ring, FIFO: slotPop and
+	// slotPush count pops and pushes and index it modulo MaxOutstanding,
+	// so releasing a slot never grows the backing array.
+	freeSlots         []int
+	slotPop, slotPush uint
 
 	seq       uint64
 	lastRead  *Batch
@@ -222,6 +213,15 @@ type Manager struct {
 	sinceAdj   int
 
 	stats Stats
+}
+
+// r1EntryBytes is the region-1 encoding size per block: the block id, plus
+// its buffer offset in a list batch.
+func r1EntryBytes(indexed bool) int64 {
+	if indexed {
+		return 16
+	}
+	return 8
 }
 
 // argsSlotBytes is the region-2 encoding size per slot: op(1) pad(7)
@@ -285,6 +285,7 @@ func New(e *sim.Engine, cfg Config, g *gpu.GPU, hm *hostmem.Memory, space *mem.S
 	for i := 0; i < cfg.MaxOutstanding; i++ {
 		m.freeSlots = append(m.freeSlots, i)
 	}
+	m.slotPush = uint(cfg.MaxOutstanding)
 	m.activeCores = reactors
 	m.wantCores = reactors
 	start := cfg.Cores
@@ -370,7 +371,7 @@ func (m *Manager) CapacityBlocks() uint64 {
 // arguments into CPU-visible memory and raises the doorbell — no SQE
 // construction, no polling, no SM occupancy.
 func (m *Manager) Prefetch(p *sim.Proc, blocks []uint64, dst *gpu.Buffer, dstOff int64) *Batch {
-	b := m.publish(p, OpPrefetch, blocks, dst, dstOff)
+	b := m.publish(p, OpPrefetch, blocks, dst, dstOff, nil)
 	m.lastRead = b
 	return b
 }
@@ -378,7 +379,7 @@ func (m *Manager) Prefetch(p *sim.Proc, blocks []uint64, dst *gpu.Buffer, dstOff
 // WriteBack publishes an asynchronous GPU→SSD batch: block i is taken from
 // src.Data[srcOff + i*BlockBytes].
 func (m *Manager) WriteBack(p *sim.Proc, blocks []uint64, src *gpu.Buffer, srcOff int64) *Batch {
-	b := m.publish(p, OpWriteBack, blocks, src, srcOff)
+	b := m.publish(p, OpWriteBack, blocks, src, srcOff, nil)
 	m.lastWrite = b
 	return b
 }
@@ -391,7 +392,7 @@ func (m *Manager) WriteBack(p *sim.Proc, blocks []uint64, src *gpu.Buffer, srcOf
 // cache frames, which is what keeps an importance-ordered eviction/fill
 // working set on the single-doorbell path (DESIGN.md §14).
 func (m *Manager) PrefetchList(p *sim.Proc, blocks []uint64, dst *gpu.Buffer, offs []int64) *Batch {
-	b := m.publishList(p, OpPrefetch, blocks, dst, offs)
+	b := m.publish(p, OpPrefetch, blocks, dst, 0, offs)
 	m.lastRead = b
 	return b
 }
@@ -399,7 +400,7 @@ func (m *Manager) PrefetchList(p *sim.Proc, blocks []uint64, dst *gpu.Buffer, of
 // WriteBackList publishes an asynchronous GPU→SSD batch with explicit
 // per-block sources: block blocks[i] is taken from src.Data[offs[i]].
 func (m *Manager) WriteBackList(p *sim.Proc, blocks []uint64, src *gpu.Buffer, offs []int64) *Batch {
-	b := m.publishList(p, OpWriteBack, blocks, src, offs)
+	b := m.publish(p, OpWriteBack, blocks, src, 0, offs)
 	m.lastWrite = b
 	return b
 }
@@ -434,19 +435,27 @@ func (m *Manager) synchronize(p *sim.Proc, b *Batch) {
 	}
 }
 
-// publish is the GPU-side half of the handshake.
-func (m *Manager) publish(p *sim.Proc, op Op, blocks []uint64, buf *gpu.Buffer, off int64) *Batch {
+// publish is the GPU-side half of the handshake, the one path every batch
+// takes. Block i sits at buf offset off + i*BlockBytes, or at offs[i] when
+// offs is non-nil: a list batch, whose region 1 carries (block, offset)
+// pairs and whose layout byte in region 2 tells the polling thread to decode
+// them as such. blocks and offs are encoded into region 1 before publish
+// returns and not referenced afterwards.
+func (m *Manager) publish(p *sim.Proc, op Op, blocks []uint64, buf *gpu.Buffer, off int64, offs []int64) *Batch {
+	indexed := offs != nil
+	entry := r1EntryBytes(indexed)
 	if len(blocks) == 0 {
 		panic("cam: empty batch")
 	}
-	if len(blocks) > m.cfg.MaxBatch {
-		panic(fmt.Sprintf("cam: batch of %d exceeds MaxBatch %d", len(blocks), m.cfg.MaxBatch))
+	if max := int64(m.cfg.MaxBatch) * 8 / entry; int64(len(blocks)) > max {
+		panic(fmt.Sprintf("cam: batch of %d exceeds the %d that fit a region-1 slot", len(blocks), max))
 	}
 	if !buf.Pinned {
 		panic("cam: buffer must come from CAM Alloc (pinned for P2P DMA)")
 	}
-	need := int64(len(blocks)) * m.cfg.BlockBytes
-	if off < 0 || off+need > buf.Size() {
+	if indexed {
+		buf.CheckBlocks(len(blocks), offs, m.cfg.BlockBytes)
+	} else if need := int64(len(blocks)) * m.cfg.BlockBytes; off < 0 || off+need > buf.Size() {
 		panic("cam: batch does not fit in buffer")
 	}
 
@@ -454,14 +463,17 @@ func (m *Manager) publish(p *sim.Proc, op Op, blocks []uint64, buf *gpu.Buffer, 
 	m.slotRes.Acquire(p, 1)
 
 	m.seq++
-	slot := m.freeSlots[0]
-	m.freeSlots = m.freeSlots[1:]
-	b := &Batch{Seq: m.seq, Op: op, Count: len(blocks), done: m.e.NewSignal("cam.batch"), slot: slot}
+	slot := m.freeSlots[m.slotPop%uint(len(m.freeSlots))]
+	m.slotPop++
+	b := &Batch{Seq: m.seq, Op: op, Count: len(blocks), done: m.e.NewSignal("cam.batch"), slot: slot, indexed: indexed}
 
 	// Region 1: the LBA array (real bytes, GPU→CPU over PCIe).
-	slotBase := int64(b.slot) * int64(m.cfg.MaxBatch) * 8
+	r1 := m.r1[int64(b.slot)*int64(m.cfg.MaxBatch)*8:]
 	for i, blk := range blocks {
-		binary.LittleEndian.PutUint64(m.r1[slotBase+int64(i)*8:], blk)
+		binary.LittleEndian.PutUint64(r1[int64(i)*entry:], blk)
+		if indexed {
+			binary.LittleEndian.PutUint64(r1[int64(i)*entry+8:], uint64(offs[i]))
+		}
 	}
 	// Region 2: the batch arguments. The layout byte distinguishes plain
 	// batches from list batches; slots are reused, so it is written every
@@ -469,77 +481,24 @@ func (m *Manager) publish(p *sim.Proc, op Op, blocks []uint64, buf *gpu.Buffer, 
 	abase := int64(b.slot) * argsSlotBytes
 	m.r2[abase] = byte(op)
 	m.r2[abase+1] = 0
+	if indexed {
+		m.r2[abase+1] = 1
+	}
 	binary.LittleEndian.PutUint64(m.r2[abase+8:], uint64(len(blocks)))
 	binary.LittleEndian.PutUint64(m.r2[abase+16:], uint64(buf.Addr)+uint64(off))
 	binary.LittleEndian.PutUint64(m.r2[abase+24:], uint64(m.cfg.BlockBytes))
 	// Region 3: the doorbell.
 	binary.LittleEndian.PutUint64(m.r3, b.Seq)
 
-	// Publishing cost: the LBA array crosses PCIe (8 B per block) plus
+	// Publishing cost: region 1 crosses PCIe (8 or 16 B per block) plus
 	// the posted doorbell write.
-	m.fab.DMA(p, int64(len(blocks))*8)
+	m.fab.DMA(p, int64(len(blocks))*entry)
 	p.Sleep(m.fab.MMIODelay())
 	b.published = m.e.Now()
 
 	m.batchQ.Put(b)
 	m.tracer.Emit(trace.BatchPublish, "cam", op.String(), int64(b.Seq))
 	// The CPU polling thread notices after its pickup latency.
-	m.e.Schedule(m.cfg.PollPickup, m.fireDoorbell)
-	return b
-}
-
-// publishList is the GPU-side half of the handshake for a list batch:
-// region 1 holds (block, buffer offset) pairs and the layout byte in
-// region 2 tells the polling thread to decode them as such.
-func (m *Manager) publishList(p *sim.Proc, op Op, blocks []uint64, buf *gpu.Buffer, offs []int64) *Batch {
-	if len(blocks) == 0 {
-		panic("cam: empty batch")
-	}
-	if len(blocks) != len(offs) {
-		panic("cam: list batch blocks/offs length mismatch")
-	}
-	if len(blocks) > m.cfg.MaxBatch/2 {
-		panic(fmt.Sprintf("cam: list batch of %d exceeds MaxBatch/2 = %d", len(blocks), m.cfg.MaxBatch/2))
-	}
-	if !buf.Pinned {
-		panic("cam: buffer must come from CAM Alloc (pinned for P2P DMA)")
-	}
-	for _, off := range offs {
-		if off < 0 || off+m.cfg.BlockBytes > buf.Size() {
-			panic("cam: list batch entry does not fit in buffer")
-		}
-	}
-
-	m.slotRes.Acquire(p, 1)
-
-	m.seq++
-	slot := m.freeSlots[0]
-	m.freeSlots = m.freeSlots[1:]
-	b := &Batch{Seq: m.seq, Op: op, Count: len(blocks), done: m.e.NewSignal("cam.batch"), slot: slot, indexed: true}
-
-	// Region 1: (block, offset) pairs, 16 B per entry.
-	slotBase := int64(b.slot) * int64(m.cfg.MaxBatch) * 8
-	for i, blk := range blocks {
-		binary.LittleEndian.PutUint64(m.r1[slotBase+int64(i)*16:], blk)
-		binary.LittleEndian.PutUint64(m.r1[slotBase+int64(i)*16+8:], uint64(offs[i]))
-	}
-	// Region 2: the batch arguments, layout byte 1 = indexed.
-	abase := int64(b.slot) * argsSlotBytes
-	m.r2[abase] = byte(op)
-	m.r2[abase+1] = 1
-	binary.LittleEndian.PutUint64(m.r2[abase+8:], uint64(len(blocks)))
-	binary.LittleEndian.PutUint64(m.r2[abase+16:], uint64(buf.Addr))
-	binary.LittleEndian.PutUint64(m.r2[abase+24:], uint64(m.cfg.BlockBytes))
-	// Region 3: the doorbell.
-	binary.LittleEndian.PutUint64(m.r3, b.Seq)
-
-	// Publishing cost: 16 B per block cross PCIe plus the doorbell write.
-	m.fab.DMA(p, int64(len(blocks))*16)
-	p.Sleep(m.fab.MMIODelay())
-	b.published = m.e.Now()
-
-	m.batchQ.Put(b)
-	m.tracer.Emit(trace.BatchPublish, "cam", op.String(), int64(b.Seq))
 	m.e.Schedule(m.cfg.PollPickup, m.fireDoorbell)
 	return b
 }
@@ -593,38 +552,27 @@ func (m *Manager) dispatchBatch(b *Batch) {
 	if op == OpWriteBack {
 		nvop = nvme.OpWrite
 	}
-	slotBase := int64(b.slot) * int64(m.cfg.MaxBatch) * 8
-	limit := m.runLimit(blockBytes)
-	ndev := uint64(len(m.devs))
+	entry := int(r1EntryBytes(indexed))
 	blockLBAs := uint32(blockBytes / nvme.LBASize)
 	// Hold the fan-in counter above zero until every command of the
 	// batch is submitted, then drop the hold.
 	b.remaining = 1
-	lbaArr := m.r1[slotBase:]
-	for i := 0; i < count; {
-		var blk uint64
-		var run int
-		var addr mem.Addr
+	r1 := m.r1[int64(b.slot)*int64(m.cfg.MaxBatch)*8:]
+	for i := 0; i < count; i++ {
+		ent := r1[i*entry:]
+		off := uint64(int64(i) * blockBytes)
 		if indexed {
-			blk = binary.LittleEndian.Uint64(lbaArr[i*16:])
-			run = coalesceRunIdx(lbaArr, i, count, limit, ndev, blockBytes)
-			addr = dest + mem.Addr(binary.LittleEndian.Uint64(lbaArr[i*16+8:]))
-		} else {
-			blk = binary.LittleEndian.Uint64(lbaArr[i*8:])
-			run = coalesceRun(lbaArr, i, count, limit, ndev)
-			addr = dest + mem.Addr(int64(i)*blockBytes)
+			off = binary.LittleEndian.Uint64(ent[8:])
 		}
-		dev, lba := m.locate(blk)
+		dev, lba := m.locate(binary.LittleEndian.Uint64(ent))
 		req := m.drv.GetRequest()
 		req.Op, req.Dev, req.SLBA = nvop, dev, lba
-		req.NLB = uint32(run) * blockLBAs
-		req.Addr = addr
-		req.Blocks = run
+		req.NLB = blockLBAs
+		req.Addr = dest + mem.Addr(off)
 		req.Sink, req.Tag = m, b
 		b.remaining++
 		m.stats.Commands++
 		m.drv.Submit(req)
-		i += run
 	}
 	m.inFlight++
 	m.tracer.Emit(trace.BatchDispatch, "cam", op.String(), int64(b.Seq))
@@ -638,71 +586,15 @@ func (m *Manager) dispatchBatch(b *Batch) {
 	m.batchRef(b, -1) // release the publishing hold
 }
 
-// coalesceRun reports the length of the stripe-contiguous run starting at
-// block index i of the count blocks encoded in data (8 bytes each,
-// little-endian): successive entries must land on the same device at the
-// next LBA, which with round-robin striping means each block id grows by
-// the device count. The run never exceeds limit (already bounded by MDTS
-// via runLimit).
-func coalesceRun(data []byte, i, count, limit int, ndev uint64) int {
-	blk := binary.LittleEndian.Uint64(data[i*8:])
-	run := 1
-	for run < limit && i+run < count {
-		nb := binary.LittleEndian.Uint64(data[(i+run)*8:])
-		if nb != blk+uint64(run)*ndev {
-			break
-		}
-		run++
-	}
-	return run
-}
-
-// coalesceRunIdx is coalesceRun for list batches: entries are 16 bytes
-// (block, buffer offset), and merging additionally requires the buffer
-// offsets to be contiguous at blockBytes stride, since one NVMe command
-// carries a single base address.
-func coalesceRunIdx(data []byte, i, count, limit int, ndev uint64, blockBytes int64) int {
-	blk := binary.LittleEndian.Uint64(data[i*16:])
-	off := binary.LittleEndian.Uint64(data[i*16+8:])
-	run := 1
-	for run < limit && i+run < count {
-		nb := binary.LittleEndian.Uint64(data[(i+run)*16:])
-		no := binary.LittleEndian.Uint64(data[(i+run)*16+8:])
-		if nb != blk+uint64(run)*ndev || no != off+uint64(run)*uint64(blockBytes) {
-			break
-		}
-		run++
-	}
-	return run
-}
-
-// runLimit caps a coalesced run: the configured limit bounded by how many
-// blocks fit in one MDTS-sized command.
-func (m *Manager) runLimit(blockBytes int64) int {
-	limit := m.cfg.CoalesceLimit
-	if limit < 1 {
-		limit = 1
-	}
-	if max := int(spdk.MaxTransfer() / blockBytes); limit > max {
-		limit = max
-	}
-	return limit
-}
-
 // RequestDone implements spdk.Completion: fan one command completion into
-// the batch counter (reactor context). A failed coalesced command counts
-// every block it carried as failed.
+// the batch counter (reactor context).
 //
 //camlint:hotpath
 func (m *Manager) RequestDone(r *spdk.Request) {
 	b := r.Tag.(*Batch)
 	if r.Status != nvme.StatusSuccess {
-		n := r.Blocks
-		if n < 1 {
-			n = 1
-		}
-		b.errors += n
-		m.stats.FailedRequests += uint64(n)
+		b.errors++
+		m.stats.FailedRequests++
 	}
 	m.batchRef(b, -1)
 }
@@ -734,7 +626,8 @@ func (m *Manager) finishBatch(b *Batch) {
 	}
 	m.tracer.Emit(trace.BatchComplete, "cam", b.Op.String(), int64(b.Seq))
 	m.e.ScheduleCallback(m.fab.MMIODelay(), b)
-	m.freeSlots = append(m.freeSlots, b.slot)
+	m.freeSlots[m.slotPush%uint(len(m.freeSlots))] = b.slot
+	m.slotPush++
 	m.slotRes.Release(1)
 	m.sinceAdj++
 	if m.cfg.DynamicCores && m.sinceAdj >= m.cfg.AdjustPeriod && m.inFlight == 0 {

@@ -161,6 +161,20 @@ func (b *Buffer) Free() {
 // Size reports the buffer length.
 func (b *Buffer) Size() int64 { return b.size }
 
+// CheckBlocks panics unless offs gives each of nblocks blocks its own
+// in-bounds blockBytes-sized place in the buffer — the contract every
+// backend's list batch enforces at submit.
+func (b *Buffer) CheckBlocks(nblocks int, offs []int64, blockBytes int64) {
+	if nblocks != len(offs) {
+		panic(fmt.Sprintf("gpu: list batch of %d blocks has %d offsets", nblocks, len(offs)))
+	}
+	for _, off := range offs {
+		if off < 0 || off+blockBytes > b.size {
+			panic(fmt.Sprintf("gpu: list batch entry at offset %d does not fit in buffer %q", off, b.Name))
+		}
+	}
+}
+
 // Payload exposes the buffer's content for reference-passing transfers.
 func (b *Buffer) Payload() *mem.Payload { return b.pay }
 

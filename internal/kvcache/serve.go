@@ -273,9 +273,10 @@ func (s *Server) evict(p *sim.Proc, victims []Key) {
 		s.stats.CleanDrops++
 	}
 	if len(s.dirty) > 0 {
-		// The id/offset slices must be private to the batch: BaM and SPDK
-		// keep referencing them while the transfer is in flight, so shared
-		// scratch would be rewritten under an unfinished batch.
+		// The id/offset slices must be private to the batch. No backend
+		// references them once Start*List returns, but CAM's publish can
+		// block in slotRes.Acquire before it encodes region 1, and another
+		// session evicting meanwhile would rewrite shared scratch under it.
 		spill := &inflight{keys: append([]Key(nil), s.dirty...)}
 		ids := make([]uint64, 0, len(s.dirty))
 		offs := make([]int64, 0, len(s.dirty))
@@ -327,8 +328,8 @@ func (s *Server) settle(p *sim.Proc, f *inflight) {
 // batched list gather covering all of them. Counted as fills; the caller
 // decides whether they were misses or prefetches.
 func (s *Server) startFill(p *sim.Proc, keys []Key, frames []int32) *inflight {
-	// Batch-private slices — async backends reference them until the
-	// transfer completes (see evict).
+	// Batch-private slices — Start*List may yield before it has read them
+	// (see evict).
 	fill := &inflight{keys: append([]Key(nil), keys...), fill: true}
 	ids := make([]uint64, 0, len(keys))
 	offs := make([]int64, 0, len(keys))

@@ -132,9 +132,6 @@ type Request struct {
 	// Addr is the data buffer's physical address (host DRAM for the
 	// classic SPDK flow; CAM passes pinned GPU HBM here).
 	Addr mem.Addr
-	// Blocks is the number of application blocks a coalesced command
-	// carries (0 and 1 both mean a single block).
-	Blocks int
 
 	Status nvme.Status
 	// Done is the completion signal for callers that block on individual

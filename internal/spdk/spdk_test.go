@@ -205,6 +205,11 @@ func TestGPUDirectAddressChargesNoDRAM(t *testing.T) {
 	}
 }
 
+// fireOnRun adapts a signal to the staged helper's completion callback.
+type fireOnRun struct{ s *sim.Signal }
+
+func (f fireOnRun) Run() { f.s.Fire() }
+
 func TestStagedReadToGPUDataAndTraffic(t *testing.T) {
 	// Both data-plane modes must land the same bytes with the same traffic.
 	var got [2][]byte
@@ -224,8 +229,10 @@ func TestStagedReadToGPUDataAndTraffic(t *testing.T) {
 		}
 		r.devs[0].Store().WriteLBA(0, uint32(n/nvme.LBASize), src)
 		gb := r.g.Alloc("dst", n)
+		done := r.e.NewSignal("granule")
 		r.e.Go("app", func(p *sim.Proc) {
-			st.ReadToGPU(p, 0, 0, gb, 0, n)
+			st.ReadToGPUAsync(0, 0, gb, 0, n, fireOnRun{done})
+			p.Wait(done)
 		})
 		r.e.Run()
 		mem.SetDefaultEager(prev)
@@ -260,8 +267,10 @@ func TestStagedWriteFromGPU(t *testing.T) {
 		for i := range gb.Bytes() {
 			gb.Bytes()[i] = byte(i % 253)
 		}
+		done := r.e.NewSignal("granule")
 		r.e.Go("app", func(p *sim.Proc) {
-			st.WriteFromGPU(p, 0, 128, gb, 0, n)
+			st.WriteFromGPUAsync(0, 128, gb, 0, n, fireOnRun{done})
+			p.Wait(done)
 		})
 		r.e.Run()
 		mem.SetDefaultEager(prev)

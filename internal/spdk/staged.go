@@ -40,46 +40,10 @@ func NewStagedGPUIO(d *Driver, ce *gpu.CopyEngine, stagingBytes int64) *StagedGP
 // Driver exposes the underlying NVMe driver.
 func (s *StagedGPUIO) Driver() *Driver { return s.d }
 
-// ReadToGPU reads n bytes from dev starting at slba into gpuDst (one
+// ReadToGPUAsync reads n bytes from dev starting at slba into gpuDst (one
 // application granule): SSD commands are split at the device MDTS; when all
 // land in staging, a single cudaMemcpyAsync moves the granule to the GPU.
-// It blocks p until the granule is resident in GPU memory.
-func (s *StagedGPUIO) ReadToGPU(p *sim.Proc, dev int, slba uint64, gpuDst *gpu.Buffer, dstOff, n int64) {
-	if n > s.staging.Size() {
-		panic("spdk: granule larger than staging buffer")
-	}
-	reqs := s.split(nvme.OpRead, dev, slba, n)
-	for _, r := range reqs {
-		s.d.Submit(r)
-	}
-	for _, r := range reqs {
-		p.Wait(r.Done)
-	}
-	// One memcpy per granule; the copy engine moves the content by
-	// reference and the read leg crosses DRAM once more.
-	s.d.hm.ReserveTraffic(n)
-	s.ce.CopyPayload(p, gpuDst.Payload(), dstOff, s.staging.Payload(), 0, n)
-}
-
-// WriteFromGPU writes n bytes from gpuSrc to dev at slba: one memcpy
-// GPU→staging, then SSD writes from staging.
-func (s *StagedGPUIO) WriteFromGPU(p *sim.Proc, dev int, slba uint64, gpuSrc *gpu.Buffer, srcOff, n int64) {
-	if n > s.staging.Size() {
-		panic("spdk: granule larger than staging buffer")
-	}
-	s.d.hm.ReserveTraffic(n) // memcpy write leg into DRAM
-	s.ce.CopyPayload(p, s.staging.Payload(), 0, gpuSrc.Payload(), srcOff, n)
-	reqs := s.split(nvme.OpWrite, dev, slba, n)
-	for _, r := range reqs {
-		s.d.Submit(r)
-	}
-	for _, r := range reqs {
-		p.Wait(r.Done)
-	}
-}
-
-// ReadToGPUAsync is the callback-machine form of ReadToGPU: onDone runs
-// (engine-callback context) once the granule is resident in GPU memory.
+// onDone runs (engine-callback context) once it is resident in GPU memory.
 func (s *StagedGPUIO) ReadToGPUAsync(dev int, slba uint64, gpuDst *gpu.Buffer, dstOff, n int64, onDone sim.Callback) {
 	m := s.getMachine()
 	m.read, m.dev, m.slba = true, dev, slba
@@ -88,7 +52,8 @@ func (s *StagedGPUIO) ReadToGPUAsync(dev int, slba uint64, gpuDst *gpu.Buffer, d
 	m.submit(nvme.OpRead)
 }
 
-// WriteFromGPUAsync is the callback-machine form of WriteFromGPU.
+// WriteFromGPUAsync writes n bytes from gpuSrc to dev at slba: one memcpy
+// GPU→staging, then SSD writes from staging; onDone runs when they complete.
 func (s *StagedGPUIO) WriteFromGPUAsync(dev int, slba uint64, gpuSrc *gpu.Buffer, srcOff, n int64, onDone sim.Callback) {
 	m := s.getMachine()
 	m.read, m.dev, m.slba = false, dev, slba
@@ -131,8 +96,8 @@ func (s *StagedGPUIO) getMachine() *stagedMachine {
 //camlint:hotpath
 func (m *stagedMachine) submit(op nvme.Opcode) {
 	s := m.s
-	if m.n > s.staging.Size() {
-		panic("spdk: granule larger than staging buffer")
+	if m.n > s.staging.Size() || m.n%nvme.LBASize != 0 {
+		panic("spdk: granule must be a multiple of 512 that fits the staging buffer")
 	}
 	m.remaining = 1 // submission hold
 	var off int64
@@ -196,29 +161,4 @@ func (m *stagedMachine) finish() {
 	*m = stagedMachine{s: s}
 	s.freeM = append(s.freeM, m) //camlint:allow hotalloc -- amortized free-list growth
 	onDone.Run()
-}
-
-// split cuts a granule into MDTS-sized requests targeting consecutive
-// staging offsets.
-func (s *StagedGPUIO) split(op nvme.Opcode, dev int, slba uint64, n int64) []*Request {
-	if n%nvme.LBASize != 0 {
-		panic("spdk: granule must be a multiple of 512")
-	}
-	var reqs []*Request
-	var off int64
-	for off < n {
-		chunk := n - off
-		if chunk > maxXfer {
-			chunk = maxXfer
-		}
-		reqs = append(reqs, &Request{
-			Op:   op,
-			Dev:  dev,
-			SLBA: slba + uint64(off)/nvme.LBASize,
-			NLB:  uint32(chunk / nvme.LBASize),
-			Addr: s.staging.Addr + mem.Addr(off),
-		})
-		off += chunk
-	}
-	return reqs
 }

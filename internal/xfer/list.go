@@ -11,6 +11,7 @@ package xfer
 
 import (
 	"camsim/internal/gpu"
+	"camsim/internal/nvme"
 	"camsim/internal/sim"
 )
 
@@ -20,6 +21,9 @@ import (
 // the offsets through its batch machine, and SPDK dispatches each block
 // as its own staged granule (it stages per granule anyway, so scattered
 // targets cost nothing extra — the helper-pool bound is the serializer).
+// On each of them a range transfer is the same batch with computed
+// offsets, and the slices are the caller's again as soon as a Start method
+// returns.
 type ListBackend interface {
 	Backend
 	// StartGatherList begins an asynchronous batched read of the blocks
@@ -69,62 +73,13 @@ func (b *CAMBackend) emptyHandle() Handle { return camHandle{b.M, nil} }
 // whole batch, exactly as for contiguous gathers.
 func (b *BaMBackend) StartGatherList(p *sim.Proc, blocks []uint64, dst *gpu.Buffer, offs []int64) Handle {
 	s := b.env.E.NewSignal("bamxfer")
-	b.arr.GatherListAsync(blocks, offs, dst, b.getSink(s))
+	b.arr.Start(nvme.OpRead, blocks, dst, 0, offs, b.getSink(s))
 	return sigHandle{s}
 }
 
 // StartScatterList drives one list-batch machine in the write direction.
 func (b *BaMBackend) StartScatterList(p *sim.Proc, blocks []uint64, src *gpu.Buffer, offs []int64) Handle {
 	s := b.env.E.NewSignal("bamxfer")
-	b.arr.ScatterListAsync(blocks, offs, src, b.getSink(s))
-	return sigHandle{s}
-}
-
-// ----- SPDK (staged) -----
-
-// locateBlock maps a block id to its device and device LBA under the same
-// round-robin striping locate uses for byte offsets.
-func (b *SPDKBackend) locateBlock(blk uint64) (dev int, slba uint64) {
-	nd := uint64(len(b.env.Devs))
-	dev = int(blk % nd)
-	devOff := int64(blk/nd) * b.g
-	return dev, uint64(devOff / 512)
-}
-
-// StartGatherList stages each listed block through the helper pool.
-func (b *SPDKBackend) StartGatherList(p *sim.Proc, blocks []uint64, dst *gpu.Buffer, offs []int64) Handle {
-	return b.startList(blocks, dst, offs, true)
-}
-
-// StartScatterList stages each listed block in the write direction.
-func (b *SPDKBackend) StartScatterList(p *sim.Proc, blocks []uint64, src *gpu.Buffer, offs []int64) Handle {
-	return b.startList(blocks, src, offs, false)
-}
-
-func (b *SPDKBackend) startList(blocks []uint64, buf *gpu.Buffer, offs []int64, read bool) Handle {
-	if len(blocks) != len(offs) {
-		panic("xfer(spdk): list blocks/offs length mismatch")
-	}
-	s := b.env.E.NewSignal("spdkxfer")
-	if len(blocks) == 0 {
-		s.Fire()
-		return sigHandle{s}
-	}
-	for _, off := range offs {
-		if off < 0 || off+b.g > buf.Size() {
-			panic("xfer(spdk): list entry does not fit in buffer")
-		}
-	}
-	var x *spdkXfer
-	if k := len(b.freeX); k > 0 {
-		x = b.freeX[k-1]
-		b.freeX = b.freeX[:k-1]
-	} else {
-		x = &spdkXfer{b: b}
-	}
-	n := int64(len(blocks))
-	*x = spdkXfer{b: b, read: read, buf: buf, blocks: blocks, offs: offs,
-		granules: n, remaining: n, sig: s}
-	b.pool.GetCallback(x)
+	b.arr.Start(nvme.OpWrite, blocks, src, 0, offs, b.getSink(s))
 	return sigHandle{s}
 }

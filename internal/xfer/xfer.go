@@ -16,6 +16,7 @@ package xfer
 
 import (
 	"fmt"
+	"slices"
 
 	"camsim/internal/bam"
 	"camsim/internal/cam"
@@ -179,107 +180,89 @@ func (b *BaMBackend) Alloc(name string, n int64) *gpu.Buffer { return b.env.GPU.
 func (b *BaMBackend) StartRead(p *sim.Proc, off, n int64, dst *gpu.Buffer, dstOff int64) Handle {
 	checkAligned("bam", off, n, b.g)
 	s := b.env.E.NewSignal("bamxfer")
-	b.arr.GatherAsync(blockRange(off, n, b.g), dst, dstOff, b.getSink(s))
+	b.arr.Start(nvme.OpRead, blockRange(off, n, b.g), dst, dstOff, nil, b.getSink(s))
 	return sigHandle{s}
 }
 
 func (b *BaMBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcOff int64) Handle {
 	checkAligned("bam", off, n, b.g)
 	s := b.env.E.NewSignal("bamxfer")
-	b.arr.ScatterAsync(blockRange(off, n, b.g), src, srcOff, b.getSink(s))
+	b.arr.Start(nvme.OpWrite, blockRange(off, n, b.g), src, srcOff, nil, b.getSink(s))
 	return sigHandle{s}
 }
 
-// ----- SPDK (staged) -----
+// ----- staged backends: SPDK and POSIX -----
 
-// SPDKBackend adapts the classic SPDK flow: a pool of staged-I/O helpers
-// provides bounded concurrency (each helper owns its staging buffer, so
-// concurrent granules never share staging memory).
-type SPDKBackend struct {
-	env  *platform.Env
-	d    *spdk.Driver
-	pool *sim.Store[*spdk.StagedGPUIO]
-	g    int64
-
-	freeX []*spdkXfer
-	freeG []*spdkGranule
+// granuleHelper is what a staged backend supplies: a bounce buffer plus the
+// transport that moves one granule through it, one granule at a time.
+type granuleHelper interface {
+	// move transfers block blk between the SSD array and buf at bufOff,
+	// then runs done (engine-callback context).
+	move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done sim.Callback)
 }
 
-// NewSPDK builds the backend; granules are striped across devices at
-// blockBytes granularity. helpers bounds concurrent granules in flight.
-func NewSPDK(env *platform.Env, blockBytes int64, helpers int) *SPDKBackend {
-	d := spdk.New(env.E, spdk.DefaultConfig(), env.HM, env.Space, env.Devs, (len(env.Devs)+1)/2)
-	d.Start()
-	b := &SPDKBackend{
-		env:  env,
-		d:    d,
-		pool: sim.NewStore[*spdk.StagedGPUIO](env.E, "spdk.helpers"),
-		g:    blockBytes,
+// staged is the machine the SPDK and POSIX backends share: a transfer is a
+// list of (block id, buffer offset) granules dispatched in order onto a
+// pool of helpers, whose size bounds the granules in flight — the classic
+// pattern of keeping several staged transfers going per direction. Each
+// helper owns its bounce buffer, so concurrent granules never share one.
+type staged struct {
+	env   *platform.Env
+	tag   string // scheme name in panics
+	g     int64
+	pool  *sim.Store[*granuleSlot]
+	freeX []*stagedXfer
+}
+
+func newStaged(env *platform.Env, tag string, blockBytes int64) staged {
+	return staged{env: env, tag: tag, g: blockBytes, pool: sim.NewStore[*granuleSlot](env.E, tag+".helpers")}
+}
+
+func (s *staged) BlockBytes() int64                      { return s.g }
+func (s *staged) Alloc(name string, n int64) *gpu.Buffer { return s.env.GPU.Alloc(name, n) }
+
+// start launches one transfer: granule i is blocks[i], at buffer offset
+// off + i*BlockBytes or at offs[i] when offs is non-nil. It snapshots both
+// into a pooled transfer machine (whose slices keep their capacity across
+// reuse), so the caller's slices are free again when it returns.
+func (s *staged) start(read bool, blocks []uint64, buf *gpu.Buffer, off int64, offs []int64) Handle {
+	if offs != nil {
+		buf.CheckBlocks(len(blocks), offs, s.g)
 	}
-	if helpers <= 0 {
-		helpers = 4
+	sig := s.env.E.NewSignal(s.tag)
+	if len(blocks) == 0 {
+		sig.Fire()
+		return sigHandle{sig}
 	}
-	for i := 0; i < helpers; i++ {
-		b.pool.Put(spdk.NewStagedGPUIO(d, env.CE, blockBytes))
-	}
-	return b
-}
-
-func (b *SPDKBackend) Name() string                           { return "SPDK" }
-func (b *SPDKBackend) BlockBytes() int64                      { return b.g }
-func (b *SPDKBackend) Alloc(name string, n int64) *gpu.Buffer { return b.env.GPU.Alloc(name, n) }
-
-// locate stripes granules across devices.
-func (b *SPDKBackend) locate(off int64) (dev int, slba uint64) {
-	granule := off / b.g
-	nd := int64(len(b.env.Devs))
-	dev = int(granule % nd)
-	devOff := (granule / nd) * b.g
-	return dev, uint64(devOff / 512)
-}
-
-func (b *SPDKBackend) StartRead(p *sim.Proc, off, n int64, dst *gpu.Buffer, dstOff int64) Handle {
-	return b.start(p, off, n, dst, dstOff, true)
-}
-
-func (b *SPDKBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcOff int64) Handle {
-	return b.start(p, off, n, src, srcOff, false)
-}
-
-// start launches a transfer as a callback state machine: granules proceed
-// in parallel, bounded by the helper pool — the classic SPDK app pattern of
-// keeping several staged transfers in flight per direction.
-func (b *SPDKBackend) start(p *sim.Proc, off, n int64, buf *gpu.Buffer, bufOff int64, read bool) Handle {
-	checkAligned("spdk", off, n, b.g)
-	s := b.env.E.NewSignal("spdkxfer")
-	var x *spdkXfer
-	if k := len(b.freeX); k > 0 {
-		x = b.freeX[k-1]
-		b.freeX = b.freeX[:k-1]
+	var x *stagedXfer
+	if k := len(s.freeX); k > 0 {
+		x = s.freeX[k-1]
+		s.freeX = s.freeX[:k-1]
 	} else {
-		x = &spdkXfer{b: b}
+		x = &stagedXfer{s: s}
 	}
-	*x = spdkXfer{b: b, read: read, off: off, buf: buf, bufOff: bufOff,
-		granules: n / b.g, remaining: n / b.g, sig: s}
-	b.pool.GetCallback(x)
-	return sigHandle{s}
+	x.read, x.buf, x.sig = read, buf, sig
+	x.next, x.remaining = 0, len(blocks)
+	x.blocks = append(x.blocks[:0], blocks...)
+	// A list's offsets are copied; a range's are its stride, filled in.
+	x.offs = append(slices.Grow(x.offs[:0], len(blocks)), offs...)
+	for i := len(offs); i < len(blocks); i++ {
+		x.offs = append(x.offs, off+int64(i)*s.g)
+	}
+	s.pool.GetCallback(x)
+	return sigHandle{sig}
 }
 
-// spdkXfer dispatches one transfer's granules onto pooled staged helpers
-// as they free up, in granule order. A list transfer (blocks non-nil)
-// names each granule's block id and buffer offset explicitly; a range
-// transfer derives both from the contiguous (off, bufOff) pair.
-type spdkXfer struct {
-	b         *SPDKBackend
+// stagedXfer dispatches one transfer's granules onto pooled helpers as
+// they free up, in granule order.
+type stagedXfer struct {
+	s         *staged
 	read      bool
-	off       int64
 	buf       *gpu.Buffer
-	bufOff    int64
 	blocks    []uint64
 	offs      []int64
-	next      int64
-	granules  int64
-	remaining int64
+	next      int
+	remaining int
 	sig       *sim.Signal
 }
 
@@ -287,64 +270,108 @@ type spdkXfer struct {
 // granule on it (engine-callback context).
 //
 //camlint:hotpath
-func (x *spdkXfer) StoreItem(st *spdk.StagedGPUIO, ok bool) {
+func (x *stagedXfer) StoreItem(k *granuleSlot, ok bool) {
 	if !ok {
-		panic("xfer(spdk): helper pool closed mid-transfer")
+		panic("xfer: helper pool closed mid-transfer")
 	}
-	b := x.b
-	idx := x.next
+	i := x.next
 	x.next++
-	var g *spdkGranule
-	if k := len(b.freeG); k > 0 {
-		g = b.freeG[k-1]
-		b.freeG = b.freeG[:k-1]
-	} else {
-		g = &spdkGranule{} //camlint:allow hotalloc -- pool miss grows to the window high-water mark, then reuses
-	}
-	g.x, g.st = x, st
-	var dev int
-	var slba uint64
-	var bufOff int64
-	if x.blocks != nil {
-		dev, slba = b.locateBlock(x.blocks[idx])
-		bufOff = x.offs[idx]
-	} else {
-		done := idx * b.g
-		dev, slba = b.locate(x.off + done)
-		bufOff = x.bufOff + done
-	}
-	if x.read {
-		st.ReadToGPUAsync(dev, slba, x.buf, bufOff, b.g, g)
-	} else {
-		st.WriteFromGPUAsync(dev, slba, x.buf, bufOff, b.g, g)
-	}
-	if x.next < x.granules {
-		b.pool.GetCallback(x)
+	k.x = x
+	k.h.move(x.read, x.blocks[i], x.buf, x.offs[i], k)
+	if x.next < len(x.blocks) {
+		x.s.pool.GetCallback(x)
 	}
 }
 
-// spdkGranule rides one granule through its staged helper and returns the
-// helper to the pool on completion.
-type spdkGranule struct {
-	x  *spdkXfer
-	st *spdk.StagedGPUIO
+// granuleSlot is one pooled helper and, while it carries a granule, the
+// transfer that granule belongs to.
+type granuleSlot struct {
+	h granuleHelper
+	x *stagedXfer
 }
 
-// Run is the granule-complete continuation (engine-callback context).
+// Run is the granule-complete continuation: the helper returns to the pool
+// and the last granule completes the transfer (engine-callback context).
 //
 //camlint:hotpath
-func (g *spdkGranule) Run() {
-	x, st := g.x, g.st
-	g.x, g.st = nil, nil
-	x.b.freeG = append(x.b.freeG, g) //camlint:allow hotalloc -- amortized free-list growth
-	x.b.pool.Put(st)
+func (k *granuleSlot) Run() {
+	x := k.x
+	k.x = nil
+	x.s.pool.Put(k)
 	x.remaining--
 	if x.remaining == 0 {
 		sig := x.sig
 		x.sig, x.buf = nil, nil
-		x.blocks, x.offs = nil, nil
-		x.b.freeX = append(x.b.freeX, x) //camlint:allow hotalloc -- amortized free-list growth
+		x.s.freeX = append(x.s.freeX, x) //camlint:allow hotalloc -- amortized free-list growth
 		sig.Fire()
+	}
+}
+
+// SPDKBackend adapts the classic SPDK flow: user-space driver, host
+// staging buffer, cudaMemcpyAsync.
+type SPDKBackend struct {
+	staged
+}
+
+// NewSPDK builds the backend; granules are striped across devices at
+// blockBytes granularity. helpers bounds concurrent granules in flight.
+func NewSPDK(env *platform.Env, blockBytes int64, helpers int) *SPDKBackend {
+	d := spdk.New(env.E, spdk.DefaultConfig(), env.HM, env.Space, env.Devs, (len(env.Devs)+1)/2)
+	d.Start()
+	b := &SPDKBackend{newStaged(env, "spdk", blockBytes)}
+	if helpers <= 0 {
+		helpers = 4
+	}
+	for i := 0; i < helpers; i++ {
+		b.pool.Put(&granuleSlot{h: spdkHelper{b, spdk.NewStagedGPUIO(d, env.CE, blockBytes)}})
+	}
+	return b
+}
+
+func (b *SPDKBackend) Name() string { return "SPDK" }
+
+func (b *SPDKBackend) StartRead(p *sim.Proc, off, n int64, dst *gpu.Buffer, dstOff int64) Handle {
+	checkAligned("spdk", off, n, b.g)
+	return b.start(true, blockRange(off, n, b.g), dst, dstOff, nil)
+}
+
+func (b *SPDKBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcOff int64) Handle {
+	checkAligned("spdk", off, n, b.g)
+	return b.start(false, blockRange(off, n, b.g), src, srcOff, nil)
+}
+
+// StartGatherList stages each listed block through the helper pool.
+func (b *SPDKBackend) StartGatherList(p *sim.Proc, blocks []uint64, dst *gpu.Buffer, offs []int64) Handle {
+	return b.start(true, blocks, dst, 0, offs)
+}
+
+// StartScatterList stages each listed block in the write direction.
+func (b *SPDKBackend) StartScatterList(p *sim.Proc, blocks []uint64, src *gpu.Buffer, offs []int64) Handle {
+	return b.start(false, blocks, src, 0, offs)
+}
+
+// locateBlock maps a granule's block id to its device and device LBA:
+// granules are striped round-robin across devices.
+func (b *SPDKBackend) locateBlock(blk uint64) (dev int, slba uint64) {
+	nd := uint64(len(b.env.Devs))
+	return int(blk % nd), blk / nd * uint64(b.g/nvme.LBASize)
+}
+
+// spdkHelper stages granules through one StagedGPUIO.
+type spdkHelper struct {
+	b  *SPDKBackend
+	st *spdk.StagedGPUIO
+}
+
+// move stages one granule (engine-callback context).
+//
+//camlint:hotpath
+func (h spdkHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done sim.Callback) {
+	dev, slba := h.b.locateBlock(blk)
+	if read {
+		h.st.ReadToGPUAsync(dev, slba, buf, bufOff, h.b.g, done)
+	} else {
+		h.st.WriteFromGPUAsync(dev, slba, buf, bufOff, h.b.g, done)
 	}
 }
 
@@ -385,218 +412,150 @@ func (b *GDSBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcO
 // ----- POSIX -----
 
 // POSIXBackend is the traditional flow: kernel pread/pwrite into host
-// memory plus cudaMemcpyAsync staging to the GPU.
+// memory plus cudaMemcpyAsync staging to the GPU, from the multi-threaded
+// worker pool a traditional implementation uses.
 type POSIXBackend struct {
-	env   *platform.Env
+	staged
 	stack *oskernel.Stack
-	pool  *sim.Store[*posixHelper]
-	g     int64
-
-	freeX []*posixXfer
-	freeG []*posixGranule
-}
-
-type posixHelper struct {
-	host *hostmem.Buffer
 }
 
 // NewPOSIX builds the backend over a RAID0 kernel stack.
 func NewPOSIX(env *platform.Env, blockBytes int64, helpers int) *POSIXBackend {
 	st := oskernel.NewStack(env.E, oskernel.POSIX, oskernel.DefaultConfig(oskernel.POSIX), env.HM, env.Devs)
 	b := &POSIXBackend{
-		env:   env,
-		stack: st,
-		pool:  sim.NewStore[*posixHelper](env.E, "posix.helpers"),
-		g:     blockBytes,
+		staged: newStaged(env, "posix", blockBytes),
+		stack:  st,
 	}
 	if helpers <= 0 {
 		helpers = 2
 	}
 	for i := 0; i < helpers; i++ {
 		hb := env.HM.Alloc(fmt.Sprintf("posix.helper%d", i), blockBytes)
-		b.pool.Put(&posixHelper{host: hb})
+		b.pool.Put(&granuleSlot{h: &posixHelper{b: b, host: hb}})
 	}
 	return b
 }
 
-func (b *POSIXBackend) Name() string                           { return "POSIX" }
-func (b *POSIXBackend) BlockBytes() int64                      { return b.g }
-func (b *POSIXBackend) Alloc(name string, n int64) *gpu.Buffer { return b.env.GPU.Alloc(name, n) }
+func (b *POSIXBackend) Name() string { return "POSIX" }
 
 func (b *POSIXBackend) StartRead(p *sim.Proc, off, n int64, dst *gpu.Buffer, dstOff int64) Handle {
-	return b.start(p, off, n, dst, dstOff, true)
+	checkAligned("posix", off, n, b.g)
+	return b.start(true, blockRange(off, n, b.g), dst, dstOff, nil)
 }
 
 func (b *POSIXBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcOff int64) Handle {
-	return b.start(p, off, n, src, srcOff, false)
-}
-
-// start issues granules in parallel, bounded by the helper-buffer pool —
-// the multi-threaded pread/pwrite worker pool a traditional implementation
-// uses — as a callback state machine.
-func (b *POSIXBackend) start(p *sim.Proc, off, n int64, buf *gpu.Buffer, bufOff int64, read bool) Handle {
 	checkAligned("posix", off, n, b.g)
-	s := b.env.E.NewSignal("posixxfer")
-	var x *posixXfer
-	if k := len(b.freeX); k > 0 {
-		x = b.freeX[k-1]
-		b.freeX = b.freeX[:k-1]
-	} else {
-		x = &posixXfer{}
-	}
-	*x = posixXfer{b: b, read: read, off: off, buf: buf, bufOff: bufOff,
-		granules: n / b.g, remaining: n / b.g, sig: s}
-	b.pool.GetCallback(x)
-	return sigHandle{s}
+	return b.start(false, blockRange(off, n, b.g), src, srcOff, nil)
 }
 
-// posixXfer dispatches granules onto pooled helper buffers in order as
-// they free up.
-type posixXfer struct {
-	b         *POSIXBackend
-	read      bool
-	off       int64
-	buf       *gpu.Buffer
-	bufOff    int64
-	next      int64
-	granules  int64
-	remaining int64
-	sig       *sim.Signal
-}
-
-// StoreItem receives a free helper buffer and starts the next granule
-// (engine-callback context).
-//
-//camlint:hotpath
-func (x *posixXfer) StoreItem(h *posixHelper, ok bool) {
-	if !ok {
-		panic("xfer(posix): helper pool closed mid-transfer")
-	}
-	b := x.b
-	done := x.next * b.g
-	x.next++
-	var g *posixGranule
-	if k := len(b.freeG); k > 0 {
-		g = b.freeG[k-1]
-		b.freeG = b.freeG[:k-1]
-	} else {
-		g = &posixGranule{} //camlint:allow hotalloc -- pool miss grows to the window high-water mark, then reuses
-	}
-	g.x, g.h = x, h
-	g.off, g.bufOff = x.off+done, x.bufOff+done
-	g.start()
-	if x.next < x.granules {
-		b.pool.GetCallback(x)
-	}
-}
-
-// posixGranule phases.
+// posixHelper phases.
 const (
 	pgSubmit uint8 = iota // submit the next stripe chunk
 	pgWait                // wait for the next chunk completion
 	pgCopied              // final (read) or initial (write) memcpy done
 )
 
-// posixGranule walks one granule through the kernel stack: for reads,
-// stripe-chunked pread then one staging memcpy to the GPU; for writes, the
-// memcpy first, then chunked pwrite. Chunks submit sequentially (the kernel
-// path serializes them anyway) and their completions are reaped in order,
-// mirroring the synchronous worker.
-type posixGranule struct {
-	x      *posixXfer
-	h      *posixHelper
-	off    int64
+// posixHelper walks one granule at a time through the kernel stack over
+// its host buffer: for reads, stripe-chunked pread then one staging memcpy
+// to the GPU; for writes, the memcpy first, then chunked pwrite. Chunks
+// submit sequentially (the kernel path serializes them anyway) and their
+// completions are reaped in order, mirroring the synchronous worker.
+type posixHelper struct {
+	b      *POSIXBackend
+	host   *hostmem.Buffer
+	read   bool
+	buf    *gpu.Buffer
 	bufOff int64
+	done   sim.Callback
 	phase  uint8
 	reqs   []oskernel.Request
 	idx    int
 }
 
-func (g *posixGranule) start() {
-	b := g.x.b
+// move starts one granule (engine-callback context).
+//
+//camlint:hotpath
+func (h *posixHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done sim.Callback) {
+	b := h.b
+	h.read, h.buf, h.bufOff, h.done = read, buf, bufOff, done
 	// Pre-build the stripe-boundary chunk list over the helper buffer.
-	g.reqs = g.reqs[:0]
+	h.reqs = h.reqs[:0]
 	op := nvme.OpRead
-	if !g.x.read {
+	if !read {
 		op = nvme.OpWrite
 	}
-	off, hostPay := g.off, g.h.host.Payload()
+	off, hostPay := int64(blk)*b.g, h.host.Payload()
 	var hostOff int64
 	for hostOff < b.g {
 		chunk := b.stack.StripeBytes() - off%b.stack.StripeBytes()
 		if chunk > b.g-hostOff {
 			chunk = b.g - hostOff
 		}
-		g.reqs = append(g.reqs, oskernel.Request{Op: op, Offset: off, Pay: hostPay, PayOff: hostOff, N: chunk}) //camlint:allow hotalloc -- pooled granule retains reqs capacity across reuse
+		h.reqs = append(h.reqs, oskernel.Request{Op: op, Offset: off, Pay: hostPay, PayOff: hostOff, N: chunk}) //camlint:allow hotalloc -- helper retains reqs capacity across granules
 		off += chunk
 		hostOff += chunk
 	}
-	g.idx = 0
-	if g.x.read {
-		g.phase = pgSubmit
-		b.stack.SubmitAsync(&g.reqs[0], g)
+	h.idx = 0
+	if read {
+		h.phase = pgSubmit
+		b.stack.SubmitAsync(&h.reqs[0], h)
 		return
 	}
 	// Write: stage GPU → host first (one DRAM write crossing + one memcpy).
-	b.env.HM.ReserveTraffic(b.g)
-	end := b.env.CE.ReserveCopy(b.g)
-	mem.PayloadCopy(g.h.host.Payload(), 0, g.x.buf.Payload(), g.bufOff, b.g)
-	g.phase = pgCopied
-	b.env.E.ScheduleCallback(end-b.env.E.Now(), g)
+	h.stage(h.host.Payload(), 0, buf.Payload(), bufOff)
+}
+
+// stage is the staging memcpy (one DRAM crossing); Run resumes in pgCopied
+// when the copy engine finishes.
+func (h *posixHelper) stage(dst *mem.Payload, dstOff int64, src *mem.Payload, srcOff int64) {
+	env, g := h.b.env, h.b.g
+	env.HM.ReserveTraffic(g)
+	end := env.CE.ReserveCopy(g)
+	mem.PayloadCopy(dst, dstOff, src, srcOff, g)
+	h.phase = pgCopied
+	env.E.ScheduleCallback(end-env.E.Now(), h)
 }
 
 // Run advances the granule one phase (engine-callback context).
 //
 //camlint:hotpath
-func (g *posixGranule) Run() {
-	b := g.x.b
-	switch g.phase {
-	case pgSubmit: // chunk g.idx submitted
-		g.idx++
-		if g.idx < len(g.reqs) {
-			b.stack.SubmitAsync(&g.reqs[g.idx], g)
+func (h *posixHelper) Run() {
+	b := h.b
+	switch h.phase {
+	case pgSubmit: // chunk h.idx submitted
+		h.idx++
+		if h.idx < len(h.reqs) {
+			b.stack.SubmitAsync(&h.reqs[h.idx], h)
 			return
 		}
-		g.phase, g.idx = pgWait, 0
-		g.reqs[0].Done.WaitCallback(0, g)
+		h.phase, h.idx = pgWait, 0
+		h.reqs[0].Done.WaitCallback(0, h)
 
-	case pgWait: // chunk g.idx completed
-		g.idx++
-		if g.idx < len(g.reqs) {
-			g.reqs[g.idx].Done.WaitCallback(0, g)
+	case pgWait: // chunk h.idx completed
+		h.idx++
+		if h.idx < len(h.reqs) {
+			h.reqs[h.idx].Done.WaitCallback(0, h)
 			return
 		}
-		if !g.x.read {
-			g.finish()
+		if !h.read {
+			h.finish()
 			return
 		}
 		// Read: stage host → GPU (one DRAM read crossing + one memcpy).
-		b.env.HM.ReserveTraffic(b.g)
-		end := b.env.CE.ReserveCopy(b.g)
-		mem.PayloadCopy(g.x.buf.Payload(), g.bufOff, g.h.host.Payload(), 0, b.g)
-		g.phase = pgCopied
-		b.env.E.ScheduleCallback(end-b.env.E.Now(), g)
+		h.stage(h.buf.Payload(), h.bufOff, h.host.Payload(), 0)
 
 	case pgCopied:
-		if g.x.read {
-			g.finish()
+		if h.read {
+			h.finish()
 			return
 		}
-		g.phase, g.idx = pgSubmit, 0
-		b.stack.SubmitAsync(&g.reqs[0], g)
+		h.phase, h.idx = pgSubmit, 0
+		b.stack.SubmitAsync(&h.reqs[0], h)
 	}
 }
 
-func (g *posixGranule) finish() {
-	x, h := g.x, g.h
-	g.x, g.h = nil, nil
-	x.b.freeG = append(x.b.freeG, g) //camlint:allow hotalloc -- amortized free-list growth
-	x.b.pool.Put(h)
-	x.remaining--
-	if x.remaining == 0 {
-		sig := x.sig
-		x.sig, x.buf = nil, nil
-		x.b.freeX = append(x.b.freeX, x) //camlint:allow hotalloc -- amortized free-list growth
-		sig.Fire()
-	}
+func (h *posixHelper) finish() {
+	done := h.done
+	h.buf, h.done = nil, nil
+	done.Run()
 }
