@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-strict lint-sarif race vuln check check-fast loc bench bench-smoke bench-smoke-fig10a bench-smoke-kv bench-test bench-diff cover cover-smoke profile
+.PHONY: all build test vet lint lint-strict lint-sarif race vuln check check-fast loc bench bench-smoke bench-smoke-fig10a bench-smoke-kv bench-test bench-layers bench-pair bench-diff cover cover-smoke profile
 
 all: build
 
@@ -131,6 +131,27 @@ bench-smoke bench-smoke-fig10a bench-smoke-kv:
 # reaches them; -short skips the 8-seed kv guard.
 bench-test:
 	cd bench && $(GO) test -short ./...
+
+# bench-layers runs the micro-benchmark of each layer on the spdk → nvme →
+# ssd command path: host ns and allocations per ring round trip, per read
+# command and per driver request. Each fails if its steady state allocates.
+# CI runs them once (LAYER_BENCHTIME=1x) to keep them building and
+# allocation-free; for numbers use the default and repeat.
+LAYER_BENCHTIME ?= 200000x
+bench-layers:
+	$(GO) test -run '^$$' -bench 'BenchmarkRingRoundtrip|BenchmarkReadCmd|BenchmarkSubmitReap' \
+		-benchtime $(LAYER_BENCHTIME) -cpu 1 ./internal/nvme ./internal/ssd ./internal/spdk
+
+# bench-pair is the procedure behind a performance claim: N alternating runs
+# of one BENCHMARK.json workload on BASE and on the working tree, each
+# side's median and quartiles, the win count, and a hard failure if the two
+# sides simulate different things (scripts/benchpair.sh).
+#	make bench-pair WL=cam-read-4k BASE=HEAD~1 N=10
+WL ?= cam-read-4k
+BASE ?= HEAD
+N ?= 10
+bench-pair:
+	bash scripts/benchpair.sh $(WL) $(BASE) $(N)
 
 # cover profiles the fault-critical data plane — the packages the fault
 # injection and recovery machinery runs through, plus the KV-cache tier

@@ -319,6 +319,9 @@ func (p *Payload) SetZero(off, n int64) {
 		zeroFill(p.data[off : off+n])
 		return
 	}
+	if e := &p.extents[p.findIdx(off)]; e.kind == extZero && off+n <= e.off+e.n {
+		return // already zero: a never-written block lands in an untouched buffer
+	}
 	p.replaceRange(off, n, extent{off: off, n: n, kind: extZero})
 }
 

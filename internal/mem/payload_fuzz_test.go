@@ -226,6 +226,15 @@ var fuzzPayloadSeeds = [][]byte{
 	fzSeq(
 		fz(fzWrite, 0, 0, 0, 64, 1), fz(fzCopy, 0, 1, 8, 40, 0), fz(fzWriteZero, 0, 0, 48, 16, 0),
 		fz(fzRangeZero, 0, 0, 8, 56, 0)),
+	// set-zero-over-zero: inside, exactly over and across the end of a zero
+	// extent; only the last one may change the list
+	fzSeq(
+		fz(fzSetZero, 0, 0, 0, 64, 0), fz(fzSetZero, 0, 0, 20, 8, 0), // untouched payload: one zero extent
+		fz(fzWrite, 0, 0, 0, 16, 1), fz(fzWrite, 0, 0, 48, 16, 2), // ref, zero [16,48), ref
+		fz(fzSetZero, 0, 0, 24, 8, 0), fz(fzSetZero, 0, 0, 16, 32, 0), fz(fzSetZero, 0, 0, 16, 1, 0),
+		fz(fzSetZero, 0, 0, 47, 1, 0), fz(fzRead, 0, 0, 0, 64, 0),
+		fz(fzSetZero, 0, 0, 40, 16, 0), fz(fzRangeZero, 0, 0, 16, 40, 0), // starts in the zero extent, ends in the ref
+		fz(fzSetZero, 0, 0, 8, 16, 0), fz(fzRead, 0, 0, 0, 64, 0)), // starts in the ref, ends in the zero extent
 }
 
 // FuzzPayloadOps drives random op sequences over three lazy payloads against

@@ -289,3 +289,34 @@ func TestEagerLazyEquivalence(t *testing.T) {
 		t.Fatal("eager and lazy planes diverged under random op sequence")
 	}
 }
+
+// TestSetZeroOverZeroIsNoOp: zeroing a range that already lies inside one
+// zero extent must leave the extent list alone and allocate nothing, in the
+// middle of a fragmented payload as well as on an untouched one.
+func TestSetZeroOverZeroIsNoOp(t *testing.T) {
+	p := NewPayload(64<<10, false)
+	defer p.Release()
+	block := bytes.Repeat([]byte{7}, 4096)
+	p.WriteAt(block, 0)
+	p.WriteAt(block, 60<<10)
+	before := append([]extent(nil), p.extents...)
+	if a := testing.AllocsPerRun(100, func() {
+		p.SetZero(4096, 4096)
+		p.SetZero(8192, 52<<10)
+		p.SetZero(56<<10, 4096)
+	}); a != 0 {
+		t.Fatalf("%v allocs zeroing an already-zero range, want 0", a)
+	}
+	if len(p.extents) != len(before) {
+		t.Fatalf("extent list changed: %d extents, was %d", len(p.extents), len(before))
+	}
+	for i := range before {
+		if p.extents[i] != before[i] {
+			t.Fatalf("extent %d changed: %+v, was %+v", i, p.extents[i], before[i])
+		}
+	}
+	p.SetZero(0, 8192) // reaches into the first chunk: must take effect
+	if !p.RangeZero(0, 60<<10) || p.RangeZero(60<<10, 4096) {
+		t.Fatal("SetZero across a chunk and a zero extent did not zero exactly its range")
+	}
+}

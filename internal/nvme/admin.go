@@ -138,57 +138,11 @@ func cstr(b []byte) string {
 	return string(b)
 }
 
-// AdminSQ is the admin submission ring: same mechanics as SQ, admin
-// entries.
-type AdminSQ struct {
-	entries []byte
-	size    uint32
-	head    uint32
-	tail    uint32
-
-	// Doorbell fires when the host publishes new tail values.
-	Doorbell *sim.Signal
-}
+// AdminSQ is the admin submission ring: SQ's mechanics over admin entries.
+type AdminSQ = subRing[AdminSQE, *AdminSQE]
 
 // NewAdminSQ creates an admin submission ring over memory
 // (len = depth*AdminSQESize).
 func NewAdminSQ(e *sim.Engine, name string, memory []byte, depth uint32) *AdminSQ {
-	if uint32(len(memory)) != depth*AdminSQESize {
-		panic(fmt.Sprintf("nvme: AdminSQ %q memory %d bytes, want %d", name, len(memory), depth*AdminSQESize))
-	}
-	if depth < 2 {
-		panic("nvme: AdminSQ depth must be >= 2")
-	}
-	return &AdminSQ{entries: memory, size: depth, Doorbell: e.NewSignal(name + ".asqdb")}
-}
-
-// Full reports whether the ring has no free slot.
-func (q *AdminSQ) Full() bool { return q.tail-q.head == q.size-1 }
-
-// Len reports entries waiting for the controller.
-func (q *AdminSQ) Len() uint32 { return q.tail - q.head }
-
-// Push writes an entry at the tail.
-func (q *AdminSQ) Push(a AdminSQE) error {
-	if q.Full() {
-		return ErrQueueFull
-	}
-	slot := q.tail % q.size
-	a.Marshal(q.entries[slot*AdminSQESize:])
-	q.tail++
-	return nil
-}
-
-// Ring publishes the tail (doorbell write).
-func (q *AdminSQ) Ring() { q.Doorbell.Fire() }
-
-// Pop consumes the entry at the head (controller side).
-func (q *AdminSQ) Pop() (AdminSQE, error) {
-	if q.tail == q.head {
-		return AdminSQE{}, ErrQueueEmpty
-	}
-	slot := q.head % q.size
-	a := UnmarshalAdminSQE(q.entries[slot*AdminSQESize:])
-	q.head++
-	return a, nil
+	return newSubRing[AdminSQE, *AdminSQE](e, "AdminSQ", name+".asqdb", memory, depth, AdminSQESize)
 }

@@ -6,7 +6,8 @@
 // The encodings are real binary layouts over real memory regions (which may
 // live in host DRAM — the kernel stacks, SPDK, CAM — or in GPU HBM — BaM),
 // so the same controller-side consumption code serves every management
-// scheme in the paper, exactly as a real SSD controller would.
+// scheme in the paper, exactly as a real SSD controller would. Rings keep
+// typed entries and render the layout into ring memory on Sync.
 //
 // Layout deviations from the NVMe 1.4 specification are deliberate
 // simplifications and documented on each type: NLB is one-based, PRP lists
@@ -190,96 +191,137 @@ var (
 	ErrQueueEmpty = errors.New("nvme: queue empty")
 )
 
-// SQ is a submission ring. The host produces at the tail and rings the
-// doorbell; the controller consumes at the head.
-type SQ struct {
-	entries []byte
-	size    uint32
-	head    uint32 // controller-side consume index
-	tail    uint32 // host-side produce index
+// wire is an entry type E with a fixed-size binary encoding.
+type wire[E any] interface {
+	*E
+	Marshal(dst []byte)
+}
+
+// subRing is a submission ring of E entries: SQ for NVM commands, AdminSQ for
+// admin commands. The host produces at the tail and rings the doorbell; the
+// controller consumes at the head.
+//
+// The typed slots are the ring's content. The registered ring memory holds
+// the NVMe wire image of those slots only after Sync: nothing in the
+// simulator parses it, so encoding 64 bytes per command on every Push would
+// be work no one reads. Anything that does look at ring memory (a test, a
+// dump, a fault injector) calls Sync first.
+type subRing[E any, P wire[E]] struct {
+	slots    []E
+	head     uint32 // controller-side consume count
+	tail     uint32 // host-side produce count
+	headSlot uint32 // head modulo size, kept by wrapping instead of dividing
+	tailSlot uint32 // tail modulo size
+	synced   uint32 // produce count the wire image is current up to
+	memory   []byte
 
 	// Doorbell fires when the host publishes new tail values; the
 	// controller process waits on it instead of burning events polling.
 	Doorbell *sim.Signal
-
-	submitted uint64
 }
 
-// NewSQ creates a submission ring of the given depth over the provided
-// memory (len must be depth*SQESize). The memory typically comes from a
-// host or GPU buffer registered in the platform address space.
-func NewSQ(e *sim.Engine, name string, memory []byte, depth uint32) *SQ {
-	if uint32(len(memory)) != depth*SQESize {
-		panic(fmt.Sprintf("nvme: SQ %q memory %d bytes, want %d", name, len(memory), depth*SQESize))
+// SQ is the submission ring of an I/O queue pair.
+type SQ = subRing[SQE, *SQE]
+
+// newSubRing creates a submission ring over memory (len = depth*entryBytes),
+// typically a host or GPU buffer registered in the platform address space.
+func newSubRing[E any, P wire[E]](e *sim.Engine, kind, name string, memory []byte, depth, entryBytes uint32) *subRing[E, P] {
+	if uint32(len(memory)) != depth*entryBytes {
+		panic(fmt.Sprintf("nvme: %s %q memory %d bytes, want %d", kind, name, len(memory), depth*entryBytes))
 	}
 	if depth < 2 {
-		panic("nvme: SQ depth must be >= 2")
+		panic("nvme: " + kind + " depth must be >= 2")
 	}
-	return &SQ{entries: memory, size: depth, Doorbell: e.NewSignal(name + ".sqdb")} //camlint:allow hotalloc -- queue construction is setup/admin work, not per-I/O
+	return &subRing[E, P]{slots: make([]E, depth), memory: memory, Doorbell: e.NewSignal(name)}
 }
 
-// Depth reports the ring size.
-func (q *SQ) Depth() uint32 { return q.size }
+// NewSQ creates an I/O submission ring over memory (len = depth*SQESize).
+func NewSQ(e *sim.Engine, name string, memory []byte, depth uint32) *SQ {
+	return newSubRing[SQE, *SQE](e, "SQ", name+".sqdb", memory, depth, SQESize)
+}
 
 // Len reports how many entries are waiting for the controller.
-func (q *SQ) Len() uint32 { return q.tail - q.head }
+func (q *subRing[E, P]) Len() uint32 { return q.tail - q.head }
 
 // Full reports whether the ring has no free slot. One slot is kept free to
 // distinguish full from empty, as in the spec.
-func (q *SQ) Full() bool { return q.tail-q.head == q.size-1 }
+func (q *subRing[E, P]) Full() bool { return q.tail-q.head == uint32(len(q.slots))-1 }
 
-// Submitted reports the lifetime count of pushed entries.
-func (q *SQ) Submitted() uint64 { return q.submitted }
-
-// Push writes an SQE at the tail and advances it. The caller still must
+// Push writes an entry at the tail and advances it. The caller still must
 // ring the doorbell (Ring) for the controller to notice — splitting the two
 // models batched doorbell writes.
-func (q *SQ) Push(e SQE) error {
+func (q *subRing[E, P]) Push(e E) error {
 	if q.Full() {
 		return ErrQueueFull
 	}
-	slot := q.tail % q.size
-	e.Marshal(q.entries[slot*SQESize:])
+	q.slots[q.tailSlot] = e
 	q.tail++
-	q.submitted++
+	if q.tailSlot++; q.tailSlot == uint32(len(q.slots)) {
+		q.tailSlot = 0
+	}
 	return nil
 }
 
 // Ring publishes the tail to the controller (doorbell write).
-func (q *SQ) Ring() {
-	q.Doorbell.Fire()
-}
+func (q *subRing[E, P]) Ring() { q.Doorbell.Fire() }
 
-// Pop consumes the SQE at the head (controller side).
-func (q *SQ) Pop() (SQE, error) {
+// Pop consumes the entry at the head (controller side).
+func (q *subRing[E, P]) Pop() (e E, err error) {
 	if q.tail == q.head {
-		return SQE{}, ErrQueueEmpty
+		return e, ErrQueueEmpty
 	}
-	slot := q.head % q.size
-	e := UnmarshalSQE(q.entries[slot*SQESize:])
+	e = q.slots[q.headSlot]
 	q.head++
+	if q.headSlot++; q.headSlot == uint32(len(q.slots)) {
+		q.headSlot = 0
+	}
 	return e, nil
 }
 
 // Head reports the controller consume index (for CQE SQHead fields).
-func (q *SQ) Head() uint32 { return q.head }
+func (q *subRing[E, P]) Head() uint32 { return q.head }
+
+// Sync renders every entry pushed since the last Sync into ring memory, so
+// the memory equals what marshalling each entry at Push time would have
+// left there.
+func (q *subRing[E, P]) Sync() {
+	render[E, P](q.slots, q.memory, q.tailSlot, q.tail-q.synced)
+	q.synced = q.tail
+}
+
+// render marshals the n most recent entries of a ring — the ones ending just
+// before tailSlot — into its memory. Entries more than one lap old were
+// overwritten in place, so at most len(slots) are rendered.
+func render[E any, P wire[E]](slots []E, memory []byte, tailSlot, n uint32) {
+	size := uint32(len(slots))
+	stride := uint32(len(memory)) / size
+	slot := tailSlot
+	for n = min(n, size); n > 0; n-- {
+		if slot == 0 {
+			slot = size
+		}
+		slot--
+		P(&slots[slot]).Marshal(memory[slot*stride:])
+	}
+}
 
 // CQ is a completion ring. The controller produces with alternating phase
-// bits; the host consumes by polling the phase of the next slot.
+// bits; the host consumes by polling the phase of the next slot. Like SQ it
+// keeps typed slots and renders the wire image on Sync.
 type CQ struct {
-	entries []byte
-	size    uint32
-	tail    uint32 // controller-side produce index
-	head    uint32 // host-side consume index
-	phase   bool   // controller's phase for the current lap
-	hostPh  bool   // phase value the host expects next
+	slots    []CQE
+	tail     uint32 // controller-side produce count
+	head     uint32 // host-side consume count
+	tailSlot uint32 // tail modulo size
+	headSlot uint32 // head modulo size
+	synced   uint32 // produce count the wire image is current up to
+	phase    bool   // controller's phase for the current lap
+	hostPh   bool   // phase value the host expects next
+	memory   []byte
 
 	// OnPost fires every time the controller posts; pollers that have
 	// drained the ring wait on it (and Reset it) rather than spinning.
 	OnPost *sim.Signal
-
-	posted   uint64
-	consumed uint64
 }
 
 // NewCQ creates a completion ring of the given depth over memory (len must
@@ -291,23 +333,14 @@ func NewCQ(e *sim.Engine, name string, memory []byte, depth uint32) *CQ {
 	if depth < 2 {
 		panic("nvme: CQ depth must be >= 2")
 	}
-	return &CQ{entries: memory, size: depth, phase: true, hostPh: true, OnPost: e.NewSignal(name + ".cqpost")} //camlint:allow hotalloc -- queue construction is setup/admin work, not per-I/O
+	return &CQ{slots: make([]CQE, depth), memory: memory, phase: true, hostPh: true, OnPost: e.NewSignal(name + ".cqpost")} //camlint:allow hotalloc -- queue construction is setup/admin work, not per-I/O
 }
-
-// Depth reports the ring size.
-func (q *CQ) Depth() uint32 { return q.size }
 
 // Len reports completions waiting for the host.
 func (q *CQ) Len() uint32 { return q.tail - q.head }
 
 // Full reports whether posting would overwrite an unconsumed entry.
-func (q *CQ) Full() bool { return q.tail-q.head == q.size }
-
-// Posted reports lifetime posted completions.
-func (q *CQ) Posted() uint64 { return q.posted }
-
-// Consumed reports lifetime consumed completions.
-func (q *CQ) Consumed() uint64 { return q.consumed }
+func (q *CQ) Full() bool { return q.tail-q.head == uint32(len(q.slots)) }
 
 // Post writes a completion (controller side) with the current phase and
 // fires OnPost. Posting into a full ring is a controller bug → panic.
@@ -315,12 +348,11 @@ func (q *CQ) Post(c CQE) {
 	if q.Full() {
 		panic("nvme: CQ overflow — controller posted into full ring")
 	}
-	slot := q.tail % q.size
 	c.Phase = q.phase
-	c.Marshal(q.entries[slot*CQESize:])
+	q.slots[q.tailSlot] = c
 	q.tail++
-	q.posted++
-	if q.tail%q.size == 0 {
+	if q.tailSlot++; q.tailSlot == uint32(len(q.slots)) {
+		q.tailSlot = 0
 		q.phase = !q.phase
 	}
 	q.OnPost.Fire()
@@ -328,17 +360,23 @@ func (q *CQ) Post(c CQE) {
 
 // Poll consumes the next completion if its phase matches (host side).
 func (q *CQ) Poll() (CQE, bool) {
-	slot := q.head % q.size
-	c := UnmarshalCQE(q.entries[slot*CQESize:])
+	c := q.slots[q.headSlot]
 	if c.Phase != q.hostPh {
 		return CQE{}, false
 	}
 	q.head++
-	q.consumed++
-	if q.head%q.size == 0 {
+	if q.headSlot++; q.headSlot == uint32(len(q.slots)) {
+		q.headSlot = 0
 		q.hostPh = !q.hostPh
 	}
 	return c, true
+}
+
+// Sync renders every completion posted since the last Sync into ring
+// memory; see SQ.Sync.
+func (q *CQ) Sync() {
+	render[CQE, *CQE](q.slots, q.memory, q.tailSlot, q.tail-q.synced)
+	q.synced = q.tail
 }
 
 // QueuePair couples one SQ and one CQ, the unit of ownership in every
@@ -360,5 +398,12 @@ func NewQueuePair(e *sim.Engine, name string, sqMem, cqMem []byte, depth uint32)
 	}
 }
 
+// Sync brings both rings' memory up to date with their typed slots. Call it
+// before reading ring memory.
+func (qp *QueuePair) Sync() {
+	qp.SQ.Sync()
+	qp.CQ.Sync()
+}
+
 // InFlight reports commands submitted but not yet consumed as completions.
-func (qp *QueuePair) InFlight() uint64 { return qp.SQ.Submitted() - qp.CQ.Consumed() }
+func (qp *QueuePair) InFlight() uint64 { return uint64(qp.SQ.tail - qp.CQ.head) }

@@ -80,6 +80,9 @@ type Engine struct {
 	free []*Proc
 
 	stopped bool
+	// procPanic marks a panic on its way out of a process function, which
+	// RunUntil passes on as it is (see CallbackPanic).
+	procPanic bool
 
 	// q holds every pending event; dispatch order is its (at, seq) minimum.
 	q eventQueue
@@ -194,8 +197,9 @@ type killSignal struct{}
 // are recycled: a *Proc handle is only valid until its function returns.
 //
 // A panic in a process function surfaces in the caller of Engine.Run (or
-// RunUntil), like a panic in a plain callback: the process is removed from
-// the live set, its coroutine is gone, and the engine can still be Shutdown.
+// RunUntil) with its own value (a plain callback's as a *CallbackPanic): the
+// process leaves the live set, its coroutine is gone, and the engine can
+// still be Shutdown.
 type Proc struct {
 	e    *Engine
 	name string
@@ -269,6 +273,7 @@ func (p *Proc) invoke() {
 				return
 			}
 			p.e.unlive(p)
+			p.e.procPanic = true
 			panic(r)
 		}
 	}()
@@ -362,9 +367,11 @@ func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
 	q := &e.q
+	var ev event
+	defer e.annotatePanic(&ev)
 	for !e.stopped {
-		ev, ok := q.popMinUntil(deadline)
-		if !ok {
+		var ok bool
+		if ev, ok = q.popMinUntil(deadline); !ok {
 			break
 		}
 		if t, ok := ev.cb.(*Timer); ok && t.dead {
@@ -382,6 +389,36 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		ev.cb.Run()
 	}
 	return e.now
+}
+
+// CallbackPanic is what Run and RunUntil panic with when a callback panics:
+// the original value plus the event that was being dispatched, which a stack
+// trace through a pooled state machine does not identify. A panic out of a
+// process function is not wrapped; it reaches Run's caller as it is.
+type CallbackPanic struct {
+	At       Time   // the event's due time
+	Seq      uint64 // its insertion sequence
+	Callback string // dynamic type of the event's Callback
+	Value    any    // what the callback panicked with
+}
+
+func (p *CallbackPanic) Error() string {
+	return fmt.Sprintf("sim: %s panicked in the event (at=%d, seq=%d): %v", p.Callback, int64(p.At), p.Seq, p.Value)
+}
+
+// annotatePanic is RunUntil's deferred half. The event was already popped
+// and a process switched into restores e.current on its way out, so the
+// engine can still be Shutdown afterwards.
+func (e *Engine) annotatePanic(ev *event) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if e.procPanic {
+		e.procPanic = false
+		panic(r)
+	}
+	panic(&CallbackPanic{At: ev.at, Seq: ev.seq, Callback: fmt.Sprintf("%T", ev.cb), Value: r}) //camlint:allow hotalloc -- the run is ending in a panic
 }
 
 // Stop makes Run return after the currently executing event completes.

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -388,4 +390,48 @@ func BenchmarkProcSwitch(b *testing.B) {
 	b.ResetTimer()
 	e.Go("sleeper", sleeper)
 	e.Run()
+}
+
+// boomCallback is a pooled-state-machine stand-in whose Run panics.
+type boomCallback struct{ err error }
+
+func (b *boomCallback) Run() { panic(b.err) }
+
+// TestCallbackPanicSurfacesInRun pins the other half of the panic contract:
+// a panic inside a plain callback reaches the caller of Run as a
+// *CallbackPanic naming the event — (at, seq) and the callback's type — and
+// wrapping the original value, and the engine can still be Shutdown.
+func TestCallbackPanicSurfacesInRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New()
+	sig := e.NewSignal("never")
+	e.Go("bystander", func(p *Proc) { p.Wait(sig) }) // seq 1
+	e.Schedule(3, func() {})                         // seq 2
+	boom := errors.New("boom")
+	e.ScheduleCallback(7, &boomCallback{err: boom}) // seq 3
+	e.Schedule(9, func() { t.Error("event after the panic ran") })
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	cp, ok := got.(*CallbackPanic)
+	if !ok {
+		t.Fatalf("recovered %T (%v) from Run, want *CallbackPanic", got, got)
+	}
+	if cp.At != 7 || cp.Seq != 3 || cp.Callback != "*sim.boomCallback" || cp.Value != any(boom) {
+		t.Fatalf("CallbackPanic = %+v, want at 7, seq 3, *sim.boomCallback, the original value", *cp)
+	}
+	if msg := cp.Error(); !strings.Contains(msg, "at=7, seq=3") || !strings.Contains(msg, "boom") {
+		t.Fatalf("message %q does not name the event and the original panic", msg)
+	}
+	if e.Now() != 7 || e.current != nil || e.Live() != 1 || e.Pending() != 1 {
+		t.Fatalf("after the panic: now %v, current %v, live %d, pending %d; want 7, nil, 1, 1",
+			e.Now(), e.current, e.Live(), e.Pending())
+	}
+	e.Shutdown()
+	if e.Live() != 0 {
+		t.Fatalf("Live() = %d after Shutdown, want 0", e.Live())
+	}
+	awaitGoroutines(t, before)
 }

@@ -148,11 +148,8 @@ type Request struct {
 	// through to Sink.RequestDone.
 	Tag any
 
-	cid    uint16
 	pooled bool
-	// deadline is the absolute completion deadline (0 when recovery is
-	// disarmed); attempts counts submissions (1 = first try).
-	deadline sim.Time
+	// attempts counts submissions (1 = first try).
 	attempts int
 }
 
@@ -164,20 +161,18 @@ func (r *Request) Attempts() int { return r.attempts }
 func (r *Request) Bytes() int64 { return int64(r.NLB) * nvme.LBASize }
 
 // Reactor is one polling CPU thread owning queue pairs for its devices.
-// Per-device state is indexed by device number in flat slices (nil/zero for
-// devices this reactor does not own): command dispatch touches no maps.
+// Per-device state is one record indexed by device number (zero for devices
+// this reactor does not own): command dispatch touches no maps.
 type Reactor struct {
-	id     int
-	d      *Driver
-	devs   []int // device indices owned by this reactor
-	qps    []*nvme.QueuePair
-	queue  *sim.Store[*Request]
-	slots  []*sim.Resource
-	flight [][]*Request // [device][CID] → in-flight request
-	next   []uint16
+	id    int
+	d     *Driver
+	devs  []int // device indices owned by this reactor
+	dq    []devQueue
+	queue *sim.Store[*Request]
 
-	// pending holds requests deferred because their queue pair was full.
-	pending []*Request
+	// pending holds requests deferred because their queue pair was full,
+	// oldest first.
+	pending *sim.Store[*Request]
 	// wake is the reactor's persistent idle-wake signal: Submit and the
 	// per-CQ relays fire it, the idle sweep waits on it and resets it once
 	// consumed. Reusing one signal (instead of allocating a fresh one per
@@ -185,17 +180,42 @@ type Reactor struct {
 	wake *sim.Signal
 	// relays are the persistent per-device CQ-post relays, indexed by
 	// device number (nil for devices this reactor does not own, allocated
-	// lazily on first arm).
+	// lazily on first arm). A relay belongs to the reactor that armed it,
+	// so unlike dq it does not move with its device.
 	relays []*cqRelay
+
+	// kinds answers "is this buffer host DRAM?" for the DRAM-crossing
+	// charge, remembering the last buffer asked about.
+	kinds *mem.Memo
 
 	// retries holds failed requests waiting out their backoff; drained by
 	// the run loop once due. Only populated when recovery is armed.
 	retries []retryEntry
-	// consecTO counts consecutive timeouts per device (reset by any
-	// completion); crossing Config.FailThreshold declares the device dead.
-	consecTO []int
 
 	Stat cpustat.Counters
+}
+
+// devQueue is what a reactor keeps per owned device: the dedicated queue
+// pair and the state of the commands in flight on it.
+type devQueue struct {
+	qp *nvme.QueuePair // nil when this reactor does not own the device
+	// flight is indexed by CID. busy counts the CIDs taken or about to be
+	// (a submission holds its place while SubmitCost elapses); it stays
+	// below the ring depth, because a ring keeps one slot free.
+	flight []cmdSlot
+	busy   int
+	// next is where the search for a free CID starts.
+	next uint16
+	// consecTO counts consecutive timeouts (reset by any completion);
+	// crossing Config.FailThreshold declares the device dead.
+	consecTO int
+}
+
+// cmdSlot is the driver's record of one CID: the request in flight on it (nil
+// when free) and its absolute deadline (0 when recovery is disarmed).
+type cmdSlot struct {
+	req      *Request
+	deadline sim.Time
 }
 
 // retryEntry is one backoff-delayed re-submission.
@@ -209,7 +229,6 @@ type Driver struct {
 	e        *sim.Engine
 	cfg      Config
 	hm       *hostmem.Memory
-	space    *mem.Space
 	devs     []*ssd.Device
 	reactors []*Reactor
 	// devOwner maps device index → owning reactor index; CAM's dynamic
@@ -243,19 +262,17 @@ func New(e *sim.Engine, cfg Config, hm *hostmem.Memory, space *mem.Space, devs [
 	if nThreads > len(devs) {
 		nThreads = len(devs)
 	}
-	d := &Driver{e: e, cfg: cfg, hm: hm, space: space, devs: devs,
+	d := &Driver{e: e, cfg: cfg, hm: hm, devs: devs,
 		failed: make([]bool, len(devs))}
 	for i := 0; i < nThreads; i++ {
 		r := &Reactor{
-			id:       i,
-			d:        d,
-			qps:      make([]*nvme.QueuePair, len(devs)),
-			queue:    sim.NewStore[*Request](e, fmt.Sprintf("spdk.r%d", i)),
-			slots:    make([]*sim.Resource, len(devs)),
-			flight:   make([][]*Request, len(devs)),
-			next:     make([]uint16, len(devs)),
-			consecTO: make([]int, len(devs)),
-			relays:   make([]*cqRelay, len(devs)),
+			id:      i,
+			d:       d,
+			dq:      make([]devQueue, len(devs)),
+			queue:   sim.NewStore[*Request](e, fmt.Sprintf("spdk.r%d", i)),
+			pending: sim.NewStore[*Request](e, fmt.Sprintf("spdk.pending%d", i)),
+			relays:  make([]*cqRelay, len(devs)),
+			kinds:   space.NewMemo(),
 		}
 		r.wake = e.NewSignal(fmt.Sprintf("spdk.wake%d", i))
 		d.reactors = append(d.reactors, r)
@@ -266,10 +283,11 @@ func New(e *sim.Engine, cfg Config, hm *hostmem.Memory, space *mem.Space, devs [
 		r.devs = append(r.devs, di)
 		sqMem := hm.Alloc(fmt.Sprintf("spdk.sq.%d.%d", r.id, di), int64(cfg.QueueDepth)*nvme.SQESize)
 		cqMem := hm.Alloc(fmt.Sprintf("spdk.cq.%d.%d", r.id, di), int64(cfg.QueueDepth)*nvme.CQESize)
-		// Ring memory is marshalled into and parsed continuously — eager.
-		r.qps[di] = dev.CreateQueuePair(fmt.Sprintf("spdk-r%d", r.id), sqMem.MakeEager(), cqMem.MakeEager(), cfg.QueueDepth)
-		r.slots[di] = e.NewResource(fmt.Sprintf("spdk.slots.%d", di), int64(cfg.QueueDepth)-1)
-		r.flight[di] = make([]*Request, cfg.QueueDepth)
+		// Ring memory is real bytes (nvme renders the wire image into it).
+		r.dq[di] = devQueue{
+			qp:     dev.CreateQueuePair(fmt.Sprintf("spdk-r%d", r.id), sqMem.MakeEager(), cqMem.MakeEager(), cfg.QueueDepth),
+			flight: make([]cmdSlot, cfg.QueueDepth),
+		}
 	}
 	return d
 }
@@ -341,18 +359,15 @@ func (d *Driver) SetActiveReactors(n int) {
 			continue
 		}
 		from, to := d.reactors[oldOwner], d.reactors[newOwner]
-		if from.inFlight(di) != 0 || len(from.pending) != 0 || from.queue.Len() != 0 {
+		if from.dq[di].busy != 0 || from.pending.Len() != 0 || from.queue.Len() != 0 {
 			panic("spdk: SetActiveReactors with in-flight or queued commands on moved device")
 		}
-		// Move ownership of the device's queue pair and bookkeeping.
-		to.qps[di] = from.qps[di]
-		to.slots[di] = from.slots[di]
-		to.flight[di] = from.flight[di]
-		to.next[di] = from.next[di]
-		from.qps[di] = nil
-		from.slots[di] = nil
-		from.flight[di] = nil
-		from.next[di] = 0
+		// Move ownership of the device's queue pair and bookkeeping; each
+		// reactor keeps its own timeout streak for the device.
+		moved := from.dq[di]
+		moved.consecTO = to.dq[di].consecTO
+		from.dq[di] = devQueue{consecTO: from.dq[di].consecTO}
+		to.dq[di] = moved
 		for i, v := range from.devs {
 			if v == di {
 				from.devs = append(from.devs[:i], from.devs[i+1:]...)
@@ -364,17 +379,6 @@ func (d *Driver) SetActiveReactors(n int) {
 	}
 }
 
-// inFlight counts outstanding commands on device di.
-func (r *Reactor) inFlight(di int) int {
-	n := 0
-	for _, req := range r.flight[di] {
-		if req != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Start launches the reactor state machines. Devices must be Started
 // separately.
 func (d *Driver) Start() {
@@ -383,17 +387,13 @@ func (d *Driver) Start() {
 	}
 	d.started = true
 	for _, r := range d.reactors {
-		st := &reactorStep{r: r, armed: d.cfg.CmdTimeout > 0}
+		st := &reactorStep{r: r, armed: d.cfg.CmdTimeout > 0,
+			submitCycles:   d.cfg.SubmitInstr / d.cfg.IPC,
+			completeCycles: d.cfg.CompleteInstr / d.cfg.IPC}
 		st.wake = st.deadlineWake
 		d.e.ScheduleCallback(0, st)
 	}
 }
-
-// Reactors reports the reactor count.
-func (d *Driver) Reactors() int { return len(d.reactors) }
-
-// Devices reports the device count.
-func (d *Driver) Devices() int { return len(d.devs) }
 
 // Stats merges all reactor counters.
 func (d *Driver) Stats() cpustat.Counters {
@@ -456,19 +456,18 @@ const (
 )
 
 // reactorStep is the reactor polling loop as an engine-callback state
-// machine, replacing the reactor process. The sweep structure is preserved
-// exactly — retry drain, queue drain, CQ poll, deadline expiry, idle
-// accounting, in that order — with each Sleep the process version performed
-// mapped to one self-scheduled callback and each blocking wait mapped to a
-// signal callback (identical event counts and sequence numbering, so the
-// event trace is unchanged); what disappears is the two-goroutine
-// rendezvous per resume, the dominant per-command overhead.
+// machine. One sweep is retry drain, queue drain, CQ poll, deadline expiry
+// and idle accounting, in that order; every modelled CPU cost is one
+// self-scheduled callback and every blocking wait one signal callback.
 //
 //camlint:pool
 type reactorStep struct {
 	r     *Reactor
 	phase uint8 // current sweep position / resume point
 	armed bool  // cfg.CmdTimeout > 0, constant
+	// submitCycles/completeCycles are the cycles SubmitInstr/CompleteInstr
+	// take at cfg.IPC, divided once instead of per command.
+	submitCycles, completeCycles float64
 	// progressed records whether the current sweep did any work; an idle
 	// sweep charges one poll iteration and parks.
 	progressed bool
@@ -485,14 +484,15 @@ type reactorStep struct {
 	subReq *Request
 	subRet uint8
 
-	// creq/cdi/cqe carry one completion across its CompleteCost callback.
-	creq *Request
-	cdi  int
-	cqe  nvme.CQE
+	// creq/cdi/cstatus carry one completion across its CompleteCost
+	// callback.
+	creq    *Request
+	cdi     int
+	cstatus nvme.Status
 
-	// expDev/expCid are the deadline-scan position; expNow is the scan's
-	// time snapshot (the process version compared against the time expire
-	// started, not a refreshed clock after mid-scan submits).
+	// expDev/expCid are the deadline-scan position; expNow is the time the
+	// scan started, which deadlines are compared against even after
+	// mid-scan submits have moved the clock.
 	expDev, expCid int
 	expNow         sim.Time
 
@@ -521,7 +521,7 @@ type reactorStep struct {
 func (s *reactorStep) Run() {
 	r := s.r
 	e := r.d.e
-	cfg := r.d.cfg
+	cfg := &r.d.cfg
 	for {
 		switch s.phase {
 		case rpIterStart:
@@ -595,80 +595,79 @@ func (s *reactorStep) Run() {
 				continue
 			}
 			di := r.devs[s.devIdx]
-			qp := r.qps[di]
-			if qp == nil {
+			dq := &r.dq[di]
+			if dq.qp == nil {
 				s.devIdx++
 				continue
 			}
-			cqe, ok := qp.CQ.Poll()
+			cqe, ok := dq.qp.CQ.Poll()
 			if !ok {
 				s.devIdx++
 				continue
 			}
 			s.progressed = true
-			req := r.flight[di][cqe.CID]
-			if req == nil {
+			slot := &dq.flight[cqe.CID]
+			if slot.req == nil {
 				panic("spdk: completion for unknown CID")
 			}
-			r.flight[di][cqe.CID] = nil
-			s.creq, s.cdi, s.cqe = req, di, cqe
+			s.creq, s.cdi, s.cstatus = slot.req, di, cqe.Status
+			slot.req = nil
 			s.phase = rpCompleteB
 			e.ScheduleCallback(cfg.CompleteCost, s)
 			return
 
 		case rpSubmitB:
 			// SubmitCost elapsed: push the SQE and ring the doorbell.
-			r.Stat.Charge(cfg.SubmitInstr, cfg.IPC)
+			r.Stat.Instructions += cfg.SubmitInstr
+			r.Stat.ChargeCycles(s.submitCycles)
 			req := s.subReq
 			s.subReq = nil
 			di := req.Dev
-			cid := r.allocCID(di)
-			req.cid = cid
+			dq := &r.dq[di]
+			cid := dq.allocCID()
 			req.attempts++
-			if cfg.CmdTimeout > 0 {
-				req.deadline = e.Now() + cfg.CmdTimeout
+			slot := &dq.flight[cid]
+			slot.req = req
+			if s.armed {
+				slot.deadline = e.Now() + cfg.CmdTimeout
 			}
-			r.flight[di][cid] = req
-			sqe := nvme.SQE{
+			if err := dq.qp.SQ.Push(nvme.SQE{
 				Opcode: req.Op, CID: cid, NSID: 1,
 				PRP1: uint64(req.Addr), SLBA: req.SLBA, NLB: req.NLB,
-			}
-			qp := r.qps[di]
-			if err := qp.SQ.Push(sqe); err != nil {
+			}); err != nil {
 				panic("spdk: SQ overflow despite slot limiter: " + err.Error())
 			}
 			// Writes whose source is host DRAM cost a DRAM read crossing
 			// when the device fetches the data.
-			if req.Op == nvme.OpWrite && r.d.isHostAddr(req.Addr) {
+			if req.Op == nvme.OpWrite && r.isHostAddr(req.Addr) {
 				r.d.hm.ReserveTraffic(req.Bytes())
 			}
-			r.d.devs[di].Ring(qp)
+			r.d.devs[di].Ring(dq.qp)
 			s.phase = s.subRet
 
 		case rpCompleteB:
 			// CompleteCost elapsed: route the reaped CQE.
-			r.Stat.Charge(cfg.CompleteInstr, cfg.IPC)
+			r.Stat.Instructions += cfg.CompleteInstr
+			r.Stat.ChargeCycles(s.completeCycles)
 			req := s.creq
 			s.creq = nil
-			di := s.cdi
+			dq := &r.dq[s.cdi]
 			// Reads that landed in host DRAM cost one DRAM write crossing.
-			if req.Op == nvme.OpRead && r.d.isHostAddr(req.Addr) {
+			if req.Op == nvme.OpRead && r.isHostAddr(req.Addr) {
 				r.d.hm.ReserveTraffic(req.Bytes())
 			}
-			req.Status = s.cqe.Status
+			req.Status = s.cstatus
 			r.Stat.Done(1)
-			r.slots[di].Release(1)
-			r.consecTO[di] = 0
-			if s.cqe.Status != nvme.StatusSuccess {
+			dq.busy--
+			dq.consecTO = 0
+			if req.Status != nvme.StatusSuccess {
 				r.finishOrRetry(req)
 			} else {
 				r.deliver(req)
 			}
 			// Admit a deferred request if any, then resume polling the
 			// same device's CQ.
-			if len(r.pending) > 0 {
-				next := r.pending[0]
-				r.pending = r.pending[1:]
+			if next, ok := r.pending.TryGet(); ok {
 				if s.submitA(next, rpPollCQ) {
 					return
 				}
@@ -684,44 +683,37 @@ func (s *reactorStep) Run() {
 				continue
 			}
 			di := r.devs[s.expDev]
-			qp := r.qps[di]
-			if qp == nil {
-				s.expDev++
-				s.expCid = 0
-				continue
-			}
-			fl := r.flight[di]
-			if s.expCid >= len(fl) {
+			dq := &r.dq[di]
+			if dq.qp == nil || s.expCid >= len(dq.flight) {
 				s.expDev++
 				s.expCid = 0
 				continue
 			}
 			cid := s.expCid
 			s.expCid++
-			req := fl[cid]
-			if req == nil || req.deadline == 0 || s.expNow < req.deadline {
+			slot := &dq.flight[cid]
+			req := slot.req
+			if req == nil || slot.deadline == 0 || s.expNow < slot.deadline {
 				continue
 			}
-			if r.d.devs[di].Abort(qp, uint16(cid)) == ssd.AbortNotFound {
+			if r.d.devs[di].Abort(dq.qp, uint16(cid)) == ssd.AbortNotFound {
 				// The CQE is already posted and waiting in the CQ: the
 				// completion beat the timeout; reap it on the next sweep.
 				continue
 			}
 			s.progressed = true
-			fl[cid] = nil
-			r.slots[di].Release(1)
+			slot.req = nil
+			dq.busy--
 			r.d.rec.Timeouts++
 			r.d.tr.Emit(trace.IOTimeout, r.d.devs[di].Name,
 				fmt.Sprintf("%s attempt %d", req.Op, req.attempts), int64(req.SLBA))
 			req.Status = nvme.StatusCmdTimeout
-			r.consecTO[di]++
-			if th := r.d.cfg.FailThreshold; th > 0 && r.consecTO[di] >= th && !r.d.failed[di] {
+			dq.consecTO++
+			if th := cfg.FailThreshold; th > 0 && dq.consecTO >= th && !r.d.failed[di] {
 				r.markDeviceFailed(di)
 			}
 			r.finishOrRetry(req)
-			if len(r.pending) > 0 {
-				next := r.pending[0]
-				r.pending = r.pending[1:]
+			if next, ok := r.pending.TryGet(); ok {
 				if s.submitA(next, rpExpireCont) {
 					return
 				}
@@ -811,9 +803,8 @@ func (s *reactorStep) Run() {
 }
 
 // submitA is the pre-cost half of a submission: fail-fast and defer paths
-// complete synchronously (no virtual time passes, matching the process
-// version, which only slept after acquiring a slot); otherwise the request
-// is parked on s.subReq and the sweep resumes in rpSubmitB once SubmitCost
+// complete synchronously (no virtual time passes); otherwise the request is
+// parked on s.subReq and the sweep resumes in rpSubmitB once SubmitCost
 // elapses. Reports whether the sweep parked.
 func (s *reactorStep) submitA(req *Request, ret uint8) bool {
 	r := s.r
@@ -828,10 +819,12 @@ func (s *reactorStep) submitA(req *Request, ret uint8) bool {
 	}
 	// Respect the in-flight bound without blocking the reactor: requeue
 	// if the pair is full.
-	if !r.slots[di].TryAcquire(1) {
-		r.pending = append(r.pending, req)
+	dq := &r.dq[di]
+	if dq.busy == len(dq.flight)-1 {
+		r.pending.Put(req)
 		return false
 	}
+	dq.busy++
 	s.subReq = req
 	s.subRet = ret
 	s.phase = rpSubmitB
@@ -843,8 +836,7 @@ func (s *reactorStep) submitA(req *Request, ret uint8) bool {
 // at a deadline whose command has since completed — in which case it
 // re-arms itself at the current horizon and the reactor stays parked. When
 // a deadline really is due it re-enters the sweep with a direct call (no
-// event), exactly as the process version's timer resumed the blocked
-// process via a direct hand-off. If the wake signal's Fire already consumed
+// event). If the wake signal's Fire already consumed
 // the parked waiter at this same instant, the cancel fails and the timer is
 // a no-op — the scheduled wake event wins the tie.
 func (s *reactorStep) deadlineWake() {
@@ -885,7 +877,7 @@ func (s *reactorStep) chargeWait() {
 // finishOrRetry routes a failed command: retryable statuses re-submit with
 // exponential backoff until MaxRetries; everything else is delivered.
 func (r *Reactor) finishOrRetry(req *Request) {
-	cfg := r.d.cfg
+	cfg := &r.d.cfg
 	if cfg.CmdTimeout > 0 && req.Status.Retryable() &&
 		req.attempts <= cfg.MaxRetries && !r.d.failed[req.Dev] {
 		backoff := cfg.RetryBackoff << (req.attempts - 1)
@@ -901,8 +893,8 @@ func (r *Reactor) finishOrRetry(req *Request) {
 // deliver hands a finished request to its completion consumer: Sink
 // callback, then OnDone, then the Done signal. Only Sink-consumed pooled
 // requests recycle here — a Done waiter reads r.Status after resuming, so
-// recycling under it would zero the status (the silent-drop bug this
-// replaces); such callers return the request via Driver.PutRequest.
+// recycling under it would zero the status; such callers return the request
+// via Driver.PutRequest.
 func (r *Reactor) deliver(req *Request) {
 	if req.Status == nvme.StatusSuccess {
 		if req.attempts > 1 {
@@ -934,17 +926,18 @@ func (r *Reactor) markDeviceFailed(di int) {
 	r.d.failed[di] = true
 	r.d.rec.DeviceFailures++
 	r.d.tr.Emit(trace.DeviceFail, r.d.devs[di].Name,
-		fmt.Sprintf("dead after %d consecutive timeouts", r.consecTO[di]), int64(di))
-	qp := r.qps[di]
-	for cid, req := range r.flight[di] {
+		fmt.Sprintf("dead after %d consecutive timeouts", r.dq[di].consecTO), int64(di))
+	dq := &r.dq[di]
+	for cid := range dq.flight {
+		req := dq.flight[cid].req
 		if req == nil {
 			continue
 		}
-		if r.d.devs[di].Abort(qp, uint16(cid)) == ssd.AbortNotFound {
+		if r.d.devs[di].Abort(dq.qp, uint16(cid)) == ssd.AbortNotFound {
 			continue // CQE already posted; let the poll sweep reap it
 		}
-		r.flight[di][cid] = nil
-		r.slots[di].Release(1)
+		dq.flight[cid].req = nil
+		dq.busy--
 		req.Status = nvme.StatusDevFailed
 		r.d.rec.FastFails++
 		r.deliver(req)
@@ -961,17 +954,16 @@ func (r *Reactor) markDeviceFailed(di int) {
 		kept = append(kept, re)
 	}
 	r.retries = kept
-	keptPending := r.pending[:0]
-	for _, req := range r.pending {
+	for n := r.pending.Len(); n > 0; n-- {
+		req, _ := r.pending.TryGet()
 		if req.Dev == di {
 			req.Status = nvme.StatusDevFailed
 			r.d.rec.FastFails++
 			r.deliver(req)
 			continue
 		}
-		keptPending = append(keptPending, req)
+		r.pending.Put(req) // the survivors come round in their old order
 	}
-	r.pending = keptPending
 }
 
 // anythingPending reports whether there is immediate work.
@@ -980,7 +972,7 @@ func (r *Reactor) anythingPending() bool {
 		return true
 	}
 	for _, di := range r.devs {
-		if qp := r.qps[di]; qp != nil && qp.CQ.Len() > 0 {
+		if qp := r.dq[di].qp; qp != nil && qp.CQ.Len() > 0 {
 			return true
 		}
 	}
@@ -995,9 +987,9 @@ func (r *Reactor) nextWake() sim.Time {
 	}
 	var t sim.Time
 	for _, di := range r.devs {
-		for _, req := range r.flight[di] {
-			if req != nil && req.deadline > 0 && (t == 0 || req.deadline < t) {
-				t = req.deadline
+		for _, slot := range r.dq[di].flight {
+			if slot.req != nil && slot.deadline > 0 && (t == 0 || slot.deadline < t) {
+				t = slot.deadline
 			}
 		}
 	}
@@ -1022,7 +1014,7 @@ func (r *Reactor) wakeSignal() *sim.Signal {
 		return sig
 	}
 	for _, di := range r.devs {
-		qp := r.qps[di]
+		qp := r.dq[di].qp
 		if qp == nil {
 			continue
 		}
@@ -1046,10 +1038,9 @@ func (r *Reactor) wakeSignal() *sim.Signal {
 }
 
 // cqRelay forwards CQ posts to its reactor's wake signal. One relay per
-// (reactor, device) persists for the reactor's lifetime; it replaces both
-// the per-arm watcher process and the per-arm relay allocation this path
-// used to cost — registering a waiter is now one slice append of an
-// existing pointer, and an already-armed relay costs nothing.
+// (reactor, device) persists for the reactor's lifetime: arming it is one
+// slice append of an existing pointer, and an already-armed relay costs
+// nothing.
 type cqRelay struct {
 	r     *Reactor
 	cq    *nvme.CQ
@@ -1058,29 +1049,33 @@ type cqRelay struct {
 
 // Run relays the post (engine-callback context). A post that lands while
 // the reactor is busy leaves the wake signal fired; the next idle check
-// consumes it and resweeps, exactly as the old inline OnPost.Fired() probe
-// did.
+// consumes it and resweeps.
 func (c *cqRelay) Run() {
 	c.armed = false
 	c.cq.OnPost.Reset()
 	c.r.wake.Fire()
 }
 
-func (r *Reactor) allocCID(di int) uint16 {
-	depth := uint16(r.d.cfg.QueueDepth)
-	fl := r.flight[di]
-	for i := uint16(0); i < depth; i++ {
-		cid := (r.next[di] + i) % depth
-		if fl[cid] == nil {
-			r.next[di] = cid + 1
+// allocCID finds a free CID, searching round-robin from the last one handed
+// out; the slot limiter guarantees one exists.
+func (dq *devQueue) allocCID() uint16 {
+	depth := uint16(len(dq.flight))
+	cid := dq.next
+	for range dq.flight {
+		if cid >= depth {
+			cid = 0
+		}
+		if dq.flight[cid].req == nil {
+			dq.next = cid + 1
 			return cid
 		}
+		cid++
 	}
 	panic("spdk: no free CID despite slot limiter")
 }
 
 // isHostAddr reports whether addr is host DRAM.
-func (d *Driver) isHostAddr(addr mem.Addr) bool {
-	k, err := d.space.KindOf(addr)
-	return err == nil && k == mem.HostDRAM
+func (r *Reactor) isHostAddr(addr mem.Addr) bool {
+	region, _, err := r.kinds.Region(addr, 1)
+	return err == nil && region.Kind == mem.HostDRAM
 }

@@ -46,7 +46,7 @@ func (d *Device) EnableAdmin(sqMem, cqMem []byte, depth uint32) {
 
 // dbRelay forwards one submission queue's doorbell onto the controller's
 // any-doorbell signal. It is a callback state machine parked on the queue
-// doorbell (replacing the former relay goroutine per queue).
+// doorbell.
 type dbRelay struct {
 	d   *Device
 	sig *sim.Signal
@@ -220,13 +220,13 @@ func (d *Device) adminCreateSQ(a nvme.AdminSQE) nvme.Status {
 	return nvme.StatusSuccess
 }
 
-// removeQP drops a queue pair from the controller's poll set (and its
-// parallel CID submission-time slots).
+// removeQP drops a queue pair from the controller's poll set. Commands
+// already fetched from it keep their ioQueue and drain through it.
 func (d *Device) removeQP(qp *nvme.QueuePair) {
 	for i, q := range d.qps {
-		if q == qp {
-			d.qps = append(d.qps[:i], d.qps[i+1:]...)                //camlint:allow hotalloc -- in-place deletion; append into the same backing array never grows
-			d.submitAt = append(d.submitAt[:i], d.submitAt[i+1:]...) //camlint:allow hotalloc -- in-place deletion; append into the same backing array never grows
+		if q.qp == qp {
+			q.removed = true
+			d.qps = append(d.qps[:i], d.qps[i+1:]...) //camlint:allow hotalloc -- in-place deletion; append into the same backing array never grows
 			return
 		}
 	}

@@ -121,17 +121,16 @@ type Device struct {
 	ftl   *FTL
 	rng   *sim.RNG
 
-	qps         []*nvme.QueuePair
+	qps         []*ioQueue
 	admin       *adminState
 	anyDoorbell *sim.Signal
 	running     bool
 	ctrl        ctrlPoll
 	// ctrlParked is set when the controller loop has drained everything
 	// and is waiting for a doorbell. A ring then re-enters the loop with a
-	// direct call at the same instant — the zero-delay wake event this
-	// replaces was one event per command on the hottest edge in the
-	// simulator. anyDoorbell remains the fallback for rings that land
-	// while the loop is mid-drain.
+	// direct call at the same instant, not a zero-delay event per command;
+	// anyDoorbell is the fallback for rings that land while the loop is
+	// mid-drain.
 	ctrlParked bool
 
 	// inj is the device's fault-decision stream; nil means every command
@@ -148,24 +147,47 @@ type Device struct {
 
 	stats Stats
 
-	// submitAt tracks outstanding command submission instants for latency
-	// accounting, indexed [queue pair][CID]. CIDs are host-chosen and
-	// usually dense (drivers recycle them below the queue depth), so a
-	// flat slice replaces the map this used to be: no hashing on the
-	// hottest device path, -1 marks an idle slot. Slots grow on demand to
-	// the highest CID a host ever submits.
-	submitAt [][]sim.Time
-
 	// cmdFree recycles ioCmd execution states; one command allocates at
 	// most once per high-water mark of concurrent commands.
 	cmdFree []*ioCmd
 
-	// live tracks the in-flight ioCmd per [queue pair][CID] so Abort can
-	// cancel a specific command; grows alongside submitAt.
-	live [][]*ioCmd
-	// dropped marks CIDs the controller silently lost (injected drop or
-	// dead device) so Abort can tell "never coming" from "still running".
-	dropped [][]bool
+	// dma resolves command data pointers, remembering the last buffer hit.
+	dma *mem.Memo
+	// svc remembers the last serviceTime result per opcode (0 = not yet): a
+	// workload's commands are nearly all one size, and the two float
+	// divisions behind the value are the same every time.
+	svc [3]struct {
+		bytes int64
+		t     sim.Time
+	}
+}
+
+// ioQueue is the controller's record of one I/O queue pair: the rings and
+// the per-CID state of the commands fetched from them.
+type ioQueue struct {
+	qp *nvme.QueuePair
+	// cids is indexed by command identifier. CIDs are host-chosen and
+	// usually dense (drivers recycle them below the queue depth), so the
+	// table starts at the queue depth and grows to the highest CID a host
+	// ever submits.
+	cids []cidSlot
+	// removed marks a pair retired by DeleteIOSQ: commands already fetched
+	// still drain through it, but their latency goes unattributed.
+	removed bool
+}
+
+// cidSlot is everything the controller keeps per command identifier, in one
+// record so that a command touches one cache line of it.
+type cidSlot struct {
+	// submitAt is the fetch instant of the outstanding command, for latency
+	// accounting; timed is false while the slot is idle.
+	submitAt sim.Time
+	timed    bool
+	// cmd is the command in flight, so Abort can cancel it.
+	cmd *ioCmd
+	// dropped marks a CID the controller silently lost (injected drop or
+	// dead device), so Abort can tell "never coming" from "still running".
+	dropped bool
 }
 
 // New creates a device attached to the fabric and address space.
@@ -187,6 +209,7 @@ func New(e *sim.Engine, name string, cfg Config, fab *pcie.Fabric, space *mem.Sp
 		e:           e,
 		fab:         fab,
 		space:       space,
+		dma:         space.NewMemo(),
 		store:       NewStore(uint64(cfg.CapacityBytes) / nvme.LBASize),
 		ftl:         NewFTL(DefaultFTLConfig(cfg.CapacityBytes, op)),
 		rng:         sim.NewRNG(cfg.Seed),
@@ -235,17 +258,10 @@ func (d *Device) CreateQueuePair(name string, sqMem, cqMem []byte, depth uint32)
 	return qp
 }
 
-// addQP registers a queue pair with the controller, pre-sizing its CID
-// submission-time slots to the queue depth.
+// addQP registers a queue pair with the controller, pre-sizing its CID table
+// to the queue depth.
 func (d *Device) addQP(qp *nvme.QueuePair, depth uint32) {
-	d.qps = append(d.qps, qp)     //camlint:allow hotalloc -- queue registration is setup/admin work
-	at := make([]sim.Time, depth) //camlint:allow hotalloc -- queue registration is setup/admin work
-	for i := range at {
-		at[i] = -1
-	}
-	d.submitAt = append(d.submitAt, at)                //camlint:allow hotalloc -- queue registration is setup/admin work
-	d.live = append(d.live, make([]*ioCmd, depth))     //camlint:allow hotalloc -- queue registration is setup/admin work
-	d.dropped = append(d.dropped, make([]bool, depth)) //camlint:allow hotalloc -- queue registration is setup/admin work
+	d.qps = append(d.qps, &ioQueue{qp: qp, cids: make([]cidSlot, depth)}) //camlint:allow hotalloc -- queue registration is setup/admin work
 }
 
 // Ring publishes new submissions on qp to the controller. Hosts call this
@@ -278,11 +294,8 @@ func (d *Device) Start() {
 	d.e.ScheduleCallback(0, &d.ctrl)
 }
 
-// ctrlPoll is the controller main loop as an engine-callback state machine.
-// It used to be a process; callback form makes each doorbell wake a direct
-// call instead of a goroutine rendezvous — the hottest wake edge in the
-// simulator — while consuming exactly the same events: one per doorbell
-// fire, one at Start.
+// ctrlPoll is the controller main loop as an engine-callback state machine:
+// one event at Start, then one per doorbell fire that finds it mid-drain.
 type ctrlPoll struct {
 	d *Device
 }
@@ -295,14 +308,14 @@ func (c *ctrlPoll) Run() {
 	d := c.d
 	for {
 		progressed := d.drainAdmin()
-		for qi, qp := range d.qps {
+		for _, q := range d.qps {
 			for {
-				sqe, err := qp.SQ.Pop()
+				sqe, err := q.qp.SQ.Pop()
 				if err != nil {
 					break
 				}
 				progressed = true
-				d.execute(qi, qp, sqe)
+				d.execute(q, sqe)
 			}
 		}
 		if !progressed {
@@ -321,20 +334,19 @@ func (c *ctrlPoll) Run() {
 // serviceTime is the frontend occupation of one command: the larger of the
 // IOPS-derived per-command cost and the bandwidth-derived transfer cost.
 func (d *Device) serviceTime(op nvme.Opcode, bytes int64) sim.Time {
-	var perCmd, bw float64
-	switch op {
-	case nvme.OpRead:
-		perCmd, bw = 1/d.cfg.ReadIOPS, d.cfg.ReadBandwidth
-	case nvme.OpWrite:
-		perCmd, bw = 1/d.cfg.WriteIOPS, d.cfg.WriteBandwidth
-	default:
-		perCmd, bw = 1/d.cfg.WriteIOPS, d.cfg.WriteBandwidth
+	memo := &d.svc[op] // execute admits only Flush, Write and Read (0–2)
+	if memo.bytes != bytes || memo.t == 0 {
+		perCmd, bw := 1/d.cfg.WriteIOPS, d.cfg.WriteBandwidth // writes, and flush
+		if op == nvme.OpRead {
+			perCmd, bw = 1/d.cfg.ReadIOPS, d.cfg.ReadBandwidth
+		}
+		t := perCmd
+		if xfer := float64(bytes) / bw; xfer > t {
+			t = xfer
+		}
+		memo.bytes, memo.t = bytes, sim.Time(t*float64(sim.Second))
 	}
-	t := perCmd
-	if xfer := float64(bytes) / bw; xfer > t {
-		t = xfer
-	}
-	return sim.Time(t * float64(sim.Second))
+	return memo.t
 }
 
 // mediaLatency draws the added pipeline latency for one command.
@@ -363,12 +375,10 @@ func (d *Device) mediaLatency(op nvme.Opcode) sim.Time {
 //camlint:pool
 type ioCmd struct {
 	d      *Device
-	qi     int
-	qp     *nvme.QueuePair
+	q      *ioQueue
 	sqe    nvme.SQE
 	pay    *mem.Payload
 	payOff int64
-	n      int
 	phase  uint8
 	// injStatus is a pre-drawn fault verdict: when non-success the command
 	// consumes its normal frontend and media time but moves no data and
@@ -407,7 +417,7 @@ func (c *ioCmd) Run() {
 			return
 		}
 		// DMA phase: move the bytes across the fabric.
-		dmaDone := d.fab.ReserveDMA(int64(c.n))
+		dmaDone := d.fab.ReserveDMA(c.sqe.Bytes())
 		c.phase = cmdDMADone
 		d.e.ScheduleCallback(dmaDone-d.e.Now(), c)
 	case cmdDMADone:
@@ -418,13 +428,13 @@ func (c *ioCmd) Run() {
 				status = nvme.StatusDMAError
 			}
 			d.stats.ReadCmds++
-			d.stats.ReadBytes += int64(c.n)
+			d.stats.ReadBytes += c.sqe.Bytes()
 		case nvme.OpWrite:
 			if err := d.store.WriteLBAP(c.sqe.SLBA, c.sqe.NLB, c.pay, c.payOff); err != nil {
 				status = nvme.StatusDMAError
 			}
 			d.stats.WriteCmds++
-			d.stats.WriteBytes += int64(c.n)
+			d.stats.WriteBytes += c.sqe.Bytes()
 		}
 		if status != nvme.StatusSuccess {
 			d.stats.ErrCmds++
@@ -438,7 +448,7 @@ func (c *ioCmd) Run() {
 
 // newCmd takes a command state from the pool (or allocates the pool's
 // high-water-mark growth).
-func (d *Device) newCmd(qi int, qp *nvme.QueuePair, sqe nvme.SQE) *ioCmd {
+func (d *Device) newCmd(q *ioQueue, sqe nvme.SQE) *ioCmd {
 	var c *ioCmd
 	if n := len(d.cmdFree); n > 0 {
 		c = d.cmdFree[n-1]
@@ -447,7 +457,7 @@ func (d *Device) newCmd(qi int, qp *nvme.QueuePair, sqe nvme.SQE) *ioCmd {
 	} else {
 		c = &ioCmd{d: d} //camlint:allow hotalloc -- pool miss grows to the in-flight high-water mark, then reuses
 	}
-	c.qi, c.qp, c.sqe = qi, qp, sqe
+	c.q, c.sqe = q, sqe
 	c.injStatus, c.aborted = nvme.StatusSuccess, false
 	return c
 }
@@ -459,81 +469,81 @@ func (d *Device) newCmd(qi int, qp *nvme.QueuePair, sqe nvme.SQE) *ioCmd {
 //
 //camlint:pool release
 func (d *Device) finish(c *ioCmd, status nvme.Status) {
-	if c.qi < len(d.live) && int(c.sqe.CID) < len(d.live[c.qi]) &&
-		d.live[c.qi][c.sqe.CID] == c {
-		d.live[c.qi][c.sqe.CID] = nil
+	if slot := &c.q.cids[c.sqe.CID]; slot.cmd == c {
+		slot.cmd = nil
 	}
 	if c.aborted {
 		d.stats.currInFlight--
 	} else {
-		d.complete(c.qi, c.qp, c.sqe, status)
+		d.complete(c.q, &c.sqe, status)
 	}
-	c.qp, c.pay = nil, nil
+	c.q, c.pay = nil, nil
 	d.cmdFree = append(d.cmdFree, c)
 }
 
 // execute runs one command to completion using engine callbacks (no
 // per-command process), so any number of commands overlap in the latency
 // pipeline while the frontend serializer enforces throughput.
-func (d *Device) execute(qi int, qp *nvme.QueuePair, sqe nvme.SQE) {
+func (d *Device) execute(q *ioQueue, sqe nvme.SQE) {
 	d.stats.currInFlight++
 	if d.stats.currInFlight > d.stats.MaxInFlight {
 		d.stats.MaxInFlight = d.stats.currInFlight
 	}
-	d.noteSubmit(qi, sqe.CID)
+	now := d.e.Now()
+	slot := q.noteSubmit(sqe.CID, now)
 
 	switch sqe.Opcode {
 	case nvme.OpFlush:
-		start := d.e.Now()
+		start := now
 		if d.frontBusyUntil > start {
 			start = d.frontBusyUntil
 		}
 		d.frontBusyUntil = start + d.serviceTime(nvme.OpFlush, 0)
-		c := d.newCmd(qi, qp, sqe)
+		c := d.newCmd(q, sqe)
 		c.phase = cmdFlushDone
-		d.e.ScheduleCallback(d.frontBusyUntil-d.e.Now(), c)
+		d.e.ScheduleCallback(d.frontBusyUntil-now, c)
 		return
 	case nvme.OpRead, nvme.OpWrite:
 	default:
 		d.stats.ErrCmds++
-		d.complete(qi, qp, sqe, nvme.StatusInvalidOpcode)
+		d.complete(q, &sqe, nvme.StatusInvalidOpcode)
 		return
 	}
 
 	if !d.store.InRange(sqe.SLBA, sqe.NLB) {
 		d.stats.ErrCmds++
-		d.complete(qi, qp, sqe, nvme.StatusLBAOutOfRange)
+		d.complete(q, &sqe, nvme.StatusLBAOutOfRange)
 		return
 	}
-	n := int(sqe.Bytes())
-	pay, payOff, kind, err := d.space.ResolvePayload(mem.Addr(sqe.PRP1), n)
+	n := sqe.Bytes()
+	// The region's kind is not needed here: callers charge DRAM traffic on
+	// their own staging paths.
+	region, payOff, err := d.dma.Region(mem.Addr(sqe.PRP1), int(n))
 	if err != nil {
 		d.stats.ErrCmds++
-		d.complete(qi, qp, sqe, nvme.StatusDMAError)
+		d.complete(q, &sqe, nvme.StatusDMAError)
 		return
 	}
-	_ = kind // callers charge DRAM traffic on their own staging paths
 
 	// Fault-injection verdict: structurally valid commands consume exactly
 	// one draw from the device's private stream (nil injector → None).
-	dec := d.inj.Decide(d.e.Now(), sqe.Opcode)
+	dec := d.inj.Decide(now, sqe.Opcode)
 	if dec.Kind == fault.Drop {
 		// The controller loses the command: no CQE, ever. Clean up the
 		// bookkeeping so the slot is idle and mark the CID dropped so a
 		// host Abort learns nothing is coming.
 		d.tr.Emit(trace.FaultInject, d.Name, "drop "+sqe.Opcode.String(), int64(sqe.CID))
 		d.stats.currInFlight--
-		d.submitAt[qi][sqe.CID] = -1
-		d.dropped[qi][sqe.CID] = true
+		slot.timed, slot.dropped = false, true
 		return
 	}
 
 	// Frontend occupation caps IOPS / internal bandwidth.
-	start := d.e.Now()
+	start := now
 	if d.frontBusyUntil > start {
 		start = d.frontBusyUntil
 	}
-	serviceDone := start + d.serviceTime(sqe.Opcode, int64(n))
+	serviceDone := start + d.serviceTime(sqe.Opcode, n)
 
 	// Writes walk the flash translation layer: page mapping, allocation,
 	// and (when free blocks run low) garbage collection. By default GC
@@ -541,8 +551,8 @@ func (d *Device) execute(qi int, qp *nvme.QueuePair, sqe nvme.SQE) {
 	// frontend like any other NAND work. A write failing with an injected
 	// media error programs nothing.
 	if sqe.Opcode == nvme.OpWrite && dec.Kind != fault.Err {
-		programs := d.ftl.HostWrite(int64(sqe.SLBA)*nvme.LBASize, int64(n))
-		hostPages := (int64(n) + d.ftl.cfg.PageBytes - 1) / d.ftl.cfg.PageBytes
+		programs := d.ftl.HostWrite(int64(sqe.SLBA)*nvme.LBASize, n)
+		hostPages := (n + d.ftl.cfg.PageBytes - 1) / d.ftl.cfg.PageBytes
 		if d.cfg.ChargeGC && programs > hostPages {
 			serviceDone += sim.Time(programs-hostPages) * d.cfg.GCPageCost
 		}
@@ -560,36 +570,24 @@ func (d *Device) execute(qi int, qp *nvme.QueuePair, sqe nvme.SQE) {
 	}
 	mediaDone := serviceDone + lat
 
-	c := d.newCmd(qi, qp, sqe)
-	c.pay, c.payOff, c.n, c.phase = pay, payOff, n, cmdMediaDone
+	c := d.newCmd(q, sqe)
+	c.pay, c.payOff, c.phase = region.Pay, payOff, cmdMediaDone
 	if dec.Kind == fault.Err {
 		c.injStatus = nvme.StatusMediaError
 	}
-	d.live[qi][sqe.CID] = c
-	d.e.ScheduleCallback(mediaDone-d.e.Now(), c)
+	slot.cmd = c
+	d.e.ScheduleCallback(mediaDone-now, c)
 }
 
-// noteSubmit records a command's submission instant, growing the CID slot
-// slices if the host uses identifiers beyond the queue depth.
-func (d *Device) noteSubmit(qi int, cid uint16) {
-	at := d.submitAt[qi]
-	if int(cid) >= len(at) {
-		grown := make([]sim.Time, int(cid)+1) //camlint:allow hotalloc -- rare CID-range regrow when a host uses identifiers past queue depth
-		copy(grown, at)
-		for i := len(at); i < len(grown); i++ {
-			grown[i] = -1
-		}
-		at = grown
-		d.submitAt[qi] = at
-		live := make([]*ioCmd, int(cid)+1) //camlint:allow hotalloc -- rare CID-range regrow when a host uses identifiers past queue depth
-		copy(live, d.live[qi])
-		d.live[qi] = live
-		dropped := make([]bool, int(cid)+1) //camlint:allow hotalloc -- rare CID-range regrow when a host uses identifiers past queue depth
-		copy(dropped, d.dropped[qi])
-		d.dropped[qi] = dropped
+// noteSubmit records a command's submission instant and returns its slot,
+// growing the table if the host uses identifiers beyond the queue depth.
+func (q *ioQueue) noteSubmit(cid uint16, now sim.Time) *cidSlot {
+	if int(cid) >= len(q.cids) {
+		q.cids = append(q.cids, make([]cidSlot, int(cid)+1-len(q.cids))...) //camlint:allow hotalloc -- rare CID-range regrow when a host uses identifiers past queue depth
 	}
-	at[cid] = d.e.Now()
-	d.dropped[qi][cid] = false
+	slot := &q.cids[cid]
+	slot.submitAt, slot.timed, slot.dropped = now, true, false
+	return slot
 }
 
 // AbortResult reports what Device.Abort found for a CID.
@@ -615,50 +613,42 @@ const (
 // the CID at once; the aborted command's eventual pipeline exit posts no
 // CQE.
 func (d *Device) Abort(qp *nvme.QueuePair, cid uint16) AbortResult {
-	qi := -1
-	for i, q := range d.qps {
-		if q == qp {
-			qi = i
+	var q *ioQueue
+	for _, c := range d.qps {
+		if c.qp == qp {
+			q = c
 			break
 		}
 	}
-	if qi < 0 || int(cid) >= len(d.live[qi]) {
+	if q == nil || int(cid) >= len(q.cids) {
 		return AbortNotFound
 	}
-	if d.dropped[qi][cid] {
-		d.dropped[qi][cid] = false
+	slot := &q.cids[cid]
+	if slot.dropped {
+		slot.dropped = false
 		return AbortDropped
 	}
-	if c := d.live[qi][cid]; c != nil {
+	if c := slot.cmd; c != nil {
 		c.aborted = true
-		d.live[qi][cid] = nil
-		d.submitAt[qi][cid] = -1
+		slot.cmd, slot.timed = nil, false
 		return AbortInFlight
 	}
 	return AbortNotFound
 }
 
-// complete posts the CQE and records latency. The bounds guard covers a
-// queue pair deleted (admin) while its last commands drain: latency simply
-// goes unattributed, as with the map this used to be.
-func (d *Device) complete(qi int, qp *nvme.QueuePair, sqe nvme.SQE, status nvme.Status) {
-	if qi < len(d.submitAt) && int(sqe.CID) < len(d.submitAt[qi]) && d.qps[qi] == qp {
-		d.recordLatency(qi, sqe)
-	}
-	d.stats.currInFlight--
-	qp.CQ.Post(nvme.CQE{CID: sqe.CID, SQHead: uint16(qp.SQ.Head()), Status: status})
-}
-
-// recordLatency folds one command's submit-to-complete latency into stats.
-func (d *Device) recordLatency(qi int, sqe nvme.SQE) {
-	if t0 := d.submitAt[qi][sqe.CID]; t0 >= 0 {
-		lat := d.e.Now() - t0
+// complete posts the CQE and records the command's submit-to-complete
+// latency.
+func (d *Device) complete(q *ioQueue, sqe *nvme.SQE, status nvme.Status) {
+	if slot := &q.cids[sqe.CID]; slot.timed && !q.removed {
+		lat := d.e.Now() - slot.submitAt
 		switch sqe.Opcode {
 		case nvme.OpRead:
 			d.stats.ReadLatSum += lat
 		case nvme.OpWrite:
 			d.stats.WriteLatSum += lat
 		}
-		d.submitAt[qi][sqe.CID] = -1
+		slot.timed = false
 	}
+	d.stats.currInFlight--
+	q.qp.CQ.Post(nvme.CQE{CID: sqe.CID, SQHead: uint16(q.qp.SQ.Head()), Status: status})
 }
