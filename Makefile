@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-strict lint-sarif race vuln check check-fast loc bench bench-smoke bench-smoke-fig10a bench-smoke-kv bench-test bench-layers bench-pair bench-diff cover cover-smoke profile
+.PHONY: all build test vet lint lint-strict race vuln check check-fast loc determinism bench-test bench-layers bench-pair cover cover-smoke profile
 
 all: build
 
@@ -17,9 +17,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs camlint, the repo's simulation-invariant analyzers
-# (internal/lint): nodeterminism, errchecksim, eventtime, mutexheld,
-# poollife, lockorder, dettaint, hotalloc, unusedallow. Findings recorded
-# in lint_baseline.json are accepted; only new ones fail.
+# (internal/lint): nodeterminism, errchecksim, eventtime, poollife,
+# dettaint, hotalloc, unusedallow. Findings recorded in lint_baseline.json
+# are accepted; only new ones fail.
 lint:
 	$(GO) run ./cmd/camlint ./...
 
@@ -27,12 +27,6 @@ lint:
 # printed and fails the target. Use it to review or burn down the baseline.
 lint-strict:
 	$(GO) run ./cmd/camlint -strict ./...
-
-# lint-sarif emits the full (baseline-ignoring) findings as SARIF for code
-# scanning UIs; CI uploads camlint.sarif as a workflow artifact.
-lint-sarif:
-	$(GO) run ./cmd/camlint -strict -format sarif ./... > camlint.sarif || true
-	@echo "lint-sarif: wrote camlint.sarif"
 
 race:
 	$(GO) test -race ./...
@@ -61,70 +55,19 @@ loc:
 	done; \
 	printf '%-20s %6d\n' total $$(find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 
-# bench runs the figure reproductions once each under the benchmark
-# harness and records ns/op, allocs/op, sim-ns/op, and the derived
-# simulation rate in the next free BENCH_<n>.json — the repo's perf
-# trajectory, one file per recorded run. Each benchmark runs in its own
-# process: in-suite, a figure's wall time depends on its position (large
-# arena allocations recycle the previous figure's dirty heap spans and
-# pay a memclr a standalone run never sees), so per-figure processes are
-# what make the numbers hermetic and comparable. The test binary is
-# compiled once up front and reused for every figure: recompiling per
-# figure burned CPU between measurements, which on burst-budgeted
-# machines throttled the benchmarks that followed.
-# CAMSIM_SHARDS (default 4) sets the shard workers for clustered
-# experiments; output is identical at any value.
-bench:
+# determinism is the stdout-identity gate: cambench built once, then the whole
+# quick suite at -parallel 1 and -parallel 8, with no fault plan and with
+# -faults 7:1e-4. Each pair must be byte-identical (≈12 s).
+determinism:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) test -c -o "$$tmp/camsim.test" . && \
-	{ for b in $$("$$tmp/camsim.test" -test.list 'Benchmark(Fig|Abl|KV).*' | grep '^Benchmark'); do \
-		CAMSIM_SHARDS=$${CAMSIM_SHARDS:-4} "$$tmp/camsim.test" -test.run XXX -test.bench "^$${b}\$$" -test.benchmem -test.benchtime 1x; \
-	done; } | $(GO) run ./cmd/benchjson -o auto
-
-# bench-smoke is the CI variant: same per-benchmark process structure,
-# but the JSON goes to bench-smoke.json (discarded) instead of
-# accumulating files. It then diffs the fresh run against the latest
-# committed BENCH_<n>.json and warns (without failing) when any figure's
-# simulation rate drops by more than 20% or its heap traffic (B/op) grows
-# by more than 30% — the latter is the zero-copy data plane's regression
-# gate: a copy site reverting to eager materialization shows up as a
-# B/op jump long before it costs enough wall time to trip the sim-rate
-# warning. Runs at CAMSIM_SHARDS=1 — serial shard windows — so the gate
-# tracks the single-worker engine.
-#
-# bench-smoke-fig10a is the focused single-shard sim-rate gate: the Fig 10a
-# sort benchmark alone through the same steps. The full pass covers every
-# figure, but this one names the single-worker engine explicitly so a
-# single-shard dispatch regression is called out on its own line even if
-# someone retunes the suite-wide smoke shard count.
-#
-# bench-smoke-kv is the same focused gate for the KV-cache serving
-# benchmark — the one workload that writes to the array under load, so a
-# scatter-path or tier-bookkeeping perf regression shows up here even when
-# the read-dominated figures stay flat.
-#
-# One rule serves all three: SMOKE_BENCH selects the benchmarks, the target
-# name ($@) names the scratch JSON and the messages, and SMOKE_THEN lists
-# the focused gates the full pass runs afterwards. All warn-only.
-bench-smoke:        SMOKE_BENCH = Benchmark.*
-bench-smoke:        SMOKE_THEN  = bench-smoke-fig10a bench-smoke-kv
-bench-smoke-fig10a: SMOKE_BENCH = ^BenchmarkFig10a_Sort$$
-bench-smoke-kv:     SMOKE_BENCH = ^BenchmarkKV_Serving$$
-
-bench-smoke bench-smoke-fig10a bench-smoke-kv:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) test -c -o "$$tmp/camsim.test" . && \
-	{ for b in $$("$$tmp/camsim.test" -test.list '$(SMOKE_BENCH)' | grep '^Benchmark'); do \
-		CAMSIM_SHARDS=1 "$$tmp/camsim.test" -test.run XXX -test.bench "^$${b}\$$" -test.benchmem -test.benchtime 1x; \
-	done; } | $(GO) run ./cmd/benchjson -o $@.json
-	@base=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1); \
-	if [ -n "$$base" ]; then \
-		$(GO) run ./cmd/benchjson -diff -warn-sim-regress 20 -warn-bytes-regress 30 "$$base" $@.json; \
-	else \
-		echo "$@: no committed BENCH_<n>.json baseline, skipping diff"; \
-	fi
-	@rm -f $@.json
-	@for t in $(SMOKE_THEN); do $(MAKE) --no-print-directory $$t || exit 1; done
+	$(GO) build -o "$$tmp/cambench" ./cmd/cambench && \
+	for f in "" "-faults 7:1e-4"; do \
+		for p in 1 8; do \
+			"$$tmp/cambench" -exp all -quick -parallel $$p $$f > "$$tmp/p$$p" 2> "$$tmp/err" || { cat "$$tmp/err"; exit 1; }; \
+		done; \
+		cmp "$$tmp/p1" "$$tmp/p8" || { echo "determinism: -parallel 1 and -parallel 8 differ ($${f:-no faults})"; exit 1; }; \
+		echo "determinism: $${f:-no faults}: sha256 $$(sha256sum < "$$tmp/p1" | cut -c1-16) at -parallel 1 and 8"; \
+	done
 
 # bench-test runs the benchmark program's own tests. bench/ is a module of
 # its own (BENCHMARK.json names it), so `go test ./...` from the root never
@@ -165,16 +108,16 @@ cover:
 	@$(GO) tool cover -func=cover.out | tail -1
 
 # cover-smoke is the CI variant: same profile, then a diff of the total
-# against the committed COVERAGE_BASELINE.txt that warns (without failing)
-# when statement coverage drops by more than one point — the coverage
-# sibling of bench-smoke's sim-rate warning.
+# against the committed COVERAGE_BASELINE.txt that fails when statement
+# coverage drops by more than one point. Statement coverage of a
+# deterministic simulator does not vary from run to run.
 cover-smoke: cover
 	@cur=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {gsub(/%/,"",$$3); print $$3}'); \
 	if [ -f COVERAGE_BASELINE.txt ]; then \
 		base=$$(cat COVERAGE_BASELINE.txt); \
 		echo "cover-smoke: total $$cur% (baseline $$base%)"; \
-		awk -v c="$$cur" -v b="$$base" 'BEGIN { if (c + 1.0 < b) \
-			printf("::warning::coverage dropped: %.1f%% vs baseline %.1f%%\n", c, b) }'; \
+		awk -v c="$$cur" -v b="$$base" 'BEGIN { if (c + 1.0 < b) { \
+			printf("::error::coverage dropped: %.1f%% vs baseline %.1f%%\n", c, b); exit 1 } }' || exit 1; \
 	else \
 		echo "cover-smoke: no COVERAGE_BASELINE.txt baseline, skipping diff"; \
 	fi
@@ -192,14 +135,3 @@ profile:
 	$(GO) run ./cmd/cambench -exp fig10a -quick \
 		-cpuprofile profiles/fig10a.cpu.pprof -memprofile profiles/fig10a.mem.pprof >/dev/null
 	@ls -l profiles/
-
-# bench-diff compares the two most recent BENCH_<n>.json snapshots,
-# printing per-benchmark percentage deltas (ns/op, B/op, allocs/op, and
-# the sim_per_wall simulation rate).
-bench-diff:
-	@set -- $$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -2); \
-	if [ $$# -lt 2 ]; then \
-		echo "bench-diff: need at least two BENCH_<n>.json snapshots (run make bench)"; \
-		exit 1; \
-	fi; \
-	$(GO) run ./cmd/benchjson -diff "$$1" "$$2"

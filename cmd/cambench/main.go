@@ -18,70 +18,72 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 
 	"camsim/internal/fault"
 	"camsim/internal/harness"
-	"camsim/internal/mem"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code as values: 0 on success, 1 on a
+// bad experiment id, fault spec or profile file, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("cambench", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		exp         = flag.String("exp", "", "experiment id (fig1..fig16, tab1..tab6) or 'all'")
-		list        = flag.Bool("list", false, "list available experiments")
-		quick       = flag.Bool("quick", false, "run scaled-down workloads")
-		csv         = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
-		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently (1 = serial)")
-		shards      = flag.Int("shards", 1, "shard workers per clustered simulation (1 = serial; output is identical for any value)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to `file`")
-		memprofile  = flag.String("memprofile", "", "write an allocation profile taken after the runs to `file`")
-		faults      = flag.String("faults", "", "fault injection `spec`: seed:rate shorthand or key=val,... (seed, rate, drop, slow, slowx, progfail, faildev, failat); empty or 'off' disables")
-		materialize = flag.Bool("materialize", false, "force the eager data plane: buffers carry real bytes instead of lazy payload references (output is identical either way)")
+		exp        = flags.String("exp", "", "experiment id (see -list) or 'all'")
+		list       = flags.Bool("list", false, "list available experiments")
+		quick      = flags.Bool("quick", false, "run scaled-down workloads")
+		csv        = flags.Bool("csv", false, "emit tables as CSV instead of aligned text")
+		parallel   = flags.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently (1 = serial)")
+		cpuprofile = flags.String("cpuprofile", "", "write a CPU profile of the experiment runs to `file`")
+		memprofile = flags.String("memprofile", "", "write an allocation profile taken after the runs to `file`")
+		faults     = flags.String("faults", "", "fault injection `spec`: seed:rate shorthand or key=val,... (seed, rate, drop, slow, slowx, progfail, faildev, failat); empty or 'off' disables")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	plan, err := fault.ParseSpec(*faults)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cambench: -faults: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "cambench: -faults: %v\n", err)
+		return 1
 	}
 	// Installed before any experiment is constructed: platform.New wires
 	// injectors and the driver DefaultConfigs arm their recovery timers off
 	// this plan.
 	fault.SetDefault(plan)
-	// Likewise before any buffer exists, so every payload is born in the
-	// selected mode.
-	mem.SetDefaultEager(*materialize)
 
 	if *list || *exp == "" {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(stdout, "available experiments:")
 		for _, e := range harness.All() {
-			fmt.Printf("  %-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "  %-8s %s\n", e.ID, e.Title)
 		}
 		if *exp == "" && !*list {
-			fmt.Println("\nselect one with -exp <id> or run everything with -exp all")
+			fmt.Fprintln(stdout, "\nselect one with -exp <id> or run everything with -exp all")
 		}
-		return
+		return 0
 	}
 
-	cfg := harness.RunConfig{Quick: *quick, Shards: *shards}
-	if *shards > 1 {
-		// Shard/coordinator diagnostics stay on stderr: stdout is the
-		// deterministic experiment output and must not vary with -shards.
-		fmt.Fprintf(os.Stderr, "cambench: clustered simulations run up to %d shard workers per lookahead window\n", *shards)
-	}
+	cfg := harness.RunConfig{Quick: *quick}
 	var toRun []harness.Experiment
 	if *exp == "all" {
 		toRun = harness.All()
 	} else {
 		e, ok := harness.Get(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "cambench: unknown experiment %q; use -list\n", *exp)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cambench: unknown experiment %q; use -list\n", *exp)
+			return 1
 		}
 		toRun = []harness.Experiment{e}
 	}
@@ -89,53 +91,54 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cambench: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cambench: -cpuprofile: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cambench: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cambench: -cpuprofile: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
 
 	progress := func(p harness.Progress) {
-		fmt.Fprintf(os.Stderr, "cambench: %s done in %.1fs wall (%d/%d)\n",
+		fmt.Fprintf(stderr, "cambench: %s done in %.1fs wall (%d/%d)\n",
 			p.Result.ID, p.Wall.Seconds(), p.Completed, len(toRun))
 	}
 	results := harness.RunAll(toRun, cfg, *parallel, progress)
 
 	for _, r := range results {
 		if *csv {
-			fmt.Printf("# %s — %s\n", r.ID, r.Title)
+			fmt.Fprintf(stdout, "# %s — %s\n", r.ID, r.Title)
 			for _, t := range r.Tables {
-				fmt.Print(t.CSV())
+				fmt.Fprint(stdout, t.CSV())
 			}
 			for _, f := range r.Figs {
-				fmt.Println(f.String())
+				fmt.Fprintln(stdout, f.String())
 			}
 		} else {
-			fmt.Print(r.String())
+			fmt.Fprint(stdout, r.String())
 		}
 		if r.SimElapsed > 0 {
-			fmt.Printf("(%s simulated %s of virtual time)\n\n", r.ID, r.SimElapsed)
+			fmt.Fprintf(stdout, "(%s simulated %s of virtual time)\n\n", r.ID, r.SimElapsed)
 		} else {
-			fmt.Printf("(%s is a static table)\n\n", r.ID)
+			fmt.Fprintf(stdout, "(%s is a static table)\n\n", r.ID)
 		}
 	}
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cambench: -memprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cambench: -memprofile: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cambench: -memprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cambench: -memprofile: %v\n", err)
+			return 1
 		}
 	}
+	return 0
 }

@@ -1,0 +1,72 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"camsim/internal/harness"
+)
+
+// The last column is padded to its width, so three rows end in spaces:
+// quoted line by line to keep them visible.
+const tab1Golden = "### tab1 — Architectural design comparison\n" +
+	"\n" +
+	"== Table I ==\n" +
+	"system     initialized by  control plane       data plane               \n" +
+	"---------  --------------  ------------------  -------------------------\n" +
+	"POSIX I/O  CPU             CPU OS kernel       SSD-CPU memory-GPU memory\n" +
+	"BaM        GPU             GPU user I/O queue  SSD-GPU memory           \n" +
+	"CAM        GPU             CPU user I/O queue  SSD-GPU memory           \n" +
+	"\n" +
+	"(tab1 is a static table)\n" +
+	"\n"
+
+func TestRun(t *testing.T) {
+	cases := []struct {
+		name   string
+		args   []string
+		code   int
+		stdout string // exact
+		stderr string // substring
+	}{
+		{name: "tab1 golden", args: []string{"-exp", "tab1"}, code: 0, stdout: tab1Golden, stderr: "tab1 done"},
+		// Deleted knobs are usage errors, not silently accepted.
+		{name: "no -shards", args: []string{"-shards", "1"}, code: 2, stderr: "flag provided but not defined: -shards"},
+		{name: "no -materialize", args: []string{"-materialize"}, code: 2, stderr: "flag provided but not defined: -materialize"},
+		{name: "bad fault spec", args: []string{"-exp", "tab1", "-faults", "bogus"}, code: 1, stderr: "cambench: -faults:"},
+		{name: "unknown experiment", args: []string{"-exp", "nosuch"}, code: 1, stderr: `unknown experiment "nosuch"`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(c.args, &stdout, &stderr); code != c.code {
+				t.Errorf("exit code %d, want %d (stderr: %s)", code, c.code, stderr.String())
+			}
+			if stdout.String() != c.stdout {
+				t.Errorf("stdout = %q, want %q", stdout.String(), c.stdout)
+			}
+			if !strings.Contains(stderr.String(), c.stderr) {
+				t.Errorf("stderr = %q, want it to contain %q", stderr.String(), c.stderr)
+			}
+		})
+	}
+}
+
+func TestListPrintsEveryExperiment(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	listed := map[string]bool{}
+	for _, l := range strings.Split(stdout.String(), "\n") {
+		if f := strings.Fields(l); len(f) > 0 {
+			listed[f[0]] = true
+		}
+	}
+	for _, id := range harness.IDs() {
+		if !listed[id] {
+			t.Errorf("-list does not name experiment %q:\n%s", id, stdout.String())
+		}
+	}
+}

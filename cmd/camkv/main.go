@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -27,27 +29,37 @@ import (
 	"camsim/internal/platform"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code as values: 0 on success, 1 on a
+// bad backend or fault spec, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("camkv", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		backend  = flag.String("backend", "all", "cam | bam | spdk | all (fixed comparison order)")
-		sessions = flag.Int("sessions", 0, "concurrent decode sessions (0 = scale default)")
-		ctx      = flag.Int("ctx", 0, "base prompt length in tokens; per-session lengths stagger around it (0 = scale default)")
-		steps    = flag.Int("steps", 0, "decode steps per session (0 = scale default)")
-		layers   = flag.Int("layers", 0, "model layers holding KV blocks (0 = scale default)")
-		dram     = flag.Int("dram", 0, "GPU-DRAM tier capacity in block frames (0 = scale default; re-floored against the pinned working set)")
-		ssds     = flag.Int("ssds", 0, "number of simulated SSDs (0 = scale default)")
-		seed     = flag.Uint64("seed", 1, "workload seed (access-pattern draws)")
-		quick    = flag.Bool("quick", false, "run the scaled-down workload")
-		parallel = flag.Int("parallel", 1, "backends to serve concurrently (1 = serial)")
-		shards   = flag.Int("shards", 1, "shard workers per clustered simulation (accepted for harness parity; output is identical for any value)")
-		faults   = flag.String("faults", "", "fault injection `spec`: seed:rate shorthand or key=val,... (see cambench -h); empty or 'off' disables")
+		backend  = flags.String("backend", "all", "cam | bam | spdk | all (fixed comparison order)")
+		sessions = flags.Int("sessions", 0, "concurrent decode sessions (0 = scale default)")
+		ctx      = flags.Int("ctx", 0, "base prompt length in tokens; per-session lengths stagger around it (0 = scale default)")
+		steps    = flags.Int("steps", 0, "decode steps per session (0 = scale default)")
+		layers   = flags.Int("layers", 0, "model layers holding KV blocks (0 = scale default)")
+		dram     = flags.Int("dram", 0, "GPU-DRAM tier capacity in block frames (0 = scale default; re-floored against the pinned working set)")
+		ssds     = flags.Int("ssds", 0, "number of simulated SSDs (0 = scale default)")
+		seed     = flags.Uint64("seed", 1, "workload seed (access-pattern draws)")
+		quick    = flags.Bool("quick", false, "run the scaled-down workload")
+		parallel = flags.Int("parallel", 1, "backends to serve concurrently (1 = serial)")
+		faults   = flags.String("faults", "", "fault injection `spec`: seed:rate shorthand or key=val,... (see cambench -h); empty or 'off' disables")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	plan, err := fault.ParseSpec(*faults)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "camkv: -faults: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "camkv: -faults: %v\n", err)
+		return 1
 	}
 	// Installed before any backend is constructed: platform wires the
 	// injectors and the drivers arm recovery off this plan.
@@ -64,19 +76,20 @@ func main() {
 	case "spdk":
 		systems = []string{"SPDK"}
 	default:
-		fmt.Fprintf(os.Stderr, "camkv: unknown backend %q (want cam, bam, spdk, or all)\n", *backend)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "camkv: unknown backend %q (want cam, bam, spdk, or all)\n", *backend)
+		return 1
 	}
 
-	cfg := harness.RunConfig{Quick: *quick, Shards: *shards}
+	cfg := harness.RunConfig{Quick: *quick}
 	params := harness.KVParams{
 		Sessions: *sessions, Prompt: *ctx, Decode: *steps,
 		Layers: *layers, DRAM: *dram, SSDs: *ssds, Seed: *seed,
 	}
 
 	type outcome struct {
-		srv *kvcache.Server
-		env *platform.Env
+		srv  *kvcache.Server
+		env  *platform.Env
+		wall time.Duration
 	}
 	outs := make([]outcome, len(systems))
 	if *parallel < 1 {
@@ -92,33 +105,36 @@ func main() {
 			t0 := time.Now() //camlint:allow nodeterminism -- host-side stderr diagnostics; never feeds the simulation
 			srv, env := harness.KVRun(cfg, params, sys)
 			wall := time.Since(t0) //camlint:allow nodeterminism -- host-side stderr diagnostics; never feeds the simulation
-			fmt.Fprintf(os.Stderr, "camkv: %s served in %.1fs wall\n", sys, wall.Seconds())
-			outs[i] = outcome{srv, env}
+			outs[i] = outcome{srv, env, wall}
 			done <- i
 		}()
 	}
+	// Reported as each backend finishes, from this goroutine only: stderr
+	// need not be safe for concurrent writes.
 	for range systems {
-		<-done
+		i := <-done
+		fmt.Fprintf(stderr, "camkv: %s served in %.1fs wall\n", systems[i], outs[i].wall.Seconds())
 	}
 
 	// Stdout in fixed order, independent of completion order above.
 	for i, sys := range systems {
 		srv, env := outs[i].srv, outs[i].env
 		st := srv.Stats()
-		fmt.Printf("%s: %d sessions, %d tokens decoded in %s virtual\n",
+		fmt.Fprintf(stdout, "%s: %d sessions, %d tokens decoded in %s virtual\n",
 			sys, st.Sessions, st.DecodedTokens, (st.LastEnd - st.FirstArrival).String())
-		fmt.Printf("  serving:  %.1f tok/s, TTFT mean %.2f ms, step p50 %.0f us p99 %.0f us\n",
+		fmt.Fprintf(stdout, "  serving:  %.1f tok/s, TTFT mean %.2f ms, step p50 %.0f us p99 %.0f us\n",
 			st.TokensPerSec(), srv.TTFT().Mean()/1000,
 			srv.StepLatency().Percentile(50), srv.StepLatency().Percentile(99))
-		fmt.Printf("  tier:     %.1f%% DRAM hit, %.1f%% of misses prefetch-covered\n",
+		fmt.Fprintf(stdout, "  tier:     %.1f%% DRAM hit, %.1f%% of misses prefetch-covered\n",
 			100*st.HitRate(), 100*st.PrefetchRate())
-		fmt.Printf("  traffic:  %d fills, %d spills, %d clean drops\n",
+		fmt.Fprintf(stdout, "  traffic:  %d fills, %d spills, %d clean drops\n",
 			st.Fills, st.Spills, st.CleanDrops)
-		fmt.Println("  verification: every decoded-token checksum matched the analytic stamp fold")
+		fmt.Fprintln(stdout, "  verification: every decoded-token checksum matched the analytic stamp fold")
 		if plan.Enabled() {
 			fs := env.FaultStats()
-			fmt.Printf("  faults:   injected err=%d drop=%d slow=%d dead=%d\n",
+			fmt.Fprintf(stdout, "  faults:   injected err=%d drop=%d slow=%d dead=%d\n",
 				fs.Errors, fs.Drops, fs.Slows, fs.DeadDrops)
 		}
 	}
+	return 0
 }

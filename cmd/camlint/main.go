@@ -1,12 +1,12 @@
 // Command camlint runs the repository's simulation-invariant analyzers
 // (internal/lint) over Go packages, multichecker-style. Since v2 all root
 // packages are analyzed as one program, so interprocedural facts
-// (//camlint:pool lifecycles, lock order, determinism taint, hot-path
-// reachability) cross package boundaries.
+// (//camlint:pool lifecycles, determinism taint, hot-path reachability) cross
+// package boundaries.
 //
 // Usage:
 //
-//	camlint [-list] [-only name,name] [-format text|json|sarif]
+//	camlint [-list] [-only name,name] [-format text|json]
 //	        [-baseline file] [-update-baseline] [-strict] [packages...]
 //
 // With no package patterns it checks ./... relative to the current
@@ -35,7 +35,7 @@ func run() int {
 	var (
 		list     = flag.Bool("list", false, "list analyzers and exit")
 		only     = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		format   = flag.String("format", "text", "output format: text, json, or sarif")
+		format   = flag.String("format", "text", "output format: text or json")
 		baseline = flag.String("baseline", "lint_baseline.json", "baseline file of accepted findings (missing file = empty baseline)")
 		update   = flag.Bool("update-baseline", false, "rewrite the baseline file to accept all current findings and exit")
 		strict   = flag.Bool("strict", false, "ignore the baseline: report every finding")
@@ -62,9 +62,9 @@ func run() int {
 		}
 	}
 	switch *format {
-	case "text", "json", "sarif":
+	case "text", "json":
 	default:
-		fmt.Fprintf(os.Stderr, "camlint: unknown format %q (want text, json, or sarif)\n", *format)
+		fmt.Fprintf(os.Stderr, "camlint: unknown format %q (want text or json)\n", *format)
 		return 2
 	}
 
@@ -104,18 +104,12 @@ func run() int {
 		diags = base.Filter(diags, rel)
 	}
 
-	switch *format {
-	case "json":
+	if *format == "json" {
 		if err := lint.WriteJSON(os.Stdout, diags, rel); err != nil {
 			fmt.Fprintf(os.Stderr, "camlint: %v\n", err)
 			return 2
 		}
-	case "sarif":
-		if err := lint.WriteSARIF(os.Stdout, diags, analyzers, rel); err != nil {
-			fmt.Fprintf(os.Stderr, "camlint: %v\n", err)
-			return 2
-		}
-	default:
+	} else {
 		lint.WriteText(os.Stdout, diags, rel)
 	}
 	if len(diags) > 0 {

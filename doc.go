@@ -10,10 +10,9 @@
 // mergesort, GEMM) are implemented on top. See DESIGN.md for the system
 // inventory and EXPERIMENTS.md for the paper-versus-measured record.
 //
-// The benchmark suite in this package regenerates every table and figure of
-// the paper's evaluation section:
+// cambench regenerates every table and figure of the paper's evaluation
+// section:
 //
-//	go test -bench=. -benchmem .
-//
-// Set CAMSIM_FULL=1 to run paper-scale workloads instead of the quick ones.
+//	go run ./cmd/cambench -exp all          # paper scale
+//	go run ./cmd/cambench -exp all -quick   # scaled down
 package camsim

@@ -1,8 +1,7 @@
 // Package harness contains one runnable experiment per table and figure of
 // the paper's evaluation (§IV). Each experiment builds its own simulated
 // platform, drives the workload, and renders the same rows/series the
-// paper reports. `cambench -exp <id>` runs them from the command line and
-// the repository's benchmark suite wraps each one in a testing.B target.
+// paper reports. `cambench -exp <id>` runs them from the command line.
 package harness
 
 import (
@@ -21,27 +20,12 @@ type RunConfig struct {
 	// is paper scale.
 	Quick bool
 
-	// Shards caps how many shards of a clustered simulation (sim.Cluster)
-	// run concurrently per lookahead window; 0 or 1 means fully serial.
-	// Conservative windowed execution is deterministic at any worker count,
-	// so this knob trades wall-clock for cores without perturbing output —
-	// the property the determinism matrix test pins down.
-	Shards int
-
 	// acct collects per-run virtual-time accounting and the engines to
 	// tear down when the experiment finishes. The registry wrapper
 	// installs a fresh one per Run call, which is what makes concurrent
 	// experiment runs (RunAll) safe: there is no shared mutable state
 	// between two in-flight experiments.
 	acct *runAcct
-}
-
-// ShardWorkers reports the effective shard concurrency (at least 1).
-func (cfg RunConfig) ShardWorkers() int {
-	if cfg.Shards < 1 {
-		return 1
-	}
-	return cfg.Shards
 }
 
 // runAcct is one experiment run's bookkeeping.
@@ -101,11 +85,19 @@ var registry = map[string]Experiment{}
 // this instead of env.Run directly.
 func runEnv(cfg RunConfig, env *platform.Env) sim.Time {
 	end := env.Run()
+	cfg.credit(env, end)
+	return end
+}
+
+// credit adds one engine run — env simulated up to end — to the running
+// experiment's accounting. runEnv does it for a machine it drives itself; an
+// experiment that drives engines another way (abl-shard's sim.Cluster)
+// credits each machine once its run is over.
+func (cfg RunConfig) credit(env *platform.Env, end sim.Time) {
 	if cfg.acct != nil {
 		cfg.acct.elapsed += int64(end)
 		cfg.acct.envs = append(cfg.acct.envs, env)
 	}
-	return end
 }
 
 func register(id, title string, run func(cfg RunConfig) *Result) {

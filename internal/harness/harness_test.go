@@ -386,11 +386,25 @@ func mean(v []float64) float64 {
 func fmtSscan(s string, v *float64) (int, error) { return fmt.Sscan(s, v) }
 
 func TestAblationsRunQuick(t *testing.T) {
-	for _, id := range []string{"abl-dyncores", "abl-batch", "abl-outstanding", "abl-ftl", "abl-cache", "abl-multigpu"} {
+	ran := 0
+	for _, id := range IDs() {
+		if !strings.HasPrefix(id, "abl-") {
+			continue
+		}
+		ran++
 		r := run(t, id)
 		if len(r.Tables)+len(r.Figs) == 0 {
 			t.Errorf("%s produced no output", id)
 		}
+		// Every engine an experiment simulates on is registered with the
+		// run's accounting, however it was driven (abl-shard goes through
+		// sim.Cluster, not runEnv).
+		if r.SimElapsed > 0 && r.Events.Dispatched == 0 {
+			t.Errorf("%s simulated %s but reports no dispatched events", id, r.SimElapsed)
+		}
+	}
+	if ran == 0 {
+		t.Error("no abl-* experiment is registered")
 	}
 }
 

@@ -1,20 +1,17 @@
 package harness
 
 import (
-	"fmt"
 	"testing"
 
 	"camsim/internal/fault"
 )
 
-// TestShardMatrixDeterminism is the clustered-engine determinism gate: the
-// same experiments rendered through every -shards × -parallel combination
-// must be byte-identical. Shards exercises the conservative window workers
-// inside one clustered simulation (abl-shard); parallel exercises the
-// experiment runner pool around it; the two compose, and neither may leak
-// schedule into output. kv rides the matrix as the write-heavy workload:
-// its spill/fill/prefetch concurrency must render identically no matter
-// how the runner pool interleaves experiments around it.
+// TestShardMatrixDeterminism is the runner-pool determinism gate: the same
+// experiments rendered at -parallel 1 and -parallel 8 must be byte-identical.
+// abl-shard puts a clustered simulation (sim.Cluster) inside the pool; kv
+// rides along as the write-heavy workload: its spill/fill/prefetch
+// concurrency must render identically no matter how the pool interleaves
+// experiments around it.
 func TestShardMatrixDeterminism(t *testing.T) {
 	var exps []Experiment
 	for _, id := range []string{"fig2", "abl-shard", "kv"} {
@@ -24,31 +21,20 @@ func TestShardMatrixDeterminism(t *testing.T) {
 		}
 		exps = append(exps, e)
 	}
-	var ref string
-	var refAt string
-	for _, shards := range []int{1, 2, 4} {
-		for _, par := range []int{1, 8} {
-			label := fmt.Sprintf("shards=%d,parallel=%d", shards, par)
-			out := render(RunAll(exps, RunConfig{Quick: true, Shards: shards}, par, nil))
-			if ref == "" {
-				ref, refAt = out, label
-				continue
-			}
-			if out != ref {
-				t.Errorf("%s rendered different output than %s:\n%s\nvs reference:\n%s",
-					label, refAt, out, ref)
-			}
-		}
+	serial := render(RunAll(exps, RunConfig{Quick: true}, 1, nil))
+	pooled := render(RunAll(exps, RunConfig{Quick: true}, 8, nil))
+	if pooled != serial {
+		t.Errorf("parallel=8 rendered different output than parallel=1:\n%s\nvs reference:\n%s", pooled, serial)
 	}
 }
 
-// TestShardFaultFingerprints extends the matrix with chaos-seeded fault
-// schedules: the clustered experiment run under an installed process-wide
-// fault plan (the cambench -faults path — platform picks it up and the
-// drivers arm recovery off it) must produce the same rendered output and
-// virtual time at every shard worker count, for every seed. Injection
-// decisions, timeouts, retries, and device drop-out all ride the shard
-// engines, so any schedule leak in the recovery machinery shows up here.
+// TestShardFaultFingerprints runs the clustered experiment under chaos-seeded
+// fault schedules: with a process-wide fault plan installed (the cambench
+// -faults path — platform picks it up and the drivers arm recovery off it)
+// two runs must produce the same rendered output and virtual time, for every
+// seed. Injection decisions, timeouts, retries, and device drop-out all ride
+// the shard engines, so any host-state leak in the recovery machinery shows
+// up here.
 func TestShardFaultFingerprints(t *testing.T) {
 	e, ok := Get("abl-shard")
 	if !ok {
@@ -57,23 +43,15 @@ func TestShardFaultFingerprints(t *testing.T) {
 	defer fault.SetDefault(nil)
 	for _, seed := range []uint64{3, 11} {
 		fault.SetDefault(chaosPlan(seed))
-		var ref *Result
-		for _, shards := range []int{1, 2, 4} {
-			r := e.Run(RunConfig{Quick: true, Shards: shards})
-			if ref == nil {
-				ref = r
-				continue
-			}
-			if a, b := ref.String(), r.String(); a != b {
-				t.Errorf("seed %d: shards=%d diverged from shards=1 under faults:\n%s\nvs:\n%s",
-					seed, shards, b, a)
-			}
-			if ref.SimElapsed != r.SimElapsed {
-				t.Errorf("seed %d: shards=%d simulated %s, shards=1 simulated %s",
-					seed, shards, r.SimElapsed, ref.SimElapsed)
-			}
+		ref := e.Run(RunConfig{Quick: true})
+		again := e.Run(RunConfig{Quick: true})
+		if a, b := ref.String(), again.String(); a != b {
+			t.Errorf("seed %d: second run diverged from the first under faults:\n%s\nvs:\n%s", seed, b, a)
 		}
-		if ref != nil && ref.SimElapsed <= 0 {
+		if ref.SimElapsed != again.SimElapsed {
+			t.Errorf("seed %d: second run simulated %s, first simulated %s", seed, again.SimElapsed, ref.SimElapsed)
+		}
+		if ref.SimElapsed <= 0 {
 			t.Errorf("seed %d: SimElapsed = %s, want > 0", seed, ref.SimElapsed)
 		}
 	}

@@ -2,8 +2,7 @@
 // the repository's simulation invariants: the discrete-event substrate must
 // stay byte-exact deterministic, error returns from simulated-hardware APIs
 // must not be silently dropped, virtual time must never mix with wall-clock
-// durations, sync primitives must not be copied, pooled objects must not be
-// touched after release, and locks must be acquired in a consistent order.
+// durations, and pooled objects must not be touched after release.
 //
 // The shape deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the suite could be ported to the upstream framework
@@ -47,8 +46,7 @@ type Analyzer struct {
 	Run func(*Pass) error
 	// Prepare, if set, runs once per program before any Run call, with
 	// the fact store and call graph already built. Cross-package
-	// summaries (release inference, lock summaries, taint fixpoints)
-	// belong here.
+	// summaries (release inference, taint fixpoints) belong here.
 	Prepare func(*Program) error
 	// Finish, if set, runs once per program after every package's Run.
 	// The pass has program scope: Files and Pkg are nil, and Reportf
@@ -75,7 +73,6 @@ type Program struct {
 	// nested programs cannot trample each other.
 	poolReleasers map[string]map[int]bool // funcKey → released positions (-1 = receiver)
 	taintedFuncs  map[string]string       // funcKey → why its result is host-nondeterministic
-	lockSummaries map[string][]lockAcq    // funcKey → locks acquired (transitively)
 	hotRoots      map[string]string       // funcKey → hotpath root that reaches it
 	// annDiags holds malformed-annotation findings discovered while
 	// building the fact store; they are attributed to the first analyzer
@@ -144,7 +141,7 @@ type Diagnostic struct {
 	Pos      token.Position
 	Message  string
 	// Fix, when non-empty, is a human-readable suggested fix rendered
-	// beneath the finding in text output and as a SARIF fix description.
+	// beneath the finding in text output.
 	Fix string
 }
 

@@ -8,9 +8,7 @@ func All() []*Analyzer {
 		NoDeterminism,
 		ErrCheckSim,
 		EventTime,
-		MutexHeld,
 		PoolLife,
-		LockOrder,
 		DetTaint,
 		HotAlloc,
 		UnusedAllow,

@@ -74,7 +74,7 @@ func TestBaselineMissingFile(t *testing.T) {
 	}
 }
 
-// TestRelTo pins the path rewriting used for baseline and SARIF output.
+// TestRelTo pins the path rewriting used for baseline and rendered output.
 func TestRelTo(t *testing.T) {
 	dir := t.TempDir()
 	rel := RelTo(dir)

@@ -23,16 +23,8 @@ func TestEventTime(t *testing.T) {
 	linttest.Run(t, "testdata", lint.EventTime, "eventtime")
 }
 
-func TestMutexHeld(t *testing.T) {
-	linttest.Run(t, "testdata", lint.MutexHeld, "mutexheld")
-}
-
 func TestPoolLife(t *testing.T) {
 	linttest.Run(t, "testdata", lint.PoolLife, "poollife")
-}
-
-func TestLockOrder(t *testing.T) {
-	linttest.Run(t, "testdata", lint.LockOrder, "lockorder")
 }
 
 func TestDetTaint(t *testing.T) {

@@ -46,103 +46,3 @@ func WriteJSON(w io.Writer, diags []Diagnostic, rel func(string) string) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
-
-// SARIF 2.1.0 structures, reduced to the subset code-scanning consumers
-// require: one run, one rule per analyzer, one result per finding.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string    `json:"id"`
-	ShortDescription sarifText `json:"shortDescription"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-	Fixes     []sarifFix      `json:"fixes,omitempty"`
-}
-
-type sarifFix struct {
-	Description sarifText `json:"description"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-// WriteSARIF renders diagnostics as a SARIF 2.1.0 log suitable for GitHub
-// code scanning and CI artifacts.
-func WriteSARIF(w io.Writer, diags []Diagnostic, analyzers []*Analyzer, rel func(string) string) error {
-	rules := make([]sarifRule, 0, len(analyzers))
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
-	}
-	results := make([]sarifResult, 0, len(diags))
-	for _, d := range diags {
-		res := sarifResult{
-			RuleID:  d.Analyzer,
-			Level:   "warning",
-			Message: sarifText{Text: d.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: rel(d.Pos.Filename)},
-					Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
-				},
-			}},
-		}
-		if d.Fix != "" {
-			res.Fixes = []sarifFix{{Description: sarifText{Text: d.Fix}}}
-		}
-		results = append(results, res)
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "camlint", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
-}

@@ -4,10 +4,7 @@
 // filtering leaves behind.
 package unusedallow
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // used suppresses a live nodeterminism finding: the directive is consumed,
 // so nothing is reported.
@@ -33,12 +30,11 @@ func bare() {
 	//camlint:allow -- fixture: bare and stale // want "stale //camlint:allow:"
 }
 
-// declUsed suppresses a mutexheld finding reported at the declaration line,
+// aboveUsed suppresses a nodeterminism finding from the line above it,
 // proving a standalone directive covers the next line.
-//
-//camlint:allow mutexheld -- fixture: decl-level suppression is consumed
-func declUsed(mu sync.Mutex) {
-	_ = mu
+func aboveUsed() int64 {
+	//camlint:allow nodeterminism -- fixture: a standalone directive is consumed
+	return time.Now().UnixNano()
 }
 
 // declStale carries a declaration-level directive that suppresses nothing.

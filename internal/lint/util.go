@@ -75,60 +75,3 @@ func isWallClock(t types.Type) bool {
 func isErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())
 }
-
-// lockPath reports how t embeds a sync primitive by value: it returns a
-// human-readable path such as "sync.Mutex" or "Server contains sync.Mutex"
-// and true, or "" and false if copying t is lock-safe. Pointers stop the
-// search: copying *sync.Mutex is fine.
-func lockPath(t types.Type) (string, bool) {
-	return lockPathSeen(t, map[types.Type]bool{})
-}
-
-func lockPathSeen(t types.Type, seen map[types.Type]bool) (string, bool) {
-	if seen[t] {
-		return "", false
-	}
-	seen[t] = true
-
-	if n, ok := t.(*types.Named); ok {
-		obj := n.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return "sync." + obj.Name(), true
-			}
-		}
-		if path, found := lockPathSeen(n.Underlying(), seen); found {
-			if obj.Name() != "" {
-				return obj.Name() + " contains " + path, true
-			}
-			return path, true
-		}
-		return "", false
-	}
-
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if path, found := lockPathSeen(u.Field(i).Type(), seen); found {
-				return path, true
-			}
-		}
-	case *types.Array:
-		return lockPathSeen(u.Elem(), seen)
-	}
-	return "", false
-}
-
-// isExistingValue reports whether e denotes an already-live value (so
-// assigning, passing, or returning it copies state), as opposed to a fresh
-// composite literal, call result, or conversion that the copy initializes.
-func isExistingValue(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name != "nil"
-	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	}
-	return false
-}

@@ -126,13 +126,12 @@ var payloadFree struct {
 
 // defaultEager is the process-wide payload mode: false propagates
 // references (the zero-copy data plane), true materializes every payload
-// at birth, restoring the historical eager byte plane. The cambench
-// -materialize flag and the equivalence tests flip it (mirroring how
-// fault.SetDefault carries the -faults plan).
+// at birth: the eager byte plane, kept as the oracle the lazy≡eager tests and
+// fuzzers compare against. Only they flip it.
 var defaultEager atomic.Bool
 
 // SetDefaultEager selects the payload mode for subsequently created
-// payloads; see the -materialize flag.
+// payloads.
 func SetDefaultEager(v bool) { defaultEager.Store(v) }
 
 // DefaultEager reports the process-wide payload mode.

@@ -58,12 +58,6 @@ func (f *Fabric) Config() Config { return f.cfg }
 // fabric must share its engine.
 func (f *Fabric) Engine() *sim.Engine { return f.link.Engine() }
 
-// Lookahead reports the conservative cross-shard horizon this fabric
-// provides: no message — not even a doorbell — crosses it faster than the
-// propagation delay, so a topology split across the fabric may let each side
-// simulate that far ahead (see sim.Cluster).
-func (f *Fabric) Lookahead() sim.Time { return f.cfg.PropagationDelay }
-
 // ReserveDMA books a bulk transfer of n bytes and returns its completion
 // time; it never blocks the caller.
 func (f *Fabric) ReserveDMA(n int64) sim.Time { return f.link.Reserve(n) }

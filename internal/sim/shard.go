@@ -3,17 +3,15 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // This file implements the sharded DES coordinator: a Cluster partitions a
-// simulation into Shards (one Engine each — its own event queue, RNG
-// stream, and worker goroutine) synchronized by conservative lookahead
-// exchange, the classic Chandy–Misra–Bryant null-message discipline
-// specialized to a barrier form:
+// simulation into Shards (one Engine each, with its own event queue)
+// synchronized by conservative lookahead exchange, the classic
+// Chandy–Misra–Bryant null-message discipline specialized to a barrier form:
 //
-//	window:   all shards run [T, T+L) in parallel, where T is the global
-//	          minimum next-event time and L the minimum cross-shard
+//	window:   every shard runs [T, T+L), one after another, where T is the
+//	          global minimum next-event time and L the minimum cross-shard
 //	          lookahead;
 //	barrier:  boundary events produced during the window are gathered,
 //	          sorted by (time, source shard, source sequence) — a strict
@@ -24,59 +22,39 @@ import (
 // deterministic function of its injected events; a CrossLink only accepts
 // sends with delay >= its lookahead, so every boundary event lands at or
 // after the window end and never races events the destination already
-// processed; and the barrier sort order is independent of worker timing.
-// Therefore the cluster's trace is identical at any worker count, including
-// the degenerate serial schedule — which is exactly how `-shards 1` degrades
-// to the plain single-engine behavior.
+// processed; and the barrier sort order does not depend on the order the
+// shards ran in. The windows run serially: at the 605 ns lookahead of the one
+// experiment that builds a Cluster, shard workers cost three times the wall
+// time of running the shards in turn (DESIGN.md §11).
 //
 // The lookahead is physical, not invented: cross-shard topology edges map to
 // fabric hops, and Link.XferTime of the minimum message size bounds how soon
 // one side can observe the other. A zero lookahead would force zero-width
-// windows (no parallelism, and no progress guarantee), so Connect rejects it
-// outright.
+// windows (no progress guarantee), so Connect rejects it outright.
 
 // Shard is one partition of a clustered simulation: an Engine plus the
 // bookkeeping the coordinator needs. Device layers declare shard affinity by
 // constructing against the shard's Engine; scheduling onto a shard's engine
-// from outside its worker while a window is running is a misassignment and
-// panics (see Engine.checkAffinity).
+// while a window is running some other shard is a misassignment and panics
+// (see Engine.checkAffinity).
 type Shard struct {
 	id      int
 	name    string
 	eng     *Engine
-	rng     *RNG
 	cluster *Cluster
 
-	// executing is true while this shard's own worker is inside RunUntil.
-	// It is only written by the shard's worker goroutine (or the coordinator
-	// in serial mode), and read by checkAffinity on the same goroutine, so
-	// correct runs never race on it.
+	// executing is true while the coordinator is inside this shard's
+	// RunUntil.
 	executing bool
 
-	// outbox collects boundary events produced during the current window,
-	// appended only by this shard's worker.
+	// outbox collects boundary events produced during the current window.
 	outbox []boundaryEvent
 	outSeq uint64
-
-	// Persistent worker rendezvous (parallel mode only).
-	cmd  chan Time
-	done chan struct{}
 }
-
-// ID reports the shard's index in cluster order.
-func (s *Shard) ID() int { return s.id }
-
-// Name reports the shard's name.
-func (s *Shard) Name() string { return s.name }
 
 // Engine returns the shard's private engine. All state owned by the shard
 // must be built against it.
 func (s *Shard) Engine() *Engine { return s.eng }
-
-// RNG returns the shard's private random stream, split deterministically
-// from the cluster seed by shard index, so adding a shard never perturbs the
-// draws of existing ones.
-func (s *Shard) RNG() *RNG { return s.rng }
 
 // boundaryEvent is a cross-shard event in flight between windows.
 type boundaryEvent struct {
@@ -100,8 +78,8 @@ type CrossLink struct {
 func (l *CrossLink) Lookahead() Time { return l.lookahead }
 
 // Send schedules fn on the destination shard at the source shard's
-// now+delay. It must be called from the source shard (its worker, during a
-// window, or the coordinator between windows), and delay must be at least
+// now+delay. It must be called from the source shard (during its window, or
+// between windows), and delay must be at least
 // the link's lookahead — that bound is what lets the destination run ahead,
 // so undercutting it would corrupt already-simulated time and panics.
 func (l *CrossLink) Send(delay Time, fn func()) {
@@ -118,63 +96,32 @@ func (l *CrossLink) Send(delay Time, fn func()) {
 
 // Cluster coordinates a set of shards through windowed conservative
 // execution. Build it with NewCluster, add shards and links, then Run.
-// A cluster of one shard (or workers=1) executes the exact same event trace
-// serially.
 type Cluster struct {
-	shards  []*Shard
-	links   []*CrossLink
-	minLA   Time // minimum lookahead over all links; MaxTime if none
-	workers int
-	seed    uint64
-	root    *RNG
+	shards []*Shard
+	minLA  Time // minimum lookahead over all links; MaxTime if none
 
-	// windowActive is true while shard workers may be running. Written by
-	// the coordinator goroutine only, with channel sends/receives ordering
-	// it against worker reads.
+	// windowActive is true while a shard is running its window.
 	windowActive bool
-	started      bool // persistent workers launched
 	shutdown     bool
 
 	// exchange scratch, reused across barriers.
 	xchg []boundaryEvent
 }
 
-// NewCluster creates an empty cluster. seed roots the per-shard RNG streams;
-// workers is the maximum number of shards simulated concurrently per window
-// (1 = fully serial, deterministic either way).
-func NewCluster(seed uint64, workers int) *Cluster {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Cluster{minLA: MaxTime, workers: workers, seed: seed, root: NewRNG(seed)}
-}
-
-// Workers reports the configured concurrency cap.
-func (c *Cluster) Workers() int { return c.workers }
+// NewCluster creates an empty cluster.
+func NewCluster() *Cluster { return &Cluster{minLA: MaxTime} }
 
 // MinLookahead reports the cluster-wide conservative window width: the
 // minimum lookahead over all links (MaxTime when no links exist).
 func (c *Cluster) MinLookahead() Time { return c.minLA }
 
-// NewShard adds a shard with its own engine and RNG stream.
+// NewShard adds a shard with its own engine.
 func (c *Cluster) NewShard(name string) *Shard {
-	if c.started {
-		panic("sim: NewShard after Cluster.Run started")
-	}
-	s := &Shard{
-		id:      len(c.shards),
-		name:    name,
-		eng:     New(),
-		rng:     c.root.Split(uint64(len(c.shards))),
-		cluster: c,
-	}
+	s := &Shard{id: len(c.shards), name: name, eng: New(), cluster: c}
 	s.eng.shard = s
 	c.shards = append(c.shards, s)
 	return s
 }
-
-// Shards returns the cluster's shards in creation order.
-func (c *Cluster) Shards() []*Shard { return c.shards }
 
 // Connect declares a directed cross-shard edge with the given lookahead,
 // typically Link.XferTime of the smallest message the edge carries (plus any
@@ -193,30 +140,28 @@ func (c *Cluster) Connect(src, dst *Shard, name string, lookahead Time) *CrossLi
 			"sim: cross-shard link %q declares lookahead %v; conservative windows need a positive horizon — derive it from the physical link latency (Link.XferTime)",
 			name, lookahead))
 	}
-	l := &CrossLink{name: name, src: src, dst: dst, lookahead: lookahead}
-	c.links = append(c.links, l)
 	if lookahead < c.minLA {
 		c.minLA = lookahead
 	}
-	return l
+	return &CrossLink{name: name, src: src, dst: dst, lookahead: lookahead}
 }
 
 // checkAffinity diagnoses cross-shard misassignment: scheduling work onto a
-// shard's engine while the cluster is mid-window but the shard's own worker
-// is not the one executing. The nil fast path keeps standalone engines (the
+// shard's engine while the cluster is mid-window but that shard is not the
+// one executing. The nil fast path keeps standalone engines (the
 // overwhelmingly common case) at one predicted branch.
 //
 //camlint:hotpath
 func (e *Engine) checkAffinity() {
 	if s := e.shard; s != nil && s.cluster.windowActive && !s.executing {
 		panic(fmt.Sprintf(
-			"sim: shard-affinity violation: event scheduled on shard %d (%q) from outside its worker during a parallel window; pin the scheduling component to this shard's engine or route the event through a CrossLink",
+			"sim: shard-affinity violation: event scheduled on shard %d (%q) from outside it during a window; pin the scheduling component to this shard's engine or route the event through a CrossLink",
 			s.id, s.name))
 	}
 }
 
 // Run executes the cluster to global quiescence and returns the maximum
-// shard virtual time. Deterministic for any worker count.
+// shard virtual time.
 func (c *Cluster) Run() Time {
 	if c.shutdown {
 		panic("sim: Cluster.Run after Shutdown")
@@ -249,60 +194,21 @@ func (c *Cluster) Run() Time {
 	return end
 }
 
-// runWindow advances every shard to the deadline, in parallel when the
-// cluster has both multiple workers and multiple shards.
+// runWindow advances every shard to the deadline, in shard order.
 func (c *Cluster) runWindow(deadline Time) {
-	if c.workers <= 1 || len(c.shards) == 1 {
-		for _, s := range c.shards {
-			c.windowActive = true
-			s.executing = true
-			s.eng.RunUntil(deadline)
-			s.executing = false
-			c.windowActive = false
-		}
-		return
-	}
-	if !c.started {
-		c.startWorkers()
-	}
-	c.windowActive = true
 	for _, s := range c.shards {
-		s.cmd <- deadline
-	}
-	for _, s := range c.shards {
-		<-s.done
-	}
-	c.windowActive = false
-}
-
-// startWorkers launches one persistent goroutine per shard, capped to
-// c.workers concurrent RunUntil calls by a semaphore. Persistent workers
-// keep each shard's engine on a warm goroutine instead of respawning per
-// window.
-func (c *Cluster) startWorkers() {
-	c.started = true
-	sem := make(chan struct{}, c.workers)
-	for _, s := range c.shards {
-		s.cmd = make(chan Time)
-		s.done = make(chan struct{})
-		go func(s *Shard) {
-			for dl := range s.cmd {
-				sem <- struct{}{}
-				s.executing = true
-				s.eng.RunUntil(dl)
-				s.executing = false
-				<-sem
-				s.done <- struct{}{}
-			}
-		}(s)
+		c.windowActive = true
+		s.executing = true
+		s.eng.RunUntil(deadline)
+		s.executing = false
+		c.windowActive = false
 	}
 }
 
 // exchangeBoundary gathers every shard's outbox, orders it by the strict
 // (time, source shard, source sequence) key, and injects the events into
-// their destination engines. Runs between windows on the coordinator
-// goroutine, so injection is single-threaded and the resulting destination
-// sequence numbers are deterministic.
+// their destination engines. Runs between windows, so the destination
+// sequence numbers follow the sorted order.
 func (c *Cluster) exchangeBoundary() {
 	c.xchg = c.xchg[:0]
 	for _, s := range c.shards {
@@ -334,23 +240,11 @@ func (c *Cluster) exchangeBoundary() {
 	}
 }
 
-// Shutdown releases every shard engine's process goroutines and stops the
-// persistent workers. The cluster is spent afterwards.
+// Shutdown releases every shard engine's processes. The cluster is spent
+// afterwards.
 func (c *Cluster) Shutdown() {
-	if c.shutdown {
-		return
-	}
 	c.shutdown = true
-	var wg sync.WaitGroup
 	for _, s := range c.shards {
-		if s.cmd != nil {
-			close(s.cmd)
-		}
-		wg.Add(1)
-		go func(s *Shard) {
-			defer wg.Done()
-			s.eng.Shutdown()
-		}(s)
+		s.eng.Shutdown()
 	}
-	wg.Wait()
 }

@@ -9,49 +9,43 @@ import (
 // TestClusterCrossShardTieOrder pins the barrier exchange's total order:
 // boundary events landing at the exact same destination instant — including
 // exactly at a window boundary — execute in (time, source shard, source
-// sequence) order, independent of Send call order and worker count.
+// sequence) order, independent of Send call order.
 func TestClusterCrossShardTieOrder(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			c := NewCluster(1, workers)
-			a := c.NewShard("a")
-			b := c.NewShard("b")
-			dst := c.NewShard("dst")
-			const la = 100 * Nanosecond
-			linkA := c.Connect(a, dst, "a-dst", la)
-			linkB := c.Connect(b, dst, "b-dst", la)
+	c := NewCluster()
+	a := c.NewShard("a")
+	b := c.NewShard("b")
+	dst := c.NewShard("dst")
+	const la = 100 * Nanosecond
+	linkA := c.Connect(a, dst, "a-dst", la)
+	linkB := c.Connect(b, dst, "b-dst", la)
 
-			var order []string
-			// Sends are issued inside window events (the only legal
-			// context). Shard b sends first in wall-clock terms when
-			// serial (it is created after a but scheduled earlier), and
-			// both tokens land at the identical instant la — the tie the
-			// barrier sort must break by source shard id, then sequence.
-			b.Engine().Schedule(0, func() {
-				linkB.Send(la, func() { order = append(order, "b0") })
-				linkB.Send(la, func() { order = append(order, "b1") })
-			})
-			a.Engine().Schedule(0, func() {
-				linkA.Send(la, func() { order = append(order, "a0") })
-			})
-			end := c.Run()
-			if end != la {
-				t.Fatalf("cluster end = %v, want %v (token arrival)", end, la)
-			}
-			if got, want := strings.Join(order, ","), "a0,b0,b1"; got != want {
-				t.Errorf("tie at t=%v executed as [%s], want [%s] (time, src shard, src seq)", la, got, want)
-			}
-			c.Shutdown()
-		})
+	var order []string
+	// Sends are issued inside window events (the only legal context). Shard
+	// b's sends are scheduled before shard a's, and all three tokens land at
+	// the identical instant la — the tie the barrier sort must break by
+	// source shard id, then sequence.
+	b.Engine().Schedule(0, func() {
+		linkB.Send(la, func() { order = append(order, "b0") })
+		linkB.Send(la, func() { order = append(order, "b1") })
+	})
+	a.Engine().Schedule(0, func() {
+		linkA.Send(la, func() { order = append(order, "a0") })
+	})
+	end := c.Run()
+	if end != la {
+		t.Fatalf("cluster end = %v, want %v (token arrival)", end, la)
 	}
+	if got, want := strings.Join(order, ","), "a0,b0,b1"; got != want {
+		t.Errorf("tie at t=%v executed as [%s], want [%s] (time, src shard, src seq)", la, got, want)
+	}
+	c.Shutdown()
 }
 
 // TestClusterZeroLookaheadRejected verifies Connect refuses edges that
 // cannot support conservative windows: zero or negative lookahead.
 func TestClusterZeroLookaheadRejected(t *testing.T) {
 	for _, la := range []Time{0, -5 * Nanosecond} {
-		c := NewCluster(1, 1)
+		c := NewCluster()
 		a := c.NewShard("a")
 		b := c.NewShard("b")
 		func() {
@@ -75,7 +69,7 @@ func TestClusterZeroLookaheadRejected(t *testing.T) {
 // lookahead would land in time the destination may already have simulated,
 // and panics instead.
 func TestClusterSendBelowLookaheadRejected(t *testing.T) {
-	c := NewCluster(1, 1)
+	c := NewCluster()
 	a := c.NewShard("a")
 	b := c.NewShard("b")
 	const la = 200 * Nanosecond
@@ -99,10 +93,11 @@ func TestClusterSendBelowLookaheadRejected(t *testing.T) {
 
 // TestClusterAffinityMisassignmentPanics verifies the shard-affinity
 // diagnostic: scheduling onto another shard's engine from inside a window
-// is a misassignment (it races that shard's worker) and must panic with a
-// message that names the violated shard and the fix.
+// is a misassignment (it bypasses the barrier exchange that orders
+// cross-shard events) and must panic with a message that names the violated
+// shard and the fix.
 func TestClusterAffinityMisassignmentPanics(t *testing.T) {
-	c := NewCluster(1, 1)
+	c := NewCluster()
 	a := c.NewShard("a")
 	b := c.NewShard("b")
 	c.Connect(a, b, "a-b", 100*Nanosecond)
@@ -132,47 +127,4 @@ func TestClusterAffinityMisassignmentPanics(t *testing.T) {
 		t.Error("scheduling on a foreign shard engine mid-window did not panic")
 	}
 	c.Shutdown()
-}
-
-// TestClusterSerialMatchesParallel runs the same two-shard ping-pong at
-// several worker counts and requires identical final state: same virtual
-// end time and the same number of exchanged messages on both sides.
-func TestClusterSerialMatchesParallel(t *testing.T) {
-	run := func(workers int) (Time, [2]int) {
-		c := NewCluster(3, workers)
-		a := c.NewShard("a")
-		b := c.NewShard("b")
-		const la = 50 * Nanosecond
-		ab := c.Connect(a, b, "a-b", la)
-		ba := c.Connect(b, a, "b-a", la)
-		var got [2]int
-		const rounds = 20
-		var volley func(side int, n int)
-		volley = func(side, n int) {
-			got[side]++
-			if n == 0 {
-				return
-			}
-			if side == 0 {
-				ab.Send(la, func() { volley(1, n-1) })
-			} else {
-				ba.Send(la, func() { volley(0, n-1) })
-			}
-		}
-		a.Engine().Schedule(0, func() { volley(0, rounds) })
-		end := c.Run()
-		c.Shutdown()
-		return end, got
-	}
-	refEnd, refGot := run(1)
-	if refGot[0] == 0 || refGot[1] == 0 {
-		t.Fatalf("ping-pong never crossed shards: %v", refGot)
-	}
-	for _, workers := range []int{2, 4} {
-		end, got := run(workers)
-		if end != refEnd || got != refGot {
-			t.Errorf("workers=%d: end=%v msgs=%v, want end=%v msgs=%v (serial)",
-				workers, end, got, refEnd, refGot)
-		}
-	}
 }
