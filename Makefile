@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-strict race vuln check check-fast loc determinism bench-test bench-layers bench-pair cover cover-smoke profile
+.PHONY: all build test vet lint lint-strict race vuln check check-fast loc determinism fuzz-smoke bench-test bench-layers bench-pair cover cover-smoke profile
 
 all: build
 
@@ -69,6 +69,20 @@ determinism:
 		echo "determinism: $${f:-no faults}: sha256 $$(sha256sum < "$$tmp/p1" | cut -c1-16) at -parallel 1 and 8"; \
 	done
 
+# fuzz-smoke gives every fuzz target in the module FUZZTIME of fuzzing, one
+# target at a time (go test -fuzz takes one package and one target): the
+# differential checks behind the event queue, the payload plane, the ring
+# images, the batch paths and the kvcache tier keep finding nothing.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	@n=0; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$f"); do \
+			echo "fuzz-smoke: ./$$(dirname "$$f") $$t"; \
+			$(GO) test "./$$(dirname "$$f")" -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || exit 1; \
+			n=$$((n + 1)); \
+		done; \
+	done; echo "fuzz-smoke: $$n targets, $(FUZZTIME) each"
+
 # bench-test runs the benchmark program's own tests. bench/ is a module of
 # its own (BENCHMARK.json names it), so `go test ./...` from the root never
 # reaches them; -short skips the 8-seed kv guard.
@@ -76,14 +90,15 @@ bench-test:
 	cd bench && $(GO) test -short ./...
 
 # bench-layers runs the micro-benchmark of each layer on the spdk → nvme →
-# ssd command path: host ns and allocations per ring round trip, per read
-# command and per driver request. Each fails if its steady state allocates.
+# ssd command path — host ns and allocations per ring round trip, per read
+# command and per driver request — and of the kvcache tier (seven touches to
+# one evict+insert at 2048 frames). Each fails if its steady state allocates.
 # CI runs them once (LAYER_BENCHTIME=1x) to keep them building and
 # allocation-free; for numbers use the default and repeat.
 LAYER_BENCHTIME ?= 200000x
 bench-layers:
-	$(GO) test -run '^$$' -bench 'BenchmarkRingRoundtrip|BenchmarkReadCmd|BenchmarkSubmitReap' \
-		-benchtime $(LAYER_BENCHTIME) -cpu 1 ./internal/nvme ./internal/ssd ./internal/spdk
+	$(GO) test -run '^$$' -bench 'BenchmarkRingRoundtrip|BenchmarkReadCmd|BenchmarkSubmitReap|BenchmarkTierCycle' \
+		-benchtime $(LAYER_BENCHTIME) -cpu 1 ./internal/nvme ./internal/ssd ./internal/spdk ./internal/kvcache
 
 # bench-pair is the procedure behind a performance claim: N alternating runs
 # of one BENCHMARK.json workload on BASE and on the working tree, each

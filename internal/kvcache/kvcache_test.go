@@ -7,6 +7,7 @@ import (
 	"camsim/internal/bam"
 	"camsim/internal/cam"
 	"camsim/internal/fault"
+	"camsim/internal/gpu"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
 	"camsim/internal/xfer"
@@ -169,4 +170,107 @@ func TestNewRejectsUndersizedTier(t *testing.T) {
 		}
 	}()
 	New(env, lb, cfg, testSpecs())
+}
+
+// TestResidentStepAllocatesNothing: once a session's scratch slices have
+// reached their working sizes, a decode step whose access set is resident
+// costs kvcache no allocation — computing the set, touching and pinning it,
+// folding the stamps and unpinning.
+func TestResidentStepAllocatesNothing(t *testing.T) {
+	cfg := testConfig()
+	cfg.DRAMBlocks = 128 // the whole context of testSpecs fits: nothing spills
+	env := platform.New(platform.Options{SSDs: 2})
+	srv := New(env, newBackend(t, env, "CAM", cfg.BlockBytes), cfg, testSpecs())
+	env.E.Go("serve", func(p *sim.Proc) {
+		srv.Serve(p)
+		if st := srv.Stats(); st.Spills != 0 || st.Misses != 0 {
+			t.Errorf("tier sized to hold everything still churned: %+v", st)
+		}
+		for _, ss := range srv.sessions {
+			step := func() {
+				ss.accessSet(ss.spec.Decode - 1)
+				ss.ensureResident(p)
+				ss.attend()
+				ss.unpinAll()
+			}
+			if n := testing.AllocsPerRun(100, step); n != 0 {
+				t.Errorf("session %d: a resident decode step allocates %.2f times, want 0", ss.id, n)
+			}
+		}
+		if err := srv.Verify(p); err != nil {
+			t.Error(err)
+		}
+	})
+	env.Run()
+}
+
+// instantList completes every list transfer at once and moves no bytes, so
+// what a fill or a spill still costs is kvcache's own bookkeeping.
+type instantList struct{ xfer.ListBackend }
+
+type instantDone struct{}
+
+func (instantDone) Wait(*sim.Proc) {}
+
+func (instantList) StartGatherList(*sim.Proc, []uint64, *gpu.Buffer, []int64) xfer.Handle {
+	return instantDone{}
+}
+
+func (instantList) StartScatterList(*sim.Proc, []uint64, *gpu.Buffer, []int64) xfer.Handle {
+	return instantDone{}
+}
+
+// TestTransferBatchesAllocateNothing: at steady state a spill batch and a
+// fill batch allocate nothing in kvcache, whatever their size and however
+// long the run — the inflight records, their key/id/offset slices and the
+// frame signal are all recycled. A round registers 2n new dirty blocks in a
+// full 64-frame tier, which pushes older ones out in spill batches of n, and
+// reads the n oldest spilled blocks back in one fill batch.
+func TestTransferBatchesAllocateNothing(t *testing.T) {
+	for _, n := range []int{4, 16} {
+		cfg := testConfig()
+		cfg.DRAMBlocks, cfg.EvictBatch = 64, n
+		env := platform.New(platform.Options{SSDs: 2})
+		lb := instantList{newBackend(t, env, "CAM", cfg.BlockBytes)}
+		srv := New(env, lb, cfg, []SessionSpec{{Prompt: 1 << 15, Decode: 1}})
+		env.E.Go("churn", func(p *sim.Proc) {
+			ss := srv.sessions[0]
+			block := func(i int) (l, b int) { return i % cfg.Layers, i / cfg.Layers }
+			made, cursor := 0, 0
+			create := func(k int) {
+				for end := made + k; made < end; made++ {
+					l, b := block(made)
+					ss.frames = srv.reserveFrames(p, 1, ss.frames[:0])
+					srv.tier.Insert(MakeKey(0, l, b), ss.frames[0], true, false)
+					ss.m.Create(l, b, ss.frames[0])
+				}
+			}
+			create(cfg.DRAMBlocks) // fill the tier: from here every frame costs an eviction
+			round := func() {
+				create(2 * n)
+				ss.fetch = ss.fetch[:0]
+				for ; len(ss.fetch) < n; cursor++ {
+					if l, b := block(cursor); ss.m.State(l, b) == StateSpilled {
+						ss.fetch = append(ss.fetch, MakeKey(0, l, b))
+					}
+				}
+				ss.frames = srv.reserveFrames(p, n, ss.frames[:0])
+				srv.settle(p, srv.startFill(p, ss.fetch, ss.frames))
+			}
+			for i := 0; i < 8; i++ {
+				round()
+			}
+			if a := testing.AllocsPerRun(50, round); a != 0 {
+				t.Errorf("batches of %d: a steady-state round allocates %.2f times, want 0", n, a)
+			}
+			st := srv.Stats()
+			if st.Spills < uint64(50*n) || st.Fills < uint64(50*n) || st.CleanDrops == 0 {
+				t.Errorf("batches of %d: the rounds did not churn the tier: %+v", n, st)
+			}
+			if err := srv.CheckInvariants(); err != nil {
+				t.Errorf("batches of %d: %v", n, err)
+			}
+		})
+		env.Run()
+	}
 }

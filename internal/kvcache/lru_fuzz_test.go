@@ -1,12 +1,15 @@
 package kvcache
 
 import (
+	"slices"
 	"testing"
 )
 
 // fuzzTier interprets a byte string as an op sequence against a small
-// tier, cross-checking the lazy-heap evictor against the naive reference
-// scan after every mutation. Each op consumes two bytes: an opcode and a
+// tier, cross-checking the heap evictor against the naive reference scan
+// after every mutation. Each op consumes two bytes: the first is the opcode
+// (mod 6) and, above it, the size of the pick that follows (1–3 victims)
+// and whether the picked victims are then evicted or kept; the second is a
 // key selector. Illegal ops for the current state are skipped, so every
 // input is a valid (possibly empty) trace.
 func fuzzTier(t *testing.T, data []byte) {
@@ -17,25 +20,43 @@ func fuzzTier(t *testing.T, data []byte) {
 	pins := map[Key]int{}
 	busy := map[Key]bool{}
 
-	crossCheck := func(step int) {
+	crossCheck := func(step, n int, evict bool) {
 		t.Helper()
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		// PickVictims consumes the victims' index nodes, so compare on the
-		// reference first, then re-touch the picked entry to rebuild its
-		// node (a touch changes the score, but changes it for both sides
-		// of the next comparison equally).
-		refKey, refOK := tr.PickVictimRef()
-		got := tr.PickVictims(1, nil)
-		if refOK != (len(got) == 1) {
-			t.Fatalf("step %d: heap found %d victims, reference found %v", step, len(got), refOK)
+		// The reference picks one victim at a time; pinning each takes it
+		// out of the next scan's way without moving any score.
+		var ref []Key
+		for len(ref) < n {
+			k, ok := tr.PickVictimRef()
+			if !ok {
+				break
+			}
+			tr.Pin(tr.Frame(k))
+			ref = append(ref, k)
 		}
-		if refOK && got[0] != refKey {
-			t.Fatalf("step %d: heap victim %v, reference victim %v", step, got[0], refKey)
+		for _, k := range ref {
+			tr.Unpin(tr.Frame(k))
 		}
-		if refOK {
-			tr.Touch(got[0])
+		got := tr.PickVictims(n, nil)
+		if !slices.Equal(got, ref) {
+			t.Fatalf("step %d: heap victims %v, reference victims %v", step, got, ref)
+		}
+		// Picked victims are out of the heap: evict them, or touch them
+		// back in (the touch moves the score, but for both sides of the
+		// next comparison equally).
+		for _, k := range got {
+			if evict {
+				tr.Remove(k)
+				delete(resident, k)
+				delete(busy, k)
+			} else {
+				tr.Touch(k)
+			}
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("step %d, after the pick: %v", step, err)
 		}
 	}
 
@@ -59,21 +80,21 @@ func fuzzTier(t *testing.T, data []byte) {
 			if !resident[sel] {
 				continue
 			}
-			tr.Pin(sel)
+			tr.Pin(tr.Frame(sel))
 			pins[sel]++
 		case 3: // unpin
 			if pins[sel] == 0 {
 				continue
 			}
-			tr.Unpin(sel)
+			tr.Unpin(tr.Frame(sel))
 			pins[sel]--
 		case 4: // toggle busy
 			if !resident[sel] {
 				continue
 			}
 			busy[sel] = !busy[sel]
-			tr.SetBusy(sel, busy[sel])
-		case 5: // remove
+			tr.SetBusy(tr.Frame(sel), busy[sel])
+		case 5: // remove, wherever in the heap the entry sits
 			if !resident[sel] || pins[sel] > 0 {
 				continue
 			}
@@ -81,19 +102,20 @@ func fuzzTier(t *testing.T, data []byte) {
 			delete(resident, sel)
 			delete(busy, sel)
 		}
-		crossCheck(i)
+		crossCheck(i, 1+int(data[i]/6)%3, data[i]/18%2 == 1)
 	}
 }
 
 // FuzzLRUEvict: under arbitrary insert/touch/pin/unpin/busy/remove
-// traces, the lazy-heap importance-aware evictor must pick exactly the
-// victim the O(n) reference scan picks, and the tier's structural
-// invariants must hold after every operation.
+// traces, the heap-indexed importance-aware evictor must pick exactly the
+// victims successive O(n) reference scans pick, in their order, and the
+// tier's structural invariants must hold after every operation.
 func FuzzLRUEvict(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 2, 1, 1, 0, 3, 2, 2, 5, 1})
 	f.Add([]byte{0, 0, 0, 2, 0, 4, 0, 6, 0, 8, 0, 10, 4, 2, 3, 2, 1, 4, 5, 4})
 	f.Add([]byte{0, 1, 2, 1, 0, 3, 4, 3, 1, 3, 1, 3, 3, 1, 5, 1, 0, 5})
+	f.Add([]byte{0, 3, 0, 7, 0, 11, 0, 15, 0, 19, 13, 3, 30, 1, 0, 5, 35, 7, 0, 9, 12, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzTier(t, data)
 	})

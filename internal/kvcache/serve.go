@@ -66,12 +66,21 @@ func (s Stats) TokensPerSec() float64 {
 // the handle, and a backend's Start*List may yield (CAM's publish does), so
 // another session can find it with h still nil. Such a waiter creates issued
 // and parks on it; the common path never allocates the signal.
+//
+// Records are recycled through Server.idle, slices and signal included. The
+// id and offset slices must be private to the batch: no backend references
+// them once Start*List returns, but CAM's publish can block in
+// slotRes.Acquire before it encodes region 1, and scratch shared with
+// another session's batch would be rewritten under it.
 type inflight struct {
-	h      xfer.Handle
-	issued *sim.Signal // lazily created by a waiter that arrived before h
-	keys   []Key
-	fill   bool
-	done   bool
+	h       xfer.Handle
+	issued  *sim.Signal // lazily created by a waiter that arrived before h
+	keys    []Key
+	ids     []uint64
+	offs    []int64
+	fill    bool
+	done    bool
+	waiters int // procs inside settle; the record is not reused before 0
 }
 
 // setHandle records the started transfer and releases early waiters.
@@ -94,10 +103,12 @@ type Server struct {
 	maps []*Map
 
 	sessions []*session
-	pend     map[Key]*inflight
-	// frameAvail is a generation signal: reserveFrames parks on the
-	// current generation when nothing is free or evictable, and any
-	// release of capacity fires it and installs a fresh one.
+	// pend is indexed by frame: a Filling or Spilling block always holds
+	// one, and its covering transfer sits there until settled.
+	pend []*inflight
+	idle []*inflight
+	// frameAvail is what reserveFrames parks on when nothing is free or
+	// evictable; any release of capacity fires and re-arms it.
 	frameAvail *sim.Signal
 
 	ttft *metrics.Histogram
@@ -121,10 +132,12 @@ type session struct {
 	expect uint64 // the same fold computed analytically
 	end    sim.Time
 
-	need  []Key
-	fetch []Key
-	pins  []Key
-	stamp [stampBytes]byte
+	need   []Key
+	fetch  []Key
+	pins   []int32 // frames pinned for the step in progress
+	frames []int32
+	decode string // the decode kernel's name
+	stamp  [stampBytes]byte
 }
 
 // New builds a server over env and a list-capable backend. The backend's
@@ -166,7 +179,7 @@ func New(env *platform.Env, lb xfer.ListBackend, cfg Config, specs []SessionSpec
 		perLayer:   perLayer,
 		tier:       NewTier(TierConfig{Frames: cfg.DRAMBlocks, BoostPerHit: 8, BoostCap: 64}),
 		buf:        lb.Alloc("kv.tier", int64(cfg.DRAMBlocks)*cfg.BlockBytes),
-		pend:       make(map[Key]*inflight),
+		pend:       make([]*inflight, cfg.DRAMBlocks),
 		frameAvail: env.E.NewSignal("kv.frames"),
 		ttft:       metrics.NewHistogram("ttft"),
 		step:       metrics.NewHistogram("step"),
@@ -180,6 +193,7 @@ func New(env *platform.Env, lb xfer.ListBackend, cfg Config, specs []SessionSpec
 			spec:    sp,
 			m:       m,
 			arrival: sim.Time(i) * cfg.ArrivalGap,
+			decode:  fmt.Sprintf("kv.decode%d", i),
 		})
 	}
 	s.stats.Sessions = len(specs)
@@ -228,12 +242,40 @@ func (s *Server) Serve(p *sim.Proc) {
 	}
 }
 
-// kickFrames wakes every proc parked for tier capacity: the fired
-// generation is replaced so the next park gets a fresh signal.
+// kickFrames wakes every proc parked for tier capacity. Fire hands the
+// waiter list off before it returns, so the signal re-arms at once and a
+// proc that parks again while the woken ones are still queued waits for the
+// next kick.
 func (s *Server) kickFrames() {
-	old := s.frameAvail
-	s.frameAvail = s.env.E.NewSignal("kv.frames")
-	old.Fire()
+	s.frameAvail.Fire()
+	s.frameAvail.Reset()
+}
+
+// pending reports the transfer in flight over block k of map m, if any.
+func (s *Server) pending(m *Map, k Key) *inflight {
+	if st := m.State(k.Layer(), k.Block()); st != StateFilling && st != StateSpilling {
+		return nil
+	}
+	return s.pend[m.Frame(k.Layer(), k.Block())]
+}
+
+// newInflight starts a record for a batch over keys, recycling an idle one.
+func (s *Server) newInflight(keys []Key, fill bool) *inflight {
+	var f *inflight
+	if n := len(s.idle); n > 0 {
+		f, s.idle = s.idle[n-1], s.idle[:n-1]
+	} else {
+		f = &inflight{}
+	}
+	f.keys, f.fill = append(f.keys, keys...), fill
+	return f
+}
+
+// cover publishes f as the transfer over k's frame and adds k to the batch.
+func (s *Server) cover(f *inflight, k Key, frame int32) {
+	f.ids = append(f.ids, s.globalBlock(k))
+	f.offs = append(f.offs, s.frameOff(frame))
+	s.pend[frame] = f
 }
 
 // reserveFrames appends n frames to out, evicting as needed. May block.
@@ -246,11 +288,8 @@ func (s *Server) reserveFrames(p *sim.Proc, n int, out []int32) []int32 {
 		s.victims = s.tier.PickVictims(s.cfg.EvictBatch, s.victims[:0])
 		if len(s.victims) == 0 {
 			// Everything is pinned or in flight; park until a pin or a
-			// transfer releases capacity. The signal must be sampled
-			// before any state re-check — kicks between sample and wait
-			// would be lost otherwise.
-			sig := s.frameAvail
-			p.Wait(sig)
+			// transfer releases capacity.
+			p.Wait(s.frameAvail)
 			continue
 		}
 		s.evict(p, s.victims)
@@ -264,7 +303,7 @@ func (s *Server) reserveFrames(p *sim.Proc, n int, out []int32) []int32 {
 func (s *Server) evict(p *sim.Proc, victims []Key) {
 	s.dirty = s.dirty[:0]
 	for _, k := range victims {
-		if s.tier.Dirty(k) {
+		if s.tier.Dirty(s.tier.Frame(k)) {
 			s.dirty = append(s.dirty, k)
 			continue
 		}
@@ -273,22 +312,15 @@ func (s *Server) evict(p *sim.Proc, victims []Key) {
 		s.stats.CleanDrops++
 	}
 	if len(s.dirty) > 0 {
-		// The id/offset slices must be private to the batch. No backend
-		// references them once Start*List returns, but CAM's publish can
-		// block in slotRes.Acquire before it encodes region 1, and another
-		// session evicting meanwhile would rewrite shared scratch under it.
-		spill := &inflight{keys: append([]Key(nil), s.dirty...)}
-		ids := make([]uint64, 0, len(s.dirty))
-		offs := make([]int64, 0, len(s.dirty))
+		spill := s.newInflight(s.dirty, false)
 		for _, k := range s.dirty {
 			s.maps[k.Session()].BeginSpill(k.Layer(), k.Block())
-			s.tier.SetBusy(k, true)
-			ids = append(ids, s.globalBlock(k))
-			offs = append(offs, s.frameOff(s.tier.Frame(k)))
-			s.pend[k] = spill
+			f := s.tier.Frame(k)
+			s.tier.SetBusy(f, true)
+			s.cover(spill, k, f)
 		}
 		s.stats.Spills += uint64(len(s.dirty))
-		spill.setHandle(s.lb.StartScatterList(p, ids, s.buf, offs))
+		spill.setHandle(s.lb.StartScatterList(p, spill.ids, s.buf, spill.offs))
 		s.settle(p, spill)
 	}
 	s.kickFrames()
@@ -297,9 +329,7 @@ func (s *Server) evict(p *sim.Proc, victims []Key) {
 // settle waits out one batched transfer and applies its state
 // transitions exactly once, no matter how many procs were waiting on it.
 func (s *Server) settle(p *sim.Proc, f *inflight) {
-	if f.done {
-		return
-	}
+	f.waiters++
 	if f.h == nil {
 		if f.issued == nil {
 			f.issued = s.env.E.NewSignal("kv.issued")
@@ -307,41 +337,44 @@ func (s *Server) settle(p *sim.Proc, f *inflight) {
 		p.Wait(f.issued)
 	}
 	f.h.Wait(p)
-	if f.done {
-		return // another waiter finalized while we slept
-	}
-	f.done = true
-	for _, k := range f.keys {
-		delete(s.pend, k)
-		if f.fill {
-			s.maps[k.Session()].EndFill(k.Layer(), k.Block())
-			s.tier.SetBusy(k, false)
-		} else {
-			s.maps[k.Session()].EndSpill(k.Layer(), k.Block())
-			s.tier.Remove(k)
+	f.waiters--
+	if !f.done { // else another waiter finalized while we slept
+		f.done = true
+		for _, k := range f.keys {
+			frame := s.tier.Frame(k)
+			s.pend[frame] = nil
+			if f.fill {
+				s.maps[k.Session()].EndFill(k.Layer(), k.Block())
+				s.tier.SetBusy(frame, false)
+			} else {
+				s.maps[k.Session()].EndSpill(k.Layer(), k.Block())
+				s.tier.Remove(k)
+			}
 		}
+		s.kickFrames()
 	}
-	s.kickFrames()
+	if f.waiters == 0 {
+		// Nothing can reach a done record but the procs already in here.
+		if f.issued != nil {
+			f.issued.Reset()
+		}
+		*f = inflight{issued: f.issued, keys: f.keys[:0], ids: f.ids[:0], offs: f.offs[:0]}
+		s.idle = append(s.idle, f)
+	}
 }
 
 // startFill reserves frames for the given spilled keys and issues one
 // batched list gather covering all of them. Counted as fills; the caller
 // decides whether they were misses or prefetches.
 func (s *Server) startFill(p *sim.Proc, keys []Key, frames []int32) *inflight {
-	// Batch-private slices — Start*List may yield before it has read them
-	// (see evict).
-	fill := &inflight{keys: append([]Key(nil), keys...), fill: true}
-	ids := make([]uint64, 0, len(keys))
-	offs := make([]int64, 0, len(keys))
+	fill := s.newInflight(keys, true)
 	for i, k := range keys {
 		s.maps[k.Session()].BeginFill(k.Layer(), k.Block(), frames[i])
 		s.tier.Insert(k, frames[i], false, true)
-		ids = append(ids, s.globalBlock(k))
-		offs = append(offs, s.frameOff(frames[i]))
-		s.pend[k] = fill
+		s.cover(fill, k, frames[i])
 	}
 	s.stats.Fills += uint64(len(keys))
-	fill.setHandle(s.lb.StartGatherList(p, ids, s.buf, offs))
+	fill.setHandle(s.lb.StartGatherList(p, fill.ids, s.buf, fill.offs))
 	return fill
 }
 
@@ -366,11 +399,10 @@ func (ss *session) run(p *sim.Proc) {
 		FullOccupancyTime: s.env.GPU.ComputeTime(cfg.PrefillFlops*float64(ss.spec.Prompt), 0.6),
 	})
 	promptBlocks := (ss.spec.Prompt + cfg.BlockTokens - 1) / cfg.BlockTokens
-	var frames []int32
 	for b := 0; b < promptBlocks; b++ {
 		for l := 0; l < cfg.Layers; l++ {
-			frames = s.reserveFrames(p, 1, frames[:0])
-			ss.create(l, b, frames[0])
+			ss.frames = s.reserveFrames(p, 1, ss.frames[:0])
+			ss.create(l, b, ss.frames[0])
 		}
 	}
 
@@ -385,7 +417,7 @@ func (ss *session) run(p *sim.Proc) {
 			ss.prefetch(p, t+1)
 		}
 		s.env.GPU.RunKernel(p, gpu.KernelSpec{
-			Name:              fmt.Sprintf("kv.decode%d", ss.id),
+			Name:              ss.decode,
 			Threads:           64 * 1024,
 			MinThreads:        8 * 1024,
 			FullOccupancyTime: s.env.GPU.ComputeTime(cfg.DecodeFlops, 0.2),
@@ -395,8 +427,8 @@ func (ss *session) run(p *sim.Proc) {
 		if (ss.spec.Prompt+t)%cfg.BlockTokens == 0 {
 			nb := (ss.spec.Prompt + t) / cfg.BlockTokens
 			for l := 0; l < cfg.Layers; l++ {
-				frames = s.reserveFrames(p, 1, frames[:0])
-				ss.create(l, nb, frames[0])
+				ss.frames = s.reserveFrames(p, 1, ss.frames[:0])
+				ss.create(l, nb, ss.frames[0])
 			}
 		}
 		now := s.env.E.Now()
@@ -472,7 +504,7 @@ func (ss *session) ensureResident(p *sim.Proc) {
 	ss.fetch = ss.fetch[:0]
 	ss.pins = ss.pins[:0]
 	for _, k := range ss.need {
-		if f, ok := s.pend[k]; ok {
+		if f := s.pending(ss.m, k); f != nil {
 			fill := f.fill
 			s.settle(p, f)
 			if fill {
@@ -502,9 +534,8 @@ func (ss *session) ensureResident(p *sim.Proc) {
 	if len(ss.fetch) == 0 {
 		return
 	}
-	frames := s.reserveFrames(p, len(ss.fetch), make([]int32, 0, len(ss.fetch)))
-	fill := s.startFill(p, ss.fetch, frames)
-	s.settle(p, fill)
+	ss.frames = s.reserveFrames(p, len(ss.fetch), ss.frames[:0])
+	s.settle(p, s.startFill(p, ss.fetch, ss.frames))
 	for _, k := range ss.fetch {
 		s.tier.Touch(k)
 		s.pin(ss, k)
@@ -512,8 +543,9 @@ func (ss *session) ensureResident(p *sim.Proc) {
 }
 
 func (s *Server) pin(ss *session, k Key) {
-	s.tier.Pin(k)
-	ss.pins = append(ss.pins, k)
+	f := ss.m.Frame(k.Layer(), k.Block())
+	s.tier.Pin(f)
+	ss.pins = append(ss.pins, f)
 }
 
 // attend folds the working set's stamps into the session checksum, and
@@ -525,13 +557,14 @@ func (s *Server) pin(ss *session, k Key) {
 func (ss *session) attend() {
 	s := ss.srv
 	for _, k := range ss.need {
-		s.buf.Payload().ReadAt(ss.stamp[:], s.frameOff(s.tier.Frame(k)))
+		frame := ss.m.Frame(k.Layer(), k.Block())
+		s.buf.Payload().ReadAt(ss.stamp[:], s.frameOff(frame))
 		if err := checkStamp(ss.stamp[:], k, s.cfg.Seed); err != nil {
 			// A wrong stamp at attend time is a data-plane bug (a transfer
 			// landed in the wrong frame or completed early) — fail loudly
 			// at the access, where the frame and state are still in hand.
 			panic(fmt.Sprintf("kvcache: attend at %v: %v (frame %d, state %v)",
-				s.env.E.Now(), err, s.tier.Frame(k), ss.m.State(k.Layer(), k.Block())))
+				s.env.E.Now(), err, frame, ss.m.State(k.Layer(), k.Block())))
 		}
 		ss.sum = accum(ss.sum, readSum(ss.stamp[:]))
 		ss.expect = accum(ss.expect, stampSum(k, s.cfg.Seed))
@@ -541,8 +574,8 @@ func (ss *session) attend() {
 // unpinAll releases the step's pins and wakes any frame waiters.
 func (ss *session) unpinAll() {
 	s := ss.srv
-	for _, k := range ss.pins {
-		s.tier.Unpin(k)
+	for _, f := range ss.pins {
+		s.tier.Unpin(f)
 	}
 	if len(ss.pins) > 0 {
 		s.kickFrames()
@@ -558,9 +591,6 @@ func (ss *session) prefetch(p *sim.Proc, t int) {
 	ss.accessSet(t)
 	ss.fetch = ss.fetch[:0]
 	for _, k := range ss.need {
-		if _, busy := s.pend[k]; busy {
-			continue
-		}
 		if ss.m.State(k.Layer(), k.Block()) == StateSpilled {
 			ss.fetch = append(ss.fetch, k)
 		}
@@ -568,16 +598,18 @@ func (ss *session) prefetch(p *sim.Proc, t int) {
 	if len(ss.fetch) == 0 {
 		return
 	}
-	frames := s.reserveFrames(p, len(ss.fetch), make([]int32, 0, len(ss.fetch)))
-	s.startFill(p, ss.fetch, frames)
+	ss.frames = s.reserveFrames(p, len(ss.fetch), ss.frames[:0])
+	s.startFill(p, ss.fetch, ss.frames)
 }
 
 // Verify audits the run end to end: bookkeeping invariants, per-session
 // decoded-token checksums against the analytic expectation, and a final
 // sweep reading every block's stamp back off whichever tier it ended on.
 func (s *Server) Verify(p *sim.Proc) error {
-	if len(s.pend) != 0 {
-		return fmt.Errorf("kvcache: %d transfers still pending after serve", len(s.pend))
+	for f, fl := range s.pend {
+		if fl != nil {
+			return fmt.Errorf("kvcache: frame %d still under a transfer after serve", f)
+		}
 	}
 	if err := s.CheckInvariants(); err != nil {
 		return err
@@ -667,8 +699,8 @@ func (s *Server) CheckInvariants() error {
 						return fmt.Errorf("kvcache: %v frame %d in map, %d in tier", k, m.Frame(l, b), got)
 					}
 					busy := st == StateFilling || st == StateSpilling
-					if busy != s.tier.Busy(k) {
-						return fmt.Errorf("kvcache: %v is %v but tier busy=%v", k, st, s.tier.Busy(k))
+					if busy != s.tier.Busy(m.Frame(l, b)) {
+						return fmt.Errorf("kvcache: %v is %v but tier busy=%v", k, st, !busy)
 					}
 				}
 			}

@@ -1,6 +1,9 @@
 package kvcache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // TierConfig tunes the importance-aware evictor. An entry's score is
 //
@@ -19,22 +22,28 @@ type TierConfig struct {
 	BoostCap uint32
 }
 
-// entry is one tier-resident block's metadata.
+// picked is the heap position of a held entry that is not in the eviction
+// heap: PickVictims handed it out and the caller has not removed it yet.
+const picked = int32(-1)
+
+// entry is one frame's metadata; the zero value is a frame nobody holds.
 type entry struct {
 	key   Key
-	frame int32
+	last  uint64 // access clock at last touch
+	freq  uint32
 	pins  int32
+	pos   int32 // index of this frame's node in Tier.heap, or picked
+	held  bool
 	busy  bool // fill or spill in flight; never evictable
 	dirty bool // no SSD copy yet; eviction must spill
 	fresh bool // filled from SSD and not yet touched — accounting only
-	freq  uint32
-	last  uint64 // access clock at last touch
 }
 
-// scoreEnt is one lazy-heap node: the entry's score at push time.
-type scoreEnt struct {
+// node is one eviction-heap slot. The score is the entry's, copied so that
+// a sift reads the heap array alone except on a tie.
+type node struct {
 	score uint64
-	key   Key
+	frame int32
 }
 
 // Tier is the GPU-DRAM tier's bookkeeping: a frame free list plus an
@@ -44,19 +53,25 @@ type scoreEnt struct {
 // allocated — which keeps the policy core runnable under plain unit,
 // property, and fuzz tests with no simulation engine behind it.
 //
-// The evictor is a lazy min-heap over (score, key): every touch pushes a
-// fresh node, and pop discards nodes whose score no longer matches the
-// entry (scores strictly increase per touch, so a stale node always
-// surfaces before the entry's live node). PickVictims therefore returns
-// the exact minimum eligible entries in (score, key) order — the same
-// answer the O(n) reference scan gives, which FuzzLRUEvict enforces.
+// Everything is indexed by frame. ents[f] is frame f's entry; tab is an
+// open-addressed key → frame table (linear probing, at most half full,
+// a slot holds frame+1 and the key is read through ents); heap is a binary
+// min-heap over (score, key) holding one node per held entry, whose
+// position the entry records — a touch sifts the node down in place and a
+// removal deletes it, so the heap never outgrows Frames. PickVictims
+// therefore returns the exact minimum eligible entries in (score, key)
+// order — the answer the O(n) reference scan gives, which FuzzLRUEvict
+// enforces.
 type Tier struct {
-	cfg   TierConfig
-	free  []int32
-	ents  map[Key]*entry
-	clock uint64
-	heap  []scoreEnt
-	skip  []scoreEnt // valid-but-ineligible nodes set aside during a pick
+	cfg      TierConfig
+	free     []int32
+	ents     []entry
+	tab      []int32
+	shift    uint // 64 - log2(len(tab)): home slot = top bits of the hashed key
+	resident int
+	clock    uint64
+	heap     []node
+	skip     []node // ineligible nodes set aside during a pick
 }
 
 // NewTier builds an empty tier with cfg.Frames free frames.
@@ -64,21 +79,26 @@ func NewTier(cfg TierConfig) *Tier {
 	if cfg.Frames <= 0 {
 		panic("kvcache: tier needs at least one frame")
 	}
-	t := &Tier{cfg: cfg, ents: make(map[Key]*entry, cfg.Frames)}
+	lg := uint(bits.Len(uint(2*cfg.Frames - 1)))
+	t := &Tier{
+		cfg:   cfg,
+		free:  make([]int32, 0, cfg.Frames),
+		ents:  make([]entry, cfg.Frames),
+		tab:   make([]int32, 1<<lg),
+		shift: 64 - lg,
+		heap:  make([]node, 0, cfg.Frames),
+	}
 	for f := cfg.Frames - 1; f >= 0; f-- {
 		t.free = append(t.free, int32(f))
 	}
 	return t
 }
 
-// Frames reports the tier capacity.
-func (t *Tier) Frames() int { return t.cfg.Frames }
-
 // FreeFrames reports how many frames are unassigned.
 func (t *Tier) FreeFrames() int { return len(t.free) }
 
 // Resident reports how many blocks currently hold frames.
-func (t *Tier) Resident() int { return len(t.ents) }
+func (t *Tier) Resident() int { return t.resident }
 
 // TakeFree pops a free frame, lowest index first.
 func (t *Tier) TakeFree() (int32, bool) {
@@ -99,225 +119,318 @@ func (t *Tier) score(e *entry) uint64 {
 	return e.last + t.cfg.BoostPerHit*f
 }
 
+// home is key's first probe slot.
+func (t *Tier) home(key Key) int {
+	return int(uint64(key) * 0x9e3779b97f4a7c15 >> t.shift)
+}
+
+// lookup probes for key: its slot and frame, or the empty slot that ends
+// its probe run and noFrame.
+//
+//camlint:hotpath
+func (t *Tier) lookup(key Key) (slot int, frame int32) {
+	for i := t.home(key); ; i = (i + 1) & (len(t.tab) - 1) {
+		f := t.tab[i] - 1
+		if f < 0 || t.ents[f].key == key {
+			return i, f
+		}
+	}
+}
+
 // Insert registers key in frame. busy marks an in-flight fill; dirty
 // marks a block with no SSD copy. The entry starts with one access on
 // the clock. Busy inserts (fills) are flagged fresh until first touched,
 // so the server can tell a prefetch-served access from a plain hit.
 func (t *Tier) Insert(key Key, frame int32, dirty, busy bool) {
-	if _, dup := t.ents[key]; dup {
-		panic(fmt.Sprintf("kvcache: tier already holds %v", key))
-	}
 	if frame < 0 || int(frame) >= t.cfg.Frames {
 		panic(fmt.Sprintf("kvcache: frame %d out of tier", frame))
 	}
+	e := &t.ents[frame]
+	if e.held {
+		panic(fmt.Sprintf("kvcache: frame %d offered to %v is held by %v", frame, key, e.key))
+	}
+	slot, f := t.lookup(key)
+	if f >= 0 {
+		panic(fmt.Sprintf("kvcache: tier already holds %v", key))
+	}
 	t.clock++
-	e := &entry{key: key, frame: frame, busy: busy, dirty: dirty, fresh: busy, freq: 1, last: t.clock}
-	t.ents[key] = e
-	t.push(scoreEnt{score: t.score(e), key: key})
+	*e = entry{key: key, held: true, busy: busy, dirty: dirty, fresh: busy, freq: 1, last: t.clock}
+	t.tab[slot] = frame + 1
+	t.resident++
+	t.push(node{score: t.score(e), frame: frame})
 }
 
-func (t *Tier) get(key Key) *entry {
-	e, ok := t.ents[key]
-	if !ok {
+// Frame reports key's frame.
+func (t *Tier) Frame(key Key) int32 {
+	_, f := t.lookup(key)
+	if f < 0 {
 		panic(fmt.Sprintf("kvcache: tier does not hold %v", key))
+	}
+	return f
+}
+
+// at is the entry of frame f, which a block must hold. The flag accessors
+// below take the frame: whoever pins or marks a block got its frame from
+// Insert, Frame or the block map, and need not probe for it again.
+func (t *Tier) at(f int32) *entry {
+	e := &t.ents[f]
+	if !e.held {
+		panic(fmt.Sprintf("kvcache: frame %d holds no block", f))
 	}
 	return e
 }
 
-// Touch records an access: bumps recency and frequency and refreshes the
-// eviction index. It reports whether this is the entry's first touch
-// since it was filled from SSD (and clears that flag).
+// Touch records an access: bumps recency and frequency and moves the
+// entry's node to its new place in the eviction heap — back into the
+// heap, if the entry is a picked victim the caller chose to keep. It
+// reports whether this is the entry's first touch since it was filled
+// from SSD (and clears that flag).
 //
 //camlint:hotpath
 func (t *Tier) Touch(key Key) bool {
-	e := t.get(key)
+	f := t.Frame(key)
+	e := &t.ents[f]
 	t.clock++
 	e.last = t.clock
 	e.freq++
 	fresh := e.fresh
 	e.fresh = false
-	t.push(scoreEnt{score: t.score(e), key: key})
+	nd := node{score: t.score(e), frame: f}
+	if e.pos == picked {
+		t.push(nd)
+	} else {
+		t.down(int(e.pos), nd) // a touch only ever raises the score
+	}
 	return fresh
 }
 
-// Pin makes key ineligible for eviction until the matching Unpin.
-func (t *Tier) Pin(key Key) { t.get(key).pins++ }
+// Pin makes frame f's block ineligible for eviction until the matching
+// Unpin.
+func (t *Tier) Pin(f int32) { t.at(f).pins++ }
 
 // Unpin releases one pin.
-func (t *Tier) Unpin(key Key) {
-	e := t.get(key)
+func (t *Tier) Unpin(f int32) {
+	e := t.at(f)
 	if e.pins == 0 {
-		panic(fmt.Sprintf("kvcache: unpin of unpinned %v", key))
+		panic(fmt.Sprintf("kvcache: unpin of unpinned %v", e.key))
 	}
 	e.pins--
 }
 
-// SetBusy flags or clears an in-flight transfer on key.
-func (t *Tier) SetBusy(key Key, busy bool) { t.get(key).busy = busy }
+// SetBusy flags or clears an in-flight transfer on frame f's block.
+func (t *Tier) SetBusy(f int32, busy bool) { t.at(f).busy = busy }
 
-// MarkClean records that key's SSD copy is now current.
-func (t *Tier) MarkClean(key Key) { t.get(key).dirty = false }
+// Dirty reports whether frame f's block still lacks an SSD copy.
+func (t *Tier) Dirty(f int32) bool { return t.at(f).dirty }
 
-// Frame reports key's frame.
-func (t *Tier) Frame(key Key) int32 { return t.get(key).frame }
-
-// Dirty reports whether key still lacks an SSD copy.
-func (t *Tier) Dirty(key Key) bool { return t.get(key).dirty }
-
-// Busy reports whether key has a transfer in flight.
-func (t *Tier) Busy(key Key) bool { return t.get(key).busy }
-
-// Pinned reports whether key is pinned.
-func (t *Tier) Pinned(key Key) bool { return t.get(key).pins > 0 }
+// Busy reports whether frame f's block has a transfer in flight.
+func (t *Tier) Busy(f int32) bool { return t.at(f).busy }
 
 // Holds reports whether key is in the tier at all.
 func (t *Tier) Holds(key Key) bool {
-	_, ok := t.ents[key]
-	return ok
+	_, f := t.lookup(key)
+	return f >= 0
 }
 
 // Remove drops key from the tier and returns its frame to the free list.
 // In-flight (busy) entries may be removed — that is exactly how a
 // completed spill leaves — but pinned entries never.
 func (t *Tier) Remove(key Key) int32 {
-	e := t.get(key)
+	i, f := t.lookup(key)
+	if f < 0 {
+		panic(fmt.Sprintf("kvcache: tier does not hold %v", key))
+	}
+	e := &t.ents[f]
 	if e.pins > 0 {
 		panic(fmt.Sprintf("kvcache: remove of pinned %v", key))
 	}
-	delete(t.ents, key)
-	t.free = append(t.free, e.frame)
-	return e.frame
+	if e.pos != picked {
+		t.unindex(int(e.pos))
+	}
+	// Backward-shift delete: close the hole at i with every later entry of
+	// the probe run whose home slot lies at or before the hole.
+	mask := len(t.tab) - 1
+	for j := (i + 1) & mask; t.tab[j] != 0; j = (j + 1) & mask {
+		if h := t.home(t.ents[t.tab[j]-1].key); (j-h)&mask >= (j-i)&mask {
+			t.tab[i] = t.tab[j]
+			i = j
+		}
+	}
+	t.tab[i] = 0
+	*e = entry{}
+	t.resident--
+	t.free = append(t.free, f)
+	return f
 }
 
 // PickVictims selects up to n eviction victims — the minimum-score
 // unpinned, non-busy entries, ties broken by key — appending them to out.
-// The caller must evict every returned victim (their index nodes are
-// consumed); anything pinned or busy encountered on the way is preserved.
+// The victims leave the eviction heap, so the caller must Remove each one
+// (or Touch it, which keeps it and indexes it again); anything pinned or
+// busy encountered on the way is preserved.
 //
 //camlint:hotpath
 func (t *Tier) PickVictims(n int, out []Key) []Key {
 	t.skip = t.skip[:0]
 	for len(out) < n && len(t.heap) > 0 {
-		top := t.pop()
-		e, ok := t.ents[top.key]
-		if !ok || t.score(e) != top.score {
-			continue // stale node: entry gone or re-touched since the push
-		}
-		if e.pins > 0 || e.busy {
+		top := t.heap[0]
+		t.unindex(0)
+		if e := &t.ents[top.frame]; e.pins > 0 || e.busy {
 			t.skip = append(t.skip, top) //camlint:allow hotalloc -- amortized scratch growth to the pinned high-water mark
-			continue
+		} else {
+			out = append(out, e.key) //camlint:allow hotalloc -- caller-owned scratch, amortized growth
 		}
-		out = append(out, top.key) //camlint:allow hotalloc -- caller-owned scratch, amortized growth
 	}
-	for _, se := range t.skip {
-		t.push(se)
+	for _, nd := range t.skip {
+		t.push(nd)
 	}
 	return out
 }
 
 // PickVictimRef is the naive reference evictor: a linear scan for the
-// minimum (score, key) among eligible entries. The min over a total
-// order is iteration-order independent, so the map range is safe; the
-// fuzz harness cross-checks the heap against this.
+// minimum (score, key) among eligible entries — held, unpinned, not busy
+// and not already picked. The fuzz harness cross-checks the heap against
+// this.
 func (t *Tier) PickVictimRef() (Key, bool) {
 	var best Key
 	var bestScore uint64
 	found := false
-	for key, e := range t.ents { //camlint:allow nodeterminism -- order-independent min reduction over a total order
-		if e.pins > 0 || e.busy {
+	for i := range t.ents {
+		e := &t.ents[i]
+		if !e.held || e.pos == picked || e.pins > 0 || e.busy {
 			continue
 		}
-		s := t.score(e) //camlint:allow dettaint -- min reduction over a total (score, key) order; result is iteration-order independent
-		if !found || s < bestScore || (s == bestScore && key < best) {
-			best, bestScore, found = key, s, true
+		if s := t.score(e); !found || s < bestScore || (s == bestScore && e.key < best) {
+			best, bestScore, found = e.key, s, true
 		}
 	}
 	return best, found
 }
 
 // CheckInvariants re-derives the tier's structure: frames partition into
-// free + resident with no frame held twice or out of range, and every
-// entry's live-score node is present in the eviction index.
+// free + held with no frame free twice or out of range, the key table
+// finds exactly the held entries, and the eviction heap is a heap of
+// exactly the held, unpicked entries at their live scores.
 func (t *Tier) CheckInvariants() error {
-	if len(t.free)+len(t.ents) != t.cfg.Frames {
-		return fmt.Errorf("kvcache: %d free + %d resident != %d frames", len(t.free), len(t.ents), t.cfg.Frames)
+	if len(t.free)+t.resident != t.cfg.Frames {
+		return fmt.Errorf("kvcache: %d free + %d resident != %d frames", len(t.free), t.resident, t.cfg.Frames)
 	}
-	owner := make(map[int32]Key)
+	isFree := make([]bool, t.cfg.Frames)
 	for _, f := range t.free {
 		if f < 0 || int(f) >= t.cfg.Frames {
 			return fmt.Errorf("kvcache: free frame %d out of range", f)
 		}
-		if _, dup := owner[f]; dup {
+		if isFree[f] {
 			return fmt.Errorf("kvcache: frame %d on free list twice", f)
 		}
-		owner[f] = Key(0)
-	}
-	live := make(map[scoreEnt]bool, len(t.heap))
-	for _, se := range t.heap {
-		live[se] = true
-	}
-	for key, e := range t.ents { //camlint:allow nodeterminism -- error-or-nil validation, first error returned only under single-fault tests
-		if e.frame < 0 || int(e.frame) >= t.cfg.Frames {
-			return fmt.Errorf("kvcache: %v in out-of-range frame %d", key, e.frame)
+		if t.ents[f].held {
+			return fmt.Errorf("kvcache: free frame %d held by %v", f, t.ents[f].key)
 		}
-		if k, dup := owner[e.frame]; dup {
-			return fmt.Errorf("kvcache: frame %d held by %v and %v", e.frame, k, key)
+		isFree[f] = true
+	}
+	held, indexed := 0, 0
+	for i := range t.ents {
+		e, f := &t.ents[i], int32(i)
+		if !e.held {
+			continue
 		}
-		owner[e.frame] = key
-		if !live[scoreEnt{score: t.score(e), key: key}] { //camlint:allow dettaint -- order-independent set membership check in error-or-nil validation
-			return fmt.Errorf("kvcache: %v missing from eviction index", key)
+		held++
+		if _, got := t.lookup(e.key); got != f {
+			return fmt.Errorf("kvcache: %v in frame %d, key table says %d", e.key, f, got)
+		}
+		if e.pos == picked {
+			continue
+		}
+		indexed++
+		if int(e.pos) >= len(t.heap) || t.heap[e.pos] != (node{score: t.score(e), frame: f}) {
+			return fmt.Errorf("kvcache: %v missing from eviction index", e.key)
+		}
+	}
+	slots := 0
+	for _, s := range t.tab {
+		if s != 0 {
+			slots++
+		}
+	}
+	if held != t.resident || slots != held || indexed != len(t.heap) {
+		return fmt.Errorf("kvcache: %d held, %d counted, %d table slots; %d indexed, %d heap nodes",
+			held, t.resident, slots, indexed, len(t.heap))
+	}
+	for i := 1; i < len(t.heap); i++ {
+		if t.less(t.heap[i], t.heap[(i-1)/2]) {
+			return fmt.Errorf("kvcache: eviction heap out of order at %d", i)
 		}
 	}
 	return nil
 }
 
-// push adds a node to the (score, key) min-heap.
-//
-//camlint:hotpath
-func (t *Tier) push(se scoreEnt) {
-	t.heap = append(t.heap, se) //camlint:allow hotalloc -- amortized heap growth to the touch high-water mark
-	i := len(t.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !heapLess(t.heap[i], t.heap[p]) {
-			break
-		}
-		t.heap[i], t.heap[p] = t.heap[p], t.heap[i]
-		i = p
-	}
-}
-
-// pop removes the minimum node.
-//
-//camlint:hotpath
-func (t *Tier) pop() scoreEnt {
-	h := t.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	t.heap = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && heapLess(t.heap[l], t.heap[m]) {
-			m = l
-		}
-		if r < n && heapLess(t.heap[r], t.heap[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		t.heap[i], t.heap[m] = t.heap[m], t.heap[i]
-		i = m
-	}
-	return top
-}
-
-func heapLess(a, b scoreEnt) bool {
+func (t *Tier) less(a, b node) bool {
 	if a.score != b.score {
 		return a.score < b.score
 	}
-	return a.key < b.key
+	return t.ents[a.frame].key < t.ents[b.frame].key
+}
+
+// place writes nd at heap[i] and records the position in its entry.
+func (t *Tier) place(i int, nd node) {
+	t.heap[i] = nd
+	t.ents[nd.frame].pos = int32(i)
+}
+
+// push adds a node to the heap.
+//
+//camlint:hotpath
+func (t *Tier) push(nd node) {
+	t.heap = append(t.heap, nd) //camlint:allow hotalloc -- capacity is Frames from NewTier and one node per held entry never exceeds it
+	t.up(len(t.heap)-1, nd)
+}
+
+// unindex deletes heap[i], marking its entry picked.
+//
+//camlint:hotpath
+func (t *Tier) unindex(i int) {
+	t.ents[t.heap[i].frame].pos = picked
+	n := len(t.heap) - 1
+	last := t.heap[n]
+	t.heap = t.heap[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && t.less(last, t.heap[(i-1)/2]) {
+		t.up(i, last)
+	} else {
+		t.down(i, last)
+	}
+}
+
+// up settles nd, headed for the hole at heap[i], toward the root.
+func (t *Tier) up(i int, nd node) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.less(nd, t.heap[p]) {
+			break
+		}
+		t.place(i, t.heap[p])
+		i = p
+	}
+	t.place(i, nd)
+}
+
+// down settles nd, headed for the hole at heap[i], toward the leaves.
+func (t *Tier) down(i int, nd node) {
+	for {
+		c := 2*i + 1
+		if c >= len(t.heap) {
+			break
+		}
+		if c+1 < len(t.heap) && t.less(t.heap[c+1], t.heap[c]) {
+			c++
+		}
+		if !t.less(t.heap[c], nd) {
+			break
+		}
+		t.place(i, t.heap[c])
+		i = c
+	}
+	t.place(i, nd)
 }
