@@ -1,51 +1,51 @@
 // Command camlint runs the repository's simulation-invariant analyzers
-// (internal/lint) over Go packages, multichecker-style. Since v2 all root
-// packages are analyzed as one program, so interprocedural facts
-// (//camlint:pool lifecycles, determinism taint, hot-path reachability) cross
+// (internal/lint) over Go packages, multichecker-style. All root packages
+// are analyzed as one program, so poollife's //camlint:pool lifecycles cross
 // package boundaries.
 //
 // Usage:
 //
-//	camlint [-list] [-only name,name] [-format text|json]
-//	        [-baseline file] [-update-baseline] [-strict] [packages...]
+//	camlint [-list] [-only name,name] [packages...]
 //
 // With no package patterns it checks ./... relative to the current
-// directory. Findings recorded in the baseline file (lint_baseline.json by
-// default) are suppressed, so the gate fails only on new findings;
-// -update-baseline rewrites the file to accept the current findings, and
-// -strict ignores it for deep sweeps. The exit status is 1 if any
-// non-baselined diagnostic survives //camlint:allow filtering, 2 on usage
-// or load errors.
+// directory. There is no baseline of accepted findings: a finding is fixed
+// or carries a //camlint:allow with its reason on the line. The exit status
+// is 1 if any diagnostic survives //camlint:allow filtering, 2 on usage or
+// load errors.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"camsim/internal/lint"
 )
 
-func main() {
-	os.Exit(run())
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+// run is main with its streams and exit code as values.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("camlint", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		list     = flag.Bool("list", false, "list analyzers and exit")
-		only     = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		format   = flag.String("format", "text", "output format: text or json")
-		baseline = flag.String("baseline", "lint_baseline.json", "baseline file of accepted findings (missing file = empty baseline)")
-		update   = flag.Bool("update-baseline", false, "rewrite the baseline file to accept all current findings and exit")
-		strict   = flag.Bool("strict", false, "ignore the baseline: report every finding")
+		list = flags.Bool("list", false, "list analyzers and exit")
+		only = flags.String("only", "", "comma-separated analyzer names to run (default: all)")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	analyzers := lint.All()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -55,28 +55,21 @@ func run() int {
 			name = strings.TrimSpace(name)
 			a := lint.ByName(name)
 			if a == nil {
-				fmt.Fprintf(os.Stderr, "camlint: unknown analyzer %q (see -list)\n", name)
+				fmt.Fprintf(stderr, "camlint: unknown analyzer %q (see -list)\n", name)
 				return 2
 			}
 			analyzers = append(analyzers, a)
 		}
 	}
-	switch *format {
-	case "text", "json":
-	default:
-		fmt.Fprintf(os.Stderr, "camlint: unknown format %q (want text or json)\n", *format)
-		return 2
-	}
 
-	pkgs, err := lint.Load(".", flag.Args()...)
+	pkgs, err := lint.Load(".", flags.Args()...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "camlint: %v\n", err)
+		fmt.Fprintf(stderr, "camlint: %v\n", err)
 		return 2
 	}
-
 	diags, err := lint.NewProgram(pkgs).Run(analyzers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "camlint: %v\n", err)
+		fmt.Fprintf(stderr, "camlint: %v\n", err)
 		return 2
 	}
 
@@ -84,34 +77,7 @@ func run() int {
 	if err != nil {
 		wd = "."
 	}
-	rel := lint.RelTo(wd)
-
-	if *update {
-		if err := lint.NewBaseline(diags, rel).Write(*baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "camlint: writing baseline: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "camlint: %s now accepts %d finding(s)\n", *baseline, len(diags))
-		return 0
-	}
-
-	if !*strict {
-		base, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "camlint: %v\n", err)
-			return 2
-		}
-		diags = base.Filter(diags, rel)
-	}
-
-	if *format == "json" {
-		if err := lint.WriteJSON(os.Stdout, diags, rel); err != nil {
-			fmt.Fprintf(os.Stderr, "camlint: %v\n", err)
-			return 2
-		}
-	} else {
-		lint.WriteText(os.Stdout, diags, rel)
-	}
+	lint.WriteText(stdout, diags, lint.RelTo(wd))
 	if len(diags) > 0 {
 		return 1
 	}

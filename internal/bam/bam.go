@@ -133,7 +133,7 @@ type deadlineEnt struct {
 }
 
 func (q *deadlineQueue) push(cid uint16, deadline sim.Time) {
-	q.ents = append(q.ents, deadlineEnt{cid: cid, deadline: deadline}) //camlint:allow hotalloc -- amortized growth to the in-flight high-water mark; steady state reuses capacity
+	q.ents = append(q.ents, deadlineEnt{cid: cid, deadline: deadline}) // amortized growth to the in-flight high-water mark; steady state reuses capacity
 }
 
 // earliest reports the soonest still-armed deadline on dev (0 when nothing
@@ -196,7 +196,7 @@ func (s *System) Stats() Stats { return s.stats }
 // putFanin recycles a finished counter.
 //
 //camlint:pool release
-func (s *System) putFanin(f *fanin) { s.faninFree = append(s.faninFree, f) } //camlint:allow hotalloc -- free list grows to the fan-in high-water mark, then reuses capacity
+func (s *System) putFanin(f *fanin) { s.faninFree = append(s.faninFree, f) } // free list grows to the fan-in high-water mark, then reuses capacity
 
 // faninRef adjusts a fan-in count, firing completion at zero.
 func (s *System) faninRef(f *fanin, delta int) {
@@ -437,8 +437,6 @@ func (a *Array) Start(op nvme.Opcode, blocks []uint64, buf *gpu.Buffer, off int6
 }
 
 // Run advances the batch one phase (engine-callback context).
-//
-//camlint:hotpath
 func (m *batchMachine) Run() {
 	a := m.a
 	s := a.s
@@ -465,7 +463,7 @@ func (m *batchMachine) Run() {
 				m.i++
 				continue
 			}
-			m.missIdx = append(m.missIdx, i) //camlint:allow hotalloc -- amortized miss-list growth
+			m.missIdx = append(m.missIdx, i)
 		}
 		if a.cache != nil && m.op == nvme.OpWrite {
 			a.cache.Invalidate(b)
@@ -492,8 +490,6 @@ func (m *batchMachine) Run() {
 
 // push publishes block i's command (queue slot already held) and sleeps the
 // warp-serialized submission cost before resuming the scan.
-//
-//camlint:hotpath
 func (m *batchMachine) push() {
 	a := m.a
 	s := a.s
@@ -559,7 +555,7 @@ func (m *batchMachine) finish() {
 	m.a, m.buf, m.sink, m.fan = nil, nil, nil, nil
 	m.missIdx = m.missIdx[:0]
 	m.i, m.hitTime, m.held = 0, 0, 0
-	s.batchFree = append(s.batchFree, m) //camlint:allow hotalloc -- amortized free-list growth
+	s.batchFree = append(s.batchFree, m)
 	sink.BatchDone(errs)
 }
 
@@ -605,8 +601,6 @@ type devPoll struct {
 
 // Run re-enters the poller after an OnPost fire (or at startup). The
 // deadline timer, if pending, stays armed — expireWake re-aims it.
-//
-//camlint:hotpath
 func (c *devPoll) Run() {
 	onPost := c.s.qps[c.dev].CQ.OnPost
 	if onPost.Fired() {
@@ -618,8 +612,6 @@ func (c *devPoll) Run() {
 // poll drains completions and expirations until there is nothing immediate,
 // then parks on OnPost — bounded by the earliest armed deadline, exactly as
 // the process loop's WaitTimeout was.
-//
-//camlint:hotpath
 func (c *devPoll) poll() {
 	s, dev := c.s, c.dev
 	qp := s.qps[dev]

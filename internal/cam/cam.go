@@ -514,8 +514,6 @@ type pollStep struct {
 
 // Run discovers published batches, decodes the regions, fans requests out
 // to the reactors, and re-arms the doorbell wait (engine-callback context).
-//
-//camlint:hotpath
 func (s *pollStep) Run() {
 	m := s.m
 	if m.doorbell.Fired() {
@@ -532,8 +530,6 @@ func (s *pollStep) Run() {
 }
 
 // dispatchBatch is the CPU-side half of the handshake for one batch.
-//
-//camlint:hotpath
 func (m *Manager) dispatchBatch(b *Batch) {
 	m.markBusy(m.e.Now())
 
@@ -588,8 +584,6 @@ func (m *Manager) dispatchBatch(b *Batch) {
 
 // RequestDone implements spdk.Completion: fan one command completion into
 // the batch counter (reactor context).
-//
-//camlint:hotpath
 func (m *Manager) RequestDone(r *spdk.Request) {
 	b := r.Tag.(*Batch)
 	if r.Status != nvme.StatusSuccess {

@@ -1,0 +1,39 @@
+package cam
+
+import (
+	"testing"
+
+	"camsim/internal/sim"
+)
+
+// TestBatchAllocsIndependentOfSize is the allocation ceiling of the CAM
+// control plane: once request pools, rings and waiter arrays have reached
+// their high-water marks, a Prefetch + Synchronize costs the host a fixed
+// handful of objects (the Batch, its signal and the signal's waiter slot)
+// whatever the batch holds — nothing per request. A per-request
+// allocation in dispatchBatch, RequestDone or anything under them shows as
+// a count that grows with the batch.
+func TestBatchAllocsIndependentOfSize(t *testing.T) {
+	const ceiling = 3
+	var got [2]float64
+	for i, n := range []int{256, 2048} {
+		r := newRig(3, DefaultConfig(3))
+		dst := r.m.Alloc("dst", int64(n)*4096)
+		blocks := seqBlocks(n)
+		r.e.Go("gpu", func(p *sim.Proc) {
+			batch := func() { r.m.Synchronize(p, r.m.Prefetch(p, blocks, dst, 0)) }
+			for w := 0; w < 4; w++ {
+				batch()
+			}
+			got[i] = testing.AllocsPerRun(10, batch)
+		})
+		r.e.Run()
+		if st := r.m.Stats(); st.Requests != uint64(15*n) || st.FailedRequests != 0 {
+			t.Fatalf("batches of %d: %d requests, %d failed", n, st.Requests, st.FailedRequests)
+		}
+		r.e.Shutdown()
+	}
+	if got[0] != got[1] || got[0] > ceiling {
+		t.Fatalf("%v allocs per batch of 256, %v per batch of 2048; want equal and at most %d", got[0], got[1], ceiling)
+	}
+}

@@ -148,8 +148,6 @@ func (d *Driver) ioAsync(op nvme.Opcode, off, n int64, addr mem.Addr, done *sim.
 
 // Run submits the hardware path once the software window closes
 // (engine-callback context).
-//
-//camlint:hotpath
 func (m *ioMachine) Run() {
 	d := m.d
 	// Hardware path: split on stripes and MDTS, direct to GPU.
@@ -180,8 +178,6 @@ func (m *ioMachine) Run() {
 
 // RequestDone implements spdk.Completion: fan one NVMe completion into the
 // machine (reactor context).
-//
-//camlint:hotpath
 func (m *ioMachine) RequestDone(r *spdk.Request) { m.finish(-1) }
 
 func (m *ioMachine) finish(delta int) {
@@ -191,6 +187,6 @@ func (m *ioMachine) finish(delta int) {
 	}
 	done := m.done
 	m.done = nil
-	m.d.freeIO = append(m.d.freeIO, m) //camlint:allow hotalloc -- amortized free-list growth
+	m.d.freeIO = append(m.d.freeIO, m)
 	done.Fire()
 }

@@ -126,8 +126,6 @@ func (t *Tier) home(key Key) int {
 
 // lookup probes for key: its slot and frame, or the empty slot that ends
 // its probe run and noFrame.
-//
-//camlint:hotpath
 func (t *Tier) lookup(key Key) (slot int, frame int32) {
 	for i := t.home(key); ; i = (i + 1) & (len(t.tab) - 1) {
 		f := t.tab[i] - 1
@@ -185,8 +183,6 @@ func (t *Tier) at(f int32) *entry {
 // heap, if the entry is a picked victim the caller chose to keep. It
 // reports whether this is the entry's first touch since it was filled
 // from SSD (and clears that flag).
-//
-//camlint:hotpath
 func (t *Tier) Touch(key Key) bool {
 	f := t.Frame(key)
 	e := &t.ents[f]
@@ -268,17 +264,15 @@ func (t *Tier) Remove(key Key) int32 {
 // The victims leave the eviction heap, so the caller must Remove each one
 // (or Touch it, which keeps it and indexes it again); anything pinned or
 // busy encountered on the way is preserved.
-//
-//camlint:hotpath
 func (t *Tier) PickVictims(n int, out []Key) []Key {
 	t.skip = t.skip[:0]
 	for len(out) < n && len(t.heap) > 0 {
 		top := t.heap[0]
 		t.unindex(0)
 		if e := &t.ents[top.frame]; e.pins > 0 || e.busy {
-			t.skip = append(t.skip, top) //camlint:allow hotalloc -- amortized scratch growth to the pinned high-water mark
+			t.skip = append(t.skip, top) // amortized scratch growth to the pinned high-water mark
 		} else {
-			out = append(out, e.key) //camlint:allow hotalloc -- caller-owned scratch, amortized growth
+			out = append(out, e.key)
 		}
 	}
 	for _, nd := range t.skip {
@@ -378,16 +372,12 @@ func (t *Tier) place(i int, nd node) {
 }
 
 // push adds a node to the heap.
-//
-//camlint:hotpath
 func (t *Tier) push(nd node) {
-	t.heap = append(t.heap, nd) //camlint:allow hotalloc -- capacity is Frames from NewTier and one node per held entry never exceeds it
+	t.heap = append(t.heap, nd) // capacity is Frames from NewTier and one node per held entry never exceeds it
 	t.up(len(t.heap)-1, nd)
 }
 
 // unindex deletes heap[i], marking its entry picked.
-//
-//camlint:hotpath
 func (t *Tier) unindex(i int) {
 	t.ents[t.heap[i].frame].pos = picked
 	n := len(t.heap) - 1

@@ -10,13 +10,16 @@
 // the driver, loader and fixture harness are self-contained on the standard
 // library alone.
 //
-// Since v2 the suite is interprocedural: all root packages load into one
-// Program whose fact store (facts.go) holds //camlint:pool and
-// //camlint:hotpath annotations, and whose call graph (callgraph.go) and
-// per-function CFGs (cfg.go) let analyzers reason across function and
-// package boundaries. Analyzers that need program-wide state implement the
-// optional Prepare (before any per-package Run) and Finish (after all of
-// them) hooks.
+// One analyzer, poollife, is interprocedural: all root packages load into
+// one Program whose fact store (facts.go) holds the //camlint:pool
+// annotations, and whose call graph (callgraph.go) and per-function CFGs
+// (cfg.go) let it follow a release across function and package boundaries.
+// Analyzers that need program-wide state implement the optional Prepare
+// (before any per-package Run) and Finish (after all of them) hooks.
+//
+// What the suite does not check is what a measurement checks better: that
+// the steady state does not allocate is pinned by the AllocsPerRun ceiling
+// tests of each layer (DESIGN.md §6 lists them), not by reading code.
 //
 // Suppressions use line directives:
 //
@@ -46,7 +49,7 @@ type Analyzer struct {
 	Run func(*Pass) error
 	// Prepare, if set, runs once per program before any Run call, with
 	// the fact store and call graph already built. Cross-package
-	// summaries (release inference, taint fixpoints) belong here.
+	// summaries (release inference) belong here.
 	Prepare func(*Program) error
 	// Finish, if set, runs once per program after every package's Run.
 	// The pass has program scope: Files and Pkg are nil, and Reportf
@@ -59,8 +62,8 @@ type Analyzer struct {
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
-	// Ann is the annotation fact store collected from //camlint:pool and
-	// //camlint:hotpath directives across all packages.
+	// Ann is the annotation fact store collected from //camlint:pool
+	// directives across all packages.
 	Ann *Annotations
 	// CG is the static call graph over every function declaration.
 	CG *CallGraph
@@ -72,8 +75,6 @@ type Program struct {
 	// live on the Program (not in analyzer globals) so concurrent or
 	// nested programs cannot trample each other.
 	poolReleasers map[string]map[int]bool // funcKey → released positions (-1 = receiver)
-	taintedFuncs  map[string]string       // funcKey → why its result is host-nondeterministic
-	hotRoots      map[string]string       // funcKey → hotpath root that reaches it
 	// annDiags holds malformed-annotation findings discovered while
 	// building the fact store; they are attributed to the first analyzer
 	// that runs so they surface even though no analyzer owns collection.
@@ -107,17 +108,6 @@ func NewProgram(pkgs []*Package) *Program {
 // Ran reports whether the named analyzer is part of the current Run — used
 // by unusedallow to skip directives whose analyzer did not execute.
 func (prog *Program) Ran(name string) bool { return prog.ran[name] }
-
-// PackageOf returns the loaded package whose type-checked package is tp, or
-// nil.
-func (prog *Program) PackageOf(tp *types.Package) *Package {
-	for _, pkg := range prog.Pkgs {
-		if pkg.Types == tp {
-			return pkg
-		}
-	}
-	return nil
-}
 
 // Pass holds one analyzer's view of one package (or, for Finish hooks, of
 // the whole program, with Files and Pkg nil). A Pass is valid only for the

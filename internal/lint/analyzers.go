@@ -9,8 +9,6 @@ func All() []*Analyzer {
 		ErrCheckSim,
 		EventTime,
 		PoolLife,
-		DetTaint,
-		HotAlloc,
 		UnusedAllow,
 	}
 }

@@ -108,30 +108,6 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 	return cg
 }
 
-// Reachable returns the set of in-program function keys reachable from the
-// given roots through static call edges, roots included (when in-program).
-func (cg *CallGraph) Reachable(roots []string) map[string]bool {
-	seen := map[string]bool{}
-	var stack []*FuncInfo
-	for _, r := range roots {
-		if fi := cg.Funcs[r]; fi != nil && !seen[fi.Key] {
-			seen[fi.Key] = true
-			stack = append(stack, fi)
-		}
-	}
-	for len(stack) > 0 {
-		fi := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, cs := range fi.Calls {
-			if cs.Fn != nil && !seen[cs.Fn.Key] {
-				seen[cs.Fn.Key] = true
-				stack = append(stack, cs.Fn)
-			}
-		}
-	}
-	return seen
-}
-
 // SortedKeys returns the program's function keys in deterministic order, so
 // fixpoint iterations and reports do not depend on map order.
 func (cg *CallGraph) SortedKeys() []string {

@@ -17,7 +17,6 @@ import (
 //
 //	//camlint:pool                          (on a type) instances are pooled
 //	//camlint:pool release                  (on a func) releases pooled args
-//	//camlint:hotpath                       (on a func) hot-path root
 //
 // An allow directive trailing a line suppresses diagnostics reported on its
 // own line; a stand-alone directive comment additionally covers the line
@@ -25,16 +24,16 @@ import (
 // Justifications after " -- " are encouraged (and quoted in DESIGN.md's
 // determinism rules) but not enforced mechanically.
 //
-// pool and hotpath are annotations, not suppressions: they feed the fact
-// store (facts.go) that the interprocedural analyzers consume. They must
-// appear in the doc comment of the declaration they mark.
+// pool is an annotation, not a suppression: it feeds the fact store
+// (facts.go) that poollife consumes. It must appear in the doc comment of
+// the declaration it marks.
 const (
 	directivePrefix = "//camlint:"
 	allowPrefix     = "//camlint:allow"
 )
 
-// parseDirective splits a comment into its camlint verb ("allow", "pool",
-// "hotpath") and argument fields. The justification after " -- " is
+// parseDirective splits a comment into its camlint verb ("allow" or "pool")
+// and argument fields. The justification after " -- " is
 // stripped. ok is false for ordinary comments and for look-alikes such as
 // //camlint:allowfoo.
 func parseDirective(text string) (verb string, args []string, ok bool) {
@@ -59,7 +58,7 @@ func parseDirective(text string) (verb string, args []string, ok bool) {
 		return "", nil, false
 	}
 	switch fields[0] {
-	case "allow", "pool", "hotpath":
+	case "allow", "pool":
 		args = fields[1:]
 		if len(args) == 0 {
 			args = nil

@@ -45,8 +45,6 @@ func TestParseDirective(t *testing.T) {
 		{"//camlint:pool", "pool", nil, true},
 		{"//camlint:pool release", "pool", []string{"release"}, true},
 		{"//camlint:pool release -- free list in spdk.go", "pool", []string{"release"}, true},
-		{"//camlint:hotpath", "hotpath", nil, true},
-		{"//camlint:hotpath -- reactor inner loop", "hotpath", nil, true},
 		{"//camlint:allow nodeterminism", "allow", []string{"nodeterminism"}, true},
 		// Unknown verbs and degenerate forms are not directives.
 		{"//camlint:frobnicate", "", nil, false},

@@ -4,14 +4,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Annotations is the program-wide fact store populated from //camlint:pool
-// and //camlint:hotpath directives before any analyzer runs. Facts are keyed
-// by stable strings rather than types.Object pointers because the same
-// function is a different object when seen through export data than when
-// type-checked from source; string keys survive the package boundary.
+// directives before any analyzer runs. Facts are keyed by stable strings
+// rather than types.Object pointers because the same function is a
+// different object when seen through export data than when type-checked
+// from source; string keys survive the package boundary.
 //
 //   - funcKey:  (*camsim/internal/spdk.Driver).putRequest
 //   - typeKey:  camsim/internal/spdk.Request
@@ -22,16 +21,12 @@ type Annotations struct {
 	// Release maps funcKey → position of a //camlint:pool release annotated
 	// function that returns its pooled pointer arguments to the pool.
 	Release map[string]token.Position
-	// Hot maps funcKey → position of a //camlint:hotpath annotated function,
-	// a root for the hotalloc reachability sweep.
-	Hot map[string]token.Position
 }
 
 func newAnnotations() *Annotations {
 	return &Annotations{
 		Pool:    map[string]token.Position{},
 		Release: map[string]token.Position{},
-		Hot:     map[string]token.Position{},
 	}
 }
 
@@ -69,10 +64,10 @@ func (ann *Annotations) pooledType(t types.Type) (string, bool) {
 	return key, ok
 }
 
-// collect scans pkg's declarations for pool/hotpath annotations. Misplaced
-// directives (pool on a function without the release argument, hotpath on a
-// type, unknown arguments) are reported through report so they fail loudly
-// instead of silently doing nothing.
+// collect scans pkg's declarations for pool annotations. Misplaced
+// directives (pool on a function without the release argument, unknown
+// arguments) are reported through report so they fail loudly instead of
+// silently doing nothing.
 func (ann *Annotations) collect(pkg *Package, report func(pos token.Pos, format string, args ...any)) {
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
@@ -86,12 +81,9 @@ func (ann *Annotations) collect(pkg *Package, report func(pos token.Pos, format 
 				if !ok {
 					continue
 				}
-				switch {
-				case verb == "pool" && len(args) == 1 && args[0] == "release":
+				if verb == "pool" && len(args) == 1 && args[0] == "release" {
 					ann.Release[funcKey(obj)] = pkg.Fset.Position(d.Pos())
-				case verb == "hotpath" && len(args) == 0:
-					ann.Hot[funcKey(obj)] = pkg.Fset.Position(d.Pos())
-				default:
+				} else {
 					report(d.Pos(), "malformed //camlint:%s directive on func %s", verb, d.Name.Name)
 				}
 			case *ast.GenDecl:
@@ -126,7 +118,7 @@ func (ann *Annotations) collect(pkg *Package, report func(pos token.Pos, format 
 	}
 }
 
-// declDirective extracts the pool/hotpath directive from a declaration's doc
+// declDirective extracts the pool directive from a declaration's doc
 // comment, if any. allow directives are not declaration annotations and are
 // skipped here.
 func declDirective(doc *ast.CommentGroup) (verb string, args []string) {
@@ -140,41 +132,4 @@ func declDirective(doc *ast.CommentGroup) (verb string, args []string) {
 		}
 	}
 	return "", nil
-}
-
-// releaseParams returns the parameter objects of fn (an annotated or
-// inferred releaser) that are pointers to pooled types — the values a call
-// to fn returns to the pool. The receiver counts as a parameter.
-func releaseParams(ann *Annotations, fn *types.Func) []*types.Var {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	var out []*types.Var
-	if recv := sig.Recv(); recv != nil {
-		if _, ok := ann.pooledType(recv.Type()); ok {
-			out = append(out, recv)
-		}
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		p := sig.Params().At(i)
-		if _, ok := ann.pooledType(p.Type()); ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// wallClockSourcePkgs lists packages whose call results carry host
-// nondeterminism into a simulation: wall-clock readings and unseeded (or
-// seeded-by-default) pseudo-randomness.
-func isTaintSourcePkg(path string) bool {
-	return path == "math/rand" || path == "math/rand/v2"
-}
-
-// isPointerFormat reports whether a fmt call formats a pointer (%p), which
-// embeds the host's ASLR-dependent address space into a string. lit must be
-// the call's format string literal if statically known.
-func isPointerFormat(format string) bool {
-	return strings.Contains(format, "%p")
 }

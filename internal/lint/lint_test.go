@@ -27,14 +27,6 @@ func TestPoolLife(t *testing.T) {
 	linttest.Run(t, "testdata", lint.PoolLife, "poollife")
 }
 
-func TestDetTaint(t *testing.T) {
-	linttest.Run(t, "testdata", lint.DetTaint, "dettaint")
-}
-
-func TestHotAlloc(t *testing.T) {
-	linttest.Run(t, "testdata", lint.HotAlloc, "hotalloc")
-}
-
 // TestUnusedAllow runs the full suite: unusedallow judges directives by the
 // suppression marks every other analyzer leaves behind, so it only behaves
 // fully when all of them ran.

@@ -2,11 +2,13 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strconv"
+	"strings"
 )
 
-// NoDeterminism forbids the three classic sources of run-to-run drift in a
+// NoDeterminism forbids the four sources of run-to-run drift in a
 // discrete-event simulator:
 //
 //  1. wall-clock reads (time.Now, time.Since, timers, sleeps) anywhere in
@@ -17,11 +19,14 @@ import (
 //  3. map iteration in simulation-critical packages (internal/...), where
 //     Go's randomized order can reorder events, reorder float additions,
 //     or reorder output rows. Sort the keys first, or justify with
-//     //camlint:allow nodeterminism -- <why order cannot escape>.
+//     //camlint:allow nodeterminism -- <why order cannot escape>;
+//  4. pointer formatting (fmt.Sprint* with %p, or of a pointer argument) —
+//     addresses are ASLR-randomized per process, so a name or key built
+//     from one differs between identically-seeded runs.
 var NoDeterminism = &Analyzer{
 	Name: "nodeterminism",
-	Doc: "forbid wall-clock reads, math/rand, and map iteration that can " +
-		"make simulation state differ between identically-seeded runs",
+	Doc: "forbid wall-clock reads, math/rand, map iteration and pointer formatting " +
+		"that can make simulation state differ between identically-seeded runs",
 	Run: runNoDeterminism,
 }
 
@@ -57,6 +62,12 @@ func runNoDeterminism(pass *Pass) error {
 							"wall-clock time.%s leaks host time into a deterministic simulation; use the virtual clock (sim.Engine.Now / Proc.Sleep)", fn.Name())
 					}
 				}
+			case *ast.CallExpr:
+				if fn := calleeFunc(pass.Info, n); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" &&
+					strings.HasPrefix(fn.Name(), "Sprint") && pointerFormatCall(pass.Info, n) {
+					pass.Reportf(n.Pos(),
+						"fmt.%s formats a pointer: addresses differ between identically-seeded runs; use a stable identifier", fn.Name())
+				}
 			case *ast.RangeStmt:
 				if !critical || n.X == nil {
 					return true
@@ -74,6 +85,33 @@ func runNoDeterminism(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// pointerFormatCall reports whether a fmt.Sprint* call renders a pointer:
+// either its constant format string contains %p, or an argument is a
+// pointer or unsafe.Pointer.
+func pointerFormatCall(info *types.Info, call *ast.CallExpr) bool {
+	for i, arg := range call.Args {
+		if i == 0 {
+			if lit, ok := ast.Unparen(arg).(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil && strings.Contains(s, "%p") {
+					return true
+				}
+				continue
+			}
+		}
+		if tv, ok := info.Types[arg]; ok {
+			switch u := tv.Type.Underlying().(type) {
+			case *types.Pointer:
+				return true
+			case *types.Basic:
+				if u.Kind() == types.UnsafePointer {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 func allowHint() string {

@@ -1,9 +1,9 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"path/filepath"
 )
 
 // WriteText renders diagnostics in the classic compiler-style line format,
@@ -18,31 +18,18 @@ func WriteText(w io.Writer, diags []Diagnostic, rel func(string) string) {
 	}
 }
 
-// jsonDiagnostic is the machine-readable finding shape for -format json.
-type jsonDiagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-	Fix      string `json:"fix,omitempty"`
-}
-
-// WriteJSON renders diagnostics as a JSON array (never null: an empty run
-// emits []).
-func WriteJSON(w io.Writer, diags []Diagnostic, rel func(string) string) error {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiagnostic{
-			Analyzer: d.Analyzer,
-			File:     rel(d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Message:  d.Message,
-			Fix:      d.Fix,
-		})
+// RelTo returns a filename rewriter that makes paths relative to dir (the
+// repo root) with forward slashes, leaving paths outside dir untouched.
+func RelTo(dir string) func(string) string {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		abs = dir
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return func(name string) string {
+		r, err := filepath.Rel(abs, name)
+		if err != nil || r == name || filepath.IsAbs(r) || len(r) >= 2 && r[:2] == ".." {
+			return filepath.ToSlash(name)
+		}
+		return filepath.ToSlash(r)
+	}
 }

@@ -21,12 +21,6 @@ func simCritical(pkgPath string) bool {
 	return !strings.HasPrefix(pkgPath, modulePrefix+"internal/lint")
 }
 
-// trimModule strips every occurrence of the module prefix from s, shortening
-// fully-qualified names in diagnostics (camsim/internal/spdk → internal/spdk).
-func trimModule(s string) string {
-	return strings.ReplaceAll(s, modulePrefix, "")
-}
-
 // calleeFunc resolves the function or method a call statically invokes.
 // It returns nil for conversions, builtins, and calls through func values.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {

@@ -28,7 +28,7 @@ const backingMinBytes = 1 << 20
 // small buffer never wastes a much larger recycled arena.
 func BackingGet(n int64) []byte {
 	if n < backingMinBytes {
-		return make([]byte, n) //camlint:allow hotalloc -- small control allocations deliberately bypass the slab pool
+		return make([]byte, n) // small control allocations deliberately bypass the slab pool
 	}
 	backingPool.mu.Lock()
 	best := -1
@@ -47,7 +47,7 @@ func BackingGet(n int64) []byte {
 	}
 	backingPool.mu.Unlock()
 	if data == nil {
-		return make([]byte, n) //camlint:allow hotalloc -- pool-miss cold path: steady state recycles slabs
+		return make([]byte, n) // pool-miss cold path: steady state recycles slabs
 	}
 	// Re-zero the handed-out range. The scan-first order matters: recycled
 	// buffers are usually still zero (sparse datasets read zeros into them),
@@ -67,6 +67,6 @@ func BackingPut(b []byte) {
 		return
 	}
 	backingPool.mu.Lock()
-	backingPool.slabs = append(backingPool.slabs, b[:cap(b)]) //camlint:allow hotalloc -- pool free-list refill: capacity stabilizes at the high-water mark
+	backingPool.slabs = append(backingPool.slabs, b[:cap(b)])
 	backingPool.mu.Unlock()
 }

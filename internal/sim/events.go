@@ -144,8 +144,6 @@ type eventQueue struct {
 func (q *eventQueue) len() int { return q.n }
 
 // pushNow appends an event due at the engine's current instant.
-//
-//camlint:hotpath
 func (q *eventQueue) pushNow(ev event) {
 	q.nowq.pushBack(ev)
 	q.n++
@@ -155,8 +153,6 @@ func (q *eventQueue) pushNow(ev event) {
 // push parks a timed event (at later than the engine's clock) in a slab
 // slot and files its key into the calendar or, past the horizon, the
 // overflow heap.
-//
-//camlint:hotpath
 func (q *eventQueue) push(at Time, seq uint64, cb Callback) {
 	if seq >= 1<<(64-slotBits) {
 		panic("sim: event sequence overflows key packing")
@@ -169,7 +165,7 @@ func (q *eventQueue) push(at Time, seq uint64, cb Callback) {
 		if slot > slotMask {
 			panic("sim: too many pending timed events")
 		}
-		q.slab = append(q.slab, slabEntry{}) //camlint:allow hotalloc -- amortized slab growth to the pending high-water mark; steady state reuses freed slots
+		q.slab = append(q.slab, slabEntry{}) // amortized slab growth to the pending high-water mark; steady state reuses freed slots
 	}
 	k := eventKey{at: at, sq: seq<<slotBits | uint64(slot)}
 	q.slab[slot] = slabEntry{key: k, cb: cb}
@@ -188,8 +184,6 @@ func (q *eventQueue) push(at Time, seq uint64, cb Callback) {
 // when the run was gathered ahead of the clock, by a deadline or next-event
 // peek — first hands the run back to its bucket so the run stays the
 // calendar's earliest.
-//
-//camlint:hotpath
 func (q *eventQueue) calInsert(k eventKey) {
 	b := bucketOf(k.at)
 	if q.runOn {
@@ -221,7 +215,7 @@ func (q *eventQueue) runInsert(k eventKey) {
 			hi = mid
 		}
 	}
-	q.run = append(q.run, eventKey{}) //camlint:allow hotalloc -- amortized run growth to the largest bucket population; steady state reuses capacity
+	q.run = append(q.run, eventKey{}) // amortized run growth to the largest bucket population; steady state reuses capacity
 	copy(q.run[lo+1:], q.run[lo:])
 	q.run[lo] = k
 }
@@ -255,8 +249,6 @@ func (q *eventQueue) minBucket() uint64 {
 // activate gathers bucket b's list into the run, insertion-sorting it
 // descending on the way: lists are newest-first and later pushes mostly time
 // later, so the common insert is an append.
-//
-//camlint:hotpath
 func (q *eventQueue) activate(b uint64) {
 	s := uint(b) & calMask
 	run := q.run[:0]
@@ -265,7 +257,7 @@ func (q *eventQueue) activate(b uint64) {
 		k := e.key
 		i = e.next
 		j := len(run)
-		run = append(run, k) //camlint:allow hotalloc -- amortized run growth to the largest bucket population; steady state reuses capacity
+		run = append(run, k) // amortized run growth to the largest bucket population; steady state reuses capacity
 		for j > 0 && (run[j-1].at < k.at || (run[j-1].at == k.at && run[j-1].sq < k.sq)) {
 			run[j] = run[j-1]
 			j--
@@ -317,8 +309,6 @@ func (q *eventQueue) minTime() Time {
 
 // popMinUntil removes and returns the earliest event across all lanes if it
 // is due at or before deadline.
-//
-//camlint:hotpath
 func (q *eventQueue) popMinUntil(deadline Time) (event, bool) {
 	lim := ^uint64(0)
 	var f *event
@@ -355,8 +345,6 @@ func (q *eventQueue) popMinUntil(deadline Time) (event, bool) {
 // advance slides the window start to the bucket of the engine's clock and
 // promotes overflow events that became addressable. Every pending event
 // times at or after the clock, so the buckets slid past are empty.
-//
-//camlint:hotpath
 func (q *eventQueue) advance(now Time) {
 	nb := bucketOf(now)
 	if nb <= q.wbase {
@@ -371,7 +359,7 @@ func (q *eventQueue) advance(now Time) {
 
 // heapPush sifts k up the overflow heap.
 func (q *eventQueue) heapPush(k eventKey) {
-	q.heap = append(q.heap, k) //camlint:allow hotalloc -- amortized heap growth; steady state reuses capacity
+	q.heap = append(q.heap, k)
 	i := len(q.heap) - 1
 	for i > 0 {
 		parent := (i - 1) / 4

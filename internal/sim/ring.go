@@ -42,7 +42,7 @@ func (r *ring[T]) grow() {
 	if newCap == 0 {
 		newCap = 8
 	}
-	buf := make([]T, newCap) //camlint:allow hotalloc -- amortized doubling; steady state reuses capacity
+	buf := make([]T, newCap)
 	for i := 0; i < r.n; i++ {
 		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}

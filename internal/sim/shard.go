@@ -150,8 +150,6 @@ func (c *Cluster) Connect(src, dst *Shard, name string, lookahead Time) *CrossLi
 // shard's engine while the cluster is mid-window but that shard is not the
 // one executing. The nil fast path keeps standalone engines (the
 // overwhelmingly common case) at one predicted branch.
-//
-//camlint:hotpath
 func (e *Engine) checkAffinity() {
 	if s := e.shard; s != nil && s.cluster.windowActive && !s.executing {
 		panic(fmt.Sprintf(

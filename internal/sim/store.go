@@ -61,7 +61,7 @@ func (s *Store[T]) getter(p *Proc) *storeGetter[T] {
 		g.p = p
 		return g
 	}
-	return &storeGetter[T]{p: p} //camlint:allow hotalloc -- pool miss grows to the concurrency high-water mark, then reuses
+	return &storeGetter[T]{p: p} // pool miss grows to the concurrency high-water mark, then reuses
 }
 
 // release zeroes g and parks it for reuse once its value has been consumed.
@@ -117,8 +117,6 @@ func (s *Store[T]) Get(p *Proc) (v T, ok bool) {
 // the sink is parked FIFO alongside blocked process getters and receives the
 // item via a zero-delay event when one is Put. Callers should return
 // immediately after GetCallback and treat StoreItem as the continuation.
-//
-//camlint:hotpath
 func (s *Store[T]) GetCallback(sink StoreSink[T]) {
 	if s.items.len() > 0 {
 		sink.StoreItem(s.items.popFront(), true)

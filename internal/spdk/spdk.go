@@ -302,7 +302,7 @@ func (d *Driver) GetRequest() *Request {
 		d.reqFree = d.reqFree[:n-1]
 		return r
 	}
-	return &Request{pooled: true} //camlint:allow hotalloc -- pool miss grows to the in-flight high-water mark, then reuses
+	return &Request{pooled: true} // pool miss grows to the in-flight high-water mark, then reuses
 }
 
 // putRequest clears and recycles a pooled request.
@@ -516,8 +516,6 @@ type reactorStep struct {
 
 // Run advances the sweep until it parks: on a cost callback (SubmitCost,
 // CompleteCost, idle iteration) or on the idle wake signal.
-//
-//camlint:hotpath
 func (s *reactorStep) Run() {
 	r := s.r
 	e := r.d.e

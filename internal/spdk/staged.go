@@ -87,13 +87,11 @@ func (s *StagedGPUIO) getMachine() *stagedMachine {
 		s.freeM = s.freeM[:k-1]
 		return m
 	}
-	return &stagedMachine{s: s} //camlint:allow hotalloc -- pool miss grows to the concurrency high-water mark, then reuses
+	return &stagedMachine{s: s} // pool miss grows to the concurrency high-water mark, then reuses
 }
 
 // submit issues the granule's MDTS-split commands with the machine as the
 // completion sink.
-//
-//camlint:hotpath
 func (m *stagedMachine) submit(op nvme.Opcode) {
 	s := m.s
 	if m.n > s.staging.Size() || m.n%nvme.LBASize != 0 {
@@ -120,8 +118,6 @@ func (m *stagedMachine) submit(op nvme.Opcode) {
 }
 
 // RequestDone implements Completion (reactor context).
-//
-//camlint:hotpath
 func (m *stagedMachine) RequestDone(r *Request) { m.fanin(-1) }
 
 func (m *stagedMachine) fanin(delta int) {
@@ -146,8 +142,6 @@ func (m *stagedMachine) fanin(delta int) {
 // Run resumes the machine after a scheduled copy completes: for reads this
 // is the final hop; for writes it is the staging copy, which unblocks the
 // SSD submissions (engine-callback context).
-//
-//camlint:hotpath
 func (m *stagedMachine) Run() {
 	if m.read {
 		m.finish()
@@ -159,6 +153,6 @@ func (m *stagedMachine) Run() {
 func (m *stagedMachine) finish() {
 	s, onDone := m.s, m.onDone
 	*m = stagedMachine{s: s}
-	s.freeM = append(s.freeM, m) //camlint:allow hotalloc -- amortized free-list growth
+	s.freeM = append(s.freeM, m)
 	onDone.Run()
 }

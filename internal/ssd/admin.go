@@ -53,14 +53,12 @@ type dbRelay struct {
 }
 
 func newDBRelay(d *Device, sig *sim.Signal) {
-	r := &dbRelay{d: d, sig: sig} //camlint:allow hotalloc -- one relay per created queue, wired at admin time
+	r := &dbRelay{d: d, sig: sig}
 	sig.WaitCallback(0, r)
 }
 
 // Run acknowledges the queue doorbell and rings the controller
 // (engine-callback context).
-//
-//camlint:hotpath
 func (r *dbRelay) Run() {
 	r.sig.Reset()
 	r.d.kickCtrl()
@@ -117,7 +115,7 @@ func (d *Device) drainAdmin() bool {
 		}
 		progressed = true
 		cmd := a
-		d.e.Schedule(adminProcessTime, func() { d.executeAdmin(cmd) }) //camlint:allow hotalloc -- admin commands are off the I/O data path
+		d.e.Schedule(adminProcessTime, func() { d.executeAdmin(cmd) })
 	}
 	return progressed
 }
@@ -207,7 +205,7 @@ func (d *Device) adminCreateSQ(a nvme.AdminSQE) nvme.Status {
 	if err != nil {
 		return nvme.StatusDMAError
 	}
-	qp := &nvme.QueuePair{ //camlint:allow hotalloc -- I/O queue creation is admin-time work
+	qp := &nvme.QueuePair{
 		Name: fmt.Sprintf("%s.ioq%d", d.Name, a.QID),
 		SQ:   nvme.NewSQ(d.e, fmt.Sprintf("%s.ioq%d", d.Name, a.QID), buf, uint32(a.QSize)),
 		CQ:   cq,
@@ -226,7 +224,7 @@ func (d *Device) removeQP(qp *nvme.QueuePair) {
 	for i, q := range d.qps {
 		if q.qp == qp {
 			q.removed = true
-			d.qps = append(d.qps[:i], d.qps[i+1:]...) //camlint:allow hotalloc -- in-place deletion; append into the same backing array never grows
+			d.qps = append(d.qps[:i], d.qps[i+1:]...)
 			return
 		}
 	}

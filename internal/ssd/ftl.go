@@ -187,8 +187,8 @@ func (f *FTL) mapSet(lpn, ppn int64) {
 	}
 	seg := lpn >> mapSegBits
 	for int64(len(f.mapSegs)) <= seg {
-		f.mapSegs = append(f.mapSegs, nil) //camlint:allow hotalloc -- mapping-table growth, amortized over the LPN address space
-		f.segCount = append(f.segCount, 0) //camlint:allow hotalloc -- mapping-table growth, amortized over the LPN address space
+		f.mapSegs = append(f.mapSegs, nil) // mapping-table growth, amortized over the LPN address space
+		f.segCount = append(f.segCount, 0) // mapping-table growth, amortized over the LPN address space
 	}
 	if s := f.mapSegs[seg]; s != nil {
 		s[lpn&mapSegMask] = ppn
@@ -206,7 +206,7 @@ func (f *FTL) mapSet(lpn, ppn int64) {
 // materializeSeg promotes a sparse segment to a flat PPN array, migrating
 // its buffered overflow entries.
 func (f *FTL) materializeSeg(seg int64) {
-	s := make([]int64, mapSegSize) //camlint:allow hotalloc -- one-time segment promotion, amortized over segDenseMin writes
+	s := make([]int64, mapSegSize) // one-time segment promotion, amortized over segDenseMin writes
 	for i := range s {
 		s[i] = -1
 	}
@@ -243,9 +243,9 @@ func (f *FTL) takeBlock() int {
 		panic("ssd: FTL out of physical blocks — over-provisioning exhausted")
 	}
 	f.nextFresh--
-	f.blocks = append(f.blocks, ftlBlock{}) //camlint:allow hotalloc -- lazy block materialization, once per physical block ever
+	f.blocks = append(f.blocks, ftlBlock{}) // lazy block materialization, once per physical block ever
 	start := len(f.rmap)
-	f.rmap = append(f.rmap, make([]int64, f.cfg.PagesPerBlock)...) //camlint:allow hotalloc -- lazy block materialization, once per physical block ever
+	f.rmap = append(f.rmap, make([]int64, f.cfg.PagesPerBlock)...) // lazy block materialization, once per physical block ever
 	for i := start; i < len(f.rmap); i++ {
 		f.rmap[i] = -1
 	}
@@ -376,7 +376,7 @@ func (f *FTL) collect() (migrated int64) {
 	// Erase the victim.
 	*vb = ftlBlock{erases: vb.erases + 1}
 	f.stats.Erases++
-	f.freeList = append(f.freeList, victim) //camlint:allow hotalloc -- grows to the physical-block-count bound, then reuses capacity
+	f.freeList = append(f.freeList, victim) // grows to the physical-block-count bound, then reuses capacity
 	return migrated
 }
 

@@ -261,7 +261,7 @@ func (d *Device) CreateQueuePair(name string, sqMem, cqMem []byte, depth uint32)
 // addQP registers a queue pair with the controller, pre-sizing its CID table
 // to the queue depth.
 func (d *Device) addQP(qp *nvme.QueuePair, depth uint32) {
-	d.qps = append(d.qps, &ioQueue{qp: qp, cids: make([]cidSlot, depth)}) //camlint:allow hotalloc -- queue registration is setup/admin work
+	d.qps = append(d.qps, &ioQueue{qp: qp, cids: make([]cidSlot, depth)})
 }
 
 // Ring publishes new submissions on qp to the controller. Hosts call this
@@ -302,8 +302,6 @@ type ctrlPoll struct {
 
 // Run drains SQEs from every queue pair, starts their execution, and re-arms
 // on the doorbell signal once fully idle.
-//
-//camlint:hotpath
 func (c *ctrlPoll) Run() {
 	d := c.d
 	for {
@@ -455,7 +453,7 @@ func (d *Device) newCmd(q *ioQueue, sqe nvme.SQE) *ioCmd {
 		d.cmdFree[n-1] = nil
 		d.cmdFree = d.cmdFree[:n-1]
 	} else {
-		c = &ioCmd{d: d} //camlint:allow hotalloc -- pool miss grows to the in-flight high-water mark, then reuses
+		c = &ioCmd{d: d} // pool miss grows to the in-flight high-water mark, then reuses
 	}
 	c.q, c.sqe = q, sqe
 	c.injStatus, c.aborted = nvme.StatusSuccess, false
@@ -583,7 +581,7 @@ func (d *Device) execute(q *ioQueue, sqe nvme.SQE) {
 // growing the table if the host uses identifiers beyond the queue depth.
 func (q *ioQueue) noteSubmit(cid uint16, now sim.Time) *cidSlot {
 	if int(cid) >= len(q.cids) {
-		q.cids = append(q.cids, make([]cidSlot, int(cid)+1-len(q.cids))...) //camlint:allow hotalloc -- rare CID-range regrow when a host uses identifiers past queue depth
+		q.cids = append(q.cids, make([]cidSlot, int(cid)+1-len(q.cids))...) // rare CID-range regrow when a host uses identifiers past queue depth
 	}
 	slot := &q.cids[cid]
 	slot.submitAt, slot.timed, slot.dropped = now, true, false

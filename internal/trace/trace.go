@@ -101,7 +101,7 @@ func (t *Tracer) Emit(kind Kind, actor, what string, arg int64) {
 	}
 	ev := Event{At: t.e.Now(), Kind: kind, Actor: actor, What: what, Arg: arg}
 	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, ev) //camlint:allow hotalloc -- ring preallocated to capacity; append never regrows
+		t.ring = append(t.ring, ev) // ring preallocated to capacity; append never regrows
 		return
 	}
 	t.ring[t.next] = ev

@@ -1,45 +1,19 @@
-// Package workload generates the access patterns the experiments replay:
-// uniform random (the paper's microbenchmarks), sequential streams (sort
-// and GEMM phases), and Zipfian skew (cache studies). Generators are
-// deterministic under a seed and allocation-free in the steady state.
+// Package workload generates the access patterns the cache ablation
+// replays: uniform random (the paper's microbenchmarks) and Zipfian skew.
+// Generators are deterministic under a seed and allocation-free in the
+// steady state.
 package workload
 
 import (
-	"fmt"
 	"math"
 
 	"camsim/internal/sim"
 )
 
-// Pattern names an address distribution.
-type Pattern int
-
-// Supported patterns.
-const (
-	Uniform Pattern = iota
-	Sequential
-	Zipfian
-)
-
-func (p Pattern) String() string {
-	switch p {
-	case Uniform:
-		return "uniform"
-	case Sequential:
-		return "sequential"
-	case Zipfian:
-		return "zipfian"
-	default:
-		return fmt.Sprintf("Pattern(%d)", int(p))
-	}
-}
-
-// Generator yields block indices in [0, Span).
+// Generator yields block indices in [0, span).
 type Generator interface {
 	// Next returns the next block index.
 	Next() uint64
-	// Span reports the generator's address range.
-	Span() uint64
 }
 
 // NewUniform returns a uniform random generator over [0, span).
@@ -56,27 +30,6 @@ type uniform struct {
 }
 
 func (u *uniform) Next() uint64 { return uint64(u.rng.Int63n(int64(u.span))) }
-func (u *uniform) Span() uint64 { return u.span }
-
-// NewSequential returns a wrapping sequential generator starting at start.
-func NewSequential(start, span uint64) Generator {
-	if span == 0 {
-		panic("workload: span must be positive")
-	}
-	return &sequential{next: start % span, span: span}
-}
-
-type sequential struct {
-	next uint64
-	span uint64
-}
-
-func (s *sequential) Next() uint64 {
-	v := s.next
-	s.next = (s.next + 1) % s.span
-	return v
-}
-func (s *sequential) Span() uint64 { return s.span }
 
 // NewZipfian returns a Zipf(θ)-skewed generator over [0, span) using the
 // Gray et al. rejection-free method (as in YCSB). θ in (0, 1); higher is
@@ -143,8 +96,6 @@ func (z *zipfian) Next() uint64 {
 	return scatter(rank) % z.span
 }
 
-func (z *zipfian) Span() uint64 { return z.span }
-
 // scatter is a fixed bijective-ish mixing hash (SplitMix64 finalizer).
 func scatter(x uint64) uint64 {
 	x ^= x >> 30
@@ -153,39 +104,4 @@ func scatter(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// New constructs a generator by pattern.
-func New(p Pattern, seed, span uint64, theta float64) Generator {
-	switch p {
-	case Uniform:
-		return NewUniform(seed, span)
-	case Sequential:
-		return NewSequential(0, span)
-	case Zipfian:
-		return NewZipfian(seed, span, theta)
-	default:
-		panic("workload: unknown pattern")
-	}
-}
-
-// Mix is a read/write mix driver: it draws ops with the given read
-// fraction and block indices from the generator.
-type Mix struct {
-	gen      Generator
-	rng      *sim.RNG
-	readFrac float64
-}
-
-// NewMix wraps a generator with an op mix (readFrac in [0,1]).
-func NewMix(seed uint64, gen Generator, readFrac float64) *Mix {
-	if readFrac < 0 || readFrac > 1 {
-		panic("workload: read fraction out of range")
-	}
-	return &Mix{gen: gen, rng: sim.NewRNG(seed ^ 0xabcdef), readFrac: readFrac}
-}
-
-// Next draws (block, isRead).
-func (m *Mix) Next() (uint64, bool) {
-	return m.gen.Next(), m.rng.Float64() < m.readFrac
 }

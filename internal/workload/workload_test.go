@@ -34,16 +34,6 @@ func TestUniformCoversSpan(t *testing.T) {
 	}
 }
 
-func TestSequentialWraps(t *testing.T) {
-	g := NewSequential(3, 5)
-	want := []uint64{3, 4, 0, 1, 2, 3}
-	for i, w := range want {
-		if v := g.Next(); v != w {
-			t.Fatalf("step %d: got %d, want %d", i, v, w)
-		}
-	}
-}
-
 func TestZipfianInRange(t *testing.T) {
 	g := NewZipfian(7, 1000, 0.9)
 	for i := 0; i < 10000; i++ {
@@ -99,48 +89,12 @@ func TestZetaLargeNFinite(t *testing.T) {
 	}
 }
 
-func TestMixReadFraction(t *testing.T) {
-	m := NewMix(3, NewUniform(1, 100), 0.7)
-	reads := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		_, r := m.Next()
-		if r {
-			reads++
-		}
-	}
-	frac := float64(reads) / n
-	if math.Abs(frac-0.7) > 0.01 {
-		t.Fatalf("read fraction = %.3f, want 0.7", frac)
-	}
-}
-
-func TestNewByPattern(t *testing.T) {
-	for _, p := range []Pattern{Uniform, Sequential, Zipfian} {
-		g := New(p, 1, 100, 0.9)
-		if g.Span() != 100 {
-			t.Fatalf("%v: span = %d", p, g.Span())
-		}
-		if v := g.Next(); v >= 100 {
-			t.Fatalf("%v: out of range", p)
-		}
-	}
-}
-
-func TestPatternString(t *testing.T) {
-	if Uniform.String() != "uniform" || Zipfian.String() != "zipfian" || Sequential.String() != "sequential" {
-		t.Fatal("Pattern.String broken")
-	}
-}
-
 func TestBadArgsPanic(t *testing.T) {
 	cases := []func(){
 		func() { NewUniform(1, 0) },
-		func() { NewSequential(0, 0) },
 		func() { NewZipfian(1, 0, 0.5) },
 		func() { NewZipfian(1, 10, 0) },
 		func() { NewZipfian(1, 10, 1) },
-		func() { NewMix(1, NewUniform(1, 10), 1.5) },
 	}
 	for i, fn := range cases {
 		func() {

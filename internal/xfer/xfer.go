@@ -149,12 +149,10 @@ type bamSink struct {
 }
 
 // BatchDone implements bam.BatchSink (engine-callback context).
-//
-//camlint:hotpath
 func (k *bamSink) BatchDone(errs int) {
 	sig := k.sig
 	k.sig = nil
-	k.b.freeS = append(k.b.freeS, k) //camlint:allow hotalloc -- amortized free-list growth
+	k.b.freeS = append(k.b.freeS, k)
 	sig.Fire()
 }
 
@@ -268,8 +266,6 @@ type stagedXfer struct {
 
 // StoreItem receives a free helper from the pool and starts the next
 // granule on it (engine-callback context).
-//
-//camlint:hotpath
 func (x *stagedXfer) StoreItem(k *granuleSlot, ok bool) {
 	if !ok {
 		panic("xfer: helper pool closed mid-transfer")
@@ -292,8 +288,6 @@ type granuleSlot struct {
 
 // Run is the granule-complete continuation: the helper returns to the pool
 // and the last granule completes the transfer (engine-callback context).
-//
-//camlint:hotpath
 func (k *granuleSlot) Run() {
 	x := k.x
 	k.x = nil
@@ -302,7 +296,7 @@ func (k *granuleSlot) Run() {
 	if x.remaining == 0 {
 		sig := x.sig
 		x.sig, x.buf = nil, nil
-		x.s.freeX = append(x.s.freeX, x) //camlint:allow hotalloc -- amortized free-list growth
+		x.s.freeX = append(x.s.freeX, x)
 		sig.Fire()
 	}
 }
@@ -364,8 +358,6 @@ type spdkHelper struct {
 }
 
 // move stages one granule (engine-callback context).
-//
-//camlint:hotpath
 func (h spdkHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done sim.Callback) {
 	dev, slba := h.b.locateBlock(blk)
 	if read {
@@ -473,13 +465,13 @@ type posixHelper struct {
 }
 
 // move starts one granule (engine-callback context).
-//
-//camlint:hotpath
 func (h *posixHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done sim.Callback) {
 	b := h.b
 	h.read, h.buf, h.bufOff, h.done = read, buf, bufOff, done
-	// Pre-build the stripe-boundary chunk list over the helper buffer.
-	h.reqs = h.reqs[:0]
+	// Pre-build the stripe-boundary chunk list over the helper buffer. A
+	// reused slot keeps its Done signal, which the stack resets on submit
+	// instead of allocating one per chunk.
+	reqs, n := h.reqs[:cap(h.reqs)], 0
 	op := nvme.OpRead
 	if !read {
 		op = nvme.OpWrite
@@ -491,10 +483,15 @@ func (h *posixHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64,
 		if chunk > b.g-hostOff {
 			chunk = b.g - hostOff
 		}
-		h.reqs = append(h.reqs, oskernel.Request{Op: op, Offset: off, Pay: hostPay, PayOff: hostOff, N: chunk}) //camlint:allow hotalloc -- helper retains reqs capacity across granules
+		if n == len(reqs) {
+			reqs = append(reqs, oskernel.Request{})
+		}
+		reqs[n] = oskernel.Request{Op: op, Offset: off, Pay: hostPay, PayOff: hostOff, N: chunk, Done: reqs[n].Done}
+		n++
 		off += chunk
 		hostOff += chunk
 	}
+	h.reqs = reqs[:n]
 	h.idx = 0
 	if read {
 		h.phase = pgSubmit
@@ -517,8 +514,6 @@ func (h *posixHelper) stage(dst *mem.Payload, dstOff int64, src *mem.Payload, sr
 }
 
 // Run advances the granule one phase (engine-callback context).
-//
-//camlint:hotpath
 func (h *posixHelper) Run() {
 	b := h.b
 	switch h.phase {

@@ -277,3 +277,35 @@ func TestBackendNames(t *testing.T) {
 		}
 	}
 }
+
+// TestReadAllocsIndependentOfSize is the allocation ceiling of the adapters:
+// at steady state a synchronous Read costs the host a fixed handful of
+// objects per call (the block-id list, the completion signal and its waiter
+// slot; on CAM also the Batch and the boxed handle) and nothing per granule,
+// on every backend. The ceilings are the constants measured when the test
+// was written.
+func TestReadAllocsIndependentOfSize(t *testing.T) {
+	const bb = 4096
+	ceiling := map[string]float64{"cam": 5, "bam": 3, "spdk": 3, "gds": 2, "posix": 3}
+	sizes := []int64{64, 512}
+	got := map[string][]float64{}
+	for _, blocks := range sizes {
+		for name, bx := range backends(bb) {
+			dst := bx.b.Alloc("dst", blocks*bb)
+			bx.env.E.Go("app", func(p *sim.Proc) {
+				read := func() { Read(p, bx.b, 0, blocks*bb, dst, 0) }
+				for w := 0; w < 4; w++ {
+					read()
+				}
+				got[name] = append(got[name], testing.AllocsPerRun(10, read))
+			})
+			bx.env.Run()
+		}
+	}
+	for name, max := range ceiling {
+		if a := got[name]; a[0] != a[1] || a[0] > max {
+			t.Errorf("%s: %v allocs per Read of %d blocks, %v per Read of %d; want equal and at most %v",
+				name, a[0], sizes[0], a[1], sizes[1], max)
+		}
+	}
+}
