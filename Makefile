@@ -86,13 +86,15 @@ bench-test:
 
 # bench-layers runs the micro-benchmark of each layer on the spdk → nvme →
 # ssd command path — host ns and allocations per ring round trip, per read
-# command and per driver request — and of the kvcache tier (seven touches to
-# one evict+insert at 2048 frames). Each fails if its steady state allocates.
+# command and per driver request — of the kvcache tier (seven touches to one
+# evict+insert at 2048 frames), each failing if its steady state allocates,
+# and of the ssd store at rest (payload write/read per 4 KiB block next to a
+# plain-copy floor; an instrument, it asserts nothing).
 # CI runs them once (LAYER_BENCHTIME=1x) to keep them building and
 # allocation-free; for numbers use the default and repeat.
 LAYER_BENCHTIME ?= 200000x
 bench-layers:
-	$(GO) test -run '^$$' -bench 'BenchmarkRingRoundtrip|BenchmarkReadCmd|BenchmarkSubmitReap|BenchmarkTierCycle' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRingRoundtrip|BenchmarkReadCmd|BenchmarkStoreAtRest|BenchmarkSubmitReap|BenchmarkTierCycle' \
 		-benchtime $(LAYER_BENCHTIME) -cpu 1 ./internal/nvme ./internal/ssd ./internal/spdk ./internal/kvcache
 
 # bench-pair is the procedure behind a performance claim: N alternating runs

@@ -100,11 +100,11 @@ type System struct {
 	// when they surface at the head (their flight slot no longer matches).
 	deadq []deadlineQueue
 	// faninFree recycles batch fan-in counters (and their signals).
-	faninFree []*fanin
+	faninFree sim.FreeList[fanin]
 	// batchFree recycles batch state machines; syncFree recycles the
 	// signal adapters the synchronous wrappers park on.
-	batchFree []*batchMachine
-	syncFree  []*syncSink
+	batchFree sim.FreeList[batchMachine]
+	syncFree  sim.FreeList[syncSink]
 
 	stats Stats
 	tr    *trace.Tracer
@@ -164,21 +164,7 @@ func (s *System) earliest(dev int) sim.Time {
 type fanin struct {
 	remaining int
 	errors    int
-	done      *sim.Signal
-}
-
-// getFanin takes a counter from the pool, re-armed.
-func (s *System) getFanin() *fanin {
-	if n := len(s.faninFree); n > 0 {
-		f := s.faninFree[n-1]
-		s.faninFree[n-1] = nil
-		s.faninFree = s.faninFree[:n-1]
-		f.done.Reset()
-		f.remaining = 0
-		f.errors = 0
-		return f
-	}
-	return &fanin{done: s.e.NewSignal("bam.batch")}
+	done      sim.Signal
 }
 
 // SetTracer attaches a tracer for timeout events (nil disables) and
@@ -196,7 +182,7 @@ func (s *System) Stats() Stats { return s.stats }
 // putFanin recycles a finished counter.
 //
 //camlint:pool release
-func (s *System) putFanin(f *fanin) { s.faninFree = append(s.faninFree, f) } // free list grows to the fan-in high-water mark, then reuses capacity
+func (s *System) putFanin(f *fanin) { s.faninFree.Put(f) }
 
 // faninRef adjusts a fan-in count, firing completion at zero.
 func (s *System) faninRef(f *fanin, delta int) {
@@ -321,11 +307,12 @@ func (a *Array) batch(p *sim.Proc, op nvme.Opcode, blocks []uint64, buf *gpu.Buf
 		return 0
 	}
 	s := a.s
-	ss := s.getSyncSink()
+	ss := s.syncFree.Get()
+	ss.done.Init(s.e, "bam.sync")
 	a.Start(op, blocks, buf, off, nil, ss)
-	p.Wait(ss.done)
+	p.Wait(&ss.done)
 	errs := ss.errs
-	s.putSyncSink(ss)
+	s.syncFree.Put(ss)
 	return errs
 }
 
@@ -338,26 +325,13 @@ type BatchSink interface {
 // syncSink adapts BatchSink to a signal for the synchronous wrappers.
 type syncSink struct {
 	errs int
-	done *sim.Signal
+	done sim.Signal
 }
 
 func (ss *syncSink) BatchDone(errs int) {
 	ss.errs = errs
 	ss.done.Fire()
 }
-
-func (s *System) getSyncSink() *syncSink {
-	if n := len(s.syncFree); n > 0 {
-		ss := s.syncFree[n-1]
-		s.syncFree = s.syncFree[:n-1]
-		ss.done.Reset()
-		ss.errs = 0
-		return ss
-	}
-	return &syncSink{done: s.e.NewSignal("bam.sync")}
-}
-
-func (s *System) putSyncSink(ss *syncSink) { s.syncFree = append(s.syncFree, ss) }
 
 // batchMachine phases (the bmLoop scan resumes directly in Run's default
 // arm).
@@ -390,15 +364,6 @@ type batchMachine struct {
 	missIdx []int
 }
 
-func (s *System) getBatch() *batchMachine {
-	if n := len(s.batchFree); n > 0 {
-		m := s.batchFree[n-1]
-		s.batchFree = s.batchFree[:n-1]
-		return m
-	}
-	return &batchMachine{}
-}
-
 // Start is the callback-machine form of Gather (op nvme.OpRead) and Scatter
 // (nvme.OpWrite): the sink runs once every block is resident (or failed).
 // Block i moves to or from buf offset off + i*BlockBytes, or offs[i] when
@@ -414,7 +379,7 @@ func (a *Array) Start(op nvme.Opcode, blocks []uint64, buf *gpu.Buffer, off int6
 		return
 	}
 	s := a.s
-	m := s.getBatch()
+	m := s.batchFree.Get()
 	m.a, m.op, m.buf, m.sink = a, op, buf, sink
 	m.blocks = append(m.blocks[:0], blocks...)
 	// A list's offsets are copied; a range's are its stride, filled in.
@@ -425,8 +390,9 @@ func (a *Array) Start(op nvme.Opcode, blocks []uint64, buf *gpu.Buffer, off int6
 	// Hold the fan-in above zero until every command is submitted:
 	// submission can block on queue slots, so early completions may race
 	// the rest of the batch.
-	m.fan = s.getFanin()
-	m.fan.remaining = 1
+	m.fan = s.faninFree.Get()
+	m.fan.remaining, m.fan.errors = 1, 0
+	m.fan.done.Init(s.e, "bam.batch")
 	m.phase = bmLoop
 	// Pin the I/O warps, then run.
 	held, ok := s.g.PinThreadsCallback(s.ThreadsNeeded(len(s.devs)), m)
@@ -555,7 +521,7 @@ func (m *batchMachine) finish() {
 	m.a, m.buf, m.sink, m.fan = nil, nil, nil, nil
 	m.missIdx = m.missIdx[:0]
 	m.i, m.hitTime, m.held = 0, 0, 0
-	s.batchFree = append(s.batchFree, m)
+	s.batchFree.Put(m)
 	sink.BatchDone(errs)
 }
 

@@ -89,9 +89,10 @@ func roundTripBaM(t *testing.T, blocks []uint64, ndev int, blockBytes int64, lay
 	srcOffs, srcArg := placement(len(uniq), blockBytes, layout)
 	dstOffs, dstArg := placement(len(ids), blockBytes, layout)
 	run := func(p *sim.Proc, op nvme.Opcode, ids []uint64, buf *gpu.Buffer, arg []int64) {
-		ss := r.sys.getSyncSink()
+		ss := r.sys.syncFree.Get()
+		ss.done.Init(r.e, "bam.sync")
 		arr.Start(op, ids, buf, 0, arg, ss)
-		p.Wait(ss.done)
+		p.Wait(&ss.done)
 		if ss.errs != 0 {
 			t.Errorf("%d of %d blocks failed", ss.errs, len(ids))
 		}

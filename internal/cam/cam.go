@@ -111,13 +111,16 @@ func (o Op) String() string {
 	}
 }
 
-// Batch is one published prefetch/write_back: the CAM-Async handle.
+// Batch is one published prefetch/write_back: the CAM-Async handle. Batches
+// are carved from the manager's slab and never recycled: callers read OK and
+// Errors long after Synchronize.
 type Batch struct {
 	Seq   uint64
 	Op    Op
 	Count int
 
-	done *sim.Signal
+	m    *Manager
+	done sim.Signal
 	slot int
 	// indexed marks a list batch: region 1 carries (block, buffer offset)
 	// pairs instead of a bare LBA array, so each block names its own
@@ -143,8 +146,9 @@ func (b *Batch) Errors() int { return b.errors }
 // OK reports whether every request in the batch succeeded.
 func (b *Batch) OK() bool { return b.errors == 0 }
 
-// Done reports the completion signal (CAM-Async API).
-func (b *Batch) Done() *sim.Signal { return b.done }
+// Wait blocks p until the batch completes, as its manager's Synchronize
+// does; it makes a *Batch the handle package xfer deals in.
+func (b *Batch) Wait(p *sim.Proc) { b.m.synchronize(p, b) }
 
 // Latency reports publish-to-completion time (valid after completion).
 func (b *Batch) Latency() sim.Time { return b.completed - b.published }
@@ -195,6 +199,11 @@ type Manager struct {
 	// so releasing a slot never grows the backing array.
 	freeSlots         []int
 	slotPop, slotPush uint
+
+	// batches carves Batch records; lists holds the rare publish that had to
+	// wait for a slot and so works from its own copy of the caller's slices.
+	batches sim.FreeList[Batch]
+	lists   sim.FreeList[listCopy]
 
 	seq       uint64
 	lastRead  *Batch
@@ -425,9 +434,7 @@ func (m *Manager) synchronize(p *sim.Proc, b *Batch) {
 	if b == nil {
 		return
 	}
-	if !b.done.Fired() {
-		p.Wait(b.done)
-	}
+	p.Wait(&b.done)
 	// Leading thread notices the region-4 write on its next poll.
 	p.Sleep(m.cfg.GPUPickup)
 	if got := binary.LittleEndian.Uint64(m.r4); got < b.Seq {
@@ -439,8 +446,8 @@ func (m *Manager) synchronize(p *sim.Proc, b *Batch) {
 // takes. Block i sits at buf offset off + i*BlockBytes, or at offs[i] when
 // offs is non-nil: a list batch, whose region 1 carries (block, offset)
 // pairs and whose layout byte in region 2 tells the polling thread to decode
-// them as such. blocks and offs are encoded into region 1 before publish
-// returns and not referenced afterwards.
+// them as such. blocks and offs are the caller's again as soon as publish
+// first yields: a publish that must wait for a slot snapshots them first.
 func (m *Manager) publish(p *sim.Proc, op Op, blocks []uint64, buf *gpu.Buffer, off int64, offs []int64) *Batch {
 	indexed := offs != nil
 	entry := r1EntryBytes(indexed)
@@ -460,12 +467,21 @@ func (m *Manager) publish(p *sim.Proc, op Op, blocks []uint64, buf *gpu.Buffer, 
 	}
 
 	// Flow control: at most MaxOutstanding published batches.
-	m.slotRes.Acquire(p, 1)
+	var snap *listCopy
+	if !m.slotRes.TryAcquire(1) {
+		snap = m.lists.Get()
+		snap.blocks = append(snap.blocks[:0], blocks...)
+		snap.offs = append(snap.offs[:0], offs...)
+		blocks, offs = snap.blocks, snap.offs
+		m.slotRes.Acquire(p, 1)
+	}
 
 	m.seq++
 	slot := m.freeSlots[m.slotPop%uint(len(m.freeSlots))]
 	m.slotPop++
-	b := &Batch{Seq: m.seq, Op: op, Count: len(blocks), done: m.e.NewSignal("cam.batch"), slot: slot, indexed: indexed}
+	b := m.batches.Get()
+	b.Seq, b.Op, b.Count, b.m, b.slot, b.indexed = m.seq, op, len(blocks), m, slot, indexed
+	b.done.Init(m.e, "cam.batch")
 
 	// Region 1: the LBA array (real bytes, GPU→CPU over PCIe).
 	r1 := m.r1[int64(b.slot)*int64(m.cfg.MaxBatch)*8:]
@@ -489,6 +505,9 @@ func (m *Manager) publish(p *sim.Proc, op Op, blocks []uint64, buf *gpu.Buffer, 
 	binary.LittleEndian.PutUint64(m.r2[abase+24:], uint64(m.cfg.BlockBytes))
 	// Region 3: the doorbell.
 	binary.LittleEndian.PutUint64(m.r3, b.Seq)
+	if snap != nil {
+		m.lists.Put(snap)
+	}
 
 	// Publishing cost: region 1 crosses PCIe (8 or 16 B per block) plus
 	// the posted doorbell write.
@@ -501,6 +520,12 @@ func (m *Manager) publish(p *sim.Proc, op Op, blocks []uint64, buf *gpu.Buffer, 
 	// The CPU polling thread notices after its pickup latency.
 	m.e.Schedule(m.cfg.PollPickup, m.fireDoorbell)
 	return b
+}
+
+// listCopy is a waiting publish's private copy of its block and offset lists.
+type listCopy struct {
+	blocks []uint64
+	offs   []int64
 }
 
 // pollStep is the persistent CPU polling thread of §III-B as a callback

@@ -54,7 +54,7 @@ type Driver struct {
 	fsBusyUntil sim.Time
 
 	// freeIO recycles asynchronous io machines.
-	freeIO []*ioMachine
+	freeIO sim.FreeList[ioMachine]
 }
 
 // New builds the driver; one backing NVMe thread is plenty because the
@@ -135,14 +135,8 @@ func (d *Driver) ioAsync(op nvme.Opcode, off, n int64, addr mem.Addr, done *sim.
 	end := start + cost
 	d.fsBusyUntil = end
 
-	var m *ioMachine
-	if k := len(d.freeIO); k > 0 {
-		m = d.freeIO[k-1]
-		d.freeIO = d.freeIO[:k-1]
-	} else {
-		m = &ioMachine{d: d}
-	}
-	m.op, m.off, m.n, m.addr, m.done = op, off, n, addr, done
+	m := d.freeIO.Get()
+	m.d, m.op, m.off, m.n, m.addr, m.done = d, op, off, n, addr, done
 	d.e.ScheduleCallback(end-d.e.Now(), m)
 }
 
@@ -187,6 +181,6 @@ func (m *ioMachine) finish(delta int) {
 	}
 	done := m.done
 	m.done = nil
-	m.d.freeIO = append(m.d.freeIO, m)
+	m.d.freeIO.Put(m)
 	done.Fire()
 }

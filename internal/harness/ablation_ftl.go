@@ -56,12 +56,12 @@ func runAblFTL(cfg RunConfig) *Result {
 					d.Submit(req)
 					inflight = append(inflight, req)
 					if len(inflight) >= 64 {
-						p.Wait(inflight[0].Done)
+						p.Wait(&inflight[0].Done)
 						inflight = inflight[1:]
 					}
 				}
 				for _, q := range inflight {
-					p.Wait(q.Done)
+					p.Wait(&q.Done)
 				}
 			})
 			end := runEnv(cfg, env)

@@ -225,12 +225,12 @@ func spdkContigThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64, e
 			d.Submit(req)
 			window = append(window, req)
 			if len(window) >= depth {
-				p.Wait(window[0].Done)
+				p.Wait(&window[0].Done)
 				window = window[1:]
 			}
 		}
 		for _, req := range window {
-			p.Wait(req.Done)
+			p.Wait(&req.Done)
 		}
 		last := regions - 1
 		p.Wait(copySig[last])
@@ -308,7 +308,7 @@ func spdkRawThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64) (flo
 				inflight = append(inflight, req)
 				issued++
 			}
-			p.Wait(inflight[0].Done)
+			p.Wait(&inflight[0].Done)
 			inflight = inflight[1:]
 			done++
 		}

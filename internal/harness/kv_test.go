@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"camsim/internal/sim"
@@ -64,4 +65,30 @@ var kvPinned = []struct {
 	{67, [6]uint64{131976, 62264, 880, 63144, 27582, 61274}, 1071234016, [12]uint64{
 		0x6de230a9e3cb3723, 0xd84966731c894029, 0xc32a30403c329c0c, 0x293afae7eec4f6da, 0xf8abef15a89034a6, 0xc754791d0afe52ad,
 		0x7d4357cf6fd0b0d5, 0x5251b31e4e90d495, 0xded5b63a0bac022f, 0x20f0f0e2fe9abb5d, 0xe84a9da64ffc4285, 0x922a21d9e1a117f7}},
+}
+
+// TestKVServeAllocCeiling runs the benchmark's kv-serve shape — machine
+// construction included, which the benchmark keeps outside its count — and
+// fails above 20 000 heap objects (ROADMAP 5b; 108 k per run before batches,
+// signals and stamp chunks were carved from slabs). The count repeats to a
+// few objects, so a per-batch or per-block allocation coming back shows as
+// tens of thousands.
+func TestKVServeAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one 6144-step serving run")
+	}
+	const ceiling = 20000
+	p := KVParams{Sessions: 12, Prompt: 4096, Decode: 512, Layers: 8, DRAM: 2048, SSDs: 8, Seed: 1}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	srv, _ := KVRun(RunConfig{}, p, "CAM")
+	runtime.ReadMemStats(&m1)
+	if got := m1.Mallocs - m0.Mallocs; got > ceiling {
+		t.Errorf("kv-serve shape allocated %d objects, ceiling %d", got, ceiling)
+	} else {
+		t.Logf("kv-serve shape: %d objects (ceiling %d)", got, ceiling)
+	}
+	if st := srv.Stats(); st.DecodedTokens != uint64(p.Sessions*p.Decode) {
+		t.Errorf("served %d tokens, want %d", st.DecodedTokens, p.Sessions*p.Decode)
+	}
 }

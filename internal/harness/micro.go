@@ -350,7 +350,7 @@ func spdkScatteredThroughput(cfg RunConfig, ssds int, gran int64) float64 {
 					pending = append(pending, req)
 				}
 				for _, req := range pending {
-					p.Wait(req.Done)
+					p.Wait(&req.Done)
 				}
 				// The raw driver charged the DMA-write crossing per
 				// command; this is the copy's read leg. Every granule is

@@ -179,13 +179,13 @@ func runTab6(cfg RunConfig) *Result {
 	add("Sort", "shared core", "internal/sortx/sortx.go",
 		"backend-independent sorter", "Sorter.Sort", "Sorter.runPhase", "Sorter.mergePhase", "Sorter.mergePair")
 	add("Sort", "CAM adapter", "internal/xfer/xfer.go",
-		"CAM backend glue", "CAMBackend.StartRead", "CAMBackend.StartWrite", "camHandle.Wait", "NewCAM")
+		"CAM backend glue", "CAMBackend.StartRead", "CAMBackend.StartWrite", "CAMBackend.Alloc", "NewCAM")
 	add("Sort", "POSIX adapter", "internal/xfer/xfer.go",
 		"POSIX staging glue", "POSIXBackend.StartRead", "POSIXBackend.StartWrite", "NewPOSIX")
 	add("GEMM", "shared core", "internal/gemmx/gemmx.go",
 		"backend-independent multiplier", "Multiplier.Run")
 	add("GEMM", "CAM adapter", "internal/xfer/xfer.go",
-		"CAM backend glue", "CAMBackend.StartRead", "CAMBackend.StartWrite", "camHandle.Wait", "NewCAM")
+		"CAM backend glue", "CAMBackend.StartRead", "CAMBackend.StartWrite", "CAMBackend.Alloc", "NewCAM")
 	add("GEMM", "GDS adapter", "internal/xfer/xfer.go",
 		"GDS glue", "GDSBackend.StartRead", "GDSBackend.StartWrite", "NewGDS")
 	add("GEMM", "BaM adapter", "internal/xfer/xfer.go",

@@ -64,17 +64,13 @@ func (s Stats) TokensPerSec() float64 {
 //
 // The record is published in Server.pend before the backend has returned
 // the handle, and a backend's Start*List may yield (CAM's publish does), so
-// another session can find it with h still nil. Such a waiter creates issued
-// and parks on it; the common path never allocates the signal.
+// another session can find it with h still nil. Such a waiter parks on
+// issued.
 //
-// Records are recycled through Server.idle, slices and signal included. The
-// id and offset slices must be private to the batch: no backend references
-// them once Start*List returns, but CAM's publish can block in
-// slotRes.Acquire before it encodes region 1, and scratch shared with
-// another session's batch would be rewritten under it.
+// Records are recycled through Server.idle, slices and signal included.
 type inflight struct {
 	h       xfer.Handle
-	issued  *sim.Signal // lazily created by a waiter that arrived before h
+	issued  sim.Signal // fires when h is set
 	keys    []Key
 	ids     []uint64
 	offs    []int64
@@ -86,9 +82,7 @@ type inflight struct {
 // setHandle records the started transfer and releases early waiters.
 func (f *inflight) setHandle(h xfer.Handle) {
 	f.h = h
-	if f.issued != nil {
-		f.issued.Fire()
-	}
+	f.issued.Fire()
 }
 
 // Server runs the multi-session serving workload over one list backend.
@@ -106,7 +100,7 @@ type Server struct {
 	// pend is indexed by frame: a Filling or Spilling block always holds
 	// one, and its covering transfer sits there until settled.
 	pend []*inflight
-	idle []*inflight
+	idle sim.FreeList[inflight]
 	// frameAvail is what reserveFrames parks on when nothing is free or
 	// evictable; any release of capacity fires and re-arms it.
 	frameAvail *sim.Signal
@@ -261,12 +255,8 @@ func (s *Server) pending(m *Map, k Key) *inflight {
 
 // newInflight starts a record for a batch over keys, recycling an idle one.
 func (s *Server) newInflight(keys []Key, fill bool) *inflight {
-	var f *inflight
-	if n := len(s.idle); n > 0 {
-		f, s.idle = s.idle[n-1], s.idle[:n-1]
-	} else {
-		f = &inflight{}
-	}
+	f := s.idle.Get()
+	f.issued.Init(s.env.E, "kv.issued")
 	f.keys, f.fill = append(f.keys, keys...), fill
 	return f
 }
@@ -330,12 +320,7 @@ func (s *Server) evict(p *sim.Proc, victims []Key) {
 // transitions exactly once, no matter how many procs were waiting on it.
 func (s *Server) settle(p *sim.Proc, f *inflight) {
 	f.waiters++
-	if f.h == nil {
-		if f.issued == nil {
-			f.issued = s.env.E.NewSignal("kv.issued")
-		}
-		p.Wait(f.issued)
-	}
+	p.Wait(&f.issued)
 	f.h.Wait(p)
 	f.waiters--
 	if !f.done { // else another waiter finalized while we slept
@@ -355,11 +340,8 @@ func (s *Server) settle(p *sim.Proc, f *inflight) {
 	}
 	if f.waiters == 0 {
 		// Nothing can reach a done record but the procs already in here.
-		if f.issued != nil {
-			f.issued.Reset()
-		}
-		*f = inflight{issued: f.issued, keys: f.keys[:0], ids: f.ids[:0], offs: f.offs[:0]}
-		s.idle = append(s.idle, f)
+		*f = inflight{keys: f.keys[:0], ids: f.ids[:0], offs: f.offs[:0]}
+		s.idle.Put(f)
 	}
 }
 

@@ -88,3 +88,47 @@ func suppressed(r *Req) {
 	put(r)
 	_ = r.ID //camlint:allow poollife -- fixture: reading a recycled request is the point here
 }
+
+// FreeList is the shape of sim.FreeList: the generic list every pool in the
+// simulator recycles through. Its Put carries no annotation; the owner's
+// wrapper does.
+type FreeList[T any] struct{ free []*T }
+
+func (f *FreeList[T]) Get() *T {
+	if last := len(f.free) - 1; last >= 0 {
+		r := f.free[last]
+		f.free[last] = nil
+		f.free = f.free[:last]
+		return r
+	}
+	return new(T)
+}
+
+func (f *FreeList[T]) Put(r *T) { f.free = append(f.free, r) }
+
+type driver struct{ reqFree FreeList[Req] }
+
+// putRequest releases through the generic list inside an annotated wrapper,
+// as spdk.Driver.putRequest does.
+//
+//camlint:pool release
+func (d *driver) putRequest(r *Req) {
+	*r = Req{}
+	d.reqFree.Put(r)
+}
+
+func (d *driver) useAfterGenericPut(r *Req) {
+	d.putRequest(r)
+	_ = r.ID // want "use of r after release"
+}
+
+func (d *driver) doubleGenericPut(r *Req) {
+	d.putRequest(r)
+	d.putRequest(r) // want "released twice"
+}
+
+func (d *driver) reuseGeneric(r *Req) {
+	d.putRequest(r)
+	r = d.reqFree.Get()
+	_ = r.ID // no finding: r was reacquired from the list
+}

@@ -35,6 +35,9 @@ type Payload struct {
 	eager   bool   // sticky: writes land as bytes immediately (old data plane)
 	wrapped bool   // data belongs to the caller; never pooled
 	extents []extent
+	// room is where extents starts out, so a store extent's payload takes
+	// its first few splices without growing a list of its own.
+	room [4]extent
 }
 
 type extKind uint8
@@ -79,10 +82,26 @@ func (c *Chunk) release() {
 // chunkPool recycles chunks by power-of-two size class. Snapshot chunks
 // churn at DMA-granule rate, and content is fully overwritten on reuse, so
 // recycled chunks are handed back dirty.
+//
+// A miss in a sub-page class carves slabLen headers and slabLen·size bytes,
+// each chunk's slice capped at its own size so no neighbour is reachable
+// through cap, and headers point only into their own data slab. Page-sized
+// and larger chunks are allocated singly: most chunks die with their machine
+// unreleased, and a slab of those would stay resident for as long as one
+// neighbour sat in this pool.
 var chunkPool struct {
 	mu      sync.Mutex
 	classes [48][]*Chunk
+	slabs   [carveBelow]struct {
+		hdrs []Chunk
+		data []byte
+	}
 }
+
+const (
+	slabLen    = 64
+	carveBelow = 12 // classes under 1<<12 bytes are carved
+)
 
 func chunkClass(n int64) int {
 	if n <= 1 {
@@ -100,14 +119,29 @@ func chunkGet(n int64) *Chunk {
 		l[len(l)-1] = nil
 		chunkPool.classes[cls] = l[:len(l)-1]
 	}
+	if c == nil && cls < carveBelow {
+		c = chunkCarve(cls)
+	}
 	chunkPool.mu.Unlock()
 	if c == nil {
-		// Pool-miss cold path: steady state recycles chunks, only the first
-		// use of a size class allocates.
-		c = &Chunk{data: make([]byte, 1<<cls)}
+		c = &Chunk{data: make([]byte, 1<<cls)} // pool-miss cold path
 	}
 	c.data = c.data[:n]
 	c.refs = 1
+	return c
+}
+
+// chunkCarve is the pool-miss cold path of a sub-page class (chunkPool.mu
+// held).
+func chunkCarve(cls int) *Chunk {
+	size := 1 << cls
+	sl := &chunkPool.slabs[cls]
+	if len(sl.hdrs) == 0 {
+		sl.hdrs, sl.data = make([]Chunk, slabLen), make([]byte, slabLen*size)
+	}
+	c := &sl.hdrs[0]
+	c.data = sl.data[:size:size]
+	sl.hdrs, sl.data = sl.hdrs[1:], sl.data[size:]
 	return c
 }
 
@@ -171,7 +205,7 @@ func WrapBytes(data []byte) *Payload {
 	p.eager = true
 	p.wrapped = true
 	if p.size > 0 {
-		p.extents = append(p.extents, extent{off: 0, n: p.size, kind: extMat}) // recycled headers carry extent capacity; only a header's first use allocates
+		p.extents = append(p.extents, extent{off: 0, n: p.size, kind: extMat}) // into the header's own room
 	}
 	return p
 }
@@ -186,7 +220,10 @@ func payloadGet() *Payload {
 	}
 	payloadFree.mu.Unlock()
 	if p == nil {
-		p = &Payload{} // pool-miss cold path: headers recycle through payloadFree
+		// Pool-miss cold path, one header at a time: most die unreleased with
+		// their machine, and a slab would keep their backing bytes reachable.
+		p = &Payload{}
+		p.extents = p.room[:0]
 	}
 	return p
 }

@@ -320,3 +320,38 @@ func TestSetZeroOverZeroIsNoOp(t *testing.T) {
 		t.Fatal("SetZero across a chunk and a zero extent did not zero exactly its range")
 	}
 }
+
+// TestChunkSlabNoAlias: sub-page chunks are carved from a shared byte slab,
+// so each one's slice must end at its own last byte — cap == len == class
+// size — and filling one must leave the chunks carved beside it alone.
+// Page-sized chunks are not carved (they would pin their slab from the pool).
+func TestChunkSlabNoAlias(t *testing.T) {
+	const n = 48 // class 64
+	var cs [slabLen + 2]*Chunk
+	for i := range cs {
+		cs[i] = chunkGet(n)
+		if len(cs[i].data) != n || cap(cs[i].data) != 64 {
+			t.Fatalf("chunk %d: len %d cap %d, want %d and the class size 64", i, len(cs[i].data), cap(cs[i].data), n)
+		}
+	}
+	// Write each chunk to the very end of what its slice can reach.
+	for i, c := range cs {
+		full := c.data[:cap(c.data)]
+		for j := range full {
+			full[j] = byte(i + 1)
+		}
+	}
+	for i, c := range cs {
+		for j, b := range c.data[:cap(c.data)] {
+			if b != byte(i+1) {
+				t.Fatalf("chunk %d byte %d = %d after its neighbours were filled, want %d", i, j, b, i+1)
+			}
+		}
+		c.release()
+	}
+	big := chunkGet(4096)
+	if cap(big.data) != 4096 {
+		t.Fatalf("page chunk has cap %d", cap(big.data))
+	}
+	big.release()
+}

@@ -173,7 +173,8 @@ type Request struct {
 	PayOff int64
 	N      int64
 	Status nvme.Status
-	Done   *sim.Signal
+	// Done fires when the completion has been delivered; Submit arms it.
+	Done sim.Signal
 
 	dev  int
 	cid  uint16
@@ -200,9 +201,9 @@ type Stack struct {
 	nextCID  []uint16
 
 	// freeSubmit recycles SubmitAsync machines.
-	freeSubmit []*submitMachine
+	freeSubmit sim.FreeList[submitMachine]
 	// freeReq recycles the synchronous path's requests, Done signal included.
-	freeReq []*Request
+	freeReq sim.FreeList[Request]
 
 	// bounce is the per-device kernel DMA staging area: one slot of
 	// StripeBytes per command identifier, so concurrent commands never
@@ -373,8 +374,8 @@ func (s *Stack) issue(r *Request) {
 func (s *Stack) SubmitAsync(r *Request, onSubmitted sim.Callback) {
 	s.normalize(r)
 
-	m := s.getSubmit()
-	m.r, m.onSubmitted = r, onSubmitted
+	m := s.freeSubmit.Get()
+	m.s, m.r, m.onSubmitted = s, r, onSubmitted
 
 	// User layer runs on the caller.
 	m.phase = smKernel
@@ -394,15 +395,6 @@ type submitMachine struct {
 	r           *Request
 	phase       uint8
 	onSubmitted sim.Callback
-}
-
-func (s *Stack) getSubmit() *submitMachine {
-	if k := len(s.freeSubmit); k > 0 {
-		m := s.freeSubmit[k-1]
-		s.freeSubmit = s.freeSubmit[:k-1]
-		return m
-	}
-	return &submitMachine{s: s} // pool miss grows to the concurrency high-water mark, then reuses
 }
 
 // Run advances the submission one phase (engine-callback context).
@@ -429,7 +421,7 @@ func (m *submitMachine) Run() {
 		s.issue(r)
 		onSubmitted := m.onSubmitted
 		m.r, m.onSubmitted = nil, nil
-		s.freeSubmit = append(s.freeSubmit, m)
+		s.freeSubmit.Put(m)
 		onSubmitted.Run()
 	}
 }
@@ -455,11 +447,7 @@ func (s *Stack) normalize(r *Request) {
 	if r.Pay == nil {
 		r.Pay, r.PayOff, r.N, r.wrap = mem.WrapBytes(r.Data), 0, n, true
 	}
-	if r.Done == nil {
-		r.Done = s.e.NewSignal("kreq")
-	} else {
-		r.Done.Reset()
-	}
+	r.Done.Init(s.e, "kreq")
 }
 
 // bounceStage moves request content between the user payload and command
@@ -501,7 +489,7 @@ type kcqStep struct {
 	dev int
 	// free recycles interrupt-delivery records so the steady-state
 	// completion path does not allocate.
-	free []*kDeliver
+	free sim.FreeList[kDeliver]
 }
 
 // kDeliver carries one interrupt-delayed completion delivery.
@@ -518,7 +506,7 @@ type kDeliver struct {
 func (d *kDeliver) Run() {
 	k, r, cid, status := d.k, d.r, d.cid, d.status
 	d.r = nil
-	k.free = append(k.free, d)
+	k.free.Put(d)
 	k.deliver(r, cid, status)
 }
 
@@ -545,23 +533,13 @@ func (k *kcqStep) Run() {
 			// but interrupts fan out across cores, so it does not
 			// serialize completions.
 			s.Stat.ChargeCycles(cpustat.TimeToCycles(s.cfg.InterruptDelay) * 0.3)
-			d := k.getDeliver()
-			d.r, d.cid, d.status = r, cqe.CID, cqe.Status
+			d := k.free.Get()
+			d.k, d.r, d.cid, d.status = k, r, cqe.CID, cqe.Status
 			s.e.ScheduleCallback(s.cfg.InterruptDelay, d)
 		} else {
 			k.deliver(r, cqe.CID, cqe.Status)
 		}
 	}
-}
-
-// getDeliver returns a recycled (or fresh) delivery record.
-func (k *kcqStep) getDeliver() *kDeliver {
-	if n := len(k.free); n > 0 {
-		d := k.free[n-1]
-		k.free = k.free[:n-1]
-		return d
-	}
-	return &kDeliver{k: k} // pool miss grows to the concurrency high-water mark, then reuses
 }
 
 // deliver finishes one completion: staging copy-out, accounting, tag and
@@ -626,7 +604,8 @@ func (s *Stack) syncIO(p *sim.Proc, op nvme.Opcode, off int64, pay *mem.Payload,
 		if chunk > n {
 			chunk = n
 		}
-		r := s.getReq()
+		// A recycled request keeps its fired Done signal for Submit to re-arm.
+		r := s.freeReq.Get()
 		r.Op, r.Offset, r.Pay, r.PayOff, r.N = op, off, pay, payOff, chunk
 		s.Submit(p, r)
 		reqs = append(reqs, r) // grows only past four stripes; a 4 KiB request is one
@@ -636,26 +615,14 @@ func (s *Stack) syncIO(p *sim.Proc, op nvme.Opcode, off int64, pay *mem.Payload,
 	}
 	st := nvme.StatusSuccess
 	for _, r := range reqs {
-		p.Wait(r.Done)
+		p.Wait(&r.Done)
 		if r.Status != nvme.StatusSuccess {
 			st = r.Status
 		}
 		r.Pay = nil
-		s.freeReq = append(s.freeReq, r)
+		s.freeReq.Put(r)
 	}
 	return st
-}
-
-// getReq returns a recycled (or fresh) request for the synchronous path. A
-// recycled one keeps its fired Done signal for Submit to re-arm; the caller
-// sets the fields that describe the I/O and completion overwrites Status.
-func (s *Stack) getReq() *Request {
-	if k := len(s.freeReq); k > 0 {
-		r := s.freeReq[k-1]
-		s.freeReq = s.freeReq[:k-1]
-		return r
-	}
-	return &Request{} // pool miss grows to the concurrency high-water mark, then reuses
 }
 
 // LayerBreakdown reports the fraction of total accounted time spent in each

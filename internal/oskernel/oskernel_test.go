@@ -360,14 +360,16 @@ func TestPooledRequestDoesNotCarryStatus(t *testing.T) {
 		if st := s.ReadAt(p, devBytes, buf); st != nvme.StatusLBAOutOfRange {
 			t.Errorf("read past the device: status %v, want %v", st, nvme.StatusLBAOutOfRange)
 		}
-		if len(s.freeReq) != 1 {
-			t.Fatalf("free list holds %d requests after one I/O, want 1", len(s.freeReq))
+		// The free list is LIFO: its top is the request that just failed.
+		failed := s.freeReq.Get()
+		if failed.Status != nvme.StatusLBAOutOfRange {
+			t.Fatalf("top of the free list has status %v, want the failed request", failed.Status)
 		}
-		failed := s.freeReq[0]
+		s.freeReq.Put(failed)
 		if st := s.ReadAt(p, 0, buf); st != nvme.StatusSuccess {
 			t.Errorf("read after a failed one: status %v", st)
 		}
-		if s.freeReq[0] != failed {
+		if s.freeReq.Get() != failed {
 			t.Error("second read did not reuse the pooled request")
 		}
 	})

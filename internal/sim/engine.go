@@ -472,11 +472,17 @@ type sigWaiter struct {
 
 // Signal is a one-shot event: processes Wait on it (or callbacks register
 // via WaitCallback), someone Fires it. After firing, Wait returns
-// immediately. Fire is idempotent.
+// immediately. Fire is idempotent. A Signal is usable as a value field of
+// the record it completes (Init it there); it must not be copied once
+// waited on.
 type Signal struct {
-	e       *Engine
-	name    string
-	fired   bool
+	e     *Engine
+	name  string
+	fired bool
+	// first is the inline slot of the earliest registered waiter (cb nil when
+	// nobody waits), so the one-waiter case never allocates; later waiters
+	// spill into waiters, in registration order.
+	first   sigWaiter
 	waiters []sigWaiter
 }
 
@@ -485,8 +491,24 @@ func (e *Engine) NewSignal(name string) *Signal {
 	return &Signal{e: e, name: name}
 }
 
+// Init readies an embedded signal — the zero value, or one recycled with
+// its owner — unfired on e. Like Reset it panics while anything waits.
+func (s *Signal) Init(e *Engine, name string) {
+	s.e, s.name = e, name
+	s.Reset()
+}
+
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
+
+// wake delivers the fire to one waiter.
+func (s *Signal) wake(w sigWaiter) {
+	if w.inline {
+		w.cb.Run()
+	} else {
+		s.e.ScheduleCallback(0, w.cb)
+	}
+}
 
 // Fire wakes all waiters at the current virtual time. Firing twice is a
 // no-op.
@@ -495,19 +517,20 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	// Take ownership of the waiter list before running anything: an inline
+	if s.first.cb == nil {
+		return
+	}
+	// Take ownership of the waiters before running anything: an inline
 	// waiter may Reset this signal and re-arm waiters mid-loop, and those
-	// must land on a fresh list, not overwrite entries still being walked.
-	ws := s.waiters
-	s.waiters = nil
+	// must land on a fresh slot and list, not overwrite entries still being
+	// walked.
+	first, ws := s.first, s.waiters
+	s.first, s.waiters = sigWaiter{}, nil
+	s.wake(first)
 	for i := range ws {
 		w := ws[i]
 		ws[i] = sigWaiter{}
-		if w.inline {
-			w.cb.Run()
-		} else {
-			s.e.ScheduleCallback(0, w.cb)
-		}
+		s.wake(w)
 	}
 	if s.waiters == nil {
 		// Keep the backing array: a signal that is re-armed with Reset and
@@ -519,10 +542,19 @@ func (s *Signal) Fire() {
 // Reset re-arms a fired signal so it can be waited on and fired again.
 // It must not be called while processes are still waiting.
 func (s *Signal) Reset() {
-	if len(s.waiters) != 0 {
+	if s.first.cb != nil {
 		panic("sim: Reset on Signal with waiters: " + s.name)
 	}
 	s.fired = false
+}
+
+// park registers w behind the waiters already there.
+func (s *Signal) park(w sigWaiter) {
+	if s.first.cb == nil {
+		s.first = w
+		return
+	}
+	s.waiters = append(s.waiters, w) // Fire keeps the backing array; only a second concurrent waiter ever grows it
 }
 
 // Wait blocks the process until the signal fires (returns immediately if it
@@ -531,7 +563,7 @@ func (p *Proc) Wait(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, sigWaiter{cb: p}) // Fire recycles the backing array; steady state appends into retained capacity
+	s.park(sigWaiter{cb: p})
 	p.block()
 }
 
@@ -550,7 +582,7 @@ func (s *Signal) WaitCallback(_ int, cb Callback) {
 		s.e.ScheduleCallback(0, cb)
 		return
 	}
-	s.waiters = append(s.waiters, sigWaiter{cb: cb}) // Fire recycles the backing array; steady state appends into retained capacity
+	s.park(sigWaiter{cb: cb})
 }
 
 // WaitInline registers cb to run synchronously inside Fire, at the firing
@@ -565,7 +597,7 @@ func (s *Signal) WaitInline(cb Callback) {
 		cb.Run()
 		return
 	}
-	s.waiters = append(s.waiters, sigWaiter{cb: cb, inline: true}) // Fire recycles the backing array; steady state appends into retained capacity
+	s.park(sigWaiter{cb: cb, inline: true})
 }
 
 // WaitTimeout blocks until the signal fires or d elapses. It reports whether
@@ -582,7 +614,7 @@ func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
 	// on s (Fire removes waiters synchronously, so at an exact tie the
 	// already-processed Fire wins and the timer becomes a no-op instead of
 	// resuming p a second time).
-	s.waiters = append(s.waiters, sigWaiter{cb: p})
+	s.park(sigWaiter{cb: p})
 	t := p.e.ScheduleTimer(d, func() {
 		if s.CancelWaitCallback(p) {
 			expired = true
@@ -605,6 +637,15 @@ func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
 // signal's Fire already consumed the waiter (an exact-instant tie), the
 // cancel fails and the timer becomes a no-op instead of a double wake.
 func (s *Signal) CancelWaitCallback(cb Callback) bool {
+	if s.first.cb == cb && cb != nil {
+		// The next waiter in line, if any, moves up into the inline slot.
+		s.first = sigWaiter{}
+		if len(s.waiters) > 0 {
+			s.first = s.waiters[0]
+			s.waiters = append(s.waiters[:0], s.waiters[1:]...)
+		}
+		return true
+	}
 	for i, w := range s.waiters {
 		if w.cb == cb {
 			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)

@@ -319,3 +319,154 @@ func TestNestedGoFromProc(t *testing.T) {
 		t.Fatalf("child started at %v, want 7", childAt)
 	}
 }
+
+// sigOwner is a record with its completion signal inside it, the way
+// cam.Batch or spdk.Request carry theirs.
+type sigOwner struct {
+	id   int
+	done Signal
+}
+
+func TestSignalEmbeddedInit(t *testing.T) {
+	e := New()
+	var o sigOwner
+	o.done.Init(e, "owner.done")
+	var at Time = -1
+	e.Go("w", func(p *Proc) {
+		p.Wait(&o.done)
+		at = p.Now()
+	})
+	e.Schedule(7, o.done.Fire)
+	e.Run()
+	if at != 7 || !o.done.Fired() {
+		t.Fatalf("waiter on an embedded signal resumed at %v (fired %v), want 7", at, o.done.Fired())
+	}
+	// Init re-arms a recycled owner's signal, and refuses while one waits.
+	o.done.Init(e, "owner.done")
+	if o.done.Fired() {
+		t.Fatal("Init left the signal fired")
+	}
+	o.done.WaitCallback(0, funcCallback(func() {}))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Init on a signal with a waiter did not panic")
+		}
+	}()
+	o.done.Init(e, "owner.done")
+}
+
+// TestSignalOneWaiterAllocatesNothing: the first waiter sits in the signal's
+// inline slot, fresh signal or re-armed one.
+func TestSignalOneWaiterAllocatesNothing(t *testing.T) {
+	e := New()
+	var o sigOwner
+	woke := 0
+	cb := funcCallback(func() { woke++ })
+	if n := testing.AllocsPerRun(100, func() {
+		o.done.Init(e, "owner.done")
+		o.done.WaitCallback(0, cb)
+		o.done.Fire()
+		e.Run()
+	}); n != 0 {
+		t.Fatalf("%v allocations per Init/Wait/Fire cycle with one waiter, want 0", n)
+	}
+	if woke != 101 {
+		t.Fatalf("waiter ran %d times over 101 cycles", woke)
+	}
+	if o.done.waiters != nil {
+		t.Fatal("a lone waiter spilled out of the inline slot")
+	}
+}
+
+// TestSignalWaitersWakeInRegistrationOrder: waiters past the first spill to
+// the list and still wake in the order they registered, inline ones at the
+// fire, scheduled ones after it.
+func TestSignalWaitersWakeInRegistrationOrder(t *testing.T) {
+	e := New()
+	s := e.NewSignal("order")
+	var order []string
+	note := func(tag string) Callback { return funcCallback(func() { order = append(order, tag) }) }
+	s.WaitCallback(0, note("a"))
+	s.WaitInline(note("B"))
+	s.WaitCallback(0, note("c"))
+	s.WaitCallback(0, note("d"))
+	e.Schedule(3, func() {
+		s.Fire()
+		order = append(order, "|")
+	})
+	e.Run()
+	if got := fmt.Sprint(order); got != "[B | a c d]" {
+		t.Fatalf("wake order %v, want the inline waiter inside Fire, then a c d", got)
+	}
+	// Reset, then one waiter: back in the inline slot, the list untouched.
+	s.Reset()
+	s.WaitCallback(0, note("e"))
+	if s.first.cb == nil || len(s.waiters) != 0 {
+		t.Fatalf("after Reset the lone waiter is not in the inline slot (list holds %d)", len(s.waiters))
+	}
+}
+
+func TestSignalCancelPromotesNextWaiter(t *testing.T) {
+	e := New()
+	s := e.NewSignal("cancel")
+	var order []string
+	cbs := map[string]Callback{} // pointers: CancelWaitCallback compares them
+	for _, tag := range []string{"a", "b", "c"} {
+		cbs[tag] = &Timer{fn: func() { order = append(order, tag) }}
+	}
+	s.WaitCallback(0, cbs["a"])
+	s.WaitCallback(0, cbs["b"])
+	s.WaitCallback(0, cbs["c"])
+	if !s.CancelWaitCallback(cbs["a"]) || s.CancelWaitCallback(cbs["a"]) {
+		t.Fatal("cancelling the inline waiter: want true once, then false")
+	}
+	s.Fire()
+	e.Run()
+	if got := fmt.Sprint(order); got != "[b c]" {
+		t.Fatalf("woke %v after cancelling a, want [b c]", got)
+	}
+}
+
+// rearmer is an inline waiter that re-arms the signal it is being fired
+// from, the way a poller resets its doorbell and parks again.
+type rearmer struct {
+	s     *Signal
+	runs  int
+	extra Callback
+}
+
+func (r *rearmer) Run() {
+	r.runs++
+	if r.runs == 1 {
+		r.s.Reset()
+		r.s.WaitInline(r)
+		r.s.WaitCallback(0, r.extra)
+	}
+}
+
+// TestSignalRearmDuringFire: waiters registered from inside Fire land on a
+// fresh slot and list, so the walk in progress neither runs them nor loses
+// the ones it still has to wake.
+func TestSignalRearmDuringFire(t *testing.T) {
+	e := New()
+	s := e.NewSignal("rearm")
+	var order []string
+	note := func(tag string) Callback { return funcCallback(func() { order = append(order, tag) }) }
+	r := &rearmer{s: s, extra: note("x")}
+	s.WaitInline(r)
+	s.WaitCallback(0, note("b"))
+	s.WaitCallback(0, note("c"))
+	s.Fire()
+	e.Run()
+	if r.runs != 1 || fmt.Sprint(order) != "[b c]" {
+		t.Fatalf("first fire: rearmer ran %d times, woke %v; want 1 and [b c]", r.runs, order)
+	}
+	if s.Fired() || s.first.cb != Callback(r) || len(s.waiters) != 1 {
+		t.Fatalf("re-armed waiters did not survive the fire: fired %v, %d spilled", s.Fired(), len(s.waiters))
+	}
+	s.Fire()
+	e.Run()
+	if r.runs != 2 || fmt.Sprint(order) != "[b c x]" {
+		t.Fatalf("second fire: rearmer ran %d times, woke %v; want 2 and [b c x]", r.runs, order)
+	}
+}

@@ -13,7 +13,7 @@ type Store[T any] struct {
 	name    string
 	items   ring[T]
 	getters ring[*storeGetter[T]]
-	free    []*storeGetter[T]
+	free    FreeList[storeGetter[T]]
 	closed  bool
 }
 
@@ -52,22 +52,10 @@ func NewStore[T any](e *Engine, name string) *Store[T] {
 // Len reports the number of queued items.
 func (s *Store[T]) Len() int { return s.items.len() }
 
-// getter returns a recycled (or fresh) blocked-consumer record.
-func (s *Store[T]) getter(p *Proc) *storeGetter[T] {
-	if n := len(s.free); n > 0 {
-		g := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		g.p = p
-		return g
-	}
-	return &storeGetter[T]{p: p} // pool miss grows to the concurrency high-water mark, then reuses
-}
-
 // release zeroes g and parks it for reuse once its value has been consumed.
 func (s *Store[T]) release(g *storeGetter[T]) {
 	*g = storeGetter[T]{}
-	s.free = append(s.free, g)
+	s.free.Put(g)
 }
 
 // wake schedules the zero-delay event that hands g its outcome: the getter
@@ -104,7 +92,8 @@ func (s *Store[T]) Get(p *Proc) (v T, ok bool) {
 	if s.closed {
 		return v, false
 	}
-	g := s.getter(p)
+	g := s.free.Get()
+	g.p = p
 	s.getters.pushBack(g)
 	p.block()
 	v, ok = g.v, g.ok
@@ -127,7 +116,7 @@ func (s *Store[T]) GetCallback(sink StoreSink[T]) {
 		sink.StoreItem(zero, false)
 		return
 	}
-	g := s.getter(nil)
+	g := s.free.Get()
 	g.sink, g.s = sink, s
 	s.getters.pushBack(g)
 }

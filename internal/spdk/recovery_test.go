@@ -45,7 +45,7 @@ func TestPooledErrorStatusSurvives(t *testing.T) {
 	var got nvme.Status
 	r.e.Go("host", func(p *sim.Proc) {
 		d.Submit(req)
-		p.Wait(req.Done)
+		p.Wait(&req.Done)
 		got = req.Status // must still be the failure, not a recycled zero
 		d.PutRequest(req)
 	})
@@ -104,7 +104,7 @@ func TestRetryRecoversMediaErrors(t *testing.T) {
 			for i := 0; i < n; i++ {
 				req := &Request{Op: nvme.OpRead, Dev: 0, SLBA: uint64(i) * 8, NLB: 8, Addr: buf.Addr}
 				d.Submit(req)
-				p.Wait(req.Done)
+				p.Wait(&req.Done)
 				if req.Status == nvme.StatusSuccess {
 					okCount++
 				}
@@ -148,7 +148,7 @@ func TestDroppedCommandTimesOut(t *testing.T) {
 	var status nvme.Status
 	r.e.Go("host", func(p *sim.Proc) {
 		d.Submit(req)
-		p.Wait(req.Done)
+		p.Wait(&req.Done)
 		status = req.Status
 	})
 	end := r.e.Run()
@@ -191,7 +191,7 @@ func TestDeviceFailureDegradesGracefully(t *testing.T) {
 			reqs = append(reqs, req)
 		}
 		for i, req := range reqs {
-			p.Wait(req.Done)
+			p.Wait(&req.Done)
 			statuses[i] = req.Status
 		}
 	})
@@ -225,7 +225,7 @@ func TestDeviceFailureDegradesGracefully(t *testing.T) {
 	r.e.Go("late", func(p *sim.Proc) {
 		req := &Request{Op: nvme.OpRead, Dev: 0, SLBA: 0, NLB: 8, Addr: buf.Addr}
 		d.Submit(req)
-		p.Wait(req.Done)
+		p.Wait(&req.Done)
 		late = req.Status
 	})
 	end := r.e.Run()

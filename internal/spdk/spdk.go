@@ -135,8 +135,8 @@ type Request struct {
 
 	Status nvme.Status
 	// Done is the completion signal for callers that block on individual
-	// requests. Submit allocates it lazily — only when no Sink is set.
-	Done *sim.Signal
+	// requests. Submit arms it only when no Sink is set.
+	Done sim.Signal
 	// OnDone, if set, runs in reactor context right before Done fires;
 	// batch-oriented clients use it to avoid one waiter process per
 	// request.
@@ -235,7 +235,7 @@ type Driver struct {
 	// core adjustment rewrites it between batches.
 	devOwner []int
 	// reqFree recycles Sink-completed requests issued via GetRequest.
-	reqFree []*Request
+	reqFree sim.FreeList[Request]
 	// stagedSeq numbers this driver's staging buffers so their names stay
 	// deterministic (a %p-based name would differ across ASLR'd runs).
 	stagedSeq int
@@ -296,21 +296,17 @@ func New(e *sim.Engine, cfg Config, hm *hostmem.Memory, space *mem.Space, devs [
 // on pool miss). Pooled requests are recycled automatically after their
 // Sink runs; they must not be retained past RequestDone.
 func (d *Driver) GetRequest() *Request {
-	if n := len(d.reqFree); n > 0 {
-		r := d.reqFree[n-1]
-		d.reqFree[n-1] = nil
-		d.reqFree = d.reqFree[:n-1]
-		return r
-	}
-	return &Request{pooled: true} // pool miss grows to the in-flight high-water mark, then reuses
+	r := d.reqFree.Get()
+	r.pooled = true
+	return r
 }
 
 // putRequest clears and recycles a pooled request.
 //
 //camlint:pool release
 func (d *Driver) putRequest(r *Request) {
-	*r = Request{pooled: true}
-	d.reqFree = append(d.reqFree, r)
+	*r = Request{}
+	d.reqFree.Put(r)
 }
 
 // PutRequest returns a pooled, Done-signalled request to the free list.
@@ -423,7 +419,7 @@ func (d *Driver) Submit(r *Request) {
 	// Sink-driven requests fan completions into the submitter's counter;
 	// everyone else gets a per-request signal to block on.
 	if r.Sink == nil {
-		r.Done = d.e.NewSignal("spdkreq")
+		r.Done.Init(d.e, "spdkreq")
 	}
 	rc := d.reactorFor(r.Dev)
 	rc.queue.Put(r)
@@ -911,9 +907,7 @@ func (r *Reactor) deliver(req *Request) {
 	if req.OnDone != nil {
 		req.OnDone()
 	}
-	if req.Done != nil {
-		req.Done.Fire()
-	}
+	req.Done.Fire()
 }
 
 // markDeviceFailed declares device di dead: every in-flight command is

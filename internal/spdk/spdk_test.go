@@ -72,13 +72,13 @@ func TestHostReadAfterWrite(t *testing.T) {
 	r.e.Go("app", func(p *sim.Proc) {
 		w := &Request{Op: nvme.OpWrite, Dev: 0, SLBA: 64, NLB: 16, Addr: wb.Addr}
 		d.Submit(w)
-		p.Wait(w.Done)
+		p.Wait(&w.Done)
 		if w.Status != nvme.StatusSuccess {
 			t.Errorf("write status %v", w.Status)
 		}
 		rd := &Request{Op: nvme.OpRead, Dev: 0, SLBA: 64, NLB: 16, Addr: rb.Addr}
 		d.Submit(rd)
-		p.Wait(rd.Done)
+		p.Wait(&rd.Done)
 		if rd.Status != nvme.StatusSuccess {
 			t.Errorf("read status %v", rd.Status)
 		}
@@ -110,7 +110,7 @@ func driveRandom(t *testing.T, r *rig, d *Driver, op nvme.Opcode, total int) flo
 				inFlight++
 				issued++
 				r.e.Go("waiter", func(w *sim.Proc) {
-					w.Wait(req.Done)
+					w.Wait(&req.Done)
 					done++
 					inFlight--
 				})
@@ -181,7 +181,7 @@ func TestHostReadChargesDRAMOnce(t *testing.T) {
 	r.e.Go("app", func(p *sim.Proc) {
 		req := &Request{Op: nvme.OpRead, Dev: 0, SLBA: 0, NLB: 8, Addr: buf.Addr}
 		d.Submit(req)
-		p.Wait(req.Done)
+		p.Wait(&req.Done)
 	})
 	r.e.Run()
 	if got := r.hm.TotalTraffic(); got != 4096 {
@@ -197,7 +197,7 @@ func TestGPUDirectAddressChargesNoDRAM(t *testing.T) {
 	r.e.Go("app", func(p *sim.Proc) {
 		req := &Request{Op: nvme.OpRead, Dev: 0, SLBA: 0, NLB: 8, Addr: gb.Addr}
 		d.Submit(req)
-		p.Wait(req.Done)
+		p.Wait(&req.Done)
 	})
 	r.e.Run()
 	if got := r.hm.TotalTraffic(); got != 0 {
@@ -309,7 +309,7 @@ func TestStatsCountRequests(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			req := &Request{Op: nvme.OpRead, Dev: 0, SLBA: uint64(i * 8), NLB: 8, Addr: buf.Addr}
 			d.Submit(req)
-			p.Wait(req.Done)
+			p.Wait(&req.Done)
 		}
 	})
 	r.e.Run()

@@ -20,7 +20,7 @@ type StagedGPUIO struct {
 	staging *hostmem.Buffer
 
 	// freeM recycles asynchronous staged-transfer machines.
-	freeM []*stagedMachine
+	freeM sim.FreeList[stagedMachine]
 }
 
 // NewStagedGPUIO creates the helper with a staging buffer of the given
@@ -45,8 +45,8 @@ func (s *StagedGPUIO) Driver() *Driver { return s.d }
 // land in staging, a single cudaMemcpyAsync moves the granule to the GPU.
 // onDone runs (engine-callback context) once it is resident in GPU memory.
 func (s *StagedGPUIO) ReadToGPUAsync(dev int, slba uint64, gpuDst *gpu.Buffer, dstOff, n int64, onDone sim.Callback) {
-	m := s.getMachine()
-	m.read, m.dev, m.slba = true, dev, slba
+	m := s.freeM.Get()
+	m.s, m.read, m.dev, m.slba = s, true, dev, slba
 	m.buf, m.bufOff, m.n = gpuDst, dstOff, n
 	m.onDone = onDone
 	m.submit(nvme.OpRead)
@@ -55,8 +55,8 @@ func (s *StagedGPUIO) ReadToGPUAsync(dev int, slba uint64, gpuDst *gpu.Buffer, d
 // WriteFromGPUAsync writes n bytes from gpuSrc to dev at slba: one memcpy
 // GPU→staging, then SSD writes from staging; onDone runs when they complete.
 func (s *StagedGPUIO) WriteFromGPUAsync(dev int, slba uint64, gpuSrc *gpu.Buffer, srcOff, n int64, onDone sim.Callback) {
-	m := s.getMachine()
-	m.read, m.dev, m.slba = false, dev, slba
+	m := s.freeM.Get()
+	m.s, m.read, m.dev, m.slba = s, false, dev, slba
 	m.buf, m.bufOff, m.n = gpuSrc, srcOff, n
 	m.onDone = onDone
 	// One memcpy GPU→staging first, then the SSD writes from staging.
@@ -79,15 +79,6 @@ type stagedMachine struct {
 	remaining int
 	copied    bool
 	onDone    sim.Callback
-}
-
-func (s *StagedGPUIO) getMachine() *stagedMachine {
-	if k := len(s.freeM); k > 0 {
-		m := s.freeM[k-1]
-		s.freeM = s.freeM[:k-1]
-		return m
-	}
-	return &stagedMachine{s: s} // pool miss grows to the concurrency high-water mark, then reuses
 }
 
 // submit issues the granule's MDTS-split commands with the machine as the
@@ -152,7 +143,7 @@ func (m *stagedMachine) Run() {
 
 func (m *stagedMachine) finish() {
 	s, onDone := m.s, m.onDone
-	*m = stagedMachine{s: s}
-	s.freeM = append(s.freeM, m)
+	*m = stagedMachine{}
+	s.freeM.Put(m)
 	onDone.Run()
 }

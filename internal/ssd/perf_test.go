@@ -83,6 +83,73 @@ func BenchmarkReadCmd(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreAtRest is the data plane under cam-mixed-4k's working set,
+// with no engine around it: 32 768 4 KiB blocks striped over 12 stores, each
+// written once, then random blocks alternately overwritten from and read back
+// into an eager 32 MiB payload (a pinned buffer whose bytes the application
+// reads). "flat" is the floor: the same walk over a [][]byte with plain
+// copies. ns/op is per block moved; the gap between the two is what extent
+// splicing, chunk snapshots and the extent map cost on top of the copy.
+func BenchmarkStoreAtRest(b *testing.B) {
+	const (
+		blocks, stores = 32768, 12
+		bb, lbas       = 4096, 4096 / nvme.LBASize
+		bufBlocks      = 32 << 20 / bb
+	)
+	// walk writes every block once, then times b.N random moves.
+	walk := func(b *testing.B, move func(write bool, blk uint64, bufOff int64)) {
+		for blk := uint64(0); blk < blocks; blk++ {
+			move(true, blk, int64(blk%bufBlocks)*bb)
+		}
+		rng := sim.NewRNG(7)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			move(i&1 == 0, uint64(rng.Int63n(blocks)), rng.Int63n(bufBlocks)*bb)
+		}
+	}
+	fill := func(buf []byte) { // nonzero everywhere: no write is elided
+		for i := range buf {
+			buf[i] = byte(i>>12) | 1
+		}
+	}
+	b.Run("store", func(b *testing.B) {
+		buf := mem.NewPayload(bufBlocks*bb, true)
+		defer buf.Release()
+		fill(buf.Bytes())
+		var st [stores]*Store
+		for i := range st {
+			st[i] = NewStore((blocks/stores + 1) * lbas)
+		}
+		walk(b, func(write bool, blk uint64, off int64) {
+			s, lba, err := st[blk%stores], blk/stores*lbas, error(nil)
+			if write {
+				err = s.WriteLBAP(lba, lbas, buf, off)
+			} else {
+				err = s.ReadLBAP(lba, lbas, buf, off)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	})
+	b.Run("flat", func(b *testing.B) {
+		buf := make([]byte, bufBlocks*bb)
+		fill(buf)
+		flat := make([][]byte, blocks)
+		walk(b, func(write bool, blk uint64, off int64) {
+			if flat[blk] == nil {
+				flat[blk] = make([]byte, bb)
+			}
+			if write {
+				copy(flat[blk], buf[off:off+bb])
+			} else {
+				copy(buf[off:off+bb], flat[blk])
+			}
+		})
+	})
+}
+
 // TestFreedBufferFailsDMA pins the memo's invalidation: the device remembers
 // the region its last command targeted, and a command aimed at that buffer
 // after it was freed must fail with a DMA error. The freed buffer's payload

@@ -147,9 +147,8 @@ type Device struct {
 
 	stats Stats
 
-	// cmdFree recycles ioCmd execution states; one command allocates at
-	// most once per high-water mark of concurrent commands.
-	cmdFree []*ioCmd
+	// cmdFree recycles ioCmd execution states.
+	cmdFree sim.FreeList[ioCmd]
 
 	// dma resolves command data pointers, remembering the last buffer hit.
 	dma *mem.Memo
@@ -444,18 +443,10 @@ func (c *ioCmd) Run() {
 	}
 }
 
-// newCmd takes a command state from the pool (or allocates the pool's
-// high-water-mark growth).
+// newCmd takes a command state from the pool.
 func (d *Device) newCmd(q *ioQueue, sqe nvme.SQE) *ioCmd {
-	var c *ioCmd
-	if n := len(d.cmdFree); n > 0 {
-		c = d.cmdFree[n-1]
-		d.cmdFree[n-1] = nil
-		d.cmdFree = d.cmdFree[:n-1]
-	} else {
-		c = &ioCmd{d: d} // pool miss grows to the in-flight high-water mark, then reuses
-	}
-	c.q, c.sqe = q, sqe
+	c := d.cmdFree.Get()
+	c.d, c.q, c.sqe = d, q, sqe
 	c.injStatus, c.aborted = nvme.StatusSuccess, false
 	return c
 }
@@ -476,7 +467,7 @@ func (d *Device) finish(c *ioCmd, status nvme.Status) {
 		d.complete(c.q, &c.sqe, status)
 	}
 	c.q, c.pay = nil, nil
-	d.cmdFree = append(d.cmdFree, c)
+	d.cmdFree.Put(c)
 }
 
 // execute runs one command to completion using engine callbacks (no

@@ -49,37 +49,32 @@ func ScatterList(p *sim.Proc, b ListBackend, blocks []uint64, src *gpu.Buffer, o
 // StartGatherList publishes one indexed prefetch batch.
 func (b *CAMBackend) StartGatherList(p *sim.Proc, blocks []uint64, dst *gpu.Buffer, offs []int64) Handle {
 	if len(blocks) == 0 {
-		return b.emptyHandle()
+		return doneHandle{}
 	}
-	batch := b.M.PrefetchList(p, blocks, dst, offs)
-	return camHandle{b.M, batch}
+	return b.M.PrefetchList(p, blocks, dst, offs)
 }
 
 // StartScatterList publishes one indexed write_back batch.
 func (b *CAMBackend) StartScatterList(p *sim.Proc, blocks []uint64, src *gpu.Buffer, offs []int64) Handle {
 	if len(blocks) == 0 {
-		return b.emptyHandle()
+		return doneHandle{}
 	}
-	batch := b.M.WriteBackList(p, blocks, src, offs)
-	return camHandle{b.M, batch}
+	return b.M.WriteBackList(p, blocks, src, offs)
 }
-
-// emptyHandle completes an empty list batch inline (nothing to publish).
-func (b *CAMBackend) emptyHandle() Handle { return camHandle{b.M, nil} }
 
 // ----- BaM -----
 
 // StartGatherList drives one list-batch machine; the SM pin covers the
 // whole batch, exactly as for contiguous gathers.
 func (b *BaMBackend) StartGatherList(p *sim.Proc, blocks []uint64, dst *gpu.Buffer, offs []int64) Handle {
-	s := b.env.E.NewSignal("bamxfer")
-	b.arr.Start(nvme.OpRead, blocks, dst, 0, offs, b.getSink(s))
-	return sigHandle{s}
+	h := carve(&b.sinks, b.env.E, "bamxfer")
+	b.arr.Start(nvme.OpRead, blocks, dst, 0, offs, h)
+	return h
 }
 
 // StartScatterList drives one list-batch machine in the write direction.
 func (b *BaMBackend) StartScatterList(p *sim.Proc, blocks []uint64, src *gpu.Buffer, offs []int64) Handle {
-	s := b.env.E.NewSignal("bamxfer")
-	b.arr.Start(nvme.OpWrite, blocks, src, 0, offs, b.getSink(s))
-	return sigHandle{s}
+	h := carve(&b.sinks, b.env.E, "bamxfer")
+	b.arr.Start(nvme.OpWrite, blocks, src, 0, offs, h)
+	return h
 }

@@ -63,10 +63,27 @@ func Write(p *sim.Proc, b Backend, off, n int64, src *gpu.Buffer, srcOff int64) 
 	b.StartWrite(p, off, n, src, srcOff).Wait(p)
 }
 
-// sigHandle wraps a signal as a Handle.
-type sigHandle struct{ s *sim.Signal }
+// sigHandle is a transfer's completion signal as its Handle. Backends carve
+// them from a FreeList and never recycle one: nothing says when, or how many
+// times, a Handle is waited on.
+type sigHandle struct{ done sim.Signal }
 
-func (h sigHandle) Wait(p *sim.Proc) { p.Wait(h.s) }
+func (h *sigHandle) Wait(p *sim.Proc) { p.Wait(&h.done) }
+
+// BatchDone implements bam.BatchSink (engine-callback context).
+func (h *sigHandle) BatchDone(errs int) { h.done.Fire() }
+
+// carve takes the handle of a new transfer on e from its backend's slab.
+func carve(fl *sim.FreeList[sigHandle], e *sim.Engine, name string) *sigHandle {
+	h := fl.Get()
+	h.done.Init(e, name)
+	return h
+}
+
+// doneHandle is the Handle of a transfer with nothing to move.
+type doneHandle struct{}
+
+func (doneHandle) Wait(*sim.Proc) {}
 
 // checkAligned validates an (off, n) pair against granularity g.
 func checkAligned(name string, off, n, g int64) {
@@ -109,25 +126,19 @@ func (b *CAMBackend) BlockBytes() int64 { return b.M.BlockBytes() }
 
 func (b *CAMBackend) Alloc(name string, n int64) *gpu.Buffer { return b.M.Alloc(name, n) }
 
-type camHandle struct {
-	m *cam.Manager
-	b *cam.Batch
-}
-
-func (h camHandle) Wait(p *sim.Proc) { h.m.Synchronize(p, h.b) }
-
-// StartRead publishes one prefetch batch covering the range.
+// StartRead publishes one prefetch batch covering the range; the batch is
+// the handle.
 func (b *CAMBackend) StartRead(p *sim.Proc, off, n int64, dst *gpu.Buffer, dstOff int64) Handle {
 	checkAligned("cam", off, n, b.BlockBytes())
-	batch := b.M.Prefetch(p, blockRange(off, n, b.BlockBytes()), dst, dstOff)
-	return camHandle{b.M, batch}
+	blocks := blockRange(off, n, b.BlockBytes())
+	return b.M.Prefetch(p, blocks, dst, dstOff)
 }
 
 // StartWrite publishes one write_back batch covering the range.
 func (b *CAMBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcOff int64) Handle {
 	checkAligned("cam", off, n, b.BlockBytes())
-	batch := b.M.WriteBack(p, blockRange(off, n, b.BlockBytes()), src, srcOff)
-	return camHandle{b.M, batch}
+	blocks := blockRange(off, n, b.BlockBytes())
+	return b.M.WriteBack(p, blocks, src, srcOff)
 }
 
 // ----- BaM -----
@@ -138,32 +149,7 @@ type BaMBackend struct {
 	env   *platform.Env
 	arr   *bam.Array
 	g     int64
-	freeS []*bamSink
-}
-
-// bamSink fires a transfer's completion signal when its batch machine
-// finishes.
-type bamSink struct {
-	b   *BaMBackend
-	sig *sim.Signal
-}
-
-// BatchDone implements bam.BatchSink (engine-callback context).
-func (k *bamSink) BatchDone(errs int) {
-	sig := k.sig
-	k.sig = nil
-	k.b.freeS = append(k.b.freeS, k)
-	sig.Fire()
-}
-
-func (b *BaMBackend) getSink(sig *sim.Signal) *bamSink {
-	if n := len(b.freeS); n > 0 {
-		k := b.freeS[n-1]
-		b.freeS = b.freeS[:n-1]
-		k.sig = sig
-		return k
-	}
-	return &bamSink{b: b, sig: sig}
+	sinks sim.FreeList[sigHandle]
 }
 
 // NewBaM builds a BaM backend with the given granularity.
@@ -177,16 +163,16 @@ func (b *BaMBackend) Alloc(name string, n int64) *gpu.Buffer { return b.env.GPU.
 
 func (b *BaMBackend) StartRead(p *sim.Proc, off, n int64, dst *gpu.Buffer, dstOff int64) Handle {
 	checkAligned("bam", off, n, b.g)
-	s := b.env.E.NewSignal("bamxfer")
-	b.arr.Start(nvme.OpRead, blockRange(off, n, b.g), dst, dstOff, nil, b.getSink(s))
-	return sigHandle{s}
+	h := carve(&b.sinks, b.env.E, "bamxfer")
+	b.arr.Start(nvme.OpRead, blockRange(off, n, b.g), dst, dstOff, nil, h)
+	return h
 }
 
 func (b *BaMBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcOff int64) Handle {
 	checkAligned("bam", off, n, b.g)
-	s := b.env.E.NewSignal("bamxfer")
-	b.arr.Start(nvme.OpWrite, blockRange(off, n, b.g), src, srcOff, nil, b.getSink(s))
-	return sigHandle{s}
+	h := carve(&b.sinks, b.env.E, "bamxfer")
+	b.arr.Start(nvme.OpWrite, blockRange(off, n, b.g), src, srcOff, nil, h)
+	return h
 }
 
 // ----- staged backends: SPDK and POSIX -----
@@ -209,7 +195,8 @@ type staged struct {
 	tag   string // scheme name in panics
 	g     int64
 	pool  *sim.Store[*granuleSlot]
-	freeX []*stagedXfer
+	freeX sim.FreeList[stagedXfer]
+	sigs  sim.FreeList[sigHandle]
 }
 
 func newStaged(env *platform.Env, tag string, blockBytes int64) staged {
@@ -227,19 +214,12 @@ func (s *staged) start(read bool, blocks []uint64, buf *gpu.Buffer, off int64, o
 	if offs != nil {
 		buf.CheckBlocks(len(blocks), offs, s.g)
 	}
-	sig := s.env.E.NewSignal(s.tag)
 	if len(blocks) == 0 {
-		sig.Fire()
-		return sigHandle{sig}
+		return doneHandle{}
 	}
-	var x *stagedXfer
-	if k := len(s.freeX); k > 0 {
-		x = s.freeX[k-1]
-		s.freeX = s.freeX[:k-1]
-	} else {
-		x = &stagedXfer{s: s}
-	}
-	x.read, x.buf, x.sig = read, buf, sig
+	sig := carve(&s.sigs, s.env.E, s.tag)
+	x := s.freeX.Get()
+	x.s, x.read, x.buf, x.sig = s, read, buf, sig
 	x.next, x.remaining = 0, len(blocks)
 	x.blocks = append(x.blocks[:0], blocks...)
 	// A list's offsets are copied; a range's are its stride, filled in.
@@ -248,7 +228,7 @@ func (s *staged) start(read bool, blocks []uint64, buf *gpu.Buffer, off int64, o
 		x.offs = append(x.offs, off+int64(i)*s.g)
 	}
 	s.pool.GetCallback(x)
-	return sigHandle{sig}
+	return sig
 }
 
 // stagedXfer dispatches one transfer's granules onto pooled helpers as
@@ -261,7 +241,7 @@ type stagedXfer struct {
 	offs      []int64
 	next      int
 	remaining int
-	sig       *sim.Signal
+	sig       *sigHandle
 }
 
 // StoreItem receives a free helper from the pool and starts the next
@@ -296,8 +276,8 @@ func (k *granuleSlot) Run() {
 	if x.remaining == 0 {
 		sig := x.sig
 		x.sig, x.buf = nil, nil
-		x.s.freeX = append(x.s.freeX, x)
-		sig.Fire()
+		x.s.freeX.Put(x)
+		sig.done.Fire()
 	}
 }
 
@@ -371,9 +351,10 @@ func (h spdkHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, d
 
 // GDSBackend adapts the gds.Driver.
 type GDSBackend struct {
-	env *platform.Env
-	d   *gds.Driver
-	g   int64
+	env  *platform.Env
+	d    *gds.Driver
+	g    int64
+	sigs sim.FreeList[sigHandle]
 }
 
 // NewGDS builds the backend.
@@ -389,16 +370,16 @@ func (b *GDSBackend) Alloc(name string, n int64) *gpu.Buffer { return b.env.GPU.
 
 func (b *GDSBackend) StartRead(p *sim.Proc, off, n int64, dst *gpu.Buffer, dstOff int64) Handle {
 	checkAligned("gds", off, n, b.g)
-	s := b.env.E.NewSignal("gdsxfer")
-	b.d.ReadAsync(off, n, dst.Addr+mem.Addr(dstOff), s)
-	return sigHandle{s}
+	h := carve(&b.sigs, b.env.E, "gdsxfer")
+	b.d.ReadAsync(off, n, dst.Addr+mem.Addr(dstOff), &h.done)
+	return h
 }
 
 func (b *GDSBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcOff int64) Handle {
 	checkAligned("gds", off, n, b.g)
-	s := b.env.E.NewSignal("gdsxfer")
-	b.d.WriteAsync(off, n, src.Addr+mem.Addr(srcOff), s)
-	return sigHandle{s}
+	h := carve(&b.sigs, b.env.E, "gdsxfer")
+	b.d.WriteAsync(off, n, src.Addr+mem.Addr(srcOff), &h.done)
+	return h
 }
 
 // ----- POSIX -----
@@ -468,9 +449,8 @@ type posixHelper struct {
 func (h *posixHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done sim.Callback) {
 	b := h.b
 	h.read, h.buf, h.bufOff, h.done = read, buf, bufOff, done
-	// Pre-build the stripe-boundary chunk list over the helper buffer. A
-	// reused slot keeps its Done signal, which the stack resets on submit
-	// instead of allocating one per chunk.
+	// Pre-build the stripe-boundary chunk list over the helper buffer; the
+	// stack re-arms a reused slot's Done signal on submit.
 	reqs, n := h.reqs[:cap(h.reqs)], 0
 	op := nvme.OpRead
 	if !read {
@@ -486,7 +466,8 @@ func (h *posixHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64,
 		if n == len(reqs) {
 			reqs = append(reqs, oskernel.Request{})
 		}
-		reqs[n] = oskernel.Request{Op: op, Offset: off, Pay: hostPay, PayOff: hostOff, N: chunk, Done: reqs[n].Done}
+		r := &reqs[n]
+		r.Op, r.Offset, r.Pay, r.PayOff, r.N = op, off, hostPay, hostOff, chunk
 		n++
 		off += chunk
 		hostOff += chunk

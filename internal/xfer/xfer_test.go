@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"camsim/internal/bam"
+	"camsim/internal/cam"
 	"camsim/internal/gpu"
 	"camsim/internal/pcie"
 	"camsim/internal/platform"
@@ -170,46 +171,89 @@ func TestListRoundTrip(t *testing.T) {
 // again the instant Start*List returns. Every backend is handed scratch
 // slices that are overwritten with garbage before the transfer has made any
 // progress, and every block must still land, stamped, where it was sent.
+//
+// The last case is the same rule at CAM's one blocking point: with every
+// MaxOutstanding slot taken, publish waits for one before it encodes region
+// 1, and the slices are poisoned during that wait — at the instant of the
+// call, by a process that runs as soon as the publisher yields.
 func TestListSlicesNotRetained(t *testing.T) {
 	const bb = 4096
 	for name, bx := range backends(bb) {
-		lb, ok := bx.b.(ListBackend)
-		if !ok {
-			continue
+		if lb, ok := bx.b.(ListBackend); ok {
+			t.Run(name, func(t *testing.T) { listSlicesNotRetained(t, bx.env, lb, 0) })
 		}
-		bx := bx
-		t.Run(name, func(t *testing.T) {
-			blocks := []uint64{5, 17, 18, 19, 2, 40, 41, 9}
-			offs := make([]int64, len(blocks))
-			src := bx.b.Alloc("src", int64(len(blocks))*bb)
-			dst := bx.b.Alloc("dst", int64(len(blocks))*bb)
-			for i, blk := range blocks {
-				offs[i] = int64(len(blocks)-1-i) * bb
-				for j := int64(0); j < bb; j++ {
-					src.Bytes()[offs[i]+j] = byte(blk)
-				}
+	}
+	t.Run("cam/slots-full", func(t *testing.T) {
+		env := platform.New(platform.Options{SSDs: 3})
+		listSlicesNotRetained(t, env, NewCAM(env, bb, nil), cam.DefaultConfig(3).MaxOutstanding)
+	})
+}
+
+// listSlicesNotRetained scatters and gathers eight stamped blocks through lb,
+// poisoning the slices right after each Start*List returns — or, with fill
+// long reads started first, while the call is still waiting for a slot.
+func listSlicesNotRetained(t *testing.T, env *platform.Env, lb ListBackend, fill int) {
+	bb := lb.BlockBytes()
+	blocks := []uint64{5, 17, 18, 19, 2, 40, 41, 9}
+	offs := make([]int64, len(blocks))
+	src := lb.Alloc("src", int64(len(blocks))*bb)
+	dst := lb.Alloc("dst", int64(len(blocks))*bb)
+	for i, blk := range blocks {
+		offs[i] = int64(len(blocks)-1-i) * bb
+		for j := int64(0); j < bb; j++ {
+			src.Bytes()[offs[i]+j] = byte(blk)
+		}
+	}
+	const big = 2048
+	scratch := lb.Alloc("scratch", big*bb)
+	start := func(p *sim.Proc, f func(*sim.Proc, []uint64, *gpu.Buffer, []int64) Handle, buf *gpu.Buffer) {
+		ids, at := append([]uint64(nil), blocks...), append([]int64(nil), offs...)
+		poison := func() {
+			for i := range ids {
+				ids[i], at[i] = ^uint64(0), -1
 			}
-			start := func(p *sim.Proc, f func(*sim.Proc, []uint64, *gpu.Buffer, []int64) Handle, buf *gpu.Buffer) {
-				ids, at := append([]uint64(nil), blocks...), append([]int64(nil), offs...)
-				h := f(p, ids, buf, at)
-				for i := range ids {
-					ids[i], at[i] = ^uint64(0), -1
-				}
-				h.Wait(p)
-			}
-			bx.env.E.Go("app", func(p *sim.Proc) {
-				start(p, lb.StartScatterList, src)
-				start(p, lb.StartGatherList, dst)
-			})
-			bx.env.Run()
-			for i, blk := range blocks {
-				for j := int64(0); j < bb; j++ {
-					if got := dst.Bytes()[offs[i]+j]; got != byte(blk) {
-						t.Fatalf("block %d byte %d = %#x, want its stamp %#x", blk, j, got, byte(blk))
-					}
-				}
-			}
+		}
+		if fill == 0 {
+			h := f(p, ids, buf, at)
+			poison()
+			h.Wait(p)
+			return
+		}
+		t0 := p.Now()
+		lb.StartGatherList(p, ids, scratch, at).Wait(p)
+		unblocked := p.Now() - t0 // a whole batch this size with slots free
+		var hs []Handle
+		for i := 0; i < fill; i++ {
+			hs = append(hs, lb.StartRead(p, 1<<20*bb, big*bb, scratch, 0))
+		}
+		poisoned := sim.Time(-1)
+		env.E.Go("poison", func(q *sim.Proc) {
+			poisoned = q.Now()
+			poison()
 		})
+		t0 = p.Now()
+		hs = append(hs, f(p, ids, buf, at))
+		if poisoned != t0 {
+			t.Errorf("slices poisoned at %v, want during the call made at %v", poisoned, t0)
+		}
+		if took := p.Now() - t0; took < 4*unblocked {
+			t.Errorf("Start returned after %v, a whole unblocked batch takes %v: it did not wait for a slot", took, unblocked)
+		}
+		for _, h := range hs {
+			h.Wait(p)
+		}
+	}
+	env.E.Go("app", func(p *sim.Proc) {
+		start(p, lb.StartScatterList, src)
+		start(p, lb.StartGatherList, dst)
+	})
+	env.Run()
+	for i, blk := range blocks {
+		for j := int64(0); j < bb; j++ {
+			if got := dst.Bytes()[offs[i]+j]; got != byte(blk) {
+				t.Fatalf("block %d byte %d = %#x, want its stamp %#x", blk, j, got, byte(blk))
+			}
+		}
 	}
 }
 
@@ -279,14 +323,12 @@ func TestBackendNames(t *testing.T) {
 }
 
 // TestReadAllocsIndependentOfSize is the allocation ceiling of the adapters:
-// at steady state a synchronous Read costs the host a fixed handful of
-// objects per call (the block-id list, the completion signal and its waiter
-// slot; on CAM also the Batch and the boxed handle) and nothing per granule,
-// on every backend. The ceilings are the constants measured when the test
-// was written.
+// at steady state a synchronous Read costs the host one object per call (the
+// block-id list; the handle and its signal are carved 64 to a slab, on CAM
+// inside the Batch) and nothing per granule, on every backend.
 func TestReadAllocsIndependentOfSize(t *testing.T) {
 	const bb = 4096
-	ceiling := map[string]float64{"cam": 5, "bam": 3, "spdk": 3, "gds": 2, "posix": 3}
+	ceiling := map[string]float64{"cam": 1, "bam": 1, "spdk": 1, "gds": 1, "posix": 1}
 	sizes := []int64{64, 512}
 	got := map[string][]float64{}
 	for _, blocks := range sizes {
@@ -297,7 +339,7 @@ func TestReadAllocsIndependentOfSize(t *testing.T) {
 				for w := 0; w < 4; w++ {
 					read()
 				}
-				got[name] = append(got[name], testing.AllocsPerRun(10, read))
+				got[name] = append(got[name], testing.AllocsPerRun(128, read)) // two slabs' worth
 			})
 			bx.env.Run()
 		}
