@@ -33,7 +33,8 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its streams and exit code as values: 0 on success, 1 on a
-// bad experiment id, fault spec or profile file, 2 on a usage error.
+// bad experiment id, fault spec or profile file or a failed experiment, 2 on a
+// usage error.
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("cambench", flag.ContinueOnError)
 	flags.SetOutput(stderr)
@@ -106,7 +107,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cambench: %s done in %.1fs wall (%d/%d)\n",
 			p.Result.ID, p.Wall.Seconds(), p.Completed, len(toRun))
 	}
-	results := harness.RunAll(toRun, cfg, *parallel, progress)
+	results, err := harness.RunAll(toRun, cfg, *parallel, progress)
+	if err != nil {
+		fmt.Fprintf(stderr, "cambench: %v\n", err)
+		return 1
+	}
 
 	for _, r := range results {
 		if *csv {

@@ -24,7 +24,6 @@ import (
 	"camsim/internal/nvme"
 	"camsim/internal/sim"
 	"camsim/internal/ssd"
-	"camsim/internal/trace"
 )
 
 // Config calibrates the BaM baseline.
@@ -107,7 +106,6 @@ type System struct {
 	syncFree  sim.FreeList[syncSink]
 
 	stats Stats
-	tr    *trace.Tracer
 }
 
 // flightEntry is one in-flight command's completion routing.
@@ -165,15 +163,6 @@ type fanin struct {
 	remaining int
 	errors    int
 	done      sim.Signal
-}
-
-// SetTracer attaches a tracer for timeout events (nil disables) and
-// propagates it to the devices for injected-fault events.
-func (s *System) SetTracer(tr *trace.Tracer) {
-	s.tr = tr
-	for _, d := range s.devs {
-		d.SetTracer(tr)
-	}
 }
 
 // Stats returns a snapshot of the error-handling counters.
@@ -235,12 +224,6 @@ func (s *System) SMUtilizationFor(n int) float64 {
 	return float64(s.ThreadsNeeded(n)) / float64(s.g.TotalThreads())
 }
 
-// Access is one element of a batched array access.
-type Access struct {
-	Op    nvme.Opcode
-	Block uint64 // global block id, striped across SSDs
-}
-
 // Array is the bam::array-style synchronous view: fixed-size blocks striped
 // round-robin across all SSDs, optionally fronted by BaM's GPU-memory
 // software cache.
@@ -264,9 +247,6 @@ func (a *Array) AttachCache(c *gpucache.Cache) {
 		a.CacheHitCost = 250 * sim.Nanosecond
 	}
 }
-
-// Cache returns the attached cache (nil if none).
-func (a *Array) Cache() *gpucache.Cache { return a.cache }
 
 // NewArray creates an array view with the given block size (the paper's
 // access granularity, 512 B–64 KiB).
@@ -576,8 +556,7 @@ func (c *devPoll) Run() {
 }
 
 // poll drains completions and expirations until there is nothing immediate,
-// then parks on OnPost — bounded by the earliest armed deadline, exactly as
-// the process loop's WaitTimeout was.
+// then parks on OnPost, bounded by the earliest armed deadline.
 func (c *devPoll) poll() {
 	s, dev := c.s, c.dev
 	qp := s.qps[dev]
@@ -634,8 +613,8 @@ func (c *devPoll) poll() {
 // aimed at a deadline whose command has since completed — in which case it
 // re-arms itself at the current horizon and the poller stays parked. When a
 // deadline really is due and the poller is still parked (OnPost has not
-// fired), deregister it and re-enter the loop on the deadline path — which
-// skips the OnPost.Reset, as the process form's timed-out WaitTimeout did.
+// fired), deregister it and re-enter the loop on the deadline path, which
+// skips the OnPost.Reset.
 func (c *devPoll) expireWake() {
 	c.timer = nil
 	s, dev := c.s, c.dev
@@ -676,7 +655,6 @@ func (s *System) expire(dev int) bool {
 		}
 		s.stats.Timeouts++
 		s.stats.FailedBlocks++
-		s.tr.Emit(trace.IOTimeout, s.devs[dev].Name, "bam abandon", int64(cid))
 		ent.fan.errors++
 		s.flight[dev][cid] = flightEntry{}
 		s.slots[dev].Release(1)

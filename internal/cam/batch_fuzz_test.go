@@ -20,16 +20,15 @@ func packBlocks(blocks ...uint64) []byte {
 	return out
 }
 
-// FuzzCoalesce round-trips arbitrary block lists through the one batch path
-// under fuzzed device count, block size and placement (the name and the seed
-// corpus date from the command-merging run detector it used to drive; the
-// corpus is kept because its shapes — stripe runs, gaps, duplicates,
-// wraparound ids — are the ones a per-block dispatch loop must not care
-// about). Whatever the input, every distinct block written must read back
+// FuzzBatchRoundTrip round-trips arbitrary block lists through the one batch
+// path under fuzzed device count, block size and placement (the seed corpus
+// dates from the command-merging run detector the target used to drive; it is
+// kept because its shapes — stripe runs, gaps, duplicates, wraparound ids —
+// are the ones a per-block dispatch loop must not care about). Whatever the input, every distinct block written must read back
 // byte-identical wherever the list names it, nothing may fail, every block
 // is its own NVMe command, and the lazy and eager data planes must produce
 // the same destination bytes.
-func FuzzCoalesce(f *testing.F) {
+func FuzzBatchRoundTrip(f *testing.F) {
 	f.Add(packBlocks(0, 4, 8, 12, 16), uint16(8), uint8(3), uint8(3))        // one stripe run, 4 devs
 	f.Add(packBlocks(0, 4, 8, 13, 17), uint16(8), uint8(3), uint8(3))        // gap mid-list
 	f.Add(packBlocks(0, 1, 2, 3), uint16(8), uint8(3), uint8(3))             // one block per device

@@ -318,9 +318,6 @@ func New(e *sim.Engine, cfg Config, g *gpu.GPU, hm *hostmem.Memory, space *mem.S
 	return m
 }
 
-// Devices reports the SSD count.
-func (m *Manager) Devices() int { return len(m.devs) }
-
 // BlockBytes reports the configured access granularity.
 func (m *Manager) BlockBytes() int64 { return m.cfg.BlockBytes }
 

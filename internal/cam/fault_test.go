@@ -136,9 +136,6 @@ func TestDeviceDropOutDegradesBatch(t *testing.T) {
 	if rec.DeviceFailures != 1 {
 		t.Fatalf("DeviceFailures = %d, want 1", rec.DeviceFailures)
 	}
-	if !r.m.Driver().DeviceFailed(0) || r.m.Driver().DeviceFailed(1) {
-		t.Fatal("wrong device marked failed")
-	}
 	// The second batch's dead-device half fast-fails: well under one
 	// command timeout for the whole batch.
 	if d := secondEnd - secondStart; d >= cfg.Backend.CmdTimeout {

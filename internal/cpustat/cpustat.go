@@ -10,11 +10,6 @@ import "camsim/internal/sim"
 // Freq is the evaluation platform's CPU frequency (Xeon Gold 5320, 2.2 GHz).
 const Freq = 2.2e9
 
-// CyclesToTime converts a cycle count to wall time at Freq.
-func CyclesToTime(cycles float64) sim.Time {
-	return sim.Time(cycles / Freq * float64(sim.Second))
-}
-
 // TimeToCycles converts wall time to cycles at Freq.
 func TimeToCycles(t sim.Time) float64 {
 	return t.Seconds() * Freq

@@ -76,31 +76,15 @@ func (d *Driver) locate(off int64) (dev int, lba uint64) {
 	return dev, uint64(devOff) / nvme.LBASize
 }
 
-// Read performs a cuFileRead-style synchronous read of n bytes at file
-// offset off into GPU memory at dstAddr (must be GPU HBM). The software
-// path walks every page before the hardware transfer is allowed to start.
-func (d *Driver) Read(p *sim.Proc, off int64, n int64, dstAddr mem.Addr) {
-	d.io(p, nvme.OpRead, off, n, dstAddr)
-}
-
-// Write performs a cuFileWrite-style synchronous write from GPU memory.
-func (d *Driver) Write(p *sim.Proc, off int64, n int64, srcAddr mem.Addr) {
-	d.io(p, nvme.OpWrite, off, n, srcAddr)
-}
-
-func (d *Driver) io(p *sim.Proc, op nvme.Opcode, off, n int64, addr mem.Addr) {
-	done := d.e.NewSignal("gds.io")
-	d.ioAsync(op, off, n, addr, done)
-	p.Wait(done)
-}
-
-// ReadAsync is the callback-machine form of Read: done fires once every
+// ReadAsync starts a cuFileRead-style read of n bytes at file offset off into
+// GPU memory at dstAddr (must be GPU HBM). The software path walks every page
+// before the hardware transfer is allowed to start; done fires once every
 // NVMe command of the transfer has completed.
 func (d *Driver) ReadAsync(off, n int64, dstAddr mem.Addr, done *sim.Signal) {
 	d.ioAsync(nvme.OpRead, off, n, dstAddr, done)
 }
 
-// WriteAsync is the callback-machine form of Write.
+// WriteAsync starts a cuFileWrite-style write from GPU memory.
 func (d *Driver) WriteAsync(off, n int64, srcAddr mem.Addr, done *sim.Signal) {
 	d.ioAsync(nvme.OpWrite, off, n, srcAddr, done)
 }
@@ -118,9 +102,8 @@ type ioMachine struct {
 	done      *sim.Signal
 }
 
-// ioAsync claims the software-path window at call time (matching the
-// synchronous path's serialization point) and parks the machine until it
-// closes.
+// ioAsync claims the software-path window at call time (the path's
+// serialization point) and parks the machine until it closes.
 func (d *Driver) ioAsync(op nvme.Opcode, off, n int64, addr mem.Addr, done *sim.Signal) {
 	if n <= 0 || n%nvme.LBASize != 0 || off%nvme.LBASize != 0 {
 		panic(fmt.Sprintf("gds: unaligned io off=%d n=%d", off, n))

@@ -41,6 +41,19 @@ func newRig(nDevs int) *rig {
 	return &rig{e: e, g: g, hm: hm, devs: devs, d: d}
 }
 
+// read and write block p on one transfer.
+func (r *rig) read(p *sim.Proc, off, n int64, dst mem.Addr) {
+	done := r.e.NewSignal("read")
+	r.d.ReadAsync(off, n, dst, done)
+	p.Wait(done)
+}
+
+func (r *rig) write(p *sim.Proc, off, n int64, src mem.Addr) {
+	done := r.e.NewSignal("write")
+	r.d.WriteAsync(off, n, src, done)
+	p.Wait(done)
+}
+
 func TestReadWriteRoundTrip(t *testing.T) {
 	r := newRig(3)
 	n := int64(640 << 10) // several stripes
@@ -51,8 +64,8 @@ func TestReadWriteRoundTrip(t *testing.T) {
 		src.Bytes()[i] = byte(rng.Uint64())
 	}
 	r.e.Go("app", func(p *sim.Proc) {
-		r.d.Write(p, 0, n, src.Addr)
-		r.d.Read(p, 0, n, dst.Addr)
+		r.write(p, 0, n, src.Addr)
+		r.read(p, 0, n, dst.Addr)
 	})
 	r.e.Run()
 	if !bytes.Equal(src.Bytes(), dst.Bytes()) {
@@ -70,7 +83,7 @@ func TestThroughputCeilingNearPaper(t *testing.T) {
 		t0 := p.Now()
 		var off int64
 		for off < total {
-			r.d.Read(p, off, 16<<20, dst.Addr)
+			r.read(p, off, 16<<20, dst.Addr)
 			off += 16 << 20
 		}
 		dur = p.Now() - t0
@@ -86,7 +99,7 @@ func TestDirectPathNoDRAMTraffic(t *testing.T) {
 	r := newRig(2)
 	dst := r.g.Alloc("dst", 1<<20)
 	r.e.Go("app", func(p *sim.Proc) {
-		r.d.Read(p, 0, 1<<20, dst.Addr)
+		r.read(p, 0, 1<<20, dst.Addr)
 	})
 	r.e.Run()
 	if got := r.hm.TotalTraffic(); got != 0 {
@@ -99,7 +112,7 @@ func TestUnalignedPanics(t *testing.T) {
 	panicked := false
 	r.e.Go("app", func(p *sim.Proc) {
 		defer func() { panicked = recover() != nil }()
-		r.d.Read(p, 100, 512, 0)
+		r.read(p, 100, 512, 0)
 	})
 	r.e.Run()
 	if !panicked {

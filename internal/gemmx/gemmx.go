@@ -33,16 +33,6 @@ type Config struct {
 	RealMath bool
 }
 
-// DefaultConfig returns a benchmark-scale instance: 8192² matrices in
-// 2048² tiles.
-func DefaultConfig() Config {
-	return Config{
-		N: 8192, K: 8192, M: 8192,
-		Tile:        2048,
-		ComputeRate: 100e12,
-	}
-}
-
 // Validate checks dimensions against the backend granularity.
 func (c Config) Validate(blockBytes int64) error {
 	if c.Tile <= 0 || c.N%c.Tile != 0 || c.K%c.Tile != 0 || c.M%c.Tile != 0 {
@@ -279,13 +269,6 @@ func (m *Multiplier) Verify(p *sim.Proc, seed uint64) error {
 		}
 	}
 	return nil
-}
-
-// zero clears a byte slice.
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
 }
 
 // accumulate does acc += A×B on Tile×Tile row-major float32 tiles stored

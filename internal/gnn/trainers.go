@@ -6,6 +6,7 @@ import (
 	"camsim/internal/bam"
 	"camsim/internal/cam"
 	"camsim/internal/gpu"
+	"camsim/internal/mem"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
 )
@@ -31,16 +32,19 @@ func (b Breakdown) Fractions() (sample, extract, train float64) {
 
 // PrepopulateFeatures writes every node's reference feature row into the
 // SSD array (direct store access, no simulated time — dataset loading is
-// not part of any measured figure). Only feasible for scaled datasets.
+// not part of any measured figure). Only feasible for scaled datasets. It is
+// the writer half of the trainers' Verify oracle; only tests turn that on.
 func PrepopulateFeatures(env *platform.Env, d Dataset) {
 	fb := d.FeatBytes()
 	row := make([]byte, fb)
+	pay := mem.WrapBytes(row)
+	defer pay.Release()
 	n := uint64(len(env.Devs))
 	for v := uint64(0); v < d.NumNodes; v++ {
 		d.FeatureRow(v, row)
 		dev := v % n
 		lba := (v / n) * uint64(fb/512)
-		if err := env.Devs[dev].Store().WriteLBA(lba, uint32(fb/512), row); err != nil {
+		if err := env.Devs[dev].Store().WriteLBAP(lba, uint32(fb/512), pay, 0); err != nil {
 			panic(err)
 		}
 	}

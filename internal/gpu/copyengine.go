@@ -1,9 +1,6 @@
 package gpu
 
-import (
-	"camsim/internal/mem"
-	"camsim/internal/sim"
-)
+import "camsim/internal/sim"
 
 // CopyEngine models the cudaMemcpyAsync path between host DRAM and GPU HBM:
 // a dedicated PCIe x16 DMA domain (separate from the SSD fabric) with a
@@ -12,9 +9,8 @@ import (
 // ~3 µs of setup for ~0.2 µs of wire time (≈1.3 GB/s), while a 128 MiB copy
 // amortizes setup completely (≈21 GB/s).
 type CopyEngine struct {
-	link      *sim.Link
-	launchOvh sim.Time
-	calls     int64
+	link  *sim.Link
+	calls int64
 }
 
 // CopyEngineConfig calibrates the engine.
@@ -39,10 +35,7 @@ func DefaultCopyEngineConfig() CopyEngineConfig {
 // engine itself (back-to-back small copies cannot pipeline their setup,
 // which is exactly why Figure 16's staged path collapses).
 func NewCopyEngine(e *sim.Engine, name string, cfg CopyEngineConfig) *CopyEngine {
-	return &CopyEngine{
-		link:      e.NewLink(name, cfg.Bandwidth, cfg.LaunchOverhead),
-		launchOvh: cfg.LaunchOverhead,
-	}
+	return &CopyEngine{link: e.NewLink(name, cfg.Bandwidth, cfg.LaunchOverhead)}
 }
 
 // ReserveCopy books one memcpy call of n bytes and returns its completion
@@ -52,33 +45,5 @@ func (ce *CopyEngine) ReserveCopy(n int64) sim.Time {
 	return ce.link.Reserve(n)
 }
 
-// Copy blocks p for one memcpy call of n bytes and performs the real byte
-// movement dst[:n] = src[:n].
-func (ce *CopyEngine) Copy(p *sim.Proc, dst, src []byte, n int64) {
-	ce.calls++
-	done := ce.link.Reserve(n)
-	copy(dst[:n], src[:n])
-	p.SleepUntil(done)
-}
-
-// CopyPayload is Copy for payload content: same timing (one memcpy call of
-// n bytes on the engine link), but the content moves by reference.
-func (ce *CopyEngine) CopyPayload(p *sim.Proc, dst *mem.Payload, dstOff int64, src *mem.Payload, srcOff, n int64) {
-	ce.calls++
-	done := ce.link.Reserve(n)
-	mem.PayloadCopy(dst, dstOff, src, srcOff, n)
-	p.SleepUntil(done)
-}
-
 // Calls reports the number of memcpy invocations.
 func (ce *CopyEngine) Calls() int64 { return ce.calls }
-
-// TotalBytes reports bytes copied.
-func (ce *CopyEngine) TotalBytes() int64 { return ce.link.TotalBytes() }
-
-// EffectiveBandwidth reports the achieved rate for a given call granularity
-// under this engine's parameters (analytic, used by planners and tests).
-func (ce *CopyEngine) EffectiveBandwidth(granularity int64) float64 {
-	per := float64(ce.launchOvh)/float64(sim.Second) + float64(granularity)/ce.link.Rate()
-	return float64(granularity) / per
-}

@@ -95,9 +95,6 @@ func New(e *sim.Engine, name string, cfg Config, space *mem.Space) *GPU {
 	}
 }
 
-// Config returns the device configuration.
-func (g *GPU) Config() Config { return g.cfg }
-
 // TotalThreads reports the total resident thread capacity.
 func (g *GPU) TotalThreads() int64 { return int64(g.cfg.SMs) * int64(g.cfg.ThreadsPerSM) }
 
@@ -188,26 +185,11 @@ func (b *Buffer) Bytes() []byte { return b.pay.Bytes() }
 // rings and control regions parsed continuously by device models use this.
 func (b *Buffer) MakeEager() []byte { return b.pay.MakeEager() }
 
-// Allocated reports bytes currently allocated on the device.
-func (g *GPU) Allocated() int64 { return g.allocated }
-
-// PinThreads permanently occupies n thread slots (clamped to capacity)
-// until the returned release function is called. BaM's submission/polling
-// warps use this; the paper's Figure 4 is the resulting occupancy.
-func (g *GPU) PinThreads(p *sim.Proc, n int64) (held int64, release func()) {
-	if n > g.TotalThreads() {
-		n = g.TotalThreads()
-	}
-	if n <= 0 {
-		return 0, func() {}
-	}
-	g.threads.Acquire(p, n)
-	return n, func() { g.threads.Release(n) }
-}
-
-// PinThreadsCallback is the callback-machine form of PinThreads: it reports
-// the clamped slot count and whether it was acquired inline; if not, cb
-// runs once the slots are held. Release with UnpinThreads(held).
+// PinThreadsCallback occupies n thread slots (clamped to capacity) until
+// UnpinThreads(held): it reports the clamped slot count and whether it was
+// acquired inline; if not, cb runs once the slots are held. BaM's
+// submission/polling warps use this; the paper's Figure 4 is the resulting
+// occupancy.
 func (g *GPU) PinThreadsCallback(n int64, cb sim.Callback) (held int64, acquired bool) {
 	if n > g.TotalThreads() {
 		n = g.TotalThreads()

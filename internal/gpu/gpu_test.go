@@ -66,17 +66,14 @@ func TestOOMPanics(t *testing.T) {
 func TestPinThreadsClampsToCapacity(t *testing.T) {
 	e := sim.New()
 	g := newGPU(e)
-	e.Go("bam", func(p *sim.Proc) {
-		held, release := g.PinThreads(p, 10_000_000)
-		if held != g.TotalThreads() {
-			t.Errorf("held = %d, want %d", held, g.TotalThreads())
-		}
-		if g.SMUtilization() != 1 {
-			t.Errorf("SMUtilization = %g, want 1", g.SMUtilization())
-		}
-		release()
-	})
-	e.Run()
+	held, acquired := g.PinThreadsCallback(10_000_000, nil)
+	if held != g.TotalThreads() || !acquired {
+		t.Errorf("held = %d (inline %v), want %d on an idle GPU", held, acquired, g.TotalThreads())
+	}
+	if g.SMUtilization() != 1 {
+		t.Errorf("SMUtilization = %g, want 1", g.SMUtilization())
+	}
+	g.UnpinThreads(held)
 	if g.FreeThreads() != g.TotalThreads() {
 		t.Fatal("threads leaked")
 	}
@@ -106,9 +103,9 @@ func TestKernelSlowsWhenThreadsPinned(t *testing.T) {
 	g := New(e, "gpu0", cfg, mem.NewSpace())
 	var dur sim.Time
 	e.Go("io", func(p *sim.Proc) {
-		_, release := g.PinThreads(p, g.TotalThreads()/2)
+		held, _ := g.PinThreadsCallback(g.TotalThreads()/2, nil)
 		p.Sleep(10 * sim.Millisecond)
-		release()
+		g.UnpinThreads(held)
 	})
 	e.Go("app", func(p *sim.Proc) {
 		p.Sleep(sim.Microsecond) // let io pin first
@@ -129,9 +126,9 @@ func TestKernelSerializesWhenGPUFull(t *testing.T) {
 	g := New(e, "gpu0", cfg, mem.NewSpace())
 	var start sim.Time
 	e.Go("io", func(p *sim.Proc) {
-		_, release := g.PinThreads(p, g.TotalThreads())
+		held, _ := g.PinThreadsCallback(g.TotalThreads(), nil)
 		p.Sleep(5 * sim.Millisecond)
-		release()
+		g.UnpinThreads(held)
 	})
 	e.Go("app", func(p *sim.Proc) {
 		p.Sleep(sim.Microsecond)
@@ -184,9 +181,9 @@ func TestMeanSMUtilization(t *testing.T) {
 	cfg.KernelLaunchOverhead = 0
 	g := New(e, "gpu0", cfg, mem.NewSpace())
 	e.Go("io", func(p *sim.Proc) {
-		_, release := g.PinThreads(p, g.TotalThreads())
+		held, _ := g.PinThreadsCallback(g.TotalThreads(), nil)
 		p.Sleep(sim.Millisecond)
-		release()
+		g.UnpinThreads(held)
 		p.Sleep(sim.Millisecond) // idle second half
 	})
 	e.Run()

@@ -26,11 +26,6 @@ type Config struct {
 	LineBytes int64
 }
 
-// DefaultConfig returns an 8 MiB, 8-way cache of 4 KiB lines.
-func DefaultConfig() Config {
-	return Config{Sets: 256, Ways: 8, LineBytes: 4096}
-}
-
 // Stats counts cache activity.
 type Stats struct {
 	Hits      uint64
@@ -84,11 +79,6 @@ func New(g *gpu.GPU, name string, cfg Config) *Cache {
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// SizeBytes reports total line storage.
-func (c *Cache) SizeBytes() int64 {
-	return int64(c.cfg.Sets) * int64(c.cfg.Ways) * c.cfg.LineBytes
-}
-
 // LineBytes reports the configured line size.
 func (c *Cache) LineBytes() int64 { return c.cfg.LineBytes }
 
@@ -101,23 +91,6 @@ func (c *Cache) Payload() *mem.Payload { return c.data.Payload() }
 // lineOff returns the byte offset of (set, way) in the line storage.
 func (c *Cache) lineOff(set, way int) int64 {
 	return (int64(set)*int64(c.cfg.Ways) + int64(way)) * c.cfg.LineBytes
-}
-
-// lineData returns the materialized backing bytes of (set, way).
-func (c *Cache) lineData(set, way int) []byte {
-	off := c.lineOff(set, way)
-	return c.data.Bytes()[off : off+c.cfg.LineBytes]
-}
-
-// Lookup returns the cached bytes for block and whether it hit; a hit
-// refreshes the line's recency. It materializes the line storage —
-// zero-copy paths use LookupRef instead.
-func (c *Cache) Lookup(block uint64) ([]byte, bool) {
-	off, ok := c.LookupRef(block)
-	if !ok {
-		return nil, false
-	}
-	return c.data.Bytes()[off : off+c.cfg.LineBytes], true
 }
 
 // LookupRef reports the line-storage offset for block and whether it hit;
@@ -135,13 +108,6 @@ func (c *Cache) LookupRef(block uint64) (int64, bool) {
 	}
 	c.stats.Misses++
 	return 0, false
-}
-
-// Insert claims a line for block and returns its materialized bytes for
-// the caller to fill; zero-copy paths use InsertRef instead.
-func (c *Cache) Insert(block uint64) []byte {
-	off := c.InsertRef(block)
-	return c.data.Bytes()[off : off+c.cfg.LineBytes]
 }
 
 // InsertRef claims a line for block (evicting the set's LRU victim if
@@ -175,17 +141,6 @@ func (c *Cache) InsertRef(block uint64) int64 {
 	c.clock++
 	*l = line{valid: true, block: block, lru: c.clock}
 	return c.lineOff(s, victim)
-}
-
-// Contains reports residency without touching recency or counters.
-func (c *Cache) Contains(block uint64) bool {
-	s := c.set(block)
-	for _, l := range c.tags[s] {
-		if l.valid && l.block == block {
-			return true
-		}
-	}
-	return false
 }
 
 // Invalidate drops a block if resident (write-path coherence).

@@ -14,14 +14,22 @@ func newCache(cfg Config) *Cache {
 	return New(g, "cache", cfg)
 }
 
+// resident reports whether block hits (refreshing its recency, as any
+// lookup does).
+func resident(c *Cache, block uint64) bool {
+	_, hit := c.LookupRef(block)
+	return hit
+}
+
 func TestMissThenHit(t *testing.T) {
 	c := newCache(Config{Sets: 4, Ways: 2, LineBytes: 512})
-	if _, hit := c.Lookup(7); hit {
+	if resident(c, 7) {
 		t.Fatal("cold cache hit")
 	}
-	line := c.Insert(7)
-	line[0] = 0xAB
-	got, hit := c.Lookup(7)
+	c.Payload().WriteAt([]byte{0xAB}, c.InsertRef(7))
+	var got [1]byte
+	off, hit := c.LookupRef(7)
+	c.Payload().ReadAt(got[:], off)
 	if !hit || got[0] != 0xAB {
 		t.Fatalf("hit=%v data=%x", hit, got[0])
 	}
@@ -34,14 +42,14 @@ func TestMissThenHit(t *testing.T) {
 func TestLRUEvictionOrder(t *testing.T) {
 	// One set, two ways: blocks 0, 4, 8 map to set 0 (sets=4).
 	c := newCache(Config{Sets: 4, Ways: 2, LineBytes: 512})
-	c.Insert(0)
-	c.Insert(4)
-	c.Lookup(0) // refresh 0: now 4 is LRU
-	c.Insert(8) // must evict 4
-	if !c.Contains(0) || !c.Contains(8) {
+	c.InsertRef(0)
+	c.InsertRef(4)
+	c.LookupRef(0) // refresh 0: now 4 is LRU
+	c.InsertRef(8) // must evict 4
+	if !resident(c, 0) || !resident(c, 8) {
 		t.Fatal("wrong victim: survivors missing")
 	}
-	if c.Contains(4) {
+	if resident(c, 4) {
 		t.Fatal("LRU victim 4 survived")
 	}
 	if c.Stats().Evictions != 1 {
@@ -51,23 +59,23 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestInsertResidentRefreshes(t *testing.T) {
 	c := newCache(Config{Sets: 1, Ways: 2, LineBytes: 512})
-	c.Insert(1)
-	c.Insert(2)
-	c.Insert(1) // refresh, not duplicate
+	c.InsertRef(1)
+	c.InsertRef(2)
+	c.InsertRef(1) // refresh, not duplicate
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	c.Insert(3) // evicts 2 (LRU), not 1
-	if !c.Contains(1) || c.Contains(2) {
+	c.InsertRef(3) // evicts 2 (LRU), not 1
+	if !resident(c, 1) || resident(c, 2) {
 		t.Fatal("refresh did not update recency")
 	}
 }
 
 func TestInvalidate(t *testing.T) {
 	c := newCache(Config{Sets: 2, Ways: 1, LineBytes: 512})
-	c.Insert(2)
+	c.InsertRef(2)
 	c.Invalidate(2)
-	if c.Contains(2) {
+	if resident(c, 2) {
 		t.Fatal("invalidate left block resident")
 	}
 	c.Invalidate(99) // absent: no-op
@@ -76,11 +84,11 @@ func TestInvalidate(t *testing.T) {
 func TestSetMapping(t *testing.T) {
 	c := newCache(Config{Sets: 8, Ways: 1, LineBytes: 512})
 	for b := uint64(0); b < 8; b++ {
-		c.Insert(b)
+		c.InsertRef(b)
 	}
 	// All 8 blocks hit distinct sets: none evicted.
 	for b := uint64(0); b < 8; b++ {
-		if !c.Contains(b) {
+		if !resident(c, b) {
 			t.Fatalf("block %d evicted despite distinct sets", b)
 		}
 	}
@@ -113,14 +121,15 @@ func TestCacheConsistencyQuick(t *testing.T) {
 		c := newCache(Config{Sets: 4, Ways: 2, LineBytes: 8})
 		rng := sim.NewRNG(seed)
 		content := map[uint64]byte{}
+		var data [1]byte
 		for i := 0; i < int(ops); i++ {
 			b := uint64(rng.Int63n(32))
 			if rng.Float64() < 0.5 {
 				tag := byte(rng.Uint64())
-				line := c.Insert(b)
-				line[0] = tag
+				c.Payload().WriteAt([]byte{tag}, c.InsertRef(b))
 				content[b] = tag
-			} else if data, hit := c.Lookup(b); hit {
+			} else if off, hit := c.LookupRef(b); hit {
+				c.Payload().ReadAt(data[:], off)
 				if data[0] != content[b] {
 					return false
 				}

@@ -326,12 +326,6 @@ type spdkReq = spdk.Request
 
 const spdkMaxXfer = 128 << 10
 
-// hostBuf pairs a host staging buffer with its in-flight memcpy deadline.
-type hostBuf struct {
-	b        *hostmem.Buffer
-	copyDone sim.Time
-}
-
 // spdkDriverForBench builds and starts a driver with the paper's
 // one-thread-per-two-SSDs ratio.
 func spdkDriverForBench(env *platform.Env, ssds int) *spdk.Driver {

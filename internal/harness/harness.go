@@ -142,15 +142,6 @@ func All() []Experiment {
 	return out
 }
 
-// IDs returns the sorted experiment ids.
-func IDs() []string {
-	var ids []string
-	for _, e := range All() {
-		ids = append(ids, e.ID)
-	}
-	return ids
-}
-
 // idLess orders fig1 < fig2 < ... < fig10 < tab1 (numeric-aware).
 func idLess(a, b string) bool {
 	pa, na := splitID(a)

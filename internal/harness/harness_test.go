@@ -32,12 +32,21 @@ func TestRegistryComplete(t *testing.T) {
 		}
 	}
 	if len(All()) != len(want) {
-		t.Errorf("registry has %d experiments, want %d: %v", len(All()), len(want), IDs())
+		t.Errorf("registry has %d experiments, want %d: %v", len(All()), len(want), ids())
 	}
 }
 
+// ids lists the registered experiment ids in All's order.
+func ids() []string {
+	var out []string
+	for _, e := range All() {
+		out = append(out, e.ID)
+	}
+	return out
+}
+
 func TestIDOrdering(t *testing.T) {
-	ids := IDs()
+	ids := ids()
 	// fig2 must come before fig10a (numeric-aware ordering).
 	pos := map[string]int{}
 	for i, id := range ids {
@@ -387,7 +396,7 @@ func fmtSscan(s string, v *float64) (int, error) { return fmt.Sscan(s, v) }
 
 func TestAblationsRunQuick(t *testing.T) {
 	ran := 0
-	for _, id := range IDs() {
+	for _, id := range ids() {
 		if !strings.HasPrefix(id, "abl-") {
 			continue
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -33,7 +34,13 @@ type Progress struct {
 //
 // progress, if non-nil, is invoked once per completed experiment; calls are
 // serialized but arrive in completion order.
-func RunAll(exps []Experiment, cfg RunConfig, parallel int, progress func(Progress)) []*Result {
+//
+// An experiment that panics — an integrity check tripping, a transfer lost on
+// a backend with no retry path — does not take the process down mid-unwind:
+// its result stays nil, progress is not called for it, the other experiments
+// finish, and RunAll reports the first failure in input order as "<id>: <panic
+// value>".
+func RunAll(exps []Experiment, cfg RunConfig, parallel int, progress func(Progress)) ([]*Result, error) {
 	if parallel < 1 {
 		parallel = 1
 	}
@@ -41,6 +48,7 @@ func RunAll(exps []Experiment, cfg RunConfig, parallel int, progress func(Progre
 		parallel = len(exps)
 	}
 	results := make([]*Result, len(exps))
+	errs := make([]error, len(exps))
 	var (
 		mu        sync.Mutex
 		next      int
@@ -60,13 +68,13 @@ func RunAll(exps []Experiment, cfg RunConfig, parallel int, progress func(Progre
 					return
 				}
 				start := time.Now() //camlint:allow nodeterminism -- host-side progress reporting; never feeds the simulation
-				r := exps[i].Run(cfg)
+				r, err := runRecovered(exps[i], cfg)
 				wall := time.Since(start) //camlint:allow nodeterminism -- host-side progress reporting; never feeds the simulation
 				mu.Lock()
-				results[i] = r
+				results[i], errs[i] = r, err
 				completed++
 				done := completed
-				if progress != nil {
+				if progress != nil && err == nil {
 					progress(Progress{Index: i, Result: r, Wall: wall, Completed: done})
 				}
 				mu.Unlock()
@@ -74,5 +82,20 @@ func RunAll(exps []Experiment, cfg RunConfig, parallel int, progress func(Progre
 		}()
 	}
 	wg.Wait()
-	return results
+	for _, err := range errs {
+		if err != nil {
+			return results, err
+		}
+	}
+	return results, nil
+}
+
+// runRecovered runs one experiment, turning a panic out of it into an error.
+func runRecovered(e Experiment, cfg RunConfig) (r *Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			r, err = nil, fmt.Errorf("%s: %v", e.ID, v)
+		}
+	}()
+	return e.Run(cfg), nil
 }

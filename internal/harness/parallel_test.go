@@ -33,6 +33,31 @@ func render(results []*Result) string {
 	return out
 }
 
+// mustRunAll is RunAll at quick scale for experiments that must all succeed.
+func mustRunAll(t *testing.T, exps []Experiment, parallel int, progress func(Progress)) []*Result {
+	t.Helper()
+	results, err := RunAll(exps, RunConfig{Quick: true}, parallel, progress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+// TestRunAllRecoversPanic: an experiment that panics becomes RunAll's error,
+// named by its id; its neighbours still finish and progress skips it.
+func TestRunAllRecoversPanic(t *testing.T) {
+	good, _ := Get("tab1")
+	boom := Experiment{ID: "boom", Run: func(RunConfig) *Result { panic("lost a block") }}
+	reported := 0
+	results, err := RunAll([]Experiment{good, boom, good}, RunConfig{Quick: true}, 2, func(Progress) { reported++ })
+	if err == nil || err.Error() != "boom: lost a block" {
+		t.Fatalf("err = %v, want the panic named by its experiment", err)
+	}
+	if results[0] == nil || results[1] != nil || results[2] == nil || reported != 2 {
+		t.Fatalf("results %v with %d progress calls; want only the failed slot empty and unreported", results, reported)
+	}
+}
+
 // TestRunAllParallelDeterminism is the runner half of the determinism gate:
 // the same experiments run through RunAll with 8 workers must produce
 // byte-identical rendered output — and identical per-experiment virtual
@@ -40,10 +65,9 @@ func render(results []*Result) string {
 // -parallel N` to any N.
 func TestRunAllParallelDeterminism(t *testing.T) {
 	exps := testSubset(t)
-	cfg := RunConfig{Quick: true}
 
-	serial := RunAll(exps, cfg, 1, nil)
-	parallel := RunAll(exps, cfg, 8, nil)
+	serial := mustRunAll(t, exps, 1, nil)
+	parallel := mustRunAll(t, exps, 8, nil)
 
 	if len(serial) != len(exps) || len(parallel) != len(exps) {
 		t.Fatalf("result counts = %d serial, %d parallel, want %d",
@@ -65,7 +89,7 @@ func TestRunAllParallelDeterminism(t *testing.T) {
 func TestRunAllProgress(t *testing.T) {
 	exps := testSubset(t)
 	var seen []Progress
-	RunAll(exps, RunConfig{Quick: true}, 4, func(p Progress) {
+	mustRunAll(t, exps, 4, func(p Progress) {
 		seen = append(seen, p)
 	})
 	if len(seen) != len(exps) {
@@ -93,9 +117,9 @@ func TestRunAllProgress(t *testing.T) {
 // goroutine per blocked controller across thousands of runs.
 func TestRunAllReleasesGoroutines(t *testing.T) {
 	exps := testSubset(t)
-	RunAll(exps, RunConfig{Quick: true}, 4, nil) // warm up lazy init
+	mustRunAll(t, exps, 4, nil) // warm up lazy init
 	before := runtime.NumGoroutine()
-	RunAll(exps, RunConfig{Quick: true}, 4, nil)
+	mustRunAll(t, exps, 4, nil)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before+4 {

@@ -21,8 +21,8 @@ func TestShardMatrixDeterminism(t *testing.T) {
 		}
 		exps = append(exps, e)
 	}
-	serial := render(RunAll(exps, RunConfig{Quick: true}, 1, nil))
-	pooled := render(RunAll(exps, RunConfig{Quick: true}, 8, nil))
+	serial := render(mustRunAll(t, exps, 1, nil))
+	pooled := render(mustRunAll(t, exps, 8, nil))
 	if pooled != serial {
 		t.Errorf("parallel=8 rendered different output than parallel=1:\n%s\nvs reference:\n%s", pooled, serial)
 	}

@@ -25,9 +25,6 @@ type Config struct {
 	// Capacity is the total DRAM capacity in bytes (the paper's host has
 	// 768 GiB).
 	Capacity int64
-	// TouchLatency is the cost of one cacheline-sized access, used for
-	// polling-flag reads and small flag writes.
-	TouchLatency sim.Time
 }
 
 // DefaultConfig matches the paper's host with all 16 channels populated.
@@ -36,7 +33,6 @@ func DefaultConfig() Config {
 		Channels:         16,
 		ChannelBandwidth: 14e9,
 		Capacity:         768 << 30,
-		TouchLatency:     90 * sim.Nanosecond,
 	}
 }
 
@@ -67,15 +63,9 @@ func New(e *sim.Engine, space *mem.Space, cfg Config) *Memory {
 	}
 }
 
-// Config returns the configuration.
-func (m *Memory) Config() Config { return m.cfg }
-
-// Bandwidth reports the aggregate configured bandwidth in bytes/s.
-func (m *Memory) Bandwidth() float64 { return float64(m.cfg.Channels) * m.cfg.ChannelBandwidth }
-
 // Buffer is an allocation in host DRAM with a simulated physical address,
 // usable as a DMA target. Its content is a payload: transfers move
-// references, and real bytes exist only after Bytes or MakeEager.
+// references, and real bytes exist only after Payload().Bytes or MakeEager.
 type Buffer struct {
 	Name string
 	Addr mem.Addr
@@ -111,10 +101,6 @@ func (b *Buffer) Size() int64 { return b.size }
 // Payload exposes the buffer's content for reference-passing transfers.
 func (b *Buffer) Payload() *mem.Payload { return b.pay }
 
-// Bytes materializes the buffer and returns its backing slice; call it
-// again after a transfer into the buffer to re-synchronize.
-func (b *Buffer) Bytes() []byte { return b.pay.Bytes() }
-
 // MakeEager materializes the buffer and pins it eager, so the returned
 // slice tracks every subsequent transfer (queue rings, control regions).
 func (b *Buffer) MakeEager() []byte { return b.pay.MakeEager() }
@@ -123,12 +109,6 @@ func (b *Buffer) MakeEager() []byte { return b.pay.MakeEager() }
 // the completion time without blocking. DMA writes into DRAM and CPU
 // streaming reads out of it each count as one crossing.
 func (m *Memory) ReserveTraffic(n int64) sim.Time { return m.link.Reserve(n) }
-
-// Traffic blocks p while n bytes cross the DRAM channels once.
-func (m *Memory) Traffic(p *sim.Proc, n int64) { m.link.Transfer(p, n) }
-
-// TouchLatency reports the cost of one small (cacheline) access.
-func (m *Memory) TouchLatency() sim.Time { return m.cfg.TouchLatency }
 
 // TotalTraffic reports all bytes that crossed DRAM.
 func (m *Memory) TotalTraffic() int64 { return m.link.TotalBytes() }

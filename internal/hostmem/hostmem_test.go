@@ -19,8 +19,10 @@ func TestBandwidthScalesWithChannels(t *testing.T) {
 	_, m2 := newMem(cfg)
 	cfg.Channels = 16
 	_, m16 := newMem(cfg)
-	if m16.Bandwidth() != 8*m2.Bandwidth() {
-		t.Fatalf("16c = %g, 2c = %g", m16.Bandwidth(), m2.Bandwidth())
+	// The same bytes cross eight times the channels in an eighth of the time.
+	n := int64(2 * cfg.ChannelBandwidth) // one second's worth on two channels
+	if t2, t16 := m2.ReserveTraffic(n), m16.ReserveTraffic(n); t2 != sim.Second || t16 != sim.Second/8 {
+		t.Fatalf("%d bytes take %v on 2 channels and %v on 16, want 1s and 125ms", n, t2, t16)
 	}
 }
 
@@ -31,7 +33,7 @@ func TestTrafficTiming(t *testing.T) {
 	e, m := newMem(cfg)
 	var done sim.Time
 	e.Go("p", func(p *sim.Proc) {
-		m.Traffic(p, 1000)
+		p.SleepUntil(m.ReserveTraffic(1000))
 		done = p.Now()
 	})
 	e.Run()
@@ -53,7 +55,7 @@ func TestAllocRegistersInSpace(t *testing.T) {
 		t.Fatalf("kind = %v", kind)
 	}
 	got[0] = 0x42
-	if b.Bytes()[0] != 0x42 {
+	if b.Payload().Bytes()[0] != 0x42 {
 		t.Fatal("resolved bytes do not alias buffer")
 	}
 }
@@ -89,8 +91,8 @@ func TestCapacityEnforced(t *testing.T) {
 func TestTotalTrafficAccounting(t *testing.T) {
 	e, m := newMem(DefaultConfig())
 	e.Go("p", func(p *sim.Proc) {
-		m.Traffic(p, 1000)
-		m.Traffic(p, 2000)
+		p.SleepUntil(m.ReserveTraffic(1000))
+		p.SleepUntil(m.ReserveTraffic(2000))
 	})
 	e.Run()
 	if m.TotalTraffic() != 3000 {

@@ -2,10 +2,10 @@ package kvcache
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"camsim/internal/bam"
-	"camsim/internal/cam"
 	"camsim/internal/fault"
 	"camsim/internal/gpu"
 	"camsim/internal/platform"
@@ -127,33 +127,53 @@ func TestServeDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestServeUnderFaults: with an aggressive fault plan and CAM recovery
-// armed, serving still finishes with clean checksums and the injector
-// counters prove the schedule was live.
+// TestServeUnderFaults is the recovery asymmetry between the CPU-managed and
+// the GPU-managed control planes, executable. Under an aggressive plan of
+// media errors, dropped commands and latency spikes, CAM and SPDK (retries
+// armed by the plan, as under cambench -faults) still finish with clean
+// checksums. BaM has no retry path: it survives a plan that only slows
+// commands down, and under one that fails them the transfer that lost a block
+// says so instead of handing its frame over unfilled.
 func TestServeUnderFaults(t *testing.T) {
-	plan := fault.NewPlan(7)
-	plan.ErrRate, plan.DropRate, plan.SlowRate, plan.SlowFactor = 2e-3, 1e-3, 5e-3, 8
-	cfg := testConfig()
-	env := platform.New(platform.Options{SSDs: 2, Faults: plan})
-	lb := xfer.NewCAM(env, cfg.BlockBytes, func(c *cam.Config) {
-		c.Backend.CmdTimeout = 25 * sim.Millisecond
-		c.Backend.MaxRetries = 3
-		c.Backend.RetryBackoff = 100 * sim.Microsecond
-		c.Backend.FailThreshold = 4
-	})
-	srv := New(env, lb, cfg, testSpecs())
-	var verr error
-	env.E.Go("serve", func(p *sim.Proc) {
-		srv.Serve(p)
-		verr = srv.Verify(p)
-	})
-	env.Run()
-	if verr != nil {
-		t.Fatalf("integrity under faults: %v", verr)
+	plan := func(err, drop, slow float64) *fault.Plan {
+		p := fault.NewPlan(7)
+		p.ErrRate, p.DropRate, p.SlowRate, p.SlowFactor = err, drop, slow, 8
+		return p
 	}
-	fs := env.FaultStats()
-	if fs.Errors+fs.Drops+fs.Slows == 0 {
-		t.Fatal("fault plan injected nothing")
+	for _, c := range []struct {
+		name, sys string
+		plan      *fault.Plan
+		lost      bool // the run must stop at an explicit xfer(bam) failure
+	}{
+		{"CAM", "CAM", plan(2e-3, 1e-3, 5e-3), false},
+		{"SPDK", "SPDK", plan(2e-3, 1e-3, 5e-3), false},
+		{"BaM/slow", "BaM", plan(0, 0, 5e-3), false},
+		{"BaM/err", "BaM", plan(2e-3, 0, 0), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// The process-wide plan is what arms the drivers' recovery
+			// (their DefaultConfigs read it) and wires the injectors.
+			fault.SetDefault(c.plan)
+			defer fault.SetDefault(nil)
+			var env *platform.Env
+			lost := func() (v any) {
+				defer func() { v = recover() }()
+				_, env = serveOnce(t, c.sys, nil) // fails the test on a checksum mismatch
+				return nil
+			}()
+			if c.lost {
+				if msg := fmt.Sprint(lost); !strings.HasPrefix(msg, "xfer(bam): ") || !strings.HasSuffix(msg, "blocks failed; BaM has no retry path") {
+					t.Fatalf("serving ended with %v, want the explicit xfer(bam) failure", lost)
+				}
+				return
+			}
+			if lost != nil {
+				t.Fatalf("serving did not survive the plan: %v", lost)
+			}
+			if fs := env.FaultStats(); fs.Errors+fs.Drops+fs.Slows == 0 {
+				t.Fatal("fault plan injected nothing")
+			}
+		})
 	}
 }
 

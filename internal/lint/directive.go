@@ -27,10 +27,7 @@ import (
 // pool is an annotation, not a suppression: it feeds the fact store
 // (facts.go) that poollife consumes. It must appear in the doc comment of
 // the declaration it marks.
-const (
-	directivePrefix = "//camlint:"
-	allowPrefix     = "//camlint:allow"
-)
+const directivePrefix = "//camlint:"
 
 // parseDirective splits a comment into its camlint verb ("allow" or "pool")
 // and argument fields. The justification after " -- " is

@@ -7,11 +7,10 @@ import (
 )
 
 // ErrCheckSim flags call statements that silently drop an error returned by
-// a camsim API. Doorbell writes, completion polls, store I/O and admin
-// commands all signal simulated-hardware failures through their error
-// results; ignoring one desynchronizes the model from the state the code
-// believes it has. Explicitly assigning to _ is accepted as a deliberate,
-// reviewable decision.
+// a camsim API. Doorbell writes, completion polls and store I/O all signal
+// simulated-hardware failures through their error results; ignoring one
+// desynchronizes the model from the state the code believes it has.
+// Explicitly assigning to _ is accepted as a deliberate, reviewable decision.
 var ErrCheckSim = &Analyzer{
 	Name: "errchecksim",
 	Doc: "flag statements that discard an error returned by a simulator API " +

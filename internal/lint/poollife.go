@@ -177,14 +177,6 @@ func runPoolLife(pass *Pass) error {
 // released.
 type releaseState map[types.Object]token.Pos
 
-func (s releaseState) clone() releaseState {
-	c := make(releaseState, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
-
 func (s releaseState) equal(o releaseState) bool {
 	if len(s) != len(o) {
 		return false

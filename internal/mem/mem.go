@@ -53,9 +53,6 @@ type Region struct {
 // End reports one past the last address of the region.
 func (r *Region) End() Addr { return r.Base + Addr(r.Size) }
 
-// Bytes materializes the region's payload and returns its backing slice.
-func (r *Region) Bytes() []byte { return r.Pay.Bytes() }
-
 // Space is the platform physical address map. It is not safe for concurrent
 // mutation; all simulation code runs single-threaded under the DES engine.
 type Space struct {
@@ -67,14 +64,6 @@ type Space struct {
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space { return &Space{} }
-
-// Register adds a range backed by caller-owned bytes (ring memory, test
-// scratch): the payload is an eager view over data, so writes to the slice
-// are the region's content. Device buffers register payloads directly via
-// RegisterPayload.
-func (s *Space) Register(name string, base Addr, data []byte, kind Kind) *Region {
-	return s.RegisterPayload(name, base, WrapBytes(data), kind)
-}
 
 // RegisterPayload adds a payload-backed range. It panics on overlap —
 // overlapping device windows would be a platform bug, not a runtime
@@ -156,17 +145,6 @@ func (s *Space) ResolvePayload(addr Addr, n int) (*Payload, int64, Kind, error) 
 	return r.Pay, off, r.Kind, nil
 }
 
-// KindOf reports the kind backing addr, or an error if unmapped. It never
-// materializes — transfer paths call it per request to pick bandwidth
-// links.
-func (s *Space) KindOf(addr Addr) (Kind, error) {
-	r, _, err := s.lookup(addr, 1)
-	if err != nil {
-		return 0, err
-	}
-	return r.Kind, nil
-}
-
 // Memo resolves addresses through a Space and remembers the region of the
 // last hit: a DMA engine's consecutive targets almost always fall in the
 // same buffer, which then answers without the binary search. Registering or
@@ -196,21 +174,17 @@ func (m *Memo) Region(addr Addr, n int) (*Region, int64, error) {
 	return r, off, err
 }
 
-// Regions returns the registered regions in address order (read-only view).
-func (s *Space) Regions() []*Region { return s.regions }
-
 // Arena hands out non-overlapping addresses within a device window; each
 // device (host DRAM allocator, GPU HBM allocator) owns one.
 type Arena struct {
 	name string
-	base Addr
 	next Addr
 	end  Addr
 }
 
 // NewArena creates an allocator over [base, base+size).
 func NewArena(name string, base Addr, size int64) *Arena {
-	return &Arena{name: name, base: base, next: base, end: base + Addr(size)}
+	return &Arena{name: name, next: base, end: base + Addr(size)}
 }
 
 // Alloc reserves n bytes aligned to align (a power of two) and returns the
@@ -230,9 +204,3 @@ func (a *Arena) Alloc(n int64, align int64) Addr {
 	a.next = Addr(base) + Addr(n)
 	return Addr(base)
 }
-
-// InUse reports bytes handed out so far (including alignment padding).
-func (a *Arena) InUse() int64 { return int64(a.next - a.base) }
-
-// Remaining reports bytes still available.
-func (a *Arena) Remaining() int64 { return int64(a.end - a.next) }

@@ -6,10 +6,16 @@ import (
 	"testing/quick"
 )
 
+// register adds a range backed by caller-owned bytes: the payload is an
+// eager view over data, so writes to the slice are the region's content.
+func register(s *Space, name string, base Addr, data []byte, kind Kind) *Region {
+	return s.RegisterPayload(name, base, WrapBytes(data), kind)
+}
+
 func TestRegisterAndResolve(t *testing.T) {
 	s := NewSpace()
 	data := make([]byte, 4096)
-	s.Register("dram", 0x1000, data, HostDRAM)
+	register(s, "dram", 0x1000, data, HostDRAM)
 	buf, kind, err := s.Resolve(0x1800, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +31,7 @@ func TestRegisterAndResolve(t *testing.T) {
 
 func TestResolveUnmapped(t *testing.T) {
 	s := NewSpace()
-	s.Register("a", 0x1000, make([]byte, 16), HostDRAM)
+	register(s, "a", 0x1000, make([]byte, 16), HostDRAM)
 	for _, addr := range []Addr{0x0, 0xfff, 0x1010, 0x9999} {
 		if _, _, err := s.Resolve(addr, 1); err == nil {
 			t.Errorf("Resolve(%#x) succeeded, want error", uint64(addr))
@@ -35,7 +41,7 @@ func TestResolveUnmapped(t *testing.T) {
 
 func TestResolveCrossingRegionEnd(t *testing.T) {
 	s := NewSpace()
-	s.Register("a", 0x1000, make([]byte, 16), HostDRAM)
+	register(s, "a", 0x1000, make([]byte, 16), HostDRAM)
 	if _, _, err := s.Resolve(0x1008, 16); err == nil {
 		t.Fatal("cross-boundary resolve succeeded")
 	}
@@ -43,7 +49,7 @@ func TestResolveCrossingRegionEnd(t *testing.T) {
 
 func TestRegisterOverlapPanics(t *testing.T) {
 	s := NewSpace()
-	s.Register("a", 0x1000, make([]byte, 0x100), HostDRAM)
+	register(s, "a", 0x1000, make([]byte, 0x100), HostDRAM)
 	cases := []struct {
 		base Addr
 		size int
@@ -59,22 +65,22 @@ func TestRegisterOverlapPanics(t *testing.T) {
 					t.Errorf("overlap base=%#x not detected", uint64(c.base))
 				}
 			}()
-			s.Register("b", c.base, make([]byte, c.size), GPUHBM)
+			register(s, "b", c.base, make([]byte, c.size), GPUHBM)
 		}()
 	}
 }
 
 func TestRegisterAdjacentOK(t *testing.T) {
 	s := NewSpace()
-	s.Register("a", 0x1000, make([]byte, 0x100), HostDRAM)
-	s.Register("b", 0x1100, make([]byte, 0x100), GPUHBM) // flush against a
-	s.Register("c", 0x0f00, make([]byte, 0x100), HostDRAM)
-	if len(s.Regions()) != 3 {
-		t.Fatalf("regions = %d, want 3", len(s.Regions()))
+	register(s, "a", 0x1000, make([]byte, 0x100), HostDRAM)
+	register(s, "b", 0x1100, make([]byte, 0x100), GPUHBM) // flush against a
+	register(s, "c", 0x0f00, make([]byte, 0x100), HostDRAM)
+	if len(s.regions) != 3 {
+		t.Fatalf("regions = %d, want 3", len(s.regions))
 	}
 	// Verify sort order.
 	prev := Addr(0)
-	for _, r := range s.Regions() {
+	for _, r := range s.regions {
 		if r.Base < prev {
 			t.Fatal("regions not sorted")
 		}
@@ -84,21 +90,21 @@ func TestRegisterAdjacentOK(t *testing.T) {
 
 func TestUnregister(t *testing.T) {
 	s := NewSpace()
-	s.Register("a", 0x1000, make([]byte, 16), HostDRAM)
+	register(s, "a", 0x1000, make([]byte, 16), HostDRAM)
 	s.Unregister(0x1000)
 	if _, _, err := s.Resolve(0x1000, 1); err == nil {
 		t.Fatal("resolve after unregister succeeded")
 	}
 	// Same range can be registered again.
-	s.Register("a2", 0x1000, make([]byte, 16), GPUHBM)
+	register(s, "a2", 0x1000, make([]byte, 16), GPUHBM)
 }
 
 func TestKindOf(t *testing.T) {
 	s := NewSpace()
-	s.Register("g", 0x2000, make([]byte, 16), GPUHBM)
-	k, err := s.KindOf(0x2008)
+	register(s, "g", 0x2000, make([]byte, 16), GPUHBM)
+	_, _, k, err := s.ResolvePayload(0x2008, 1)
 	if err != nil || k != GPUHBM {
-		t.Fatalf("KindOf = %v, %v", k, err)
+		t.Fatalf("kind of 0x2008 = %v, %v", k, err)
 	}
 }
 
@@ -175,8 +181,8 @@ func TestKindString(t *testing.T) {
 // holes — through a Memo and through the Space, and demands the same answer.
 func TestMemoMatchesSpace(t *testing.T) {
 	s := NewSpace()
-	s.Register("a", 0x1000, make([]byte, 0x100), HostDRAM)
-	s.Register("b", 0x2000, make([]byte, 0x200), GPUHBM)
+	register(s, "a", 0x1000, make([]byte, 0x100), HostDRAM)
+	register(s, "b", 0x2000, make([]byte, 0x200), GPUHBM)
 	m := s.NewMemo()
 	for _, c := range []struct {
 		addr Addr
@@ -199,7 +205,7 @@ func TestMemoMatchesSpace(t *testing.T) {
 // remembered it must answer like the Space, not from memory.
 func TestMemoForgetsUnregisteredRegion(t *testing.T) {
 	s := NewSpace()
-	old := s.Register("buf", 0x1000, make([]byte, 0x100), GPUHBM)
+	old := register(s, "buf", 0x1000, make([]byte, 0x100), GPUHBM)
 	m := s.NewMemo()
 	if r, _, err := m.Region(0x1010, 16); err != nil || r != old {
 		t.Fatalf("first resolve: %+v, %v", r, err)
@@ -208,7 +214,7 @@ func TestMemoForgetsUnregisteredRegion(t *testing.T) {
 	if _, _, err := m.Region(0x1010, 16); err == nil {
 		t.Fatal("memo resolved an address whose region was unregistered")
 	}
-	fresh := s.Register("buf2", 0x1000, make([]byte, 0x80), HostDRAM)
+	fresh := register(s, "buf2", 0x1000, make([]byte, 0x80), HostDRAM)
 	if r, _, err := m.Region(0x1010, 16); err != nil || r != fresh {
 		t.Fatalf("after re-register: %+v, %v; want the new region", r, err)
 	}

@@ -62,15 +62,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 	return h.samples[rank]
 }
 
-// Min reports the smallest sample.
-func (h *Histogram) Min() float64 {
-	h.sort()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.samples[0]
-}
-
 // Max reports the largest sample.
 func (h *Histogram) Max() float64 {
 	h.sort()

@@ -184,16 +184,6 @@ func (c *Counters) Add(name string, v uint64) {
 	c.vals = append(c.vals, v)
 }
 
-// Get reports the named counter's value (0 when absent).
-func (c *Counters) Get(name string) uint64 {
-	for i, n := range c.names {
-		if n == name {
-			return c.vals[i]
-		}
-	}
-	return 0
-}
-
 // Len reports how many counters are held.
 func (c *Counters) Len() int { return len(c.names) }
 
@@ -207,15 +197,6 @@ func (c *Counters) String() string {
 		fmt.Fprintf(&b, "%s=%d", n, c.vals[i])
 	}
 	return b.String()
-}
-
-// Table renders the counters as a two-column table.
-func (c *Counters) Table(title string) *Table {
-	t := NewTable(title, "counter", "value")
-	for i, n := range c.names {
-		t.AddRow(n, c.vals[i])
-	}
-	return t
 }
 
 // Bytes formats a byte count human-readably.

@@ -191,23 +191,16 @@ var (
 	ErrQueueEmpty = errors.New("nvme: queue empty")
 )
 
-// wire is an entry type E with a fixed-size binary encoding.
-type wire[E any] interface {
-	*E
-	Marshal(dst []byte)
-}
-
-// subRing is a submission ring of E entries: SQ for NVM commands, AdminSQ for
-// admin commands. The host produces at the tail and rings the doorbell; the
-// controller consumes at the head.
+// SQ is the submission ring of an I/O queue pair. The host produces at the
+// tail and rings the doorbell; the controller consumes at the head.
 //
 // The typed slots are the ring's content. The registered ring memory holds
 // the NVMe wire image of those slots only after Sync: nothing in the
 // simulator parses it, so encoding 64 bytes per command on every Push would
 // be work no one reads. Anything that does look at ring memory (a test, a
 // dump, a fault injector) calls Sync first.
-type subRing[E any, P wire[E]] struct {
-	slots    []E
+type SQ struct {
+	slots    []SQE
 	head     uint32 // controller-side consume count
 	tail     uint32 // host-side produce count
 	headSlot uint32 // head modulo size, kept by wrapping instead of dividing
@@ -220,37 +213,29 @@ type subRing[E any, P wire[E]] struct {
 	Doorbell *sim.Signal
 }
 
-// SQ is the submission ring of an I/O queue pair.
-type SQ = subRing[SQE, *SQE]
-
-// newSubRing creates a submission ring over memory (len = depth*entryBytes),
+// NewSQ creates a submission ring over memory (len = depth*SQESize),
 // typically a host or GPU buffer registered in the platform address space.
-func newSubRing[E any, P wire[E]](e *sim.Engine, kind, name string, memory []byte, depth, entryBytes uint32) *subRing[E, P] {
-	if uint32(len(memory)) != depth*entryBytes {
-		panic(fmt.Sprintf("nvme: %s %q memory %d bytes, want %d", kind, name, len(memory), depth*entryBytes))
+func NewSQ(e *sim.Engine, name string, memory []byte, depth uint32) *SQ {
+	if uint32(len(memory)) != depth*SQESize {
+		panic(fmt.Sprintf("nvme: SQ %q memory %d bytes, want %d", name, len(memory), depth*SQESize))
 	}
 	if depth < 2 {
-		panic("nvme: " + kind + " depth must be >= 2")
+		panic("nvme: SQ depth must be >= 2")
 	}
-	return &subRing[E, P]{slots: make([]E, depth), memory: memory, Doorbell: e.NewSignal(name)}
-}
-
-// NewSQ creates an I/O submission ring over memory (len = depth*SQESize).
-func NewSQ(e *sim.Engine, name string, memory []byte, depth uint32) *SQ {
-	return newSubRing[SQE, *SQE](e, "SQ", name+".sqdb", memory, depth, SQESize)
+	return &SQ{slots: make([]SQE, depth), memory: memory, Doorbell: e.NewSignal(name + ".sqdb")}
 }
 
 // Len reports how many entries are waiting for the controller.
-func (q *subRing[E, P]) Len() uint32 { return q.tail - q.head }
+func (q *SQ) Len() uint32 { return q.tail - q.head }
 
 // Full reports whether the ring has no free slot. One slot is kept free to
 // distinguish full from empty, as in the spec.
-func (q *subRing[E, P]) Full() bool { return q.tail-q.head == uint32(len(q.slots))-1 }
+func (q *SQ) Full() bool { return q.tail-q.head == uint32(len(q.slots))-1 }
 
 // Push writes an entry at the tail and advances it. The caller still must
 // ring the doorbell (Ring) for the controller to notice — splitting the two
 // models batched doorbell writes.
-func (q *subRing[E, P]) Push(e E) error {
+func (q *SQ) Push(e SQE) error {
 	if q.Full() {
 		return ErrQueueFull
 	}
@@ -263,10 +248,10 @@ func (q *subRing[E, P]) Push(e E) error {
 }
 
 // Ring publishes the tail to the controller (doorbell write).
-func (q *subRing[E, P]) Ring() { q.Doorbell.Fire() }
+func (q *SQ) Ring() { q.Doorbell.Fire() }
 
 // Pop consumes the entry at the head (controller side).
-func (q *subRing[E, P]) Pop() (e E, err error) {
+func (q *SQ) Pop() (e SQE, err error) {
 	if q.tail == q.head {
 		return e, ErrQueueEmpty
 	}
@@ -279,14 +264,20 @@ func (q *subRing[E, P]) Pop() (e E, err error) {
 }
 
 // Head reports the controller consume index (for CQE SQHead fields).
-func (q *subRing[E, P]) Head() uint32 { return q.head }
+func (q *SQ) Head() uint32 { return q.head }
 
 // Sync renders every entry pushed since the last Sync into ring memory, so
 // the memory equals what marshalling each entry at Push time would have
 // left there.
-func (q *subRing[E, P]) Sync() {
-	render[E, P](q.slots, q.memory, q.tailSlot, q.tail-q.synced)
+func (q *SQ) Sync() {
+	render[SQE, *SQE](q.slots, q.memory, q.tailSlot, q.tail-q.synced)
 	q.synced = q.tail
+}
+
+// wire is an entry type E with a fixed-size binary encoding.
+type wire[E any] interface {
+	*E
+	Marshal(dst []byte)
 }
 
 // render marshals the n most recent entries of a ring — the ones ending just

@@ -169,28 +169,3 @@ func BenchmarkRingRoundtrip(b *testing.B) {
 		b.Fatalf("%v allocs per ring round trip, want 0", a)
 	}
 }
-
-// TestAdminRingImage: the admin ring shares SQ's mechanics, so one lap and a
-// half through Sync is enough to show its memory holds the admin encoding.
-func TestAdminRingImage(t *testing.T) {
-	const depth = 4
-	mem := make([]byte, depth*AdminSQESize)
-	want := make([]byte, depth*AdminSQESize)
-	q := NewAdminSQ(sim.New(), "admin", mem, depth)
-	for i := 0; i < 6; i++ {
-		a := AdminSQE{Opcode: AdminCreateIOSQ, CID: uint16(i + 1), PRP1: uint64(i) << 12, QID: uint16(i), QSize: 64, CQID: uint16(i)}
-		if err := q.Push(a); err != nil {
-			t.Fatal(err)
-		}
-		a.Marshal(want[i%depth*AdminSQESize:])
-		if got, err := q.Pop(); err != nil || got != a {
-			t.Fatalf("Pop = %+v, %v; want %+v", got, err, a)
-		}
-		if i%2 == 1 {
-			q.Sync()
-			if !bytes.Equal(mem, want) {
-				t.Fatalf("after %d pushes: admin ring memory differs from the eager image", i+1)
-			}
-		}
-	}
-}

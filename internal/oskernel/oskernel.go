@@ -64,11 +64,6 @@ type LayerCosts struct {
 	Completion sim.Time // interrupt or completion-reap handling
 }
 
-// Total reports the per-request kernel time for a request of n bytes.
-func (l LayerCosts) Total(n int64) sim.Time {
-	return l.User + l.Filesystem + l.IOMap + l.IOMapPage*sim.Time(extraPages(n)) + l.BlockIO + l.Completion
-}
-
 func extraPages(n int64) int64 {
 	pages := (n + 4095) / 4096
 	if pages <= 1 {
@@ -161,14 +156,12 @@ func DefaultConfig(kind StackKind) Config {
 	return base
 }
 
-// Request is one in-flight kernel I/O. Callers either fill Data (the
-// classic []byte form; Submit wraps it into a payload view) or set
-// Pay/PayOff/N directly to move content by reference. Submit reuses a Done
-// signal left by an earlier, completed use of the same Request.
+// Request is one in-flight kernel I/O: N bytes at Pay[PayOff:], moved by
+// reference. Submit reuses a Done signal left by an earlier, completed use of
+// the same Request.
 type Request struct {
 	Op     nvme.Opcode
-	Offset int64  // byte offset in the striped block device
-	Data   []byte // user buffer ([]byte form); nil when Pay is set
+	Offset int64 // byte offset in the striped block device
 	Pay    *mem.Payload
 	PayOff int64
 	N      int64
@@ -176,9 +169,8 @@ type Request struct {
 	// Done fires when the completion has been delivered; Submit arms it.
 	Done sim.Signal
 
-	dev  int
-	cid  uint16
-	wrap bool // Pay wraps Data and is released at completion
+	dev int
+	cid uint16
 }
 
 // Stack is one configured kernel I/O stack over a RAID0 array of SSDs.
@@ -262,9 +254,6 @@ func NewStack(e *sim.Engine, kind StackKind, cfg Config, hm *hostmem.Memory, dev
 	}
 	return s
 }
-
-// Devices reports the number of striped devices.
-func (s *Stack) Devices() int { return len(s.devs) }
 
 // StripeBytes reports the RAID0 chunk size (callers split I/O on it).
 func (s *Stack) StripeBytes() int64 { return s.cfg.StripeBytes }
@@ -426,15 +415,10 @@ func (m *submitMachine) Run() {
 	}
 }
 
-// normalize validates a request, wraps a []byte buffer into a payload view
-// when needed so that Pay/PayOff/N describe the content either way, and arms
-// r.Done. The request must not cross a stripe boundary (callers split large
-// I/O, as the block layer does).
+// normalize validates a request and arms r.Done. The request must not cross
+// a stripe boundary (callers split large I/O, as the block layer does).
 func (s *Stack) normalize(r *Request) {
 	n := r.N
-	if r.Pay == nil {
-		n = int64(len(r.Data))
-	}
 	if n == 0 || n%nvme.LBASize != 0 {
 		panic("oskernel: request length must be a positive multiple of 512")
 	}
@@ -443,9 +427,6 @@ func (s *Stack) normalize(r *Request) {
 	}
 	if r.Offset/s.cfg.StripeBytes != (r.Offset+n-1)/s.cfg.StripeBytes {
 		panic("oskernel: request crosses RAID0 stripe boundary")
-	}
-	if r.Pay == nil {
-		r.Pay, r.PayOff, r.N, r.wrap = mem.WrapBytes(r.Data), 0, n, true
 	}
 	r.Done.Init(s.e, "kreq")
 }
@@ -554,39 +535,19 @@ func (k *kcqStep) deliver(r *Request, cid uint16, status nvme.Status) {
 		// write, one for the copy-to-user read.
 		s.bounceStage(r, false)
 	}
-	if r.wrap {
-		r.Pay.Release()
-		r.Pay, r.wrap = nil, false
-	}
 	r.Status = status
 	s.Stat.Done(1)
 	s.slots[dev].Release(1)
 	r.Done.Fire()
 }
 
-// ReadAt performs a synchronous read of len(data) bytes at off (pread).
-func (s *Stack) ReadAt(p *sim.Proc, off int64, data []byte) nvme.Status {
-	pay := mem.WrapBytes(data)
-	st := s.syncIO(p, nvme.OpRead, off, pay, 0, int64(len(data)))
-	pay.Release()
-	return st
-}
-
-// WriteAt performs a synchronous write (pwrite).
-func (s *Stack) WriteAt(p *sim.Proc, off int64, data []byte) nvme.Status {
-	pay := mem.WrapBytes(data)
-	st := s.syncIO(p, nvme.OpWrite, off, pay, 0, int64(len(data)))
-	pay.Release()
-	return st
-}
-
-// ReadAtP is ReadAt for payload content: n bytes at off land in pay at
+// ReadAtP performs a synchronous read (pread): n bytes at off land in pay at
 // payOff by reference.
 func (s *Stack) ReadAtP(p *sim.Proc, off int64, pay *mem.Payload, payOff, n int64) nvme.Status {
 	return s.syncIO(p, nvme.OpRead, off, pay, payOff, n)
 }
 
-// WriteAtP is WriteAt for payload content.
+// WriteAtP performs a synchronous write (pwrite) of pay[payOff:payOff+n].
 func (s *Stack) WriteAtP(p *sim.Proc, off int64, pay *mem.Payload, payOff, n int64) nvme.Status {
 	return s.syncIO(p, nvme.OpWrite, off, pay, payOff, n)
 }

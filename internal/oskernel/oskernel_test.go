@@ -41,6 +41,20 @@ func (r *rig) start() {
 	}
 }
 
+// readAt and writeAt are pread/pwrite of caller-owned bytes: the slice is
+// wrapped into a payload view for the call.
+func readAt(s *Stack, p *sim.Proc, off int64, data []byte) nvme.Status {
+	pay := mem.WrapBytes(data)
+	defer pay.Release()
+	return s.ReadAtP(p, off, pay, 0, int64(len(data)))
+}
+
+func writeAt(s *Stack, p *sim.Proc, off int64, data []byte) nvme.Status {
+	pay := mem.WrapBytes(data)
+	defer pay.Release()
+	return s.WriteAtP(p, off, pay, 0, int64(len(data)))
+}
+
 func TestSyncReadAfterWrite(t *testing.T) {
 	r := newRig(t, 1)
 	s := NewStack(r.e, POSIX, DefaultConfig(POSIX), r.hm, r.devs)
@@ -51,10 +65,10 @@ func TestSyncReadAfterWrite(t *testing.T) {
 	}
 	dst := make([]byte, 8192)
 	r.e.Go("app", func(p *sim.Proc) {
-		if st := s.WriteAt(p, 4096, src); st != nvme.StatusSuccess {
+		if st := writeAt(s, p, 4096, src); st != nvme.StatusSuccess {
 			t.Errorf("write status %v", st)
 		}
-		if st := s.ReadAt(p, 4096, dst); st != nvme.StatusSuccess {
+		if st := readAt(s, p, 4096, dst); st != nvme.StatusSuccess {
 			t.Errorf("read status %v", st)
 		}
 	})
@@ -78,8 +92,8 @@ func TestRAID0StripingRoundTrip(t *testing.T) {
 	}
 	dst := make([]byte, n)
 	r.e.Go("app", func(p *sim.Proc) {
-		s.WriteAt(p, 0, src)
-		s.ReadAt(p, 0, dst)
+		writeAt(s, p, 0, src)
+		readAt(s, p, 0, dst)
 	})
 	r.e.Run()
 	if !bytes.Equal(src, dst) {
@@ -125,7 +139,7 @@ func TestStripeCrossingSubmitPanics(t *testing.T) {
 	panicked := false
 	r.e.Go("app", func(p *sim.Proc) {
 		defer func() { panicked = recover() != nil }()
-		s.Submit(p, &Request{Op: nvme.OpRead, Offset: cfg.StripeBytes - 512, Data: make([]byte, 1024)})
+		s.Submit(p, &Request{Op: nvme.OpRead, Offset: cfg.StripeBytes - 512, Pay: mem.NewPayload(1024, false), N: 1024})
 	})
 	r.e.Run()
 	if !panicked {
@@ -140,7 +154,7 @@ func TestUnalignedSubmitPanics(t *testing.T) {
 	panicked := false
 	r.e.Go("app", func(p *sim.Proc) {
 		defer func() { panicked = recover() != nil }()
-		s.Submit(p, &Request{Op: nvme.OpRead, Offset: 100, Data: make([]byte, 512)})
+		s.Submit(p, &Request{Op: nvme.OpRead, Offset: 100, Pay: mem.NewPayload(512, false), N: 512})
 	})
 	r.e.Run()
 	if !panicked {
@@ -168,9 +182,9 @@ func measureIOPS(t *testing.T, kind StackKind, op nvme.Opcode, nDevs int) float6
 			for i := 0; i < perWorker; i++ {
 				off := (lrng.Int63n(span / 4096)) * 4096
 				if op == nvme.OpRead {
-					s.ReadAt(p, off, buf)
+					readAt(s, p, off, buf)
 				} else {
-					s.WriteAt(p, off, buf)
+					writeAt(s, p, off, buf)
 				}
 				total++
 			}
@@ -225,7 +239,7 @@ func TestLayerBreakdownFSPlusIOMapOver34Pct(t *testing.T) {
 		r.e.Go("app", func(p *sim.Proc) {
 			buf := make([]byte, 4096)
 			for i := 0; i < 50; i++ {
-				s.ReadAt(p, int64(i)*4096, buf)
+				readAt(s, p, int64(i)*4096, buf)
 			}
 		})
 		r.e.Run()
@@ -243,7 +257,7 @@ func TestCPUCountersAccumulate(t *testing.T) {
 	r.e.Go("app", func(p *sim.Proc) {
 		buf := make([]byte, 4096)
 		for i := 0; i < 10; i++ {
-			s.ReadAt(p, int64(i)*4096, buf)
+			readAt(s, p, int64(i)*4096, buf)
 		}
 	})
 	r.e.Run()
@@ -266,7 +280,7 @@ func TestDRAMTrafficIsTwicePayload(t *testing.T) {
 	r.e.Go("app", func(p *sim.Proc) {
 		buf := make([]byte, 4096)
 		for i := 0; i < 64; i++ {
-			s.ReadAt(p, int64(i)*4096, buf)
+			readAt(s, p, int64(i)*4096, buf)
 		}
 	})
 	r.e.Run()
@@ -331,13 +345,13 @@ func TestSyncIOSpillsPastFourStripes(t *testing.T) {
 	devBytes := int64(r.devs[0].Config().CapacityBytes)
 	past := (devBytes/cfg.StripeBytes - 1) * cfg.StripeBytes * int64(len(r.devs))
 	r.e.Go("app", func(p *sim.Proc) {
-		if st := s.WriteAt(p, 4096, src); st != nvme.StatusSuccess {
+		if st := writeAt(s, p, 4096, src); st != nvme.StatusSuccess {
 			t.Errorf("write status %v", st)
 		}
-		if st := s.ReadAt(p, 4096, dst); st != nvme.StatusSuccess {
+		if st := readAt(s, p, 4096, dst); st != nvme.StatusSuccess {
 			t.Errorf("read status %v", st)
 		}
-		if st := s.ReadAt(p, past, make([]byte, n)); st != nvme.StatusLBAOutOfRange {
+		if st := readAt(s, p, past, make([]byte, n)); st != nvme.StatusLBAOutOfRange {
 			t.Errorf("read across the end of the array: status %v, want %v", st, nvme.StatusLBAOutOfRange)
 		}
 	})
@@ -357,7 +371,7 @@ func TestPooledRequestDoesNotCarryStatus(t *testing.T) {
 	devBytes := int64(r.devs[0].Config().CapacityBytes)
 	r.e.Go("app", func(p *sim.Proc) {
 		buf := make([]byte, 4096)
-		if st := s.ReadAt(p, devBytes, buf); st != nvme.StatusLBAOutOfRange {
+		if st := readAt(s, p, devBytes, buf); st != nvme.StatusLBAOutOfRange {
 			t.Errorf("read past the device: status %v, want %v", st, nvme.StatusLBAOutOfRange)
 		}
 		// The free list is LIFO: its top is the request that just failed.
@@ -366,7 +380,7 @@ func TestPooledRequestDoesNotCarryStatus(t *testing.T) {
 			t.Fatalf("top of the free list has status %v, want the failed request", failed.Status)
 		}
 		s.freeReq.Put(failed)
-		if st := s.ReadAt(p, 0, buf); st != nvme.StatusSuccess {
+		if st := readAt(s, p, 0, buf); st != nvme.StatusSuccess {
 			t.Errorf("read after a failed one: status %v", st)
 		}
 		if s.freeReq.Get() != failed {

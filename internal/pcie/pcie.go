@@ -50,9 +50,6 @@ func New(e *sim.Engine, cfg Config) *Fabric {
 	}
 }
 
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // Engine reports the engine (and therefore the shard) the fabric lives on.
 // Device constructors use it to verify shard affinity: everything sharing a
 // fabric must share its engine.
@@ -72,9 +69,6 @@ func (f *Fabric) MMIODelay() sim.Time { return f.cfg.PropagationDelay }
 
 // TotalBytes reports all bytes DMAed through the fabric.
 func (f *Fabric) TotalBytes() int64 { return f.link.TotalBytes() }
-
-// AchievedBandwidth reports bytes/s averaged over elapsed virtual time.
-func (f *Fabric) AchievedBandwidth() float64 { return f.link.AchievedBandwidth() }
 
 // Utilization reports the fraction of elapsed time the fabric was busy.
 func (f *Fabric) Utilization() float64 { return f.link.Utilization() }

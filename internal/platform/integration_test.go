@@ -7,6 +7,7 @@ import (
 	"camsim/internal/bam"
 	"camsim/internal/cam"
 	"camsim/internal/gnn"
+	"camsim/internal/mem"
 	"camsim/internal/oskernel"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
@@ -40,7 +41,7 @@ func TestCrossStackInterop(t *testing.T) {
 
 	env.E.Go("app", func(p *sim.Proc) {
 		// Write through the kernel path...
-		if st := stack.WriteAt(p, 0, src); st != 0 {
+		if st := stack.WriteAtP(p, 0, mem.WrapBytes(src), 0, int64(n)); st != 0 {
 			t.Errorf("kernel write status %v", st)
 		}
 		// ...and read through CAM's GPU-initiated prefetch.

@@ -12,25 +12,31 @@ func TestDefaultsFilledIn(t *testing.T) {
 	if len(env.Devs) != 12 {
 		t.Fatalf("default SSDs = %d, want 12", len(env.Devs))
 	}
-	if env.GPU.Config().SMs != 108 {
-		t.Fatalf("default GPU SMs = %d", env.GPU.Config().SMs)
+	if got := env.GPU.TotalThreads(); got != 108*2048 {
+		t.Fatalf("default GPU threads = %d, want 108 SMs x 2048", got)
 	}
-	if env.HM.Config().Channels != 16 {
-		t.Fatalf("default channels = %d", env.HM.Config().Channels)
+	if got := dramRate(env); got != 16*hostmem.DefaultConfig().ChannelBandwidth {
+		t.Fatalf("default DRAM rate = %g, want 16 channels", got)
 	}
-	if env.Fab.Config().EffectiveBandwidth != 21e9 {
-		t.Fatalf("default PCIe = %g", env.Fab.Config().EffectiveBandwidth)
+	// 21 GB over the default fabric takes one second (plus the TLP overhead).
+	if got := env.Fab.ReserveDMA(21e9); got < sim.Second || got > sim.Second+sim.Microsecond {
+		t.Fatalf("21 GB over the default PCIe fabric took %v, want 1s", got)
 	}
+}
+
+// dramRate measures the host memory's aggregate bytes/s by booking one
+// second's worth of single-channel traffic on a fresh platform.
+func dramRate(env *Env) float64 {
+	n := int64(hostmem.DefaultConfig().ChannelBandwidth)
+	return float64(n) / env.HM.ReserveTraffic(n).Seconds()
 }
 
 func TestMemoryChannelOverride(t *testing.T) {
 	env := New(Options{MemoryChannels: 2})
-	if env.HM.Config().Channels != 2 {
-		t.Fatalf("channels = %d, want 2", env.HM.Config().Channels)
-	}
-	// The rest of the host config stays default.
-	if env.HM.Config().ChannelBandwidth != hostmem.DefaultConfig().ChannelBandwidth {
-		t.Fatal("channel bandwidth clobbered by override")
+	// Two channels at the default per-channel rate: the rest of the host
+	// config stays default.
+	if got := dramRate(env); got != 2*hostmem.DefaultConfig().ChannelBandwidth {
+		t.Fatalf("DRAM rate = %g, want 2 channels at the default rate", got)
 	}
 }
 

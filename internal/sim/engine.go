@@ -79,7 +79,6 @@ type Engine struct {
 	// free parks finished process coroutines for reuse by the next Go.
 	free []*Proc
 
-	stopped bool
 	// procPanic marks a panic on its way out of a process function, which
 	// RunUntil passes on as it is (see CallbackPanic).
 	procPanic bool
@@ -216,9 +215,6 @@ type Proc struct {
 // Name reports the name the process was started with.
 func (p *Proc) Name() string { return p.name }
 
-// Engine returns the engine the process belongs to.
-func (p *Proc) Engine() *Engine { return p.e }
-
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
@@ -345,23 +341,17 @@ func (p *Proc) SleepUntil(t Time) {
 	p.Sleep(d)
 }
 
-// Yield reschedules the process behind all events pending at the current
-// instant.
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// Run processes events until none remain or Stop is called. It returns the
-// final virtual time.
+// Run processes events until none remain. It returns the final virtual time.
 func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 
 // RunUntil processes events with timestamps <= deadline. Events beyond the
 // deadline remain queued; the clock is left at the last event dispatched.
 // Dispatch order is the strict global (at, seq) minimum.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
 	q := &e.q
 	var ev event
 	defer e.annotatePanic(&ev)
-	for !e.stopped {
+	for {
 		var ok bool
 		if ev, ok = q.popMinUntil(deadline); !ok {
 			break
@@ -412,10 +402,6 @@ func (e *Engine) annotatePanic(ev *event) {
 	}
 	panic(&CallbackPanic{At: ev.at, Seq: ev.seq, Callback: fmt.Sprintf("%T", ev.cb), Value: r})
 }
-
-// Stop makes Run return after the currently executing event completes.
-// Pending events stay queued, so Run can be called again to continue.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Shutdown releases every process coroutine the engine still owns: processes
 // started but never run, processes left blocked when the run reached
@@ -600,42 +586,12 @@ func (s *Signal) WaitInline(cb Callback) {
 	s.park(sigWaiter{cb: cb, inline: true})
 }
 
-// WaitTimeout blocks until the signal fires or d elapses. It reports whether
-// the signal fired (true) or the timeout hit (false).
-func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
-	if s.fired {
-		return true
-	}
-	if d <= 0 {
-		return false
-	}
-	expired := false
-	// The timer and the signal race; the timer only acts if p still waits
-	// on s (Fire removes waiters synchronously, so at an exact tie the
-	// already-processed Fire wins and the timer becomes a no-op instead of
-	// resuming p a second time).
-	s.park(sigWaiter{cb: p})
-	t := p.e.ScheduleTimer(d, func() {
-		if s.CancelWaitCallback(p) {
-			expired = true
-			p.Run()
-		}
-	})
-	p.block()
-	// Resumed by Fire's event unless the timer got there first.
-	if expired {
-		return false
-	}
-	t.Cancel()
-	return true
-}
-
 // CancelWaitCallback removes a callback waiter registered with WaitCallback
 // before the signal fires, reporting whether it was still registered. It is
-// the callback analogue of WaitTimeout's timer path: a deadline timer that
-// beats the signal deregisters the poller and re-enters it directly; if the
-// signal's Fire already consumed the waiter (an exact-instant tie), the
-// cancel fails and the timer becomes a no-op instead of a double wake.
+// how a wait gets a deadline: a timer that beats the signal deregisters the
+// poller and re-enters it directly; if the signal's Fire already consumed
+// the waiter (an exact-instant tie), the cancel fails and the timer becomes
+// a no-op instead of a double wake.
 func (s *Signal) CancelWaitCallback(cb Callback) bool {
 	if s.first.cb == cb && cb != nil {
 		// The next waiter in line, if any, moves up into the inline slot.
@@ -653,11 +609,4 @@ func (s *Signal) CancelWaitCallback(cb Callback) bool {
 		}
 	}
 	return false
-}
-
-// WaitAll blocks until every listed signal has fired.
-func (p *Proc) WaitAll(sigs ...*Signal) {
-	for _, s := range sigs {
-		p.Wait(s)
-	}
 }

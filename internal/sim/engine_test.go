@@ -185,61 +185,78 @@ func TestSignalReset(t *testing.T) {
 	}
 }
 
+// timedWait is the deadline idiom the pollers use: park a callback on the
+// signal, arm a timer, and let whichever runs first disarm the other. The
+// timer only acts if the callback still waits (Fire removes waiters
+// synchronously, so at an exact tie the already-processed Fire wins and the
+// timer becomes a no-op instead of a second wake).
+type timedWait struct {
+	e              *Engine
+	t              *Timer
+	fired, expired int
+	at             Time
+}
+
+func (w *timedWait) Run() {
+	w.fired++
+	w.at = w.e.Now()
+	w.t.Cancel()
+}
+
+func startTimedWait(e *Engine, s *Signal, d Time) *timedWait {
+	w := &timedWait{e: e}
+	s.WaitCallback(0, w)
+	w.t = e.ScheduleTimer(d, func() {
+		if s.CancelWaitCallback(w) {
+			w.expired++
+			w.at = e.Now()
+		}
+	})
+	return w
+}
+
 func TestWaitTimeoutExpires(t *testing.T) {
 	e := New()
 	s := e.NewSignal("never")
-	var fired bool
-	var at Time
-	e.Go("w", func(p *Proc) {
-		fired = p.WaitTimeout(s, 100)
-		at = p.Now()
-	})
+	w := startTimedWait(e, s, 100)
 	e.Run()
-	if fired {
-		t.Fatal("WaitTimeout reported fired for unfired signal")
+	if w.fired != 0 || w.expired != 1 {
+		t.Fatalf("fired %d, expired %d for an unfired signal; want the timeout alone", w.fired, w.expired)
 	}
-	if at != 100 {
-		t.Fatalf("timeout at %v, want 100", at)
+	if w.at != 100 {
+		t.Fatalf("timeout at %v, want 100", w.at)
 	}
-	if len(s.waiters) != 0 {
+	if s.first.cb != nil || len(s.waiters) != 0 {
 		t.Fatalf("stale waiter left on signal")
 	}
 }
 
 func TestWaitTimeoutSignalWins(t *testing.T) {
-	e := New()
-	s := e.NewSignal("soon")
-	var fired bool
-	var at Time
-	e.Go("w", func(p *Proc) {
-		fired = p.WaitTimeout(s, 100)
-		at = p.Now()
-	})
-	e.Go("f", func(p *Proc) {
-		p.Sleep(30)
-		s.Fire()
-	})
-	e.Run()
-	if !fired {
-		t.Fatal("WaitTimeout missed the signal")
-	}
-	if at != 30 {
-		t.Fatalf("woke at %v, want 30", at)
+	// The signal wins when it fires first, and also at an exact tie with
+	// the deadline when its Fire was scheduled first.
+	for _, fireAt := range []Time{30, 100} {
+		e := New()
+		s := e.NewSignal("soon")
+		e.Schedule(fireAt, s.Fire)
+		w := startTimedWait(e, s, 100)
+		e.Run()
+		if w.fired != 1 || w.expired != 0 {
+			t.Fatalf("fire at %v: fired %d, expired %d; want the signal alone", fireAt, w.fired, w.expired)
+		}
+		if w.at != fireAt {
+			t.Fatalf("fire at %v: woke at %v", fireAt, w.at)
+		}
 	}
 }
 
 func TestWaitTimeoutAlreadyFired(t *testing.T) {
 	e := New()
 	s := e.NewSignal("pre")
-	var fired bool
-	e.Go("f", func(p *Proc) { s.Fire() })
-	e.Go("w", func(p *Proc) {
-		p.Sleep(1)
-		fired = p.WaitTimeout(s, 50)
-	})
+	s.Fire()
+	w := startTimedWait(e, s, 50)
 	e.Run()
-	if !fired {
-		t.Fatal("WaitTimeout on fired signal returned false")
+	if w.fired != 1 || w.expired != 0 || w.at != 0 {
+		t.Fatalf("fired %d, expired %d at %v on a fired signal; want one immediate wake", w.fired, w.expired, w.at)
 	}
 }
 
@@ -260,21 +277,6 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	e.Run()
 	if fmt.Sprint(ran) != "[10 20 30]" {
 		t.Fatalf("after resume ran = %v", ran)
-	}
-}
-
-func TestStopPausesRun(t *testing.T) {
-	e := New()
-	n := 0
-	e.Schedule(1, func() { n++; e.Stop() })
-	e.Schedule(2, func() { n++ })
-	e.Run()
-	if n != 1 {
-		t.Fatalf("n = %d after Stop, want 1", n)
-	}
-	e.Run()
-	if n != 2 {
-		t.Fatalf("n = %d after resume, want 2", n)
 	}
 }
 

@@ -397,7 +397,7 @@ const (
 	fzBoundary         // the last instant inside the window, the first past it, or one more
 	fzFar              // past the horizon, into the overflow heap
 	fzTie              // the exact timestamp of the previous push
-	fzStep             // dispatch one event (popMin)
+	fzStep             // run the earliest pending instant; its first event pushes a same-instant one
 	fzRunUntil         // bounded run, inside the window
 	fzTimer            // ScheduleTimer, delay class from the operand
 	fzCancel           // Timer.Cancel
@@ -416,8 +416,9 @@ func fuzzOps(ops ...int) []byte {
 }
 
 // FuzzEventQueue drives an engine through arbitrary interleavings of
-// pushes in every delay class, single-event pops, bounded runs followed by
-// earlier pushes, and timer schedule/cancel/revive, and checks it against a
+// pushes in every delay class, pushes from inside a dispatching event, bounded
+// runs followed by earlier pushes, and timer schedule/cancel/revive, and
+// checks it against a
 // reference list: events fire in exact (at, seq) order at their own
 // timestamps, canceled timers are discarded exactly when they reach the head
 // without moving the clock, Pending matches, and the clock never rewinds.
@@ -447,18 +448,20 @@ func FuzzEventQueue(f *testing.F) {
 		var fired []event
 		var timers []*Timer
 		var seq uint64
-		step := false
+		spawn := false // the next event to fire pushes a zero-delay one from inside its callback
 		var lastAt Time
 
+		var schedule func(delay Time, timer bool)
 		record := func(seq uint64) func() {
 			return func() {
 				fired = append(fired, event{at: e.Now(), seq: seq})
-				if step {
-					e.Stop()
+				if spawn {
+					spawn = false
+					schedule(0, false)
 				}
 			}
 		}
-		schedule := func(delay Time, timer bool) {
+		schedule = func(delay Time, timer bool) {
 			if delay < 0 {
 				delay = 0
 			}
@@ -474,15 +477,15 @@ func FuzzEventQueue(f *testing.F) {
 			}
 			ref.push(ev)
 		}
-		// run drives the engine — one event in step mode, else up to the
-		// deadline — then replays the reference: pop the (at, seq) minimum
-		// while it is due, discarding dead timers, and compare.
+		// run drives the engine up to the deadline, then replays the
+		// reference: pop the (at, seq) minimum while it is due, discarding
+		// dead timers, and compare.
 		run := func(deadline Time) {
 			t.Helper()
 			clock := e.Now()
 			e.RunUntil(deadline)
 			n := 0
-			for len(ref.evs) > 0 && !(step && n == 1) && ref.evs[ref.min()].at <= deadline {
+			for len(ref.evs) > 0 && ref.evs[ref.min()].at <= deadline {
 				m := ref.popMin()
 				if tm, ok := m.cb.(*Timer); ok && tm.dead {
 					if !tm.done {
@@ -553,9 +556,11 @@ func FuzzEventQueue(f *testing.F) {
 					}
 				}
 			case fzStep:
-				step = true
-				run(MaxTime)
-				step = false
+				if len(ref.evs) > 0 {
+					spawn = true
+					run(ref.evs[ref.min()].at)
+					spawn = false
+				}
 			case fzRunUntil:
 				run(e.Now() + Time(v)*16)
 			case fzRunFar:

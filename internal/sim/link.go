@@ -17,7 +17,6 @@ type Link struct {
 
 	// accounting
 	totalBytes int64
-	totalXfers int64
 	busyTime   Time // integrated busy time for utilization
 }
 
@@ -30,20 +29,8 @@ func (e *Engine) NewLink(name string, bytesPerSec float64, perXfer Time) *Link {
 	return &Link{e: e, name: name, bytesPerSec: bytesPerSec, perXferOvh: perXfer}
 }
 
-// Rate reports the configured rate in bytes per second.
-func (l *Link) Rate() float64 { return l.bytesPerSec }
-
 // Engine reports the engine the link belongs to.
 func (l *Link) Engine() *Engine { return l.e }
-
-// SetRate changes the link rate; in-flight reservations keep their original
-// completion times.
-func (l *Link) SetRate(bytesPerSec float64) {
-	if bytesPerSec <= 0 {
-		panic("sim: SetRate must be positive: " + l.name)
-	}
-	l.bytesPerSec = bytesPerSec
-}
 
 // xferTime is the service time for n bytes, excluding queueing.
 func (l *Link) xferTime(n int64) Time {
@@ -68,7 +55,6 @@ func (l *Link) Reserve(n int64) Time {
 	end := start + l.xferTime(n)
 	l.busyUntil = end
 	l.totalBytes += n
-	l.totalXfers++
 	l.busyTime += end - start
 	return end
 }
@@ -78,14 +64,8 @@ func (l *Link) Transfer(p *Proc, n int64) {
 	p.SleepUntil(l.Reserve(n))
 }
 
-// BusyUntil reports when the link drains given current reservations.
-func (l *Link) BusyUntil() Time { return l.busyUntil }
-
 // TotalBytes reports all bytes ever reserved.
 func (l *Link) TotalBytes() int64 { return l.totalBytes }
-
-// TotalTransfers reports the number of reservations.
-func (l *Link) TotalTransfers() int64 { return l.totalXfers }
 
 // Utilization reports integrated busy time divided by elapsed virtual time
 // (0 if no time has passed).

@@ -104,21 +104,6 @@ func TestLinkUtilizationIdle(t *testing.T) {
 	}
 }
 
-func TestLinkSetRate(t *testing.T) {
-	e := New()
-	l := e.NewLink("l", 1e9, 0)
-	var done Time
-	e.Go("p", func(p *Proc) {
-		l.SetRate(2e9)
-		l.Transfer(p, 2000)
-		done = p.Now()
-	})
-	e.Run()
-	if done != 1000 {
-		t.Fatalf("done at %v, want 1000", done)
-	}
-}
-
 func TestLinkReserveNonBlocking(t *testing.T) {
 	e := New()
 	l := e.NewLink("l", 1e9, 0)

@@ -53,6 +53,18 @@ func TestAllocsPerSleep(t *testing.T) {
 	}
 }
 
+// drainSink takes left items off a store, re-registering from StoreItem.
+type drainSink struct {
+	s    *Store[int]
+	left int
+}
+
+func (d *drainSink) StoreItem(int, bool) {
+	if d.left--; d.left > 0 {
+		d.s.GetCallback(d)
+	}
+}
+
 func TestAllocsPerStoreOp(t *testing.T) {
 	e := New()
 	s := NewStore[int](e, "s")
@@ -62,17 +74,12 @@ func TestAllocsPerStoreOp(t *testing.T) {
 			p.Sleep(1)
 		}
 	}
-	consumer := func(p *Proc) {
-		for i := 0; i < allocBatch; i++ {
-			if _, ok := s.Get(p); !ok {
-				return
-			}
-		}
-	}
+	consumer := &drainSink{s: s}
 	warm := func() {
-		// Consumer first so half the Gets block and exercise the
+		// Consumer first so every GetCallback parks and exercises the
 		// getter-record recycling path, not just the buffered fast path.
-		e.Go("consumer", consumer)
+		consumer.left = allocBatch
+		s.GetCallback(consumer)
 		e.Go("producer", producer)
 		e.Run()
 	}
@@ -128,16 +135,11 @@ func TestShutdownReleasesBlockedProcesses(t *testing.T) {
 
 	e := New()
 	sig := e.NewSignal("never")
-	st := NewStore[int](e, "empty")
 	res := e.NewResource("narrow", 1)
 	cleanups := 0
 	e.Go("wait-signal", func(p *Proc) {
 		defer func() { cleanups++ }()
 		p.Wait(sig)
-	})
-	e.Go("wait-store", func(p *Proc) {
-		defer func() { cleanups++ }()
-		st.Get(p)
 	})
 	e.Go("hold", func(p *Proc) {
 		defer func() { cleanups++ }()
@@ -151,15 +153,15 @@ func TestShutdownReleasesBlockedProcesses(t *testing.T) {
 	e.Go("finishes", func(p *Proc) { p.Sleep(10) })
 	e.Run()
 
-	if e.Live() != 4 {
-		t.Fatalf("Live() = %d after quiescence, want 4 blocked processes", e.Live())
+	if e.Live() != 3 {
+		t.Fatalf("Live() = %d after quiescence, want 3 blocked processes", e.Live())
 	}
 	e.Shutdown()
 	if e.Live() != 0 {
 		t.Fatalf("Live() = %d after Shutdown, want 0", e.Live())
 	}
-	if cleanups != 4 {
-		t.Fatalf("deferred cleanups ran %d times, want 4", cleanups)
+	if cleanups != 3 {
+		t.Fatalf("deferred cleanups ran %d times, want 3", cleanups)
 	}
 
 	awaitGoroutines(t, before)

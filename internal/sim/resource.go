@@ -33,9 +33,6 @@ func (e *Engine) NewResource(name string, capacity int64) *Resource {
 	return &Resource{e: e, name: name, capacity: capacity}
 }
 
-// Capacity reports the configured capacity.
-func (r *Resource) Capacity() int64 { return r.capacity }
-
 // InUse reports the number of units currently held.
 func (r *Resource) InUse() int64 { return r.inUse }
 
@@ -141,12 +138,4 @@ func (r *Resource) Release(n int64) {
 		r.e.ScheduleCallback(0, w.cb)
 		r.waiters.popFront()
 	}
-}
-
-// Use acquires n units, runs the process for d of virtual time, and
-// releases. It models holding a piece of hardware for a fixed occupation.
-func (r *Resource) Use(p *Proc, n int64, d Time) {
-	r.Acquire(p, n)
-	p.Sleep(d)
-	r.Release(n)
 }

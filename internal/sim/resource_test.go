@@ -159,9 +159,14 @@ func TestResourceUse(t *testing.T) {
 	e := New()
 	r := e.NewResource("r", 1)
 	var done Time
-	e.Go("a", func(p *Proc) { r.Use(p, 1, 30) })
+	use := func(p *Proc, d Time) {
+		r.Acquire(p, 1)
+		p.Sleep(d)
+		r.Release(1)
+	}
+	e.Go("a", func(p *Proc) { use(p, 30) })
 	e.Go("b", func(p *Proc) {
-		r.Use(p, 1, 20)
+		use(p, 20)
 		done = p.Now()
 	})
 	e.Run()

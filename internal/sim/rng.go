@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random generator
 // (SplitMix64-seeded xoshiro256**). The standard library's math/rand would
 // work, but a local implementation keeps streams stable across Go releases,
@@ -61,40 +59,4 @@ func (r *RNG) Int63n(n int64) int64 {
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Normal returns a draw from N(mean, stddev²) via Marsaglia polar method.
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Split derives an independent generator; (r, key) pairs give stable
-// sub-streams so adding a consumer never perturbs existing ones.
-func (r *RNG) Split(key uint64) *RNG {
-	return NewRNG(r.Uint64() ^ (key * 0x9e3779b97f4a7c15))
-}
-
-// Shuffle permutes indices [0,n) via Fisher-Yates, calling swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := int(r.Int63n(int64(i + 1)))
-		swap(i, j)
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

@@ -79,52 +79,6 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := NewRNG(11)
-	n := 200000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Normal(10, 2)
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / float64(n)
-	variance := sumsq/float64(n) - mean*mean
-	if math.Abs(mean-10) > 0.05 {
-		t.Fatalf("mean = %g, want ~10", mean)
-	}
-	if math.Abs(variance-4) > 0.2 {
-		t.Fatalf("variance = %g, want ~4", variance)
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	r := NewRNG(5)
-	a := r.Split(1)
-	b := r.Split(2)
-	if a.Uint64() == b.Uint64() {
-		t.Fatal("split streams identical")
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		size := int(n % 100)
-		p := NewRNG(seed).Perm(size)
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == size
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUint64Distribution(t *testing.T) {
 	// Count bits set across many draws; should be ~50%.
 	r := NewRNG(9)

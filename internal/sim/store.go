@@ -1,13 +1,13 @@
 package sim
 
-// Store is an unbounded FIFO mailbox between simulation processes, the
+// Store is an unbounded FIFO mailbox between simulation machines, the
 // channel analogue inside virtual time. Producers never block; consumers
-// block until an item arrives.
+// park a sink (GetCallback) until an item arrives, or poll with TryGet.
 //
-// Items and blocked getters both live in ring buffers whose released slots
+// Items and parked getters both live in ring buffers whose released slots
 // are zeroed, so the store never pins dequeued elements, and getter records
-// recycle through a free list, so a Put/Get cycle is allocation-free in
-// steady state.
+// recycle through a free list, so a Put/GetCallback cycle is allocation-free
+// in steady state.
 type Store[T any] struct {
 	e       *Engine
 	name    string
@@ -17,10 +17,9 @@ type Store[T any] struct {
 	closed  bool
 }
 
+// storeGetter is one parked sink and, once an outcome is decided, the
+// scheduled Callback that delivers it.
 type storeGetter[T any] struct {
-	p *Proc
-	// sink is the callback-consumer variant: when non-nil the getter is
-	// itself the scheduled Callback that delivers to it.
 	sink StoreSink[T]
 	s    *Store[T]
 	v    T
@@ -36,8 +35,7 @@ func (g *storeGetter[T]) Run() {
 	sink.StoreItem(v, ok)
 }
 
-// StoreSink receives items from GetCallback in engine-callback context. It
-// is the callback-state-machine analogue of a blocked Get: a converted
+// StoreSink receives items from GetCallback in engine-callback context: a
 // consumer implements it and resumes its phase loop from StoreItem.
 type StoreSink[T any] interface {
 	StoreItem(v T, ok bool)
@@ -58,16 +56,6 @@ func (s *Store[T]) release(g *storeGetter[T]) {
 	s.free.Put(g)
 }
 
-// wake schedules the zero-delay event that hands g its outcome: the getter
-// record itself for a sink, the blocked process otherwise.
-func (s *Store[T]) wake(g *storeGetter[T]) {
-	if g.sink != nil {
-		s.e.ScheduleCallback(0, g)
-	} else {
-		s.e.ScheduleCallback(0, g.p)
-	}
-}
-
 // Put enqueues v, waking the oldest blocked getter if any. Put after Close
 // panics.
 func (s *Store[T]) Put(v T) {
@@ -77,34 +65,16 @@ func (s *Store[T]) Put(v T) {
 	if s.getters.len() > 0 {
 		g := s.getters.popFront()
 		g.v, g.ok = v, true
-		s.wake(g)
+		s.e.ScheduleCallback(0, g)
 		return
 	}
 	s.items.pushBack(v)
 }
 
-// Get blocks until an item is available and returns it; ok is false only if
-// the store is closed and drained.
-func (s *Store[T]) Get(p *Proc) (v T, ok bool) {
-	if s.items.len() > 0 {
-		return s.items.popFront(), true
-	}
-	if s.closed {
-		return v, false
-	}
-	g := s.free.Get()
-	g.p = p
-	s.getters.pushBack(g)
-	p.block()
-	v, ok = g.v, g.ok
-	s.release(g)
-	return v, ok
-}
-
-// GetCallback is the callback-machine form of Get: if an item is queued it
-// is delivered to sink synchronously (before GetCallback returns), otherwise
-// the sink is parked FIFO alongside blocked process getters and receives the
-// item via a zero-delay event when one is Put. Callers should return
+// GetCallback hands the next item to sink: if one is queued it is delivered
+// synchronously (before GetCallback returns), otherwise the sink is parked
+// FIFO and receives the item via a zero-delay event when one is Put; ok is
+// false only if the store is closed and drained. Callers should return
 // immediately after GetCallback and treat StoreItem as the continuation.
 func (s *Store[T]) GetCallback(sink StoreSink[T]) {
 	if s.items.len() > 0 {
@@ -129,18 +99,14 @@ func (s *Store[T]) TryGet() (v T, ok bool) {
 	return s.items.popFront(), true
 }
 
-// Close marks the store closed: queued items can still be drained, blocked
-// and future getters receive ok=false once empty.
+// Close marks the store closed: queued items can still be drained, parked
+// and future sinks receive ok=false once empty.
 func (s *Store[T]) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
 	for s.getters.len() > 0 {
-		g := s.getters.popFront()
-		s.wake(g)
+		s.e.ScheduleCallback(0, s.getters.popFront())
 	}
 }
-
-// Closed reports whether Close has been called.
-func (s *Store[T]) Closed() bool { return s.closed }

@@ -6,44 +6,39 @@ import (
 	"testing/quick"
 )
 
+// sinkFunc adapts a function to StoreSink.
+type sinkFunc[T any] func(v T, ok bool)
+
+func (f sinkFunc[T]) StoreItem(v T, ok bool) { f(v, ok) }
+
 func TestStorePutThenGet(t *testing.T) {
 	e := New()
 	s := NewStore[int](e, "s")
-	var got int
-	e.Go("c", func(p *Proc) {
-		v, ok := s.Get(p)
+	got, at := 0, Time(-1)
+	s.GetCallback(sinkFunc[int](func(v int, ok bool) {
 		if !ok {
-			t.Error("Get returned !ok")
+			t.Error("sink got !ok")
 		}
-		got = v
-	})
-	e.Go("pr", func(p *Proc) {
-		p.Sleep(10)
-		s.Put(7)
-	})
+		got, at = v, e.Now()
+	}))
+	e.Schedule(10, func() { s.Put(7) })
 	e.Run()
-	if got != 7 {
-		t.Fatalf("got %d, want 7", got)
+	if got != 7 || at != 10 {
+		t.Fatalf("got %d at %v, want 7 at 10", got, at)
 	}
 }
 
 func TestStoreFIFOOrder(t *testing.T) {
 	e := New()
 	s := NewStore[int](e, "s")
+	for i := 0; i < 5; i++ {
+		s.Put(i)
+	}
+	// Queued items are delivered synchronously, oldest first.
 	var got []int
-	e.Go("pr", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			s.Put(i)
-		}
-	})
-	e.Go("c", func(p *Proc) {
-		p.Sleep(1)
-		for i := 0; i < 5; i++ {
-			v, _ := s.Get(p)
-			got = append(got, v)
-		}
-	})
-	e.Run()
+	for i := 0; i < 5; i++ {
+		s.GetCallback(sinkFunc[int](func(v int, _ bool) { got = append(got, v) }))
+	}
 	if fmt.Sprint(got) != "[0 1 2 3 4]" {
 		t.Fatalf("got %v", got)
 	}
@@ -55,13 +50,11 @@ func TestStoreMultipleGettersFIFO(t *testing.T) {
 	var got []string
 	for i := 0; i < 3; i++ {
 		i := i
-		e.Go(fmt.Sprint("c", i), func(p *Proc) {
-			v, _ := s.Get(p)
+		s.GetCallback(sinkFunc[string](func(v string, _ bool) {
 			got = append(got, fmt.Sprintf("c%d:%s", i, v))
-		})
+		}))
 	}
-	e.Go("pr", func(p *Proc) {
-		p.Sleep(5)
+	e.Schedule(5, func() {
 		s.Put("x")
 		s.Put("y")
 		s.Put("z")
@@ -89,17 +82,11 @@ func TestStoreCloseWakesGetters(t *testing.T) {
 	e := New()
 	s := NewStore[int](e, "s")
 	var okAfterClose = true
-	e.Go("c", func(p *Proc) {
-		_, ok := s.Get(p)
-		okAfterClose = ok
-	})
-	e.Go("closer", func(p *Proc) {
-		p.Sleep(10)
-		s.Close()
-	})
+	s.GetCallback(sinkFunc[int](func(_ int, ok bool) { okAfterClose = ok }))
+	e.Schedule(10, s.Close)
 	e.Run()
 	if okAfterClose {
-		t.Fatal("Get on closed store returned ok")
+		t.Fatal("sink parked on a closed store got ok")
 	}
 }
 
@@ -110,21 +97,21 @@ func TestStoreCloseDrainsQueuedItems(t *testing.T) {
 	s.Close()
 	var vals []int
 	var lastOK bool
-	e.Go("c", func(p *Proc) {
-		v, ok := s.Get(p)
-		if ok {
-			vals = append(vals, v)
-		}
-		_, lastOK = s.Get(p)
-	})
-	e.Run()
+	for i := 0; i < 2; i++ {
+		s.GetCallback(sinkFunc[int](func(v int, ok bool) {
+			if ok {
+				vals = append(vals, v)
+			}
+			lastOK = ok
+		}))
+	}
 	if fmt.Sprint(vals) != "[1]" || lastOK {
 		t.Fatalf("vals=%v lastOK=%v", vals, lastOK)
 	}
 }
 
-// Property: everything Put is Got exactly once, in order, for any
-// interleaving of producer/consumer counts.
+// Property: everything Put is delivered exactly once, in order, for any
+// interleaving of producer and consumer pacing.
 func TestStoreConservationQuick(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
 		count := int(n%64) + 1
@@ -138,16 +125,16 @@ func TestStoreConservationQuick(t *testing.T) {
 				p.Sleep(Time(rng.Int63n(5)))
 			}
 		})
-		e.Go("c", func(p *Proc) {
-			for i := 0; i < count; i++ {
-				v, ok := s.Get(p)
-				if !ok {
-					return
-				}
-				got = append(got, v)
-				p.Sleep(Time(rng.Int63n(5)))
+		// The consumer re-registers after a random think time, so it is
+		// sometimes parked before the Put and sometimes finds it queued.
+		var sink sinkFunc[int]
+		sink = func(v int, ok bool) {
+			got = append(got, v)
+			if ok && len(got) < count {
+				e.Schedule(Time(rng.Int63n(5)), func() { s.GetCallback(sink) })
 			}
-		})
+		}
+		s.GetCallback(sink)
 		e.Run()
 		if len(got) != count {
 			return false

@@ -49,17 +49,6 @@ func (c Config) fanin() int64 {
 	return int64(c.Fanin)
 }
 
-// DefaultConfig returns a benchmark-scale configuration.
-func DefaultConfig() Config {
-	return Config{
-		NumInts:    16 << 20, // 64 MiB of keys
-		RunBytes:   8 << 20,
-		ChunkBytes: 1 << 20,
-		SortRate:   4e9,
-		MergeRate:  8e9,
-	}
-}
-
 // Validate checks the size constraints against a backend granularity.
 func (c Config) Validate(blockBytes int64) error {
 	data := c.NumInts * 4

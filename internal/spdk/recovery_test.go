@@ -30,7 +30,7 @@ func (r *rig) injectAll(plan *fault.Plan) {
 // completed through the Done-signal path used to be recycled by the reactor
 // before its waiter resumed, so the waiter read a zeroed Status — a failed
 // command reported as success. The driver must leave Done-waited requests
-// alone until the caller returns them via PutRequest.
+// alone: they are their waiter's.
 func TestPooledErrorStatusSurvives(t *testing.T) {
 	r := newRig(1)
 	plan := fault.NewPlan(1)
@@ -47,15 +47,10 @@ func TestPooledErrorStatusSurvives(t *testing.T) {
 		d.Submit(req)
 		p.Wait(&req.Done)
 		got = req.Status // must still be the failure, not a recycled zero
-		d.PutRequest(req)
 	})
 	r.e.Run()
 	if got != nvme.StatusMediaError {
 		t.Fatalf("waiter read status %v, want media error (recycled under the waiter?)", got)
-	}
-	// PutRequest really did recycle: the pool hands the same object back.
-	if d.GetRequest() != req {
-		t.Fatal("PutRequest did not return the request to the pool")
 	}
 }
 
@@ -159,8 +154,8 @@ func TestDroppedCommandTimesOut(t *testing.T) {
 	if rec.Timeouts != 2 || rec.Retries != 1 || rec.FailedRequests != 1 {
 		t.Fatalf("recovery %+v: want 2 timeouts, 1 retry, 1 failure", rec)
 	}
-	if req.Attempts() != 2 {
-		t.Fatalf("attempts = %d, want 2", req.Attempts())
+	if req.attempts != 2 {
+		t.Fatalf("attempts = %d, want 2", req.attempts)
 	}
 	// Two full deadlines plus one backoff, not an idle-forever stall.
 	if min := 2 * cfg.CmdTimeout; end < min || end > min+sim.Millisecond {
@@ -205,8 +200,8 @@ func TestDeviceFailureDegradesGracefully(t *testing.T) {
 			t.Fatalf("request %d on healthy device failed: %v", i, st)
 		}
 	}
-	if !d.DeviceFailed(0) || d.DeviceFailed(1) {
-		t.Fatalf("DeviceFailed: dev0=%v dev1=%v", d.DeviceFailed(0), d.DeviceFailed(1))
+	if !d.failed[0] || d.failed[1] {
+		t.Fatalf("failed: dev0=%v dev1=%v", d.failed[0], d.failed[1])
 	}
 	rec := d.Recovery()
 	if rec.DeviceFailures != 1 {

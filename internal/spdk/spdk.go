@@ -102,16 +102,6 @@ type RecoveryStats struct {
 	DeviceFailures uint64 // devices declared dead
 }
 
-// Add folds o into s.
-func (s *RecoveryStats) Add(o RecoveryStats) {
-	s.Timeouts += o.Timeouts
-	s.Retries += o.Retries
-	s.Recovered += o.Recovered
-	s.FailedRequests += o.FailedRequests
-	s.FastFails += o.FastFails
-	s.DeviceFailures += o.DeviceFailures
-}
-
 // Completion receives request completions in reactor context. Batch
 // clients (CAM) implement it to fan a run of completions into one counter
 // without allocating a closure or a signal per request. RequestDone must
@@ -152,10 +142,6 @@ type Request struct {
 	// attempts counts submissions (1 = first try).
 	attempts int
 }
-
-// Attempts reports how many times the request was submitted to hardware
-// (1 for a first-try success; retries increment it).
-func (r *Request) Attempts() int { return r.attempts }
 
 // Bytes reports the transfer size.
 func (r *Request) Bytes() int64 { return int64(r.NLB) * nvme.LBASize }
@@ -309,36 +295,11 @@ func (d *Driver) putRequest(r *Request) {
 	d.reqFree.Put(r)
 }
 
-// PutRequest returns a pooled, Done-signalled request to the free list.
-// Callers that block on r.Done (instead of using a Sink) own the request
-// after the signal fires — the driver must not recycle it under them, or
-// the waiter would read a zeroed Status (see TestPooledErrorStatusSurvives)
-// — so they return it themselves once they have read what they need.
-//
-//camlint:pool release
-func (d *Driver) PutRequest(r *Request) {
-	if r.pooled {
-		d.putRequest(r)
-	}
-}
-
 // SetTracer attaches a tracer for recovery events (nil disables).
 func (d *Driver) SetTracer(tr *trace.Tracer) { d.tr = tr }
 
 // Recovery returns a snapshot of the driver's error-recovery counters.
 func (d *Driver) Recovery() RecoveryStats { return d.rec }
-
-// DeviceFailed reports whether device di has been declared dead.
-func (d *Driver) DeviceFailed(di int) bool { return d.failed[di] }
-
-// ActiveReactors reports how many reactors currently own devices.
-func (d *Driver) ActiveReactors() int {
-	owners := make(map[int]bool)
-	for _, o := range d.devOwner {
-		owners[o] = true
-	}
-	return len(owners)
-}
 
 // SetActiveReactors redistributes all devices round-robin over the first n
 // reactors. It is only legal at a quiescent point: any in-flight command on
@@ -887,8 +848,7 @@ func (r *Reactor) finishOrRetry(req *Request) {
 // deliver hands a finished request to its completion consumer: Sink
 // callback, then OnDone, then the Done signal. Only Sink-consumed pooled
 // requests recycle here — a Done waiter reads r.Status after resuming, so
-// recycling under it would zero the status; such callers return the request
-// via Driver.PutRequest.
+// recycling under it would zero the status; such a request is its waiter's.
 func (r *Reactor) deliver(req *Request) {
 	if req.Status == nvme.StatusSuccess {
 		if req.attempts > 1 {

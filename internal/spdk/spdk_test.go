@@ -66,8 +66,8 @@ func TestHostReadAfterWrite(t *testing.T) {
 	r.startAll(d)
 	wb := r.hm.Alloc("w", 8192)
 	rb := r.hm.Alloc("r", 8192)
-	for i := range wb.Bytes() {
-		wb.Bytes()[i] = byte(i * 3)
+	for i := range wb.Payload().Bytes() {
+		wb.Payload().Bytes()[i] = byte(i * 3)
 	}
 	r.e.Go("app", func(p *sim.Proc) {
 		w := &Request{Op: nvme.OpWrite, Dev: 0, SLBA: 64, NLB: 16, Addr: wb.Addr}
@@ -84,7 +84,7 @@ func TestHostReadAfterWrite(t *testing.T) {
 		}
 	})
 	r.e.Run()
-	if !bytes.Equal(wb.Bytes(), rb.Bytes()) {
+	if !bytes.Equal(wb.Payload().Bytes(), rb.Payload().Bytes()) {
 		t.Fatal("SPDK host round trip mismatch")
 	}
 }
@@ -227,7 +227,7 @@ func TestStagedReadToGPUDataAndTraffic(t *testing.T) {
 		for i := range src {
 			src[i] = byte(rng.Uint64())
 		}
-		r.devs[0].Store().WriteLBA(0, uint32(n/nvme.LBASize), src)
+		r.devs[0].Store().WriteLBAP(0, uint32(n/nvme.LBASize), mem.WrapBytes(src), 0)
 		gb := r.g.Alloc("dst", n)
 		done := r.e.NewSignal("granule")
 		r.e.Go("app", func(p *sim.Proc) {
@@ -275,7 +275,7 @@ func TestStagedWriteFromGPU(t *testing.T) {
 		r.e.Run()
 		mem.SetDefaultEager(prev)
 		got := make([]byte, n)
-		r.devs[0].Store().ReadLBA(128, uint32(n/nvme.LBASize), got)
+		r.devs[0].Store().ReadLBAP(128, uint32(n/nvme.LBASize), mem.WrapBytes(got), 0)
 		if !bytes.Equal(got, gb.Bytes()) {
 			t.Fatalf("staged write data mismatch (eager=%v)", eager)
 		}

@@ -37,9 +37,6 @@ func NewStagedGPUIO(d *Driver, ce *gpu.CopyEngine, stagingBytes int64) *StagedGP
 	}
 }
 
-// Driver exposes the underlying NVMe driver.
-func (s *StagedGPUIO) Driver() *Driver { return s.d }
-
 // ReadToGPUAsync reads n bytes from dev starting at slba into gpuDst (one
 // application granule): SSD commands are split at the device MDTS; when all
 // land in staging, a single cudaMemcpyAsync moves the granule to the GPU.

@@ -33,8 +33,8 @@ func injRig(t *testing.T, tune func(*fault.Plan)) *rig {
 func TestInjectedMediaErrorMovesNoData(t *testing.T) {
 	r := injRig(t, func(p *fault.Plan) { p.ErrRate = 1 })
 	buf := r.hm.Alloc("b", 4096)
-	for i := range buf.Bytes() {
-		buf.Bytes()[i] = 0xEE
+	for i := range buf.Payload().Bytes() {
+		buf.Payload().Bytes()[i] = 0xEE
 	}
 	var cqe nvme.CQE
 	r.e.Go("host", func(p *sim.Proc) {
@@ -44,7 +44,7 @@ func TestInjectedMediaErrorMovesNoData(t *testing.T) {
 	if cqe.Status != nvme.StatusMediaError {
 		t.Fatalf("status = %v, want media error", cqe.Status)
 	}
-	for _, b := range buf.Bytes() {
+	for _, b := range buf.Payload().Bytes() {
 		if b != 0xEE {
 			t.Fatal("failed read DMAed data into the host buffer")
 		}

@@ -94,22 +94,6 @@ type Stats struct {
 	currInFlight int
 }
 
-// AvgReadLatency reports the mean submission-to-completion read latency.
-func (s *Stats) AvgReadLatency() sim.Time {
-	if s.ReadCmds == 0 {
-		return 0
-	}
-	return s.ReadLatSum / sim.Time(s.ReadCmds)
-}
-
-// AvgWriteLatency reports the mean write latency.
-func (s *Stats) AvgWriteLatency() sim.Time {
-	if s.WriteCmds == 0 {
-		return 0
-	}
-	return s.WriteLatSum / sim.Time(s.WriteCmds)
-}
-
 // Device is one simulated SSD.
 type Device struct {
 	Name  string
@@ -122,7 +106,6 @@ type Device struct {
 	rng   *sim.RNG
 
 	qps         []*ioQueue
-	admin       *adminState
 	anyDoorbell *sim.Signal
 	running     bool
 	ctrl        ctrlPoll
@@ -170,9 +153,6 @@ type ioQueue struct {
 	// table starts at the queue depth and grows to the highest CID a host
 	// ever submits.
 	cids []cidSlot
-	// removed marks a pair retired by DeleteIOSQ: commands already fetched
-	// still drain through it, but their latency goes unattributed.
-	removed bool
 }
 
 // cidSlot is everything the controller keeps per command identifier, in one
@@ -238,9 +218,6 @@ func (d *Device) SetTracer(tr *trace.Tracer) { d.tr = tr }
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// Engine reports the engine the device lives on (its shard affinity).
-func (d *Device) Engine() *sim.Engine { return d.e }
-
 // Store exposes the backing store (tests and dataset loaders use it to
 // pre-populate data without paying simulated time).
 func (d *Device) Store() *Store { return d.store }
@@ -304,7 +281,7 @@ type ctrlPoll struct {
 func (c *ctrlPoll) Run() {
 	d := c.d
 	for {
-		progressed := d.drainAdmin()
+		progressed := false
 		for _, q := range d.qps {
 			for {
 				sqe, err := q.qp.SQ.Pop()
@@ -628,7 +605,7 @@ func (d *Device) Abort(qp *nvme.QueuePair, cid uint16) AbortResult {
 // complete posts the CQE and records the command's submit-to-complete
 // latency.
 func (d *Device) complete(q *ioQueue, sqe *nvme.SQE, status nvme.Status) {
-	if slot := &q.cids[sqe.CID]; slot.timed && !q.removed {
+	if slot := &q.cids[sqe.CID]; slot.timed {
 		lat := d.e.Now() - slot.submitAt
 		switch sqe.Opcode {
 		case nvme.OpRead:

@@ -58,8 +58,8 @@ func TestReadAfterWriteRoundTrip(t *testing.T) {
 	r := newRig(t, DefaultConfig(), 64)
 	wbuf := r.hm.Alloc("w", 4096)
 	rbuf := r.hm.Alloc("r", 4096)
-	for i := range wbuf.Bytes() {
-		wbuf.Bytes()[i] = byte(i * 7)
+	for i := range wbuf.Payload().Bytes() {
+		wbuf.Payload().Bytes()[i] = byte(i * 7)
 	}
 	var got nvme.CQE
 	r.e.Go("host", func(p *sim.Proc) {
@@ -73,7 +73,7 @@ func TestReadAfterWriteRoundTrip(t *testing.T) {
 	if got.Status != nvme.StatusSuccess {
 		t.Fatalf("read status = %v", got.Status)
 	}
-	if !bytes.Equal(rbuf.Bytes(), wbuf.Bytes()) {
+	if !bytes.Equal(rbuf.Payload().Bytes(), wbuf.Payload().Bytes()) {
 		t.Fatal("read data != written data")
 	}
 }
@@ -81,14 +81,14 @@ func TestReadAfterWriteRoundTrip(t *testing.T) {
 func TestUnwrittenReadsZero(t *testing.T) {
 	r := newRig(t, DefaultConfig(), 64)
 	rbuf := r.hm.Alloc("r", 4096)
-	for i := range rbuf.Bytes() {
-		rbuf.Bytes()[i] = 0xff
+	for i := range rbuf.Payload().Bytes() {
+		rbuf.Payload().Bytes()[i] = 0xff
 	}
 	r.e.Go("host", func(p *sim.Proc) {
 		r.submitWait(p, nvme.SQE{Opcode: nvme.OpRead, CID: 1, PRP1: uint64(rbuf.Addr), SLBA: 0, NLB: 8})
 	})
 	r.e.Run()
-	for _, b := range rbuf.Bytes() {
+	for _, b := range rbuf.Payload().Bytes() {
 		if b != 0 {
 			t.Fatal("unwritten LBA did not read as zero")
 		}
@@ -246,7 +246,7 @@ func TestStatsCounters(t *testing.T) {
 	if st.ReadBytes != 4096 || st.WriteBytes != 4096 {
 		t.Fatalf("bytes = %d/%d", st.ReadBytes, st.WriteBytes)
 	}
-	if st.AvgReadLatency() == 0 || st.AvgWriteLatency() == 0 {
+	if st.ReadLatSum == 0 || st.WriteLatSum == 0 {
 		t.Fatal("latency accounting missing")
 	}
 }
@@ -263,11 +263,11 @@ func TestStoreRoundTripQuick(t *testing.T) {
 		for i := range src {
 			src[i] = byte(rng.Uint64())
 		}
-		if err := s.WriteLBA(slba, nlb, src); err != nil {
+		if err := writeLBA(s, slba, nlb, src); err != nil {
 			return false
 		}
 		dst := make([]byte, len(src))
-		if err := s.ReadLBA(slba, nlb, dst); err != nil {
+		if err := readLBA(s, slba, nlb, dst); err != nil {
 			return false
 		}
 		return bytes.Equal(src, dst)
@@ -281,14 +281,14 @@ func TestStoreDisjointWritesIndependent(t *testing.T) {
 	s := NewStore(1 << 20)
 	a := bytes.Repeat([]byte{0xaa}, nvme.LBASize)
 	b := bytes.Repeat([]byte{0xbb}, nvme.LBASize)
-	s.WriteLBA(10, 1, a)
-	s.WriteLBA(11, 1, b)
+	writeLBA(s, 10, 1, a)
+	writeLBA(s, 11, 1, b)
 	got := make([]byte, nvme.LBASize)
-	s.ReadLBA(10, 1, got)
+	readLBA(s, 10, 1, got)
 	if !bytes.Equal(got, a) {
 		t.Fatal("LBA 10 corrupted by adjacent write")
 	}
-	s.ReadLBA(11, 1, got)
+	readLBA(s, 11, 1, got)
 	if !bytes.Equal(got, b) {
 		t.Fatal("LBA 11 wrong")
 	}
@@ -300,11 +300,11 @@ func TestStoreCrossExtentWrite(t *testing.T) {
 	nlb := uint32(16)
 	slba := uint64(lbasPerExtent - 8)
 	src := bytes.Repeat([]byte{0x5a}, int(nlb)*nvme.LBASize)
-	if err := s.WriteLBA(slba, nlb, src); err != nil {
+	if err := writeLBA(s, slba, nlb, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, len(src))
-	if err := s.ReadLBA(slba, nlb, dst); err != nil {
+	if err := readLBA(s, slba, nlb, dst); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(src, dst) {
@@ -315,23 +315,23 @@ func TestStoreCrossExtentWrite(t *testing.T) {
 func TestStoreOutOfRange(t *testing.T) {
 	s := NewStore(100)
 	buf := make([]byte, nvme.LBASize)
-	if err := s.ReadLBA(100, 1, buf); err == nil {
+	if err := readLBA(s, 100, 1, buf); err == nil {
 		t.Fatal("read at capacity succeeded")
 	}
-	if err := s.WriteLBA(99, 2, make([]byte, 2*nvme.LBASize)); err == nil {
+	if err := writeLBA(s, 99, 2, make([]byte, 2*nvme.LBASize)); err == nil {
 		t.Fatal("write crossing capacity succeeded")
 	}
-	if err := s.WriteLBA(99, 1, buf); err != nil {
+	if err := writeLBA(s, 99, 1, buf); err != nil {
 		t.Fatalf("legal write failed: %v", err)
 	}
 }
 
 func TestStoreShortBuffer(t *testing.T) {
 	s := NewStore(100)
-	if err := s.ReadLBA(0, 2, make([]byte, nvme.LBASize)); err == nil {
+	if err := readLBA(s, 0, 2, make([]byte, nvme.LBASize)); err == nil {
 		t.Fatal("short read buffer accepted")
 	}
-	if err := s.WriteLBA(0, 2, make([]byte, nvme.LBASize)); err == nil {
+	if err := writeLBA(s, 0, 2, make([]byte, nvme.LBASize)); err == nil {
 		t.Fatal("short write buffer accepted")
 	}
 }

@@ -65,40 +65,9 @@ func (s *Store) materialize(ext uint64) *mem.Payload {
 // CapacityLBAs reports the namespace size in logical blocks.
 func (s *Store) CapacityLBAs() uint64 { return s.capacityLBAs }
 
-// CapacityBytes reports the namespace size in bytes.
-func (s *Store) CapacityBytes() int64 { return int64(s.capacityLBAs) * nvme.LBASize }
-
 // InRange reports whether [slba, slba+nlb) fits the namespace.
 func (s *Store) InRange(slba uint64, nlb uint32) bool {
 	return nlb > 0 && slba < s.capacityLBAs && uint64(nlb) <= s.capacityLBAs-slba
-}
-
-// ReadLBA copies nlb blocks starting at slba into dst.
-func (s *Store) ReadLBA(slba uint64, nlb uint32, dst []byte) error {
-	n := int64(nlb) * nvme.LBASize
-	if int64(len(dst)) < n {
-		return fmt.Errorf("ssd: read buffer %d bytes, need %d", len(dst), n)
-	}
-	if !s.InRange(slba, nlb) {
-		return fmt.Errorf("ssd: read [%d,+%d) out of range", slba, nlb)
-	}
-	off := slba * nvme.LBASize
-	for done := int64(0); done < n; {
-		ext := (off + uint64(done)) / extentBytes
-		extOff := int64((off + uint64(done)) % extentBytes)
-		chunk := min(int64(extentBytes)-extOff, n-done)
-		d := dst[done : done+chunk]
-		if pay := s.lookup(ext); pay != nil {
-			pay.ReadAt(d, extOff)
-		} else if !mem.AllZero(d) {
-			// Absent extents read as zeros. The destination is usually a
-			// staging buffer that only ever received zero reads, so a
-			// read-only scan (no dirtied cache lines) replaces the clear.
-			clear(d)
-		}
-		done += chunk
-	}
-	return nil
 }
 
 // ReadLBAP transfers nlb blocks starting at slba into dst at dstOff by
@@ -127,37 +96,10 @@ func (s *Store) ReadLBAP(slba uint64, nlb uint32, dst *mem.Payload, dstOff int64
 	return nil
 }
 
-// WriteLBA copies nlb blocks from src into the store starting at slba.
-func (s *Store) WriteLBA(slba uint64, nlb uint32, src []byte) error {
-	n := int64(nlb) * nvme.LBASize
-	if int64(len(src)) < n {
-		return fmt.Errorf("ssd: write buffer %d bytes, need %d", len(src), n)
-	}
-	if !s.InRange(slba, nlb) {
-		return fmt.Errorf("ssd: write [%d,+%d) out of range", slba, nlb)
-	}
-	off := slba * nvme.LBASize
-	for done := int64(0); done < n; {
-		ext := (off + uint64(done)) / extentBytes
-		extOff := int64((off + uint64(done)) % extentBytes)
-		chunk := min(int64(extentBytes)-extOff, n-done)
-		seg := src[done : done+chunk]
-		if s.lookup(ext) == nil && mem.AllZero(seg) {
-			// Zero-write elision: an absent extent already reads as zeros,
-			// so writing zeros into it is a no-op on observable bytes and
-			// the store stays sparse. This is the dominant write path for
-			// synthetic benchmark payloads.
-			done += chunk
-			continue
-		}
-		s.materialize(ext).WriteAt(seg, extOff)
-		done += chunk
-	}
-	return nil
-}
-
 // WriteLBAP transfers nlb blocks from src at srcOff into the store by
-// reference, with the same content-based zero-write elision as WriteLBA.
+// reference. Zero-write elision: an absent extent already reads as zeros,
+// so writing zeros into it is a no-op on observable bytes and the store
+// stays sparse — the dominant write path for synthetic benchmark payloads.
 func (s *Store) WriteLBAP(slba uint64, nlb uint32, src *mem.Payload, srcOff int64) error {
 	n := int64(nlb) * nvme.LBASize
 	if src.Size()-srcOff < n {

@@ -4,14 +4,28 @@ import (
 	"bytes"
 	"testing"
 
+	"camsim/internal/mem"
 	"camsim/internal/nvme"
 )
 
-// The sparse store elides work in two places that both lean on zero-ness
-// invariants: WriteLBA skips all-zero writes to absent extents (the store
-// stays sparse), and ReadLBA skips the destination clear when the absent
-// extent is read into an already-zero buffer. These tests pin the observable
-// semantics those shortcuts must preserve.
+// writeLBA and readLBA move caller-owned bytes through the store's payload
+// plane: the slice is wrapped into an eager payload view for the call.
+func writeLBA(s *Store, slba uint64, nlb uint32, src []byte) error {
+	pay := mem.WrapBytes(src)
+	defer pay.Release()
+	return s.WriteLBAP(slba, nlb, pay, 0)
+}
+
+func readLBA(s *Store, slba uint64, nlb uint32, dst []byte) error {
+	pay := mem.WrapBytes(dst)
+	defer pay.Release()
+	return s.ReadLBAP(slba, nlb, pay, 0)
+}
+
+// The sparse store leans on zero-ness in two places: WriteLBAP skips
+// all-zero writes to absent extents (the store stays sparse), and ReadLBAP
+// answers an absent extent by marking the destination zero. These tests pin
+// the observable semantics those shortcuts must preserve.
 
 // TestStoreZeroWriteStaysSparse: writing zeros to never-written blocks must
 // not materialize extents — observable bytes are unchanged (absent reads as
@@ -19,7 +33,7 @@ import (
 func TestStoreZeroWriteStaysSparse(t *testing.T) {
 	s := NewStore(1 << 20)
 	zeros := make([]byte, 8*nvme.LBASize)
-	if err := s.WriteLBA(1000, 8, zeros); err != nil {
+	if err := writeLBA(s, 1000, 8, zeros); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.AllocatedBytes(); got != 0 {
@@ -27,7 +41,7 @@ func TestStoreZeroWriteStaysSparse(t *testing.T) {
 	}
 	dst := make([]byte, 8*nvme.LBASize)
 	dst[17] = 0xAA // dirty destination: the read must still return zeros
-	if err := s.ReadLBA(1000, 8, dst); err != nil {
+	if err := readLBA(s, 1000, 8, dst); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, zeros) {
@@ -41,14 +55,14 @@ func TestStoreZeroWriteStaysSparse(t *testing.T) {
 func TestStoreNonzeroThenZeroOverwrite(t *testing.T) {
 	s := NewStore(1 << 20)
 	data := bytes.Repeat([]byte{0x5C}, nvme.LBASize)
-	if err := s.WriteLBA(64, 1, data); err != nil {
+	if err := writeLBA(s, 64, 1, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteLBA(64, 1, make([]byte, nvme.LBASize)); err != nil {
+	if err := writeLBA(s, 64, 1, make([]byte, nvme.LBASize)); err != nil {
 		t.Fatal(err)
 	}
 	dst := bytes.Repeat([]byte{0xFF}, nvme.LBASize)
-	if err := s.ReadLBA(64, 1, dst); err != nil {
+	if err := readLBA(s, 64, 1, dst); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, make([]byte, nvme.LBASize)) {
@@ -70,14 +84,14 @@ func TestStorePartialExtentWrite(t *testing.T) {
 			src[i] = 1
 		}
 	}
-	if err := s.WriteLBA(0, nlb, src); err != nil {
+	if err := writeLBA(s, 0, nlb, src); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := s.AllocatedBytes(), int64(extentBytes); got != want {
 		t.Errorf("resident = %d bytes, want %d (only the nonzero extent)", got, want)
 	}
 	dst := make([]byte, len(src))
-	if err := s.ReadLBA(0, nlb, dst); err != nil {
+	if err := readLBA(s, 0, nlb, dst); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, src) {
@@ -86,12 +100,11 @@ func TestStorePartialExtentWrite(t *testing.T) {
 }
 
 // TestStoreReadIntoDirtyBuffer: reading absent blocks into a buffer holding
-// stale nonzero bytes must clear them — the read elision may only skip the
-// clear when the destination is already zero.
+// stale nonzero bytes must clear them.
 func TestStoreReadIntoDirtyBuffer(t *testing.T) {
 	s := NewStore(1 << 20)
 	dst := bytes.Repeat([]byte{0xEE}, 4*nvme.LBASize)
-	if err := s.ReadLBA(500, 4, dst); err != nil {
+	if err := readLBA(s, 500, 4, dst); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, make([]byte, len(dst))) {
@@ -107,17 +120,17 @@ func TestStoreInterleavedSparseDense(t *testing.T) {
 	blk := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, nvme.LBASize) }
 	// Straddle an extent boundary: last LBA of extent 0, first of extent 1.
 	last := uint64(lbasPerExtent - 1)
-	if err := s.WriteLBA(last, 1, blk(7)); err != nil {
+	if err := writeLBA(s, last, 1, blk(7)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteLBA(last+1, 1, make([]byte, nvme.LBASize)); err != nil {
+	if err := writeLBA(s, last+1, 1, make([]byte, nvme.LBASize)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := s.AllocatedBytes(), int64(extentBytes); got != want {
 		t.Errorf("resident = %d, want %d (zero write past the boundary stays sparse)", got, want)
 	}
 	two := make([]byte, 2*nvme.LBASize)
-	if err := s.ReadLBA(last, 2, two); err != nil {
+	if err := readLBA(s, last, 2, two); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(two[:nvme.LBASize], blk(7)) || !bytes.Equal(two[nvme.LBASize:], blk(0)) {

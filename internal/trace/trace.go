@@ -1,14 +1,12 @@
-// Package trace records typed simulation events into a bounded ring and
-// renders them as a timeline — the observability layer for debugging
-// overlap behavior: when batches were published versus completed, when
-// kernels held the GPU, when reactors dispatched I/O. Components accept a
-// nil *Tracer, so tracing is zero-cost unless enabled.
+// Package trace records typed simulation events into a bounded ring — the
+// observability layer for overlap behavior: when batches were published
+// versus completed, when kernels held the GPU, when reactors dispatched
+// I/O. Components accept a nil *Tracer, so tracing is zero-cost unless
+// enabled.
 package trace
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
 	"camsim/internal/sim"
 )
@@ -82,7 +80,6 @@ type Tracer struct {
 	ring    []Event
 	next    int
 	wrapped bool
-	dropped uint64
 }
 
 // New creates a tracer holding up to capacity events (older events are
@@ -107,7 +104,6 @@ func (t *Tracer) Emit(kind Kind, actor, what string, arg int64) {
 	t.ring[t.next] = ev
 	t.next = (t.next + 1) % cap(t.ring)
 	t.wrapped = true
-	t.dropped++
 }
 
 // Len reports how many events are retained.
@@ -116,14 +112,6 @@ func (t *Tracer) Len() int {
 		return 0
 	}
 	return len(t.ring)
-}
-
-// Dropped reports how many events were overwritten.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
 }
 
 // Events returns the retained events in time order.
@@ -140,61 +128,6 @@ func (t *Tracer) Events() []Event {
 	out = append(out, t.ring[t.next:]...)
 	out = append(out, t.ring[:t.next]...)
 	return out
-}
-
-// Filter returns retained events of the given kind, in order.
-func (t *Tracer) Filter(kind Kind) []Event {
-	var out []Event
-	for _, ev := range t.Events() {
-		if ev.Kind == kind {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// WriteTimeline renders the retained events as an aligned text timeline.
-func (t *Tracer) WriteTimeline(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	events := t.Events()
-	if t.dropped > 0 {
-		if _, err := fmt.Fprintf(w, "(%d earlier events overwritten)\n", t.dropped); err != nil {
-			return err
-		}
-	}
-	for _, ev := range events {
-		line := fmt.Sprintf("%12s  %-14s %-8s %s", ev.At, ev.Kind, ev.Actor, ev.What)
-		if ev.Arg != 0 {
-			line += fmt.Sprintf(" (%d)", ev.Arg)
-		}
-		if _, err := io.WriteString(w, line+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Summary renders per-kind counts on one line.
-func (t *Tracer) Summary() string {
-	if t == nil {
-		return "trace: disabled"
-	}
-	counts := map[Kind]int{}
-	for _, ev := range t.Events() {
-		counts[ev.Kind]++
-	}
-	var parts []string
-	for k := BatchPublish; k <= Custom; k++ {
-		if counts[k] > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, counts[k]))
-		}
-	}
-	if len(parts) == 0 {
-		return "trace: empty"
-	}
-	return "trace: " + strings.Join(parts, " ")
 }
 
 // OverlapReport computes, from batch and kernel events, how much of the

@@ -10,15 +10,11 @@ import (
 func TestNilTracerIsNoop(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(KernelStart, "gpu0", "k", 1) // must not panic
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer not inert")
 	}
-	if tr.Summary() != "trace: disabled" {
-		t.Fatal("nil summary wrong")
-	}
-	var sb strings.Builder
-	if err := tr.WriteTimeline(&sb); err != nil || sb.Len() != 0 {
-		t.Fatal("nil timeline wrote output")
+	if io, comp, ov, span := tr.OverlapReport(); io+comp+ov+span != 0 {
+		t.Fatal("nil tracer reported overlap")
 	}
 }
 
@@ -55,48 +51,6 @@ func TestRingOverwritesOldest(t *testing.T) {
 	}
 	if evs[0].Arg != 2 || evs[2].Arg != 4 {
 		t.Fatalf("wrong window: %+v", evs)
-	}
-	if tr.Dropped() != 2 {
-		t.Fatalf("dropped = %d", tr.Dropped())
-	}
-}
-
-func TestFilter(t *testing.T) {
-	e := sim.New()
-	tr := New(e, 8)
-	tr.Emit(BatchPublish, "cam", "prefetch", 1)
-	tr.Emit(KernelStart, "gpu0", "k", 0)
-	tr.Emit(BatchComplete, "cam", "prefetch", 1)
-	if got := tr.Filter(BatchPublish); len(got) != 1 || got[0].Arg != 1 {
-		t.Fatalf("filter = %+v", got)
-	}
-}
-
-func TestTimelineRendering(t *testing.T) {
-	e := sim.New()
-	tr := New(e, 4)
-	tr.Emit(BatchPublish, "cam", "prefetch", 7)
-	var sb strings.Builder
-	if err := tr.WriteTimeline(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"batch-publish", "cam", "prefetch", "(7)"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("timeline missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestSummaryCounts(t *testing.T) {
-	e := sim.New()
-	tr := New(e, 8)
-	tr.Emit(KernelStart, "g", "k", 0)
-	tr.Emit(KernelStart, "g", "k", 0)
-	tr.Emit(KernelEnd, "g", "k", 0)
-	s := tr.Summary()
-	if !strings.Contains(s, "kernel-start=2") || !strings.Contains(s, "kernel-end=1") {
-		t.Fatalf("summary = %q", s)
 	}
 }
 

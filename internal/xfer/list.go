@@ -39,11 +39,6 @@ func GatherList(p *sim.Proc, b ListBackend, blocks []uint64, dst *gpu.Buffer, of
 	b.StartGatherList(p, blocks, dst, offs).Wait(p)
 }
 
-// ScatterList performs a synchronous list scatter on any list backend.
-func ScatterList(p *sim.Proc, b ListBackend, blocks []uint64, src *gpu.Buffer, offs []int64) {
-	b.StartScatterList(p, blocks, src, offs).Wait(p)
-}
-
 // ----- CAM -----
 
 // StartGatherList publishes one indexed prefetch batch.
@@ -67,14 +62,14 @@ func (b *CAMBackend) StartScatterList(p *sim.Proc, blocks []uint64, src *gpu.Buf
 // StartGatherList drives one list-batch machine; the SM pin covers the
 // whole batch, exactly as for contiguous gathers.
 func (b *BaMBackend) StartGatherList(p *sim.Proc, blocks []uint64, dst *gpu.Buffer, offs []int64) Handle {
-	h := carve(&b.sinks, b.env.E, "bamxfer")
+	h := b.carve(len(blocks))
 	b.arr.Start(nvme.OpRead, blocks, dst, 0, offs, h)
 	return h
 }
 
 // StartScatterList drives one list-batch machine in the write direction.
 func (b *BaMBackend) StartScatterList(p *sim.Proc, blocks []uint64, src *gpu.Buffer, offs []int64) Handle {
-	h := carve(&b.sinks, b.env.E, "bamxfer")
+	h := b.carve(len(blocks))
 	b.arr.Start(nvme.OpWrite, blocks, src, 0, offs, h)
 	return h
 }

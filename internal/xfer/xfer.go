@@ -70,9 +70,6 @@ type sigHandle struct{ done sim.Signal }
 
 func (h *sigHandle) Wait(p *sim.Proc) { p.Wait(&h.done) }
 
-// BatchDone implements bam.BatchSink (engine-callback context).
-func (h *sigHandle) BatchDone(errs int) { h.done.Fire() }
-
 // carve takes the handle of a new transfer on e from its backend's slab.
 func carve(fl *sim.FreeList[sigHandle], e *sim.Engine, name string) *sigHandle {
 	h := fl.Get()
@@ -149,7 +146,37 @@ type BaMBackend struct {
 	env   *platform.Env
 	arr   *bam.Array
 	g     int64
-	sinks sim.FreeList[sigHandle]
+	sinks sim.FreeList[bamHandle]
+}
+
+// bamHandle is a BaM batch's completion as its Handle. The batch machine
+// reports how many blocks it lost, and BaM has no retry path by design
+// (bam.Config.CmdTimeout), so Wait panics on a batch with holes rather than
+// hand its buffer back as if it were filled.
+type bamHandle struct {
+	done         sim.Signal
+	blocks, errs int
+}
+
+// BatchDone implements bam.BatchSink (engine-callback context).
+func (h *bamHandle) BatchDone(errs int) {
+	h.errs = errs
+	h.done.Fire()
+}
+
+func (h *bamHandle) Wait(p *sim.Proc) {
+	p.Wait(&h.done)
+	if h.errs > 0 {
+		panic(fmt.Sprintf("xfer(bam): %d of %d blocks failed; BaM has no retry path", h.errs, h.blocks))
+	}
+}
+
+// carve takes the handle of a new batch of the given block count.
+func (b *BaMBackend) carve(blocks int) *bamHandle {
+	h := b.sinks.Get()
+	h.done.Init(b.env.E, "bamxfer")
+	h.blocks = blocks
+	return h
 }
 
 // NewBaM builds a BaM backend with the given granularity.
@@ -163,14 +190,14 @@ func (b *BaMBackend) Alloc(name string, n int64) *gpu.Buffer { return b.env.GPU.
 
 func (b *BaMBackend) StartRead(p *sim.Proc, off, n int64, dst *gpu.Buffer, dstOff int64) Handle {
 	checkAligned("bam", off, n, b.g)
-	h := carve(&b.sinks, b.env.E, "bamxfer")
+	h := b.carve(int(n / b.g))
 	b.arr.Start(nvme.OpRead, blockRange(off, n, b.g), dst, dstOff, nil, h)
 	return h
 }
 
 func (b *BaMBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcOff int64) Handle {
 	checkAligned("bam", off, n, b.g)
-	h := carve(&b.sinks, b.env.E, "bamxfer")
+	h := b.carve(int(n / b.g))
 	b.arr.Start(nvme.OpWrite, blockRange(off, n, b.g), src, srcOff, nil, h)
 	return h
 }

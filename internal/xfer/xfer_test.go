@@ -88,7 +88,7 @@ func TestOffsetRoundTrip(t *testing.T) {
 // them back through a fresh backend — by list, or, when the offsets are
 // nil, as the byte range the (then consecutive) blocks cover at stride
 // placement — and reports both buffers and the simulated time it took.
-func listRoundTrip(name string, bb int64, blocks []uint64, srcOffs, dstOffs []int64) (env *platform.Env, src, dst []byte, took sim.Time) {
+func listRoundTrip(name string, bb int64, blocks []uint64, srcOffs, dstOffs []int64) (src, dst []byte, took sim.Time) {
 	bx := backends(bb)[name]
 	n := int64(len(blocks)) * bb
 	sb, db := bx.b.Alloc("src", n), bx.b.Alloc("dst", n)
@@ -101,13 +101,13 @@ func listRoundTrip(name string, bb int64, blocks []uint64, srcOffs, dstOffs []in
 			Write(p, bx.b, int64(blocks[0])*bb, n, sb, 0)
 			Read(p, bx.b, int64(blocks[0])*bb, n, db, 0)
 		} else {
-			ScatterList(p, bx.b.(ListBackend), blocks, sb, srcOffs)
+			bx.b.(ListBackend).StartScatterList(p, blocks, sb, srcOffs).Wait(p)
 			GatherList(p, bx.b.(ListBackend), blocks, db, dstOffs)
 		}
 		took = p.Now()
 	})
 	bx.env.Run()
-	return bx.env, sb.Bytes(), db.Bytes(), took
+	return sb.Bytes(), db.Bytes(), took
 }
 
 // TestListRoundTrip drives the scatter-gather list path on every list
@@ -139,7 +139,7 @@ func TestListRoundTrip(t *testing.T) {
 				dstOffs[i] = (n - 1 - i) * bb
 				stride[i] = i * bb
 			}
-			_, src, dst, _ := listRoundTrip(name, bb, blocks, srcOffs, dstOffs)
+			src, dst, _ := listRoundTrip(name, bb, blocks, srcOffs, dstOffs)
 			for i := int64(0); i < n; i++ {
 				want := src[srcOffs[i] : srcOffs[i]+bb]
 				got := dst[dstOffs[i] : dstOffs[i]+bb]
@@ -150,14 +150,14 @@ func TestListRoundTrip(t *testing.T) {
 			}
 
 			span := blockRange(16*bb, n*bb, bb)
-			env, src, asList, tookList := listRoundTrip(name, bb, span, stride, stride)
-			_, _, asRange, tookRange := listRoundTrip(name, bb, span, nil, nil)
+			src, asList, tookList := listRoundTrip(name, bb, span, stride, stride)
+			_, asRange, tookRange := listRoundTrip(name, bb, span, nil, nil)
 			if !bytes.Equal(asList, src) || !bytes.Equal(asRange, src) {
 				t.Errorf("%s: strided list or range round trip corrupt", name)
 			}
 			var extra sim.Time
 			if name == "cam" {
-				idle := func(bytes int64) sim.Time { return pcie.New(sim.New(), env.Fab.Config()).ReserveDMA(bytes) }
+				idle := func(bytes int64) sim.Time { return pcie.New(sim.New(), pcie.DefaultConfig()).ReserveDMA(bytes) }
 				extra = 2 * (idle(n*16) - idle(n*8))
 			}
 			if tookList != tookRange+extra {

@@ -38,9 +38,7 @@ hostre='^(wall_s|sim_per_wall|allocs_per_op|peak_rss_mb|setup_s|bytes_per_op)$|c
 run() {
 	local tree=$1 out=$2
 	shift 2
-	# From inside the tree: tab6 counts source lines under the working
-	# directory's go.mod, so one shared directory would hand both binaries the
-	# same sources and the digests would differ for that reason alone.
+	# From inside the tree, the way the benchmark's driver runs it.
 	if ! (cd "$tree" && bash bench/run.sh -workload "$wl" "$@") >"$out" 2>"$out.err"; then
 		cat "$out" "$out.err" >&2
 		echo "benchpair: $tree failed on $*" >&2
