@@ -87,9 +87,9 @@ bench-test:
 # bench-layers runs the micro-benchmark of each layer on the spdk → nvme →
 # ssd command path — host ns and allocations per ring round trip, per read
 # command and per driver request — of the kvcache tier (seven touches to one
-# evict+insert at 2048 frames), each failing if its steady state allocates,
-# and of the ssd store at rest (payload write/read per 4 KiB block next to a
-# plain-copy floor; an instrument, it asserts nothing).
+# evict+insert at 2048 frames) and of the ssd store at rest (page-cell
+# write/read per 4 KiB block next to a plain-copy floor), each failing if its
+# steady state allocates.
 # CI runs them once (LAYER_BENCHTIME=1x) to keep them building and
 # allocation-free; for numbers use the default and repeat.
 LAYER_BENCHTIME ?= 200000x

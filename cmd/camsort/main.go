@@ -6,8 +6,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"camsim/internal/bam"
@@ -19,27 +21,43 @@ import (
 	"camsim/internal/xfer"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code as values: 0 on a verified
+// sort, 1 on a bad backend, fault spec or sort shape, or a failed
+// verification, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("camsort", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		keys    = flag.Int64("keys", 1<<21, "number of int32 keys (data = keys*4 bytes)")
-		runKeys = flag.Int64("run", 0, "keys per phase-1 run (default keys/4)")
-		chunk   = flag.Int64("chunk", 256<<10, "merge streaming chunk bytes")
-		backend = flag.String("backend", "cam", "cam | spdk | posix | bam")
-		ssds    = flag.Int("ssds", 12, "number of simulated SSDs")
-		seed    = flag.Uint64("seed", 1, "key-generation seed")
-		faults  = flag.String("faults", "", "fault injection `spec`: seed:rate shorthand or key=val,... (see cambench -h); empty or 'off' disables")
+		keys    = flags.Int64("keys", 1<<21, "number of int32 keys (data = keys*4 bytes)")
+		runKeys = flags.Int64("run", 0, "keys per phase-1 run (default keys/4)")
+		chunk   = flags.Int64("chunk", 256<<10, "merge streaming chunk bytes")
+		backend = flags.String("backend", "cam", "cam | spdk | posix | bam")
+		ssds    = flags.Int("ssds", 12, "number of simulated SSDs")
+		seed    = flags.Uint64("seed", 1, "key-generation seed")
+		faults  = flags.String("faults", "", "fault injection `spec`: seed:rate shorthand or key=val,... (see cambench -h); empty or 'off' disables")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	plan, err := fault.ParseSpec(*faults)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "camsort: -faults: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "camsort: -faults: %v\n", err)
+		return 1
 	}
 	fault.SetDefault(plan)
 
 	if *runKeys == 0 {
 		*runKeys = *keys / 4
+	}
+	if *keys <= 0 || *runKeys <= 0 {
+		fmt.Fprintf(stderr, "camsort: -keys %d with -run %d: a run needs at least one key (-run defaults to -keys/4)\n", *keys, *runKeys)
+		return 1
 	}
 	cfg := sortx.Config{
 		NumInts:    *keys,
@@ -49,6 +67,7 @@ func main() {
 		MergeRate:  8e9,
 	}
 	env := platform.New(platform.Options{SSDs: *ssds})
+	defer env.E.Shutdown()
 	var b xfer.Backend
 	switch *backend {
 	case "cam":
@@ -60,12 +79,12 @@ func main() {
 	case "bam":
 		b = xfer.NewBaM(env, bam.New(env.E, bam.DefaultConfig(), env.GPU, env.Devs), 65536)
 	default:
-		fmt.Fprintf(os.Stderr, "camsort: unknown backend %q\n", *backend)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "camsort: unknown backend %q (want cam, spdk, posix or bam)\n", *backend)
+		return 1
 	}
 	if err := cfg.Validate(b.BlockBytes()); err != nil {
-		fmt.Fprintln(os.Stderr, "camsort:", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "camsort: -keys %d, -run %d, -chunk %d: %v\n", *keys, *runKeys, *chunk, err)
+		return 1
 	}
 
 	s := sortx.New(env, b, cfg)
@@ -78,24 +97,25 @@ func main() {
 	})
 	env.Run()
 	if verr != nil {
-		fmt.Fprintln(os.Stderr, "camsort: VERIFY FAILED:", verr)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "camsort: VERIFY FAILED:", verr)
+		return 1
 	}
-	fmt.Printf("sorted %d keys (%s) on %s over %d SSDs\n",
+	fmt.Fprintf(stdout, "sorted %d keys (%s) on %s over %d SSDs\n",
 		*keys, metrics.Bytes(float64(*keys*4)), b.Name(), *ssds)
-	fmt.Printf("  run phase:   %v\n", st.RunPhase)
-	fmt.Printf("  merge phase: %v (%d passes)\n", st.MergePhase, st.Passes)
-	fmt.Printf("  total:       %v  (%s effective)\n", st.Elapsed,
+	fmt.Fprintf(stdout, "  run phase:   %v\n", st.RunPhase)
+	fmt.Fprintf(stdout, "  merge phase: %v (%d passes)\n", st.MergePhase, st.Passes)
+	fmt.Fprintf(stdout, "  total:       %v  (%s effective)\n", st.Elapsed,
 		metrics.GBps(float64(st.BytesMoved)/st.Elapsed.Seconds()))
-	fmt.Println("  verification: sorted order and input permutation OK")
+	fmt.Fprintln(stdout, "  verification: sorted order and input permutation OK")
 	if plan.Enabled() {
 		fs := env.FaultStats()
-		fmt.Printf("  faults:      injected err=%d drop=%d slow=%d dead=%d\n",
+		fmt.Fprintf(stdout, "  faults:      injected err=%d drop=%d slow=%d dead=%d\n",
 			fs.Errors, fs.Drops, fs.Slows, fs.DeadDrops)
 		if c, ok := b.(*xfer.CAMBackend); ok {
 			rec := c.M.Driver().Recovery()
-			fmt.Printf("  recovery:    timeouts=%d retries=%d recovered=%d failed=%d devfail=%d\n",
+			fmt.Fprintf(stdout, "  recovery:    timeouts=%d retries=%d recovered=%d failed=%d devfail=%d\n",
 				rec.Timeouts, rec.Retries, rec.Recovered, rec.FailedRequests, rec.DeviceFailures)
 		}
 	}
+	return 0
 }

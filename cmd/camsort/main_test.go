@@ -1,0 +1,62 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestRunSortsOnEveryBackend sorts 2^16 real keys over four SSDs on each
+// backend: the keys go through the drivers into the SSD stores and back,
+// and the sort's own verification line is the check.
+func TestRunSortsOnEveryBackend(t *testing.T) {
+	for _, backend := range []string{"cam", "spdk", "posix", "bam"} {
+		t.Run(backend, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := []string{"-keys", "65536", "-ssds", "4", "-chunk", "65536", "-backend", backend}
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+			}
+			if !strings.HasPrefix(stdout.String(), "sorted 65536 keys") ||
+				!strings.Contains(stdout.String(), "verification: sorted order and input permutation OK") {
+				t.Errorf("stdout lacks the sort and verification lines:\n%s", stdout.String())
+			}
+			if stderr.Len() != 0 {
+				t.Errorf("stderr = %q, want nothing", stderr.String())
+			}
+		})
+	}
+}
+
+func TestRunRejects(t *testing.T) {
+	cases := []struct {
+		name   string
+		args   []string
+		code   int
+		stderr []string // substrings
+	}{
+		{name: "bad flag", args: []string{"-nosuch"}, code: 2, stderr: []string{"flag provided but not defined: -nosuch"}},
+		{name: "unknown backend", args: []string{"-keys", "65536", "-ssds", "4", "-backend", "nosuch"}, code: 1, stderr: []string{`unknown backend "nosuch"`}},
+		{name: "bad fault spec", args: []string{"-faults", "bogus"}, code: 1, stderr: []string{"camsort: -faults:"}},
+		// Too few keys for one per run: the message names the flags the
+		// user set, not the derived run size.
+		{name: "too few keys", args: []string{"-keys", "3"}, code: 1, stderr: []string{"-keys 3", "-run"}},
+		{name: "run not a chunk multiple", args: []string{"-keys", "65536", "-ssds", "4", "-run", "1000"}, code: 1, stderr: []string{"-run 1000", "-chunk"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(c.args, &stdout, &stderr); code != c.code {
+				t.Errorf("exit code %d, want %d (stderr: %s)", code, c.code, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("stdout = %q, want nothing", stdout.String())
+			}
+			for _, want := range c.stderr {
+				if !strings.Contains(stderr.String(), want) {
+					t.Errorf("stderr = %q, want it to contain %q", stderr.String(), want)
+				}
+			}
+		})
+	}
+}

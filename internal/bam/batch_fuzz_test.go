@@ -11,13 +11,12 @@ import (
 	"camsim/internal/sim"
 )
 
-// FuzzCoalesce round-trips arbitrary block lists through the batch machine
-// under fuzzed device count, block size and placement (name and seed corpus
-// date from the command-merging run detector it used to drive — see the
-// cam fuzzer of the same name). Every distinct block scattered must gather
-// back byte-identical wherever the list names it, with one NVMe command per
-// block and identical destination bytes on the lazy and eager data planes.
-func FuzzCoalesce(f *testing.F) {
+// FuzzBatchRoundTrip round-trips arbitrary block lists through the batch
+// machine under fuzzed device count, block size and placement, like the cam
+// fuzzer of the same name. Every distinct block scattered must gather back
+// byte-identical wherever the list names it, with one NVMe command per block
+// and identical destination bytes on the lazy and eager data planes.
+func FuzzBatchRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0}, uint16(8), uint8(2), uint8(3))
 	f.Add(make([]byte, 64), uint16(4), uint8(0), uint8(3)) // all-zero ids: duplicates
 	f.Add([]byte{1, 2, 3}, uint16(8), uint8(5), uint8(0))  // trailing partial word

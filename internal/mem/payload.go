@@ -35,8 +35,8 @@ type Payload struct {
 	eager   bool   // sticky: writes land as bytes immediately (old data plane)
 	wrapped bool   // data belongs to the caller; never pooled
 	extents []extent
-	// room is where extents starts out, so a store extent's payload takes
-	// its first few splices without growing a list of its own.
+	// room is where extents starts out, so a payload takes its first few
+	// splices without growing a list of its own.
 	room [4]extent
 }
 
@@ -364,8 +364,7 @@ func (p *Payload) SetZero(off, n int64) {
 
 // RangeZero reports whether [off, off+n) reads as all zeros. The check is
 // content-based — materialized and chunk bytes are scanned — so it gives
-// the same answer in lazy and eager modes (the ssd store's zero-write
-// elision depends on that for identical allocation accounting).
+// the same answer in lazy and eager modes.
 func (p *Payload) RangeZero(off, n int64) bool {
 	if n == 0 {
 		return true
@@ -395,9 +394,10 @@ func (p *Payload) RangeZero(off, n int64) bool {
 // snapshotted once. Source segments are gathered before the destination
 // changes, so overlapping self-copies are safe.
 //
-// This is the data plane's per-granule copy primitive — every DMA machine
-// lands here — so it is a hot-path root in its own right, independent of
-// which machines currently reach it.
+// This is the data plane's per-granule copy between payloads — every DMA
+// machine but the SSD store's (StoreCells, LoadCells) lands here — so it is
+// a hot-path root in its own right, independent of which machines currently
+// reach it.
 func PayloadCopy(dst *Payload, dstOff int64, src *Payload, srcOff, n int64) {
 	if n == 0 {
 		return
@@ -584,7 +584,7 @@ func (a *extent) absorb(b extent) bool {
 }
 
 // findIdx locates the first extent overlapping off (binary search — cache
-// and store payloads fragment into many extents under scattered fills).
+// and tier payloads fragment into many extents under scattered fills).
 func (p *Payload) findIdx(off int64) int {
 	i, j := 0, len(p.extents)
 	for i < j {

@@ -6,14 +6,32 @@ import (
 	"testing"
 )
 
-// checkInvariants verifies the extent-list and reference-count invariants
-// over a set of payloads that together own every live chunk: each list is
-// sorted, gap-free and covers [0, size); no two adjacent extents are
-// mergeable (the rule the whole-list merge pass used to enforce, kept here
-// as the reference the seam-only merge in replaceRange is checked against);
-// and every chunk's refs equals the number of extents pointing at it.
-func checkInvariants(ps ...*Payload) error {
+// checkInvariants verifies the extent-list, cell and reference-count
+// invariants over a set of page cells and payloads that together own every
+// live chunk: each list is sorted, gap-free and covers [0, size); no two
+// adjacent extents are mergeable (the rule the whole-list merge pass used to
+// enforce, kept here as the reference the seam-only merge in replaceRange is
+// checked against); each cell is empty or a window inside its page and its
+// chunk holding a nonzero byte; and every chunk's refs equals the number of
+// extents and cells pointing at it.
+func checkInvariants(pageBytes int64, cells []Cell, ps ...*Payload) error {
 	held := map[*Chunk]int32{}
+	for i := range cells {
+		c := &cells[i]
+		if c.ch == nil {
+			if *c != (Cell{}) {
+				return fmt.Errorf("cell %d: no chunk but window [%d,+%d) at %d", i, c.off, c.n, c.chOff)
+			}
+			continue
+		}
+		if c.n <= 0 || c.off < 0 || c.hi() > pageBytes || c.chOff < 0 || c.chOff+int64(c.n) > int64(len(c.ch.data)) {
+			return fmt.Errorf("cell %d: window [%d,+%d) at chunk offset %d outside its page or its %d-byte chunk", i, c.off, c.n, c.chOff, len(c.ch.data))
+		}
+		if AllZero(c.at(c.lo(), int64(c.n))) {
+			return fmt.Errorf("cell %d: holds a window of zeros instead of being empty", i)
+		}
+		held[c.ch]++
+	}
 	for pi, p := range ps {
 		var end int64
 		for k := range p.extents {
@@ -70,13 +88,25 @@ const (
 	fzBytes   // materialize and compare
 	fzPoke    // materialize and write one byte through the slice
 	fzRelease // Release and recreate the payload
+	fzStore   // StoreCells from the payload into the page cells
+	fzLoad    // LoadCells from the page cells into the payload
 	fzOps
+)
+
+// The page cells the interpreter stores into and loads from: small pages,
+// so one op spans several and sub-page windows are the rule.
+const (
+	fuzzPages     = 4
+	fuzzPageBytes = 16
 )
 
 // fuzzPayloadOps interprets data as a sequence of five-byte ops — opcode,
 // payload selector (dst in bits 0-1, src in bits 2-3), offset, length,
-// argument — over lazy payloads mirrored by plain byte slices. Operands are
-// reduced into range, so every input is a legal trace.
+// argument — over lazy payloads and a row of page cells, all mirrored by
+// plain byte slices. Page ops move the payload's [offset, +length) to or
+// from the cells at byte argument of their row; bit 4 of the selector hands
+// LoadCells empty cells as nil, the way ssd.Store does. Operands are reduced
+// into range, so every input is a legal trace.
 func fuzzPayloadOps(t *testing.T, data []byte) {
 	var ps [len(fuzzPayloadSizes)]*Payload
 	var model [len(fuzzPayloadSizes)][]byte
@@ -84,11 +114,36 @@ func fuzzPayloadOps(t *testing.T, data []byte) {
 		ps[i] = NewPayload(int64(n), false)
 		model[i] = make([]byte, n)
 	}
+	var cells [fuzzPages]Cell
+	var cellModel [fuzzPages * fuzzPageBytes]byte
+	// span lists the cells under row bytes [off, off+n), nil for an empty
+	// one when asked, and the offset into the first.
+	span := func(off, n int, nilEmpty bool) ([]*Cell, int64) {
+		var cs []*Cell
+		for i := off / fuzzPageBytes; i <= (off+n-1)/fuzzPageBytes; i++ {
+			if c := &cells[i]; !nilEmpty || !c.Empty() {
+				cs = append(cs, c)
+			} else {
+				cs = append(cs, nil)
+			}
+		}
+		return cs, int64(off % fuzzPageBytes)
+	}
 	seen := map[*Chunk]bool{}
 	check := func(step int, what string) {
 		t.Helper()
-		if err := checkInvariants(ps[:]...); err != nil {
+		if err := checkInvariants(fuzzPageBytes, cells[:], ps[:]...); err != nil {
 			t.Fatalf("step %d (%s): %v", step, what, err)
+		}
+		for i := range cells {
+			got := make([]byte, fuzzPageBytes)
+			if c := &cells[i]; !c.Empty() {
+				copy(got[c.lo():], c.at(c.lo(), int64(c.n)))
+				seen[c.ch] = true
+			}
+			if want := cellModel[i*fuzzPageBytes:][:fuzzPageBytes]; !bytes.Equal(got, want) {
+				t.Fatalf("step %d (%s): page %d = %x, model %x", step, what, i, got, want)
+			}
 		}
 		for _, p := range ps {
 			for k := range p.extents {
@@ -150,6 +205,18 @@ func fuzzPayloadOps(t *testing.T, data []byte) {
 			p.Release()
 			ps[di] = NewPayload(int64(len(m)), false)
 			clear(m)
+		case fzStore, fzLoad:
+			row := int(op[4]) % len(cellModel)
+			n = min(n, len(cellModel)-row)
+			cs, first := span(row, n, op[1]&16 != 0 && op[0]%fzOps == fzLoad)
+			what += fmt.Sprintf(" row@%d n=%d", row, n)
+			if op[0]%fzOps == fzStore {
+				StoreCells(cs, fuzzPageBytes, first, p, int64(off), int64(n))
+				copy(cellModel[row:], m[off:off+n])
+			} else {
+				LoadCells(p, int64(off), cs, fuzzPageBytes, first, int64(n))
+				copy(m[off:], cellModel[row:row+n])
+			}
 		}
 		check(step, what)
 	}
@@ -158,6 +225,15 @@ func fuzzPayloadOps(t *testing.T, data []byte) {
 			t.Fatalf("final: payload %d = %x, model %x", i, got, model[i])
 		}
 		p.Release()
+	}
+	zeros := NewPayload(int64(len(cellModel)), false)
+	cs, _ := span(0, len(cellModel), false)
+	StoreCells(cs, fuzzPageBytes, 0, zeros, 0, int64(len(cellModel)))
+	zeros.Release()
+	for i := range cells {
+		if !cells[i].Empty() {
+			t.Fatalf("final: page %d holds a window after zeros were stored over every page", i)
+		}
 	}
 	for ch := range seen {
 		if ch.refs != 0 {
@@ -174,8 +250,9 @@ func fz(op, dst, src, off, n, arg int) []byte {
 
 func fzSeq(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
 
-// fuzzPayloadSeeds are the seam cases of replaceRange; plain `go test` runs
-// them as FuzzPayloadOps/seed#<index>.
+// fuzzPayloadSeeds are the seam cases of replaceRange, then the write and
+// read rules of page cells; plain `go test` runs them as
+// FuzzPayloadOps/seed#<index>.
 var fuzzPayloadSeeds = [][]byte{
 	// replace-one-extent-count-unchanged
 	fzSeq(
@@ -235,11 +312,45 @@ var fuzzPayloadSeeds = [][]byte{
 		fz(fzSetZero, 0, 0, 47, 1, 0), fz(fzRead, 0, 0, 0, 64, 0),
 		fz(fzSetZero, 0, 0, 40, 16, 0), fz(fzRangeZero, 0, 0, 16, 40, 0), // starts in the zero extent, ends in the ref
 		fz(fzSetZero, 0, 0, 8, 16, 0), fz(fzRead, 0, 0, 0, 64, 0)), // starts in the ref, ends in the zero extent
+	// page-shares-a-reference-then-copies-on-write: three pages take windows
+	// of p0's chunk, p1 reads them back as one merged extent, and a sub-page
+	// write into a shared page makes that page private
+	fzSeq(
+		fz(fzWrite, 0, 0, 0, 64, 1), fz(fzStore, 0, 0, 8, 40, 4), fz(fzLoad, 1, 0, 0, 40, 4),
+		fz(fzWrite, 0, 0, 0, 64, 2), fz(fzStore, 0, 0, 20, 8, 10), fz(fzRead, 1, 0, 0, 48, 0)),
+	// materialized-source-snapshots-once: four pages share one snapshot, then
+	// a sub-page write copies one of them out
+	fzSeq(
+		fz(fzWrite, 2, 0, 0, 80, 3), fz(fzBytes, 2, 0, 0, 1, 0), fz(fzStore, 2, 0, 0, 64, 0),
+		fz(fzStore, 2, 0, 5, 3, 17), fz(fzLoad, 0, 0, 0, 64, 0)),
+	// zeros-in-the-middle-at-the-edges-and-over-all: a private page is
+	// cleared in place, windows are trimmed front and back, a page drops
+	fzSeq(
+		fz(fzWrite, 0, 0, 0, 64, 9), fz(fzBytes, 0, 0, 0, 1, 0), fz(fzStore, 0, 0, 0, 64, 0),
+		fz(fzWriteZero, 1, 0, 0, 48, 0), fz(fzStore, 1, 0, 0, 4, 20), fz(fzStore, 1, 0, 0, 6, 32),
+		fz(fzStore, 1, 0, 0, 6, 58), fz(fzStore, 1, 0, 0, 16, 0), fz(fzLoad, 2, 0, 0, 64, 0)),
+	// sparse-windows-many-segments: a two-byte window per page, one page
+	// emptied, read back with empty cells as nil in more than eight pieces
+	fzSeq(
+		fz(fzWrite, 0, 0, 0, 2, 1), fz(fzStore, 0, 0, 0, 2, 3), fz(fzStore, 0, 0, 0, 2, 21),
+		fz(fzStore, 0, 0, 0, 2, 37), fz(fzStore, 0, 0, 0, 2, 53), fz(fzLoad, 2, 4, 0, 64, 0),
+		fz(fzWriteZero, 1, 0, 0, 16, 0), fz(fzStore, 1, 0, 0, 16, 16), fz(fzLoad, 2, 4, 8, 64, 0)),
+	// cells-back-into-cells: pages read into p0 are stored over other pages,
+	// so windows of page chunks land in pages, then are overwritten
+	fzSeq(
+		fz(fzWrite, 1, 0, 0, 48, 5), fz(fzStore, 1, 0, 0, 32, 0), fz(fzLoad, 0, 0, 0, 32, 0),
+		fz(fzStore, 0, 0, 4, 24, 36), fz(fzWrite, 0, 0, 8, 8, 6), fz(fzStore, 0, 0, 0, 32, 30)),
+	// zeroing-the-only-nonzero-span-empties-the-page: a page of bytes that
+	// are zero past its first four is left with zeros only and must empty
+	fzSeq(
+		fz(fzWrite, 0, 0, 0, 4, 1), fz(fzBytes, 0, 0, 0, 1, 0), fz(fzStore, 0, 0, 0, 16, 0),
+		fz(fzStore, 1, 0, 0, 4, 0)),
 }
 
-// FuzzPayloadOps drives random op sequences over three lazy payloads against
-// plain byte-slice models, checking content, the fully-merged extent
-// invariant and chunk reference counts after every op.
+// FuzzPayloadOps drives random op sequences over three lazy payloads and
+// four page cells against plain byte-slice models, checking content, the
+// fully-merged extent invariant, the cell windows and chunk reference counts
+// after every op.
 func FuzzPayloadOps(f *testing.F) {
 	for _, seed := range fuzzPayloadSeeds {
 		f.Add(seed)

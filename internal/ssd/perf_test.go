@@ -87,25 +87,34 @@ func BenchmarkReadCmd(b *testing.B) {
 // with no engine around it: 32 768 4 KiB blocks striped over 12 stores, each
 // written once, then random blocks alternately overwritten from and read back
 // into an eager 32 MiB payload (a pinned buffer whose bytes the application
-// reads). "flat" is the floor: the same walk over a [][]byte with plain
-// copies. ns/op is per block moved; the gap between the two is what extent
-// splicing, chunk snapshots and the extent map cost on top of the copy.
+// reads). "store" is one page cell per block: a table probe, the chunk's
+// header and one copy, in place on a write. "flat" is the floor: the same
+// walk over a [][]byte with plain copies. ns/op is per block moved; the gap
+// between the two is what the page table and the chunk header cost on top of
+// the copy. Both halves fail if their steady state allocates.
 func BenchmarkStoreAtRest(b *testing.B) {
 	const (
 		blocks, stores = 32768, 12
 		bb, lbas       = 4096, 4096 / nvme.LBASize
 		bufBlocks      = 32 << 20 / bb
 	)
-	// walk writes every block once, then times b.N random moves.
+	// walk writes every block once, times b.N random moves, then checks
+	// that more of them allocate nothing.
 	walk := func(b *testing.B, move func(write bool, blk uint64, bufOff int64)) {
 		for blk := uint64(0); blk < blocks; blk++ {
 			move(true, blk, int64(blk%bufBlocks)*bb)
 		}
 		rng := sim.NewRNG(7)
+		step := func(i int) { move(i&1 == 0, uint64(rng.Int63n(blocks)), rng.Int63n(bufBlocks)*bb) }
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			move(i&1 == 0, uint64(rng.Int63n(blocks)), rng.Int63n(bufBlocks)*bb)
+			step(i)
+		}
+		b.StopTimer()
+		i := 0
+		if a := testing.AllocsPerRun(1000, func() { step(i); i++ }); a != 0 {
+			b.Fatalf("%v allocs per steady-state block moved, want 0", a)
 		}
 	}
 	fill := func(buf []byte) { // nonzero everywhere: no write is elided

@@ -296,9 +296,9 @@ func TestStoreDisjointWritesIndependent(t *testing.T) {
 
 func TestStoreCrossExtentWrite(t *testing.T) {
 	s := NewStore(1 << 20)
-	// extent is 128 LBAs; span the boundary
+	// a page is 8 LBAs: start mid-page and span two page boundaries
 	nlb := uint32(16)
-	slba := uint64(lbasPerExtent - 8)
+	slba := uint64(lbasPerPage - 4)
 	src := bytes.Repeat([]byte{0x5a}, int(nlb)*nvme.LBASize)
 	if err := writeLBA(s, slba, nlb, src); err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestStoreCrossExtentWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(src, dst) {
-		t.Fatal("cross-extent round trip failed")
+		t.Fatal("cross-page round trip failed")
 	}
 }
 
