@@ -7,8 +7,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"camsim/internal/bam"
@@ -20,47 +22,69 @@ import (
 	"camsim/internal/xfer"
 )
 
-func main() {
-	var (
-		n       = flag.Int("n", 2048, "square matrix dimension (elements)")
-		tile    = flag.Int("tile", 512, "tile edge (elements)")
-		backend = flag.String("backend", "cam", "cam | bam | gds | spdk")
-		ssds    = flag.Int("ssds", 12, "number of simulated SSDs")
-		verify  = flag.Bool("verify", false, "compute real float32 math and verify (small sizes)")
-		faults  = flag.String("faults", "", "fault injection `spec`: seed:rate shorthand or key=val,... (see cambench -h); empty or 'off' disables")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is main with its streams and exit code as values: 0 on a finished
+// (and, with -verify, verified) multiply, 1 on a bad flag value or a failed
+// verification, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("camgemm", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	var (
+		n       = flags.Int("n", 2048, "square matrix dimension (elements)")
+		tile    = flags.Int("tile", 512, "tile edge (elements)")
+		backend = flags.String("backend", "cam", "cam | bam | gds | spdk")
+		ssds    = flags.Int("ssds", 12, "number of simulated SSDs")
+		verify  = flags.Bool("verify", false, "compute real float32 math and verify (small sizes)")
+		faults  = flags.String("faults", "", "fault injection `spec`: seed:rate shorthand or key=val,... (see cambench -h); empty or 'off' disables")
+	)
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "camgemm: "+format+"\n", a...)
+		return 1
+	}
+
+	if *ssds < 1 {
+		return fail("-ssds %d: need at least one SSD", *ssds)
+	}
 	plan, err := fault.ParseSpec(*faults)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "camgemm: -faults: %v\n", err)
-		os.Exit(1)
+		return fail("-faults: %v", err)
 	}
 	fault.SetDefault(plan)
 
+	// The backend's block is the tile, capped at 64 KiB for the ones that
+	// move tiles in granules; it is checked before any backend is built.
 	cfg := gemmx.Config{N: *n, K: *n, M: *n, Tile: *tile, ComputeRate: 100e12, RealMath: *verify}
-	env := platform.New(platform.Options{SSDs: *ssds})
-	gran := int64(65536)
-	if cfg.TileBytes() < gran {
-		gran = cfg.TileBytes()
+	block := min(65536, cfg.TileBytes())
+	switch *backend {
+	case "cam", "bam", "gds":
+	case "spdk":
+		block = cfg.TileBytes()
+	default:
+		return fail("unknown backend %q (want cam, bam, gds or spdk)", *backend)
 	}
+	if err := cfg.Validate(block); err != nil {
+		return fail("-n %d, -tile %d: %v", *n, *tile, err)
+	}
+
+	env := platform.New(platform.Options{SSDs: *ssds})
+	defer env.E.Shutdown()
 	var b xfer.Backend
 	switch *backend {
 	case "cam":
-		b = xfer.NewCAM(env, gran, nil)
+		b = xfer.NewCAM(env, block, nil)
 	case "bam":
-		b = xfer.NewBaM(env, bam.New(env.E, bam.DefaultConfig(), env.GPU, env.Devs), gran)
+		b = xfer.NewBaM(env, bam.New(env.E, bam.DefaultConfig(), env.GPU, env.Devs), block)
 	case "gds":
-		b = xfer.NewGDS(env, gran)
+		b = xfer.NewGDS(env, block)
 	case "spdk":
-		b = xfer.NewSPDK(env, cfg.TileBytes(), 4)
-	default:
-		fmt.Fprintf(os.Stderr, "camgemm: unknown backend %q\n", *backend)
-		os.Exit(1)
-	}
-	if err := cfg.Validate(b.BlockBytes()); err != nil {
-		fmt.Fprintln(os.Stderr, "camgemm:", err)
-		os.Exit(1)
+		b = xfer.NewSPDK(env, block, 4)
 	}
 
 	m := gemmx.New(env, b, cfg)
@@ -75,25 +99,25 @@ func main() {
 	})
 	env.Run()
 	if verr != nil {
-		fmt.Fprintln(os.Stderr, "camgemm: VERIFY FAILED:", verr)
-		os.Exit(1)
+		return fail("VERIFY FAILED: %v", verr)
 	}
-	fmt.Printf("C[%d x %d] = A x B in %d x %d tiles on %s over %d SSDs\n",
+	fmt.Fprintf(stdout, "C[%d x %d] = A x B in %d x %d tiles on %s over %d SSDs\n",
 		*n, *n, *tile, *tile, b.Name(), *ssds)
-	fmt.Printf("  elapsed:    %v\n", st.Elapsed)
-	fmt.Printf("  read:       %s (%s)\n", metrics.Bytes(float64(st.BytesRead)),
+	fmt.Fprintf(stdout, "  elapsed:    %v\n", st.Elapsed)
+	fmt.Fprintf(stdout, "  read:       %s (%s)\n", metrics.Bytes(float64(st.BytesRead)),
 		metrics.GBps(st.Throughput))
 	if *verify {
-		fmt.Println("  verification: matches dense reference exactly")
+		fmt.Fprintln(stdout, "  verification: matches dense reference exactly")
 	}
 	if plan.Enabled() {
 		fs := env.FaultStats()
-		fmt.Printf("  faults:     injected err=%d drop=%d slow=%d dead=%d\n",
+		fmt.Fprintf(stdout, "  faults:     injected err=%d drop=%d slow=%d dead=%d\n",
 			fs.Errors, fs.Drops, fs.Slows, fs.DeadDrops)
 		if c, ok := b.(*xfer.CAMBackend); ok {
 			rec := c.M.Driver().Recovery()
-			fmt.Printf("  recovery:   timeouts=%d retries=%d recovered=%d failed=%d devfail=%d\n",
+			fmt.Fprintf(stdout, "  recovery:   timeouts=%d retries=%d recovered=%d failed=%d devfail=%d\n",
 				rec.Timeouts, rec.Retries, rec.Recovered, rec.FailedRequests, rec.DeviceFailures)
 		}
 	}
+	return 0
 }

@@ -1,7 +1,9 @@
 // Command camlint runs the repository's simulation-invariant analyzers
-// (internal/lint) over Go packages, multichecker-style. All root packages
-// are analyzed as one program, so poollife's //camlint:pool lifecycles cross
-// package boundaries.
+// (internal/lint) over Go packages, multichecker-style: nodeterminism,
+// errchecksim, eventtime and unusedallow. All root packages are analyzed as
+// one program, so unusedallow judges every //camlint:allow against the
+// findings of the whole run, and a //camlint: directive with any verb but
+// allow is a finding of its own.
 //
 // Usage:
 //

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -17,11 +18,13 @@ func TestRun(t *testing.T) {
 		code   int
 		stdout string // substring
 		stderr string // substring
+		// heads, when set, is the first word of every stdout line, in order.
+		heads []string
 	}{
 		{name: "clean package", args: []string{"camsim/internal/pcie"}, code: 0},
 		{name: "fixture with findings", args: []string{fixture}, code: 1, stdout: "[nodeterminism] fmt.Sprintf formats a pointer"},
 		{name: "-only another analyzer", args: []string{"-only", "eventtime", fixture}, code: 0},
-		{name: "-list", args: []string{"-list"}, code: 0, stdout: "poollife"},
+		{name: "-list", args: []string{"-list"}, code: 0, heads: []string{"nodeterminism", "errchecksim", "eventtime", "unusedallow"}},
 		{name: "unknown -only name", args: []string{"-only", "hotalloc", "camsim/internal/pcie"}, code: 2, stderr: `unknown analyzer "hotalloc"`},
 		{name: "pattern matching no package", args: []string{"camsim/nosuch/..."}, code: 2, stderr: "matched no packages"},
 		// The baseline left with its flags: a finding is fixed or allowed in place.
@@ -38,6 +41,15 @@ func TestRun(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), c.stderr) || (c.code != 2 && stderr.Len() != 0) {
 				t.Errorf("stderr = %q, want it to contain %q and nothing unless the exit code is 2", stderr.String(), c.stderr)
+			}
+			if c.heads != nil {
+				var heads []string
+				for _, line := range strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n") {
+					heads = append(heads, strings.Fields(line)[0])
+				}
+				if !slices.Equal(heads, c.heads) {
+					t.Errorf("stdout lines start %q, want %q", heads, c.heads)
+				}
 			}
 		})
 	}

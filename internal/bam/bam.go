@@ -157,8 +157,6 @@ func (s *System) earliest(dev int) sim.Time {
 // when the last command completes — one wakeup per batch instead of one
 // signal, one map entry, and one wakeup per block. errors accumulates the
 // failed-block count the batch reports.
-//
-//camlint:pool
 type fanin struct {
 	remaining int
 	errors    int
@@ -167,11 +165,6 @@ type fanin struct {
 
 // Stats returns a snapshot of the error-handling counters.
 func (s *System) Stats() Stats { return s.stats }
-
-// putFanin recycles a finished counter.
-//
-//camlint:pool release
-func (s *System) putFanin(f *fanin) { s.faninFree.Put(f) }
 
 // faninRef adjusts a fan-in count, firing completion at zero.
 func (s *System) faninRef(f *fanin, delta int) {
@@ -493,7 +486,7 @@ func (m *batchMachine) finish() {
 				m.buf.Payload(), m.offs[i], a.BlockBytes)
 		}
 	}
-	s.putFanin(fan)
+	s.faninFree.Put(fan)
 	if m.held > 0 {
 		s.g.UnpinThreads(m.held)
 	}

@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"camsim/internal/gpu"
+	"camsim/internal/nvme"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
 	"camsim/internal/xfer"
@@ -33,10 +34,14 @@ type Config struct {
 	RealMath bool
 }
 
-// Validate checks dimensions against the backend granularity.
+// Validate checks dimensions against the backend granularity, which every
+// backend needs in whole LBAs.
 func (c Config) Validate(blockBytes int64) error {
-	if c.Tile <= 0 || c.N%c.Tile != 0 || c.K%c.Tile != 0 || c.M%c.Tile != 0 {
-		return fmt.Errorf("gemmx: dims (%d,%d,%d) must be multiples of Tile %d", c.N, c.K, c.M, c.Tile)
+	if c.Tile <= 0 || c.N <= 0 || c.K <= 0 || c.M <= 0 || c.N%c.Tile != 0 || c.K%c.Tile != 0 || c.M%c.Tile != 0 {
+		return fmt.Errorf("gemmx: dims (%d,%d,%d) must be positive multiples of Tile %d", c.N, c.K, c.M, c.Tile)
+	}
+	if blockBytes%nvme.LBASize != 0 {
+		return fmt.Errorf("gemmx: backend block %d is not whole %d-byte LBAs", blockBytes, nvme.LBASize)
 	}
 	if c.TileBytes()%blockBytes != 0 {
 		return fmt.Errorf("gemmx: tile bytes %d not a multiple of backend block %d", c.TileBytes(), blockBytes)

@@ -1,8 +1,8 @@
 // Package lint implements camlint, a suite of static analyzers that enforce
 // the repository's simulation invariants: the discrete-event substrate must
 // stay byte-exact deterministic, error returns from simulated-hardware APIs
-// must not be silently dropped, virtual time must never mix with wall-clock
-// durations, and pooled objects must not be touched after release.
+// must not be silently dropped, and virtual time must never mix with
+// wall-clock durations.
 //
 // The shape deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the suite could be ported to the upstream framework
@@ -10,16 +10,15 @@
 // the driver, loader and fixture harness are self-contained on the standard
 // library alone.
 //
-// One analyzer, poollife, is interprocedural: all root packages load into
-// one Program whose fact store (facts.go) holds the //camlint:pool
-// annotations, and whose call graph (callgraph.go) and per-function CFGs
-// (cfg.go) let it follow a release across function and package boundaries.
-// Analyzers that need program-wide state implement the optional Prepare
-// (before any per-package Run) and Finish (after all of them) hooks.
+// Every analyzer works on one package at a time. All root packages still
+// load into one Program, so the allow directives are indexed across all of
+// them and unusedallow's Finish hook audits them after every other analyzer
+// has run.
 //
-// What the suite does not check is what a measurement checks better: that
-// the steady state does not allocate is pinned by the AllocsPerRun ceiling
-// tests of each layer (DESIGN.md §6 lists them), not by reading code.
+// What the suite does not check is what the code checks better at run time:
+// sim.FreeList catches a pooled record used after it was put back in every
+// test binary, and the AllocsPerRun ceiling tests of each layer (DESIGN.md
+// §6 lists them) catch a steady state that allocates.
 //
 // Suppressions use line directives:
 //
@@ -47,59 +46,32 @@ type Analyzer struct {
 	// Run applies the analyzer to a single package. Optional for
 	// analyzers that work entirely at program scope.
 	Run func(*Pass) error
-	// Prepare, if set, runs once per program before any Run call, with
-	// the fact store and call graph already built. Cross-package
-	// summaries (release inference) belong here.
-	Prepare func(*Program) error
 	// Finish, if set, runs once per program after every package's Run.
 	// The pass has program scope: Files and Pkg are nil, and Reportf
 	// still works (positions resolve through the shared FileSet).
 	Finish func(*Pass) error
 }
 
-// Program is the unit of interprocedural analysis: every root package loaded
-// together, plus the facts, call graph and directive index built over them.
+// Program is every root package loaded together, plus the index of the
+// allow directives in them.
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
-	// Ann is the annotation fact store collected from //camlint:pool
-	// directives across all packages.
-	Ann *Annotations
-	// CG is the static call graph over every function declaration.
-	CG *CallGraph
 
 	allows *allowSet
 	ran    map[string]bool // analyzer names in the current Run
-
-	// Cross-package summaries computed by analyzer Prepare hooks. They
-	// live on the Program (not in analyzer globals) so concurrent or
-	// nested programs cannot trample each other.
-	poolReleasers map[string]map[int]bool // funcKey → released positions (-1 = receiver)
-	// annDiags holds malformed-annotation findings discovered while
-	// building the fact store; they are attributed to the first analyzer
-	// that runs so they surface even though no analyzer owns collection.
-	annDiags []Diagnostic
 }
 
-// NewProgram assembles the analysis program over pkgs: collects annotations,
-// builds the call graph, and indexes allow directives. Packages must share
-// one token.FileSet (Load guarantees this).
+// NewProgram assembles the analysis program over pkgs and indexes their
+// directives. Packages must share one token.FileSet (Load guarantees this).
 func NewProgram(pkgs []*Package) *Program {
-	prog := &Program{Pkgs: pkgs, Ann: newAnnotations(), CG: buildCallGraph(pkgs)}
+	prog := &Program{Pkgs: pkgs}
 	var files []*ast.File
 	for _, pkg := range pkgs {
 		if prog.Fset == nil {
 			prog.Fset = pkg.Fset
 		}
 		files = append(files, pkg.Files...)
-		pkg := pkg
-		prog.Ann.collect(pkg, func(pos token.Pos, format string, args ...any) {
-			prog.annDiags = append(prog.annDiags, Diagnostic{
-				Analyzer: "directive",
-				Pos:      pkg.Fset.Position(pos),
-				Message:  fmt.Sprintf(format, args...),
-			})
-		})
 	}
 	prog.allows = collectAllows(prog.Fset, files)
 	return prog
@@ -144,40 +116,21 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportFix records a finding at pos carrying a suggested fix.
-func (p *Pass) ReportFix(pos token.Pos, fix, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
-	})
-}
-
-// Run applies every analyzer to the program in order — Prepare, then
-// per-package Run calls, then Finish — and returns the surviving
-// diagnostics: findings on lines carrying a matching //camlint:allow
-// directive (or whose preceding line carries one) are suppressed.
-// Suppression usage is tracked per directive, so the unusedallow analyzer
-// (which must be ordered last) sees which directives earned their keep. The
-// result is sorted by file, line, column, analyzer.
+// Run applies every analyzer to the program in order — per-package Run
+// calls, then Finish — and returns the surviving diagnostics: findings on
+// lines carrying a matching //camlint:allow directive (or whose preceding
+// line carries one) are suppressed. Suppression usage is tracked per
+// directive, so the unusedallow analyzer (which must be ordered last) sees
+// which directives earned their keep. Malformed directives are reported
+// whichever analyzers run. The result is sorted by file, line, column,
+// analyzer.
 func (prog *Program) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 	prog.ran = map[string]bool{}
 	for _, a := range analyzers {
 		prog.ran[a.Name] = true
 	}
-	out := make([]Diagnostic, 0, len(prog.annDiags))
-	for _, d := range prog.annDiags {
-		if !prog.allows.suppresses(d) {
-			out = append(out, d)
-		}
-	}
+	out := append([]Diagnostic(nil), prog.allows.malformed...)
 	for _, a := range analyzers {
-		if a.Prepare != nil {
-			if err := a.Prepare(prog); err != nil {
-				return nil, fmt.Errorf("%s: %v", a.Name, err)
-			}
-		}
 		var diags []Diagnostic
 		if a.Run != nil {
 			for _, pkg := range prog.Pkgs {
@@ -232,7 +185,7 @@ func (prog *Program) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // Run applies analyzers to a single package, treating it as a one-package
 // program. It is the entry point the fixture harness uses; whole-repo runs
-// go through NewProgram so interprocedural facts cross package boundaries.
+// go through NewProgram.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return NewProgram([]*Package{pkg}).Run(analyzers)
 }

@@ -8,7 +8,6 @@ func All() []*Analyzer {
 		NoDeterminism,
 		ErrCheckSim,
 		EventTime,
-		PoolLife,
 		UnusedAllow,
 	}
 }

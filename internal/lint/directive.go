@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"os"
@@ -8,31 +9,27 @@ import (
 	"strings"
 )
 
-// camlint directives. All share the "//camlint:" prefix:
+// camlint directives. All share the "//camlint:" prefix, and allow is the
+// only verb:
 //
 //	//camlint:allow                         suppress every analyzer
 //	//camlint:allow nodeterminism           suppress one analyzer
 //	//camlint:allow nodeterminism,eventtime suppress several
 //	//camlint:allow nodeterminism -- reason free-text justification
 //
-//	//camlint:pool                          (on a type) instances are pooled
-//	//camlint:pool release                  (on a func) releases pooled args
-//
 // An allow directive trailing a line suppresses diagnostics reported on its
 // own line; a stand-alone directive comment additionally covers the line
 // immediately below it, so it can precede the flagged statement.
 // Justifications after " -- " are encouraged (and quoted in DESIGN.md's
-// determinism rules) but not enforced mechanically.
-//
-// pool is an annotation, not a suppression: it feeds the fact store
-// (facts.go) that poollife consumes. It must appear in the doc comment of
-// the declaration it marks.
+// determinism rules) but not enforced mechanically. Any other verb, a typo
+// or a retired one, is reported as a "directive" finding rather than read as
+// a plain comment.
 const directivePrefix = "//camlint:"
 
-// parseDirective splits a comment into its camlint verb ("allow" or "pool")
-// and argument fields. The justification after " -- " is
-// stripped. ok is false for ordinary comments and for look-alikes such as
-// //camlint:allowfoo.
+// parseDirective splits a comment into its camlint verb and argument fields.
+// The justification after " -- " is stripped. ok is false for ordinary
+// comments; an unknown verb, or none, is returned as written for the caller
+// to reject.
 func parseDirective(text string) (verb string, args []string, ok bool) {
 	if !strings.HasPrefix(text, directivePrefix) {
 		return "", nil, false
@@ -52,30 +49,12 @@ func parseDirective(text string) (verb string, args []string, ok bool) {
 		return r == ' ' || r == '\t' || r == ','
 	})
 	if len(fields) == 0 {
-		return "", nil, false
+		return "", nil, true
 	}
-	switch fields[0] {
-	case "allow", "pool":
+	if len(fields) > 1 {
 		args = fields[1:]
-		if len(args) == 0 {
-			args = nil
-		}
-		return fields[0], args, true
 	}
-	return "", nil, false
-}
-
-// parseAllow parses a comment's text; ok reports whether it is an allow
-// directive, and names holds the analyzer list (empty for the bare form).
-func parseAllow(text string) (names []string, ok bool) {
-	verb, args, ok := parseDirective(text)
-	if !ok || verb != "allow" {
-		return nil, false
-	}
-	if len(args) == 0 {
-		return nil, true
-	}
-	return args, true
+	return fields[0], args, true
 }
 
 // allowDirective is one //camlint:allow comment, tracked individually so
@@ -94,20 +73,32 @@ func (d *allowDirective) bare() bool { return len(d.names) == 0 }
 type allowSet struct {
 	byLine map[string][]*allowDirective
 	all    []*allowDirective
+	// malformed holds a "directive" finding for each //camlint: comment
+	// whose verb is not allow.
+	malformed []Diagnostic
 }
 
-// collectAllows scans every comment in files for allow directives.
+// collectAllows scans every comment in files for directives.
 func collectAllows(fset *token.FileSet, files []*ast.File) *allowSet {
 	set := &allowSet{byLine: map[string][]*allowDirective{}}
 	sources := map[string][]byte{}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				names, ok := parseAllow(c.Text)
+				verb, names, ok := parseDirective(c.Text)
 				if !ok {
 					continue
 				}
 				pos := fset.Position(c.Pos())
+				if verb != "allow" {
+					set.malformed = append(set.malformed, Diagnostic{
+						Analyzer: "directive",
+						Pos:      pos,
+						Message:  fmt.Sprintf("unknown directive //camlint:%s: allow is the only verb, so it does nothing", verb),
+						Fix:      "fix the verb or delete the directive",
+					})
+					continue
+				}
 				d := &allowDirective{pos: pos, names: names, used: map[string]bool{}}
 				set.all = append(set.all, d)
 				set.cover(pos.Filename, pos.Line, d)

@@ -28,9 +28,9 @@ func TestParseAllow(t *testing.T) {
 		{"//camlint:allow\tnodeterminism\teventtime", []string{"nodeterminism", "eventtime"}, true},
 	}
 	for _, c := range cases {
-		names, ok := parseAllow(c.text)
-		if ok != c.ok || !reflect.DeepEqual(names, c.names) {
-			t.Errorf("parseAllow(%q) = %v, %v; want %v, %v", c.text, names, ok, c.names, c.ok)
+		verb, names, ok := parseDirective(c.text)
+		if ok = ok && verb == "allow"; ok != c.ok || ok && !reflect.DeepEqual(names, c.names) {
+			t.Errorf("parseDirective(%q) = %q, %v; want an allow of %v: %v", c.text, verb, names, c.names, c.ok)
 		}
 	}
 }
@@ -42,16 +42,15 @@ func TestParseDirective(t *testing.T) {
 		args []string
 		ok   bool
 	}{
-		{"//camlint:pool", "pool", nil, true},
-		{"//camlint:pool release", "pool", []string{"release"}, true},
-		{"//camlint:pool release -- free list in spdk.go", "pool", []string{"release"}, true},
 		{"//camlint:allow nodeterminism", "allow", []string{"nodeterminism"}, true},
-		// Unknown verbs and degenerate forms are not directives.
-		{"//camlint:frobnicate", "", nil, false},
-		{"//camlint:", "", nil, false},
+		// Unknown verbs, a typo and none at all are directives, returned as
+		// written for collectAllows to report.
+		{"//camlint:frobnicate", "frobnicate", nil, true},
+		{"//camlint:alow nodeterminism -- typo", "alow", []string{"nodeterminism"}, true},
+		{"//camlint:", "", nil, true},
 		{"// pool release", "", nil, false},
 		// Leading whitespace after the colon is tolerated.
-		{"//camlint: pool", "pool", nil, true},
+		{"//camlint: allow", "allow", nil, true},
 	}
 	for _, c := range cases {
 		verb, args, ok := parseDirective(c.text)

@@ -23,10 +23,6 @@ func TestEventTime(t *testing.T) {
 	linttest.Run(t, "testdata", lint.EventTime, "eventtime")
 }
 
-func TestPoolLife(t *testing.T) {
-	linttest.Run(t, "testdata", lint.PoolLife, "poollife")
-}
-
 // TestUnusedAllow runs the full suite: unusedallow judges directives by the
 // suppression marks every other analyzer leaves behind, so it only behaves
 // fully when all of them ran.

@@ -41,3 +41,9 @@ func aboveUsed() int64 {
 //
 //camlint:allow errchecksim -- fixture: stale on a declaration // want "stale //camlint:allow errchecksim"
 func declStale() {}
+
+// verbTypo misspells the verb; a directive camlint does not know must not
+// pass for a plain comment.
+func verbTypo() int64 {
+	return time.Now().UnixNano() //camlint:alow nodeterminism -- fixture: misspelled verb // want "unknown directive //camlint:alow" "wall-clock"
+}

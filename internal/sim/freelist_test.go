@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -77,38 +79,102 @@ func TestFreeListClearsVacatedSlot(t *testing.T) {
 	}
 }
 
+// TestFreeListParkedRecordReadsZero: in a test binary a record reads zero
+// from Put to the next Get, which hands it back as it was Put — a stale read
+// through a pointer that was Put sees zero values.
+func TestFreeListParkedRecordReadsZero(t *testing.T) {
+	var f FreeList[flRec]
+	r := f.Get()
+	r.id, r.ref = 7, &r.id
+	f.Put(r)
+	if r.id != 0 || r.ref != nil {
+		t.Fatalf("parked record reads {id %d, ref %p}, want zero", r.id, r.ref)
+	}
+	if got := f.Get(); got != r || got.id != 7 || got.ref != &r.id {
+		t.Fatalf("Get = %p {id %d, ref %p}, want the record restored as Put", got, got.id, got.ref)
+	}
+}
+
+func TestFreeListDoublePutPanics(t *testing.T) {
+	var f FreeList[flRec]
+	r := f.Get()
+	f.Put(r)
+	if msg := panicMsg(func() { f.Put(r) }); !strings.Contains(msg, "Put twice") {
+		t.Fatalf("second Put of a parked record: panic %q, want one naming the double Put", msg)
+	}
+}
+
+func TestFreeListWriteWhileParkedPanics(t *testing.T) {
+	var f FreeList[flRec]
+	r := f.Get()
+	f.Put(r)
+	r.id = 1
+	if msg := panicMsg(func() { f.Get() }); !strings.Contains(msg, "written while parked") {
+		t.Fatalf("Get of a record written while parked: panic %q, want one naming the write", msg)
+	}
+}
+
+// panicMsg runs fn and returns what it panicked with, or "" if it returned.
+func panicMsg(fn func()) (msg string) {
+	defer func() {
+		if p := recover(); p != nil {
+			msg = fmt.Sprint(p)
+		}
+	}()
+	fn()
+	return ""
+}
+
 // FuzzFreeList drives a list through arbitrary Get/Put interleavings against
-// a set model: Get never returns a record that is already out, a parked
-// record comes back exactly as it was Put, and any other is zero.
+// a set model, with the lifetime check on and then off: Get never returns a
+// record that is already out, a parked record comes back exactly as it was
+// Put, and any other is zero. With the check on, a parked record reads zero
+// and a second Put of one panics.
 func FuzzFreeList(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 1, 1, 1, 0})
 	f.Add([]byte{1, 1, 0, 0xff, 0x80, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		var fl FreeList[flRec]
-		var out []*flRec
-		live, parked := map[*flRec]bool{}, map[*flRec]int{}
-		for n, op := range ops {
-			if op&1 == 0 || len(out) == 0 {
-				r := fl.Get()
-				if live[r] {
-					t.Fatalf("Get returned %p, which is still out", r)
+		defer func(on bool) { checked = on }(checked)
+		for _, on := range []bool{true, false} {
+			checked = on
+			var fl FreeList[flRec]
+			var out []*flRec
+			live, parked := map[*flRec]bool{}, map[*flRec]int{}
+			for n, op := range ops {
+				switch {
+				case op&3 == 3 && len(fl.free) > 0:
+					if !on {
+						continue // unchecked, a double Put corrupts the list
+					}
+					r := fl.free[int(op>>2)%len(fl.free)]
+					if msg := panicMsg(func() { fl.Put(r) }); msg == "" {
+						t.Fatalf("second Put of parked record %p did not panic", r)
+					}
+				case op&1 == 0 || len(out) == 0:
+					r := fl.Get()
+					if live[r] {
+						t.Fatalf("Get returned %p, which is still out", r)
+					}
+					if want, ok := parked[r]; r.id != want || (ok && r.ref != &r.id) || (!ok && r.ref != nil) {
+						t.Fatalf("Get returned {id %d, ref %p}, want id %d (parked: %v)", r.id, r.ref, want, ok)
+					}
+					delete(parked, r)
+					r.id, r.ref = n+1, &r.id
+					live[r] = true
+					out = append(out, r)
+				default:
+					i := int(op>>1) % len(out)
+					r := out[i]
+					out[i] = out[len(out)-1]
+					out = out[:len(out)-1]
+					delete(live, r)
+					parked[r] = r.id
+					fl.Put(r)
+					if on && *r != (flRec{}) {
+						t.Fatalf("parked record reads {id %d, ref %p}, want zero", r.id, r.ref)
+					}
 				}
-				if want, ok := parked[r]; r.id != want || (ok && r.ref != &r.id) || (!ok && r.ref != nil) {
-					t.Fatalf("Get returned {id %d, ref %p}, want id %d (parked: %v)", r.id, r.ref, want, ok)
-				}
-				delete(parked, r)
-				r.id, r.ref = n+1, &r.id
-				live[r] = true
-				out = append(out, r)
-				continue
 			}
-			i := int(op>>1) % len(out)
-			r := out[i]
-			out[i] = out[len(out)-1]
-			out = out[:len(out)-1]
-			delete(live, r)
-			parked[r] = r.id
-			fl.Put(r)
 		}
 	})
 }

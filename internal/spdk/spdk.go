@@ -112,8 +112,6 @@ type Completion interface {
 }
 
 // Request is one asynchronous NVMe command through the driver.
-//
-//camlint:pool
 type Request struct {
 	Op   nvme.Opcode
 	Dev  int    // device index within the driver
@@ -288,8 +286,6 @@ func (d *Driver) GetRequest() *Request {
 }
 
 // putRequest clears and recycles a pooled request.
-//
-//camlint:pool release
 func (d *Driver) putRequest(r *Request) {
 	*r = Request{}
 	d.reqFree.Put(r)
@@ -416,8 +412,6 @@ const (
 // machine. One sweep is retry drain, queue drain, CQ poll, deadline expiry
 // and idle accounting, in that order; every modelled CPU cost is one
 // self-scheduled callback and every blocking wait one signal callback.
-//
-//camlint:pool
 type reactorStep struct {
 	r     *Reactor
 	phase uint8 // current sweep position / resume point

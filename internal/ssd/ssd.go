@@ -345,8 +345,6 @@ func (d *Device) mediaLatency(op nvme.Opcode) sim.Time {
 // It is its own sim.Callback: each pipeline phase reschedules the same
 // object, so a command crosses media latency and the DMA engine without
 // boxing a closure per phase. States recycle through Device.cmdFree.
-//
-//camlint:pool
 type ioCmd struct {
 	d      *Device
 	q      *ioQueue
@@ -432,8 +430,6 @@ func (d *Device) newCmd(q *ioQueue, sqe nvme.SQE) *ioCmd {
 // command posts no CQE: the host already synthesized a timeout for it and
 // may have reused the CID, so the live slot is released only if it still
 // points at this command.
-//
-//camlint:pool release
 func (d *Device) finish(c *ioCmd, status nvme.Status) {
 	if slot := &c.q.cids[c.sqe.CID]; slot.cmd == c {
 		slot.cmd = nil
