@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race vuln check check-fast loc determinism fuzz-smoke bench-test bench-layers bench-pair cover cover-smoke profile
+.PHONY: all build test vet lint race vuln check check-fast loc shapes determinism fuzz-smoke bench-test bench-layers bench-pair cover cover-smoke profile
 
 all: build
 
@@ -50,6 +50,15 @@ loc:
 		printf '%-20s %6d\n' "$${d%/}" $$(find "$$d" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l); \
 	done; \
 	printf '%-20s %6d\n' total $$(find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
+
+# shapes checks the paper's claims (TestPaperShapes, the claim table in
+# internal/harness/shapes_test.go) at quick scale and prints one line per
+# claim: id, status, measured numbers and bound. A failing claim's line adds
+# the paper's sentence.
+shapes:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) test ./internal/harness -run '^TestPaperShapes$$' -v > "$$tmp" 2>&1; st=$$?; \
+	sed -n 's/^ *shapes_test\.go:[0-9]*: //p' "$$tmp"; tail -n 1 "$$tmp"; exit $$st
 
 # determinism is the stdout-identity gate: cambench built once, then the whole
 # quick suite at -parallel 1 and -parallel 8, with no fault plan and with

@@ -7,7 +7,7 @@
 //	cambench -exp fig8            # one experiment at paper scale
 //	cambench -exp all -quick      # everything, scaled down
 //	cambench -exp all -parallel 8 # eight experiments in flight at once
-//	cambench -exp fig9 -csv       # emit tables as CSV
+//	cambench -exp fig9 -csv       # emit tables and figures as CSV
 //	cambench -exp abl-faults -faults 7:1e-4  # inject media errors at 1e-4
 //	cambench -exp fig8 -cpuprofile fig8.pprof
 //
@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exp        = flags.String("exp", "", "experiment id (see -list) or 'all'")
 		list       = flags.Bool("list", false, "list available experiments")
 		quick      = flags.Bool("quick", false, "run scaled-down workloads")
-		csv        = flags.Bool("csv", false, "emit tables as CSV instead of aligned text")
+		csv        = flags.Bool("csv", false, "emit tables and figures as CSV instead of aligned text")
 		parallel   = flags.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently (1 = serial)")
 		cpuprofile = flags.String("cpuprofile", "", "write a CPU profile of the experiment runs to `file`")
 		memprofile = flags.String("memprofile", "", "write an allocation profile taken after the runs to `file`")
@@ -120,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprint(stdout, t.CSV())
 			}
 			for _, f := range r.Figs {
-				fmt.Fprintln(stdout, f.String())
+				fmt.Fprint(stdout, f.CSV())
 			}
 		} else {
 			fmt.Fprint(stdout, r.String())

@@ -22,6 +22,14 @@ const tab1Golden = "### tab1 — Architectural design comparison\n" +
 	"(tab1 is a static table)\n" +
 	"\n"
 
+// A figure in -csv mode is its table as CSV: the x column, then one column
+// per series.
+const fig4CSV = "# fig4 — BaM SM utilization to saturate N SSDs\n" +
+	"SSDs,BaM\n1,19.89\n2,39.79\n3,59.68\n4,79.57\n5,99.46\n" +
+	"6,100\n7,100\n8,100\n9,100\n10,100\n11,100\n12,100\n" +
+	"(fig4 simulated 5.908ms of virtual time)\n" +
+	"\n"
+
 func TestRun(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -31,6 +39,7 @@ func TestRun(t *testing.T) {
 		stderr string // substring
 	}{
 		{name: "tab1 golden", args: []string{"-exp", "tab1"}, code: 0, stdout: tab1Golden, stderr: "tab1 done"},
+		{name: "fig4 csv", args: []string{"-exp", "fig4", "-csv"}, code: 0, stdout: fig4CSV, stderr: "fig4 done"},
 		// Deleted knobs are usage errors, not silently accepted.
 		{name: "no -shards", args: []string{"-shards", "1"}, code: 2, stderr: "flag provided but not defined: -shards"},
 		{name: "no -materialize", args: []string{"-materialize"}, code: 2, stderr: "flag provided but not defined: -materialize"},

@@ -15,9 +15,26 @@ import (
 // TestDesignNamesExist: every Test…, Fuzz… and Benchmark… name that
 // DESIGN.md, README.md or EXPERIMENTS.md cites is a function declared in the
 // repository's Go source (bench/ included), so the docs cannot go on citing
-// a test that was deleted or renamed.
+// a test that was deleted or renamed. So is every backticked `pkg.Name`,
+// `pkg.Type.Member` and `Type.Member` whose pkg is one of the repository's
+// packages or whose Type is one of its types: Name is a top-level
+// declaration of pkg, Member a method or field of Type. Cites of other
+// packages (`time.Now`), of files (`go.mod`) and of dotted metric names
+// (`ssd.cpu_share`) are not checked.
 func TestDesignNamesExist(t *testing.T) {
 	declared := map[string]bool{}
+	pkgs := map[string]map[string]bool{}    // package name → its top-level names
+	members := map[string]map[string]bool{} // "Type" and "pkg.Type" → methods and fields
+	add := func(m map[string]map[string]bool, key, name string) {
+		if m[key] == nil {
+			m[key] = map[string]bool{}
+		}
+		m[key][name] = true
+	}
+	addMember := func(pkg, typ, name string) {
+		add(members, typ, name)
+		add(members, pkg+"."+typ, name)
+	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -36,9 +53,44 @@ func TestDesignNamesExist(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
 		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
-				declared[fd.Name.Name] = true
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					declared[d.Name.Name] = true
+					add(pkgs, pkg, d.Name.Name)
+				} else if typ := recvType(d.Recv.List[0].Type); typ != "" {
+					addMember(pkg, typ, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							add(pkgs, pkg, n.Name)
+						}
+					case *ast.TypeSpec:
+						add(pkgs, pkg, s.Name.Name)
+						var fields *ast.FieldList
+						switch tt := s.Type.(type) {
+						case *ast.StructType:
+							fields = tt.Fields
+						case *ast.InterfaceType:
+							fields = tt.Methods
+						}
+						for _, fl := range fieldList(fields) {
+							for _, n := range fl.Names {
+								addMember(pkg, s.Name.Name, n.Name)
+							}
+							if len(fl.Names) == 0 {
+								if typ := recvType(fl.Type); typ != "" {
+									addMember(pkg, s.Name.Name, typ)
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 		return nil
@@ -46,7 +98,23 @@ func TestDesignNamesExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// resolves reports whether a dotted cite names a declaration, and
+	// whether it is a cite of this repository's code at all.
+	resolves := func(segs []string) (ok, ours bool) {
+		if names, isPkg := pkgs[segs[0]]; isPkg {
+			if !names[segs[1]] {
+				return false, true
+			}
+			return len(segs) == 2 || members[segs[0]+"."+segs[1]][segs[2]], true
+		}
+		if m, isType := members[segs[0]]; isType && len(segs) == 2 {
+			return m[segs[1]], true
+		}
+		return false, false
+	}
 	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	backticked := regexp.MustCompile("`([^`]+)`")
+	dotted := regexp.MustCompile(`^[A-Za-z]\w*(?:\.[A-Za-z]\w*){1,2}$`)
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
@@ -58,6 +126,43 @@ func TestDesignNamesExist(t *testing.T) {
 					t.Errorf("%s:%d cites %s, which no Go file declares", doc, i+1, name)
 				}
 			}
+			for _, m := range backticked.FindAllStringSubmatch(line, -1) {
+				// `*pkg.T`, `(*pkg.T).M` and `T.M()` cite pkg.T and pkg.T.M.
+				code := strings.TrimPrefix(strings.TrimSuffix(m[1], "()"), "*")
+				if strings.HasPrefix(code, "(*") {
+					code = strings.NewReplacer("(*", "", ")", "").Replace(code)
+				}
+				if !dotted.MatchString(code) || strings.Contains(code, "_") {
+					continue
+				}
+				if ok, ours := resolves(strings.Split(code, ".")); ours && !ok {
+					t.Errorf("%s:%d cites `%s`, which no Go file declares", doc, i+1, m[1])
+				}
+			}
 		}
 	}
+}
+
+func fieldList(fl *ast.FieldList) []*ast.Field {
+	if fl == nil {
+		return nil
+	}
+	return fl.List
+}
+
+// recvType is the type name of a method receiver or an embedded field.
+func recvType(e ast.Expr) string {
+	switch t := e.(type) {
+	case *ast.Ident:
+		return t.Name
+	case *ast.StarExpr:
+		return recvType(t.X)
+	case *ast.IndexExpr:
+		return recvType(t.X)
+	case *ast.IndexListExpr:
+		return recvType(t.X)
+	case *ast.SelectorExpr:
+		return t.Sel.Name
+	}
+	return ""
 }

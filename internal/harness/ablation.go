@@ -71,7 +71,7 @@ func runAblDynCores(cfg RunConfig) *Result {
 		return outcome{elapsed: end, coreSecs: coreSecs, endCores: mgr.ActiveCores()}
 	}
 
-	t := metrics.NewTable("Dynamic vs fixed reactor cores (8 SSDs, mixed workload)",
+	t := metrics.NewTable("abl-dyncores", "Dynamic vs fixed reactor cores (8 SSDs, mixed workload)",
 		"policy", "elapsed ms", "core-ms consumed", "final cores")
 	for _, fixed := range []int{2, 4} {
 		o := runOne(false, fixed)
@@ -89,7 +89,7 @@ func runAblDynCores(cfg RunConfig) *Result {
 // batches amortize the publish handshake and keep queues deeper.
 func runAblBatch(cfg RunConfig) *Result {
 	r := &Result{ID: "abl-batch", Title: "Batch size sweep"}
-	f := metrics.NewFigure("CAM read throughput vs batch size (12 SSDs, 4KB)", "blocks/batch", "GB/s")
+	f := metrics.NewFigure("abl-batch", "CAM read throughput vs batch size (12 SSDs, 4KB)", "blocks/batch", "GB/s")
 	s := f.NewSeries("CAM")
 	sizes := []int{16, 64, 256, 1024, 4096}
 	if cfg.Quick {
@@ -130,7 +130,7 @@ func runAblBatch(cfg RunConfig) *Result {
 // runAblOutstanding sweeps the number of concurrently published batches.
 func runAblOutstanding(cfg RunConfig) *Result {
 	r := &Result{ID: "abl-outstanding", Title: "Outstanding-batch (pipeline depth) sweep"}
-	f := metrics.NewFigure("CAM read throughput vs outstanding batches (12 SSDs, 4KB, 512-block batches)",
+	f := metrics.NewFigure("abl-outstanding", "CAM read throughput vs outstanding batches (12 SSDs, 4KB, 512-block batches)",
 		"outstanding", "GB/s")
 	s := f.NewSeries("CAM")
 	depths := []int{1, 2, 4, 8}

@@ -78,7 +78,7 @@ func runAblCache(cfg RunConfig) *Result {
 		return float64(batches*perBatch) * blockBytes / end.Seconds() / 1e9
 	}
 
-	t := metrics.NewTable("BaM GPU cache vs skew (4 SSDs, 4KB blocks)",
+	t := metrics.NewTable("abl-cache", "BaM GPU cache vs skew (4 SSDs, 4KB blocks)",
 		"workload", "BaM GB/s", "BaM+cache GB/s", "cache hit rate", "CAM GB/s")
 	cases := []struct {
 		name  string

@@ -21,7 +21,7 @@ func runAblFanin(cfg RunConfig) *Result {
 	if cfg.Quick {
 		keys = 1 << 20
 	}
-	t := metrics.NewTable("fan-in vs merge passes, bytes moved, and time",
+	t := metrics.NewTable("abl-fanin", "fan-in vs merge passes, bytes moved, and time",
 		"fan-in", "passes", "GiB moved", "time ms")
 	for _, fanin := range []int{2, 4, 8, 16} {
 		scfg := sortx.Config{

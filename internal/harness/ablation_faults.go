@@ -96,7 +96,7 @@ func runAblFaults(cfg RunConfig) *Result {
 		}()},
 	}
 
-	t := metrics.NewTable(fmt.Sprintf("injected faults vs recovery (%d batches x %d blocks)", batches, perBatch),
+	t := metrics.NewTable("abl-faults", fmt.Sprintf("injected faults vs recovery (%d batches x %d blocks)", batches, perBatch),
 		"scenario", "GB/s", "inj err", "inj drop", "inj slow", "dead drops",
 		"timeouts", "retries", "recovered", "failed reqs", "failed batches", "dev failures")
 	var totals metrics.Counters

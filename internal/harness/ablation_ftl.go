@@ -78,7 +78,7 @@ func runAblFTL(cfg RunConfig) *Result {
 		}
 	}
 
-	t := metrics.NewTable("FTL behavior vs logical utilization (1 SSD, 4KB random writes)",
+	t := metrics.NewTable("abl-ftl", "FTL behavior vs logical utilization (1 SSD, 4KB random writes)",
 		"hot-set fraction", "write amplification", "erases", "GB/s (GC uncharged)", "GB/s (GC charged)")
 	for _, u := range []float64{0.25, 0.6, 0.9} {
 		p := runAt(u)

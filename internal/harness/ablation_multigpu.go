@@ -72,7 +72,7 @@ func runAblMultiGPU(cfg RunConfig) *Result {
 		return total, perGPU
 	}
 
-	t := metrics.NewTable("Multi-GPU scaling (12 SSDs, 4KB random read)",
+	t := metrics.NewTable("abl-multigpu", "Multi-GPU scaling (12 SSDs, 4KB random read)",
 		"GPUs", "aggregate GB/s", "per-GPU GB/s", "fairness (min/max)")
 	for _, n := range []int{1, 2, 4} {
 		agg, per := runWith(n)
@@ -85,7 +85,7 @@ func runAblMultiGPU(cfg RunConfig) *Result {
 				max = v
 			}
 		}
-		t.AddRow(n, agg, fmt.Sprintf("%.2f", per[0]), min/max)
+		t.AddRow(n, agg, metrics.Num{V: per[0], Verb: "%.2f"}, min/max)
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,

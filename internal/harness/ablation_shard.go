@@ -141,7 +141,7 @@ func runAblShard(cfg RunConfig) *Result {
 	}
 	c.Run()
 
-	t := metrics.NewTable(
+	t := metrics.NewTable("abl-shard",
 		fmt.Sprintf("%d hosts x %d SSDs, %d-batch ring pipeline (%d x 4KB reads per batch)",
 			hosts, ssdsPerHost, batches, perBatch),
 		"host", "reads", "GB/s", "tokens out", "lookahead", "end time")

@@ -35,7 +35,7 @@ func gnnDatasets() []gnn.Dataset {
 func runFig1(cfg RunConfig) *Result {
 	r := &Result{ID: "fig1", Title: "GIDS stage breakdown on Paper100M"}
 	nodes, batch, iters := gnnScale(cfg.Quick)
-	t := metrics.NewTable("Fig 1: GIDS time breakdown (Paper100M, 12 SSDs)",
+	t := metrics.NewTable("fig1", "Fig 1: GIDS time breakdown (Paper100M, 12 SSDs)",
 		"model", "sample %", "extract %", "train %")
 	d := gnn.Paper100M().Scaled(nodes)
 	tcfg := gnn.DefaultTrainConfig()
@@ -59,7 +59,7 @@ func runFig1(cfg RunConfig) *Result {
 func runFig9(cfg RunConfig) *Result {
 	r := &Result{ID: "fig9", Title: "GNN epoch time: CAM vs GIDS"}
 	nodes, batch, iters := gnnScale(cfg.Quick)
-	t := metrics.NewTable("Fig 9: per-iteration time (ms) and speedup",
+	t := metrics.NewTable("fig9", "Fig 9: per-iteration time (ms) and speedup",
 		"dataset", "model", "GIDS ms/iter", "CAM ms/iter", "speedup")
 	tcfg := gnn.DefaultTrainConfig()
 	tcfg.Batch = batch
@@ -102,7 +102,7 @@ func runFig10a(cfg RunConfig) *Result {
 	if cfg.Quick {
 		sizes = []int64{1 << 19, 1 << 20}
 	}
-	f := metrics.NewFigure("Fig 10a: mergesort execution time", "keys", "ms")
+	f := metrics.NewFigure("fig10a", "Fig 10a: mergesort execution time", "keys", "ms")
 	series := map[string]*metrics.Series{
 		"CAM":   f.NewSeries("CAM"),
 		"SPDK":  f.NewSeries("SPDK"),
@@ -155,7 +155,7 @@ func runFig10bc(cfg RunConfig) *Result {
 	if cfg.Quick {
 		gcfg = gemmx.Config{N: 1024, K: 1024, M: 1024, Tile: 256, ComputeRate: 100e12}
 	}
-	t := metrics.NewTable("Fig 10b,c: GEMM read throughput and execution time",
+	t := metrics.NewTable("fig10bc", "Fig 10b,c: GEMM read throughput and execution time",
 		"system", "GB/s", "time ms")
 	for _, sys := range []string{"CAM", "BaM", "GDS", "SPDK"} {
 		env := platform.New(platform.Options{SSDs: 12})

@@ -70,6 +70,45 @@ func (r *Result) String() string {
 	return b.String()
 }
 
+// Value returns the number with the given name: key.row.column for a table
+// cell, key.x.series for a figure point (metrics.Table.Values). A name that
+// is unknown, or that two numbers share, is an error listing the names that
+// do exist.
+func (r *Result) Value(name string) (float64, error) {
+	var names []string
+	v, hits := 0.0, 0
+	each := func(n string, x float64) {
+		names = append(names, n)
+		if n == name {
+			v, hits = x, hits+1
+		}
+	}
+	for _, t := range r.Tables {
+		t.Values(each)
+	}
+	for _, f := range r.Figs {
+		f.Values(each)
+	}
+	if hits != 1 {
+		return 0, fmt.Errorf("%s has %d values named %q; it has %q", r.ID, hits, name, names)
+	}
+	return v, nil
+}
+
+// Series returns the y values of the figure series named key.series.
+func (r *Result) Series(name string) ([]float64, error) {
+	var names []string
+	for _, f := range r.Figs {
+		for _, s := range f.Series {
+			if f.Key+"."+s.Name == name {
+				return s.Y, nil
+			}
+			names = append(names, f.Key+"."+s.Name)
+		}
+	}
+	return nil, fmt.Errorf("%s has no series %q; it has %q", r.ID, name, names)
+}
+
 // Experiment is a registered, runnable reproduction.
 type Experiment struct {
 	ID    string

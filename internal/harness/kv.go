@@ -138,7 +138,7 @@ func KVRun(cfg RunConfig, p KVParams, sys string) (*kvcache.Server, *platform.En
 func runKV(cfg RunConfig) *Result {
 	r := &Result{ID: "kv", Title: "KV-cache serving: multi-session decode with SSD spill"}
 	p := kvDefaults(KVParams{}, cfg.Quick)
-	t := metrics.NewTable(
+	t := metrics.NewTable("kv",
 		fmt.Sprintf("%d sessions x %d layers, ~%d+%d tokens, %d-frame tier, %d SSDs",
 			p.Sessions, p.Layers, p.Prompt, p.Decode, p.DRAM, p.SSDs),
 		"system", "tok/s", "TTFT ms", "step p50 us", "step p99 us",

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"camsim/internal/bam"
 	"camsim/internal/cpustat"
@@ -28,7 +29,7 @@ func init() {
 
 func runFig2(cfg RunConfig) *Result {
 	r := &Result{ID: "fig2", Title: "Kernel-stack 4 KiB random throughput, one SSD"}
-	t := metrics.NewTable("Fig 2: 4KB random IOPS (1 SSD)", "stack", "read KIOPS", "write KIOPS")
+	t := metrics.NewTable("fig2", "Fig 2: 4KB random IOPS (1 SSD)", "stack", "read KIOPS", "write KIOPS")
 	for _, k := range oskernel.Kinds() {
 		rd, _ := kernelThroughput(cfg, k, 1, nvme.OpRead, 4096)
 		wr, _ := kernelThroughput(cfg, k, 1, nvme.OpWrite, 4096)
@@ -46,7 +47,7 @@ func runFig3(cfg RunConfig) *Result {
 	r := &Result{ID: "fig3", Title: "Per-layer I/O time breakdown"}
 	layers := []string{"user", "filesystem", "iomap", "blockio", "completion"}
 	for _, op := range []nvme.Opcode{nvme.OpRead, nvme.OpWrite} {
-		t := metrics.NewTable(fmt.Sprintf("Fig 3 (%s): layer fractions", op),
+		t := metrics.NewTable("fig3-"+strings.ToLower(op.String()), fmt.Sprintf("Fig 3 (%s): layer fractions", op),
 			"stack", "user", "filesystem", "iomap", "blockio", "completion", "fs+iomap")
 		for _, k := range oskernel.Kinds() {
 			_, st := kernelThroughput(RunConfig{Quick: true, acct: cfg.acct}, k, 1, op, 4096)
@@ -68,7 +69,7 @@ func runFig4(cfg RunConfig) *Result {
 	r := &Result{ID: "fig4", Title: "BaM SM utilization to saturate N SSDs"}
 	env := platform.New(platform.Options{SSDs: 1})
 	sys := bam.New(env.E, bam.DefaultConfig(), env.GPU, env.Devs)
-	f := metrics.NewFigure("Fig 4: SM utilization for I/O", "SSDs", "SM %")
+	f := metrics.NewFigure("fig4", "Fig 4: SM utilization for I/O", "SSDs", "SM %")
 	s := f.NewSeries("BaM")
 	for n := 1; n <= 12; n++ {
 		s.Add(float64(n), 100*sys.SMUtilizationFor(n))
@@ -130,7 +131,7 @@ func runFig8(cfg RunConfig) *Result {
 		if byGran {
 			xlabel = "granularity (B)"
 		}
-		f := metrics.NewFigure(title, xlabel, "GB/s")
+		f := metrics.NewFigure("fig8"+id, title, xlabel, "GB/s")
 		for _, sys := range systems {
 			s := f.NewSeries(sys)
 			if byGran {
@@ -162,7 +163,7 @@ func runFig11(cfg RunConfig) *Result {
 	if cfg.Quick {
 		sweep = []int{2, 8, 12}
 	}
-	f := metrics.NewFigure("Fig 11a: random read throughput", "SSDs", "GB/s")
+	f := metrics.NewFigure("fig11", "Fig 11a: random read throughput", "SSDs", "GB/s")
 	sSync := f.NewSeries("CAM-Sync")
 	sAsync := f.NewSeries("CAM-Async")
 	sSPDK := f.NewSeries("SPDK-async")
@@ -182,7 +183,7 @@ func runFig11(cfg RunConfig) *Result {
 
 func runFig12(cfg RunConfig) *Result {
 	r := &Result{ID: "fig12", Title: "One CPU thread controlling multiple SSDs (12 SSDs)"}
-	t := metrics.NewTable("Fig 12: throughput vs SSDs per thread",
+	t := metrics.NewTable("fig12", "Fig 12: throughput vs SSDs per thread",
 		"SSDs/thread", "threads", "read GB/s", "write GB/s", "read % of 1/thread")
 	type pt struct{ perThread, threads int }
 	pts := []pt{{1, 12}, {2, 6}, {3, 4}, {4, 3}}
@@ -203,7 +204,7 @@ func runFig12(cfg RunConfig) *Result {
 
 func runFig13(cfg RunConfig) *Result {
 	r := &Result{ID: "fig13", Title: "CPU cost per request: CAM vs SPDK vs libaio"}
-	t := metrics.NewTable("Fig 13: per-request CPU cost",
+	t := metrics.NewTable("fig13", "Fig 13: per-request CPU cost",
 		"system", "op", "instructions", "cycles")
 	type row struct {
 		sys string
@@ -233,7 +234,7 @@ func runFig14(cfg RunConfig) *Result {
 	// 64 KiB commands saturate the PCIe link in both directions — the
 	// regime where the paper's "21 GB/s needs 42 GB/s of DRAM" bites.
 	const gran = 64 << 10
-	t := metrics.NewTable("Fig 14: DRAM traffic during full-speed I/O (12 SSDs, 64KB)",
+	t := metrics.NewTable("fig14", "Fig 14: DRAM traffic during full-speed I/O (12 SSDs, 64KB)",
 		"system", "op", "SSD GB/s", "DRAM GB/s", "DRAM/SSD ratio")
 	for _, op := range []nvme.Opcode{nvme.OpRead, nvme.OpWrite} {
 		v, env, _ := camThroughput(cfg, 12, op, gran, 0, 2, platform.Options{})
@@ -252,7 +253,7 @@ func runFig14(cfg RunConfig) *Result {
 func runFig15(cfg RunConfig) *Result {
 	r := &Result{ID: "fig15", Title: "Throughput with 2 vs 16 memory channels"}
 	const gran = 64 << 10 // PCIe-saturating commands, as in Fig 14
-	t := metrics.NewTable("Fig 15: GB/s under memory-channel limits (12 SSDs, 64KB)",
+	t := metrics.NewTable("fig15", "Fig 15: GB/s under memory-channel limits (12 SSDs, 64KB)",
 		"system", "op", "16 channels", "2 channels", "loss %")
 	for _, op := range []nvme.Opcode{nvme.OpRead, nvme.OpWrite} {
 		for _, sys := range []string{"CAM", "SPDK"} {
@@ -279,7 +280,7 @@ func runFig16(cfg RunConfig) *Result {
 	if cfg.Quick {
 		grans = []int64{4096, 1 << 20, 128 << 20}
 	}
-	f := metrics.NewFigure("Fig 16: read throughput, scattered destination (12 SSDs)",
+	f := metrics.NewFigure("fig16", "Fig 16: read throughput, scattered destination (12 SSDs)",
 		"granularity (B)", "GB/s")
 	sCAM := f.NewSeries("CAM")
 	sSPDK := f.NewSeries("SPDK")

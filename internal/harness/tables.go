@@ -21,7 +21,7 @@ func init() {
 
 func runTab1(cfg RunConfig) *Result {
 	r := &Result{ID: "tab1", Title: "Architectural design comparison"}
-	t := metrics.NewTable("Table I", "system", "initialized by", "control plane", "data plane")
+	t := metrics.NewTable("tab1", "Table I", "system", "initialized by", "control plane", "data plane")
 	t.AddRow("POSIX I/O", "CPU", "CPU OS kernel", "SSD-CPU memory-GPU memory")
 	t.AddRow("BaM", "GPU", "GPU user I/O queue", "SSD-GPU memory")
 	t.AddRow("CAM", "GPU", "CPU user I/O queue", "SSD-GPU memory")
@@ -31,7 +31,7 @@ func runTab1(cfg RunConfig) *Result {
 
 func runTab2(cfg RunConfig) *Result {
 	r := &Result{ID: "tab2", Title: "CAM software API (Table II)"}
-	t := metrics.NewTable("Table II", "API", "runs on", "input", "description", "Go entry point")
+	t := metrics.NewTable("tab2", "Table II", "API", "runs on", "input", "description", "Go entry point")
 	t.AddRow("CAM_init", "Host", "-", "Initialize SSDs", "cam.New")
 	t.AddRow("CAM_alloc", "Host", "size", "Allocate pinned GPU memory", "(*cam.Manager).Alloc")
 	t.AddRow("CAM_free", "Host", "pointer", "Free GPU memory", "(*cam.Manager).Free")
@@ -48,7 +48,7 @@ func runTab3(cfg RunConfig) *Result {
 	dc := ssd.DefaultConfig()
 	pc := pcie.DefaultConfig()
 	hc := hostmem.DefaultConfig()
-	t := metrics.NewTable("Table III", "component", "specification")
+	t := metrics.NewTable("tab3", "Table III", "component", "specification")
 	t.AddRow("CPU", "Xeon-Gold-5320-class, 2.20 GHz model, poll-mode reactors")
 	t.AddRow("CPU memory", fmt.Sprintf("%d GiB, %d channels", hc.Capacity>>30, hc.Channels))
 	t.AddRow("GPU", "A100-80G-class: 108 SMs x 2048 threads, 312 TFLOPS model")
@@ -62,7 +62,7 @@ func runTab3(cfg RunConfig) *Result {
 
 func runTab4(cfg RunConfig) *Result {
 	r := &Result{ID: "tab4", Title: "Datasets (Table IV)"}
-	t := metrics.NewTable("Table IV", "dataset", "nodes", "edges", "feature dim", "feature size")
+	t := metrics.NewTable("tab4", "Table IV", "dataset", "nodes", "edges", "feature dim", "feature size")
 	for _, d := range []gnn.Dataset{gnn.Paper100M(), gnn.IGBFull()} {
 		total := float64(d.NumNodes) * float64(d.FeatBytes())
 		t.AddRow(d.Name, d.NumNodes, d.NumEdges, d.FeatDim, metrics.Bytes(total))
@@ -74,7 +74,7 @@ func runTab4(cfg RunConfig) *Result {
 func runTab5(cfg RunConfig) *Result {
 	r := &Result{ID: "tab5", Title: "GNN configuration (Table V)"}
 	c := gnn.DefaultTrainConfig()
-	t := metrics.NewTable("Table V", "parameter", "setting")
+	t := metrics.NewTable("tab5", "Table V", "parameter", "setting")
 	t.AddRow("GNN task", "node classification")
 	t.AddRow("sampling method", "2-hop random neighbor sampling")
 	t.AddRow("sampling fan-outs", fmt.Sprint(c.Fanouts))
@@ -120,7 +120,7 @@ var tab6Rows = []struct {
 
 func runTab6(cfg RunConfig) *Result {
 	r := &Result{ID: "tab6", Title: "Lines of application code per SSD-management scheme"}
-	t := metrics.NewTable("Table VI: lines of code (this repository, counted from source)",
+	t := metrics.NewTable("tab6", "Table VI: lines of code (this repository, counted from source)",
 		"workload", "scheme", "LoC", "what is counted")
 	for _, row := range tab6Rows {
 		t.AddRow(row.workload, row.scheme, row.loc, row.what)

@@ -1,52 +1,113 @@
 // Package metrics renders experiment results the way the paper reports
 // them: aligned tables for per-configuration numbers and series for
-// figure-style sweeps.
+// figure-style sweeps. Cells stay typed until a table is rendered, so a
+// result's numbers can be read back by name (Table.Values, Figure.Values).
 package metrics
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 )
 
-// Table is a titled grid with a header row.
+// Table is a titled grid with a header row. Its values are named
+// Key.label.column (see Values).
 type Table struct {
+	Key     string
 	Title   string
 	Columns []string
-	Rows    [][]string
+	rows    [][]any
 }
 
-// NewTable creates a table with the given title and column headers.
-func NewTable(title string, columns ...string) *Table {
-	return &Table{Title: title, Columns: columns}
+// NewTable creates a table with the given key, title and column headers.
+func NewTable(key, title string, columns ...string) *Table {
+	return &Table{Key: key, Title: title, Columns: columns}
 }
 
-// AddRow appends a row; values are formatted with %v, floats with %.4g.
+// AddRow appends a row of typed cells. The table keeps vals itself, so a
+// caller spreading a slice (AddRow(row...)) must not reuse it. It panics if
+// the row has more cells than the table has columns.
 func (t *Table) AddRow(vals ...any) {
-	row := make([]string, len(vals))
-	for i, v := range vals {
-		switch x := v.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.4g", x)
-		case float32:
-			row[i] = fmt.Sprintf("%.4g", x)
-		default:
-			row[i] = fmt.Sprint(v)
+	if len(vals) > len(t.Columns) {
+		panic(fmt.Sprintf("metrics: table %q: row %v has %d cells for %d columns", t.Title, vals, len(vals), len(t.Columns)))
+	}
+	t.rows = append(t.rows, vals)
+}
+
+// Num is a number rendered with its own verb instead of %.4g.
+type Num struct {
+	V    float64
+	Verb string
+}
+
+func (n Num) String() string { return fmt.Sprintf(n.Verb, n.V) }
+
+// format renders one cell: floats with %.4g, a blank (nil) cell as "",
+// everything else with %v.
+func format(v any) string {
+	switch x := v.(type) {
+	case float32, float64:
+		return fmt.Sprintf("%.4g", x)
+	case nil:
+		return ""
+	}
+	return fmt.Sprint(v)
+}
+
+// number reports the value of a numeric cell.
+func number(v any) (float64, bool) {
+	if n, ok := v.(Num); ok {
+		return n.V, true
+	}
+	switch x := reflect.ValueOf(v); {
+	case x.CanFloat():
+		return x.Float(), true
+	case x.CanInt():
+		return float64(x.Int()), true
+	case x.CanUint():
+		return float64(x.Uint()), true
+	}
+	return 0, false
+}
+
+// Values calls fn with the name and value of every numeric cell, row by row.
+// A name is Key.label.column: the label is the row's leading string cells
+// joined by "/" or, when the row starts with a number, that number as
+// rendered.
+func (t *Table) Values(fn func(name string, v float64)) {
+	for _, r := range t.rows {
+		var label []string
+		for _, c := range r {
+			s, ok := c.(string)
+			if !ok {
+				break
+			}
+			label = append(label, s)
+		}
+		if label == nil && len(r) > 0 {
+			label = []string{format(r[0])}
+		}
+		prefix := t.Key + "." + strings.Join(label, "/") + "."
+		for j := len(label); j < len(r); j++ {
+			if v, ok := number(r[j]); ok {
+				fn(prefix+t.Columns[j], v)
+			}
 		}
 	}
-	t.Rows = append(t.Rows, row)
 }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
+	rows := make([][]string, len(t.rows))
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)
 	}
-	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+	for i, r := range t.rows {
+		rows[i] = make([]string, len(r))
+		for j, v := range r {
+			rows[i][j] = format(v)
+			widths[j] = max(widths[j], len(rows[i][j]))
 		}
 	}
 	var b strings.Builder
@@ -68,7 +129,7 @@ func (t *Table) String() string {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	writeRow(sep)
-	for _, r := range t.Rows {
+	for _, r := range rows {
 		writeRow(r)
 	}
 	return b.String()
@@ -79,8 +140,13 @@ func (t *Table) CSV() string {
 	var b strings.Builder
 	b.WriteString(strings.Join(t.Columns, ","))
 	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		b.WriteString(strings.Join(r, ","))
+	for _, r := range t.rows {
+		for j, v := range r {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(format(v))
+		}
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -100,8 +166,9 @@ func (s *Series) Add(x, y float64) {
 }
 
 // Figure is a set of series sharing axes, rendered as a table with one
-// column per series.
+// column per series. Its points are named Key.x.series (see Values).
 type Figure struct {
+	Key    string
 	Title  string
 	XLabel string
 	YLabel string
@@ -109,8 +176,8 @@ type Figure struct {
 }
 
 // NewFigure creates an empty figure.
-func NewFigure(title, xlabel, ylabel string) *Figure {
-	return &Figure{Title: title, XLabel: xlabel, YLabel: ylabel}
+func NewFigure(key, title, xlabel, ylabel string) *Figure {
+	return &Figure{Key: key, Title: title, XLabel: xlabel, YLabel: ylabel}
 }
 
 // NewSeries adds and returns a named series.
@@ -120,41 +187,45 @@ func (f *Figure) NewSeries(name string) *Series {
 	return s
 }
 
-// String renders the figure as an aligned table: the x column then one
-// column per series. Series may have disjoint x values; missing cells are
-// blank.
-func (f *Figure) String() string {
+// table lays the figure out as a table: the x column, in first-seen order,
+// then one column per series. Series may have disjoint x values; missing
+// cells are blank.
+func (f *Figure) table() *Table {
 	cols := []string{f.XLabel}
 	for _, s := range f.Series {
 		cols = append(cols, s.Name)
 	}
-	// Collect x values in first-seen order.
-	var xs []float64
-	seen := map[float64]int{}
+	t := NewTable(f.Key, fmt.Sprintf("%s  (y: %s)", f.Title, f.YLabel), cols...)
+	rows := map[float64][]any{}
+	for si, s := range f.Series {
+		for i, x := range s.X {
+			if rows[x] == nil {
+				rows[x] = make([]any, len(cols))
+				rows[x][0] = trimFloat(x)
+				t.rows = append(t.rows, rows[x])
+			}
+			if rows[x][si+1] == nil {
+				rows[x][si+1] = trimFloat(s.Y[i])
+			}
+		}
+	}
+	return t
+}
+
+// String renders the figure as an aligned table.
+func (f *Figure) String() string { return f.table().String() }
+
+// CSV renders the figure's table as comma-separated values.
+func (f *Figure) CSV() string { return f.table().CSV() }
+
+// Values calls fn with the name and value of every point: Key.x.series,
+// with x rendered as in String.
+func (f *Figure) Values(fn func(name string, v float64)) {
 	for _, s := range f.Series {
-		for _, x := range s.X {
-			if _, ok := seen[x]; !ok {
-				seen[x] = len(xs)
-				xs = append(xs, x)
-			}
+		for i, x := range s.X {
+			fn(f.Key+"."+trimFloat(x)+"."+s.Name, s.Y[i])
 		}
 	}
-	t := NewTable(fmt.Sprintf("%s  (y: %s)", f.Title, f.YLabel), cols...)
-	for _, x := range xs {
-		row := make([]any, 1+len(f.Series))
-		row[0] = trimFloat(x)
-		for si, s := range f.Series {
-			row[si+1] = ""
-			for i, sx := range s.X {
-				if sx == x {
-					row[si+1] = trimFloat(s.Y[i])
-					break
-				}
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t.String()
 }
 
 func trimFloat(v float64) string {
@@ -183,9 +254,6 @@ func (c *Counters) Add(name string, v uint64) {
 	c.names = append(c.names, name)
 	c.vals = append(c.vals, v)
 }
-
-// Len reports how many counters are held.
-func (c *Counters) Len() int { return len(c.names) }
 
 // String renders "name=value" pairs in insertion order, space-separated.
 func (c *Counters) String() string {
