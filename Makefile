@@ -97,15 +97,17 @@ bench-test:
 # bench-layers runs the micro-benchmark of each layer on the spdk → nvme →
 # ssd command path — host ns and allocations per ring round trip, per read
 # command and per driver request — of the kvcache tier (seven touches to one
-# evict+insert at 2048 frames) and of the ssd store at rest (page-cell
-# write/read per 4 KiB block next to a plain-copy floor), each failing if its
-# steady state allocates.
+# evict+insert at 2048 frames), of the ssd store at rest (page-cell
+# write/read per 4 KiB block next to a plain-copy floor) and of mem's
+# payload at the tier's shape (a frame fill, a re-stamp or a stamp read at a
+# random frame, at 256 and 16 384 frames), each failing if its steady state
+# allocates.
 # CI runs them once (LAYER_BENCHTIME=1x) to keep them building and
 # allocation-free; for numbers use the default and repeat.
 LAYER_BENCHTIME ?= 200000x
 bench-layers:
-	$(GO) test -run '^$$' -bench 'BenchmarkRingRoundtrip|BenchmarkReadCmd|BenchmarkStoreAtRest|BenchmarkSubmitReap|BenchmarkTierCycle' \
-		-benchtime $(LAYER_BENCHTIME) -cpu 1 ./internal/nvme ./internal/ssd ./internal/spdk ./internal/kvcache
+	$(GO) test -run '^$$' -bench 'BenchmarkRingRoundtrip|BenchmarkReadCmd|BenchmarkStoreAtRest|BenchmarkSubmitReap|BenchmarkTierCycle|BenchmarkPayloadSplice' \
+		-benchtime $(LAYER_BENCHTIME) -cpu 1 ./internal/nvme ./internal/ssd ./internal/spdk ./internal/kvcache ./internal/mem
 
 # bench-pair is the procedure behind a performance claim: N alternating runs
 # of one BENCHMARK.json workload on BASE and on the working tree, each

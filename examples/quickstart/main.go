@@ -11,17 +11,39 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"camsim/internal/cam"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code as values: 0 when the blocks
+// read back identically, 1 when they do not, 2 on a usage error (the
+// program takes no arguments).
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("quickstart", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if flags.NArg() > 0 {
+		fmt.Fprintf(stderr, "quickstart: unexpected argument %q\n", flags.Arg(0))
+		return 2
+	}
+
 	// The evaluation platform: 4 SSDs is plenty for a demo.
 	env := platform.New(platform.Options{SSDs: 4})
+	defer env.E.Shutdown()
 
 	// CAM_init: sets up the four GPU↔CPU sync regions, the SPDK-style
 	// reactor threads (one per two SSDs), and the CPU polling thread.
@@ -56,18 +78,20 @@ func main() {
 		t0 := p.Now()
 		mgr.Prefetch(p, blocks, dst, 0)
 		mgr.PrefetchSynchronize(p)
-		fmt.Printf("prefetched %d blocks (256 KiB) in %v of simulated time\n",
+		fmt.Fprintf(stdout, "prefetched %d blocks (256 KiB) in %v of simulated time\n",
 			nBlocks, p.Now()-t0)
 	})
 	env.Run()
 
 	if !bytes.Equal(src.Bytes(), dst.Bytes()) {
-		log.Fatal("round trip mismatch")
+		fmt.Fprintln(stderr, "quickstart: round trip mismatch")
+		return 1
 	}
 	st := mgr.Stats()
-	fmt.Printf("batches: %d, requests: %d, read: %d B, written: %d B\n",
+	fmt.Fprintf(stdout, "batches: %d, requests: %d, read: %d B, written: %d B\n",
 		st.Batches, st.Requests, st.BytesRead, st.BytesWritten)
-	fmt.Printf("GPU SMs used for I/O: %.0f%% (CAM's whole point)\n",
+	fmt.Fprintf(stdout, "GPU SMs used for I/O: %.0f%% (CAM's whole point)\n",
 		100*env.GPU.MeanSMUtilization())
-	fmt.Println("OK: data written through CAM reads back identically")
+	fmt.Fprintln(stdout, "OK: data written through CAM reads back identically")
+	return 0
 }

@@ -6,8 +6,11 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"camsim/internal/metrics"
 	"camsim/internal/platform"
@@ -16,8 +19,27 @@ import (
 	"camsim/internal/xfer"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code as values: 0 on a verified
+// sort, 1 on a failed verification, 2 on a usage error (the program takes
+// no arguments).
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("sort", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if flags.NArg() > 0 {
+		fmt.Fprintf(stderr, "sort: unexpected argument %q\n", flags.Arg(0))
+		return 2
+	}
+
 	env := platform.New(platform.Options{SSDs: 12})
+	defer env.E.Shutdown()
 
 	// The CAM backend presents the SSD array as a flat byte space of
 	// 64 KiB blocks; the sorter's reads and writes become prefetch /
@@ -33,19 +55,25 @@ func main() {
 	}
 	s := sortx.New(env, backend, cfg)
 
+	var verr error
 	env.E.Go("app", func(p *sim.Proc) {
 		s.Fill(p, 2026) // deterministic pseudo-random keys
 		st := s.Sort(p)
-		if err := s.Verify(p); err != nil {
-			log.Fatal(err)
+		if verr = s.Verify(p); verr != nil {
+			return
 		}
-		fmt.Printf("sorted %d keys out-of-core on %d SSDs\n", cfg.NumInts, len(env.Devs))
-		fmt.Printf("  run phase   %v (sort runs with read-ahead + write-behind)\n", st.RunPhase)
-		fmt.Printf("  merge phase %v (%d pairwise passes, streaming)\n", st.MergePhase, st.Passes)
-		fmt.Printf("  moved %s at %s effective\n",
+		fmt.Fprintf(stdout, "sorted %d keys out-of-core on %d SSDs\n", cfg.NumInts, len(env.Devs))
+		fmt.Fprintf(stdout, "  run phase   %v (sort runs with read-ahead + write-behind)\n", st.RunPhase)
+		fmt.Fprintf(stdout, "  merge phase %v (%d pairwise passes, streaming)\n", st.MergePhase, st.Passes)
+		fmt.Fprintf(stdout, "  moved %s at %s effective\n",
 			metrics.Bytes(float64(st.BytesMoved)),
 			metrics.GBps(float64(st.BytesMoved)/st.Elapsed.Seconds()))
-		fmt.Println("  verified: sorted and a permutation of the input")
+		fmt.Fprintln(stdout, "  verified: sorted and a permutation of the input")
 	})
 	env.Run()
+	if verr != nil {
+		fmt.Fprintf(stderr, "sort: %v\n", verr)
+		return 1
+	}
+	return 0
 }

@@ -185,7 +185,7 @@ func (m *Multiplier) Run(p *sim.Proc) Stats {
 				cWrite.Wait(p)
 				cWrite = nil
 			}
-			// A zero extent reads as zeros in both modes; the accumulator
+			// Zeroing empties the accumulator's pages in both modes; it
 			// only materializes when RealMath consumes it.
 			acc.Payload().SetZero(0, tb)
 		}

@@ -111,7 +111,7 @@ func (g *GPU) MeanSMUtilization() float64 { return g.threads.MeanUtilization() }
 
 // Buffer is device memory registered for DMA. Its content is a payload:
 // transfers into and out of it move references, and real bytes exist only
-// after a consumer calls Bytes or MakeEager.
+// after a consumer calls Bytes.
 type Buffer struct {
 	Name   string
 	Addr   mem.Addr
@@ -175,15 +175,14 @@ func (b *Buffer) CheckBlocks(nblocks int, offs []int64, blockBytes int64) {
 // Payload exposes the buffer's content for reference-passing transfers.
 func (b *Buffer) Payload() *mem.Payload { return b.pay }
 
-// Bytes materializes the buffer and returns its backing slice; call it
-// again after a transfer into the buffer to re-synchronize. Writes through
-// the slice become the buffer's content.
+// Bytes materializes the buffer for good and returns its backing slice:
+// every later transfer into the buffer lands in it, and writes through the
+// slice become the buffer's content.
 func (b *Buffer) Bytes() []byte { return b.pay.Bytes() }
 
-// MakeEager materializes the buffer and pins it eager, so the returned
-// slice tracks every subsequent transfer without re-calling Bytes. Queue
-// rings and control regions parsed continuously by device models use this.
-func (b *Buffer) MakeEager() []byte { return b.pay.MakeEager() }
+// MakeEager is Bytes, under the name queue rings and control regions parsed
+// by device models are set up with.
+func (b *Buffer) MakeEager() []byte { return b.pay.Bytes() }
 
 // PinThreadsCallback occupies n thread slots (clamped to capacity) until
 // UnpinThreads(held): it reports the clamped slot count and whether it was

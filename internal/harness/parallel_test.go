@@ -133,3 +133,30 @@ func TestRunAllReleasesGoroutines(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestQuickExperimentsRetainLittleHeap guards the process-global pools (mem's
+// chunk and payload-header pools, the backing slabs) against keeping a dead
+// machine reachable: a parked header that still pointed at its cells, or a
+// carved slab pinned by one parked neighbour, would leave an experiment's
+// heap behind it. Each experiment runs at quick scale on its own, and the
+// live heap after a collection must not have grown by more than 4 MB.
+func TestQuickExperimentsRetainLittleHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the whole quick suite, serially")
+	}
+	const limit = 4 << 20
+	var m runtime.MemStats
+	for _, e := range All() {
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		before := m.HeapAlloc
+		mustRunAll(t, []Experiment{e}, 1, nil)
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		grew := int64(m.HeapAlloc) - int64(before)
+		t.Logf("%s: live heap %+.2f MB", e.ID, float64(grew)/(1<<20))
+		if grew > limit {
+			t.Errorf("%s left %.1f MB more live heap behind, limit %d MB", e.ID, float64(grew)/(1<<20), limit>>20)
+		}
+	}
+}

@@ -101,9 +101,10 @@ func (b *Buffer) Size() int64 { return b.size }
 // Payload exposes the buffer's content for reference-passing transfers.
 func (b *Buffer) Payload() *mem.Payload { return b.pay }
 
-// MakeEager materializes the buffer and pins it eager, so the returned
-// slice tracks every subsequent transfer (queue rings, control regions).
-func (b *Buffer) MakeEager() []byte { return b.pay.MakeEager() }
+// MakeEager materializes the buffer for good (Payload().Bytes), so the
+// returned slice tracks every subsequent transfer (queue rings, control
+// regions).
+func (b *Buffer) MakeEager() []byte { return b.pay.Bytes() }
 
 // ReserveTraffic books n bytes of DRAM bandwidth (one crossing) and returns
 // the completion time without blocking. DMA writes into DRAM and CPU

@@ -1,9 +1,10 @@
 // Package mem provides the simulated physical address space shared by every
 // device in the platform: host DRAM, GPU HBM, and the controller-visible
 // queue memory. DMA engines (SSD controllers) resolve target addresses
-// through a Space exactly like a real IOMMU-less PCIe device would, and the
-// bytes they move are real Go bytes, so data written through one I/O stack
-// is readable through another.
+// through a Space exactly like a real IOMMU-less PCIe device would. What
+// they move is a Payload, one page cell per 4 KiB page that shares chunks
+// by reference and is real bytes wherever a consumer asks for them, so
+// data written through one I/O stack is readable through another.
 package mem
 
 import (

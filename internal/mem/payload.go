@@ -8,22 +8,22 @@ import (
 	"sync/atomic"
 )
 
+// PageBytes is the content granule: a lazy payload keeps one Cell per page
+// of this size, as ssd.Store does per 4 KiB flash page and a PRP entry
+// names one host page.
+const PageBytes = 4096
+
 // Payload is the content of a simulated memory range, carried by reference
-// instead of by bytes. A payload is a sorted, gap-free sequence of extents
-// over [0, Size()), each one of:
+// instead of by bytes. It has one of two forms, never both:
 //
-//   - zero: the range reads as zeros (the dominant case — figure workloads
-//     stream terabytes of blocks whose content nothing ever inspects);
-//   - materialized: the range lives in the payload's own backing slice;
-//   - reference: the range aliases an immutable, reference-counted Chunk
-//     shared with other payloads (the product of a zero-copy transfer).
+//   - lazy: one Cell per page (the last page may be short). The cell slice
+//     stays nil until the first non-zero byte lands, so a payload nothing
+//     writes reads as zeros and owns nothing;
+//   - eager: the bytes themselves. Bytes turns a lazy payload eager for good.
 //
-// Copies between payloads (PayloadCopy) move descriptors, not bytes: zero
-// ranges stay zero, shared chunks gain a reference, and only materialized
-// source bytes are snapshotted — once — into a chunk that every downstream
-// hop then shares. Real bytes exist only where a consumer called Bytes()
-// or MakeEager(), so a simulation whose workloads never read their data
-// moves no memory at all while remaining bit-exact for the ones that do.
+// Transfers into a lazy payload copy cells and take references instead of
+// moving bytes, so a simulation whose workloads never read their data moves
+// no memory at all while remaining bit-exact for the ones that do.
 //
 // Payloads are not safe for concurrent use; like every other simulation
 // structure they belong to one machine and run under its engine. The chunk
@@ -31,36 +31,17 @@ import (
 // mutex.
 type Payload struct {
 	size    int64
-	data    []byte // backing bytes; nil until first materialization
-	eager   bool   // sticky: writes land as bytes immediately (old data plane)
-	wrapped bool   // data belongs to the caller; never pooled
-	extents []extent
-	// room is where extents starts out, so a payload takes its first few
-	// splices without growing a list of its own.
-	room [4]extent
+	page    int64  // PageBytes; smaller only in tests
+	cells   []Cell // lazy form; nil while every byte is zero
+	data    []byte // eager form
+	eager   bool
+	wrapped bool // data belongs to the caller; never pooled
 }
 
-type extKind uint8
-
-const (
-	extZero extKind = iota
-	extMat
-	extRef
-)
-
-// extent describes payload content for [off, off+n). Invariants: extents
-// are sorted by off, adjacent (no gaps), and cover [0, size) exactly; a
-// ref extent holds one reference on its chunk.
-type extent struct {
-	off, n int64
-	kind   extKind
-	ch     *Chunk
-	chOff  int64
-}
-
-// Chunk is an immutable span of content shared between payloads by
-// reference counting. Chunks are created full (snapshot of a source range)
-// and recycled through a size-classed pool when the last reference drops.
+// Chunk is an immutable span of content shared between cells by reference
+// counting. Chunks are created full (a snapshot of source bytes) and
+// recycled through a size-classed pool when the last reference drops; a
+// chunk only one cell references may be written in place (Cell.sole).
 type Chunk struct {
 	data []byte
 	refs int32
@@ -85,21 +66,30 @@ func (c *Chunk) release() {
 //
 // A miss in a sub-page class carves slabLen headers and slabLen·size bytes,
 // each chunk's slice capped at its own size so no neighbour is reachable
-// through cap, and headers point only into their own data slab. Page-sized
-// and larger chunks are allocated singly: most chunks die with their machine
-// unreleased, and a slab of those would stay resident for as long as one
-// neighbour sat in this pool.
+// through cap, and headers point only into their own data slab. Chunks of up
+// to 32 bytes (a kv stamp) are carved with their bytes inside the header's
+// cache line, so a read that reaches the header has the bytes too.
+// Page-sized and larger chunks are allocated singly: most chunks die with
+// their machine unreleased, and a slab of those would stay resident for as
+// long as one neighbour sat in this pool.
 var chunkPool struct {
 	mu      sync.Mutex
 	classes [48][]*Chunk
+	small   []smallChunk
 	slabs   [carveBelow]struct {
 		hdrs []Chunk
 		data []byte
 	}
 }
 
+type smallChunk struct {
+	Chunk
+	b [1 << smallBelow]byte
+}
+
 const (
 	slabLen    = 64
+	smallBelow = 5  // classes up to 1<<5 bytes sit in smallChunks
 	carveBelow = 12 // classes under 1<<12 bytes are carved
 )
 
@@ -135,6 +125,15 @@ func chunkGet(n int64) *Chunk {
 // held).
 func chunkCarve(cls int) *Chunk {
 	size := 1 << cls
+	if cls <= smallBelow {
+		if len(chunkPool.small) == 0 {
+			chunkPool.small = make([]smallChunk, slabLen)
+		}
+		c := &chunkPool.small[0]
+		c.data = c.b[:size:size]
+		chunkPool.small = chunkPool.small[1:]
+		return &c.Chunk
+	}
 	sl := &chunkPool.slabs[cls]
 	if len(sl.hdrs) == 0 {
 		sl.hdrs, sl.data = make([]Chunk, slabLen), make([]byte, slabLen*size)
@@ -153,15 +152,16 @@ func chunkPut(c *Chunk) {
 	chunkPool.mu.Unlock()
 }
 
-// payloadFree recycles payload headers and their extent slices.
+// payloadFree recycles payload headers. A parked header holds no cells and
+// no bytes, so the pool keeps nothing else reachable.
 var payloadFree struct {
 	mu   sync.Mutex
 	list []*Payload
 }
 
 // defaultEager is the process-wide payload mode: false propagates
-// references (the zero-copy data plane), true materializes every payload
-// at birth: the eager byte plane, kept as the oracle the lazy≡eager tests and
+// references (the zero-copy data plane), true makes every payload eager at
+// birth: the byte plane, kept as the oracle the lazy≡eager tests and
 // fuzzers compare against. Only they flip it.
 var defaultEager atomic.Bool
 
@@ -172,24 +172,20 @@ func SetDefaultEager(v bool) { defaultEager.Store(v) }
 // DefaultEager reports the process-wide payload mode.
 func DefaultEager() bool { return defaultEager.Load() }
 
-// NewPayload creates a payload of the given size. Lazy payloads read as
-// zeros and own no bytes; eager payloads allocate zeroed backing up front
-// and behave exactly like the pre-payload data plane.
-func NewPayload(size int64, eager bool) *Payload {
+// NewPayload creates a payload of the given size that reads as zeros: lazy
+// and owning nothing, or eager over zeroed backing.
+func NewPayload(size int64, eager bool) *Payload { return newPayload(size, PageBytes, eager) }
+
+// newPayload is NewPayload with a page other than PageBytes, so tests can
+// cross page seams with payloads of a few dozen bytes.
+func newPayload(size, page int64, eager bool) *Payload {
 	if size < 0 {
 		panic(fmt.Sprintf("mem: negative payload size %d", size))
 	}
 	p := payloadGet()
-	p.size = size
-	p.eager = eager
-	if size == 0 {
-		return p
-	}
+	p.size, p.page, p.eager = size, page, eager
 	if eager {
 		p.data = BackingGet(size)
-		p.extents = append(p.extents, extent{off: 0, n: size, kind: extMat})
-	} else {
-		p.extents = append(p.extents, extent{off: 0, n: size, kind: extZero})
 	}
 	return p
 }
@@ -200,13 +196,8 @@ func NewPayload(size int64, eager bool) *Payload {
 // ones.
 func WrapBytes(data []byte) *Payload {
 	p := payloadGet()
-	p.size = int64(len(data))
-	p.data = data
-	p.eager = true
-	p.wrapped = true
-	if p.size > 0 {
-		p.extents = append(p.extents, extent{off: 0, n: p.size, kind: extMat}) // into the header's own room
-	}
+	p.size, p.page = int64(len(data)), PageBytes
+	p.data, p.eager, p.wrapped = data, true, true
 	return p
 }
 
@@ -223,7 +214,6 @@ func payloadGet() *Payload {
 		// Pool-miss cold path, one header at a time: most die unreleased with
 		// their machine, and a slab would keep their backing bytes reachable.
 		p = &Payload{}
-		p.extents = p.room[:0]
 	}
 	return p
 }
@@ -231,19 +221,13 @@ func payloadGet() *Payload {
 // Release drops the payload's content — chunk references, pooled backing —
 // and recycles the header. The payload must not be used afterwards.
 func (p *Payload) Release() {
-	for i := range p.extents {
-		if p.extents[i].kind == extRef {
-			p.extents[i].ch.release()
-		}
+	for i := range p.cells {
+		p.cells[i].drop()
 	}
-	p.extents = p.extents[:0]
 	if p.data != nil && !p.wrapped {
 		BackingPut(p.data)
 	}
-	p.data = nil
-	p.wrapped = false
-	p.eager = false
-	p.size = 0
+	*p = Payload{}
 	payloadFree.mu.Lock()
 	payloadFree.list = append(payloadFree.list, p)
 	payloadFree.mu.Unlock()
@@ -252,98 +236,45 @@ func (p *Payload) Release() {
 // Size reports the payload length in bytes.
 func (p *Payload) Size() int64 { return p.size }
 
-// Eager reports whether the payload is in sticky materialized mode.
-func (p *Payload) Eager() bool { return p.eager }
-
-// allMat reports whether the whole payload is one materialized extent, the
-// steady state after Bytes().
-func (p *Payload) allMat() bool {
-	return len(p.extents) == 1 && p.extents[0].kind == extMat
-}
-
-// Bytes materializes the payload and returns its backing slice. Zero
-// ranges are cleared, referenced chunks are copied in (and released), and
-// the payload collapses to one materialized extent, so the returned slice
-// is the content and writes through it are visible to later transfers.
-// Call it again after any transfer into the payload to re-synchronize.
+// Bytes returns the payload's content as its backing slice, turning a lazy
+// payload eager for good: its cells are copied out and released. Every
+// later transfer into the payload lands in that slice, and writes through
+// the slice are its content.
 func (p *Payload) Bytes() []byte {
-	if p.size == 0 || p.allMat() {
+	if p.eager {
 		return p.data
 	}
-	fresh := false
-	if p.data == nil {
-		p.data = BackingGet(p.size) // zeroed
-		fresh = true
-	}
-	for i := range p.extents {
-		e := &p.extents[i]
-		switch e.kind {
-		case extZero:
-			if !fresh {
-				zeroFill(p.data[e.off : e.off+e.n])
-			}
-		case extRef:
-			copy(p.data[e.off:e.off+e.n], e.ch.data[e.chOff:e.chOff+e.n])
-			e.ch.release()
-			e.ch = nil
+	p.data = BackingGet(p.size) // zeroed
+	for i := range p.cells {
+		if c := &p.cells[i]; c.ch != nil {
+			copy(p.data[int64(i)*p.page+c.lo():], c.at(c.lo(), int64(c.n)))
+			c.drop()
 		}
 	}
-	p.extents = append(p.extents[:0], extent{off: 0, n: p.size, kind: extMat}) // appends into retained capacity: extents is non-empty for any size > 0
+	p.cells, p.eager = nil, true
 	return p.data
-}
-
-// MakeEager materializes the payload and pins it in eager mode: every
-// subsequent transfer into it lands as real bytes immediately, so the
-// returned slice stays current without re-calling Bytes(). Queue rings and
-// control regions, whose bytes device models parse continuously, use this.
-func (p *Payload) MakeEager() []byte {
-	p.eager = true
-	return p.Bytes()
 }
 
 // ReadAt copies payload content [off, off+len(dst)) into dst. Zero ranges
 // scan-then-clear dst (recycled scratch is usually already zero); nothing
-// in the payload materializes.
+// in the payload changes.
 func (p *Payload) ReadAt(dst []byte, off int64) {
-	n := int64(len(dst))
-	p.check(off, n)
-	for i := p.findIdx(off); i < len(p.extents) && p.extents[i].off < off+n; i++ {
-		e := &p.extents[i]
-		a, b := clip(e, off, n)
-		d := dst[a-off : b-off]
-		switch e.kind {
-		case extZero:
-			zeroFill(d)
-		case extMat:
-			copy(d, p.data[a:b])
-		case extRef:
-			copy(d, e.ch.data[e.chOff+a-e.off:e.chOff+b-e.off])
-		}
-	}
+	p.check(off, int64(len(dst)))
+	r := pages{p: p, page: p.page}
+	r.read(dst, off)
 }
 
-// WriteAt stores src as payload content at off. Eager payloads take the
-// bytes directly; lazy ones record a zero extent when src scans as zero,
-// or snapshot it into a fresh chunk otherwise.
+// WriteAt stores src as payload content at off: into the bytes of an eager
+// payload, into cells by content in a lazy one (see StoreCells).
 func (p *Payload) WriteAt(src []byte, off int64) {
 	n := int64(len(src))
 	if n == 0 {
 		return
 	}
 	p.check(off, n)
-	if p.eager {
-		copy(p.Bytes()[off:off+n], src)
-		return
-	}
-	var seg extent
-	if AllZero(src) {
-		seg = extent{off: off, n: n, kind: extZero}
-	} else {
-		ch := chunkGet(n)
-		copy(ch.data, src)
-		seg = extent{off: off, n: n, kind: extRef, ch: ch}
-	}
-	p.replaceRange(off, n, seg)
+	s := Payload{size: n, data: src, eager: true}
+	r, sr := pages{p: p, page: p.page}, pages{p: &s, page: p.page}
+	r.write(off, &sr, 0, n)
 }
 
 // SetZero makes [off, off+n) read as zeros.
@@ -352,262 +283,60 @@ func (p *Payload) SetZero(off, n int64) {
 		return
 	}
 	p.check(off, n)
-	if p.eager {
-		zeroFill(p.data[off : off+n])
-		return
-	}
-	if e := &p.extents[p.findIdx(off)]; e.kind == extZero && off+n <= e.off+e.n {
+	if !p.eager && p.cells == nil {
 		return // already zero: a never-written block lands in an untouched buffer
 	}
-	p.replaceRange(off, n, extent{off: off, n: n, kind: extZero})
+	z := Payload{size: n, page: p.page}
+	r, zr := pages{p: p, page: p.page}, pages{p: &z, page: p.page}
+	r.write(off, &zr, 0, n)
 }
 
 // RangeZero reports whether [off, off+n) reads as all zeros. The check is
-// content-based — materialized and chunk bytes are scanned — so it gives
-// the same answer in lazy and eager modes.
+// content-based, so it gives the same answer in both forms.
 func (p *Payload) RangeZero(off, n int64) bool {
 	if n == 0 {
 		return true
 	}
 	p.check(off, n)
-	for i := p.findIdx(off); i < len(p.extents) && p.extents[i].off < off+n; i++ {
-		e := &p.extents[i]
-		a, b := clip(e, off, n)
-		switch e.kind {
-		case extMat:
-			if !AllZero(p.data[a:b]) {
-				return false
-			}
-		case extRef:
-			if !AllZero(e.ch.data[e.chOff+a-e.off : e.chOff+b-e.off]) {
-				return false
-			}
+	if p.eager {
+		return AllZero(p.data[off : off+n])
+	}
+	for pos := int64(0); pos < n && p.cells != nil; {
+		i, a := (off+pos)/p.page, (off+pos)%p.page
+		pn := min(p.page-a, n-pos)
+		c := &p.cells[i]
+		if lo, hi := c.part(a, pn); lo < hi && (c.within(a, pn) || !AllZero(c.at(a+lo, hi-lo))) {
+			return false
 		}
+		pos += pn
 	}
 	return true
 }
 
 // PayloadCopy transfers n bytes of content from src at srcOff to dst at
-// dstOff. Into an eager destination it degenerates to the historical byte
-// copy; into a lazy one it moves descriptors — zero ranges propagate as
-// zero, chunk references are shared, and materialized source bytes are
-// snapshotted once. Source segments are gathered before the destination
-// changes, so overlapping self-copies are safe.
-//
-// This is the data plane's per-granule copy between payloads — every DMA
-// machine but the SSD store's (StoreCells, LoadCells) lands here — so it is
-// a hot-path root in its own right, independent of which machines currently
-// reach it.
+// dstOff: every DMA between payloads lands here. Into an eager destination
+// it is a byte copy; into a lazy one it copies cells (see pages.write): zero
+// pages stay empty and chunk windows are shared. A copy within one payload
+// may overlap.
 func PayloadCopy(dst *Payload, dstOff int64, src *Payload, srcOff, n int64) {
 	if n == 0 {
 		return
 	}
 	src.check(srcOff, n)
 	dst.check(dstOff, n)
-	if dst.eager {
-		src.ReadAt(dst.Bytes()[dstOff:dstOff+n], srcOff)
+	if dst == src && !dst.eager {
+		// A page the copy writes may hold bytes it has yet to read, in the
+		// chunk the write lands in: stage the source in a payload of its
+		// own, on the same page seams.
+		a := srcOff % src.page
+		tmp := newPayload(a+n, src.page, false)
+		PayloadCopy(tmp, a, src, srcOff, n)
+		PayloadCopy(dst, dstOff, tmp, a, n)
+		tmp.Release()
 		return
 	}
-	var segbuf [8]extent
-	segs := src.gather(segbuf[:0], srcOff, n, dstOff)
-	dst.replaceRange(dstOff, n, segs...)
-}
-
-// gather collects src content over [srcOff, srcOff+n) as extents
-// positioned at destination offsets (srcOff maps to dstOff). Ref extents
-// are retained; materialized ranges scan for zero and otherwise snapshot
-// into fresh chunks, so the result is independent of src.
-func (src *Payload) gather(out []extent, srcOff, n, dstOff int64) []extent {
-	rel := dstOff - srcOff
-	for i := src.findIdx(srcOff); i < len(src.extents) && src.extents[i].off < srcOff+n; i++ {
-		e := &src.extents[i]
-		a, b := clip(e, srcOff, n)
-		// The appends below fill the caller's stack buffer ([8]extent in
-		// PayloadCopy); they spill to the heap only when the source range
-		// spans more than eight extents. Payloads stay fully merged (see
-		// replaceRange), so that takes eight content boundaries in one copy.
-		switch e.kind {
-		case extZero:
-			out = append(out, extent{off: a + rel, n: b - a, kind: extZero})
-		case extMat:
-			if seg := src.data[a:b]; AllZero(seg) {
-				out = append(out, extent{off: a + rel, n: b - a, kind: extZero})
-			} else {
-				ch := chunkGet(b - a)
-				copy(ch.data, seg)
-				out = append(out, extent{off: a + rel, n: b - a, kind: extRef, ch: ch})
-			}
-		case extRef:
-			e.ch.retain()
-			out = append(out, extent{off: a + rel, n: b - a, kind: extRef, ch: e.ch, chOff: e.chOff + a - e.off})
-		}
-	}
-	return out
-}
-
-// replaceRange substitutes the extent coverage of [off, off+n) with repl
-// (already positioned at absolute offsets; compacted in place), releasing
-// references the replaced coverage held.
-//
-// The list is fully merged — no two adjacent extents are mergeable — before
-// and after every call (NewPayload, Bytes and replaceRange are its only
-// writers), so a splice can create mergeable pairs only at its own seams:
-// inside repl, between repl and the piece or extent before it, and between
-// repl and the piece or extent after it. Its cost is therefore the extents
-// it overlaps plus one move of the list's tail when the extent count
-// changes, never a pass over the whole list.
-func (p *Payload) replaceRange(off, n int64, repl ...extent) {
-	// First extent overlapping off.
-	i := p.findIdx(off)
-	var head, tail extent
-	hasHead, hasTail := false, false
-	if e := p.extents[i]; e.off < off {
-		head = e
-		head.n = off - e.off
-		hasHead = true
-	}
-	// Extents wholly inside the replaced range.
-	j := i
-	for j < len(p.extents) && p.extents[j].off+p.extents[j].n <= off+n {
-		j++
-	}
-	if j < len(p.extents) && p.extents[j].off < off+n {
-		t := p.extents[j]
-		d := off + n - t.off
-		tail = t
-		tail.off += d
-		tail.n -= d
-		if tail.kind == extRef {
-			tail.chOff += d
-		}
-		hasTail = true
-		j++
-	}
-	// Reference accounting: each consumed ref extent carries one reference.
-	// An extent surviving as exactly one trimmed piece keeps it; one that
-	// splits into head AND tail needs a second; one fully replaced drops it.
-	for k := i; k < j; k++ {
-		e := &p.extents[k]
-		if e.kind != extRef {
-			continue
-		}
-		pieces := 0
-		if k == i && hasHead {
-			pieces++
-		}
-		if k == j-1 && hasTail {
-			pieces++
-		}
-		switch pieces {
-		case 0:
-			e.ch.release()
-		case 2:
-			e.ch.retain()
-		}
-	}
-	// Merge the seams. A trimmed piece stays unmergeable with its outer
-	// neighbor, so the window is: extent or head before, repl, tail or
-	// extent after. [lo, hi) is the run of old extents the result rewrites.
-	w := 0
-	for k := 1; k < len(repl); k++ {
-		if !repl[w].absorb(repl[k]) {
-			w++
-			repl[w] = repl[k]
-		}
-	}
-	repl = repl[:w+1]
-	last := &repl[w]
-	lo, hi := i, j
-	if hasHead {
-		if head.absorb(repl[0]) {
-			repl[0], hasHead = head, false
-		}
-	} else if i > 0 {
-		if prev := p.extents[i-1]; prev.absorb(repl[0]) {
-			repl[0] = prev
-			lo--
-		}
-	}
-	if hasTail {
-		if last.absorb(tail) {
-			hasTail = false
-		}
-	} else if j < len(p.extents) && last.absorb(p.extents[j]) {
-		hi++
-	}
-	// Splice: [0,lo) + head? + repl + tail? + [hi,len).
-	mid := lo + len(repl)
-	if hasHead {
-		mid++
-	}
-	if hasTail {
-		mid++
-	}
-	old := p.extents
-	need := mid + len(old) - hi
-	out, grow := old, cap(old) < need
-	if grow {
-		// Growth doubles the retained capacity, so it amortizes to O(1) per
-		// splice and stops at the payload's fragmentation high-water mark.
-		out = make([]extent, need, max(need, 2*cap(old)))
-		copy(out, old[:lo])
-	} else {
-		out = old[:need]
-	}
-	if grow || mid != hi {
-		copy(out[mid:], old[hi:])
-	}
-	if hasHead {
-		out[lo] = head
-		lo++
-	}
-	lo += copy(out[lo:], repl)
-	if hasTail {
-		out[lo] = tail
-	}
-	p.extents = out
-}
-
-// absorb extends a over b when b continues it — zeros always, materialized
-// ranges always (they index the same backing), references when b continues
-// a's chunk (dropping the duplicate reference) — and reports whether it did.
-// b must start where a ends.
-func (a *extent) absorb(b extent) bool {
-	if a.kind != b.kind || (a.kind == extRef && (a.ch != b.ch || a.chOff+a.n != b.chOff)) {
-		return false
-	}
-	a.n += b.n
-	if a.kind == extRef {
-		b.ch.release()
-	}
-	return true
-}
-
-// findIdx locates the first extent overlapping off (binary search — cache
-// and tier payloads fragment into many extents under scattered fills).
-func (p *Payload) findIdx(off int64) int {
-	i, j := 0, len(p.extents)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if p.extents[h].off+p.extents[h].n <= off {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
-}
-
-// clip intersects extent e with [off, off+n), returning absolute [a, b).
-func clip(e *extent, off, n int64) (int64, int64) {
-	a, b := e.off, e.off+e.n
-	if a < off {
-		a = off
-	}
-	if b > off+n {
-		b = off + n
-	}
-	return a, b
+	s, r := pages{p: src, page: src.page}, pages{p: dst, page: dst.page}
+	r.write(dstOff, &s, srcOff, n)
 }
 
 func (p *Payload) check(off, n int64) {
@@ -620,14 +349,11 @@ func (p *Payload) check(off, n int64) {
 // block compare against a reference page.
 func AllZero(b []byte) bool {
 	for len(b) > 0 {
-		chunk := b
-		if len(chunk) > len(zeroRef) {
-			chunk = chunk[:len(zeroRef)]
-		}
-		if !bytes.Equal(chunk, zeroRef[:len(chunk)]) {
+		n := min(len(b), len(zeroRef))
+		if !bytes.Equal(b[:n], zeroRef[:n]) {
 			return false
 		}
-		b = b[len(chunk):]
+		b = b[n:]
 	}
 	return true
 }
@@ -637,13 +363,10 @@ func AllZero(b []byte) bool {
 // cache line with an unconditional clear.
 func zeroFill(b []byte) {
 	for len(b) > 0 {
-		chunk := b
-		if len(chunk) > len(zeroRef) {
-			chunk = chunk[:len(zeroRef)]
+		n := min(len(b), len(zeroRef))
+		if !AllZero(b[:n]) {
+			clear(b[:n])
 		}
-		if !bytes.Equal(chunk, zeroRef[:len(chunk)]) {
-			clear(chunk)
-		}
-		b = b[len(chunk):]
+		b = b[n:]
 	}
 }

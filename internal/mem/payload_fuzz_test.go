@@ -6,74 +6,68 @@ import (
 	"testing"
 )
 
-// checkInvariants verifies the extent-list, cell and reference-count
-// invariants over a set of page cells and payloads that together own every
-// live chunk: each list is sorted, gap-free and covers [0, size); no two
-// adjacent extents are mergeable (the rule the whole-list merge pass used to
-// enforce, kept here as the reference the seam-only merge in replaceRange is
-// checked against); each cell is empty or a window inside its page and its
+// checkInvariants verifies the cell and reference-count invariants over a
+// row of page cells and payloads that together own every live chunk: a
+// payload is eager (its bytes, no cells) or lazy (no bytes, and no cells or
+// one per page); each cell is empty or a window inside its page and its
 // chunk holding a nonzero byte; and every chunk's refs equals the number of
-// extents and cells pointing at it.
+// cells pointing at it.
 func checkInvariants(pageBytes int64, cells []Cell, ps ...*Payload) error {
 	held := map[*Chunk]int32{}
-	for i := range cells {
-		c := &cells[i]
+	checkCell := func(c *Cell, pl int64, where string) error {
 		if c.ch == nil {
 			if *c != (Cell{}) {
-				return fmt.Errorf("cell %d: no chunk but window [%d,+%d) at %d", i, c.off, c.n, c.chOff)
+				return fmt.Errorf("%s: no chunk but window [%d,+%d) at %d", where, c.off, c.n, c.chOff)
+			}
+			return nil
+		}
+		if c.n <= 0 || c.off < 0 || c.hi() > pl || c.chOff < 0 || c.chOff+int64(c.n) > int64(len(c.ch.data)) {
+			return fmt.Errorf("%s: window [%d,+%d) at chunk offset %d outside its %d-byte page or its %d-byte chunk", where, c.off, c.n, c.chOff, pl, len(c.ch.data))
+		}
+		if AllZero(c.at(c.lo(), int64(c.n))) {
+			return fmt.Errorf("%s: holds a window of zeros instead of being empty", where)
+		}
+		held[c.ch]++
+		return nil
+	}
+	for i := range cells {
+		if err := checkCell(&cells[i], pageBytes, fmt.Sprintf("cell %d", i)); err != nil {
+			return err
+		}
+	}
+	for pi, p := range ps {
+		if p.eager {
+			if p.cells != nil || int64(len(p.data)) != p.size {
+				return fmt.Errorf("payload %d: eager with %d cells and %d bytes, size %d", pi, len(p.cells), len(p.data), p.size)
 			}
 			continue
 		}
-		if c.n <= 0 || c.off < 0 || c.hi() > pageBytes || c.chOff < 0 || c.chOff+int64(c.n) > int64(len(c.ch.data)) {
-			return fmt.Errorf("cell %d: window [%d,+%d) at chunk offset %d outside its page or its %d-byte chunk", i, c.off, c.n, c.chOff, len(c.ch.data))
+		if np := (p.size + p.page - 1) / p.page; p.data != nil || (p.cells != nil && int64(len(p.cells)) != np) {
+			return fmt.Errorf("payload %d: lazy with %d bytes and %d cells, want none and 0 or %d", pi, len(p.data), len(p.cells), np)
 		}
-		if AllZero(c.at(c.lo(), int64(c.n))) {
-			return fmt.Errorf("cell %d: holds a window of zeros instead of being empty", i)
-		}
-		held[c.ch]++
-	}
-	for pi, p := range ps {
-		var end int64
-		for k := range p.extents {
-			e := &p.extents[k]
-			if e.off != end || e.n <= 0 {
-				return fmt.Errorf("payload %d extent %d: [%d,+%d) does not continue coverage ending at %d", pi, k, e.off, e.n, end)
+		for k := range p.cells {
+			pl := min(p.page, p.size-int64(k)*p.page)
+			if err := checkCell(&p.cells[k], pl, fmt.Sprintf("payload %d page %d", pi, k)); err != nil {
+				return err
 			}
-			end = e.off + e.n
-			switch e.kind {
-			case extMat:
-				if int64(len(p.data)) != p.size {
-					return fmt.Errorf("payload %d extent %d: materialized without backing", pi, k)
-				}
-			case extRef:
-				if e.ch == nil || e.chOff < 0 || e.chOff+e.n > int64(len(e.ch.data)) {
-					return fmt.Errorf("payload %d extent %d: reference [%d,+%d) outside its chunk", pi, k, e.chOff, e.n)
-				}
-				held[e.ch]++
-			}
-			if k == 0 {
-				continue
-			}
-			if a := &p.extents[k-1]; a.kind == e.kind &&
-				(a.kind != extRef || (a.ch == e.ch && a.chOff+a.n == e.chOff)) {
-				return fmt.Errorf("payload %d extents %d and %d are mergeable (kind %d)", pi, k-1, k, e.kind)
-			}
-		}
-		if end != p.size {
-			return fmt.Errorf("payload %d: extents cover [0,%d), size %d", pi, end, p.size)
 		}
 	}
 	for ch, n := range held {
 		if ch.refs != n {
-			return fmt.Errorf("chunk %p: refs %d, %d extents point at it", ch, ch.refs, n)
+			return fmt.Errorf("chunk %p: refs %d, %d cells point at it", ch, ch.refs, n)
 		}
 	}
 	return nil
 }
 
-// fuzzPayloadSizes are small and unequal so random offsets hit extent seams,
-// first/last extents and cross-payload clipping often.
+// fuzzPayloadSizes are small and unequal so random offsets hit page seams,
+// first/last pages and cross-payload clipping often.
 var fuzzPayloadSizes = [...]int{64, 48, 80}
+
+// fuzzPayloadPage divides neither the payload sizes (every payload ends in a
+// short page) nor fuzzPageBytes (a store page's piece straddles two payload
+// pages).
+const fuzzPayloadPage = 12
 
 const fuzzOpBytes = 5
 
@@ -111,7 +105,7 @@ func fuzzPayloadOps(t *testing.T, data []byte) {
 	var ps [len(fuzzPayloadSizes)]*Payload
 	var model [len(fuzzPayloadSizes)][]byte
 	for i, n := range fuzzPayloadSizes {
-		ps[i] = NewPayload(int64(n), false)
+		ps[i] = newPayload(int64(n), fuzzPayloadPage, false)
 		model[i] = make([]byte, n)
 	}
 	var cells [fuzzPages]Cell
@@ -146,9 +140,9 @@ func fuzzPayloadOps(t *testing.T, data []byte) {
 			}
 		}
 		for _, p := range ps {
-			for k := range p.extents {
-				if p.extents[k].kind == extRef {
-					seen[p.extents[k].ch] = true
+			for k := range p.cells {
+				if c := &p.cells[k]; !c.Empty() {
+					seen[c.ch] = true
 				}
 			}
 		}
@@ -193,7 +187,7 @@ func fuzzPayloadOps(t *testing.T, data []byte) {
 			}
 			what += fmt.Sprintf(" from p%d@%d n=%d", si, soff, n)
 			PayloadCopy(p, int64(off), src, int64(soff), int64(n))
-			copy(m[off:off+n], sm[soff:soff+n]) // memmove: overlap-safe like the gather-first copy
+			copy(m[off:off+n], sm[soff:soff+n]) // memmove: overlap-safe like the staged self-copy
 		case fzBytes:
 			if got := p.Bytes(); !bytes.Equal(got, m) {
 				t.Fatalf("step %d (%s): Bytes = %x, model %x", step, what, got, m)
@@ -203,7 +197,7 @@ func fuzzPayloadOps(t *testing.T, data []byte) {
 			m[off] = op[4]
 		case fzRelease:
 			p.Release()
-			ps[di] = NewPayload(int64(len(m)), false)
+			ps[di] = newPayload(int64(len(m)), fuzzPayloadPage, false)
 			clear(m)
 		case fzStore, fzLoad:
 			row := int(op[4]) % len(cellModel)
@@ -250,32 +244,32 @@ func fz(op, dst, src, off, n, arg int) []byte {
 
 func fzSeq(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
 
-// fuzzPayloadSeeds are the seam cases of replaceRange, then the write and
-// read rules of page cells; plain `go test` runs them as
-// FuzzPayloadOps/seed#<index>.
+// fuzzPayloadSeeds are the page-seam cases of payload writes, zeros and
+// copies, then the store and load rules of page cells; plain `go test` runs
+// them as FuzzPayloadOps/seed#<index>.
 var fuzzPayloadSeeds = [][]byte{
-	// replace-one-extent-count-unchanged
+	// overwrite-one-span-in-place
 	fzSeq(
 		fz(fzWrite, 0, 0, 16, 16, 1), fz(fzWrite, 0, 0, 16, 16, 2), fz(fzRead, 0, 0, 0, 64, 0)),
-	// split-ref-into-head-and-tail
+	// write-into-the-middle-of-a-multi-page-snapshot
 	fzSeq(
-		fz(fzWrite, 0, 0, 0, 64, 1), fz(fzWrite, 0, 0, 16, 16, 2), // +2, the chunk gains a reference
+		fz(fzWrite, 0, 0, 0, 64, 1), fz(fzWrite, 0, 0, 16, 16, 2), // the middle pages copy out of the shared chunk
 		fz(fzRead, 0, 0, 0, 64, 0), fz(fzRelease, 0, 0, 0, 1, 0)),
-	// split-zero-then-merge-both-seams
+	// zero-a-written-span-empties-its-pages
 	fzSeq(
 		fz(fzWrite, 0, 0, 16, 16, 1), fz(fzSetZero, 0, 0, 16, 16, 0), fz(fzRangeZero, 0, 0, 0, 64, 0)),
-	// rejoin-chunk-across-both-seams
+	// copy-back-rejoins-the-shared-chunk
 	fzSeq(
 		fz(fzWrite, 0, 0, 0, 48, 1), fz(fzCopy, 1, 0, 0, 48, 0), // p1 shares p0's chunk
-		fz(fzWrite, 1, 0, 16, 16, 9), fz(fzCopy, 1, 0, 16, 16, 16), // restore the middle: head+mid+tail are one reference again
+		fz(fzWrite, 1, 0, 16, 16, 9), fz(fzCopy, 1, 0, 16, 16, 16), // restore the middle from p0's chunk again
 		fz(fzRead, 1, 0, 0, 48, 0)),
-	// merge-left-seam-only
+	// zero-the-front-of-a-window
 	fzSeq(
 		fz(fzWrite, 0, 0, 16, 16, 1), fz(fzSetZero, 0, 0, 16, 8, 0), fz(fzRead, 0, 0, 0, 64, 0)),
-	// merge-right-seam-only
+	// zero-the-back-of-a-window
 	fzSeq(
 		fz(fzWrite, 0, 0, 16, 16, 1), fz(fzSetZero, 0, 0, 24, 8, 0), fz(fzRead, 0, 0, 0, 64, 0)),
-	// first-and-last-extent
+	// first-and-last-page
 	fzSeq(
 		fz(fzWrite, 0, 0, 0, 8, 1), fz(fzWrite, 0, 0, 56, 8, 2), fz(fzWrite, 0, 0, 0, 8, 3),
 		fz(fzWrite, 0, 0, 56, 8, 4), fz(fzSetZero, 0, 0, 0, 8, 0), fz(fzSetZero, 0, 0, 56, 8, 0)),
@@ -283,9 +277,9 @@ var fuzzPayloadSeeds = [][]byte{
 	fzSeq(
 		fz(fzWrite, 0, 0, 0, 4, 1), fz(fzWrite, 0, 0, 8, 4, 2), fz(fzWrite, 0, 0, 16, 4, 3),
 		fz(fzWrite, 0, 0, 24, 4, 4), fz(fzWrite, 0, 0, 32, 4, 5), fz(fzWrite, 0, 0, 40, 4, 6),
-		fz(fzWrite, 0, 0, 2, 40, 7), // head of the first ref + one ref + tail of the last
+		fz(fzWrite, 0, 0, 2, 40, 7), // across every window, into the middle of the first and last
 		fz(fzSetZero, 0, 0, 0, 64, 0)),
-	// fragmented-source-spills-gather
+	// fragmented-source-straddles-seams
 	fzSeq(
 		fz(fzWrite, 2, 0, 0, 4, 1), fz(fzWrite, 2, 0, 8, 4, 2), fz(fzWrite, 2, 0, 16, 4, 3),
 		fz(fzWrite, 2, 0, 24, 4, 4), fz(fzWrite, 2, 0, 32, 4, 5), fz(fzWrite, 2, 0, 40, 4, 6),
@@ -296,24 +290,24 @@ var fuzzPayloadSeeds = [][]byte{
 		fz(fzRead, 0, 0, 0, 64, 0)),
 	// materialized-source
 	fzSeq(
-		fz(fzWrite, 1, 0, 8, 8, 1), fz(fzPoke, 1, 0, 30, 1, 7), // p1 is one materialized extent: bytes, then zeros
-		fz(fzCopy, 0, 1, 0, 48, 0), fz(fzCopy, 0, 1, 40, 8, 40), fz(fzWrite, 1, 0, 4, 8, 3), // refs over a materialized base
+		fz(fzWrite, 1, 0, 8, 8, 1), fz(fzPoke, 1, 0, 30, 1, 7), // p1 is eager: bytes, then zeros
+		fz(fzCopy, 0, 1, 0, 48, 0), fz(fzCopy, 0, 1, 40, 8, 40), fz(fzWrite, 1, 0, 4, 8, 3), // an eager source's bytes land in snapshots
 		fz(fzCopy, 2, 1, 0, 48, 0), fz(fzBytes, 0, 0, 0, 1, 0), fz(fzBytes, 2, 0, 0, 1, 0)),
-	// zero-source-over-refs
+	// zero-source-over-windows
 	fzSeq(
 		fz(fzWrite, 0, 0, 0, 64, 1), fz(fzCopy, 0, 1, 8, 40, 0), fz(fzWriteZero, 0, 0, 48, 16, 0),
 		fz(fzRangeZero, 0, 0, 8, 56, 0)),
-	// set-zero-over-zero: inside, exactly over and across the end of a zero
-	// extent; only the last one may change the list
+	// set-zero-over-zero: inside, exactly over and across the end of empty
+	// pages; only the last ones reach a window
 	fzSeq(
-		fz(fzSetZero, 0, 0, 0, 64, 0), fz(fzSetZero, 0, 0, 20, 8, 0), // untouched payload: one zero extent
-		fz(fzWrite, 0, 0, 0, 16, 1), fz(fzWrite, 0, 0, 48, 16, 2), // ref, zero [16,48), ref
+		fz(fzSetZero, 0, 0, 0, 64, 0), fz(fzSetZero, 0, 0, 20, 8, 0), // untouched payload: no cells
+		fz(fzWrite, 0, 0, 0, 16, 1), fz(fzWrite, 0, 0, 48, 16, 2), // window, zeros [16,48), window
 		fz(fzSetZero, 0, 0, 24, 8, 0), fz(fzSetZero, 0, 0, 16, 32, 0), fz(fzSetZero, 0, 0, 16, 1, 0),
 		fz(fzSetZero, 0, 0, 47, 1, 0), fz(fzRead, 0, 0, 0, 64, 0),
-		fz(fzSetZero, 0, 0, 40, 16, 0), fz(fzRangeZero, 0, 0, 16, 40, 0), // starts in the zero extent, ends in the ref
-		fz(fzSetZero, 0, 0, 8, 16, 0), fz(fzRead, 0, 0, 0, 64, 0)), // starts in the ref, ends in the zero extent
+		fz(fzSetZero, 0, 0, 40, 16, 0), fz(fzRangeZero, 0, 0, 16, 40, 0), // starts in zeros, ends in a window
+		fz(fzSetZero, 0, 0, 8, 16, 0), fz(fzRead, 0, 0, 0, 64, 0)), // starts in a window, ends in zeros
 	// page-shares-a-reference-then-copies-on-write: three pages take windows
-	// of p0's chunk, p1 reads them back as one merged extent, and a sub-page
+	// of p0's chunk, p1 reads them back as windows of it, and a sub-page
 	// write into a shared page makes that page private
 	fzSeq(
 		fz(fzWrite, 0, 0, 0, 64, 1), fz(fzStore, 0, 0, 8, 40, 4), fz(fzLoad, 1, 0, 0, 40, 4),
@@ -349,8 +343,7 @@ var fuzzPayloadSeeds = [][]byte{
 
 // FuzzPayloadOps drives random op sequences over three lazy payloads and
 // four page cells against plain byte-slice models, checking content, the
-// fully-merged extent invariant, the cell windows and chunk reference counts
-// after every op.
+// payload forms, the cell windows and chunk reference counts after every op.
 func FuzzPayloadOps(f *testing.F) {
 	for _, seed := range fuzzPayloadSeeds {
 		f.Add(seed)

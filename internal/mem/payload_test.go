@@ -185,8 +185,8 @@ func TestPayloadChunkSharing(t *testing.T) {
 	d2.Release()
 }
 
-// TestPayloadPartialOverwrite splits a shared extent: overwriting the middle
-// of a referenced range must keep head and tail content and refcounts right.
+// TestPayloadPartialOverwrite: overwriting the middle of a shared page must
+// keep the rest of its content and the refcounts right.
 func TestPayloadPartialOverwrite(t *testing.T) {
 	src := NewPayload(4096, false)
 	defer src.Release()
@@ -195,13 +195,13 @@ func TestPayloadPartialOverwrite(t *testing.T) {
 	dst := NewPayload(4096, false)
 	PayloadCopy(dst, 0, src, 0, 4096)
 	mid := pattern(10, 1024)
-	dst.WriteAt(mid, 1536) // splits the single ref extent into head/new/tail
+	dst.WriteAt(mid, 1536) // copies the shared page out before writing its middle
 	want := append([]byte(nil), a...)
 	copy(want[1536:], mid)
 	got := make([]byte, 4096)
 	dst.ReadAt(got, 0)
 	if !bytes.Equal(got, want) {
-		t.Fatal("partial overwrite of shared extent mismatch")
+		t.Fatal("partial overwrite of shared page mismatch")
 	}
 	dst.Release() // must not over-release the split chunk
 	got2 := make([]byte, 4096)
@@ -231,17 +231,23 @@ func TestWrapBytes(t *testing.T) {
 	}
 }
 
+// TestMakeEagerSticky: Bytes, which the buffers' MakeEager calls, pins a
+// payload eager, so later writes and zeros land in the slice it returned.
 func TestMakeEagerSticky(t *testing.T) {
 	p := NewPayload(4096, false)
 	defer p.Release()
-	pb := p.MakeEager()
-	src := NewPayload(4096, false)
-	defer src.Release()
 	a := pattern(12, 4096)
-	src.WriteAt(a, 0)
-	PayloadCopy(p, 0, src, 0, 4096)
+	p.WriteAt(a, 0)
+	pb := p.Bytes()
+	if !p.eager || p.cells != nil {
+		t.Fatal("Bytes left the payload lazy")
+	}
+	p.SetZero(0, 100)
+	p.WriteAt([]byte{1, 2}, 200)
+	clear(a[:100])
+	copy(a[200:], []byte{1, 2})
 	if !bytes.Equal(pb, a) {
-		t.Fatal("transfer into eager payload not visible through pinned slice")
+		t.Fatal("writes after Bytes not visible through its slice")
 	}
 }
 
@@ -290,48 +296,90 @@ func TestEagerLazyEquivalence(t *testing.T) {
 	}
 }
 
-// TestSetZeroOverZeroIsNoOp: zeroing a range that already lies inside one
-// zero extent must leave the extent list alone and allocate nothing, in the
-// middle of a fragmented payload as well as on an untouched one.
+// TestSetZeroOverZeroIsNoOp: zeroing a range of empty pages must leave
+// every cell alone and allocate nothing, in the middle of a written payload
+// as well as on an untouched one.
 func TestSetZeroOverZeroIsNoOp(t *testing.T) {
+	untouched := NewPayload(64<<10, false)
+	defer untouched.Release()
 	p := NewPayload(64<<10, false)
 	defer p.Release()
 	block := bytes.Repeat([]byte{7}, 4096)
 	p.WriteAt(block, 0)
 	p.WriteAt(block, 60<<10)
-	before := append([]extent(nil), p.extents...)
+	before := append([]Cell(nil), p.cells...)
 	if a := testing.AllocsPerRun(100, func() {
+		untouched.SetZero(0, 64<<10)
 		p.SetZero(4096, 4096)
 		p.SetZero(8192, 52<<10)
 		p.SetZero(56<<10, 4096)
 	}); a != 0 {
 		t.Fatalf("%v allocs zeroing an already-zero range, want 0", a)
 	}
-	if len(p.extents) != len(before) {
-		t.Fatalf("extent list changed: %d extents, was %d", len(p.extents), len(before))
+	if untouched.cells != nil {
+		t.Fatal("zeroing an untouched payload gave it cells")
 	}
 	for i := range before {
-		if p.extents[i] != before[i] {
-			t.Fatalf("extent %d changed: %+v, was %+v", i, p.extents[i], before[i])
+		if p.cells[i] != before[i] {
+			t.Fatalf("cell %d changed: %+v, was %+v", i, p.cells[i], before[i])
 		}
 	}
-	p.SetZero(0, 8192) // reaches into the first chunk: must take effect
+	p.SetZero(0, 8192) // reaches into the first page: must take effect
 	if !p.RangeZero(0, 60<<10) || p.RangeZero(60<<10, 4096) {
-		t.Fatal("SetZero across a chunk and a zero extent did not zero exactly its range")
+		t.Fatal("SetZero across a written page and an empty one did not zero exactly its range")
+	}
+	if !p.cells[0].Empty() {
+		t.Fatal("a page zeroed whole still holds a window")
 	}
 }
 
-// TestChunkSlabNoAlias: sub-page chunks are carved from a shared byte slab,
-// so each one's slice must end at its own last byte — cap == len == class
-// size — and filling one must leave the chunks carved beside it alone.
-// Page-sized chunks are not carved (they would pin their slab from the pool).
+// TestBytesTracksLaterTransfers: Bytes turns a payload eager for good, so a
+// PayloadCopy and a LoadCells into it afterwards land in the slice Bytes
+// already returned.
+func TestBytesTracksLaterTransfers(t *testing.T) {
+	p := NewPayload(2*testPage, false)
+	defer p.Release()
+	pb := p.Bytes()
+	a, b := pattern(13, testPage), pattern(14, testPage)
+	src := NewPayload(testPage, false)
+	defer src.Release()
+	src.WriteAt(a, 0)
+	PayloadCopy(p, 0, src, 0, testPage)
+	var c Cell
+	storePage(&c, b)
+	LoadCells(p, testPage, []*Cell{&c}, testPage, 0, testPage)
+	c.drop()
+	if !bytes.Equal(pb[:testPage], a) {
+		t.Error("a PayloadCopy after Bytes is not visible through the slice it returned")
+	}
+	if !bytes.Equal(pb[testPage:], b) {
+		t.Error("a LoadCells after Bytes is not visible through the slice it returned")
+	}
+}
+
+// TestChunkSlabNoAlias: sub-page chunks are carved from a shared slab, so
+// each one's slice must end at its own last byte — cap == len == class size
+// — and filling one must leave the chunks carved beside it alone, with their
+// bytes in a byte slab (48) or beside their header (24). Page-sized chunks
+// are not carved (they would pin their slab from the pool).
 func TestChunkSlabNoAlias(t *testing.T) {
-	const n = 48 // class 64
+	for _, n := range []int64{48, 24} {
+		chunkSlabNoAlias(t, n)
+	}
+	big := chunkGet(4096)
+	if cap(big.data) != 4096 {
+		t.Fatalf("page chunk has cap %d", cap(big.data))
+	}
+	big.release()
+}
+
+func chunkSlabNoAlias(t *testing.T, n int64) {
+	class := 1 << chunkClass(n)
 	var cs [slabLen + 2]*Chunk
 	for i := range cs {
 		cs[i] = chunkGet(n)
-		if len(cs[i].data) != n || cap(cs[i].data) != 64 {
-			t.Fatalf("chunk %d: len %d cap %d, want %d and the class size 64", i, len(cs[i].data), cap(cs[i].data), n)
+		if int64(len(cs[i].data)) != n || cap(cs[i].data) != class {
+			t.Fatalf("chunk %d: len %d cap %d, want %d and the class size %d", i, len(cs[i].data), cap(cs[i].data), n, class)
 		}
 	}
 	// Write each chunk to the very end of what its slice can reach.
@@ -349,9 +397,4 @@ func TestChunkSlabNoAlias(t *testing.T) {
 		}
 		c.release()
 	}
-	big := chunkGet(4096)
-	if cap(big.data) != 4096 {
-		t.Fatalf("page chunk has cap %d", cap(big.data))
-	}
-	big.release()
 }

@@ -377,7 +377,6 @@ func (s *Sorter) mergeGroup(p *sim.Proc, srcOff, dstOff, width int64, lens []int
 				if pa == len(a) {
 					a = readers[0].next(p)
 					pa = 0
-					od = out[slot].Bytes()
 					if a == nil {
 						break
 					}
@@ -394,7 +393,6 @@ func (s *Sorter) mergeGroup(p *sim.Proc, srcOff, dstOff, width int64, lens []int
 				if pb == len(b) {
 					b = readers[1].next(p)
 					pb = 0
-					od = out[slot].Bytes()
 					if b == nil {
 						break
 					}
@@ -440,7 +438,6 @@ func (s *Sorter) mergeGroup(p *sim.Proc, srcOff, dstOff, width int64, lens []int
 			if pos[i] == len(cur[i]) {
 				cur[i] = readers[i].next(p)
 				pos[i] = 0
-				od = out[slot].Bytes()
 			}
 			if cur[i] == nil {
 				// Run i exhausted: shrink the heap.
@@ -541,9 +538,9 @@ func (s *Sorter) Verify(p *sim.Proc) error {
 	prev := uint32(0)
 	first := true
 	data := s.cfg.NumInts * 4
+	bb := buf.Bytes()
 	for off := int64(0); off < data; off += s.cfg.ChunkBytes {
 		xfer.Read(p, s.b, s.dataOff+off, s.cfg.ChunkBytes, buf, 0)
-		bb := buf.Bytes() // re-materialize: the read replaced the content references
 		for i := int64(0); i < s.cfg.ChunkBytes; i += 4 {
 			v := binary.LittleEndian.Uint32(bb[i:])
 			if !first && v < prev {

@@ -8,8 +8,9 @@ import (
 	"camsim/internal/nvme"
 )
 
-// pageBytes is the store's content granule: the FTL's 4 KiB page.
-const pageBytes = 4096
+// pageBytes is the store's content granule: the FTL's 4 KiB page, the
+// payload's page (so a transfer copies cell for cell).
+const pageBytes = mem.PageBytes
 
 const lbasPerPage = pageBytes / nvme.LBASize
 

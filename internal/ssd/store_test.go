@@ -286,8 +286,8 @@ func flatContent(rng *sim.RNG, n int64) []byte {
 }
 
 // sourcePayload holds content at pad: wrapped, eager, or born in the
-// default mode and written in pieces (zero and reference extents when that
-// mode is lazy).
+// default mode and written in pieces (empty pages and chunk windows when
+// that mode is lazy).
 func sourcePayload(rng *sim.RNG, kind int64, content []byte, pad int64) *mem.Payload {
 	size := pad + int64(len(content)) + rng.Int63n(2)*512
 	switch kind {
@@ -310,7 +310,7 @@ func sourcePayload(rng *sim.RNG, kind int64, content []byte, pad int64) *mem.Pay
 }
 
 // destPayload is a dirty destination: wrapped, eager, born in the default
-// mode with a stale extent in it, or born in the default mode untouched.
+// mode with stale pages in it, or born in the default mode untouched.
 func destPayload(rng *sim.RNG, kind, size int64) *mem.Payload {
 	dirt := bytes.Repeat([]byte{0xD1}, int(size))
 	switch kind {
