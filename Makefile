@@ -62,7 +62,12 @@ shapes:
 
 # determinism is the stdout-identity gate: cambench built once, then the whole
 # quick suite at -parallel 1 and -parallel 8, with no fault plan and with
-# -faults 7:1e-4. Each pair must be byte-identical (≈12 s).
+# -faults 7:1e-4. Each pair must be byte-identical (≈12 s), and each output
+# must hash to its pinned sha256 below. A change that is meant to move the
+# model (or any quick-suite figure) updates the two pins in the same commit,
+# on purpose; every other change leaves them alone.
+DETERMINISM_SHA256 = 86d5975fc18d45b2d53c923aac8a71f77fb1fca752f99dcb939993391844dd1d
+DETERMINISM_FAULTS_SHA256 = 8809d55e7729ffb6b2e8cd3cd0a2c54098e231c248dcdae84040ae641c46225e
 determinism:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/cambench" ./cmd/cambench && \
@@ -71,7 +76,10 @@ determinism:
 			"$$tmp/cambench" -exp all -quick -parallel $$p $$f > "$$tmp/p$$p" 2> "$$tmp/err" || { cat "$$tmp/err"; exit 1; }; \
 		done; \
 		cmp "$$tmp/p1" "$$tmp/p8" || { echo "determinism: -parallel 1 and -parallel 8 differ ($${f:-no faults})"; exit 1; }; \
-		echo "determinism: $${f:-no faults}: sha256 $$(sha256sum < "$$tmp/p1" | cut -c1-16) at -parallel 1 and 8"; \
+		got=$$(sha256sum < "$$tmp/p1" | cut -d' ' -f1); \
+		if [ -z "$$f" ]; then want=$(DETERMINISM_SHA256); else want=$(DETERMINISM_FAULTS_SHA256); fi; \
+		[ "$$got" = "$$want" ] || { echo "determinism: $${f:-no faults}: sha256 $$got, pinned $$want"; exit 1; }; \
+		echo "determinism: $${f:-no faults}: sha256 $$(echo $$got | cut -c1-16) at -parallel 1 and 8, as pinned"; \
 	done
 
 # fuzz-smoke gives every fuzz target in the module FUZZTIME of fuzzing, one

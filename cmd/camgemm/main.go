@@ -13,9 +13,9 @@ import (
 	"io"
 	"os"
 
-	"camsim/internal/bam"
 	"camsim/internal/fault"
 	"camsim/internal/gemmx"
+	"camsim/internal/harness"
 	"camsim/internal/metrics"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
@@ -58,33 +58,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fault.SetDefault(plan)
 
-	// The backend's block is the tile, capped at 64 KiB for the ones that
-	// move tiles in granules; it is checked before any backend is built.
 	cfg := gemmx.Config{N: *n, K: *n, M: *n, Tile: *tile, ComputeRate: 100e12, RealMath: *verify}
-	block := min(65536, cfg.TileBytes())
-	switch *backend {
-	case "cam", "bam", "gds":
-	case "spdk":
-		block = cfg.TileBytes()
-	default:
-		return fail("unknown backend %q (want cam, bam, gds or spdk)", *backend)
-	}
-	if err := cfg.Validate(block); err != nil {
-		return fail("-n %d, -tile %d: %v", *n, *tile, err)
-	}
-
 	env := platform.New(platform.Options{SSDs: *ssds})
 	defer env.E.Shutdown()
-	var b xfer.Backend
-	switch *backend {
-	case "cam":
-		b = xfer.NewCAM(env, block, nil)
-	case "bam":
-		b = xfer.NewBaM(env, bam.New(env.E, bam.DefaultConfig(), env.GPU, env.Devs), block)
-	case "gds":
-		b = xfer.NewGDS(env, block)
-	case "spdk":
-		b = xfer.NewSPDK(env, block, 4)
+	// The backend checks cfg against its block before it is built.
+	b, err := harness.GEMMBackend(env, *backend, cfg)
+	switch {
+	case errors.Is(err, harness.ErrUnknownBackend):
+		return fail("%v", err)
+	case err != nil:
+		return fail("-n %d, -tile %d: %v", *n, *tile, err)
 	}
 
 	m := gemmx.New(env, b, cfg)

@@ -12,8 +12,8 @@ import (
 	"io"
 	"os"
 
-	"camsim/internal/bam"
 	"camsim/internal/fault"
+	"camsim/internal/harness"
 	"camsim/internal/metrics"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
@@ -45,6 +45,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if *ssds < 1 {
+		fmt.Fprintf(stderr, "camsort: -ssds %d: need at least one SSD\n", *ssds)
+		return 1
+	}
 	plan, err := fault.ParseSpec(*faults)
 	if err != nil {
 		fmt.Fprintf(stderr, "camsort: -faults: %v\n", err)
@@ -68,21 +72,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	env := platform.New(platform.Options{SSDs: *ssds})
 	defer env.E.Shutdown()
-	var b xfer.Backend
-	switch *backend {
-	case "cam":
-		b = xfer.NewCAM(env, 65536, nil)
-	case "spdk":
-		b = xfer.NewSPDK(env, *chunk/4, 8)
-	case "posix":
-		b = xfer.NewPOSIX(env, *chunk, 4)
-	case "bam":
-		b = xfer.NewBaM(env, bam.New(env.E, bam.DefaultConfig(), env.GPU, env.Devs), 65536)
-	default:
-		fmt.Fprintf(stderr, "camsort: unknown backend %q (want cam, spdk, posix or bam)\n", *backend)
+	b, err := harness.SortBackend(env, *backend, cfg)
+	switch {
+	case errors.Is(err, harness.ErrUnknownBackend):
+		fmt.Fprintf(stderr, "camsort: %v\n", err)
 		return 1
-	}
-	if err := cfg.Validate(b.BlockBytes()); err != nil {
+	case err != nil:
 		fmt.Fprintf(stderr, "camsort: -keys %d, -run %d, -chunk %d: %v\n", *keys, *runKeys, *chunk, err)
 		return 1
 	}

@@ -42,6 +42,15 @@ func TestRunRejects(t *testing.T) {
 		// user set, not the derived run size.
 		{name: "too few keys", args: []string{"-keys", "3"}, code: 1, stderr: []string{"-keys 3", "-run"}},
 		{name: "run not a chunk multiple", args: []string{"-keys", "65536", "-ssds", "4", "-run", "1000"}, code: 1, stderr: []string{"-run 1000", "-chunk"}},
+		// A zero or negative chunk, and a chunk whose SPDK quarter is zero,
+		// are sort shape errors rather than a divide by zero or a negative
+		// staging buffer; no SSDs is an error rather than a platform of the
+		// default twelve.
+		{name: "zero chunk", args: []string{"-keys", "65536", "-ssds", "4", "-chunk", "0"}, code: 1, stderr: []string{"-chunk 0", "ChunkBytes 0 must be positive"}},
+		{name: "negative spdk chunk", args: []string{"-keys", "65536", "-ssds", "4", "-chunk", "-8", "-backend", "spdk"}, code: 1, stderr: []string{"-chunk -8", "ChunkBytes -8 must be positive"}},
+		{name: "spdk block below one byte", args: []string{"-keys", "65536", "-ssds", "4", "-chunk", "2", "-backend", "spdk"}, code: 1, stderr: []string{"-chunk 2", "backend block 0 must be positive"}},
+		{name: "zero ssds", args: []string{"-ssds", "0"}, code: 1, stderr: []string{"-ssds 0"}},
+		{name: "negative ssds", args: []string{"-ssds", "-1"}, code: 1, stderr: []string{"-ssds -1"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

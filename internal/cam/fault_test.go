@@ -38,13 +38,10 @@ func faultRig(nDevs int, cfg Config, plan *fault.Plan) *rig {
 }
 
 // armedCAMConfig arms the backend recovery machinery the way
-// platform/harness do under a fault plan.
+// spdk.DefaultConfig does under a process-wide fault plan.
 func armedCAMConfig(nDevs int) Config {
 	cfg := DefaultConfig(nDevs)
-	cfg.Backend.CmdTimeout = 25 * sim.Millisecond
-	cfg.Backend.MaxRetries = 3
-	cfg.Backend.RetryBackoff = 100 * sim.Microsecond
-	cfg.Backend.FailThreshold = 4
+	cfg.Backend.ArmRecovery()
 	return cfg
 }
 

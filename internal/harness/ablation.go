@@ -9,6 +9,7 @@ import (
 	"camsim/internal/nvme"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
+	"camsim/internal/workload"
 )
 
 // Ablations for the design choices DESIGN.md calls out. They are not paper
@@ -91,35 +92,16 @@ func runAblBatch(cfg RunConfig) *Result {
 	r := &Result{ID: "abl-batch", Title: "Batch size sweep"}
 	f := metrics.NewFigure("abl-batch", "CAM read throughput vs batch size (12 SSDs, 4KB)", "blocks/batch", "GB/s")
 	s := f.NewSeries("CAM")
-	sizes := []int{16, 64, 256, 1024, 4096}
+	sizes, blocks := []int{16, 64, 256, 1024, 4096}, 1<<14
 	if cfg.Quick {
-		sizes = []int{16, 256, 4096}
+		sizes, blocks = []int{16, 256, 4096}, 1<<13
 	}
 	for _, bs := range sizes {
-		env := platform.New(platform.Options{SSDs: 12})
 		ccfg := cam.DefaultConfig(12)
-		ccfg.BlockBytes = 4096
 		ccfg.MaxBatch = bs
-		mgr := cam.New(env.E, ccfg, env.GPU, env.HM, env.Space, env.Fab, env.Devs)
-		dst := mgr.Alloc("d", int64(bs)*4096)
-		total := int64(1 << 14 * 4096)
-		if cfg.Quick {
-			total = 1 << 13 * 4096
-		}
-		batches := int(total / int64(bs) / 4096)
-		rng := sim.NewRNG(3)
-		env.E.Go("app", func(p *sim.Proc) {
-			for b := 0; b < batches; b++ {
-				blocks := make([]uint64, bs)
-				for i := range blocks {
-					blocks[i] = uint64(rng.Int63n(1 << 20))
-				}
-				mgr.Prefetch(p, blocks, dst, 0)
-				mgr.PrefetchSynchronize(p)
-			}
-		})
-		end := runEnv(cfg, env)
-		s.Add(float64(bs), float64(int64(batches)*int64(bs)*4096)/end.Seconds()/1e9)
+		l := load{nvme.OpRead, workload.NewUniform(3, 1<<20), bs, blocks / bs, 1}
+		v, _, _ := camRun(cfg, platform.Options{SSDs: 12}, ccfg, l)
+		s.Add(float64(bs), v/1e9)
 	}
 	r.Figs = append(r.Figs, f)
 	r.Notes = append(r.Notes,
@@ -133,55 +115,20 @@ func runAblOutstanding(cfg RunConfig) *Result {
 	f := metrics.NewFigure("abl-outstanding", "CAM read throughput vs outstanding batches (12 SSDs, 4KB, 512-block batches)",
 		"outstanding", "GB/s")
 	s := f.NewSeries("CAM")
-	depths := []int{1, 2, 4, 8}
+	depths, batches := []int{1, 2, 4, 8}, 64
 	if cfg.Quick {
-		depths = []int{1, 2, 8}
+		depths, batches = []int{1, 2, 8}, 32
 	}
 	for _, d := range depths {
-		v, _, _ := camThroughputSmallBatch(cfg, 12, nvme.OpRead, 4096, d)
+		// 512-block batches are small enough that pipeline depth matters.
+		ccfg := cam.DefaultConfig(12)
+		ccfg.MaxBatch = 512
+		ccfg.MaxOutstanding = d + 1
+		v, _, _ := camRun(cfg, platform.Options{SSDs: 12}, ccfg, load{nvme.OpRead, workload.NewUniform(7, 1<<20), 512, batches, d})
 		s.Add(float64(d), v/1e9)
 	}
 	r.Figs = append(r.Figs, f)
 	r.Notes = append(r.Notes,
 		"with small batches, deeper pipelines recover the idle gap between publish and completion")
 	return r
-}
-
-// camThroughputSmallBatch is camThroughput with a deliberately small batch
-// so pipeline depth matters.
-func camThroughputSmallBatch(cfg RunConfig, ssds int, op nvme.Opcode, gran int64, outstanding int) (float64, *platform.Env, *cam.Manager) {
-	env := platform.New(platform.Options{SSDs: ssds})
-	ccfg := cam.DefaultConfig(ssds)
-	ccfg.BlockBytes = gran
-	ccfg.MaxOutstanding = outstanding + 1
-	const perBatch = 512
-	ccfg.MaxBatch = perBatch
-	mgr := cam.New(env.E, ccfg, env.GPU, env.HM, env.Space, env.Fab, env.Devs)
-	batches := 64
-	if cfg.Quick {
-		batches = 32
-	}
-	buf := mgr.Alloc("bench", perBatch*gran*int64(outstanding))
-	rng := sim.NewRNG(7)
-	env.E.Go("bench", func(p *sim.Proc) {
-		var handles []*cam.Batch
-		for b := 0; b < batches; b++ {
-			blocks := make([]uint64, perBatch)
-			for i := range blocks {
-				blocks[i] = uint64(rng.Int63n(1 << 20))
-			}
-			slot := int64(b%outstanding) * perBatch * gran
-			h := mgr.Prefetch(p, blocks, buf, slot)
-			handles = append(handles, h)
-			if len(handles) >= outstanding {
-				mgr.Synchronize(p, handles[0])
-				handles = handles[1:]
-			}
-		}
-		for _, h := range handles {
-			mgr.Synchronize(p, h)
-		}
-	})
-	end := runEnv(cfg, env)
-	return float64(int64(batches)*perBatch*gran) / end.Seconds(), env, mgr
 }

@@ -1,12 +1,11 @@
 package harness
 
 import (
-	"camsim/internal/bam"
 	"camsim/internal/cam"
 	"camsim/internal/gpucache"
 	"camsim/internal/metrics"
+	"camsim/internal/nvme"
 	"camsim/internal/platform"
-	"camsim/internal/sim"
 	"camsim/internal/workload"
 )
 
@@ -32,50 +31,25 @@ func runAblCache(cfg RunConfig) *Result {
 
 	runBaM := func(gen workload.Generator, withCache bool) (gbps float64, hitRate float64) {
 		env := platform.New(platform.Options{SSDs: ssds})
-		sys := bam.New(env.E, bam.DefaultConfig(), env.GPU, env.Devs)
-		arr := sys.NewArray(blockBytes)
+		arr := newBaM(env).NewArray(blockBytes)
 		var c *gpucache.Cache
 		if withCache {
 			// 32 Mi of cache over a 1 Gi logical span.
 			c = gpucache.New(env.GPU, "c", gpucache.Config{Sets: 1024, Ways: 8, LineBytes: blockBytes})
 			arr.AttachCache(c)
 		}
-		dst := env.GPU.Alloc("dst", int64(perBatch)*blockBytes)
-		env.E.Go("bench", func(p *sim.Proc) {
-			for b := 0; b < batches; b++ {
-				blocks := make([]uint64, perBatch)
-				for i := range blocks {
-					blocks[i] = gen.Next()
-				}
-				arr.Gather(p, blocks, dst, 0)
-			}
-		})
-		end := runEnv(cfg, env)
-		gbps = float64(batches*perBatch) * blockBytes / end.Seconds() / 1e9
+		gbps = bamRun(cfg, env, arr, blockBytes, load{nvme.OpRead, gen, perBatch, batches, 1}) / 1e9
 		if c != nil {
 			hitRate = c.Stats().HitRate()
 		}
 		return
 	}
 	runCAM := func(gen workload.Generator) float64 {
-		env := platform.New(platform.Options{SSDs: ssds})
 		ccfg := cam.DefaultConfig(ssds)
 		ccfg.BlockBytes = blockBytes
 		ccfg.MaxBatch = perBatch
-		mgr := cam.New(env.E, ccfg, env.GPU, env.HM, env.Space, env.Fab, env.Devs)
-		dst := mgr.Alloc("dst", int64(perBatch)*blockBytes)
-		env.E.Go("bench", func(p *sim.Proc) {
-			for b := 0; b < batches; b++ {
-				blocks := make([]uint64, perBatch)
-				for i := range blocks {
-					blocks[i] = gen.Next()
-				}
-				mgr.Prefetch(p, blocks, dst, 0)
-				mgr.PrefetchSynchronize(p)
-			}
-		})
-		end := runEnv(cfg, env)
-		return float64(batches*perBatch) * blockBytes / end.Seconds() / 1e9
+		v, _, _ := camRun(cfg, platform.Options{SSDs: ssds}, ccfg, load{nvme.OpRead, gen, perBatch, batches, 1})
+		return v / 1e9
 	}
 
 	t := metrics.NewTable("abl-cache", "BaM GPU cache vs skew (4 SSDs, 4KB blocks)",

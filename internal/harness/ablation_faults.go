@@ -6,9 +6,11 @@ import (
 	"camsim/internal/cam"
 	"camsim/internal/fault"
 	"camsim/internal/metrics"
+	"camsim/internal/nvme"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
 	"camsim/internal/spdk"
+	"camsim/internal/workload"
 )
 
 func init() {
@@ -36,40 +38,20 @@ func runAblFaults(cfg RunConfig) *Result {
 		gbps float64
 	}
 	runPlan := func(plan *fault.Plan) point {
-		env := platform.New(platform.Options{SSDs: ssds, Faults: plan})
 		ccfg := cam.DefaultConfig(ssds)
-		ccfg.BlockBytes = 4096
 		ccfg.MaxBatch = perBatch
 		ccfg.MaxOutstanding = 4
 		// The scenario plan arrives via platform.Options, not the
 		// process-wide default that DefaultConfig keys its arming off, so
 		// arm recovery explicitly.
-		ccfg.Backend.CmdTimeout = 25 * sim.Millisecond
-		ccfg.Backend.MaxRetries = 3
-		ccfg.Backend.RetryBackoff = 100 * sim.Microsecond
-		ccfg.Backend.FailThreshold = 4
-		mgr := cam.New(env.E, ccfg, env.GPU, env.HM, env.Space, env.Fab, env.Devs)
-		buf := mgr.Alloc("fb", perBatch*4096)
-		rng := sim.NewRNG(5)
-		span := mgr.CapacityBlocks()
-		if span > 1<<20 {
-			span = 1 << 20
-		}
-		env.E.Go("bench", func(p *sim.Proc) {
-			for b := 0; b < batches; b++ {
-				blocks := make([]uint64, perBatch)
-				for i := range blocks {
-					blocks[i] = uint64(rng.Int63n(int64(span)))
-				}
-				mgr.Synchronize(p, mgr.Prefetch(p, blocks, buf, 0))
-			}
-		})
-		end := runEnv(cfg, env)
+		ccfg.Backend.ArmRecovery()
+		l := load{nvme.OpRead, workload.NewUniform(5, 1<<20), perBatch, batches, 1}
+		v, env, mgr := camRun(cfg, platform.Options{SSDs: ssds, Faults: plan}, ccfg, l)
 		return point{
 			inj:  env.FaultStats(),
 			rec:  mgr.Driver().Recovery(),
 			cam:  mgr.Stats(),
-			gbps: float64(batches*perBatch) * 4096 / end.Seconds() / 1e9,
+			gbps: v / 1e9,
 		}
 	}
 

@@ -5,8 +5,8 @@ import (
 	"camsim/internal/nvme"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
-	"camsim/internal/spdk"
 	"camsim/internal/ssd"
+	"camsim/internal/workload"
 )
 
 func init() {
@@ -40,30 +40,11 @@ func runAblFTL(cfg RunConfig) *Result {
 				c.ChargeGC = charge
 				return c
 			}()})
-			d := spdk.New(env.E, spdk.DefaultConfig(), env.HM, env.Space, env.Devs, 1)
-			d.Start()
+			d := newSPDK(env)
 			buf := env.HM.Alloc("b", 4096)
-			span := int64(float64(2<<10) * util) // hot pages
-			rng := sim.NewRNG(11)
-			env.E.Go("w", func(p *sim.Proc) {
-				inflight := make([]*spdk.Request, 0, 64)
-				for i := 0; i < writes; i++ {
-					req := &spdk.Request{
-						Op: nvme.OpWrite, Dev: 0,
-						SLBA: uint64(rng.Int63n(span)) * 8,
-						NLB:  8, Addr: buf.Addr,
-					}
-					d.Submit(req)
-					inflight = append(inflight, req)
-					if len(inflight) >= 64 {
-						p.Wait(&inflight[0].Done)
-						inflight = inflight[1:]
-					}
-				}
-				for _, q := range inflight {
-					p.Wait(&q.Done)
-				}
-			})
+			hot := uint64(float64(2<<10) * util) // hot pages
+			l := load{op: nvme.OpWrite, gen: workload.NewUniform(11, hot), perBatch: 1, batches: writes, depth: 64}
+			env.E.Go("w", func(p *sim.Proc) { l.onSPDK(p, d, 1, 4096, buf.Addr) })
 			end := runEnv(cfg, env)
 			return float64(writes) * 4096 / end.Seconds(), env.Devs[0].FTL().Stats()
 		}

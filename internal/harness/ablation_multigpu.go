@@ -6,8 +6,10 @@ import (
 	"camsim/internal/cam"
 	"camsim/internal/gpu"
 	"camsim/internal/metrics"
+	"camsim/internal/nvme"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
+	"camsim/internal/workload"
 )
 
 func init() {
@@ -42,27 +44,16 @@ func runAblMultiGPU(cfg RunConfig) *Result {
 		done := make([]sim.Time, gpus)
 		for gi, g := range gs {
 			ccfg := cam.DefaultConfig(ssds)
-			ccfg.BlockBytes = 4096
 			ccfg.MaxBatch = perBatch
 			mgr := cam.New(env.E, ccfg, g, env.HM, env.Space, env.Fab, env.Devs)
 			dst := mgr.Alloc(fmt.Sprintf("dst%d", gi), int64(perBatch)*4096)
-			gi := gi
-			seed := uint64(gi + 1)
+			l := load{nvme.OpRead, workload.NewUniform(uint64(gi+1), 1<<20), perBatch, batches, 1}
 			env.E.Go(fmt.Sprintf("gpu%d.app", gi), func(p *sim.Proc) {
-				rng := sim.NewRNG(seed)
-				for b := 0; b < batches; b++ {
-					blocks := make([]uint64, perBatch)
-					for i := range blocks {
-						blocks[i] = uint64(rng.Int63n(1 << 20))
-					}
-					mgr.Prefetch(p, blocks, dst, 0)
-					mgr.PrefetchSynchronize(p)
-				}
+				l.onCAM(p, mgr, dst)
 				done[gi] = p.Now()
 			})
 		}
-		end := runEnv(cfg, env)
-		_ = end
+		runEnv(cfg, env)
 		total := 0.0
 		for _, t := range done {
 			gbps := float64(batches*perBatch) * 4096 / t.Seconds()

@@ -1,16 +1,18 @@
 package harness
 
 import (
-	"camsim/internal/bam"
+	"errors"
+	"fmt"
+	"strings"
+
 	"camsim/internal/cam"
+	"camsim/internal/gemmx"
 	"camsim/internal/gnn"
 	"camsim/internal/metrics"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
 	"camsim/internal/sortx"
 	"camsim/internal/xfer"
-
-	"camsim/internal/gemmx"
 )
 
 func init() {
@@ -18,6 +20,62 @@ func init() {
 	register("fig9", "GNN training epoch time: CAM vs GIDS", runFig9)
 	register("fig10a", "Mergesort execution time: CAM vs SPDK vs POSIX", runFig10a)
 	register("fig10bc", "GEMM throughput and execution time: CAM vs BaM vs GDS vs SPDK", runFig10bc)
+}
+
+// ErrUnknownBackend is the error SortBackend and GEMMBackend wrap when they
+// do not know the scheme name; any other error they return is the workload
+// config's own.
+var ErrUnknownBackend = errors.New("unknown backend")
+
+// SortBackend builds scheme sys's backend for the sort cfg describes, after
+// checking cfg against the backend's block. CAM and BaM move 64 KiB blocks;
+// SPDK moves a quarter chunk with 8 helpers, which keeps several devices
+// busy per streamed chunk while amortizing the memcpy; POSIX moves whole
+// chunks with 4 helpers. Names are matched without regard to case.
+func SortBackend(env *platform.Env, sys string, cfg sortx.Config) (xfer.Backend, error) {
+	var block int64
+	var build func() xfer.Backend
+	switch strings.ToLower(sys) {
+	case "cam":
+		block, build = 65536, func() xfer.Backend { return xfer.NewCAM(env, block, nil) }
+	case "spdk":
+		block, build = cfg.ChunkBytes/4, func() xfer.Backend { return xfer.NewSPDK(env, block, 8) }
+	case "posix":
+		block, build = cfg.ChunkBytes, func() xfer.Backend { return xfer.NewPOSIX(env, block, 4) }
+	case "bam":
+		block, build = 65536, func() xfer.Backend { return xfer.NewBaM(env, newBaM(env), block) }
+	default:
+		return nil, fmt.Errorf("%w %q (want cam, spdk, posix or bam)", ErrUnknownBackend, sys)
+	}
+	if err := cfg.Validate(block); err != nil {
+		return nil, err
+	}
+	return build(), nil
+}
+
+// GEMMBackend builds scheme sys's backend for the multiply cfg describes,
+// after checking cfg against the backend's block: the tile, capped at 64 KiB
+// on the schemes that move tiles in granules, and the whole tile on SPDK,
+// with 4 helpers. Names are matched without regard to case.
+func GEMMBackend(env *platform.Env, sys string, cfg gemmx.Config) (xfer.Backend, error) {
+	block := min(65536, cfg.TileBytes())
+	var build func() xfer.Backend
+	switch strings.ToLower(sys) {
+	case "cam":
+		build = func() xfer.Backend { return xfer.NewCAM(env, block, nil) }
+	case "bam":
+		build = func() xfer.Backend { return xfer.NewBaM(env, newBaM(env), block) }
+	case "gds":
+		build = func() xfer.Backend { return xfer.NewGDS(env, block) }
+	case "spdk":
+		block, build = cfg.TileBytes(), func() xfer.Backend { return xfer.NewSPDK(env, block, 4) }
+	default:
+		return nil, fmt.Errorf("%w %q (want cam, bam, gds or spdk)", ErrUnknownBackend, sys)
+	}
+	if err := cfg.Validate(block); err != nil {
+		return nil, err
+	}
+	return build(), nil
 }
 
 // gnnScale returns the simulated graph scale and iteration count.
@@ -42,8 +100,7 @@ func runFig1(cfg RunConfig) *Result {
 	tcfg.Batch = batch
 	for _, m := range gnn.Models() {
 		env := platform.New(platform.Options{SSDs: 12})
-		sys := bam.New(env.E, bam.DefaultConfig(), env.GPU, env.Devs)
-		tr := gnn.NewGIDSTrainer(env, d, m, tcfg, sys)
+		tr := gnn.NewGIDSTrainer(env, d, m, tcfg, newBaM(env))
 		var b gnn.Breakdown
 		env.E.Go("t", func(p *sim.Proc) { b = tr.RunIterations(p, iters) })
 		runEnv(cfg, env)
@@ -67,8 +124,7 @@ func runFig9(cfg RunConfig) *Result {
 		d := ds.Scaled(nodes)
 		for _, m := range gnn.Models() {
 			gEnv := platform.New(platform.Options{SSDs: 12})
-			sys := bam.New(gEnv.E, bam.DefaultConfig(), gEnv.GPU, gEnv.Devs)
-			gt := gnn.NewGIDSTrainer(gEnv, d, m, tcfg, sys)
+			gt := gnn.NewGIDSTrainer(gEnv, d, m, tcfg, newBaM(gEnv))
 			var gb gnn.Breakdown
 			gEnv.E.Go("t", func(p *sim.Proc) { gb = gt.RunIterations(p, iters) })
 			runEnv(cfg, gEnv)
@@ -119,16 +175,9 @@ func runFig10a(cfg RunConfig) *Result {
 		}
 		for _, sys := range []string{"CAM", "SPDK", "POSIX"} {
 			env := platform.New(platform.Options{SSDs: 12})
-			var b xfer.Backend
-			switch sys {
-			case "CAM":
-				b = xfer.NewCAM(env, 65536, nil)
-			case "SPDK":
-				// Granules of a quarter chunk keep several devices busy
-				// per streamed chunk while amortizing the memcpy.
-				b = xfer.NewSPDK(env, scfg.ChunkBytes/4, 8)
-			case "POSIX":
-				b = xfer.NewPOSIX(env, scfg.ChunkBytes, 4)
+			b, err := SortBackend(env, sys, scfg)
+			if err != nil {
+				panic(err)
 			}
 			s := sortx.New(env, b, scfg)
 			var st sortx.Stats
@@ -159,17 +208,9 @@ func runFig10bc(cfg RunConfig) *Result {
 		"system", "GB/s", "time ms")
 	for _, sys := range []string{"CAM", "BaM", "GDS", "SPDK"} {
 		env := platform.New(platform.Options{SSDs: 12})
-		var b xfer.Backend
-		gran := int64(65536)
-		switch sys {
-		case "CAM":
-			b = xfer.NewCAM(env, gran, nil)
-		case "BaM":
-			b = xfer.NewBaM(env, bam.New(env.E, bam.DefaultConfig(), env.GPU, env.Devs), gran)
-		case "GDS":
-			b = xfer.NewGDS(env, gran)
-		case "SPDK":
-			b = xfer.NewSPDK(env, gcfg.TileBytes(), 4)
+		b, err := GEMMBackend(env, sys, gcfg)
+		if err != nil {
+			panic(err)
 		}
 		m := gemmx.New(env, b, gcfg)
 		var st gemmx.Stats

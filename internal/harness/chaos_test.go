@@ -32,14 +32,10 @@ func chaosPlan(seed uint64) *fault.Plan {
 	return p
 }
 
-// armBackend switches on the management thread's recovery machinery with
-// the same policy platform/harness use under an installed fault plan.
-func armBackend(c *cam.Config) {
-	c.Backend.CmdTimeout = 25 * sim.Millisecond
-	c.Backend.MaxRetries = 3
-	c.Backend.RetryBackoff = 100 * sim.Microsecond
-	c.Backend.FailThreshold = 4
-}
+// armBackend switches on the management thread's recovery machinery: the
+// soak's plans arrive via platform.Options, not the process-wide default
+// that spdk.DefaultConfig arms off.
+func armBackend(c *cam.Config) { c.Backend.ArmRecovery() }
 
 // chaosFingerprint renders everything observable about a faulted run —
 // injected faults, recovery work, data-plane stats, virtual end time — as

@@ -5,6 +5,7 @@ import (
 
 	"camsim/internal/bam"
 	"camsim/internal/cam"
+	"camsim/internal/gpu"
 	"camsim/internal/hostmem"
 	"camsim/internal/mem"
 	"camsim/internal/nvme"
@@ -12,6 +13,7 @@ import (
 	"camsim/internal/platform"
 	"camsim/internal/sim"
 	"camsim/internal/spdk"
+	"camsim/internal/workload"
 )
 
 // throughput drivers shared by the microbenchmark experiments. Each runs a
@@ -34,118 +36,146 @@ func reqBudget(gran int64, quick bool) int64 {
 	return reqs
 }
 
-// camThroughput measures CAM batch throughput. cores<=0 uses the default
-// (one per two SSDs). outstanding is the number of batches in flight
-// (1 = the synchronous prefetch/synchronize pattern).
-func camThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64, cores, outstanding int, envOpts platform.Options) (float64, *platform.Env, *cam.Manager) {
-	envOpts.SSDs = ssds
-	env := platform.New(envOpts)
-	blockBytes := gran
-	if blockBytes > spdk.MaxTransfer() {
-		blockBytes = spdk.MaxTransfer()
-	}
-	ccfg := cam.DefaultConfig(ssds)
-	ccfg.BlockBytes = blockBytes
-	if cores > 0 {
-		ccfg.Cores = cores
-	}
-	if outstanding <= 0 {
-		outstanding = 1
-	}
-	ccfg.MaxOutstanding = outstanding + 1
-	perBatch := 4096
-	if int64(perBatch)*blockBytes > 64<<20 {
-		perBatch = int(64 << 20 / blockBytes)
-	}
-	ccfg.MaxBatch = perBatch
-	mgr := cam.New(env.E, ccfg, env.GPU, env.HM, env.Space, env.Fab, env.Devs)
+// load is the closed loop behind every throughput point of §IV: batches of
+// perBatch blocks drawn from gen, depth of them in flight. The SPDK window
+// has no batches: it keeps depth single-block requests in flight until
+// perBatch×batches have completed.
+type load struct {
+	op       nvme.Opcode
+	gen      workload.Generator
+	perBatch int
+	batches  int
+	depth    int
+}
 
-	// The workload volume is set by the NVMe command size (CAM splits
-	// granules larger than the MDTS into blockBytes commands, so its
-	// behavior is granularity-insensitive above 128 KiB — the point of
-	// Fig 16).
-	reqs := reqBudget(blockBytes, cfg.Quick)
-	batches := int(reqs) / perBatch
-	if batches < 2 {
-		batches = 2
-	}
-	buf := mgr.Alloc("bench", int64(perBatch)*blockBytes*int64(outstanding))
-	total := int64(batches) * int64(perBatch) * blockBytes
-	rng := sim.NewRNG(7)
-	span := mgr.CapacityBlocks()
-	if span > 1<<22 {
-		span = 1 << 22
-	}
-	env.E.Go("bench", func(p *sim.Proc) {
-		var handles []*cam.Batch
-		for b := 0; b < batches; b++ {
-			blocks := make([]uint64, perBatch)
-			for i := range blocks {
-				blocks[i] = uint64(rng.Int63n(int64(span)))
-			}
-			slot := int64(b%outstanding) * int64(perBatch) * blockBytes
-			var h *cam.Batch
-			if op == nvme.OpRead {
-				h = mgr.Prefetch(p, blocks, buf, slot)
-			} else {
-				h = mgr.WriteBack(p, blocks, buf, slot)
-			}
-			handles = append(handles, h)
-			if len(handles) >= outstanding {
-				mgr.Synchronize(p, handles[0])
-				handles = handles[1:]
-			}
+// blocks is the number of blocks the load moves.
+func (l load) blocks() int64 { return int64(l.perBatch) * int64(l.batches) }
+
+// onCAM publishes the batches through m, batch b into slot b%depth of buf,
+// and synchronizes the oldest whenever depth are in flight (depth 1 is the
+// synchronous prefetch/synchronize pattern).
+func (l load) onCAM(p *sim.Proc, m *cam.Manager, buf *gpu.Buffer) {
+	slot := int64(l.perBatch) * m.BlockBytes()
+	blocks := make([]uint64, l.perBatch)
+	var inflight []*cam.Batch
+	for b := 0; b < l.batches; b++ {
+		l.draw(blocks)
+		off := int64(b%l.depth) * slot
+		if l.op == nvme.OpRead {
+			inflight = append(inflight, m.Prefetch(p, blocks, buf, off))
+		} else {
+			inflight = append(inflight, m.WriteBack(p, blocks, buf, off))
 		}
-		for _, h := range handles {
-			mgr.Synchronize(p, h)
+		if len(inflight) == l.depth {
+			m.Synchronize(p, inflight[0])
+			inflight = inflight[1:]
 		}
-	})
+	}
+	for _, h := range inflight {
+		m.Synchronize(p, h)
+	}
+}
+
+// onBaM gathers (or scatters) the batches through a, one at a time: a BaM
+// batch is synchronous, so depth does not apply.
+func (l load) onBaM(p *sim.Proc, a *bam.Array, buf *gpu.Buffer) {
+	blocks := make([]uint64, l.perBatch)
+	for b := 0; b < l.batches; b++ {
+		l.draw(blocks)
+		if l.op == nvme.OpRead {
+			a.Gather(p, blocks, buf, 0)
+		} else {
+			a.Scatter(p, blocks, buf, 0)
+		}
+	}
+}
+
+// onSPDK submits block-byte requests to d, request i to device i%ssds and
+// every one to host address addr, waiting for the oldest whenever depth are
+// in flight.
+func (l load) onSPDK(p *sim.Proc, d *spdk.Driver, ssds int, block int64, addr mem.Addr) {
+	var window []*spdk.Request
+	for i := int64(0); i < l.blocks(); i++ {
+		req := &spdk.Request{
+			Op: l.op, Dev: int(i % int64(ssds)),
+			SLBA: l.gen.Next() * uint64(block/nvme.LBASize),
+			NLB:  uint32(block / nvme.LBASize),
+			Addr: addr,
+		}
+		d.Submit(req)
+		window = append(window, req)
+		if len(window) == l.depth {
+			p.Wait(&window[0].Done)
+			window = window[1:]
+		}
+	}
+	for _, req := range window {
+		p.Wait(&req.Done)
+	}
+}
+
+// draw fills blocks with the generator's next ids.
+func (l load) draw(blocks []uint64) {
+	for i := range blocks {
+		blocks[i] = l.gen.Next()
+	}
+}
+
+// camRun runs l through a CAM manager built from ccfg over a fresh platform,
+// into a buffer of depth batch slots, and reports bytes/s.
+func camRun(cfg RunConfig, opts platform.Options, ccfg cam.Config, l load) (float64, *platform.Env, *cam.Manager) {
+	env := platform.New(opts)
+	mgr := cam.New(env.E, ccfg, env.GPU, env.HM, env.Space, env.Fab, env.Devs)
+	buf := mgr.Alloc("bench", int64(l.perBatch)*ccfg.BlockBytes*int64(l.depth))
+	env.E.Go("bench", func(p *sim.Proc) { l.onCAM(p, mgr, buf) })
 	end := runEnv(cfg, env)
 	// Return the bench buffer's backing to the shared pool: figure sweeps
 	// build a fresh platform per point, and an unfreed multi-megabyte
 	// destination forces a fresh (cleared) allocation every time.
 	mgr.Free(buf)
-	return float64(total) / end.Seconds(), env, mgr
+	return float64(l.blocks()*ccfg.BlockBytes) / end.Seconds(), env, mgr
 }
 
-// bamThroughput measures BaM array throughput (and leaves the GPU's SM
-// accounting behind for inspection).
-func bamThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64) (float64, *platform.Env) {
-	env := platform.New(platform.Options{SSDs: ssds})
-	sys := newBaM(env)
-	blockBytes := gran
-	if blockBytes > spdk.MaxTransfer() {
-		blockBytes = spdk.MaxTransfer()
-	}
-	arr := sys.NewArray(blockBytes)
-	reqs := reqBudget(gran, cfg.Quick) * (gran / blockBytes)
-	perBatch := int64(4096)
-	if perBatch*blockBytes > 64<<20 {
-		perBatch = 64 << 20 / blockBytes
-	}
-	batches := reqs / perBatch
-	if batches < 2 {
-		batches = 2
-	}
-	buf := env.GPU.Alloc("bench", perBatch*blockBytes)
-	rng := sim.NewRNG(7)
-	total := batches * perBatch * blockBytes
-	env.E.Go("bench", func(p *sim.Proc) {
-		for b := int64(0); b < batches; b++ {
-			blocks := make([]uint64, perBatch)
-			for i := range blocks {
-				blocks[i] = uint64(rng.Int63n(1 << 22))
-			}
-			if op == nvme.OpRead {
-				arr.Gather(p, blocks, buf, 0)
-			} else {
-				arr.Scatter(p, blocks, buf, 0)
-			}
-		}
-	})
+// bamRun runs l through a, an array of block-byte blocks over env, into a
+// one-batch buffer and reports bytes/s.
+func bamRun(cfg RunConfig, env *platform.Env, a *bam.Array, block int64, l load) float64 {
+	buf := env.GPU.Alloc("bench", int64(l.perBatch)*block)
+	env.E.Go("bench", func(p *sim.Proc) { l.onBaM(p, a, buf) })
 	end := runEnv(cfg, env)
 	buf.Free()
-	return float64(total) / end.Seconds(), env
+	return float64(l.blocks()*block) / end.Seconds()
+}
+
+// camThroughput measures CAM batch throughput over 4 Mi uniformly random
+// blocks. cores<=0 uses the default (one per two SSDs); outstanding is the
+// number of batches in flight.
+func camThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64, cores, outstanding int, envOpts platform.Options) (float64, *platform.Env, *cam.Manager) {
+	envOpts.SSDs = ssds
+	blockBytes := min(gran, spdk.MaxTransfer())
+	perBatch := int(min(4096, 64<<20/blockBytes))
+	ccfg := cam.DefaultConfig(ssds)
+	ccfg.BlockBytes = blockBytes
+	if cores > 0 {
+		ccfg.Cores = cores
+	}
+	ccfg.MaxOutstanding = outstanding + 1
+	ccfg.MaxBatch = perBatch
+	// The workload volume is set by the NVMe command size (CAM splits
+	// granules larger than the MDTS into blockBytes commands, so its
+	// behavior is granularity-insensitive above 128 KiB — the point of
+	// Fig 16).
+	batches := max(int(reqBudget(blockBytes, cfg.Quick))/perBatch, 2)
+	return camRun(cfg, envOpts, ccfg, load{op, workload.NewUniform(7, 1<<22), perBatch, batches, outstanding})
+}
+
+// bamThroughput measures BaM array throughput.
+func bamThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64) float64 {
+	env := platform.New(platform.Options{SSDs: ssds})
+	blockBytes := min(gran, spdk.MaxTransfer())
+	perBatch := min(4096, 64<<20/blockBytes)
+	batches := max(reqBudget(gran, cfg.Quick)*(gran/blockBytes)/perBatch, 2)
+	l := load{op, workload.NewUniform(7, 1<<22), int(perBatch), int(batches), 1}
+	return bamRun(cfg, env, newBaM(env).NewArray(blockBytes), blockBytes, l)
 }
 
 // spdkContigThroughput measures the classic SPDK staged flow with a
@@ -156,12 +186,8 @@ func bamThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64) (float64
 func spdkContigThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64, envOpts platform.Options) (float64, *platform.Env, *spdk.Driver) {
 	envOpts.SSDs = ssds
 	env := platform.New(envOpts)
-	d := spdk.New(env.E, spdk.DefaultConfig(), env.HM, env.Space, env.Devs, (ssds+1)/2)
-	d.Start()
-	blockBytes := gran
-	if blockBytes > spdk.MaxTransfer() {
-		blockBytes = spdk.MaxTransfer()
-	}
+	d := newSPDK(env)
+	blockBytes := min(gran, spdk.MaxTransfer())
 	region := int64(4 << 20)
 	// Requests flow continuously through a sliding window (no per-region
 	// barrier); when a region's last command completes, its staging slot
@@ -205,7 +231,7 @@ func spdkContigThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64, e
 			req := &spdk.Request{
 				Op: op, Dev: dev, SLBA: slba,
 				NLB:  uint32(blockBytes / nvme.LBASize),
-				Addr: staging[r%3].Addr + mem64((i%perRegion)*blockBytes),
+				Addr: staging[r%3].Addr + mem.Addr((i%perRegion)*blockBytes),
 			}
 			rr := r
 			req.OnDone = func() {
@@ -285,51 +311,21 @@ func kernelThroughput(cfg RunConfig, kind oskernel.StackKind, ssds int, op nvme.
 // spdkRawThroughput drives the raw asynchronous SPDK API to host memory at
 // high queue depth (the "SPDK async" line of Fig 11 and the cost baseline
 // of Fig 13).
-func spdkRawThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64) (float64, *spdk.Driver, *platform.Env) {
+func spdkRawThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64) (float64, *spdk.Driver) {
 	env := platform.New(platform.Options{SSDs: ssds})
-	d := spdk.New(env.E, spdk.DefaultConfig(), env.HM, env.Space, env.Devs, (ssds+1)/2)
-	d.Start()
+	d := newSPDK(env)
 	buf := env.HM.Alloc("raw", gran)
-	reqs := reqBudget(gran, cfg.Quick)
-	rng := sim.NewRNG(13)
-	depth := 64 * ssds
-	env.E.Go("bench", func(p *sim.Proc) {
-		issued, done := 0, 0
-		var inflight []*spdk.Request
-		for done < int(reqs) {
-			for issued < int(reqs) && len(inflight) < depth {
-				req := &spdk.Request{
-					Op: op, Dev: issued % ssds,
-					SLBA: uint64(rng.Int63n(1<<21)) * uint64(gran/nvme.LBASize),
-					NLB:  uint32(gran / nvme.LBASize),
-					Addr: buf.Addr,
-				}
-				d.Submit(req)
-				inflight = append(inflight, req)
-				issued++
-			}
-			p.Wait(&inflight[0].Done)
-			inflight = inflight[1:]
-			done++
-		}
-	})
+	l := load{op: op, gen: workload.NewUniform(13, 1<<21), perBatch: 1, batches: int(reqBudget(gran, cfg.Quick)), depth: 64 * ssds}
+	env.E.Go("bench", func(p *sim.Proc) { l.onSPDK(p, d, ssds, gran, buf.Addr) })
 	end := runEnv(cfg, env)
 	buf.Free()
-	return float64(int64(reqs)*gran) / end.Seconds(), d, env
+	return float64(l.blocks()*gran) / end.Seconds(), d
 }
 
-// mem64 converts a byte offset to a physical-address delta.
-func mem64(v int64) mem.Addr { return mem.Addr(v) }
-
-// Short aliases used by the experiment files.
-type spdkReq = spdk.Request
-
-const spdkMaxXfer = 128 << 10
-
-// spdkDriverForBench builds and starts a driver with the paper's
+// newSPDK builds and starts a raw driver with the paper's
 // one-thread-per-two-SSDs ratio.
-func spdkDriverForBench(env *platform.Env, ssds int) *spdk.Driver {
-	d := spdk.New(env.E, spdk.DefaultConfig(), env.HM, env.Space, env.Devs, (ssds+1)/2)
+func newSPDK(env *platform.Env) *spdk.Driver {
+	d := spdk.New(env.E, spdk.DefaultConfig(), env.HM, env.Space, env.Devs, (len(env.Devs)+1)/2)
 	d.Start()
 	return d
 }

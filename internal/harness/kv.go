@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"camsim/internal/cam"
-	"camsim/internal/fault"
 	"camsim/internal/kvcache"
 	"camsim/internal/metrics"
 	"camsim/internal/platform"
@@ -84,23 +82,11 @@ func kvConfig(p KVParams) (kvcache.Config, []kvcache.SessionSpec) {
 	return cfg, specs
 }
 
-// kvArmCAM arms CAM recovery under the process-wide fault plan, matching
-// the auto-arming the bam and spdk default configs already do.
-func kvArmCAM(c *cam.Config) {
-	if !fault.Default().Enabled() {
-		return
-	}
-	c.Backend.CmdTimeout = 25 * sim.Millisecond
-	c.Backend.MaxRetries = 3
-	c.Backend.RetryBackoff = 100 * sim.Microsecond
-	c.Backend.FailThreshold = 4
-}
-
 // kvBackend builds the named list backend over a fresh environment.
 func kvBackend(env *platform.Env, sys string, blockBytes int64) xfer.ListBackend {
 	switch sys {
 	case "CAM":
-		return xfer.NewCAM(env, blockBytes, kvArmCAM)
+		return xfer.NewCAM(env, blockBytes, nil)
 	case "BaM":
 		return xfer.NewBaM(env, newBaM(env), blockBytes)
 	case "SPDK":

@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"strings"
 
-	"camsim/internal/bam"
 	"camsim/internal/cpustat"
+	"camsim/internal/mem"
 	"camsim/internal/metrics"
 	"camsim/internal/nvme"
 	"camsim/internal/oskernel"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
+	"camsim/internal/spdk"
 	"camsim/internal/ssd"
+	"camsim/internal/workload"
 )
 
 func init() {
@@ -68,7 +70,7 @@ func runFig3(cfg RunConfig) *Result {
 func runFig4(cfg RunConfig) *Result {
 	r := &Result{ID: "fig4", Title: "BaM SM utilization to saturate N SSDs"}
 	env := platform.New(platform.Options{SSDs: 1})
-	sys := bam.New(env.E, bam.DefaultConfig(), env.GPU, env.Devs)
+	sys := newBaM(env)
 	f := metrics.NewFigure("fig4", "Fig 4: SM utilization for I/O", "SSDs", "SM %")
 	s := f.NewSeries("BaM")
 	for n := 1; n <= 12; n++ {
@@ -78,21 +80,7 @@ func runFig4(cfg RunConfig) *Result {
 	// the figure's occupancy model sits on an actual simulated workload and
 	// the experiment's virtual time flows through the harness sim-clock
 	// accounting (Result.SimElapsed) like every other figure's.
-	arr := sys.NewArray(4096)
-	const perBatch, batches = 1024, 4
-	buf := env.GPU.Alloc("fig4", perBatch*4096)
-	rng := sim.NewRNG(4)
-	env.E.Go("fig4", func(p *sim.Proc) {
-		blocks := make([]uint64, perBatch)
-		for b := 0; b < batches; b++ {
-			for i := range blocks {
-				blocks[i] = uint64(rng.Int63n(1 << 22))
-			}
-			arr.Gather(p, blocks, buf, 0)
-		}
-	})
-	runEnv(cfg, env)
-	buf.Free()
+	bamRun(cfg, env, sys.NewArray(4096), 4096, load{nvme.OpRead, workload.NewUniform(4, 1<<22), 1024, 4, 1})
 	r.Figs = append(r.Figs, f)
 	r.Notes = append(r.Notes, "five or more SSDs consume every SM, so compute and I/O serialize (Issue 3)")
 	return r
@@ -113,8 +101,7 @@ func runFig8(cfg RunConfig) *Result {
 			v, _, _ := camThroughput(cfg, ssds, op, gran, 0, 2, platform.Options{})
 			return v
 		case "BaM":
-			v, _ := bamThroughput(cfg, ssds, op, gran)
-			return v
+			return bamThroughput(cfg, ssds, op, gran)
 		case "SPDK":
 			v, _, _ := spdkContigThroughput(cfg, ssds, op, gran, platform.Options{})
 			return v
@@ -170,7 +157,7 @@ func runFig11(cfg RunConfig) *Result {
 	for _, n := range sweep {
 		v1, _, _ := camThroughput(cfg, n, nvme.OpRead, 4096, 0, 1, platform.Options{})
 		v2, _, _ := camThroughput(cfg, n, nvme.OpRead, 4096, 0, 4, platform.Options{})
-		v3, _, _ := spdkRawThroughput(cfg, n, nvme.OpRead, 4096)
+		v3, _ := spdkRawThroughput(cfg, n, nvme.OpRead, 4096)
 		sSync.Add(float64(n), v1/1e9)
 		sAsync.Add(float64(n), v2/1e9)
 		sSPDK.Add(float64(n), v3/1e9)
@@ -215,7 +202,7 @@ func runFig13(cfg RunConfig) *Result {
 	for _, op := range []nvme.Opcode{nvme.OpRead, nvme.OpWrite} {
 		_, _, mgr := camThroughput(cfg, 4, op, 4096, 4, 2, platform.Options{})
 		rows = append(rows, row{"CAM", op, mgr.BackendStats()})
-		_, d, _ := spdkRawThroughput(cfg, 4, op, 4096)
+		_, d := spdkRawThroughput(cfg, 4, op, 4096)
 		rows = append(rows, row{"SPDK", op, d.Stats()})
 		_, st := kernelThroughput(cfg, oskernel.Libaio, 4, op, 4096)
 		rows = append(rows, row{"libaio", op, st.Stat})
@@ -304,7 +291,7 @@ func runFig16(cfg RunConfig) *Result {
 // still not enough at small granularity.
 func spdkScatteredThroughput(cfg RunConfig, ssds int, gran int64) float64 {
 	env := platform.New(platform.Options{SSDs: ssds})
-	d := spdkDriverForBench(env, ssds)
+	d := newSPDK(env)
 	// Concurrency: enough granules in flight to hide SSD latency at small
 	// sizes without gigabytes of staging at large ones.
 	workers := int64(16)
@@ -322,10 +309,7 @@ func spdkScatteredThroughput(cfg RunConfig, ssds int, gran int64) float64 {
 		granules = 4096
 	}
 	total := granules * gran
-	chunk := gran
-	if chunk > spdkMaxXfer {
-		chunk = spdkMaxXfer
-	}
+	chunk := min(gran, spdk.MaxTransfer())
 	rng := sim.NewRNG(15)
 	for w := int64(0); w < workers; w++ {
 		w := w
@@ -338,14 +322,14 @@ func spdkScatteredThroughput(cfg RunConfig, ssds int, gran int64) float64 {
 				// The staging buffer must not be refilled while its
 				// previous memcpy is still draining.
 				p.SleepUntil(copyDone)
-				var pending []*spdkReq
+				var pending []*spdk.Request
 				for off := int64(0); off < gran; off += chunk {
 					dev := int((off/chunk + gidx) % int64(ssds))
-					req := &spdkReq{
+					req := &spdk.Request{
 						Op: nvme.OpRead, Dev: dev,
 						SLBA: uint64(lr.Int63n(1<<20)) * uint64(chunk/nvme.LBASize),
 						NLB:  uint32(chunk / nvme.LBASize),
-						Addr: staging.Addr + mem64(off),
+						Addr: staging.Addr + mem.Addr(off),
 					}
 					d.Submit(req)
 					pending = append(pending, req)

@@ -55,6 +55,10 @@ func (c Config) Validate(blockBytes int64) error {
 	switch {
 	case c.NumInts <= 0:
 		return fmt.Errorf("sortx: NumInts must be positive")
+	case c.ChunkBytes <= 0:
+		return fmt.Errorf("sortx: ChunkBytes %d must be positive", c.ChunkBytes)
+	case blockBytes <= 0:
+		return fmt.Errorf("sortx: backend block %d must be positive", blockBytes)
 	case c.RunBytes <= 0 || c.RunBytes%c.ChunkBytes != 0:
 		return fmt.Errorf("sortx: RunBytes %d must be a multiple of ChunkBytes %d", c.RunBytes, c.ChunkBytes)
 	case c.ChunkBytes%blockBytes != 0:

@@ -108,6 +108,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{NumInts: 1 << 12, RunBytes: 8192, ChunkBytes: 1000},           // chunk not multiple of block
 		{NumInts: (1 << 12) + 1, RunBytes: 8192, ChunkBytes: 4096},     // data not multiple of run
 		{NumInts: 1 << 12, RunBytes: 8192, ChunkBytes: 4096, Fanin: 1}, // nonsensical fan-in
+		{NumInts: 1 << 12, RunBytes: 8192, ChunkBytes: 0},              // no chunk
 	}
 	for i, c := range bad {
 		if err := c.Validate(4096); err == nil {
@@ -117,6 +118,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	good := Config{NumInts: 16 << 10, RunBytes: 16 << 10, ChunkBytes: 4 << 10}
 	if err := good.Validate(4096); err != nil {
 		t.Errorf("good config rejected: %v", err)
+	}
+	if err := good.Validate(0); err == nil {
+		t.Error("a zero backend block accepted")
 	}
 }
 

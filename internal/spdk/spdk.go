@@ -80,16 +80,23 @@ func DefaultConfig() Config {
 		PollIterInstr: 45,
 		IPC:           2.6,
 	}
-	// A process-wide fault plan arms recovery: the deadline comfortably
-	// clears worst-case queueing plus a 16× latency spike, so only
-	// genuinely lost commands time out.
+	// A process-wide fault plan arms recovery.
 	if fault.Default().Enabled() {
-		cfg.CmdTimeout = 25 * sim.Millisecond
-		cfg.MaxRetries = 3
-		cfg.RetryBackoff = 100 * sim.Microsecond
-		cfg.FailThreshold = 4
+		cfg.ArmRecovery()
 	}
 	return cfg
+}
+
+// ArmRecovery switches on the timeout, retry and fail-fast machinery with
+// the one policy every faulted run uses: the 25 ms deadline comfortably
+// clears worst-case queueing plus a 16× latency spike, so only genuinely
+// lost commands time out; three retries back off from 100 µs; four
+// consecutive timeouts declare a device dead.
+func (c *Config) ArmRecovery() {
+	c.CmdTimeout = 25 * sim.Millisecond
+	c.MaxRetries = 3
+	c.RetryBackoff = 100 * sim.Microsecond
+	c.FailThreshold = 4
 }
 
 // RecoveryStats counts the driver's error-recovery actions.
