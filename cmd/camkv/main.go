@@ -32,7 +32,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its streams and exit code as values: 0 on success, 1 on a
-// bad backend or fault spec, 2 on a usage error.
+// bad backend, fault spec or negative size, 2 on a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("camkv", flag.ContinueOnError)
 	flags.SetOutput(stderr)
@@ -54,6 +54,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+	for _, name := range []string{"sessions", "ctx", "steps", "layers", "dram", "ssds"} {
+		if v := flags.Lookup(name).Value.(flag.Getter).Get().(int); v < 0 {
+			fmt.Fprintf(stderr, "camkv: -%s %d: must not be negative (0 = scale default)\n", name, v)
+			return 1
+		}
 	}
 
 	plan, err := fault.ParseSpec(*faults)
@@ -102,9 +108,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		go func() {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			t0 := time.Now() //camlint:allow nodeterminism -- host-side stderr diagnostics; never feeds the simulation
+			t0 := time.Now()
 			srv, env := harness.KVRun(cfg, params, sys)
-			wall := time.Since(t0) //camlint:allow nodeterminism -- host-side stderr diagnostics; never feeds the simulation
+			wall := time.Since(t0)
 			outs[i] = outcome{srv, env, wall}
 			done <- i
 		}()

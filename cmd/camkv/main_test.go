@@ -17,6 +17,13 @@ func TestRunRejects(t *testing.T) {
 		{name: "no -shards", args: []string{"-shards", "1"}, code: 2, stderr: "flag provided but not defined: -shards"},
 		{name: "bad fault spec", args: []string{"-quick", "-faults", "bogus"}, code: 1, stderr: "camkv: -faults:"},
 		{name: "unknown backend", args: []string{"-quick", "-backend", "nosuch"}, code: 1, stderr: `unknown backend "nosuch"`},
+		// A negative size was once replaced by the scale default without a word.
+		{name: "negative sessions", args: []string{"-quick", "-sessions", "-3"}, code: 1, stderr: "camkv: -sessions -3: must not be negative"},
+		{name: "negative ssds", args: []string{"-quick", "-ssds", "-1"}, code: 1, stderr: "camkv: -ssds -1: must not be negative"},
+		{name: "negative steps", args: []string{"-quick", "-steps", "-5"}, code: 1, stderr: "camkv: -steps -5: must not be negative"},
+		{name: "negative layers", args: []string{"-quick", "-layers", "-2"}, code: 1, stderr: "camkv: -layers -2: must not be negative"},
+		{name: "negative dram", args: []string{"-quick", "-dram", "-1"}, code: 1, stderr: "camkv: -dram -1: must not be negative"},
+		{name: "negative ctx", args: []string{"-quick", "-ctx", "-1"}, code: 1, stderr: "camkv: -ctx -1: must not be negative"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

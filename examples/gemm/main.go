@@ -8,7 +8,8 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"camsim/internal/gemmx"
 	"camsim/internal/metrics"
@@ -17,8 +18,18 @@ import (
 	"camsim/internal/xfer"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code as values: 0 when the product
+// matches the dense reference, 1 when it does not, 2 on any argument (the
+// program takes none).
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		fmt.Fprintf(stderr, "gemm: unexpected argument %q\n", args[0])
+		return 2
+	}
 	env := platform.New(platform.Options{SSDs: 12})
+	defer env.E.Shutdown()
 	backend := xfer.NewCAM(env, 4096, nil)
 
 	// Small enough to verify with real float32 arithmetic.
@@ -30,17 +41,21 @@ func main() {
 	}
 	m := gemmx.New(env, backend, cfg)
 
+	code := 0
 	env.E.Go("app", func(p *sim.Proc) {
 		m.FillInputs(p, 7)
 		st := m.Run(p)
 		if err := m.Verify(p, 7); err != nil {
-			log.Fatal(err)
+			fmt.Fprintf(stderr, "gemm: %v\n", err)
+			code = 1
+			return
 		}
-		fmt.Printf("C[%dx%d] = A x B in %dx%d tiles over %d SSDs\n",
+		fmt.Fprintf(stdout, "C[%dx%d] = A x B in %dx%d tiles over %d SSDs\n",
 			cfg.N, cfg.M, cfg.Tile, cfg.Tile, len(env.Devs))
-		fmt.Printf("  %d tile-pair loads, %s read at %s\n",
+		fmt.Fprintf(stdout, "  %d tile-pair loads, %s read at %s\n",
 			st.Tiles, metrics.Bytes(float64(st.BytesRead)), metrics.GBps(st.Throughput))
-		fmt.Printf("  elapsed %v; result matches the dense reference bit-for-bit\n", st.Elapsed)
+		fmt.Fprintf(stdout, "  elapsed %v; result matches the dense reference bit-for-bit\n", st.Elapsed)
 	})
 	env.Run()
+	return code
 }

@@ -9,6 +9,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"camsim/internal/bam"
 	"camsim/internal/cam"
@@ -17,7 +19,15 @@ import (
 	"camsim/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code as values: 0 after both
+// trainers ran, 2 on any argument (the program takes none).
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		fmt.Fprintf(stderr, "gnn: unexpected argument %q\n", args[0])
+		return 2
+	}
 	// Paper100M scaled to a demo-sized synthetic graph; feature rows keep
 	// the real 512 B layout.
 	dataset := gnn.Paper100M().Scaled(500_000)
@@ -29,6 +39,7 @@ func main() {
 	// Baseline: GIDS on BaM. Feature gathers pin the GPU's SMs, so
 	// sampling, extraction and training serialize.
 	gidsEnv := platform.New(platform.Options{SSDs: 12})
+	defer gidsEnv.E.Shutdown()
 	sys := bam.New(gidsEnv.E, bam.DefaultConfig(), gidsEnv.GPU, gidsEnv.Devs)
 	gids := gnn.NewGIDSTrainer(gidsEnv, dataset, model, tcfg, sys)
 	var gb gnn.Breakdown
@@ -37,6 +48,7 @@ func main() {
 
 	// CAM: the pipelined trainer of Figure 7.
 	camEnv := platform.New(platform.Options{SSDs: 12})
+	defer camEnv.E.Shutdown()
 	ccfg := cam.DefaultConfig(len(camEnv.Devs))
 	ccfg.BlockBytes = dataset.FeatBytes()
 	ccfg.MaxBatch = 1 << 16
@@ -48,14 +60,15 @@ func main() {
 
 	show := func(name string, b gnn.Breakdown) {
 		s, e, t := b.Fractions()
-		fmt.Printf("%-4s: %7.3f ms/iter  sample %4.0f%%  extract %4.0f%%  train %4.0f%%\n",
+		fmt.Fprintf(stdout, "%-4s: %7.3f ms/iter  sample %4.0f%%  extract %4.0f%%  train %4.0f%%\n",
 			name, b.Total.Seconds()*1000/float64(b.Iters), 100*s, 100*e, 100*t)
 	}
-	fmt.Printf("training %s on %s (%d sampled nodes/iter, 12 SSDs)\n",
+	fmt.Fprintf(stdout, "training %s on %s (%d sampled nodes/iter, 12 SSDs)\n",
 		model.Name, dataset.Name, gb.Nodes/uint64(gb.Iters))
 	show("GIDS", gb)
 	show("CAM", cb)
 	g := gb.Total.Seconds() / float64(gb.Iters)
 	c := cb.Total.Seconds() / float64(cb.Iters)
-	fmt.Printf("CAM speedup: %.2fx — feature I/O hides under the training kernel\n", g/c)
+	fmt.Fprintf(stdout, "CAM speedup: %.2fx — feature I/O hides under the training kernel\n", g/c)
+	return 0
 }

@@ -2,11 +2,12 @@ package harness
 
 import "testing"
 
-// TestDoubleRunDeterminism is the dynamic twin of the camlint static gate:
-// running the same experiment twice with the same configuration in one
-// process must render byte-identical output. Go randomizes map iteration
-// per range statement (not just per process), so any order leak the lint
-// suite misses shows up here as a diff between the two runs.
+// TestDoubleRunDeterminism is the dynamic twin of TestDeterminismRules (the
+// static rules, at the module root): running the same experiment twice with
+// the same configuration in one process must render byte-identical output.
+// Go randomizes map iteration per range statement (not just per process),
+// so a map order that leaks into output shows up here as a diff between the
+// two runs.
 //
 // The experiments chosen cover the subsystems with the most internal state
 // while staying cheap enough for -race runs: kernel stacks (fig2), the CAM

@@ -67,9 +67,9 @@ func RunAll(exps []Experiment, cfg RunConfig, parallel int, progress func(Progre
 				if i >= len(exps) {
 					return
 				}
-				start := time.Now() //camlint:allow nodeterminism -- host-side progress reporting; never feeds the simulation
+				start := time.Now()
 				r, err := runRecovered(exps[i], cfg)
-				wall := time.Since(start) //camlint:allow nodeterminism -- host-side progress reporting; never feeds the simulation
+				wall := time.Since(start)
 				mu.Lock()
 				results[i], errs[i] = r, err
 				completed++

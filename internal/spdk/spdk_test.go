@@ -322,9 +322,10 @@ func TestStatsCountRequests(t *testing.T) {
 	}
 }
 
-// TestStagedBufferNamesDeterministic is the regression test for the
-// camlint dettaint finding that staging buffers were named by formatting
-// the driver pointer (%p): ASLR made the name differ between
+// TestStagedBufferNamesDeterministic is the regression test for staging
+// buffers once named by formatting the driver pointer (%p), the bug the
+// pointerfmt rule of TestDeterminismRules now keeps out of every other
+// site: ASLR made the name differ between
 // identically-seeded runs, and every helper sharing a driver collided on
 // the same name. Names must be stable across runs and unique per helper.
 func TestStagedBufferNamesDeterministic(t *testing.T) {
