@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race vuln check check-fast loc shapes determinism fuzz-smoke bench-test bench-layers bench-pair cover cover-smoke profile
+.PHONY: all build test vet race vuln check check-fast loc shapes allocs determinism fuzz-smoke bench-test bench-layers bench-pair cover cover-smoke profile
 
 all: build
 
@@ -53,6 +53,14 @@ shapes:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) test ./internal/harness -run '^TestPaperShapes$$' -v > "$$tmp" 2>&1; st=$$?; \
 	sed -n 's/^ *shapes_test\.go:[0-9]*: //p' "$$tmp"; tail -n 1 "$$tmp"; exit $$st
+
+# allocs prints, one line per quick experiment, the heap objects it
+# allocates and the live heap it leaves behind, then the suite total against
+# its ceiling (TestQuickExperimentsRetainLittleHeap, ≈5 s).
+allocs:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) test ./internal/harness -run '^TestQuickExperimentsRetainLittleHeap$$' -v > "$$tmp" 2>&1; st=$$?; \
+	sed -n 's/^ *parallel_test\.go:[0-9]*: //p' "$$tmp"; tail -n 1 "$$tmp"; exit $$st
 
 # determinism is the stdout-identity gate: cambench built once, then the whole
 # quick suite at -parallel 1 and -parallel 8, with no fault plan and with

@@ -94,23 +94,56 @@ func (l load) onBaM(p *sim.Proc, a *bam.Array, buf *gpu.Buffer) {
 // every one to host address addr, waiting for the oldest whenever depth are
 // in flight.
 func (l load) onSPDK(p *sim.Proc, d *spdk.Driver, ssds int, block int64, addr mem.Addr) {
-	var window []*spdk.Request
+	w := newReqWindow("onSPDK", l.depth)
 	for i := int64(0); i < l.blocks(); i++ {
-		req := &spdk.Request{
+		w.submit(d, spdk.Request{
 			Op: l.op, Dev: int(i % int64(ssds)),
 			SLBA: l.gen.Next() * uint64(block/nvme.LBASize),
 			NLB:  uint32(block / nvme.LBASize),
 			Addr: addr,
-		}
-		d.Submit(req)
-		window = append(window, req)
-		if len(window) == l.depth {
-			p.Wait(&window[0].Done)
-			window = window[1:]
-		}
+		})
+		w.waitNext(p)
 	}
-	for _, req := range window {
-		p.Wait(&req.Done)
+	w.drain(p)
+}
+
+// reqWindow is a closed loop's requests in flight: depth records allocated
+// once, request i in record i%depth. A record is the Done waiter's (it has
+// no Sink), so it is overwritten and resubmitted only after its previous
+// request's Done fired.
+type reqWindow struct {
+	loop string
+	recs []spdk.Request
+	n    int // requests submitted
+}
+
+func newReqWindow(loop string, depth int) *reqWindow {
+	return &reqWindow{loop: loop, recs: make([]spdk.Request, depth)}
+}
+
+// submit copies req into the next record and submits it to d. It panics if
+// the record's previous request is still in flight.
+func (w *reqWindow) submit(d *spdk.Driver, req spdk.Request) {
+	r := &w.recs[w.n%len(w.recs)]
+	if w.n >= len(w.recs) && !r.Done.Fired() {
+		panic(fmt.Sprintf("harness: %s reuses request record %d while it is in flight", w.loop, w.n%len(w.recs)))
+	}
+	*r = req
+	w.n++
+	d.Submit(r)
+}
+
+// waitNext blocks p until the record the next request takes is free.
+func (w *reqWindow) waitNext(p *sim.Proc) {
+	if w.n >= len(w.recs) {
+		p.Wait(&w.recs[w.n%len(w.recs)].Done)
+	}
+}
+
+// drain blocks p until every request taken has completed, oldest first.
+func (w *reqWindow) drain(p *sim.Proc) {
+	for i := max(0, w.n-len(w.recs)); i < w.n; i++ {
+		p.Wait(&w.recs[i%len(w.recs)].Done)
 	}
 }
 
@@ -184,11 +217,21 @@ func bamThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64) float64 
 // so the copy overlaps the next region's fill. This is the configuration
 // of Figures 8, 14 and 15.
 func spdkContigThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64, envOpts platform.Options) (float64, *platform.Env, *spdk.Driver) {
+	blockBytes := min(gran, spdk.MaxTransfer())
+	reqs := reqBudget(gran, cfg.Quick) * (gran / blockBytes)
+	return spdkContigRun(cfg, ssds, op, blockBytes, max(reqs/(stagingRegion/blockBytes), 6), envOpts)
+}
+
+// stagingRegion is the size of one contiguous staging region.
+const stagingRegion = 4 << 20
+
+// spdkContigRun is spdkContigThroughput's closed loop over regions staging
+// regions of blockBytes commands.
+func spdkContigRun(cfg RunConfig, ssds int, op nvme.Opcode, blockBytes, regions int64, envOpts platform.Options) (float64, *platform.Env, *spdk.Driver) {
 	envOpts.SSDs = ssds
 	env := platform.New(envOpts)
 	d := newSPDK(env)
-	blockBytes := min(gran, spdk.MaxTransfer())
-	region := int64(4 << 20)
+	region := int64(stagingRegion)
 	// Requests flow continuously through a sliding window (no per-region
 	// barrier); when a region's last command completes, its staging slot
 	// is drained by one big cudaMemcpyAsync. Two staging slots rotate, so
@@ -196,70 +239,67 @@ func spdkContigThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64, e
 	// crossings behind it) finished — the reuse pacing that makes the
 	// memory-channel experiments bite. Three slots hide the copy latency
 	// completely at full rate.
-	reqs := reqBudget(gran, cfg.Quick) * (gran / blockBytes)
 	perRegion := region / blockBytes
-	regions := reqs / perRegion
-	if regions < 6 {
-		regions = 6
-	}
 	total := regions * region
 	staging := [3]*hostmem.Buffer{
 		env.HM.Alloc("stage0", region),
 		env.HM.Alloc("stage1", region),
 		env.HM.Alloc("stage2", region),
 	}
-	copySig := make([]*sim.Signal, regions)
+	copySig := make([]sim.Signal, regions)
 	copyEnd := make([]sim.Time, regions)
 	remaining := make([]int64, regions)
 	for r := range copySig {
-		copySig[r] = env.E.NewSignal(fmt.Sprintf("region%d", r))
+		copySig[r].Init(env.E, "region")
 		remaining[r] = perRegion
+	}
+	// At most three regions fill at once, one per staging slot, so a
+	// completion's slot names its region: one OnDone per slot.
+	var slotRegion [3]int64
+	var onDone [3]func()
+	for k := range onDone {
+		onDone[k] = func() {
+			r := slotRegion[k]
+			remaining[r]--
+			if remaining[r] == 0 {
+				// Region complete: one big memcpy. The raw driver
+				// charged one DRAM crossing per command; the copy
+				// read leg is the second.
+				dramDone := env.HM.ReserveTraffic(region)
+				copyEnd[r] = env.CE.ReserveCopy(region)
+				if dramDone > copyEnd[r] {
+					copyEnd[r] = dramDone
+				}
+				copySig[r].Fire()
+			}
+		}
 	}
 	rng := sim.NewRNG(9)
 	depth := 64 * ssds
 	env.E.Go("bench", func(p *sim.Proc) {
-		var window []*spdk.Request
+		w := newReqWindow("spdkContigRun", depth)
 		for i := int64(0); i < regions*perRegion; i++ {
 			r := i / perRegion
-			if r >= 3 && i%perRegion == 0 {
-				// Staging slot reuse: wait for region r-3 to be copied out.
-				p.Wait(copySig[r-3])
-				p.SleepUntil(copyEnd[r-3])
-			}
-			dev := int(i % int64(ssds)) // striped like the staged readers
-			slba := uint64(rng.Int63n(1<<21)) * uint64(blockBytes/nvme.LBASize)
-			req := &spdk.Request{
-				Op: op, Dev: dev, SLBA: slba,
-				NLB:  uint32(blockBytes / nvme.LBASize),
-				Addr: staging[r%3].Addr + mem.Addr((i%perRegion)*blockBytes),
-			}
-			rr := r
-			req.OnDone = func() {
-				remaining[rr]--
-				if remaining[rr] == 0 {
-					// Region complete: one big memcpy. The raw driver
-					// charged one DRAM crossing per command; the copy
-					// read leg is the second.
-					dramDone := env.HM.ReserveTraffic(region)
-					copyEnd[rr] = env.CE.ReserveCopy(region)
-					if dramDone > copyEnd[rr] {
-						copyEnd[rr] = dramDone
-					}
-					copySig[rr].Fire()
+			if i%perRegion == 0 {
+				if r >= 3 {
+					// Staging slot reuse: wait for region r-3 to be copied out.
+					p.Wait(&copySig[r-3])
+					p.SleepUntil(copyEnd[r-3])
 				}
+				slotRegion[r%3] = r
 			}
-			d.Submit(req)
-			window = append(window, req)
-			if len(window) >= depth {
-				p.Wait(&window[0].Done)
-				window = window[1:]
-			}
+			w.submit(d, spdk.Request{
+				Op: op, Dev: int(i % int64(ssds)), // striped like the staged readers
+				SLBA:   uint64(rng.Int63n(1<<21)) * uint64(blockBytes/nvme.LBASize),
+				NLB:    uint32(blockBytes / nvme.LBASize),
+				Addr:   staging[r%3].Addr + mem.Addr((i%perRegion)*blockBytes),
+				OnDone: onDone[r%3],
+			})
+			w.waitNext(p)
 		}
-		for _, req := range window {
-			p.Wait(&req.Done)
-		}
+		w.drain(p)
 		last := regions - 1
-		p.Wait(copySig[last])
+		p.Wait(&copySig[last])
 		p.SleepUntil(copyEnd[last])
 	})
 	end := runEnv(cfg, env)

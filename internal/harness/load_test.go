@@ -2,20 +2,24 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"camsim/internal/cam"
 	"camsim/internal/nvme"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
+	"camsim/internal/spdk"
 	"camsim/internal/workload"
 )
 
 // TestLoadMovesEveryBlock: the loop every throughput point shares reaches
 // the devices with exactly batches × perBatch commands on CAM (at one and at
 // three batches in flight, every one complete when the loop returns) and on
-// BaM, in both directions; CAM dispatches one batch per batch; and the SPDK
-// window never has more than depth requests on a device.
+// BaM, in both directions; CAM dispatches one batch per batch; and each SPDK
+// closed loop issues exactly its requests, never more than its window on a
+// device, copying every staging region or granule out once.
 func TestLoadMovesEveryBlock(t *testing.T) {
 	const ssds, perBatch, batches = 2, 64, 5
 	cfg := RunConfig{Quick: true}
@@ -66,20 +70,114 @@ func TestLoadMovesEveryBlock(t *testing.T) {
 		})
 	}
 	t.Run("SPDK window", func(t *testing.T) {
-		const reqs, depth = 100, 8
-		env := platform.New(platform.Options{SSDs: 1})
-		defer env.E.Shutdown()
-		d := newSPDK(env)
-		buf := env.HM.Alloc("b", 4096)
-		l := load{op: nvme.OpWrite, gen: workload.NewUniform(1, 1<<10), perBatch: 1, batches: reqs, depth: depth}
-		env.E.Go("w", func(p *sim.Proc) { l.onSPDK(p, d, 1, 4096, buf.Addr) })
-		runEnv(cfg, env)
-		st := env.Devs[0].Stats()
-		if st.WriteCmds != reqs {
-			t.Errorf("device saw %d write commands, want %d", st.WriteCmds, reqs)
+		// Each closed loop reaches the device with exactly the requests it
+		// issues, never more than its window in flight.
+		check := func(t *testing.T, env *platform.Env, op nvme.Opcode, reqs uint64, depth int) {
+			t.Helper()
+			if got := devCmds(env, op); got != reqs {
+				t.Errorf("device saw %d %s commands, want %d", got, op, reqs)
+			}
+			if st := env.Devs[0].Stats(); st.MaxInFlight < 2 || st.MaxInFlight > depth {
+				t.Errorf("device had up to %d commands in flight, want 2..%d", st.MaxInFlight, depth)
+			}
 		}
-		if st.MaxInFlight < 2 || st.MaxInFlight > depth {
-			t.Errorf("device had up to %d commands in flight, want 2..%d", st.MaxInFlight, depth)
-		}
+		t.Run("onSPDK", func(t *testing.T) {
+			const reqs, depth = 100, 8
+			env := platform.New(platform.Options{SSDs: 1})
+			defer env.E.Shutdown()
+			d := newSPDK(env)
+			buf := env.HM.Alloc("b", 4096)
+			l := load{op: nvme.OpWrite, gen: workload.NewUniform(1, 1<<10), perBatch: 1, batches: reqs, depth: depth}
+			env.E.Go("w", func(p *sim.Proc) { l.onSPDK(p, d, 1, 4096, buf.Addr) })
+			runEnv(cfg, env)
+			check(t, env, nvme.OpWrite, reqs, depth)
+		})
+		t.Run("contig", func(t *testing.T) {
+			// 128 KiB commands: 32 to a staging region, so the 64-deep
+			// window spans two regions and the third slot's barrier bites.
+			const regions = 6
+			_, env, _ := spdkContigRun(cfg, 1, nvme.OpRead, 128<<10, regions, platform.Options{})
+			defer env.E.Shutdown()
+			check(t, env, nvme.OpRead, regions*stagingRegion/(128<<10), 64)
+			if got := env.CE.Calls(); got != regions {
+				t.Errorf("%d staging regions copied out, want each of %d once", got, regions)
+			}
+		})
+		t.Run("scattered", func(t *testing.T) {
+			// 256 KiB granules are two commands each: four workers keep at
+			// most eight in flight.
+			const workers, granules = 4, 16
+			_, env := spdkScatteredRun(cfg, 1, 256<<10, workers, granules)
+			defer env.E.Shutdown()
+			check(t, env, nvme.OpRead, 2*granules, 2*workers)
+			if got := env.CE.Calls(); got != granules {
+				t.Errorf("%d granule copies, want %d", got, granules)
+			}
+		})
 	})
+}
+
+// TestSPDKWindowsAllocsIndependentOfLength: the three SPDK closed loops
+// reuse one window of request records, so a run four times as long, at the
+// same depth and machine construction included, allocates at most one
+// object per 16 extra requests more (the count used to grow by at least one
+// per request: a request record, plus a closure in the contiguous loop).
+func TestSPDKWindowsAllocsIndependentOfLength(t *testing.T) {
+	cfg := RunConfig{Quick: true}
+	loops := []struct {
+		name string
+		reqs int64 // requests at length 1
+		run  func(n int64)
+	}{
+		{"onSPDK", 1024, func(n int64) {
+			env := platform.New(platform.Options{SSDs: 1})
+			d := newSPDK(env)
+			buf := env.HM.Alloc("b", 4096)
+			l := load{op: nvme.OpRead, gen: workload.NewUniform(1, 1<<20), perBatch: 1, batches: int(1024 * n), depth: 64}
+			env.E.Go("w", func(p *sim.Proc) { l.onSPDK(p, d, 1, 4096, buf.Addr) })
+			runEnv(cfg, env)
+			env.E.Shutdown()
+		}},
+		{"contig", 3 * stagingRegion / 4096, func(n int64) {
+			_, env, _ := spdkContigRun(cfg, 1, nvme.OpRead, 4096, 3*n, platform.Options{})
+			env.E.Shutdown()
+		}},
+		{"scattered", 1024, func(n int64) {
+			_, env := spdkScatteredRun(cfg, 1, 4096, 16, 1024*n)
+			env.E.Shutdown()
+		}},
+	}
+	mallocs := func(f func()) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	for _, lp := range loops {
+		t.Run(lp.name, func(t *testing.T) {
+			lp.run(1) // warm the process-global pools
+			short := mallocs(func() { lp.run(1) })
+			long := mallocs(func() { lp.run(4) })
+			extra := 3 * lp.reqs
+			t.Logf("%d objects at %d requests, %d at %d", short, lp.reqs, long, 4*lp.reqs)
+			if long > short+uint64(extra/16) {
+				t.Errorf("%d objects at %d requests, %d at %d: more than one per 16 extra requests",
+					short, lp.reqs, long, 4*lp.reqs)
+			}
+		})
+	}
+}
+
+// TestReqWindowRefusesRecordInFlight: a window record whose request has not
+// completed is never handed out again; the panic names the loop.
+func TestReqWindowRefusesRecordInFlight(t *testing.T) {
+	w := newReqWindow("loopX", 1)
+	w.n = 1 // record 0 taken, its Done never fired
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "loopX") {
+			t.Fatalf("reusing a record in flight: panic %q, want one naming loopX", msg)
+		}
+	}()
+	w.submit(nil, spdk.Request{})
 }

@@ -290,8 +290,6 @@ func runFig16(cfg RunConfig) *Result {
 // overlaps the fill of the next — exactly the overlap SPDK can offer, and
 // still not enough at small granularity.
 func spdkScatteredThroughput(cfg RunConfig, ssds int, gran int64) float64 {
-	env := platform.New(platform.Options{SSDs: ssds})
-	d := newSPDK(env)
 	// Concurrency: enough granules in flight to hide SSD latency at small
 	// sizes without gigabytes of staging at large ones.
 	workers := int64(16)
@@ -308,6 +306,15 @@ func spdkScatteredThroughput(cfg RunConfig, ssds int, gran int64) float64 {
 	if granules > 4096 {
 		granules = 4096
 	}
+	v, _ := spdkScatteredRun(cfg, ssds, gran, workers, granules)
+	return v
+}
+
+// spdkScatteredRun is spdkScatteredThroughput's closed loops: workers
+// staging buffers taking turns over granules granules.
+func spdkScatteredRun(cfg RunConfig, ssds int, gran, workers, granules int64) (float64, *platform.Env) {
+	env := platform.New(platform.Options{SSDs: ssds})
+	d := newSPDK(env)
 	total := granules * gran
 	chunk := min(gran, spdk.MaxTransfer())
 	rng := sim.NewRNG(15)
@@ -317,26 +324,21 @@ func spdkScatteredThroughput(cfg RunConfig, ssds int, gran int64) float64 {
 		staging := env.HM.Alloc(fmt.Sprintf("sc%d", w), gran)
 		env.E.Go("bench", func(p *sim.Proc) {
 			lr := sim.NewRNG(seed)
+			win := newReqWindow("spdkScatteredRun", int((gran+chunk-1)/chunk))
 			var copyDone sim.Time
 			for gidx := w; gidx < granules; gidx += workers {
 				// The staging buffer must not be refilled while its
 				// previous memcpy is still draining.
 				p.SleepUntil(copyDone)
-				var pending []*spdk.Request
 				for off := int64(0); off < gran; off += chunk {
-					dev := int((off/chunk + gidx) % int64(ssds))
-					req := &spdk.Request{
-						Op: nvme.OpRead, Dev: dev,
+					win.submit(d, spdk.Request{
+						Op: nvme.OpRead, Dev: int((off/chunk + gidx) % int64(ssds)),
 						SLBA: uint64(lr.Int63n(1<<20)) * uint64(chunk/nvme.LBASize),
 						NLB:  uint32(chunk / nvme.LBASize),
 						Addr: staging.Addr + mem.Addr(off),
-					}
-					d.Submit(req)
-					pending = append(pending, req)
+					})
 				}
-				for _, req := range pending {
-					p.Wait(&req.Done)
-				}
+				win.drain(p)
 				// The raw driver charged the DMA-write crossing per
 				// command; this is the copy's read leg. Every granule is
 				// its own cudaMemcpyAsync - the scattered-destination
@@ -350,5 +352,5 @@ func spdkScatteredThroughput(cfg RunConfig, ssds int, gran int64) float64 {
 		})
 	}
 	end := runEnv(cfg, env)
-	return float64(total) / end.Seconds()
+	return float64(total) / end.Seconds(), env
 }

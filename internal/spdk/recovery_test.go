@@ -247,3 +247,59 @@ func TestRecoveryDisabledMatchesBaseline(t *testing.T) {
 		t.Fatal("DefaultConfig did not arm recovery under an installed fault plan")
 	}
 }
+
+// TestRequestReusableAfterDone pins the contract a closed loop's request
+// window relies on: a request without a Sink is its Done waiter's, and once
+// Done has fired it may be zeroed and submitted again. One record reused 64
+// times, under injected errors and drops with recovery armed, must complete
+// with the statuses and recovery counters of a run that takes a fresh
+// record per submission; a stale attempt count, deadline or signal left in
+// the driver would show here.
+func TestRequestReusableAfterDone(t *testing.T) {
+	const n = 64
+	run := func(reuse bool) ([]nvme.Status, RecoveryStats) {
+		r := newRig(1)
+		plan := fault.NewPlan(5)
+		plan.ErrRate, plan.DropRate = 0.3, 0.1
+		r.injectAll(plan)
+		cfg := armedConfig()
+		cfg.FailThreshold = 0 // count retries and failures, not a dead device
+		d := New(r.e, cfg, r.hm, r.space, r.devs, 1)
+		r.startAll(d)
+		buf := r.hm.Alloc("b", 4096)
+		var statuses []nvme.Status
+		rec := &Request{}
+		r.e.Go("host", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				req := &Request{}
+				if reuse {
+					req = rec
+					*req = Request{}
+				}
+				req.Op, req.Dev, req.SLBA, req.NLB, req.Addr = nvme.OpRead, 0, uint64(i)*8, 8, buf.Addr
+				d.Submit(req)
+				p.Wait(&req.Done)
+				statuses = append(statuses, req.Status)
+			}
+		})
+		r.e.Run()
+		return statuses, d.Recovery()
+	}
+	fresh, freshRec := run(false)
+	reused, reusedRec := run(true)
+	if freshRec.Retries == 0 || freshRec.Recovered == 0 || freshRec.Timeouts == 0 {
+		t.Fatalf("fault plan exercised too little recovery: %+v", freshRec)
+	}
+	if len(reused) != n || len(fresh) != n {
+		t.Fatalf("completed %d reused and %d fresh requests, want %d each", len(reused), len(fresh), n)
+	}
+	for i := range fresh {
+		if reused[i] != fresh[i] {
+			t.Errorf("request %d: reused record completed %v, fresh record %v", i, reused[i], fresh[i])
+		}
+	}
+	if reusedRec.Retries != freshRec.Retries || reusedRec.Recovered != freshRec.Recovered ||
+		reusedRec.FailedRequests != freshRec.FailedRequests {
+		t.Errorf("recovery with a reused record %+v, with fresh records %+v", reusedRec, freshRec)
+	}
+}

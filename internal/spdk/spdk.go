@@ -118,7 +118,11 @@ type Completion interface {
 	RequestDone(r *Request)
 }
 
-// Request is one asynchronous NVMe command through the driver.
+// Request is one asynchronous NVMe command through the driver. A request
+// without a Sink belongs to its Done waiter: the driver keeps no reference
+// to it once Done has fired, so the waiter may zero it and submit it again
+// (a closed loop's window reuses depth records this way;
+// TestRequestReusableAfterDone).
 type Request struct {
 	Op   nvme.Opcode
 	Dev  int    // device index within the driver
