@@ -131,11 +131,12 @@ bench-pair:
 	bash scripts/benchpair.sh $(WL) $(BASE) $(N)
 
 # cover profiles the fault-critical data plane — the packages the fault
-# injection and recovery machinery runs through, plus the KV-cache tier
-# that drives writes through it — and prints per-function plus total
+# injection and recovery machinery runs through (nvme's command-tag table
+# and sim's deadline-bounded wait included), plus the KV-cache tier that
+# drives writes through it — and prints per-function plus total
 # statement coverage. The profile lands in cover.out for
 # `go tool cover -html=cover.out` spelunking.
-COVER_PKGS = ./internal/ssd ./internal/cam ./internal/bam ./internal/spdk ./internal/fault ./internal/kvcache
+COVER_PKGS = ./internal/ssd ./internal/cam ./internal/bam ./internal/spdk ./internal/fault ./internal/kvcache ./internal/nvme ./internal/sim
 
 cover:
 	$(GO) test -coverprofile=cover.out $(COVER_PKGS)

@@ -83,21 +83,11 @@ type System struct {
 	qps  []*nvme.QueuePair // one per device (first queue of each set)
 
 	slots []*sim.Resource
-	// flight maps [device][CID] to the in-flight command's batch fan-in
-	// and deadline; a flat slice sized to the queue depth
-	// replaces the per-device map this used to be (fan == nil marks a
-	// free slot).
-	flight [][]flightEntry
-	next   []uint16
+	// tags holds, per device, each in-flight command's batch fan-in by CID,
+	// with its deadline when CmdTimeout is armed.
+	tags []nvme.Tags[*fanin]
 	// pollers are the per-device completion state machines.
 	pollers []*devPoll
-	// deadq is the per-device FIFO of armed deadlines. Commands arm at
-	// submit time with a constant timeout, so deadlines are non-decreasing
-	// in arm order and the earliest live one is always at the head — an O(1)
-	// lookup where scanning the whole flight table used to dominate the
-	// poller's park path. Completed or abandoned entries are dropped lazily
-	// when they surface at the head (their flight slot no longer matches).
-	deadq []deadlineQueue
 	// faninFree recycles batch fan-in counters (and their signals).
 	faninFree sim.FreeList[fanin]
 	// batchFree recycles batch state machines; syncFree recycles the
@@ -108,52 +98,8 @@ type System struct {
 	stats Stats
 }
 
-// flightEntry is one in-flight command's completion routing.
-type flightEntry struct {
-	fan      *fanin
-	deadline sim.Time
-}
-
-// deadlineQueue tracks armed command deadlines for one device in FIFO
-// order. head indexes the first possibly-live entry; the backing slice is
-// compacted whenever it fully drains.
-type deadlineQueue struct {
-	ents []deadlineEnt
-	head int
-}
-
-// deadlineEnt pairs a CID with the deadline it was armed with; a mismatch
-// against the flight table means the command already left (completed,
-// expired, or its CID was re-armed with a later deadline).
-type deadlineEnt struct {
-	cid      uint16
-	deadline sim.Time
-}
-
-func (q *deadlineQueue) push(cid uint16, deadline sim.Time) {
-	q.ents = append(q.ents, deadlineEnt{cid: cid, deadline: deadline}) // amortized growth to the in-flight high-water mark; steady state reuses capacity
-}
-
-// earliest reports the soonest still-armed deadline on dev (0 when nothing
-// armed is in flight), discarding stale heads as it goes.
-func (s *System) earliest(dev int) sim.Time {
-	q := &s.deadq[dev]
-	fl := s.flight[dev]
-	for q.head < len(q.ents) {
-		e := q.ents[q.head]
-		if ent := fl[e.cid]; ent.fan != nil && ent.deadline == e.deadline {
-			return e.deadline
-		}
-		q.ents[q.head] = deadlineEnt{}
-		q.head++
-	}
-	q.ents = q.ents[:0]
-	q.head = 0
-	return 0
-}
-
 // fanin is one synchronous batch's completion counter: every submitted
-// command points back to it through the flight table, and the signal fires
+// command points back to it through the tag table, and the signal fires
 // when the last command completes — one wakeup per batch instead of one
 // signal, one map entry, and one wakeup per block. errors accumulates the
 // failed-block count the batch reports.
@@ -188,13 +134,11 @@ func New(e *sim.Engine, cfg Config, g *gpu.GPU, devs []*ssd.Device) *System {
 		qp := d.CreateQueuePair("bam", sqMem.MakeEager(), cqMem.MakeEager(), cfg.QueueDepth)
 		s.qps = append(s.qps, qp)
 		s.slots = append(s.slots, e.NewResource(fmt.Sprintf("bam.slots%d", i), int64(cfg.QueueDepth)-1))
-		s.flight = append(s.flight, make([]flightEntry, cfg.QueueDepth))
-		s.next = append(s.next, 0)
-		s.deadq = append(s.deadq, deadlineQueue{})
+		s.tags = append(s.tags, nvme.NewTags[*fanin](cfg.QueueDepth))
 		// One completion-delivery state machine per device (stands in for
 		// the per-warp pollers whose thread cost is modeled by PinThreads).
 		poll := &devPoll{s: s, dev: i}
-		poll.wake = poll.expireWake
+		poll.wait.Init(e, poll)
 		s.pollers = append(s.pollers, poll)
 		e.ScheduleCallback(0, poll)
 	}
@@ -433,16 +377,12 @@ func (m *batchMachine) push() {
 	a := m.a
 	s := a.s
 	dev, lba := a.locate(m.blocks[m.i])
-	cid := s.allocCID(dev)
-	m.fan.remaining++
-	ent := flightEntry{fan: m.fan}
+	var deadline sim.Time
 	if s.cfg.CmdTimeout > 0 {
-		ent.deadline = s.e.Now() + s.cfg.CmdTimeout
-		// Constant timeout at non-decreasing submit times: FIFO order keeps
-		// the queue sorted, so the poller's earliest() head stays exact.
-		s.deadq[dev].push(cid, ent.deadline)
+		deadline = s.e.Now() + s.cfg.CmdTimeout
 	}
-	s.flight[dev][cid] = ent
+	cid := s.tags[dev].Alloc(m.fan, deadline)
+	m.fan.remaining++
 	sqe := nvme.SQE{Opcode: m.op, CID: cid, NSID: 1, PRP1: uint64(m.buf.Addr + mem.Addr(m.offs[m.i])),
 		SLBA: lba, NLB: uint32(a.BlockBytes / nvme.LBASize)}
 	if err := s.qps[dev].SQ.Push(sqe); err != nil {
@@ -498,19 +438,6 @@ func (m *batchMachine) finish() {
 	sink.BatchDone(errs)
 }
 
-func (s *System) allocCID(dev int) uint16 {
-	depth := uint16(s.cfg.QueueDepth)
-	fl := s.flight[dev]
-	for i := uint16(0); i < depth; i++ {
-		cid := (s.next[dev] + i) % depth
-		if fl[cid].fan == nil {
-			s.next[dev] = cid + 1
-			return cid
-		}
-	}
-	panic("bam: no free CID despite slot limiter")
-}
-
 // devPoll is one device's completion poller as an engine-callback state
 // machine (it used to be a process): it folds arriving CQEs into their
 // batch fan-ins, counting failed commands into the batch error
@@ -518,112 +445,46 @@ func (s *System) allocCID(dev int) uint16 {
 // passed so a lost command fails the batch instead of hanging it. Each
 // OnPost wake is a direct call instead of a goroutine rendezvous.
 type devPoll struct {
-	s   *System
-	dev int
-	// timer is the pending deadline timer, kept across parks: a
-	// cancel+re-arm per wake would push one far-horizon overflow-heap
-	// event per command, and that churn dominates heap depth under load.
-	// Instead the timer re-checks the deadline FIFO when it fires and
-	// re-arms itself if the horizon moved (deadlines are non-decreasing,
-	// so a pending timer never fires late — only early). Parking with
-	// nothing in flight marks it dead — so a live timer never stretches
-	// quiescence — and the next deadline park revives the still-pending
-	// event in place instead of pushing a fresh one.
-	timer *sim.Timer
-	// timerAt is the fire time of the pending timer, for the park path to
-	// decide whether the pending timer still covers the current horizon.
-	timerAt sim.Time
-	// wake is expireWake bound once, so arming the timer does not allocate
-	// a fresh method-value closure per park.
-	wake func()
+	s    *System
+	dev  int
+	wait sim.DeadlineWait // the OnPost park, bounded by NextDeadline
 }
 
-// Run re-enters the poller after an OnPost fire (or at startup). The
-// deadline timer, if pending, stays armed — expireWake re-aims it.
+// NextDeadline is the earliest armed deadline in flight (sim.Deadliner).
+func (c *devPoll) NextDeadline() sim.Time { return c.s.tags[c.dev].Earliest() }
+
+// Run drains completions and expirations until there is nothing immediate,
+// then parks on OnPost, bounded by the earliest armed deadline. It is
+// re-entered by an OnPost fire or a due deadline (and runs once at
+// startup).
 func (c *devPoll) Run() {
-	onPost := c.s.qps[c.dev].CQ.OnPost
-	if onPost.Fired() {
-		onPost.Reset()
-	}
-	c.poll()
-}
-
-// poll drains completions and expirations until there is nothing immediate,
-// then parks on OnPost, bounded by the earliest armed deadline.
-func (c *devPoll) poll() {
 	s, dev := c.s, c.dev
 	qp := s.qps[dev]
 	for {
 		cqe, ok := qp.CQ.Poll()
 		if ok {
-			ent := s.flight[dev][cqe.CID]
-			if ent.fan == nil {
-				panic("bam: completion for unknown CID")
-			}
+			fan := s.tags[dev].Free(cqe.CID)
 			if cqe.Status != nvme.StatusSuccess {
-				ent.fan.errors++
+				fan.errors++
 				s.stats.FailedBlocks++
 			}
-			s.flight[dev][cqe.CID] = flightEntry{}
 			s.slots[dev].Release(1)
-			s.faninRef(ent.fan, -1)
+			s.faninRef(fan, -1)
 			continue
 		}
 		if s.cfg.CmdTimeout > 0 && s.expire(dev) {
 			continue
 		}
 		if !qp.CQ.OnPost.Fired() {
-			if next := s.earliest(dev); next > 0 {
-				if next <= s.e.Now() {
-					continue // deadline already due; expire on the next pass
-				}
-				qp.CQ.OnPost.WaitCallback(0, c)
-				if c.timer == nil || c.timerAt > next || !c.timer.Revive(c.wake) {
-					if c.timer != nil {
-						c.timer.Cancel()
-					}
-					c.timer = s.e.ScheduleTimer(next-s.e.Now(), c.wake)
-					c.timerAt = next
-				}
-				return
+			next := s.tags[dev].Earliest()
+			if next > 0 && next <= s.e.Now() {
+				continue // deadline already due; expire on the next pass
 			}
-			if c.timer != nil {
-				// Nothing in flight: a live timer left pending would drag
-				// the clock forward at quiescence. Mark it dead — the
-				// pending event is discarded without advancing the clock
-				// if the run drains, and the next deadline park revives
-				// it in place.
-				c.timer.Cancel()
-			}
-			qp.CQ.OnPost.WaitCallback(0, c)
+			c.wait.Park(qp.CQ.OnPost, next)
 			return
 		}
 		qp.CQ.OnPost.Reset()
 	}
-}
-
-// expireWake is the deadline-timer body. The timer may fire early — it was
-// aimed at a deadline whose command has since completed — in which case it
-// re-arms itself at the current horizon and the poller stays parked. When a
-// deadline really is due and the poller is still parked (OnPost has not
-// fired), deregister it and re-enter the loop on the deadline path, which
-// skips the OnPost.Reset.
-func (c *devPoll) expireWake() {
-	c.timer = nil
-	s, dev := c.s, c.dev
-	next := s.earliest(dev)
-	if next == 0 {
-		return // nothing in flight anymore; plain OnPost park
-	}
-	if now := s.e.Now(); next > now {
-		c.timer = s.e.ScheduleTimer(next-now, c.wake)
-		c.timerAt = next
-		return
-	}
-	if !s.qps[dev].CQ.OnPost.CancelWaitCallback(c) {
-		return // fire beat the timer at this exact instant; Run handles it
-	}
-	c.poll()
 }
 
 // expire abandons commands on dev whose deadline passed: the device-side
@@ -631,28 +492,23 @@ func (c *devPoll) expireWake() {
 // completes instead of hanging. Reports whether anything expired.
 func (s *System) expire(dev int) bool {
 	now := s.e.Now()
-	// Head of the deadline FIFO bounds every armed deadline from below; if
-	// it is still in the future (or nothing is armed), the full-table scan
-	// below cannot find anything to expire.
-	if next := s.earliest(dev); next == 0 || now < next {
-		return false
-	}
+	tags := &s.tags[dev]
 	progressed := false
-	for cid := range s.flight[dev] {
-		ent := s.flight[dev][cid]
-		if ent.fan == nil || ent.deadline == 0 || now < ent.deadline {
-			continue
+	for from := 0; ; {
+		cid, fan, due := tags.NextDue(from, now)
+		if !due {
+			return progressed
 		}
-		if s.devs[dev].Abort(s.qps[dev], uint16(cid)) == ssd.AbortNotFound {
+		from = int(cid) + 1
+		if s.devs[dev].Abort(s.qps[dev], cid) == ssd.AbortNotFound {
 			continue // CQE already posted; the poll loop reaps it
 		}
 		s.stats.Timeouts++
 		s.stats.FailedBlocks++
-		ent.fan.errors++
-		s.flight[dev][cid] = flightEntry{}
+		fan.errors++
+		tags.Free(cid)
 		s.slots[dev].Release(1)
-		s.faninRef(ent.fan, -1)
+		s.faninRef(fan, -1)
 		progressed = true
 	}
-	return progressed
 }

@@ -9,6 +9,7 @@ import (
 	"camsim/internal/gpu"
 	"camsim/internal/gpucache"
 	"camsim/internal/mem"
+	"camsim/internal/nvme"
 	"camsim/internal/pcie"
 	"camsim/internal/sim"
 	"camsim/internal/ssd"
@@ -269,5 +270,23 @@ func TestGatherCoalescingSplitsNonContiguous(t *testing.T) {
 	}
 	if reads != 3 {
 		t.Fatalf("reads=%d, want 3 (one command per block)", reads)
+	}
+}
+
+// TestMaxQueueDepth: 65 536 entries is a legal NVMe queue (16-bit CIDs,
+// zero-based MQES), and a gather of four blocks on one completes.
+func TestMaxQueueDepth(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.QueueDepth = nvme.MaxQueueDepth
+	r := newRig(1, cfg)
+	arr := r.sys.NewArray(4096)
+	dst := r.g.Alloc("dst", 4*4096)
+	errs := -1
+	r.e.Go("kernel", func(p *sim.Proc) {
+		errs = arr.Gather(p, []uint64{0, 1, 2, 3}, dst, 0)
+	})
+	r.e.Run()
+	if errs != 0 {
+		t.Fatalf("Gather at depth %d: %d failed blocks (-1: never returned)", cfg.QueueDepth, errs)
 	}
 }

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"camsim/internal/bam"
 	"camsim/internal/cam"
 	"camsim/internal/fault"
 	"camsim/internal/gemmx"
@@ -210,5 +212,80 @@ func TestChaosGEMMSoak(t *testing.T) {
 	}
 	if totalInjected == 0 {
 		t.Fatal("16-seed soak injected nothing — schedules are inert")
+	}
+}
+
+// chaosBaM scatters and gathers rounds of fresh blocks through BaM under
+// seed's fault schedule. BaM has no retry path, so a lost or failed
+// command loses its block: the run fails if a round reads back more wrong
+// blocks than its scatter and gather reported failed, or if the failures
+// returned disagree with bam.Stats. It returns the run's fingerprint and
+// its timeout count.
+func chaosBaM(t *testing.T, seed uint64) (string, uint64) {
+	t.Helper()
+	const rounds, n, block = 4, 256, 4096
+	env := platform.New(platform.Options{SSDs: 3, Faults: chaosPlan(seed)})
+	cfg := bam.DefaultConfig()
+	cfg.CmdTimeout = 25 * sim.Millisecond // what DefaultConfig arms under a process-wide plan
+	sys := bam.New(env.E, cfg, env.GPU, env.Devs)
+	arr := sys.NewArray(block)
+	src := env.GPU.Alloc("src", n*block)
+	dst := env.GPU.Alloc("dst", n*block)
+	blocks := make([]uint64, n)
+	var failed uint64
+	env.E.Go("bam", func(p *sim.Proc) {
+		for r := 0; r < rounds; r++ {
+			rng := sim.NewRNG(seed<<8 | uint64(r))
+			for i := range src.Bytes() {
+				src.Bytes()[i] = byte(rng.Uint64())
+			}
+			for i := range blocks {
+				blocks[i] = uint64((7*i + 13*r) % 1024)
+			}
+			errs := arr.Scatter(p, blocks, src, 0) + arr.Gather(p, blocks, dst, 0)
+			failed += uint64(errs)
+			wrong := 0
+			for i := 0; i < n*block; i += block {
+				if !bytes.Equal(src.Bytes()[i:i+block], dst.Bytes()[i:i+block]) {
+					wrong++
+				}
+			}
+			if wrong > errs {
+				t.Errorf("seed %d round %d: %d blocks read back wrong, %d reported failed", seed, r, wrong, errs)
+			}
+		}
+	})
+	env.Run()
+	st := sys.Stats()
+	if st.FailedBlocks != failed {
+		t.Fatalf("seed %d: bam.Stats counts %d failed blocks, batches returned %d", seed, st.FailedBlocks, failed)
+	}
+	var c metrics.Counters
+	fs := env.FaultStats()
+	c.Add("inj.err", fs.Errors)
+	c.Add("inj.drop", fs.Drops)
+	c.Add("inj.slow", fs.Slows)
+	c.Add("inj.dead", fs.DeadDrops)
+	c.Add("bam.timeouts", st.Timeouts)
+	c.Add("bam.failed", st.FailedBlocks)
+	c.Add("end.ns", uint64(env.E.Now()))
+	return c.String(), st.Timeouts
+}
+
+// TestChaosBaMSoak: BaM's timeout path under the same 16 schedules. Every
+// seed replays byte-identically, every block is verified or counted
+// failed, and the soak as a whole times commands out.
+func TestChaosBaMSoak(t *testing.T) {
+	var timeouts uint64
+	for seed := uint64(1); seed <= chaosSeeds; seed++ {
+		fp1, to := chaosBaM(t, seed)
+		fp2, _ := chaosBaM(t, seed)
+		if fp1 != fp2 {
+			t.Fatalf("seed %d replay diverged:\n%s\n%s", seed, fp1, fp2)
+		}
+		timeouts += to
+	}
+	if timeouts == 0 {
+		t.Fatal("16-seed soak never timed a command out")
 	}
 }

@@ -215,12 +215,13 @@ type SQ struct {
 
 // NewSQ creates a submission ring over memory (len = depth*SQESize),
 // typically a host or GPU buffer registered in the platform address space.
+// depth lies in [2, MaxQueueDepth].
 func NewSQ(e *sim.Engine, name string, memory []byte, depth uint32) *SQ {
+	if depth < 2 || depth > MaxQueueDepth {
+		panic(fmt.Sprintf("nvme: SQ %q depth %d outside [2, %d]", name, depth, MaxQueueDepth))
+	}
 	if uint32(len(memory)) != depth*SQESize {
 		panic(fmt.Sprintf("nvme: SQ %q memory %d bytes, want %d", name, len(memory), depth*SQESize))
-	}
-	if depth < 2 {
-		panic("nvme: SQ depth must be >= 2")
 	}
 	return &SQ{slots: make([]SQE, depth), memory: memory, Doorbell: e.NewSignal(name + ".sqdb")}
 }
@@ -315,14 +316,15 @@ type CQ struct {
 	OnPost *sim.Signal
 }
 
-// NewCQ creates a completion ring of the given depth over memory (len must
-// be depth*CQESize). Phase starts at 1 for the first lap, per the spec.
+// NewCQ creates a completion ring of the given depth, in [2, MaxQueueDepth],
+// over memory (len must be depth*CQESize). Phase starts at 1 for the first
+// lap, per the spec.
 func NewCQ(e *sim.Engine, name string, memory []byte, depth uint32) *CQ {
+	if depth < 2 || depth > MaxQueueDepth {
+		panic(fmt.Sprintf("nvme: CQ %q depth %d outside [2, %d]", name, depth, MaxQueueDepth))
+	}
 	if uint32(len(memory)) != depth*CQESize {
 		panic(fmt.Sprintf("nvme: CQ %q memory %d bytes, want %d", name, len(memory), depth*CQESize))
-	}
-	if depth < 2 {
-		panic("nvme: CQ depth must be >= 2")
 	}
 	return &CQ{slots: make([]CQE, depth), memory: memory, phase: true, hostPh: true, OnPost: e.NewSignal(name + ".cqpost")}
 }

@@ -187,10 +187,8 @@ type Stack struct {
 	kernelBusyUntil sim.Time
 
 	slots []*sim.Resource // per-device in-flight limiter
-	// inflight maps command identifier to request, QueueDepth entries per
-	// device; nil marks a free identifier.
-	inflight [][]*Request
-	nextCID  []uint16
+	// tags maps each device's command identifiers to their requests.
+	tags []nvme.Tags[*Request]
 
 	// freeSubmit recycles SubmitAsync machines.
 	freeSubmit sim.FreeList[submitMachine]
@@ -243,8 +241,7 @@ func NewStack(e *sim.Engine, kind StackKind, cfg Config, hm *hostmem.Memory, dev
 		qp := d.CreateQueuePair(fmt.Sprintf("kernel-%d", kind), sqMem.MakeEager(), cqMem.MakeEager(), cfg.QueueDepth)
 		s.qps = append(s.qps, qp)
 		s.slots = append(s.slots, e.NewResource(fmt.Sprintf("kslots%d", i), int64(cfg.QueueDepth)-1))
-		s.inflight = append(s.inflight, make([]*Request, cfg.QueueDepth))
-		s.nextCID = append(s.nextCID, 0)
+		s.tags = append(s.tags, nvme.NewTags[*Request](cfg.QueueDepth))
 		s.bounce = append(s.bounce, hm.Alloc(fmt.Sprintf("k%s.bounce%d", kind, i),
 			int64(cfg.QueueDepth)*cfg.StripeBytes))
 	}
@@ -331,9 +328,7 @@ func (s *Stack) chargePath(r *Request) {
 func (s *Stack) issue(r *Request) {
 	dev := r.dev
 	_, lba := s.locate(r.Offset)
-	cid := s.allocCID(dev)
-	r.cid = cid
-	s.inflight[dev][cid] = r
+	r.cid = s.tags[dev].Alloc(r, 0)
 
 	// The DMA target is this command's staging slot in host DRAM. Writes
 	// stage the payload in first (two DRAM crossings counting the device's
@@ -343,9 +338,9 @@ func (s *Stack) issue(r *Request) {
 	}
 	sqe := nvme.SQE{
 		Opcode: r.Op,
-		CID:    cid,
+		CID:    r.cid,
 		NSID:   1,
-		PRP1:   uint64(s.bounce[dev].Addr) + uint64(int64(cid)*s.cfg.StripeBytes),
+		PRP1:   uint64(s.bounce[dev].Addr) + uint64(int64(r.cid)*s.cfg.StripeBytes),
 		SLBA:   lba,
 		NLB:    uint32(r.N / nvme.LBASize),
 	}
@@ -449,19 +444,6 @@ func (s *Stack) bounceStage(r *Request, toSlot bool) {
 	s.hm.ReserveTraffic(2 * r.N)
 }
 
-// allocCID hands out a free command identifier in [0, QueueDepth); the
-// in-flight limiter guarantees one exists.
-func (s *Stack) allocCID(dev int) uint16 {
-	for i := uint32(0); i < s.cfg.QueueDepth; i++ {
-		cid := (s.nextCID[dev] + uint16(i)) % uint16(s.cfg.QueueDepth)
-		if s.inflight[dev][cid] == nil {
-			s.nextCID[dev] = cid + 1
-			return cid
-		}
-	}
-	panic("oskernel: no free CID despite slot limiter")
-}
-
 // kcqStep reaps completions for one device as a callback state machine
 // parked on the CQ doorbell: interrupt-driven stacks add the interrupt
 // latency through pooled delivery records; the polled stack reaps inline.
@@ -477,7 +459,6 @@ type kcqStep struct {
 type kDeliver struct {
 	k      *kcqStep
 	r      *Request
-	cid    uint16
 	status nvme.Status
 }
 
@@ -485,10 +466,10 @@ type kDeliver struct {
 // recycles before the copy-out so delivery can park a fresh one
 // immediately.
 func (d *kDeliver) Run() {
-	k, r, cid, status := d.k, d.r, d.cid, d.status
+	k, r, status := d.k, d.r, d.status
 	d.r = nil
 	k.free.Put(d)
-	k.deliver(r, cid, status)
+	k.deliver(r, status)
 }
 
 // Run drains the device CQ and re-arms the doorbell wait (engine-callback
@@ -505,7 +486,7 @@ func (k *kcqStep) Run() {
 			qp.CQ.OnPost.WaitCallback(0, k)
 			return
 		}
-		r := s.inflight[k.dev][cqe.CID]
+		r := s.tags[k.dev].Owner(cqe.CID)
 		if r == nil {
 			panic("oskernel: completion for unknown CID")
 		}
@@ -515,21 +496,21 @@ func (k *kcqStep) Run() {
 			// serialize completions.
 			s.Stat.ChargeCycles(cpustat.TimeToCycles(s.cfg.InterruptDelay) * 0.3)
 			d := k.free.Get()
-			d.k, d.r, d.cid, d.status = k, r, cqe.CID, cqe.Status
+			d.k, d.r, d.status = k, r, cqe.Status
 			s.e.ScheduleCallback(s.cfg.InterruptDelay, d)
 		} else {
-			k.deliver(r, cqe.CID, cqe.Status)
+			k.deliver(r, cqe.Status)
 		}
 	}
 }
 
 // deliver finishes one completion: staging copy-out, accounting, tag and
 // slot release, Done signal.
-func (k *kcqStep) deliver(r *Request, cid uint16, status nvme.Status) {
+func (k *kcqStep) deliver(r *Request, status nvme.Status) {
 	s, dev := k.s, k.dev
 	// The CID (and its bounce slot) stays reserved until the copy-out
 	// finishes, so a reissued command cannot clobber it.
-	s.inflight[dev][cid] = nil
+	s.tags[dev].Free(r.cid)
 	if r.Op == nvme.OpRead {
 		// DMA landed in the staging slot: one DRAM crossing for the DMA
 		// write, one for the copy-to-user read.

@@ -421,3 +421,23 @@ func BenchmarkOSKernelReadAtP(b *testing.B) {
 	b.ResetTimer()
 	drive(b.N)
 }
+
+// TestMaxQueueDepth: 65 536 entries is a legal NVMe queue (16-bit CIDs,
+// zero-based MQES). One 16 KiB pread over 4 KiB stripes puts four reads in
+// flight on the one device; all complete.
+func TestMaxQueueDepth(t *testing.T) {
+	r := newRig(t, 1)
+	cfg := DefaultConfig(POSIX)
+	cfg.QueueDepth = nvme.MaxQueueDepth
+	cfg.StripeBytes = 4096
+	s := NewStack(r.e, POSIX, cfg, r.hm, r.devs)
+	r.start()
+	st := nvme.Status(255)
+	r.e.Go("app", func(p *sim.Proc) {
+		st = readAt(s, p, 0, make([]byte, 4*4096))
+	})
+	r.e.Run()
+	if st != nvme.StatusSuccess {
+		t.Fatalf("pread at depth %d: status %v", cfg.QueueDepth, st)
+	}
+}

@@ -194,23 +194,15 @@ type Reactor struct {
 // pair and the state of the commands in flight on it.
 type devQueue struct {
 	qp *nvme.QueuePair // nil when this reactor does not own the device
-	// flight is indexed by CID. busy counts the CIDs taken or about to be
-	// (a submission holds its place while SubmitCost elapses); it stays
-	// below the ring depth, because a ring keeps one slot free.
-	flight []cmdSlot
-	busy   int
-	// next is where the search for a free CID starts.
-	next uint16
+	// tags holds each in-flight request by CID, with its deadline when
+	// recovery is armed. busy counts the CIDs taken or about to be (a
+	// submission holds its place while SubmitCost elapses); it stays below
+	// the ring depth, because a ring keeps one slot free.
+	tags nvme.Tags[*Request]
+	busy int
 	// consecTO counts consecutive timeouts (reset by any completion);
 	// crossing Config.FailThreshold declares the device dead.
 	consecTO int
-}
-
-// cmdSlot is the driver's record of one CID: the request in flight on it (nil
-// when free) and its absolute deadline (0 when recovery is disarmed).
-type cmdSlot struct {
-	req      *Request
-	deadline sim.Time
 }
 
 // retryEntry is one backoff-delayed re-submission.
@@ -280,8 +272,8 @@ func New(e *sim.Engine, cfg Config, hm *hostmem.Memory, space *mem.Space, devs [
 		cqMem := hm.Alloc(fmt.Sprintf("spdk.cq.%d.%d", r.id, di), int64(cfg.QueueDepth)*nvme.CQESize)
 		// Ring memory is real bytes (nvme renders the wire image into it).
 		r.dq[di] = devQueue{
-			qp:     dev.CreateQueuePair(fmt.Sprintf("spdk-r%d", r.id), sqMem.MakeEager(), cqMem.MakeEager(), cfg.QueueDepth),
-			flight: make([]cmdSlot, cfg.QueueDepth),
+			qp:   dev.CreateQueuePair(fmt.Sprintf("spdk-r%d", r.id), sqMem.MakeEager(), cqMem.MakeEager(), cfg.QueueDepth),
+			tags: nvme.NewTags[*Request](cfg.QueueDepth),
 		}
 	}
 	return d
@@ -354,7 +346,7 @@ func (d *Driver) Start() {
 		st := &reactorStep{r: r, armed: d.cfg.CmdTimeout > 0,
 			submitCycles:   d.cfg.SubmitInstr / d.cfg.IPC,
 			completeCycles: d.cfg.CompleteInstr / d.cfg.IPC}
-		st.wake = st.deadlineWake
+		st.wait.Init(d.e, st)
 		d.e.ScheduleCallback(0, st)
 	}
 }
@@ -416,7 +408,7 @@ const (
 	rpExpireCont              // post-expiry dead-device check
 	rpIdleCheck               // end of sweep: idle accounting decision
 	rpIdleSlept               // (resume) idle poll-iteration cost elapsed
-	rpSigWake                 // (resume) woken by a submit/completion signal
+	rpSigWake                 // (resume) woken by the wake signal or a due deadline
 )
 
 // reactorStep is the reactor polling loop as an engine-callback state
@@ -458,22 +450,10 @@ type reactorStep struct {
 	expDev, expCid int
 	expNow         sim.Time
 
-	// Idle-wait state: the armed wake signal, the optional deadline timer,
-	// and when the wait began (for the poll-cycle charge at wake-up). The
-	// timer is kept across wake/park cycles — cancel+re-arm per cycle
-	// would push one far-horizon overflow-heap event per wake — and
-	// re-aims itself on an early fire; timerAt records its fire time so
-	// the park path can tell whether it still covers the current horizon.
-	// Parking with no armed deadline marks it dead — so a live timer
-	// never stretches quiescence — and the next bounded park revives the
-	// still-pending event in place instead of pushing a fresh one. wake
-	// is deadlineWake bound once, so arming never allocates a fresh
-	// method-value closure.
+	// wait is the idle wait on the wake signal, bounded by NextDeadline;
+	// waitStart is when it began, for the poll-cycle charge at wake-up.
+	wait      sim.DeadlineWait
 	waitStart sim.Time
-	sig       *sim.Signal
-	timer     *sim.Timer
-	timerAt   sim.Time
-	wake      func()
 }
 
 // Run advances the sweep until it parks: on a cost callback (SubmitCost,
@@ -566,12 +546,7 @@ func (s *reactorStep) Run() {
 				continue
 			}
 			s.progressed = true
-			slot := &dq.flight[cqe.CID]
-			if slot.req == nil {
-				panic("spdk: completion for unknown CID")
-			}
-			s.creq, s.cdi, s.cstatus = slot.req, di, cqe.Status
-			slot.req = nil
+			s.creq, s.cdi, s.cstatus = dq.tags.Free(cqe.CID), di, cqe.Status
 			s.phase = rpCompleteB
 			e.ScheduleCallback(cfg.CompleteCost, s)
 			return
@@ -584,13 +559,12 @@ func (s *reactorStep) Run() {
 			s.subReq = nil
 			di := req.Dev
 			dq := &r.dq[di]
-			cid := dq.allocCID()
-			req.attempts++
-			slot := &dq.flight[cid]
-			slot.req = req
+			var deadline sim.Time
 			if s.armed {
-				slot.deadline = e.Now() + cfg.CmdTimeout
+				deadline = e.Now() + cfg.CmdTimeout
 			}
+			cid := dq.tags.Alloc(req, deadline)
+			req.attempts++
 			if err := dq.qp.SQ.Push(nvme.SQE{
 				Opcode: req.Op, CID: cid, NSID: 1,
 				PRP1: uint64(req.Addr), SLBA: req.SLBA, NLB: req.NLB,
@@ -644,25 +618,20 @@ func (s *reactorStep) Run() {
 			}
 			di := r.devs[s.expDev]
 			dq := &r.dq[di]
-			if dq.qp == nil || s.expCid >= len(dq.flight) {
+			cid, req, due := dq.tags.NextDue(s.expCid, s.expNow)
+			if !due {
 				s.expDev++
 				s.expCid = 0
 				continue
 			}
-			cid := s.expCid
-			s.expCid++
-			slot := &dq.flight[cid]
-			req := slot.req
-			if req == nil || slot.deadline == 0 || s.expNow < slot.deadline {
-				continue
-			}
-			if r.d.devs[di].Abort(dq.qp, uint16(cid)) == ssd.AbortNotFound {
+			s.expCid = int(cid) + 1
+			if r.d.devs[di].Abort(dq.qp, cid) == ssd.AbortNotFound {
 				// The CQE is already posted and waiting in the CQ: the
 				// completion beat the timeout; reap it on the next sweep.
 				continue
 			}
 			s.progressed = true
-			slot.req = nil
+			dq.tags.Free(cid)
 			dq.busy--
 			r.d.rec.Timeouts++
 			r.d.tr.Emit(trace.IOTimeout, r.d.devs[di].Name,
@@ -708,14 +677,11 @@ func (s *reactorStep) Run() {
 			}
 			// Wait until a submission or completion signal fires — or,
 			// when recovery is armed, until the earliest pending command
-			// deadline or retry backoff, whichever comes first. Without
-			// that bound an idle reactor holding only a dropped command
-			// (no CQE will ever post) would sleep forever and wedge the
-			// engine.
+			// deadline or retry backoff, whichever comes first.
 			start := e.Now()
 			s.waitStart = start
 			sig := r.wakeSignal()
-			next := r.nextWake()
+			next := s.NextDeadline()
 			if next > 0 && next <= start {
 				// A deadline already due falls through without sleeping;
 				// the next sweep expires it.
@@ -730,33 +696,22 @@ func (s *reactorStep) Run() {
 				s.phase = rpIterStart
 				continue
 			}
-			s.sig = sig
 			s.phase = rpSigWake
-			sig.WaitCallback(0, s)
-			if next > 0 {
-				if s.timer == nil || s.timerAt > next || !s.timer.Revive(s.wake) {
-					if s.timer != nil {
-						s.timer.Cancel()
-					}
-					s.timer = e.ScheduleTimer(next-start, s.wake)
-					s.timerAt = next
-				}
-			} else if s.timer != nil {
-				// No deadline to bound this wait: a live timer left
-				// pending would drag the clock forward at quiescence.
-				// Mark it dead — the next bounded park revives it.
-				s.timer.Cancel()
-			}
+			s.wait.Park(sig, next)
 			return
 
 		case rpSigWake:
-			// Woken by a submission or completion signal; a pending
-			// deadline timer stays armed — deadlineWake re-aims it.
-			// Re-arm the persistent wake: anything fired after this reset
-			// is still visible in the queues this resweep drains.
-			s.sig.Reset()
-			s.sig = nil
-			s.chargeWait()
+			// Woken by a submission or completion signal, or by a due
+			// deadline. Re-arm the persistent wake: anything fired after
+			// this reset is still visible in the queues this resweep
+			// drains.
+			r.wake.Reset()
+			// Charge the poll cycles a real poll-mode reactor would have
+			// burned through the wait.
+			if waited := e.Now() - s.waitStart; waited > 0 {
+				iters := float64(waited) / float64(cfg.PollIterCost*sim.Time(len(r.devs))+1)
+				r.Stat.Charge(iters*cfg.PollIterInstr*float64(len(r.devs)), cfg.IPC)
+			}
 			s.phase = rpIterStart
 		}
 	}
@@ -780,7 +735,7 @@ func (s *reactorStep) submitA(req *Request, ret uint8) bool {
 	// Respect the in-flight bound without blocking the reactor: requeue
 	// if the pair is full.
 	dq := &r.dq[di]
-	if dq.busy == len(dq.flight)-1 {
+	if dq.busy == dq.tags.Depth()-1 {
 		r.pending.Put(req)
 		return false
 	}
@@ -790,48 +745,6 @@ func (s *reactorStep) submitA(req *Request, ret uint8) bool {
 	s.phase = rpSubmitB
 	r.d.e.ScheduleCallback(r.d.cfg.SubmitCost, s)
 	return true
-}
-
-// deadlineWake is the idle-wait deadline timer. It may fire early — aimed
-// at a deadline whose command has since completed — in which case it
-// re-arms itself at the current horizon and the reactor stays parked. When
-// a deadline really is due it re-enters the sweep with a direct call (no
-// event). If the wake signal's Fire already consumed
-// the parked waiter at this same instant, the cancel fails and the timer is
-// a no-op — the scheduled wake event wins the tie.
-func (s *reactorStep) deadlineWake() {
-	s.timer = nil
-	if s.sig == nil {
-		return // stale: the sweep re-entered since this was armed
-	}
-	r := s.r
-	next := r.nextWake()
-	if next == 0 {
-		return // nothing armed anymore; plain signal wait
-	}
-	if now := r.d.e.Now(); next > now {
-		s.timer = r.d.e.ScheduleTimer(next-now, s.wake)
-		s.timerAt = next
-		return
-	}
-	if !s.sig.CancelWaitCallback(s) {
-		return
-	}
-	s.sig = nil
-	s.chargeWait()
-	s.phase = rpIterStart
-	s.Run()
-}
-
-// chargeWait accounts the poll cycles a real poll-mode reactor would have
-// burned through the just-finished idle wait.
-func (s *reactorStep) chargeWait() {
-	r := s.r
-	waited := r.d.e.Now() - s.waitStart
-	if waited > 0 {
-		iters := float64(waited) / float64(r.d.cfg.PollIterCost*sim.Time(len(r.devs))+1)
-		r.Stat.Charge(iters*r.d.cfg.PollIterInstr*float64(len(r.devs)), r.d.cfg.IPC)
-	}
 }
 
 // finishOrRetry routes a failed command: retryable statuses re-submit with
@@ -885,15 +798,15 @@ func (r *Reactor) markDeviceFailed(di int) {
 	r.d.tr.Emit(trace.DeviceFail, r.d.devs[di].Name,
 		fmt.Sprintf("dead after %d consecutive timeouts", r.dq[di].consecTO), int64(di))
 	dq := &r.dq[di]
-	for cid := range dq.flight {
-		req := dq.flight[cid].req
+	for cid := range dq.tags.Depth() {
+		req := dq.tags.Owner(uint16(cid))
 		if req == nil {
 			continue
 		}
 		if r.d.devs[di].Abort(dq.qp, uint16(cid)) == ssd.AbortNotFound {
 			continue // CQE already posted; let the poll sweep reap it
 		}
-		dq.flight[cid].req = nil
+		dq.tags.Free(uint16(cid))
 		dq.busy--
 		req.Status = nvme.StatusDevFailed
 		r.d.rec.FastFails++
@@ -936,18 +849,18 @@ func (r *Reactor) anythingPending() bool {
 	return false
 }
 
-// nextWake reports the earliest armed command deadline or retry-backoff
-// instant this reactor owes attention to (0 when none).
-func (r *Reactor) nextWake() sim.Time {
-	if r.d.cfg.CmdTimeout == 0 {
+// NextDeadline reports the earliest armed command deadline or retry-backoff
+// instant the reactor owes attention to (0 when none); it bounds the idle
+// wait (sim.Deadliner).
+func (s *reactorStep) NextDeadline() sim.Time {
+	r := s.r
+	if !s.armed {
 		return 0
 	}
 	var t sim.Time
 	for _, di := range r.devs {
-		for _, slot := range r.dq[di].flight {
-			if slot.req != nil && slot.deadline > 0 && (t == 0 || slot.deadline < t) {
-				t = slot.deadline
-			}
+		if d := r.dq[di].tags.Earliest(); d > 0 && (t == 0 || d < t) {
+			t = d
 		}
 	}
 	for _, re := range r.retries {
@@ -1011,24 +924,6 @@ func (c *cqRelay) Run() {
 	c.armed = false
 	c.cq.OnPost.Reset()
 	c.r.wake.Fire()
-}
-
-// allocCID finds a free CID, searching round-robin from the last one handed
-// out; the slot limiter guarantees one exists.
-func (dq *devQueue) allocCID() uint16 {
-	depth := uint16(len(dq.flight))
-	cid := dq.next
-	for range dq.flight {
-		if cid >= depth {
-			cid = 0
-		}
-		if dq.flight[cid].req == nil {
-			dq.next = cid + 1
-			return cid
-		}
-		cid++
-	}
-	panic("spdk: no free CID despite slot limiter")
 }
 
 // isHostAddr reports whether addr is host DRAM.

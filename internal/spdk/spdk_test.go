@@ -343,3 +343,30 @@ func TestStagedBufferNamesDeterministic(t *testing.T) {
 		t.Errorf("helpers sharing a driver must not collide on staging buffer names")
 	}
 }
+
+// TestMaxQueueDepth: 65 536 entries is a legal NVMe queue (16-bit CIDs,
+// zero-based MQES), and reads in flight on one complete.
+func TestMaxQueueDepth(t *testing.T) {
+	r := newRig(1)
+	cfg := DefaultConfig()
+	cfg.QueueDepth = nvme.MaxQueueDepth
+	d := New(r.e, cfg, r.hm, r.space, r.devs, 1)
+	r.startAll(d)
+	buf := r.hm.Alloc("r", 4*4096)
+	reqs := make([]Request, 4)
+	r.e.Go("app", func(p *sim.Proc) {
+		for i := range reqs {
+			reqs[i] = Request{Op: nvme.OpRead, SLBA: uint64(8 * i), NLB: 8, Addr: buf.Addr + mem.Addr(4096*i)}
+			d.Submit(&reqs[i])
+		}
+		for i := range reqs {
+			p.Wait(&reqs[i].Done)
+		}
+	})
+	r.e.Run()
+	for i := range reqs {
+		if !reqs[i].Done.Fired() || reqs[i].Status != nvme.StatusSuccess {
+			t.Fatalf("read %d: done %v, status %v", i, reqs[i].Done.Fired(), reqs[i].Status)
+		}
+	}
+}
