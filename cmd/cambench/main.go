@@ -34,7 +34,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its streams and exit code as values: 0 on success, 1 on a
 // bad experiment id, fault spec or profile file or a failed experiment, 2 on a
-// usage error.
+// usage error (an unknown flag, or -parallel below 1).
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("cambench", flag.ContinueOnError)
 	flags.SetOutput(stderr)
@@ -52,6 +52,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if *parallel < 1 {
+		fmt.Fprintf(stderr, "cambench: -parallel %d: must be at least 1\n", *parallel)
 		return 2
 	}
 

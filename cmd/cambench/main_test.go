@@ -43,6 +43,8 @@ func TestRun(t *testing.T) {
 		// Deleted knobs are usage errors, not silently accepted.
 		{name: "no -shards", args: []string{"-shards", "1"}, code: 2, stderr: "flag provided but not defined: -shards"},
 		{name: "no -materialize", args: []string{"-materialize"}, code: 2, stderr: "flag provided but not defined: -materialize"},
+		{name: "parallel 0", args: []string{"-exp", "fig4", "-quick", "-parallel", "0"}, code: 2, stderr: "cambench: -parallel 0: must be at least 1\n"},
+		{name: "parallel -3", args: []string{"-exp", "fig4", "-quick", "-parallel", "-3"}, code: 2, stderr: "cambench: -parallel -3: must be at least 1\n"},
 		{name: "bad fault spec", args: []string{"-exp", "tab1", "-faults", "bogus"}, code: 1, stderr: "cambench: -faults:"},
 		{name: "unknown experiment", args: []string{"-exp", "nosuch"}, code: 1, stderr: `unknown experiment "nosuch"`},
 		// A failed experiment is one line and exit 1, not a stack trace: at

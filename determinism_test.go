@@ -41,8 +41,7 @@ var wallClockFuncs = map[string]bool{
 // TestDeterminismRules type-checks every non-test package of the module
 // (bench/, a module of its own, and testdata excluded) and fails on any
 // finding the exemption table does not cover. The rules keep identically
-// seeded runs byte-identical — DESIGN.md §6 lists them and §10 the mutation
-// runs that decided which ones stay:
+// seeded runs byte-identical — DESIGN.md §5 lists them:
 //
 //   - wallclock: a host-clock read (time.Now, time.Since, timers, sleeps);
 //     virtual time is sim.Engine.Now.

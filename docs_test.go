@@ -21,6 +21,14 @@ import (
 // declaration of pkg, Member a method or field of Type. Cites of other
 // packages (`time.Now`), of files (`go.mod`) and of dotted metric names
 // (`ssd.cpu_share`) are not checked.
+//
+// Section cites are checked too: a "DESIGN §N", "DESIGN.md §N" or
+// "DESIGN's §N" cite (and the "§M" that follow it in a list) in any Go or
+// Markdown file, and every "§N" inside DESIGN.md itself, must name a "## N."
+// heading of DESIGN.md. At the root only README.md, EXPERIMENTS.md and
+// ROADMAP.md are checked besides DESIGN.md: CHANGES.md and the other root
+// notes are history or paper excerpts and cite the numbering of their day;
+// bench/ cites no section.
 func TestDesignNamesExist(t *testing.T) {
 	declared := map[string]bool{}
 	pkgs := map[string]map[string]bool{}    // package name → its top-level names
@@ -140,6 +148,67 @@ func TestDesignNamesExist(t *testing.T) {
 				}
 			}
 		}
+	}
+	checkSectionCites(t)
+}
+
+// checkSectionCites is the section half of TestDesignNamesExist.
+func checkSectionCites(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^## ([0-9]+)\.`).FindAllStringSubmatch(string(design), -1) {
+		headings[m[1]] = true
+	}
+	// A cite may break across lines, and in Go across comment markers.
+	anchor := regexp.MustCompile(`DESIGN(?:\.md|'s)?(?:\s|//)*§([0-9]+)`)
+	more := regexp.MustCompile(`^(?:\s|//)*(?:,|and|or)(?:\s|//)*§([0-9]+)`)
+	bare := regexp.MustCompile(`§([0-9]+)`)
+	check := func(path, text string, cites *regexp.Regexp) {
+		for _, loc := range cites.FindAllStringSubmatchIndex(text, -1) {
+			for end, n := loc[1], text[loc[2]:loc[3]]; ; {
+				if !headings[n] {
+					line := 1 + strings.Count(text[:loc[0]], "\n")
+					t.Errorf("%s:%d cites DESIGN.md §%s, which has no \"## %s.\" heading", path, line, n, n)
+				}
+				m := more.FindStringSubmatchIndex(text[end:])
+				if m == nil {
+					break
+				}
+				n, end = text[end+m[2]:end+m[3]], end+m[1]
+			}
+		}
+	}
+	rootDocs := map[string]bool{"README.md": true, "EXPERIMENTS.md": true, "ROADMAP.md": true}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", ".bench_build", "bench", "testdata":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch {
+		case path == "DESIGN.md":
+			check(path, string(design), bare)
+		case strings.HasSuffix(path, ".md") && filepath.Dir(path) == "." && !rootDocs[path]:
+			return nil
+		case strings.HasSuffix(path, ".go") || strings.HasSuffix(path, ".md"):
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			check(path, string(src), anchor)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -396,7 +396,7 @@ func (m *Manager) WriteBack(p *sim.Proc, blocks []uint64, src *gpu.Buffer, srcOf
 // 8 — so a list batch holds at most MaxBatch/2 blocks and its publish
 // cost doubles per block; in exchange one batch fills an arbitrary set of
 // cache frames, which is what keeps an importance-ordered eviction/fill
-// working set on the single-doorbell path (DESIGN.md §14).
+// working set on the single-doorbell path (DESIGN.md §11).
 func (m *Manager) PrefetchList(p *sim.Proc, blocks []uint64, dst *gpu.Buffer, offs []int64) *Batch {
 	b := m.publish(p, OpPrefetch, blocks, dst, 0, offs)
 	m.lastRead = b

@@ -7,7 +7,7 @@
 // exhibit — full-system SSD simulators (Amber, SimpleSSD) model them
 // explicitly and GPU-native flash arrays (GNStor) must recover from them —
 // so the reproduction injects them here and recovers in the driver layers
-// (see DESIGN.md §9).
+// (see DESIGN.md §12).
 //
 // Determinism: every Injector draws from a private sim.RNG stream derived
 // only from (Plan.Seed, device index), never from the device's calibration

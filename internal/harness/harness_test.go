@@ -60,7 +60,7 @@ func TestIDOrdering(t *testing.T) {
 }
 
 // TestFig8aEventMix pins the event traffic the engine's calendar geometry
-// was derived from (DESIGN.md §12), on the paper's headline point — CAM,
+// was derived from (DESIGN.md §6), on the paper's headline point — CAM,
 // 12 SSDs, 4 KiB random reads: five events per I/O (three reactor steps, two
 // device command phases) and next to nothing past the 1.05 ms horizon. The
 // figure's point is only 8192 requests long, so the ≈1.4 k events of

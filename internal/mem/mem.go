@@ -58,9 +58,6 @@ func (r *Region) End() Addr { return r.Base + Addr(r.Size) }
 // mutation; all simulation code runs single-threaded under the DES engine.
 type Space struct {
 	regions []*Region // sorted by Base, non-overlapping
-	// gen counts changes to the region list; a Memo is valid only for the
-	// generation it was filled in.
-	gen uint64
 }
 
 // NewSpace returns an empty address space.
@@ -81,7 +78,6 @@ func (s *Space) RegisterPayload(name string, base Addr, pay *Payload, kind Kind)
 	s.regions = append(s.regions, nil)
 	copy(s.regions[i+1:], s.regions[i:])
 	s.regions[i] = r
-	s.gen++
 	return r
 }
 
@@ -90,7 +86,6 @@ func (s *Space) Unregister(base Addr) {
 	for i, r := range s.regions {
 		if r.Base == base {
 			s.regions = append(s.regions[:i], s.regions[i+1:]...)
-			s.gen++
 			return
 		}
 	}
@@ -144,35 +139,6 @@ func (s *Space) ResolvePayload(addr Addr, n int) (*Payload, int64, Kind, error) 
 		return nil, 0, 0, err
 	}
 	return r.Pay, off, r.Kind, nil
-}
-
-// Memo resolves addresses through a Space and remembers the region of the
-// last hit: a DMA engine's consecutive targets almost always fall in the
-// same buffer, which then answers without the binary search. Registering or
-// unregistering any region invalidates every memo, so a freed buffer's
-// address fails to resolve exactly as it does on the Space. A Memo belongs to
-// one consumer (a device, a reactor) and so to one engine; the Space it reads
-// may be shared.
-type Memo struct {
-	s   *Space
-	r   *Region
-	gen uint64
-}
-
-// NewMemo returns an empty memo over s.
-func (s *Space) NewMemo() *Memo { return &Memo{s: s} }
-
-// Region finds the region containing [addr, addr+n) and the offset of addr
-// within it, without touching the payload.
-func (m *Memo) Region(addr Addr, n int) (*Region, int64, error) {
-	if r := m.r; r != nil && m.gen == m.s.gen && addr >= r.Base && int64(addr-r.Base)+int64(n) <= r.Size {
-		return r, int64(addr - r.Base), nil
-	}
-	r, off, err := m.s.lookup(addr, n)
-	if err == nil {
-		m.r, m.gen = r, m.s.gen
-	}
-	return r, off, err
 }
 
 // Arena hands out non-overlapping addresses within a device window; each

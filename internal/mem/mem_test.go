@@ -175,50 +175,3 @@ func TestKindString(t *testing.T) {
 		t.Fatal("unknown Kind.String broken")
 	}
 }
-
-// TestMemoMatchesSpace resolves a stream of addresses — hits in the
-// remembered region, moves to another region, range overruns, unmapped
-// holes — through a Memo and through the Space, and demands the same answer.
-func TestMemoMatchesSpace(t *testing.T) {
-	s := NewSpace()
-	register(s, "a", 0x1000, make([]byte, 0x100), HostDRAM)
-	register(s, "b", 0x2000, make([]byte, 0x200), GPUHBM)
-	m := s.NewMemo()
-	for _, c := range []struct {
-		addr Addr
-		n    int
-	}{
-		{0x1000, 16}, {0x10f0, 16}, {0x10f8, 16}, {0x2000, 0x200}, {0x2100, 8},
-		{0x1800, 1}, {0x0fff, 1}, {0x1080, 4}, {0x21ff, 2}, {0x2200, 1}, {0x2010, 4},
-	} {
-		wp, woff, wk, werr := s.ResolvePayload(c.addr, c.n)
-		r, off, err := m.Region(c.addr, c.n)
-		if (err == nil) != (werr == nil) || (err == nil && (r.Pay != wp || off != woff || r.Kind != wk)) {
-			t.Fatalf("[%#x,+%d): memo (%+v, %d, %v), space (%p, %d, %v, %v)",
-				uint64(c.addr), c.n, r, off, err, wp, woff, wk, werr)
-		}
-	}
-}
-
-// TestMemoForgetsUnregisteredRegion pins the invalidation rule: once a
-// region is unregistered (or another registered in its place) a memo that
-// remembered it must answer like the Space, not from memory.
-func TestMemoForgetsUnregisteredRegion(t *testing.T) {
-	s := NewSpace()
-	old := register(s, "buf", 0x1000, make([]byte, 0x100), GPUHBM)
-	m := s.NewMemo()
-	if r, _, err := m.Region(0x1010, 16); err != nil || r != old {
-		t.Fatalf("first resolve: %+v, %v", r, err)
-	}
-	s.Unregister(0x1000)
-	if _, _, err := m.Region(0x1010, 16); err == nil {
-		t.Fatal("memo resolved an address whose region was unregistered")
-	}
-	fresh := register(s, "buf2", 0x1000, make([]byte, 0x80), HostDRAM)
-	if r, _, err := m.Region(0x1010, 16); err != nil || r != fresh {
-		t.Fatalf("after re-register: %+v, %v; want the new region", r, err)
-	}
-	if _, _, err := m.Region(0x1090, 16); err == nil {
-		t.Fatal("memo resolved past the end of the smaller re-registered region")
-	}
-}

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 // lcg is a tiny deterministic generator for test patterns.
@@ -330,6 +331,32 @@ func TestSetZeroOverZeroIsNoOp(t *testing.T) {
 	}
 	if !p.cells[0].Empty() {
 		t.Fatal("a page zeroed whole still holds a window")
+	}
+}
+
+// TestSetZeroUntouchedReturnsAtOnce: SetZero over a lazy payload nothing
+// was ever written to returns without walking its pages, whatever its size.
+// Every cam-read-4k I/O reads a never-written block into such a buffer, and
+// walking the page loop there costs the workload about a quarter more wall
+// time (DESIGN.md §13). A 128 GiB payload has 2^25 pages: the walk takes
+// about a second, the early return well under a microsecond, so the bound
+// is loose; up to three calls are tried because interference on a shared
+// host only ever adds time.
+func TestSetZeroUntouchedReturnsAtOnce(t *testing.T) {
+	const bound = 50 * time.Millisecond
+	p := NewPayload(1<<37, false)
+	defer p.Release()
+	fastest := time.Hour
+	for i := 0; i < 3 && fastest > bound; i++ {
+		start := time.Now()
+		p.SetZero(0, p.Size())
+		fastest = min(fastest, time.Since(start))
+	}
+	if fastest > bound {
+		t.Fatalf("SetZero over an untouched 128 GiB payload took %v, want it to return at once", fastest)
+	}
+	if p.cells != nil {
+		t.Fatal("zeroing an untouched payload gave it cells")
 	}
 }
 

@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -67,6 +68,30 @@ func TestSQPushPop(t *testing.T) {
 	}
 	if _, err := q.Pop(); err != ErrQueueEmpty {
 		t.Fatalf("Pop on empty = %v", err)
+	}
+}
+
+// TestRingMemoryRenderedOnlyAtSync: Push and Post write the typed slots
+// only. The registered ring memory keeps its old bytes until Sync renders
+// the wire image, because encoding every entry as it is produced is work
+// nothing in the simulator reads (DESIGN.md §13 has what it costs).
+func TestRingMemoryRenderedOnlyAtSync(t *testing.T) {
+	sqMem, cqMem := make([]byte, 4*SQESize), make([]byte, 4*CQESize)
+	qp := NewQueuePair(sim.New(), "t", sqMem, cqMem, 4)
+	sqe := SQE{Opcode: OpRead, CID: 3, NSID: 1, PRP1: 0x1000, SLBA: 7, NLB: 8}
+	if err := qp.SQ.Push(sqe); err != nil {
+		t.Fatal(err)
+	}
+	qp.CQ.Post(CQE{CID: 3, SQHead: 1})
+	if !bytes.Equal(sqMem, make([]byte, len(sqMem))) || !bytes.Equal(cqMem, make([]byte, len(cqMem))) {
+		t.Fatal("Push or Post wrote ring memory before Sync")
+	}
+	qp.Sync()
+	if got := UnmarshalSQE(sqMem); got != sqe {
+		t.Fatalf("SQ memory after Sync holds %+v, want %+v", got, sqe)
+	}
+	if got, want := UnmarshalCQE(cqMem), (CQE{CID: 3, SQHead: 1, Phase: true}); got != want {
+		t.Fatalf("CQ memory after Sync holds %+v, want %+v", got, want)
 	}
 }
 

@@ -15,7 +15,7 @@
 // The engine's hot path is allocation-free in steady state: every pending
 // event is an (at, seq, Callback) triple in the engine's one event queue — a
 // zero-delay ring, a calendar of 512 ns buckets threaded through a payload
-// slab, and an overflow heap (events.go; DESIGN.md §12) — process resumes
+// slab, and an overflow heap (events.go; DESIGN.md §6) — process resumes
 // schedule the *Proc itself as the Callback, and finished process
 // coroutines park on a free list for reuse by the next Go call.
 package sim
@@ -300,13 +300,9 @@ func (p *Proc) Run() {
 	e := p.e
 	prev := e.current
 	e.current = p
-	defer e.setCurrent(prev)
+	defer func() { e.current = prev }()
 	p.next()
 }
-
-// setCurrent exists so that Run can defer a plain method call: a deferred
-// closure reads as an allocation to hotalloc.
-func (e *Engine) setCurrent(p *Proc) { e.current = p }
 
 // block suspends the calling process until something resumes it.
 // Must only be called from within that process.

@@ -47,7 +47,7 @@ type slabEntry struct {
 
 // Calendar geometry, derived from the measured event mix of the paper's
 // headline point (cam-read-4k: 5.0 events per I/O, ≈1 500 pending; DESIGN.md
-// §12): 52 % of pushes land 64–511 ns ahead and 40 % 8 µs–1 ms ahead, so a
+// §6): 52 % of pushes land 64–511 ns ahead and 40 % 8 µs–1 ms ahead, so a
 // 512 ns bucket keeps the sorted run at ≈12 keys and a 2048-bucket ring puts
 // the horizon at 1.05 ms, past every media and DMA phase; only
 // millisecond-scale timeouts and harness sleeps take the overflow heap.

@@ -316,7 +316,7 @@ func (c *benchChain) Run() {
 // BenchmarkEventQueue times one schedule-and-dispatch per op through each
 // queue lane — the now ring, the calendar, the overflow heap with promotion
 // — and through the mix the calendar was sized for: the cam-read-4k
-// workload's delay histogram (DESIGN.md §12; 52 % 64–511 ns, 40 % 8 µs–1 ms,
+// workload's delay histogram (DESIGN.md §6; 52 % 64–511 ns, 40 % 8 µs–1 ms,
 // 7 % zero, the rest in between) at its ≈1 500 pending events.
 func BenchmarkEventQueue(b *testing.B) {
 	uniform := func(lo, hi Time) func(*RNG) Time {

@@ -18,14 +18,14 @@ import (
 //	          total order — and injected into their destination shards;
 //	repeat    until every shard is quiescent.
 //
-// Determinism argument (DESIGN.md §11): each shard's Engine is a
+// Determinism argument (DESIGN.md §6): each shard's Engine is a
 // deterministic function of its injected events; a CrossLink only accepts
 // sends with delay >= its lookahead, so every boundary event lands at or
 // after the window end and never races events the destination already
 // processed; and the barrier sort order does not depend on the order the
 // shards ran in. The windows run serially: at the 605 ns lookahead of the one
 // experiment that builds a Cluster, shard workers cost three times the wall
-// time of running the shards in turn (DESIGN.md §11).
+// time of running the shards in turn (DESIGN.md §6).
 //
 // The lookahead is physical, not invented: cross-shard topology edges map to
 // fabric hops, and Link.XferTime of the minimum message size bounds how soon

@@ -179,10 +179,6 @@ type Reactor struct {
 	// so unlike dq it does not move with its device.
 	relays []*cqRelay
 
-	// kinds answers "is this buffer host DRAM?" for the DRAM-crossing
-	// charge, remembering the last buffer asked about.
-	kinds *mem.Memo
-
 	// retries holds failed requests waiting out their backoff; drained by
 	// the run loop once due. Only populated when recovery is armed.
 	retries []retryEntry
@@ -216,6 +212,7 @@ type Driver struct {
 	e        *sim.Engine
 	cfg      Config
 	hm       *hostmem.Memory
+	space    *mem.Space
 	devs     []*ssd.Device
 	reactors []*Reactor
 	// devOwner maps device index → owning reactor index; CAM's dynamic
@@ -249,7 +246,7 @@ func New(e *sim.Engine, cfg Config, hm *hostmem.Memory, space *mem.Space, devs [
 	if nThreads > len(devs) {
 		nThreads = len(devs)
 	}
-	d := &Driver{e: e, cfg: cfg, hm: hm, devs: devs,
+	d := &Driver{e: e, cfg: cfg, hm: hm, space: space, devs: devs,
 		failed: make([]bool, len(devs))}
 	for i := 0; i < nThreads; i++ {
 		r := &Reactor{
@@ -259,7 +256,6 @@ func New(e *sim.Engine, cfg Config, hm *hostmem.Memory, space *mem.Space, devs [
 			queue:   sim.NewStore[*Request](e, fmt.Sprintf("spdk.r%d", i)),
 			pending: sim.NewStore[*Request](e, fmt.Sprintf("spdk.pending%d", i)),
 			relays:  make([]*cqRelay, len(devs)),
-			kinds:   space.NewMemo(),
 		}
 		r.wake = e.NewSignal(fmt.Sprintf("spdk.wake%d", i))
 		d.reactors = append(d.reactors, r)
@@ -928,6 +924,6 @@ func (c *cqRelay) Run() {
 
 // isHostAddr reports whether addr is host DRAM.
 func (r *Reactor) isHostAddr(addr mem.Addr) bool {
-	region, _, err := r.kinds.Region(addr, 1)
-	return err == nil && region.Kind == mem.HostDRAM
+	_, _, kind, err := r.d.space.ResolvePayload(addr, 1)
+	return err == nil && kind == mem.HostDRAM
 }

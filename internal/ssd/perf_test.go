@@ -159,10 +159,10 @@ func BenchmarkStoreAtRest(b *testing.B) {
 	})
 }
 
-// TestFreedBufferFailsDMA pins the memo's invalidation: the device remembers
-// the region its last command targeted, and a command aimed at that buffer
-// after it was freed must fail with a DMA error. The freed buffer's payload
-// header is recycled into the next payload created, so a stale memo would
+// TestFreedBufferFailsDMA: a command aimed at a buffer after it was freed
+// must fail with a DMA error, even right after a command that hit the same
+// buffer. The freed buffer's payload header is recycled into the next
+// payload created, so a device that cached the region it last resolved would
 // not fail by itself: it would DMA into whatever took the header.
 func TestFreedBufferFailsDMA(t *testing.T) {
 	r := newRig(t, DefaultConfig(), 64)
@@ -175,7 +175,7 @@ func TestFreedBufferFailsDMA(t *testing.T) {
 			statuses = append(statuses, c.Status)
 		}
 		read(buf.Addr)
-		read(buf.Addr + 4096) // answered from the memo
+		read(buf.Addr + 4096) // the same buffer again
 		old := buf.Addr
 		buf.Free()
 		squatter := mem.NewPayload(8192, false) // takes the recycled header

@@ -132,16 +132,6 @@ type Device struct {
 
 	// cmdFree recycles ioCmd execution states.
 	cmdFree sim.FreeList[ioCmd]
-
-	// dma resolves command data pointers, remembering the last buffer hit.
-	dma *mem.Memo
-	// svc remembers the last serviceTime result per opcode (0 = not yet): a
-	// workload's commands are nearly all one size, and the two float
-	// divisions behind the value are the same every time.
-	svc [3]struct {
-		bytes int64
-		t     sim.Time
-	}
 }
 
 // ioQueue is the controller's record of one I/O queue pair: the rings and
@@ -188,7 +178,6 @@ func New(e *sim.Engine, name string, cfg Config, fab *pcie.Fabric, space *mem.Sp
 		e:           e,
 		fab:         fab,
 		space:       space,
-		dma:         space.NewMemo(),
 		store:       NewStore(uint64(cfg.CapacityBytes) / nvme.LBASize),
 		ftl:         NewFTL(DefaultFTLConfig(cfg.CapacityBytes, op)),
 		rng:         sim.NewRNG(cfg.Seed),
@@ -308,19 +297,15 @@ func (c *ctrlPoll) Run() {
 // serviceTime is the frontend occupation of one command: the larger of the
 // IOPS-derived per-command cost and the bandwidth-derived transfer cost.
 func (d *Device) serviceTime(op nvme.Opcode, bytes int64) sim.Time {
-	memo := &d.svc[op] // execute admits only Flush, Write and Read (0–2)
-	if memo.bytes != bytes || memo.t == 0 {
-		perCmd, bw := 1/d.cfg.WriteIOPS, d.cfg.WriteBandwidth // writes, and flush
-		if op == nvme.OpRead {
-			perCmd, bw = 1/d.cfg.ReadIOPS, d.cfg.ReadBandwidth
-		}
-		t := perCmd
-		if xfer := float64(bytes) / bw; xfer > t {
-			t = xfer
-		}
-		memo.bytes, memo.t = bytes, sim.Time(t*float64(sim.Second))
+	perCmd, bw := 1/d.cfg.WriteIOPS, d.cfg.WriteBandwidth // writes, and flush
+	if op == nvme.OpRead {
+		perCmd, bw = 1/d.cfg.ReadIOPS, d.cfg.ReadBandwidth
 	}
-	return memo.t
+	t := perCmd
+	if xfer := float64(bytes) / bw; xfer > t {
+		t = xfer
+	}
+	return sim.Time(t * float64(sim.Second))
 }
 
 // mediaLatency draws the added pipeline latency for one command.
@@ -480,7 +465,7 @@ func (d *Device) execute(q *ioQueue, sqe nvme.SQE) {
 	n := sqe.Bytes()
 	// The region's kind is not needed here: callers charge DRAM traffic on
 	// their own staging paths.
-	region, payOff, err := d.dma.Region(mem.Addr(sqe.PRP1), int(n))
+	pay, payOff, _, err := d.space.ResolvePayload(mem.Addr(sqe.PRP1), int(n))
 	if err != nil {
 		d.stats.ErrCmds++
 		d.complete(q, &sqe, nvme.StatusDMAError)
@@ -533,7 +518,7 @@ func (d *Device) execute(q *ioQueue, sqe nvme.SQE) {
 	mediaDone := serviceDone + lat
 
 	c := d.newCmd(q, sqe)
-	c.pay, c.payOff, c.phase = region.Pay, payOff, cmdMediaDone
+	c.pay, c.payOff, c.phase = pay, payOff, cmdMediaDone
 	if dec.Kind == fault.Err {
 		c.injStatus = nvme.StatusMediaError
 	}
