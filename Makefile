@@ -68,8 +68,8 @@ allocs:
 # must hash to its pinned sha256 below. A change that is meant to move the
 # model (or any quick-suite figure) updates the two pins in the same commit,
 # on purpose; every other change leaves them alone.
-DETERMINISM_SHA256 = 86d5975fc18d45b2d53c923aac8a71f77fb1fca752f99dcb939993391844dd1d
-DETERMINISM_FAULTS_SHA256 = 8809d55e7729ffb6b2e8cd3cd0a2c54098e231c248dcdae84040ae641c46225e
+DETERMINISM_SHA256 = 9c23b0f092082e3e4dc8583857a46156d5f6087a9f7ecefae6487388a17612c2
+DETERMINISM_FAULTS_SHA256 = 15315ee3e2e8f67bcc3af549f2e59b8bb9345848013023def1287b6cd0b5616e
 determinism:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/cambench" ./cmd/cambench && \

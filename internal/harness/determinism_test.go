@@ -1,6 +1,11 @@
 package harness
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"camsim/internal/fault"
+)
 
 // TestDoubleRunDeterminism is the dynamic twin of TestDeterminismRules (the
 // static rules, at the module root): running the same experiment twice with
@@ -13,27 +18,40 @@ import "testing"
 // while staying cheap enough for -race runs: kernel stacks (fig2), the CAM
 // sync-vs-async data paths (fig11), per-request CPU accounting (fig13), the
 // FTL's garbage collector (abl-ftl), and the KV-cache serving tier with its
-// concurrent spill/fill/prefetch machinery (kv).
+// concurrent spill/fill/prefetch machinery (kv). Each pair runs once clean
+// and once under each of two chaos-seeded process-wide fault plans (the
+// cambench -faults path): injection decisions, timeouts, retries and device
+// drop-out must replay exactly too. kv sits the faulted passes out: its BaM
+// arm has no retry path and panics on a lost block.
 func TestDoubleRunDeterminism(t *testing.T) {
-	for _, id := range []string{"fig2", "fig11", "fig13", "abl-ftl", "kv"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			e, ok := Get(id)
-			if !ok {
-				t.Fatalf("experiment %q not registered", id)
-			}
-			cfg := RunConfig{Quick: true}
-			first := e.Run(cfg)
-			second := e.Run(cfg)
-			if a, b := first.String(), second.String(); a != b {
-				t.Errorf("%s: two identically-configured runs rendered different output:\nrun 1:\n%s\nrun 2:\n%s", id, a, b)
-			}
-			if first.SimElapsed != second.SimElapsed {
-				t.Errorf("%s: simulated %s of virtual time on run 1 but %s on run 2", id, first.SimElapsed, second.SimElapsed)
-			}
-			if first.SimElapsed <= 0 {
-				t.Errorf("%s: SimElapsed = %s, want > 0 (runEnv accounting broken?)", id, first.SimElapsed)
-			}
-		})
+	defer fault.SetDefault(nil)
+	for _, seed := range []uint64{0, 3, 11} {
+		prefix, names := "", []string{"fig2", "fig11", "fig13", "abl-ftl", "kv"}
+		var plan *fault.Plan
+		if seed != 0 {
+			prefix, names, plan = fmt.Sprintf("faults%d/", seed), names[:4], chaosPlan(seed)
+		}
+		fault.SetDefault(plan)
+		for _, id := range names {
+			id := id
+			t.Run(prefix+id, func(t *testing.T) {
+				e, ok := Get(id)
+				if !ok {
+					t.Fatalf("experiment %q not registered", id)
+				}
+				cfg := RunConfig{Quick: true}
+				first := e.Run(cfg)
+				second := e.Run(cfg)
+				if a, b := first.String(), second.String(); a != b {
+					t.Errorf("%s: two identically-configured runs rendered different output:\nrun 1:\n%s\nrun 2:\n%s", id, a, b)
+				}
+				if first.SimElapsed != second.SimElapsed {
+					t.Errorf("%s: simulated %s of virtual time on run 1 but %s on run 2", id, first.SimElapsed, second.SimElapsed)
+				}
+				if first.SimElapsed <= 0 {
+					t.Errorf("%s: SimElapsed = %s, want > 0 (runEnv accounting broken?)", id, first.SimElapsed)
+				}
+			})
+		}
 	}
 }

@@ -124,19 +124,11 @@ var registry = map[string]Experiment{}
 // this instead of env.Run directly.
 func runEnv(cfg RunConfig, env *platform.Env) sim.Time {
 	end := env.Run()
-	cfg.credit(env, end)
-	return end
-}
-
-// credit adds one engine run — env simulated up to end — to the running
-// experiment's accounting. runEnv does it for a machine it drives itself; an
-// experiment that drives engines another way (abl-shard's sim.Cluster)
-// credits each machine once its run is over.
-func (cfg RunConfig) credit(env *platform.Env, end sim.Time) {
 	if cfg.acct != nil {
 		cfg.acct.elapsed += int64(end)
 		cfg.acct.envs = append(cfg.acct.envs, env)
 	}
+	return end
 }
 
 func register(id, title string, run func(cfg RunConfig) *Result) {

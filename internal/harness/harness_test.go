@@ -23,7 +23,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"tab1", "tab2", "tab3", "tab4", "tab5", "tab6",
 		"abl-dyncores", "abl-batch", "abl-outstanding", "abl-ftl", "abl-cache", "abl-multigpu", "abl-fanin",
-		"abl-faults", "abl-shard", "kv",
+		"abl-faults", "kv",
 	}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
@@ -120,8 +120,7 @@ func TestAblationsRunQuick(t *testing.T) {
 			t.Errorf("%s produced no output", id)
 		}
 		// Every engine an experiment simulates on is registered with the
-		// run's accounting, however it was driven (abl-shard goes through
-		// sim.Cluster, not runEnv).
+		// run's accounting.
 		if r.SimElapsed > 0 && r.Events.Dispatched == 0 {
 			t.Errorf("%s simulated %s but reports no dispatched events", id, r.SimElapsed)
 		}

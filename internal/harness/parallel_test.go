@@ -174,3 +174,24 @@ func TestQuickExperimentsRetainLittleHeap(t *testing.T) {
 		t.Errorf("quick suite allocated %d objects, ceiling %d", total, ceiling)
 	}
 }
+
+// TestShardMatrixDeterminism is the runner-pool determinism gate for the
+// write-heavy workload: the experiment matrix sharded across one worker and
+// across eight must render byte-identically. kv's spill/fill/prefetch
+// concurrency must come out the same however the pool interleaves
+// experiments around it.
+func TestShardMatrixDeterminism(t *testing.T) {
+	var exps []Experiment
+	for _, id := range []string{"fig2", "kv"} {
+		e, ok := Get(id)
+		if !ok {
+			t.Fatalf("experiment %q not registered", id)
+		}
+		exps = append(exps, e)
+	}
+	serial := render(mustRunAll(t, exps, 1, nil))
+	pooled := render(mustRunAll(t, exps, 8, nil))
+	if pooled != serial {
+		t.Errorf("parallel=8 rendered different output than parallel=1:\n%s\nvs reference:\n%s", pooled, serial)
+	}
+}

@@ -50,9 +50,8 @@ func New(e *sim.Engine, cfg Config) *Fabric {
 	}
 }
 
-// Engine reports the engine (and therefore the shard) the fabric lives on.
-// Device constructors use it to verify shard affinity: everything sharing a
-// fabric must share its engine.
+// Engine reports the engine the fabric lives on. Device constructors use it
+// to check their wiring: everything sharing a fabric must share its engine.
 func (f *Fabric) Engine() *sim.Engine { return f.link.Engine() }
 
 // ReserveDMA books a bulk transfer of n bytes and returns its completion

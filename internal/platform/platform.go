@@ -39,13 +39,6 @@ type Options struct {
 	// fault.SetDefault (the cambench -faults flag) applies; with neither,
 	// every command succeeds.
 	Faults *fault.Plan
-	// Engine, when set, builds the machine against an existing engine
-	// instead of a private one. This is how a machine declares shard
-	// affinity in a clustered simulation (sim.Cluster): constructing the Env
-	// on a shard's engine pins the fabric, host memory, GPU, and every SSD
-	// to that shard, and the device constructors' affinity checks then
-	// reject any cross-shard wiring.
-	Engine *sim.Engine
 }
 
 // Env is one simulated machine.
@@ -83,10 +76,7 @@ func New(o Options) *Env {
 	if o.PCIe.EffectiveBandwidth == 0 {
 		o.PCIe = pcie.DefaultConfig()
 	}
-	e := o.Engine
-	if e == nil {
-		e = sim.New()
-	}
+	e := sim.New()
 	space := mem.NewSpace()
 	env := &Env{
 		E:     e,

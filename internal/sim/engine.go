@@ -67,9 +67,6 @@ func (t Time) String() string {
 type Engine struct {
 	now Time
 	seq uint64
-	// shard, when non-nil, is the cluster shard this engine belongs to;
-	// used only to diagnose cross-shard affinity violations.
-	shard *Shard
 	// current is the process whose code is executing right now, nil while
 	// the engine itself (or a plain callback) runs.
 	current *Proc
@@ -123,7 +120,6 @@ type Callback interface {
 // nothing, so this is the allocation-free way to schedule anything: state
 // machines, timers, and process resumes (a *Proc's Run hands it control).
 func (e *Engine) ScheduleCallback(delay Time, cb Callback) {
-	e.checkAffinity()
 	e.seq++
 	if delay <= 0 {
 		e.q.pushNow(event{at: e.now, seq: e.seq, cb: cb})

@@ -295,18 +295,6 @@ func (q *eventQueue) timedHead(lim uint64) (k eventKey, ok bool) {
 	return q.run[len(q.run)-1], true
 }
 
-// minTime reports the earliest pending event's timestamp, MaxTime if none.
-func (q *eventQueue) minTime() Time {
-	t := MaxTime
-	if k, ok := q.timedHead(^uint64(0)); ok {
-		t = k.at
-	}
-	if q.nowq.len() > 0 && q.nowq.front().at < t {
-		t = q.nowq.front().at
-	}
-	return t
-}
-
 // popMinUntil removes and returns the earliest event across all lanes if it
 // is due at or before deadline.
 func (q *eventQueue) popMinUntil(deadline Time) (event, bool) {

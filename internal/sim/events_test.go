@@ -240,8 +240,8 @@ func TestWheelPromotionPreservesTies(t *testing.T) {
 }
 
 // TestPeekThenEarlierPush covers the run being gathered ahead of the clock:
-// a bounded pop (or Cluster's next-event peek) activates a bucket past the
-// deadline, then a push lands in an earlier bucket and must still pop first.
+// a bounded pop activates a bucket past the deadline, then a push lands in
+// an earlier bucket and must still pop first.
 func TestPeekThenEarlierPush(t *testing.T) {
 	d := &queueDriver{t: t}
 	late := 40 * Microsecond
@@ -252,9 +252,6 @@ func TestPeekThenEarlierPush(t *testing.T) {
 	}
 	if !d.q.runOn {
 		t.Fatal("bounded pop did not gather the earliest bucket; the hand-back path is not exercised")
-	}
-	if got := d.q.minTime(); got != late {
-		t.Fatalf("minTime = %d, want %d", got, late)
 	}
 	d.push(5 * Microsecond) // before the run's bucket: the run is handed back
 	d.push(late + 1)        // the run's old bucket again

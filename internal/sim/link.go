@@ -37,13 +37,6 @@ func (l *Link) xferTime(n int64) Time {
 	return l.perXferOvh + Time(float64(n)/l.bytesPerSec*float64(Second))
 }
 
-// XferTime reports the uncontended service time for n bytes — the minimum
-// latency any n-byte message spends on the link. Shard topologies use this
-// as the conservative lookahead of a cross-shard edge (Cluster.Connect):
-// nothing can cross the physical link faster, so the far side may simulate
-// that far ahead.
-func (l *Link) XferTime(n int64) Time { return l.xferTime(n) }
-
 // Reserve books n bytes on the link and returns the virtual time the
 // transfer completes. It never blocks; callers schedule their own
 // continuation (or Sleep until the returned time).

@@ -170,7 +170,7 @@ func New(e *sim.Engine, name string, cfg Config, fab *pcie.Fabric, space *mem.Sp
 		op = 0.07
 	}
 	if fab.Engine() != e {
-		panic("ssd: " + name + " constructed on a different engine/shard than its fabric; device and fabric must share a shard")
+		panic("ssd: " + name + " constructed on a different engine than its fabric; device and fabric must share one engine")
 	}
 	return &Device{
 		Name:        name,

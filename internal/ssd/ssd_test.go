@@ -3,6 +3,7 @@ package ssd
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +36,21 @@ func newRig(t testing.TB, cfg Config, depth uint32) *rig {
 	qp := dev.CreateQueuePair("qp0", sqMem.MakeEager(), cqMem.MakeEager(), depth)
 	dev.Start()
 	return &rig{e: e, space: space, fab: fab, hm: hm, dev: dev, qp: qp}
+}
+
+// TestNewRejectsForeignFabric pins New's wiring check: a device built on
+// one engine against a fabric that lives on another would book DMA on a
+// clock it does not advance, so New panics naming the device.
+func TestNewRejectsForeignFabric(t *testing.T) {
+	space := mem.NewSpace()
+	fab := pcie.New(sim.New(), pcie.DefaultConfig())
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "nvme0") || !strings.Contains(msg, "different engine than its fabric") {
+			t.Errorf("panic = %q, want the foreign-fabric check naming nvme0", msg)
+		}
+	}()
+	New(sim.New(), "nvme0", DefaultConfig(), fab, space)
 }
 
 // submitWait pushes one command and blocks p until its completion arrives.
