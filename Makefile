@@ -47,8 +47,8 @@ loc:
 
 # shapes checks the paper's claims (TestPaperShapes, the claim table in
 # internal/harness/shapes_test.go) at quick scale and prints one line per
-# claim: id, status, measured numbers and bound. A failing claim's line adds
-# the paper's sentence.
+# claim: id, status, provenance (input, derived or emergent), measured
+# numbers and bound. A failing claim's line adds the paper's sentence.
 shapes:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) test ./internal/harness -run '^TestPaperShapes$$' -v > "$$tmp" 2>&1; st=$$?; \

@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 
+	"camsim/internal/calib"
 	"camsim/internal/fault"
 	"camsim/internal/gemmx"
 	"camsim/internal/harness"
@@ -58,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fault.SetDefault(plan)
 
-	cfg := gemmx.Config{N: *n, K: *n, M: *n, Tile: *tile, ComputeRate: 100e12, RealMath: *verify}
+	cfg := gemmx.Config{N: *n, K: *n, M: *n, Tile: *tile, ComputeRate: calib.GEMMRate(), RealMath: *verify}
 	env := platform.New(platform.Options{SSDs: *ssds})
 	defer env.E.Shutdown()
 	// The backend checks cfg against its block before it is built.

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 
+	"camsim/internal/calib"
 	"camsim/internal/fault"
 	"camsim/internal/harness"
 	"camsim/internal/metrics"
@@ -67,8 +68,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		NumInts:    *keys,
 		RunBytes:   *runKeys * 4,
 		ChunkBytes: *chunk,
-		SortRate:   4e9,
-		MergeRate:  8e9,
+		SortRate:   calib.SortRate(),
+		MergeRate:  calib.MergeRate(),
 	}
 	env := platform.New(platform.Options{SSDs: *ssds})
 	defer env.E.Shutdown()

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -51,33 +52,22 @@ var wallClockFuncs = map[string]bool{
 //     error a camsim function returns; a store read or a verification that
 //     fails must not pass for one that succeeded. `_ =` is an explicit,
 //     reviewable discard and passes.
+//   - quickrand: a testing/quick Check or CheckEqual whose config is not a
+//     &quick.Config literal with a Rand, so the inputs would come from the
+//     clock; this one rule also reads the test files.
 //
 // The subtests run each rule on a snippet where it must fire and on one
 // where it must stay quiet, and check that an unmatched exemption is caught.
 func TestDeterminismRules(t *testing.T) {
-	c := newModuleChecker()
+	c, pkgs := checkedModule(t)
 	var found []finding
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
+	for _, pkg := range pkgs {
+		for _, f := range pkg.files {
+			found = append(found, c.findings(pkg, f)...)
 		}
-		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
-			return filepath.SkipDir
-		}
-		imp := "camsim"
-		if path != "." {
-			imp += "/" + filepath.ToSlash(path)
-		}
-		pkg, err := c.check(imp)
-		if pkg != nil {
-			for _, f := range pkg.files {
-				found = append(found, c.findings(pkg, f)...)
-			}
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	for _, f := range c.testFiles {
+		found = append(found, c.quickRandFindings(f)...)
 	}
 	kept, unused := exempt(found, determinismExemptions)
 	for _, f := range kept {
@@ -100,6 +90,10 @@ func TestDeterminismRules(t *testing.T) {
 		{"dropped error", `import "camsim/internal/fault"; func f() { fault.ParseSpec("off") }`, "droppederr"},
 		{"deferred dropped error", `import "camsim/internal/fault"; func f() { defer fault.ParseSpec("off") }`, "droppederr"},
 		{"discarded error", `import ("fmt"; "camsim/internal/fault"); func f() { _, _ = fault.ParseSpec("off"); fmt.Println() }`, ""},
+		{"quick without config", `import "testing/quick"; func f() error { return quick.Check(func(int) bool { return true }, nil) }`, "quickrand"},
+		{"quick without Rand", `import q "testing/quick"; func f() error { return q.CheckEqual(func(int) int { return 0 }, func(int) int { return 0 }, &q.Config{MaxCount: 9}) }`, "quickrand"},
+		{"quick config variable", `import "testing/quick"; var c = &quick.Config{}; func f() error { return quick.Check(func(int) bool { return true }, c) }`, "quickrand"},
+		{"quick with Rand", `import ("math/rand"; "testing/quick"); func f() error { return quick.Check(func(int) bool { return true }, &quick.Config{Rand: rand.New(rand.NewSource(1))}) }`, ""},
 	}
 	for _, s := range snippets {
 		t.Run(s.name, func(t *testing.T) {
@@ -147,11 +141,59 @@ func exempt(found []finding, table []exemption) (kept []finding, unused []exempt
 
 // moduleChecker type-checks the module's packages from source, each once and
 // in dependency order: a camsim import is checked when first imported, and
-// anything else is the standard library, checked from GOROOT source.
+// anything else is the standard library, checked from GOROOT source. The
+// test files are parsed, not checked.
 type moduleChecker struct {
-	fset *token.FileSet
-	std  types.Importer
-	pkgs map[string]*checkedPkg
+	fset      *token.FileSet
+	std       types.Importer
+	pkgs      map[string]*checkedPkg
+	testFiles []*ast.File
+}
+
+var module struct {
+	once sync.Once
+	c    *moduleChecker
+	pkgs []*checkedPkg
+	err  error
+}
+
+// checkedModule type-checks every non-test package of the module (bench/, a
+// module of its own, and testdata excluded) and parses its test files, once
+// per test binary.
+func checkedModule(t *testing.T) (*moduleChecker, []*checkedPkg) {
+	module.once.Do(func() {
+		c := newModuleChecker()
+		module.c = c
+		module.err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			tests, _ := filepath.Glob(filepath.Join(path, "*_test.go"))
+			for _, name := range tests {
+				f, err := parser.ParseFile(c.fset, name, nil, parser.SkipObjectResolution)
+				if err != nil {
+					return err
+				}
+				c.testFiles = append(c.testFiles, f)
+			}
+			imp := "camsim"
+			if path != "." {
+				imp += "/" + filepath.ToSlash(path)
+			}
+			pkg, err := c.check(imp)
+			if pkg != nil {
+				module.pkgs = append(module.pkgs, pkg)
+			}
+			return err
+		})
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.c, module.pkgs
 }
 
 type checkedPkg struct {
@@ -243,6 +285,7 @@ func (c *moduleChecker) findings(p *checkedPkg, f *ast.File) []finding {
 			report(call, "droppederr", "the error of "+obj.Pkg().Name()+"."+obj.Name()+" is dropped; handle it or discard it with _ =")
 		}
 	}
+	out = append(out, c.quickRandFindings(f)...)
 	for _, decl := range f.Decls {
 		fn = ""
 		if d, ok := decl.(*ast.FuncDecl); ok {
@@ -274,6 +317,71 @@ func (c *moduleChecker) findings(p *checkedPkg, f *ast.File) []finding {
 		})
 	}
 	return out
+}
+
+// quickRandFindings is the quickrand rule on one file, read from its syntax
+// alone: a call of the file's testing/quick import's Check or CheckEqual
+// must pass, as its last argument, a &quick.Config literal that sets Rand.
+func (c *moduleChecker) quickRandFindings(f *ast.File) []finding {
+	quick := ""
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"testing/quick"` {
+			quick = "quick"
+			if imp.Name != nil {
+				quick = imp.Name.Name
+			}
+		}
+	}
+	if quick == "" {
+		return nil
+	}
+	var out []finding
+	for _, decl := range f.Decls {
+		fn := ""
+		if d, ok := decl.(*ast.FuncDecl); ok {
+			fn = d.Name.Name
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Check" && sel.Sel.Name != "CheckEqual" {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != quick {
+				return true
+			}
+			if !setsRand(call.Args[len(call.Args)-1]) {
+				pos := c.fset.Position(call.Pos())
+				out = append(out, finding{filepath.ToSlash(pos.Filename), fn, "quickrand",
+					"quick." + sel.Sel.Name + " draws its inputs from the clock; pass &quick.Config{..., Rand: rand.New(rand.NewSource(seed))}", pos.Line})
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// setsRand reports whether cfg is a &quick.Config literal with a Rand field.
+func setsRand(cfg ast.Expr) bool {
+	u, ok := cfg.(*ast.UnaryExpr)
+	if !ok || u.Op != token.AND {
+		return false
+	}
+	lit, ok := u.X.(*ast.CompositeLit)
+	if !ok {
+		return false
+	}
+	for _, e := range lit.Elts {
+		if kv, ok := e.(*ast.KeyValueExpr); ok {
+			if k, ok := kv.Key.(*ast.Ident); ok && k.Name == "Rand" {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // camsimErrFunc returns the function call invokes if it is a camsim function

@@ -1,7 +1,9 @@
 package camsim
 
 import (
+	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -210,6 +212,94 @@ func checkSectionCites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDesignCalibration: DESIGN §4 states the calibration as
+// "`expression` = value" cites, and every one evaluates, over the calib rows
+// (calibLedger; `calib.X` is a row, a sim.Time row in nanoseconds), to its
+// stated value rounded to the digits given. Any other number in §4 fails
+// (section signs and digits inside a name, such as A100 or fig8a, are not
+// numbers), so changing one number in §4 fails the test.
+func TestDesignCalibration(t *testing.T) {
+	rows := calibLedger(t)
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := regexp.MustCompile(`(?s)\n## 4\.[^\n]*\n(.*?)\n## 5\.`).FindSubmatch(design)
+	if sec == nil {
+		t.Fatal("DESIGN.md has no §4 before §5")
+	}
+	text := string(sec[1])
+	cite := regexp.MustCompile("`([^`]+)`\\s*=\\s+([0-9]{1,3}(?: [0-9]{3})+(?:\\.[0-9]+)?|[0-9]+(?:\\.[0-9]+)?)")
+	cites := cite.FindAllStringSubmatch(text, -1)
+	for _, m := range cites {
+		expr, err := parser.ParseExpr(m[1])
+		if err != nil {
+			t.Errorf("§4: `%s`: %v", m[1], err)
+			continue
+		}
+		got, err := evalCalib(expr, rows)
+		if err != nil {
+			t.Errorf("§4: `%s`: %v", m[1], err)
+			continue
+		}
+		stated := strings.ReplaceAll(m[2], " ", "")
+		half := "0.5"
+		if i := strings.IndexByte(stated, '.'); i >= 0 {
+			half = "0." + strings.Repeat("0", len(stated)-i-1) + "5"
+		}
+		diff := constant.BinaryOp(got, token.SUB, constant.MakeFromLiteral(stated, token.FLOAT, 0))
+		if constant.Sign(diff) < 0 {
+			diff = constant.UnaryOp(token.SUB, diff, 0)
+		}
+		if constant.Compare(diff, token.GTR, constant.MakeFromLiteral(half, token.FLOAT, 0)) {
+			f, _ := constant.Float64Val(got)
+			t.Errorf("§4 states `%s` = %s, but the rows give %.6g", m[1], m[2], f)
+		}
+	}
+	if len(cites) < 10 {
+		t.Errorf("§4 has %d calibration cites; the section lost its arithmetic", len(cites))
+	}
+	rest := cite.ReplaceAllString(text, "")
+	for _, n := range regexp.MustCompile(`(?:^|[^\pL\pN_§])(\pN+)`).FindAllStringSubmatch(rest, -1) {
+		t.Errorf("§4 states %s outside a checked \"`expression` = value\" cite", n[1])
+	}
+}
+
+// evalCalib evaluates a §4 expression exactly: literals, calib rows, + - * /
+// and parentheses.
+func evalCalib(e ast.Expr, rows map[string]calibRow) (constant.Value, error) {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return constant.MakeFromLiteral(e.Value, e.Kind, 0), nil
+	case *ast.ParenExpr:
+		return evalCalib(e.X, rows)
+	case *ast.SelectorExpr:
+		if pkg, ok := e.X.(*ast.Ident); ok && pkg.Name == "calib" {
+			if r, ok := rows[e.Sel.Name]; ok {
+				return r.value, nil
+			}
+			return nil, fmt.Errorf("internal/calib has no row %s", e.Sel.Name)
+		}
+	case *ast.BinaryExpr:
+		if e.Op != token.ADD && e.Op != token.SUB && e.Op != token.MUL && e.Op != token.QUO {
+			break
+		}
+		x, err := evalCalib(e.X, rows)
+		if err != nil {
+			return nil, err
+		}
+		y, err := evalCalib(e.Y, rows)
+		if err != nil {
+			return nil, err
+		}
+		if e.Op == token.QUO && constant.Sign(y) == 0 {
+			return nil, fmt.Errorf("division by zero")
+		}
+		return constant.BinaryOp(constant.ToFloat(x), e.Op, constant.ToFloat(y)), nil
+	}
+	return nil, fmt.Errorf("%T is not a literal, a calib row or an arithmetic operator", e)
 }
 
 func fieldList(fl *ast.FieldList) []*ast.Field {

@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 
+	"camsim/internal/calib"
 	"camsim/internal/gemmx"
 	"camsim/internal/metrics"
 	"camsim/internal/platform"
@@ -36,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := gemmx.Config{
 		N: 128, K: 128, M: 128,
 		Tile:        32,
-		ComputeRate: 100e12,
+		ComputeRate: calib.GEMMRate(),
 		RealMath:    true,
 	}
 	m := gemmx.New(env, backend, cfg)

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 
+	"camsim/internal/calib"
 	"camsim/internal/metrics"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
@@ -47,11 +48,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	backend := xfer.NewCAM(env, 65536, nil)
 
 	cfg := sortx.Config{
-		NumInts:    2 << 20,   // 8 MiB of int32 keys
-		RunBytes:   2 << 20,   // four runs
-		ChunkBytes: 256 << 10, // merge streaming granule
-		SortRate:   4e9,       // modeled GPU block-sort rate
-		MergeRate:  8e9,       // modeled GPU merge rate
+		NumInts:    2 << 20,           // 8 MiB of int32 keys
+		RunBytes:   2 << 20,           // four runs
+		ChunkBytes: 256 << 10,         // merge streaming granule
+		SortRate:   calib.SortRate(),  // modeled GPU block-sort rate
+		MergeRate:  calib.MergeRate(), // modeled GPU merge rate
 	}
 	s := sortx.New(env, backend, cfg)
 

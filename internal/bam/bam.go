@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 
+	"camsim/internal/calib"
 	"camsim/internal/fault"
 	"camsim/internal/gpu"
 	"camsim/internal/gpucache"
@@ -26,23 +27,14 @@ import (
 	"camsim/internal/ssd"
 )
 
-// Config calibrates the BaM baseline.
+// Config calibrates the BaM baseline. The resident GPU threads it pins per
+// SSD, calib.BaMThreadsPerSSD, land both of the paper's Fig 4 observations
+// (five or more SSDs need every SM of an A100); the GPU-side cost to publish
+// one SQE is calib.BaMSubmitLatency. One queue pair per device saturates the
+// simulated frontend, where the paper's evaluation uses 128.
 type Config struct {
-	// ThreadsPerSSD is the number of resident GPU threads BaM must keep
-	// submitting/polling to saturate one SSD. The paper's evaluation uses
-	// 262144 CUDA threads for twelve SSDs and reports that five or more
-	// SSDs need every SM of an A100 (Fig 4): 44 K threads per SSD lands
-	// both observations.
-	ThreadsPerSSD int64
 	// QueueDepth bounds in-flight commands per queue pair.
 	QueueDepth uint32
-	// QueuesPerSSD is the number of queue pairs per device (the paper
-	// evaluates BaM with 128; one pair per device is enough to saturate
-	// the simulated frontend, so this only sizes GPU memory).
-	QueuesPerSSD int
-	// SubmitLatency is the GPU-side cost to build and publish one SQE
-	// from a thread (warp-serialized doorbell write).
-	SubmitLatency sim.Time
 
 	// CmdTimeout is the per-command completion deadline for the GPU
 	// pollers; 0 (the default) disables timeout handling entirely.
@@ -56,14 +48,9 @@ type Config struct {
 
 // DefaultConfig matches the paper's BaM evaluation settings.
 func DefaultConfig() Config {
-	cfg := Config{
-		ThreadsPerSSD: 44_000,
-		QueueDepth:    1024,
-		QueuesPerSSD:  1,
-		SubmitLatency: 400 * sim.Nanosecond,
-	}
+	cfg := Config{QueueDepth: calib.BaMQueueDepth()}
 	if fault.Default().Enabled() {
-		cfg.CmdTimeout = 25 * sim.Millisecond
+		cfg.CmdTimeout = calib.RecoveryDeadline()
 	}
 	return cfg
 }
@@ -148,7 +135,7 @@ func New(e *sim.Engine, cfg Config, g *gpu.GPU, devs []*ssd.Device) *System {
 // ThreadsNeeded reports the resident GPU threads BaM pins to saturate n
 // SSDs (clamped to the device).
 func (s *System) ThreadsNeeded(n int) int64 {
-	t := s.cfg.ThreadsPerSSD * int64(n)
+	t := calib.BaMThreadsPerSSD() * int64(n)
 	if t > s.g.TotalThreads() {
 		t = s.g.TotalThreads()
 	}
@@ -400,7 +387,7 @@ func (m *batchMachine) push() {
 	m.phase = bmLoop
 	// Warp-serialized submission cost; amortized across the batch by
 	// submitting from many warps in reality — charge a fraction.
-	s.e.ScheduleCallback(s.cfg.SubmitLatency/8, m)
+	s.e.ScheduleCallback(calib.BaMSubmitLatency()/8, m)
 }
 
 // awaitFan drops the publishing hold and parks on the batch fan-in.

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"camsim/internal/calib"
 	"camsim/internal/cpustat"
 	"camsim/internal/gpu"
 	"camsim/internal/hostmem"
@@ -39,7 +40,9 @@ import (
 	"camsim/internal/trace"
 )
 
-// Config tunes a CAM instance.
+// Config tunes a CAM instance. The CPU polling thread's latency to notice a
+// doorbell and the GPU's to notice the region-4 write are calib rows
+// (CAMPollPickup, CAMGPUPickup).
 type Config struct {
 	// BlockBytes is the access granularity: every logical block in a
 	// batch moves this many bytes (512 B – 128 KiB).
@@ -50,13 +53,7 @@ type Config struct {
 	// once (the descriptor ring size).
 	MaxOutstanding int
 
-	// PollPickup is the CPU polling thread's mean latency to notice a
-	// newly written doorbell.
-	PollPickup sim.Time
-	// GPUPickup is the GPU-side latency to notice the region-4 write.
-	GPUPickup sim.Time
-
-	// Backend is the per-request CPU cost model for the reactor threads.
+	// Backend configures the reactor threads' queue pairs and recovery.
 	Backend spdk.Config
 
 	// DynamicCores enables the paper's dynamic core adjustment: the
@@ -80,8 +77,6 @@ func DefaultConfig(n int) Config {
 		BlockBytes:     4096,
 		MaxBatch:       16384,
 		MaxOutstanding: 8,
-		PollPickup:     300 * sim.Nanosecond,
-		GPUPickup:      500 * sim.Nanosecond,
 		Backend:        spdk.DefaultConfig(),
 		DynamicCores:   false,
 		Cores:          (n + 1) / 2,
@@ -433,7 +428,7 @@ func (m *Manager) synchronize(p *sim.Proc, b *Batch) {
 	}
 	p.Wait(&b.done)
 	// Leading thread notices the region-4 write on its next poll.
-	p.Sleep(m.cfg.GPUPickup)
+	p.Sleep(calib.CAMGPUPickup())
 	if got := binary.LittleEndian.Uint64(m.r4); got < b.Seq {
 		panic("cam: region-4 sequence behind completed batch")
 	}
@@ -515,7 +510,7 @@ func (m *Manager) publish(p *sim.Proc, op Op, blocks []uint64, buf *gpu.Buffer, 
 	m.batchQ.Put(b)
 	m.tracer.Emit(trace.BatchPublish, "cam", op.String(), int64(b.Seq))
 	// The CPU polling thread notices after its pickup latency.
-	m.e.Schedule(m.cfg.PollPickup, m.fireDoorbell)
+	m.e.Schedule(calib.CAMPollPickup(), m.fireDoorbell)
 	return b
 }
 

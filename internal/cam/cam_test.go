@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"camsim/internal/calib"
 	"camsim/internal/gpu"
 	"camsim/internal/hostmem"
 	"camsim/internal/mem"
@@ -408,7 +409,7 @@ func TestLatencyRecorded(t *testing.T) {
 	if b.Latency() <= 0 {
 		t.Fatalf("batch latency = %v", b.Latency())
 	}
-	if b.Latency() < ssd.DefaultConfig().ReadLatency/2 {
+	if b.Latency() < calib.SSDReadLatency()/2 {
 		t.Fatalf("latency %v implausibly below media latency", b.Latency())
 	}
 }

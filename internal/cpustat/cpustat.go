@@ -5,14 +5,15 @@
 // (expensive cycles).
 package cpustat
 
-import "camsim/internal/sim"
+import (
+	"camsim/internal/calib"
+	"camsim/internal/sim"
+)
 
-// Freq is the evaluation platform's CPU frequency (Xeon Gold 5320, 2.2 GHz).
-const Freq = 2.2e9
-
-// TimeToCycles converts wall time to cycles at Freq.
+// TimeToCycles converts wall time to cycles at the evaluation platform's
+// CPU frequency, calib.CPUFreq.
 func TimeToCycles(t sim.Time) float64 {
-	return t.Seconds() * Freq
+	return t.Seconds() * calib.CPUFreq()
 }
 
 // Counters accumulates per-driver CPU work.

@@ -5,12 +5,15 @@
 // bookkeeping — that the paper measures at about 70 % of total processing
 // time. That software path is page-granular (the filesystem maps and pins
 // each 4 KiB page), which is why GDS tops out near 0.8 GB/s on the paper's
-// platform no matter how many SSDs sit behind it.
+// platform no matter how many SSDs sit behind it. Its costs are calib rows:
+// GDSCallCost per call, GDSPageCost per page, over an EXT4-on-RAID0 stripe of
+// calib.RAID0Stripe.
 package gds
 
 import (
 	"fmt"
 
+	"camsim/internal/calib"
 	"camsim/internal/hostmem"
 	"camsim/internal/mem"
 	"camsim/internal/nvme"
@@ -19,34 +22,12 @@ import (
 	"camsim/internal/ssd"
 )
 
-// Config calibrates the GDS model.
-type Config struct {
-	// PerPageSoftwareCost is the serialized fs/NVFS/CUDA cost per 4 KiB
-	// page of transferred data.
-	PerPageSoftwareCost sim.Time
-	// PerCallCost is the fixed cuFileRead/Write invocation overhead.
-	PerCallCost sim.Time
-	// StripeBytes is the EXT4-on-RAID0 stripe width.
-	StripeBytes int64
-}
-
-// DefaultConfig calibrates to the paper's ≈0.8 GB/s ceiling:
-// 4096 B / 4.8 µs ≈ 0.85 GB/s.
-func DefaultConfig() Config {
-	return Config{
-		PerPageSoftwareCost: 4800 * sim.Nanosecond,
-		PerCallCost:         12 * sim.Microsecond,
-		StripeBytes:         128 << 10,
-	}
-}
-
 // Driver is a GDS instance over a RAID0 array of SSDs. Internally it uses
 // an spdk.Driver purely as the NVMe submission mechanism (the kernel NVMe
 // driver with enough queues); the distinguishing costs are the software
 // path in front of it.
 type Driver struct {
 	e    *sim.Engine
-	cfg  Config
 	nv   *spdk.Driver
 	devs []*ssd.Device
 
@@ -59,9 +40,9 @@ type Driver struct {
 
 // New builds the driver; one backing NVMe thread is plenty because the
 // software path is the bottleneck by an order of magnitude.
-func New(e *sim.Engine, cfg Config, hm *hostmem.Memory, space *mem.Space, devs []*ssd.Device) *Driver {
+func New(e *sim.Engine, hm *hostmem.Memory, space *mem.Space, devs []*ssd.Device) *Driver {
 	nv := spdk.New(e, spdk.DefaultConfig(), hm, space, devs, 1)
-	return &Driver{e: e, cfg: cfg, nv: nv, devs: devs}
+	return &Driver{e: e, nv: nv, devs: devs}
 }
 
 // Start launches the backing NVMe machinery.
@@ -69,10 +50,11 @@ func (d *Driver) Start() { d.nv.Start() }
 
 // locate maps a file offset to (device, device LBA) under striping.
 func (d *Driver) locate(off int64) (dev int, lba uint64) {
-	stripe := off / d.cfg.StripeBytes
+	sb := calib.RAID0Stripe()
+	stripe := off / sb
 	dev = int(stripe % int64(len(d.devs)))
 	devStripe := stripe / int64(len(d.devs))
-	devOff := devStripe*d.cfg.StripeBytes + off%d.cfg.StripeBytes
+	devOff := devStripe*sb + off%sb
 	return dev, uint64(devOff) / nvme.LBASize
 }
 
@@ -110,7 +92,7 @@ func (d *Driver) ioAsync(op nvme.Opcode, off, n int64, addr mem.Addr, done *sim.
 	}
 	// Per-call plus per-page serialized software path.
 	pages := (n + 4095) / 4096
-	cost := d.cfg.PerCallCost + sim.Time(pages)*d.cfg.PerPageSoftwareCost
+	cost := calib.GDSCallCost() + sim.Time(pages)*calib.GDSPageCost()
 	start := d.e.Now()
 	if d.fsBusyUntil > start {
 		start = d.fsBusyUntil
@@ -131,7 +113,7 @@ func (m *ioMachine) Run() {
 	off, n, addr := m.off, m.n, m.addr
 	m.remaining = 1 // submission hold, dropped below
 	for n > 0 {
-		chunk := d.cfg.StripeBytes - off%d.cfg.StripeBytes
+		chunk := calib.RAID0Stripe() - off%calib.RAID0Stripe()
 		if chunk > n {
 			chunk = n
 		}

@@ -33,7 +33,7 @@ func newRig(nDevs int) *rig {
 		c.Seed = uint64(i + 1)
 		devs = append(devs, ssd.New(e, fmt.Sprintf("nvme%d", i), c, fab, space))
 	}
-	d := New(e, DefaultConfig(), hm, space, devs)
+	d := New(e, hm, space, devs)
 	for _, dev := range devs {
 		dev.Start()
 	}

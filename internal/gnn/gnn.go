@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"math"
 
+	"camsim/internal/calib"
 	"camsim/internal/nvme"
 	"camsim/internal/sim"
 )
@@ -120,7 +121,11 @@ var (
 // Models lists the evaluated models in paper order.
 func Models() []Model { return []Model{GCN, GAT, GraphSAGE} }
 
-// TrainConfig is the paper's Table V with simulation knobs.
+// TrainConfig is the paper's Table V with simulation knobs. The GPU time
+// to sample one unique node (UVA random access into CPU-resident graph
+// structure) and the training FLOP rate at 128-dim inputs are calib rows
+// (GNNSampleCost, GNNComputeRate); together they calibrate the Fig 1 stage
+// shares and cap the overlap speedup at the paper's 1.84x.
 type TrainConfig struct {
 	// Batch is the seed-node minibatch size (paper: 8000; benchmarks use
 	// a scaled value — per-node ratios are batch-invariant).
@@ -129,29 +134,17 @@ type TrainConfig struct {
 	Fanouts []int
 	// HiddenDim is the model hidden size (paper: 128).
 	HiddenDim int
-	// SampleCostPerNode is the GPU time to sample one unique node
-	// (UVA random access into CPU-resident graph structure).
-	SampleCostPerNode sim.Time
-	// BaseComputeRate is the effective training FLOP rate for 128-dim
-	// inputs; wider features raise arithmetic intensity (see EffRate).
-	BaseComputeRate float64
 	// Seed drives sampling randomness.
 	Seed uint64
 }
 
 // DefaultTrainConfig returns the paper's configuration with a scaled batch.
 func DefaultTrainConfig() TrainConfig {
-	// SampleCostPerNode covers the GPU-side neighbor sampling over
-	// graph structure resident in CPU memory (UVA random accesses);
-	// together with the compute rate it calibrates the Fig 1 stage
-	// shares and caps the overlap speedup at the paper's 1.84x.
 	return TrainConfig{
-		Batch:             512,
-		Fanouts:           []int{25, 10},
-		HiddenDim:         128,
-		SampleCostPerNode: 38 * sim.Nanosecond,
-		BaseComputeRate:   1.0e12,
-		Seed:              1,
+		Batch:     512,
+		Fanouts:   []int{25, 10},
+		HiddenDim: 128,
+		Seed:      1,
 	}
 }
 
@@ -164,7 +157,7 @@ func (c TrainConfig) EffRate(d Dataset) float64 {
 	if boost < 1 {
 		boost = 1
 	}
-	return c.BaseComputeRate * boost
+	return calib.GNNComputeRate() * boost
 }
 
 // FlopsPerNode reports the per-sampled-node training cost of a model on a

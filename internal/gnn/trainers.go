@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"camsim/internal/bam"
+	"camsim/internal/calib"
 	"camsim/internal/cam"
 	"camsim/internal/gpu"
 	"camsim/internal/mem"
@@ -117,7 +118,7 @@ func (t *GIDSTrainer) RunIterations(p *sim.Proc, iters int) Breakdown {
 		// 1. Sampling kernel (graph structure in CPU memory).
 		nodes := SampleBatch(t.Data, t.Cfg, it)
 		b.Nodes += uint64(len(nodes))
-		sT := t.Cfg.SampleCostPerNode * sim.Time(len(nodes))
+		sT := calib.GNNSampleCost() * sim.Time(len(nodes))
 		t0 := p.Now()
 		t.Env.GPU.RunKernel(p, gpu.KernelSpec{
 			Name: "sample", Threads: t.Env.GPU.TotalThreads(), FullOccupancyTime: sT,
@@ -193,7 +194,7 @@ func (t *CAMTrainer) RunIterations(p *sim.Proc, iters int) Breakdown {
 
 	// Prime: sample and prefetch batch 0.
 	nodes := SampleBatch(t.Data, t.Cfg, 0)
-	sT := t.Cfg.SampleCostPerNode * sim.Time(len(nodes))
+	sT := calib.GNNSampleCost() * sim.Time(len(nodes))
 	t.Env.GPU.RunKernel(p, gpu.KernelSpec{Name: "sample", Threads: t.Env.GPU.TotalThreads(), FullOccupancyTime: sT})
 	t.M.Prefetch(p, nodes, t.readBuf, 0)
 	current := nodes
@@ -227,7 +228,7 @@ func (t *CAMTrainer) RunIterations(p *sim.Proc, iters int) Breakdown {
 		var next []uint64
 		if it+1 < iters {
 			next = SampleBatch(t.Data, t.Cfg, it+1)
-			sT := t.Cfg.SampleCostPerNode * sim.Time(len(next))
+			sT := calib.GNNSampleCost() * sim.Time(len(next))
 			t0 = p.Now()
 			t.Env.GPU.RunKernel(p, gpu.KernelSpec{Name: "sample", Threads: t.Env.GPU.TotalThreads(), FullOccupancyTime: sT})
 			b.Sample += p.Now() - t0

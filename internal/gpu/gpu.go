@@ -13,20 +13,16 @@ package gpu
 import (
 	"fmt"
 
+	"camsim/internal/calib"
 	"camsim/internal/mem"
 	"camsim/internal/sim"
 	"camsim/internal/trace"
 )
 
-// Config describes the device.
+// Config describes the device. Its SM array and peak compute rate are
+// calib rows (GPUSMs, GPUThreadsPerSM, GPUTFLOPS).
 type Config struct {
-	// SMs is the number of streaming multiprocessors (A100: 108).
-	SMs int
-	// ThreadsPerSM is the resident thread capacity per SM (A100: 2048).
-	ThreadsPerSM int
-	// TFLOPS is the peak compute rate used by kernel cost models.
-	TFLOPS float64
-	// MemBytes is the HBM capacity (A100 80 GB).
+	// MemBytes is the HBM capacity.
 	MemBytes int64
 	// KernelLaunchOverhead is the host-side cost per kernel launch.
 	KernelLaunchOverhead sim.Time
@@ -45,11 +41,8 @@ func WindowForInstance(i int) mem.Addr {
 // DefaultConfig matches the paper's 80 GB PCIe A100.
 func DefaultConfig() Config {
 	return Config{
-		SMs:                  108,
-		ThreadsPerSM:         2048,
-		TFLOPS:               312, // TF32 tensor-core rate the paper quotes
-		MemBytes:             80 << 30,
-		KernelLaunchOverhead: 4 * sim.Microsecond,
+		MemBytes:             calib.GPUMemBytes(),
+		KernelLaunchOverhead: calib.GPUKernelLaunch(),
 	}
 }
 
@@ -78,9 +71,6 @@ func (g *GPU) SetTracer(t *trace.Tracer) { g.tracer = t }
 
 // New creates a GPU and claims its HBM window in the address space.
 func New(e *sim.Engine, name string, cfg Config, space *mem.Space) *GPU {
-	if cfg.SMs <= 0 || cfg.ThreadsPerSM <= 0 {
-		panic("gpu: invalid config")
-	}
 	window := cfg.HBMWindow
 	if window == 0 {
 		window = HBMWindowBase
@@ -89,14 +79,16 @@ func New(e *sim.Engine, name string, cfg Config, space *mem.Space) *GPU {
 		Name:    name,
 		cfg:     cfg,
 		e:       e,
-		threads: e.NewResource(name+".threads", int64(cfg.SMs)*int64(cfg.ThreadsPerSM)),
+		threads: e.NewResource(name+".threads", totalThreads()),
 		arena:   mem.NewArena(name+".hbm", window, cfg.MemBytes),
 		space:   space,
 	}
 }
 
 // TotalThreads reports the total resident thread capacity.
-func (g *GPU) TotalThreads() int64 { return int64(g.cfg.SMs) * int64(g.cfg.ThreadsPerSM) }
+func (g *GPU) TotalThreads() int64 { return totalThreads() }
+
+func totalThreads() int64 { return calib.GPUSMs() * calib.GPUThreadsPerSM() }
 
 // FreeThreads reports currently unoccupied thread slots.
 func (g *GPU) FreeThreads() int64 { return g.threads.Available() }
@@ -279,6 +271,6 @@ func (g *GPU) ComputeTime(flops float64, efficiency float64) sim.Time {
 	if efficiency <= 0 || efficiency > 1 {
 		panic("gpu: efficiency must be in (0,1]")
 	}
-	sec := flops / (g.cfg.TFLOPS * 1e12 * efficiency)
+	sec := flops / (calib.GPUTFLOPS() * 1e12 * efficiency)
 	return sim.Time(sec * float64(sim.Second))
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"camsim/internal/calib"
 	"camsim/internal/metrics"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
@@ -28,8 +29,8 @@ func runAblFanin(cfg RunConfig) *Result {
 			NumInts:    keys,
 			RunBytes:   keys / 4, // 16 runs
 			ChunkBytes: 128 << 10,
-			SortRate:   4e9,
-			MergeRate:  8e9,
+			SortRate:   calib.SortRate(),
+			MergeRate:  calib.MergeRate(),
 			Fanin:      fanin,
 		}
 		env := platform.New(platform.Options{SSDs: 12})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"camsim/internal/calib"
 	"camsim/internal/cam"
 	"camsim/internal/gemmx"
 	"camsim/internal/gnn"
@@ -170,8 +171,8 @@ func runFig10a(cfg RunConfig) *Result {
 			NumInts:    n,
 			RunBytes:   n, // bytes: (n*4)/4 runs
 			ChunkBytes: 256 << 10,
-			SortRate:   4e9,
-			MergeRate:  8e9,
+			SortRate:   calib.SortRate(),
+			MergeRate:  calib.MergeRate(),
 		}
 		for _, sys := range []string{"CAM", "SPDK", "POSIX"} {
 			env := platform.New(platform.Options{SSDs: 12})
@@ -200,9 +201,9 @@ func runFig10a(cfg RunConfig) *Result {
 
 func runFig10bc(cfg RunConfig) *Result {
 	r := &Result{ID: "fig10bc", Title: "Out-of-core GEMM"}
-	gcfg := gemmx.Config{N: 2048, K: 2048, M: 2048, Tile: 512, ComputeRate: 100e12}
+	gcfg := gemmx.Config{N: 2048, K: 2048, M: 2048, Tile: 512, ComputeRate: calib.GEMMRate()}
 	if cfg.Quick {
-		gcfg = gemmx.Config{N: 1024, K: 1024, M: 1024, Tile: 256, ComputeRate: 100e12}
+		gcfg = gemmx.Config{N: 1024, K: 1024, M: 1024, Tile: 256, ComputeRate: calib.GEMMRate()}
 	}
 	t := metrics.NewTable("fig10bc", "Fig 10b,c: GEMM read throughput and execution time",
 		"system", "GB/s", "time ms")

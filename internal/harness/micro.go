@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"camsim/internal/calib"
 	"camsim/internal/cpustat"
 	"camsim/internal/mem"
 	"camsim/internal/metrics"
@@ -12,7 +13,6 @@ import (
 	"camsim/internal/platform"
 	"camsim/internal/sim"
 	"camsim/internal/spdk"
-	"camsim/internal/ssd"
 	"camsim/internal/workload"
 )
 
@@ -37,8 +37,7 @@ func runFig2(cfg RunConfig) *Result {
 		wr, _ := kernelThroughput(cfg, k, 1, nvme.OpWrite, 4096)
 		t.AddRow(k.String(), rd/4096/1000, wr/4096/1000)
 	}
-	dc := ssd.DefaultConfig()
-	t.AddRow("device max (dashed)", dc.ReadIOPS/1000, dc.WriteIOPS/1000)
+	t.AddRow("device max (dashed)", calib.SSDReadIOPS()/1000, calib.SSDWriteIOPS()/1000)
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,
 		"every software stack sits below the device line; POSIX < libaio < io_uring-int < io_uring-poll")

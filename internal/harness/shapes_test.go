@@ -14,108 +14,112 @@ import (
 // of one experiment's quick-scale result (Result.Value, Result.Series) and
 // the bound every measured number must satisfy. status is "✅" where the
 // reproduction shows what the paper says and "partial" where it holds only
-// in shape (EXPERIMENTS.md says how). To add a claim, append a row: a name
-// that does not exist fails the claim with the names that do.
+// in shape (EXPERIMENTS.md says how). prov says where the number comes
+// from: "input" where it reads back a calib row, "derived" where one line of
+// arithmetic over calib rows predicts it (DESIGN §4), "emergent" where
+// queueing or the experiment's own structure produces it. To add a claim,
+// append a row: a name that does not exist fails the claim with the names
+// that do.
 var claims = []claim{
-	{"fig1-extract", "fig1", "✅", "feature extraction takes 40–65 % of GIDS training time",
+	{"fig1-extract", "fig1", "✅", "emergent", "feature extraction takes 40–65 % of GIDS training time",
 		func(v vals) []float64 { return v.each("fig1.*.extract %", gnnModels...) }, within(40, 70)},
-	{"fig2-read-order", "fig2", "✅", "POSIX < libaio < io_uring-int < io_uring-poll (each stack over the one before)",
+	{"fig2-read-order", "fig2", "✅", "derived", "POSIX < libaio < io_uring-int < io_uring-poll (each stack over the one before)",
 		func(v vals) []float64 {
 			return ratios(v.each("fig2.*.read KIOPS", kernelStacks[1:]...), v.each("fig2.*.read KIOPS", kernelStacks[:3]...))
 		}, above(1)},
-	{"fig2-below-device", "fig2", "✅", "every software stack sits below the device line (io_uring-poll over the line)",
+	{"fig2-below-device", "fig2", "✅", "input", "every software stack sits below the device line (io_uring-poll over the line)",
 		ratioOf("fig2.io_uring poll.read KIOPS", "fig2.device max (dashed).read KIOPS"), below(1)},
-	{"fig3-fs-iomap", "fig3", "✅", "file system + I/O mapping cost >34 % of per-request time, on every stack, both directions",
+	{"fig3-fs-iomap", "fig3", "✅", "input", "file system + I/O mapping cost >34 % of per-request time, on every stack, both directions",
 		func(v vals) []float64 {
 			return append(v.each("fig3-read.*.fs+iomap", kernelStacks...), v.each("fig3-write.*.fs+iomap", kernelStacks...)...)
 		}, atLeast(0.34)},
-	{"fig4-points", "fig4", "✅", "the sweep covers 1–12 SSDs",
+	{"fig4-points", "fig4", "✅", "emergent", "the sweep covers 1–12 SSDs",
 		func(v vals) []float64 { return nums(float64(len(v.series("fig4.BaM")))) }, within(12, 12)},
-	{"fig4-5ssd", "fig4", "✅", "≈ all SMs at ≥5 SSDs (SM % at 5 SSDs)",
+	{"fig4-5ssd", "fig4", "✅", "derived", "≈ all SMs at ≥5 SSDs (SM % at 5 SSDs)",
 		valueOf("fig4.5.BaM"), atLeast(99)},
-	{"fig4-1ssd", "fig4", "✅", "one SSD needs ~20 % of the SMs",
+	{"fig4-1ssd", "fig4", "✅", "derived", "one SSD needs ~20 % of the SMs",
 		valueOf("fig4.1.BaM"), atMost(25)},
-	{"fig8-panels", "fig8", "✅", "Fig 8 has four panels: SSD sweep, granularity sweep, writes, mixed",
+	{"fig8-panels", "fig8", "✅", "emergent", "Fig 8 has four panels: SSD sweep, granularity sweep, writes, mixed",
 		func(v vals) []float64 { return nums(float64(len(v.r.Figs))) }, within(4, 4)},
-	{"fig8-cam-scales", "fig8", "✅", "CAM read throughput scales with the SSD count (12 over 1 SSD)",
+	{"fig8-cam-scales", "fig8", "✅", "derived", "CAM read throughput scales with the SSD count (12 over 1 SSD)",
 		func(v vals) []float64 { return nums(lastOverFirst(v.series("fig8a.CAM"))) }, atLeast(2)},
-	{"fig8-posix-flat", "fig8", "✅", "POSIX does not scale with SSDs (12 over 1 SSD)",
+	{"fig8-posix-flat", "fig8", "✅", "derived", "POSIX does not scale with SSDs (12 over 1 SSD)",
 		func(v vals) []float64 { return nums(lastOverFirst(v.series("fig8a.POSIX"))) }, atMost(2)},
-	{"fig8-cam-12ssd", "fig8", "✅", "12 SSDs at 4 KiB reach ≈20 GB/s (PCIe-limited)",
+	{"fig8-cam-12ssd", "fig8", "✅", "derived", "12 SSDs at 4 KiB reach ≈20 GB/s (PCIe-limited)",
 		valueOf("fig8a.12.CAM"), within(17, 22)},
-	{"fig8-gran-rises", "fig8", "✅", "throughput grows with access size (largest over smallest granule)",
+	{"fig8-gran-rises", "fig8", "✅", "emergent", "throughput grows with access size (largest over smallest granule)",
 		func(v vals) []float64 { return nums(lastOverFirst(v.series("fig8b.CAM"))) }, above(1)},
-	{"fig8-write-below-read", "fig8", "✅", "writes below reads (CAM, 12 SSDs, 4 KiB)",
+	{"fig8-write-below-read", "fig8", "✅", "derived", "writes below reads (CAM, 12 SSDs, 4 KiB)",
 		ratioOf("fig8c.12.CAM", "fig8a.12.CAM"), below(1)},
-	{"fig9-speedup", "fig9", "✅", "CAM is consistently faster than GIDS, up to 1.84×",
+	{"fig9-speedup", "fig9", "✅", "emergent", "CAM is consistently faster than GIDS, up to 1.84×",
 		func(v vals) []float64 {
 			return append(v.each("fig9.Paper100M/*.speedup", gnnModels...), v.each("fig9.IGB-full/*.speedup", gnnModels...)...)
 		}, within(1.0, 2.05)},
-	{"fig9-igb-gains-more", "fig9", "✅", "IGB-full speedups exceed Paper100M's (mean over the three models)",
+	{"fig9-igb-gains-more", "fig9", "✅", "emergent", "IGB-full speedups exceed Paper100M's (mean over the three models)",
 		func(v vals) []float64 {
 			return nums(mean(v.each("fig9.IGB-full/*.speedup", gnnModels...)) / mean(v.each("fig9.Paper100M/*.speedup", gnnModels...)))
 		}, above(1)},
-	{"fig10a-posix-slower", "fig10a", "✅", "CAM beats POSIX (POSIX time over CAM time, every size)",
+	{"fig10a-posix-slower", "fig10a", "✅", "emergent", "CAM beats POSIX (POSIX time over CAM time, every size)",
 		func(v vals) []float64 { return ratios(v.series("fig10a.POSIX"), v.series("fig10a.CAM")) }, above(1)},
-	{"fig10a-cam-spdk", "fig10a", "partial", "CAM ≈ SPDK (SPDK time over CAM time, every size)",
+	{"fig10a-cam-spdk", "fig10a", "partial", "emergent", "CAM ≈ SPDK (SPDK time over CAM time, every size)",
 		func(v vals) []float64 { return ratios(v.series("fig10a.SPDK"), v.series("fig10a.CAM")) }, within(0.6, 1.8)},
-	{"fig10bc-order", "fig10bc", "✅", "GEMM read throughput CAM > BaM > GDS",
+	{"fig10bc-order", "fig10bc", "✅", "emergent", "GEMM read throughput CAM > BaM > GDS",
 		func(v vals) []float64 {
 			return ratios(v.each("fig10bc.*.GB/s", "CAM", "BaM"), v.each("fig10bc.*.GB/s", "BaM", "GDS"))
 		}, above(1)},
-	{"fig10bc-gds", "fig10bc", "✅", "GDS ≈ 0.8 GB/s",
+	{"fig10bc-gds", "fig10bc", "✅", "derived", "GDS ≈ 0.8 GB/s",
 		valueOf("fig10bc.GDS.GB/s"), atMost(2)},
-	{"fig11-coincide", "fig11", "✅", "the synchronous-feeling API loses nothing (CAM-Sync over CAM-Async, every SSD count)",
+	{"fig11-coincide", "fig11", "✅", "emergent", "the synchronous-feeling API loses nothing (CAM-Sync over CAM-Async, every SSD count)",
 		func(v vals) []float64 { return ratios(v.series("fig11.CAM-Sync"), v.series("fig11.CAM-Async")) }, within(0.9, 1.12)},
-	{"fig12-2ssd", "fig12", "✅", "2 SSDs per thread are lossless (% of the one-SSD-per-thread read rate)",
+	{"fig12-2ssd", "fig12", "✅", "derived", "2 SSDs per thread are lossless (% of the one-SSD-per-thread read rate)",
 		valueOf("fig12.2.read % of 1/thread"), atLeast(92)},
-	{"fig12-4ssd", "fig12", "✅", "4 SSDs per thread deliver ≈75 % (% of the one-SSD-per-thread read rate)",
+	{"fig12-4ssd", "fig12", "✅", "derived", "4 SSDs per thread deliver ≈75 % (% of the one-SSD-per-thread read rate)",
 		valueOf("fig12.4.read % of 1/thread"), within(60, 88)},
-	{"fig13-instructions", "fig13", "✅", "CAM and SPDK need fewer instructions than libaio (over libaio's, reads and writes)",
+	{"fig13-instructions", "fig13", "✅", "derived", "CAM and SPDK need fewer instructions than libaio (over libaio's, reads and writes)",
 		func(v vals) []float64 { return overLibaio(v, "instructions") }, below(1)},
-	{"fig13-cycles", "fig13", "✅", "CAM and SPDK need far fewer cycles than libaio (over libaio's, reads and writes)",
+	{"fig13-cycles", "fig13", "✅", "derived", "CAM and SPDK need far fewer cycles than libaio (over libaio's, reads and writes)",
 		func(v vals) []float64 { return overLibaio(v, "cycles") }, below(0.5)},
-	{"fig13-write-costs-more", "fig13", "✅", "writes cost more than reads (CAM write over read instructions)",
+	{"fig13-write-costs-more", "fig13", "✅", "emergent", "writes cost more than reads (CAM write over read instructions)",
 		ratioOf("fig13.CAM/Write.instructions", "fig13.CAM/Read.instructions"), above(1)},
-	{"fig14-cam", "fig14", "✅", "CAM's direct data plane costs ≈0 DRAM bandwidth (DRAM/SSD, reads and writes)",
+	{"fig14-cam", "fig14", "✅", "emergent", "CAM's direct data plane costs ≈0 DRAM bandwidth (DRAM/SSD, reads and writes)",
 		func(v vals) []float64 { return v.each("fig14.CAM/*.DRAM/SSD ratio", "Read", "Write") }, atMost(0.1)},
-	{"fig14-spdk", "fig14", "✅", "staging costs ≈2× the SSD rate in DRAM bandwidth (SPDK DRAM/SSD, reads and writes)",
+	{"fig14-spdk", "fig14", "✅", "emergent", "staging costs ≈2× the SSD rate in DRAM bandwidth (SPDK DRAM/SSD, reads and writes)",
 		func(v vals) []float64 { return v.each("fig14.SPDK/*.DRAM/SSD ratio", "Read", "Write") }, within(1.7, 2.3)},
-	{"fig15-cam", "fig15", "✅", "CAM is unaffected by 2 memory channels (loss %, reads and writes)",
+	{"fig15-cam", "fig15", "✅", "emergent", "CAM is unaffected by 2 memory channels (loss %, reads and writes)",
 		func(v vals) []float64 { return v.each("fig15.CAM/*.loss %", "Read", "Write") }, atMost(5)},
-	{"fig15-spdk", "fig15", "✅", "SPDK throughput drops when DRAM cannot carry 2× the SSD rate (read loss %)",
+	{"fig15-spdk", "fig15", "✅", "derived", "SPDK throughput drops when DRAM cannot carry 2× the SSD rate (read loss %)",
 		valueOf("fig15.SPDK/Read.loss %"), atLeast(10)},
-	{"fig16-spdk-4k", "fig16", "✅", "staged SPDK at 4 KiB ⇒ 1.3 GB/s",
+	{"fig16-spdk-4k", "fig16", "✅", "derived", "staged SPDK at 4 KiB ⇒ 1.3 GB/s",
 		valueOf("fig16.4096.SPDK"), atMost(2)},
-	{"fig16-collapse", "fig16", "✅", "staged SPDK at 4 KiB is 93.5 % below CAM (fraction below)",
+	{"fig16-collapse", "fig16", "✅", "derived", "staged SPDK at 4 KiB is 93.5 % below CAM (fraction below)",
 		func(v vals) []float64 { return nums(1 - v.ratio("fig16.4096.SPDK", "fig16.4096.CAM")) }, atLeast(0.85)},
-	{"fig16-recovers", "fig16", "✅", "SPDK recovers at very large granularity (over CAM, largest granule)",
+	{"fig16-recovers", "fig16", "✅", "derived", "SPDK recovers at very large granularity (over CAM, largest granule)",
 		func(v vals) []float64 { return nums(last(v.series("fig16.SPDK")) / last(v.series("fig16.CAM"))) }, atLeast(0.6)},
-	{"abl-ftl-wa", "abl-ftl", "✅", "write amplification grows with utilization (90 % over 25 %)",
+	{"abl-ftl-wa", "abl-ftl", "✅", "emergent", "write amplification grows with utilization (90 % over 25 %)",
 		ratioOf("abl-ftl.0.9.write amplification", "abl-ftl.0.25.write amplification"), above(1)},
-	{"abl-cache-hits", "abl-cache", "✅", "BaM's cache hit rate grows with skew (zipf 0.99 over uniform)",
+	{"abl-cache-hits", "abl-cache", "✅", "emergent", "BaM's cache hit rate grows with skew (zipf 0.99 over uniform)",
 		ratioOf("abl-cache.zipf 0.99.cache hit rate", "abl-cache.uniform.cache hit rate"), above(1)},
-	{"abl-cache-helps", "abl-cache", "✅", "the cache lifts BaM's skewed-read throughput (cached over plain, zipf 0.99)",
+	{"abl-cache-helps", "abl-cache", "✅", "emergent", "the cache lifts BaM's skewed-read throughput (cached over plain, zipf 0.99)",
 		ratioOf("abl-cache.zipf 0.99.BaM+cache GB/s", "abl-cache.zipf 0.99.BaM GB/s"), above(1)},
-	{"abl-multigpu-aggregate", "abl-multigpu", "✅", "1/2/4 GPUs hold the array's aggregate rate (over one GPU's)",
+	{"abl-multigpu-aggregate", "abl-multigpu", "✅", "emergent", "1/2/4 GPUs hold the array's aggregate rate (over one GPU's)",
 		func(v vals) []float64 {
 			return ratios(v.each("abl-multigpu.*.aggregate GB/s", "1", "2", "4"), v.each("abl-multigpu.*.aggregate GB/s", "1", "1", "1"))
 		}, within(0.9, 1.15)},
-	{"abl-multigpu-fair", "abl-multigpu", "✅", "the per-GPU split is fair (min/max)",
+	{"abl-multigpu-fair", "abl-multigpu", "✅", "emergent", "the per-GPU split is fair (min/max)",
 		func(v vals) []float64 { return v.each("abl-multigpu.*.fairness (min/max)", "1", "2", "4") }, atLeast(0.95)},
-	{"abl-fanin-bytes", "abl-fanin", "✅", "16-way merging moves 2.5× less data than pairwise (2-way GiB over 16-way)",
+	{"abl-fanin-bytes", "abl-fanin", "✅", "emergent", "16-way merging moves 2.5× less data than pairwise (2-way GiB over 16-way)",
 		ratioOf("abl-fanin.2.GiB moved", "abl-fanin.16.GiB moved"), atLeast(2)},
-	{"abl-fanin-time", "abl-fanin", "✅", "16-way merging finishes ~2.4× faster than pairwise (2-way time over 16-way)",
+	{"abl-fanin-time", "abl-fanin", "✅", "emergent", "16-way merging finishes ~2.4× faster than pairwise (2-way time over 16-way)",
 		ratioOf("abl-fanin.2.time ms", "abl-fanin.16.time ms"), atLeast(2)},
-	{"abl-dyncores-time", "abl-dyncores", "✅", "dynamic core adjustment tracks fixed-max completion time within 6 % (over fixed 4)",
+	{"abl-dyncores-time", "abl-dyncores", "✅", "emergent", "dynamic core adjustment tracks fixed-max completion time within 6 % (over fixed 4)",
 		ratioOf("abl-dyncores.dynamic N/4..N/2.elapsed ms", "abl-dyncores.fixed 4.elapsed ms"), atMost(1.08)},
-	{"abl-dyncores-cores", "abl-dyncores", "✅", "dynamic core adjustment consumes ~38 % fewer core-milliseconds (over fixed 4)",
+	{"abl-dyncores-cores", "abl-dyncores", "✅", "emergent", "dynamic core adjustment consumes ~38 % fewer core-milliseconds (over fixed 4)",
 		ratioOf("abl-dyncores.dynamic N/4..N/2.core-ms consumed", "abl-dyncores.fixed 4.core-ms consumed"), atMost(0.7)},
-	{"kv-step-p99", "kv", "✅", "CAM hides fills behind decode: its step p99 is far below BaM's (BaM's over CAM's)",
+	{"kv-step-p99", "kv", "✅", "emergent", "CAM hides fills behind decode: its step p99 is far below BaM's (BaM's over CAM's)",
 		ratioOf("kv.BaM.step p99 us", "kv.CAM.step p99 us"), atLeast(4)},
-	{"kv-ttft", "kv", "✅", "CAM's time to first token is below BaM's (CAM's over BaM's)",
+	{"kv-ttft", "kv", "✅", "emergent", "CAM's time to first token is below BaM's (CAM's over BaM's)",
 		ratioOf("kv.CAM.TTFT ms", "kv.BaM.TTFT ms"), below(1)},
-	{"kv-tokens", "kv", "partial", "CAM serves ~5.7× BaM's token rate at full scale; at quick scale the two are at parity (CAM over BaM)",
+	{"kv-tokens", "kv", "partial", "emergent", "CAM serves ~5.7× BaM's token rate at full scale; at quick scale the two are at parity (CAM over BaM)",
 		ratioOf("kv.CAM.tok/s", "kv.BaM.tok/s"), within(0.9, 1.1)},
 }
 
@@ -125,9 +129,9 @@ var (
 )
 
 type claim struct {
-	id, exp, status, paper string
-	got                    func(v vals) []float64
-	want                   bound
+	id, exp, status, prov, paper string
+	got                          func(v vals) []float64
+	want                         bound
 }
 
 // vals reads one result's named values for a claim; an unknown name fails it.
@@ -268,7 +272,7 @@ func checkClaims(t *testing.T, exp string) {
 			for _, x := range got {
 				ok = ok && c.want.holds(x)
 			}
-			line := fmt.Sprintf("%-24s %-7s %.4g, want %s", c.id, c.status, got, c.want)
+			line := fmt.Sprintf("%-24s %-7s %-8s %.4g, want %s", c.id, c.status, c.prov, got, c.want)
 			if !ok {
 				t.Errorf("%s FAILS; paper: %s", line, c.paper)
 				return

@@ -3,11 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"camsim/internal/calib"
 	"camsim/internal/gnn"
-	"camsim/internal/hostmem"
 	"camsim/internal/metrics"
-	"camsim/internal/pcie"
-	"camsim/internal/ssd"
 )
 
 func init() {
@@ -45,16 +43,15 @@ func runTab2(cfg RunConfig) *Result {
 
 func runTab3(cfg RunConfig) *Result {
 	r := &Result{ID: "tab3", Title: "Simulated platform (Table III)"}
-	dc := ssd.DefaultConfig()
-	pc := pcie.DefaultConfig()
-	hc := hostmem.DefaultConfig()
 	t := metrics.NewTable("tab3", "Table III", "component", "specification")
-	t.AddRow("CPU", "Xeon-Gold-5320-class, 2.20 GHz model, poll-mode reactors")
-	t.AddRow("CPU memory", fmt.Sprintf("%d GiB, %d channels", hc.Capacity>>30, hc.Channels))
-	t.AddRow("GPU", "A100-80G-class: 108 SMs x 2048 threads, 312 TFLOPS model")
-	t.AddRow("SSD", fmt.Sprintf("12x 3.84TB P5510-class (%.0fK/%.0fK R/W IOPS, %v/%v latency)",
-		dc.ReadIOPS/1000, dc.WriteIOPS/1000, dc.ReadLatency, dc.WriteLatency))
-	t.AddRow("PCIe", fmt.Sprintf("Gen4 x16, %.0f GB/s effective", pc.EffectiveBandwidth/1e9))
+	t.AddRow("CPU", fmt.Sprintf("Xeon-Gold-5320-class, %.2f GHz model, poll-mode reactors", calib.CPUFreq()/1e9))
+	t.AddRow("CPU memory", fmt.Sprintf("%d GiB, %d channels", calib.HostCapacity()>>30, calib.HostChannels()))
+	t.AddRow("GPU", fmt.Sprintf("A100-80G-class: %d SMs x %d threads, %.0f TFLOPS model",
+		calib.GPUSMs(), calib.GPUThreadsPerSM(), calib.GPUTFLOPS()))
+	t.AddRow("SSD", fmt.Sprintf("12x %.2fTB P5510-class (%.0fK/%.0fK R/W IOPS, %v/%v latency)",
+		float64(calib.SSDCapacity())/1e12, calib.SSDReadIOPS()/1000, calib.SSDWriteIOPS()/1000,
+		calib.SSDReadLatency(), calib.SSDWriteLatency()))
+	t.AddRow("PCIe", fmt.Sprintf("Gen4 x16, %.0f GB/s effective", calib.PCIeBandwidth()/1e9))
 	t.AddRow("S/W", "camsim discrete-event platform (this repository)")
 	r.Tables = append(r.Tables, t)
 	return r

@@ -8,6 +8,7 @@ package hostmem
 import (
 	"fmt"
 
+	"camsim/internal/calib"
 	"camsim/internal/mem"
 	"camsim/internal/sim"
 )
@@ -19,20 +20,19 @@ type Config struct {
 	// ChannelBandwidth is the effective per-channel data rate in bytes/s.
 	// The paper's Xeon Gold 5320 runs DDR4-2933 (23.5 GB/s peak per
 	// channel); sustained mixed-stream efficiency is far lower, and the
-	// default is calibrated so that 2 channels cannot feed a 21 GB/s
-	// staging pipeline (Fig 15) while 16 channels can.
+	// default is calibrated so that 2 channels cannot feed the staging
+	// pipeline at the PCIe ceiling (Fig 15) while all of them can.
 	ChannelBandwidth float64
-	// Capacity is the total DRAM capacity in bytes (the paper's host has
-	// 768 GiB).
+	// Capacity is the total DRAM capacity in bytes.
 	Capacity int64
 }
 
-// DefaultConfig matches the paper's host with all 16 channels populated.
+// DefaultConfig matches the paper's host with all its channels populated.
 func DefaultConfig() Config {
 	return Config{
-		Channels:         16,
-		ChannelBandwidth: 14e9,
-		Capacity:         768 << 30,
+		Channels:         calib.HostChannels(),
+		ChannelBandwidth: calib.HostChannelBandwidth(),
+		Capacity:         calib.HostCapacity(),
 	}
 }
 

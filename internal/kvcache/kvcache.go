@@ -25,10 +25,13 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"camsim/internal/sim"
+	"camsim/internal/calib"
 )
 
-// Config tunes the serving workload.
+// Config tunes the serving workload. The per-token prefill and decode
+// kernel costs and the stagger between session arrivals (session i arrives
+// at i × calib.KVArrivalGap, so time-to-first-token sees queueing) are calib
+// rows.
 type Config struct {
 	// Layers is the transformer depth; each layer owns one KV block set.
 	Layers int
@@ -51,13 +54,6 @@ type Config struct {
 	// EvictBatch is how many victims one eviction round selects; dirty
 	// victims spill in a single batched write.
 	EvictBatch int
-	// PrefillFlops and DecodeFlops are the per-token compute costs used
-	// for the prefill and decode kernels.
-	PrefillFlops float64
-	DecodeFlops  float64
-	// ArrivalGap staggers session arrivals (session i arrives at
-	// i*ArrivalGap), so time-to-first-token sees queueing.
-	ArrivalGap sim.Time
 	// Seed keys the stamp contents and the attention sampling.
 	Seed uint64
 }
@@ -67,17 +63,14 @@ type Config struct {
 // pressure that roughly two thirds of the context lives on SSD.
 func DefaultConfig() Config {
 	return Config{
-		Layers:       4,
-		BlockTokens:  16,
-		BlockBytes:   4096,
-		DRAMBlocks:   96,
-		Window:       2,
-		TopK:         2,
-		EvictBatch:   8,
-		PrefillFlops: 5e9,
-		DecodeFlops:  5e9,
-		ArrivalGap:   200 * sim.Microsecond,
-		Seed:         1,
+		Layers:      4,
+		BlockTokens: calib.KVBlockTokens(),
+		BlockBytes:  calib.KVBlockBytes(),
+		DRAMBlocks:  96,
+		Window:      calib.KVWindow(),
+		TopK:        calib.KVTopK(),
+		EvictBatch:  calib.KVEvictBatch(),
+		Seed:        1,
 	}
 }
 

@@ -3,6 +3,7 @@ package kvcache
 import (
 	"fmt"
 
+	"camsim/internal/calib"
 	"camsim/internal/gpu"
 	"camsim/internal/metrics"
 	"camsim/internal/platform"
@@ -186,7 +187,7 @@ func New(env *platform.Env, lb xfer.ListBackend, cfg Config, specs []SessionSpec
 			id:      i,
 			spec:    sp,
 			m:       m,
-			arrival: sim.Time(i) * cfg.ArrivalGap,
+			arrival: sim.Time(i) * calib.KVArrivalGap(),
 			decode:  fmt.Sprintf("kv.decode%d", i),
 		})
 	}
@@ -378,7 +379,7 @@ func (ss *session) run(p *sim.Proc) {
 		Name:              fmt.Sprintf("kv.prefill%d", ss.id),
 		Threads:           s.env.GPU.TotalThreads() / 2,
 		MinThreads:        s.env.GPU.TotalThreads() / 8,
-		FullOccupancyTime: s.env.GPU.ComputeTime(cfg.PrefillFlops*float64(ss.spec.Prompt), 0.6),
+		FullOccupancyTime: s.env.GPU.ComputeTime(calib.KVPrefillFlops()*float64(ss.spec.Prompt), 0.6),
 	})
 	promptBlocks := (ss.spec.Prompt + cfg.BlockTokens - 1) / cfg.BlockTokens
 	for b := 0; b < promptBlocks; b++ {
@@ -402,7 +403,7 @@ func (ss *session) run(p *sim.Proc) {
 			Name:              ss.decode,
 			Threads:           64 * 1024,
 			MinThreads:        8 * 1024,
-			FullOccupancyTime: s.env.GPU.ComputeTime(cfg.DecodeFlops, 0.2),
+			FullOccupancyTime: s.env.GPU.ComputeTime(calib.KVDecodeFlops(), 0.2),
 		})
 		s.stats.DecodedTokens++
 		// Crossing a block boundary grows every layer by one block.

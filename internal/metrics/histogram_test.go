@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -98,7 +99,7 @@ func TestHistogramPercentileMonotoneQuick(t *testing.T) {
 		sort.Float64s(sorted)
 		return h.Percentile(1e-9) == sorted[0] && h.Max() == sorted[len(sorted)-1]
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package nvme
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +16,7 @@ func TestSQERoundTrip(t *testing.T) {
 		in.Marshal(buf[:])
 		return UnmarshalSQE(buf[:]) == in
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -27,7 +28,7 @@ func TestCQERoundTrip(t *testing.T) {
 		in.Marshal(buf[:])
 		return UnmarshalCQE(buf[:]) == in
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -246,7 +247,7 @@ func TestCQFIFOQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

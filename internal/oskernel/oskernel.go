@@ -15,6 +15,7 @@ package oskernel
 import (
 	"fmt"
 
+	"camsim/internal/calib"
 	"camsim/internal/cpustat"
 	"camsim/internal/hostmem"
 	"camsim/internal/mem"
@@ -72,88 +73,53 @@ func extraPages(n int64) int64 {
 	return pages - 1
 }
 
-// Config calibrates a kernel stack instance.
+// Config sizes a kernel stack instance.
 type Config struct {
-	Read  LayerCosts
-	Write LayerCosts
 	// QueueDepth bounds in-flight commands per device.
 	QueueDepth uint32
 	// StripeBytes is the RAID0 chunk size across devices.
 	StripeBytes int64
-	// InterruptDelay is the completion signaling latency for
-	// interrupt-driven stacks (POSIX, libaio, io_uring int); zero for
-	// polled completion.
-	InterruptDelay sim.Time
-	// IPC is the instructions-per-cycle the kernel path achieves; the
-	// interrupt-driven stacks run cache-cold at low IPC.
-	IPC float64
-	// PathInstructions is the instructions retired per 4 KiB request in
-	// the kernel path (Fig 13's instruction bars).
-	PathInstructions float64
 }
 
-// DefaultConfig returns the calibrated costs for a stack kind. The numbers
-// land the paper's reported shapes: every stack sits below the device's
-// 4 KiB line on one SSD; the File system + I/O mapping layers cost more
-// than 34 % of per-request time; POSIX < libaio < io_uring-int <
-// io_uring-poll.
-func DefaultConfig(kind StackKind) Config {
-	// Base layer costs per 4 KiB request. The serialized kernel portion
-	// (everything but the User layer, 94 % of the total) caps IOPS at:
-	//   POSIX  read 5.2us total (≈205K IOPS), write 8.6us (≈124K IOPS)
-	//   libaio read 3.7us       (≈287K),      write 7.2us (≈148K)
-	//   uringI read 3.3us       (≈322K),      write 6.8us (≈156K)
-	//   uringP read 2.9us       (≈367K),      write 6.3us (≈169K)
-	// versus the device's 450K read / 170K write 4 KiB lines.
-	mk := func(total sim.Time, completionFrac float64) LayerCosts {
-		// Split: user 6%, fs 18%, iomap 20%, block 1-(44%+completion).
-		comp := sim.Time(float64(total) * completionFrac)
-		user := total * 6 / 100
-		fs := total * 18 / 100
-		iomap := total * 20 / 100
-		block := total - user - fs - iomap - comp
-		return LayerCosts{
-			User:       user,
-			Filesystem: fs,
-			IOMap:      iomap,
-			IOMapPage:  400 * sim.Nanosecond,
-			BlockIO:    block,
-			Completion: comp,
-		}
+// DefaultConfig returns the kernel's queue depth and the md-RAID0 stripe;
+// every stack kind shares them. A kind's costs are calib rows (stackRows).
+func DefaultConfig(StackKind) Config {
+	return Config{QueueDepth: calib.KernelQueueDepth(), StripeBytes: calib.RAID0Stripe()}
+}
+
+// stackRows names each stack's calib rows: its 4 KiB read and write path
+// times, the instructions it retires per request (Fig 13) and the IPC it
+// retires them at. They land the paper's shapes: every stack sits below the
+// device's 4 KiB line on one SSD, the File system and I/O mapping layers
+// cost more than 34 % of per-request time, and POSIX < libaio < io_uring-int
+// < io_uring-poll (DESIGN §4).
+var stackRows = [...]struct {
+	read, write func() sim.Time
+	instr, ipc  func() float64
+}{
+	POSIX:       {calib.POSIXRead, calib.POSIXWrite, calib.POSIXInstr, calib.POSIXIPC},
+	Libaio:      {calib.LibaioRead, calib.LibaioWrite, calib.LibaioInstr, calib.LibaioIPC},
+	IOUringInt:  {calib.URingIntRead, calib.URingIntWrite, calib.URingIntInstr, calib.URingIntIPC},
+	IOUringPoll: {calib.URingPollRead, calib.URingPollWrite, calib.URingPollInstr, calib.URingPollIPC},
+}
+
+// layerCosts splits one request's path time across the layers: User,
+// File system and I/O mapping take their calib percentages, completion
+// handling its share, and Block I/O the rest. Only the serialized kernel
+// portion (everything but the User layer) caps a stack's IOPS.
+func layerCosts(total sim.Time, completionShare float64) LayerCosts {
+	comp := sim.Time(float64(total) * completionShare)
+	user := total * sim.Time(calib.KernelUserPct()) / 100
+	fs := total * sim.Time(calib.KernelFSPct()) / 100
+	iomap := total * sim.Time(calib.KernelIOMapPct()) / 100
+	return LayerCosts{
+		User:       user,
+		Filesystem: fs,
+		IOMap:      iomap,
+		IOMapPage:  calib.KernelIOMapPage(),
+		BlockIO:    total - user - fs - iomap - comp,
+		Completion: comp,
 	}
-	base := Config{
-		QueueDepth:  64,
-		StripeBytes: 128 << 10,
-	}
-	switch kind {
-	case POSIX:
-		base.Read = mk(5200*sim.Nanosecond, 0.24)
-		base.Write = mk(8600*sim.Nanosecond, 0.24)
-		base.InterruptDelay = 4 * sim.Microsecond
-		base.IPC = 0.55
-		base.PathInstructions = 5600
-	case Libaio:
-		base.Read = mk(3700*sim.Nanosecond, 0.24)
-		base.Write = mk(7200*sim.Nanosecond, 0.24)
-		base.InterruptDelay = 4 * sim.Microsecond
-		base.IPC = 0.55
-		base.PathInstructions = 5100
-	case IOUringInt:
-		base.Read = mk(3300*sim.Nanosecond, 0.24)
-		base.Write = mk(6800*sim.Nanosecond, 0.24)
-		base.InterruptDelay = 4 * sim.Microsecond
-		base.IPC = 0.6
-		base.PathInstructions = 4700
-	case IOUringPoll:
-		base.Read = mk(2900*sim.Nanosecond, 0.20)
-		base.Write = mk(6300*sim.Nanosecond, 0.20)
-		base.InterruptDelay = 0
-		base.IPC = 1.1
-		base.PathInstructions = 4300
-	default:
-		panic("oskernel: unknown stack kind")
-	}
-	return base
 }
 
 // Request is one in-flight kernel I/O: N bytes at Pay[PayOff:], moved by
@@ -181,6 +147,13 @@ type Stack struct {
 	hm   *hostmem.Memory
 	devs []*ssd.Device
 	qps  []*nvme.QueuePair
+
+	// read and write are the per-layer costs of a 4 KiB request; irq is
+	// the interrupt delivery delay (zero for polled completion); instr and
+	// ipc are the per-request kernel path instructions and their IPC.
+	read, write LayerCosts
+	irq         sim.Time
+	instr, ipc  float64
 
 	// kernelBusyUntil serializes the kernel submission path: the shared
 	// fs/io_map/block layers that bound IOPS regardless of device count.
@@ -226,12 +199,22 @@ func NewStack(e *sim.Engine, kind StackKind, cfg Config, hm *hostmem.Memory, dev
 	if len(devs) == 0 {
 		panic("oskernel: no devices")
 	}
+	rows := stackRows[kind]
+	share, irq := calib.KernelCompletionShare(), calib.KernelIRQDelay()
+	if kind == IOUringPoll {
+		share, irq = calib.KernelPollCompletionShare(), 0
+	}
 	s := &Stack{
-		Kind: kind,
-		cfg:  cfg,
-		e:    e,
-		hm:   hm,
-		devs: devs,
+		Kind:  kind,
+		cfg:   cfg,
+		e:     e,
+		hm:    hm,
+		devs:  devs,
+		read:  layerCosts(rows.read(), share),
+		write: layerCosts(rows.write(), share),
+		irq:   irq,
+		instr: rows.instr(),
+		ipc:   rows.ipc(),
 	}
 	for i, d := range devs {
 		sqMem := hm.Alloc(fmt.Sprintf("k%s.sq%d", kind, i), int64(cfg.QueueDepth)*nvme.SQESize)
@@ -266,9 +249,9 @@ func (s *Stack) locate(off int64) (dev int, lba uint64) {
 
 func (s *Stack) costs(op nvme.Opcode) LayerCosts {
 	if op == nvme.OpWrite {
-		return s.cfg.Write
+		return s.write
 	}
-	return s.cfg.Read
+	return s.read
 }
 
 // Submit issues one request asynchronously. It charges the caller the User
@@ -315,12 +298,12 @@ func (s *Stack) claimKernel(r *Request) sim.Time {
 
 // chargePath charges the instructions r retires in the kernel path.
 func (s *Stack) chargePath(r *Request) {
-	instr := s.cfg.PathInstructions + 120*float64(extraPages(r.N))
+	instr := s.instr + 120*float64(extraPages(r.N))
 	if r.Op == nvme.OpWrite {
 		// The write path touches the page cache bypass and FUA logic.
 		instr *= 1.12
 	}
-	s.Stat.Charge(instr, s.cfg.IPC)
+	s.Stat.Charge(instr, s.ipc)
 }
 
 // issue takes a command identifier on r.dev (the caller holds a slot there),
@@ -490,14 +473,14 @@ func (k *kcqStep) Run() {
 		if r == nil {
 			panic("oskernel: completion for unknown CID")
 		}
-		if s.cfg.InterruptDelay > 0 {
+		if s.irq > 0 {
 			// Interrupt delivery adds latency (and stall-heavy cycles)
 			// but interrupts fan out across cores, so it does not
 			// serialize completions.
-			s.Stat.ChargeCycles(cpustat.TimeToCycles(s.cfg.InterruptDelay) * 0.3)
+			s.Stat.ChargeCycles(cpustat.TimeToCycles(s.irq) * 0.3)
 			d := k.free.Get()
 			d.k, d.r, d.status = k, r, cqe.Status
-			s.e.ScheduleCallback(s.cfg.InterruptDelay, d)
+			s.e.ScheduleCallback(s.irq, d)
 		} else {
 			k.deliver(r, cqe.Status)
 		}

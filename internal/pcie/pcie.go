@@ -6,7 +6,10 @@
 // into, so the fabric is a first-class simulated component here.
 package pcie
 
-import "camsim/internal/sim"
+import (
+	"camsim/internal/calib"
+	"camsim/internal/sim"
+)
 
 // Config describes a fabric.
 type Config struct {
@@ -21,16 +24,15 @@ type Config struct {
 	PropagationDelay sim.Time
 }
 
-// DefaultConfig matches the paper's measured platform: Gen4 x16 with an
-// observed 21 GB/s ceiling.
+// DefaultConfig matches the paper's measured platform: Gen4 x16 at its
+// observed ceiling, calib.PCIeBandwidth. That rate is already net of
+// encoding and header overhead, so the residual per-transfer cost only
+// covers DMA descriptor handling.
 func DefaultConfig() Config {
-	// The 21 GB/s rate is already net of encoding and header overhead
-	// (the paper's measured ceiling), so the residual per-transfer cost
-	// only covers DMA descriptor handling.
 	return Config{
-		EffectiveBandwidth: 21e9,
-		PerTLPOverhead:     8 * sim.Nanosecond,
-		PropagationDelay:   300 * sim.Nanosecond,
+		EffectiveBandwidth: calib.PCIeBandwidth(),
+		PerTLPOverhead:     calib.PCIeTLPOverhead(),
+		PropagationDelay:   calib.PCIePropagation(),
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package platform wires the full simulated evaluation machine — the
 // paper's Table III testbed: one A100-class GPU, up to twelve P5510-class
-// NVMe SSDs behind a PCIe Gen4 fabric, and a 16-channel DRAM host. Every
+// NVMe SSDs behind a PCIe Gen4 fabric, and the Xeon host's DRAM. Every
 // experiment, example, and benchmark builds one Env and composes drivers on
 // top of it.
 package platform
@@ -23,15 +23,9 @@ type Options struct {
 	SSDs int
 	// SSD overrides the per-device calibration (zero value → default).
 	SSD ssd.Config
-	// GPU overrides the device calibration (zero value → default).
-	GPU gpu.Config
-	// Host overrides the DRAM calibration (zero value → default);
-	// MemoryChannels, if nonzero, overrides just the channel count
-	// (Fig 15's "2c"/"16c" configurations).
-	Host           hostmem.Config
+	// MemoryChannels, if nonzero, overrides the DRAM channel count (Fig
+	// 15's "2c"/"16c" configurations).
 	MemoryChannels int
-	// PCIe overrides the fabric calibration (zero value → default).
-	PCIe pcie.Config
 	// Seed perturbs every device's private jitter stream.
 	Seed uint64
 	// Faults, when set, installs a per-device fault injector derived from
@@ -64,27 +58,19 @@ func New(o Options) *Env {
 	if o.SSD.CapacityBytes == 0 {
 		o.SSD = ssd.DefaultConfig()
 	}
-	if o.GPU.SMs == 0 {
-		o.GPU = gpu.DefaultConfig()
-	}
-	if o.Host.Channels == 0 {
-		o.Host = hostmem.DefaultConfig()
-	}
+	host := hostmem.DefaultConfig()
 	if o.MemoryChannels > 0 {
-		o.Host.Channels = o.MemoryChannels
-	}
-	if o.PCIe.EffectiveBandwidth == 0 {
-		o.PCIe = pcie.DefaultConfig()
+		host.Channels = o.MemoryChannels
 	}
 	e := sim.New()
 	space := mem.NewSpace()
 	env := &Env{
 		E:     e,
 		Space: space,
-		Fab:   pcie.New(e, o.PCIe),
-		HM:    hostmem.New(e, space, o.Host),
-		GPU:   gpu.New(e, "gpu0", o.GPU, space),
-		CE:    gpu.NewCopyEngine(e, "h2d", gpu.DefaultCopyEngineConfig()),
+		Fab:   pcie.New(e, pcie.DefaultConfig()),
+		HM:    hostmem.New(e, space, host),
+		GPU:   gpu.New(e, "gpu0", gpu.DefaultConfig(), space),
+		CE:    gpu.NewCopyEngine(e, "h2d"),
 	}
 	plan := o.Faults
 	if plan == nil {

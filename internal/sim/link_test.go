@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -71,7 +72,7 @@ func TestLinkRateCapQuick(t *testing.T) {
 		achieved := float64(l.TotalBytes()) / last.Seconds()
 		return achieved <= rate*1.0001
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,6 +16,7 @@ package spdk
 import (
 	"fmt"
 
+	"camsim/internal/calib"
 	"camsim/internal/cpustat"
 	"camsim/internal/fault"
 	"camsim/internal/hostmem"
@@ -26,25 +27,13 @@ import (
 	"camsim/internal/trace"
 )
 
-// Config calibrates the driver.
+// Config calibrates the driver. The per-request CPU costs every reactor
+// shares are calib rows: SPDKSubmitCost, SPDKCompleteCost and
+// SPDKPollIterCost in time, the instruction counts behind them (Fig 13) and
+// SPDKIPC.
 type Config struct {
 	// QueueDepth bounds in-flight commands per queue pair.
 	QueueDepth uint32
-	// SubmitCost is the reactor CPU time to build and push one SQE.
-	SubmitCost sim.Time
-	// CompleteCost is the reactor CPU time to reap one CQE.
-	CompleteCost sim.Time
-	// PollIterCost is the cost of one empty poll sweep over a queue pair.
-	PollIterCost sim.Time
-
-	// SubmitInstr / CompleteInstr / PollIterInstr are the instruction
-	// counts behind the costs (Fig 13 accounting).
-	SubmitInstr   float64
-	CompleteInstr float64
-	PollIterInstr float64
-	// IPC is the poll-mode instructions-per-cycle (high: hot loop, warm
-	// cache).
-	IPC float64
 
 	// CmdTimeout is the per-command completion deadline measured from SQE
 	// push. 0 (the default) disables the entire timeout/retry/fail-fast
@@ -63,23 +52,12 @@ type Config struct {
 	FailThreshold int
 }
 
-// DefaultConfig calibrates to the paper's Figure 12: one reactor sustains
-// ≈1.28 M 4 KiB requests/s (SubmitCost+CompleteCost ≈ 780 ns). On the
-// twelve-SSD platform the PCIe ceiling caps each SSD at ≈427 K read IOPS,
-// so one thread per two SSDs (≈854 K/s demanded) loses nothing, three per
-// thread sits right at the knee, and four per thread (≈1.71 M demanded)
-// delivers ≈75 %.
+// DefaultConfig calibrates to the paper's Figure 12: one reactor's submit
+// and complete costs cap its request rate; two PCIe-limited SSDs per reactor
+// stay under that cap, three sit at the knee and four get ≈75 % of their
+// demand (DESIGN §4 has the arithmetic).
 func DefaultConfig() Config {
-	cfg := Config{
-		QueueDepth:    256,
-		SubmitCost:    410 * sim.Nanosecond,
-		CompleteCost:  370 * sim.Nanosecond,
-		PollIterCost:  60 * sim.Nanosecond,
-		SubmitInstr:   430,
-		CompleteInstr: 360,
-		PollIterInstr: 45,
-		IPC:           2.6,
-	}
+	cfg := Config{QueueDepth: calib.SPDKQueueDepth()}
 	// A process-wide fault plan arms recovery.
 	if fault.Default().Enabled() {
 		cfg.ArmRecovery()
@@ -88,15 +66,15 @@ func DefaultConfig() Config {
 }
 
 // ArmRecovery switches on the timeout, retry and fail-fast machinery with
-// the one policy every faulted run uses: the 25 ms deadline comfortably
-// clears worst-case queueing plus a 16× latency spike, so only genuinely
-// lost commands time out; three retries back off from 100 µs; four
-// consecutive timeouts declare a device dead.
+// the one policy every faulted run uses: the deadline
+// (calib.RecoveryDeadline) comfortably clears worst-case queueing plus a
+// 16× latency spike, so only genuinely lost commands time out; retries back
+// off exponentially; a run of consecutive timeouts declares a device dead.
 func (c *Config) ArmRecovery() {
-	c.CmdTimeout = 25 * sim.Millisecond
-	c.MaxRetries = 3
-	c.RetryBackoff = 100 * sim.Microsecond
-	c.FailThreshold = 4
+	c.CmdTimeout = calib.RecoveryDeadline()
+	c.MaxRetries = calib.SPDKMaxRetries()
+	c.RetryBackoff = calib.SPDKRetryBackoff()
+	c.FailThreshold = calib.SPDKFailThreshold()
 }
 
 // RecoveryStats counts the driver's error-recovery actions.
@@ -192,8 +170,8 @@ type devQueue struct {
 	qp *nvme.QueuePair // nil when this reactor does not own the device
 	// tags holds each in-flight request by CID, with its deadline when
 	// recovery is armed. busy counts the CIDs taken or about to be (a
-	// submission holds its place while SubmitCost elapses); it stays below
-	// the ring depth, because a ring keeps one slot free.
+	// submission holds its place while calib.SPDKSubmitCost elapses); it
+	// stays below the ring depth, because a ring keeps one slot free.
 	tags nvme.Tags[*Request]
 	busy int
 	// consecTO counts consecutive timeouts (reset by any completion);
@@ -340,8 +318,8 @@ func (d *Driver) Start() {
 	d.started = true
 	for _, r := range d.reactors {
 		st := &reactorStep{r: r, armed: d.cfg.CmdTimeout > 0,
-			submitCycles:   d.cfg.SubmitInstr / d.cfg.IPC,
-			completeCycles: d.cfg.CompleteInstr / d.cfg.IPC}
+			submitCycles:   calib.SPDKSubmitInstr() / calib.SPDKIPC(),
+			completeCycles: calib.SPDKCompleteInstr() / calib.SPDKIPC()}
 		st.wait.Init(d.e, st)
 		d.e.ScheduleCallback(0, st)
 	}
@@ -398,8 +376,8 @@ const (
 	rpDrainDue                // submitting collected due retries
 	rpDrainQueue              // draining the app submission queue
 	rpPollCQ                  // polling owned completion queues
-	rpSubmitB                 // (resume) SubmitCost elapsed: push the SQE
-	rpCompleteB               // (resume) CompleteCost elapsed: route the CQE
+	rpSubmitB                 // (resume) submit cost elapsed: push the SQE
+	rpCompleteB               // (resume) complete cost elapsed: route the CQE
 	rpExpire                  // scanning in-flight deadlines
 	rpExpireCont              // post-expiry dead-device check
 	rpIdleCheck               // end of sweep: idle accounting decision
@@ -415,8 +393,8 @@ type reactorStep struct {
 	r     *Reactor
 	phase uint8 // current sweep position / resume point
 	armed bool  // cfg.CmdTimeout > 0, constant
-	// submitCycles/completeCycles are the cycles SubmitInstr/CompleteInstr
-	// take at cfg.IPC, divided once instead of per command.
+	// submitCycles/completeCycles are the cycles a submission and a
+	// completion take at calib.SPDKIPC, divided once instead of per command.
 	submitCycles, completeCycles float64
 	// progressed records whether the current sweep did any work; an idle
 	// sweep charges one poll iteration and parks.
@@ -429,12 +407,13 @@ type reactorStep struct {
 	// devIdx is the CQ-poll position within r.devs.
 	devIdx int
 
-	// subReq/subRet carry one submission across its SubmitCost callback:
-	// the request being pushed and the phase to re-enter afterwards.
+	// subReq/subRet carry one submission across its calib.SPDKSubmitCost
+	// callback: the request being pushed and the phase to re-enter
+	// afterwards.
 	subReq *Request
 	subRet uint8
 
-	// creq/cdi/cstatus carry one completion across its CompleteCost
+	// creq/cdi/cstatus carry one completion across its calib.SPDKCompleteCost
 	// callback.
 	creq    *Request
 	cdi     int
@@ -452,8 +431,8 @@ type reactorStep struct {
 	waitStart sim.Time
 }
 
-// Run advances the sweep until it parks: on a cost callback (SubmitCost,
-// CompleteCost, idle iteration) or on the idle wake signal.
+// Run advances the sweep until it parks: on a cost callback (submit cost,
+// complete cost, idle iteration) or on the idle wake signal.
 func (s *reactorStep) Run() {
 	r := s.r
 	e := r.d.e
@@ -544,12 +523,12 @@ func (s *reactorStep) Run() {
 			s.progressed = true
 			s.creq, s.cdi, s.cstatus = dq.tags.Free(cqe.CID), di, cqe.Status
 			s.phase = rpCompleteB
-			e.ScheduleCallback(cfg.CompleteCost, s)
+			e.ScheduleCallback(calib.SPDKCompleteCost(), s)
 			return
 
 		case rpSubmitB:
-			// SubmitCost elapsed: push the SQE and ring the doorbell.
-			r.Stat.Instructions += cfg.SubmitInstr
+			// The submit cost elapsed: push the SQE and ring the doorbell.
+			r.Stat.Instructions += calib.SPDKSubmitInstr()
 			r.Stat.ChargeCycles(s.submitCycles)
 			req := s.subReq
 			s.subReq = nil
@@ -576,8 +555,8 @@ func (s *reactorStep) Run() {
 			s.phase = s.subRet
 
 		case rpCompleteB:
-			// CompleteCost elapsed: route the reaped CQE.
-			r.Stat.Instructions += cfg.CompleteInstr
+			// The complete cost elapsed: route the reaped CQE.
+			r.Stat.Instructions += calib.SPDKCompleteInstr()
 			r.Stat.ChargeCycles(s.completeCycles)
 			req := s.creq
 			s.creq = nil
@@ -661,9 +640,9 @@ func (s *reactorStep) Run() {
 			}
 			// Idle: account one poll sweep, then sleep until either new
 			// submissions or a completion arrives.
-			r.Stat.Charge(cfg.PollIterInstr*float64(len(r.devs)), cfg.IPC)
+			r.Stat.Charge(calib.SPDKPollIterInstr()*float64(len(r.devs)), calib.SPDKIPC())
 			s.phase = rpIdleSlept
-			e.ScheduleCallback(cfg.PollIterCost*sim.Time(len(r.devs)), s)
+			e.ScheduleCallback(calib.SPDKPollIterCost()*sim.Time(len(r.devs)), s)
 			return
 
 		case rpIdleSlept:
@@ -705,8 +684,8 @@ func (s *reactorStep) Run() {
 			// Charge the poll cycles a real poll-mode reactor would have
 			// burned through the wait.
 			if waited := e.Now() - s.waitStart; waited > 0 {
-				iters := float64(waited) / float64(cfg.PollIterCost*sim.Time(len(r.devs))+1)
-				r.Stat.Charge(iters*cfg.PollIterInstr*float64(len(r.devs)), cfg.IPC)
+				iters := float64(waited) / float64(calib.SPDKPollIterCost()*sim.Time(len(r.devs))+1)
+				r.Stat.Charge(iters*calib.SPDKPollIterInstr()*float64(len(r.devs)), calib.SPDKIPC())
 			}
 			s.phase = rpIterStart
 		}
@@ -715,7 +694,7 @@ func (s *reactorStep) Run() {
 
 // submitA is the pre-cost half of a submission: fail-fast and defer paths
 // complete synchronously (no virtual time passes); otherwise the request is
-// parked on s.subReq and the sweep resumes in rpSubmitB once SubmitCost
+// parked on s.subReq and the sweep resumes in rpSubmitB once the submit cost
 // elapses. Reports whether the sweep parked.
 func (s *reactorStep) submitA(req *Request, ret uint8) bool {
 	r := s.r
@@ -739,7 +718,7 @@ func (s *reactorStep) submitA(req *Request, ret uint8) bool {
 	s.subReq = req
 	s.subRet = ret
 	s.phase = rpSubmitB
-	r.d.e.ScheduleCallback(r.d.cfg.SubmitCost, s)
+	r.d.e.ScheduleCallback(calib.SPDKSubmitCost(), s)
 	return true
 }
 

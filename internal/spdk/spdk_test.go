@@ -36,7 +36,7 @@ func newRigIOPS(nDevs int, readIOPS float64) *rig {
 	fab := pcie.New(e, pcie.DefaultConfig())
 	hm := hostmem.New(e, space, hostmem.DefaultConfig())
 	g := gpu.New(e, "gpu0", gpu.DefaultConfig(), space)
-	ce := gpu.NewCopyEngine(e, "h2d", gpu.DefaultCopyEngineConfig())
+	ce := gpu.NewCopyEngine(e, "h2d")
 	var devs []*ssd.Device
 	for i := 0; i < nDevs; i++ {
 		cfg := ssd.DefaultConfig()

@@ -386,7 +386,7 @@ type GDSBackend struct {
 
 // NewGDS builds the backend.
 func NewGDS(env *platform.Env, blockBytes int64) *GDSBackend {
-	d := gds.New(env.E, gds.DefaultConfig(), env.HM, env.Space, env.Devs)
+	d := gds.New(env.E, env.HM, env.Space, env.Devs)
 	d.Start()
 	return &GDSBackend{env: env, d: d, g: blockBytes}
 }
