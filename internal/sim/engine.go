@@ -23,6 +23,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"testing"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -82,6 +83,24 @@ type Engine struct {
 
 	// q holds every pending event; dispatch order is its (at, seq) minimum.
 	q eventQueue
+
+	// onDispatch, set only in test binaries (OnDispatch), sees every event
+	// the engine runs.
+	onDispatch func(at Time, seq uint64, cb Callback)
+}
+
+// testModes lets an engine take the observers and orderings that exist for
+// tests only (OnDispatch): true in test binaries, false in every other.
+var testModes = testing.Testing()
+
+// OnDispatch makes fn see every event the engine runs, as it runs: its due
+// time, its insertion sequence and its callback. It exists in test binaries
+// only (golden event logs); anywhere else it panics.
+func (e *Engine) OnDispatch(fn func(at Time, seq uint64, cb Callback)) {
+	if !testModes {
+		panic("sim: OnDispatch outside a test binary")
+	}
+	e.onDispatch = fn
 }
 
 // New returns an empty engine at virtual time zero.
@@ -360,6 +379,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			q.advance(ev.at)
 		}
 		q.stats.Dispatched++
+		if e.onDispatch != nil {
+			e.onDispatch(ev.at, ev.seq, ev.cb)
+		}
 		ev.cb.Run()
 	}
 	return e.now
