@@ -26,6 +26,11 @@ type RunConfig struct {
 	// experiment runs (RunAll) safe: there is no shared mutable state
 	// between two in-flight experiments.
 	acct *runAcct
+	// tieSeed, when not 0, runs every engine of the experiment with its
+	// simultaneous events in a seeded permutation of their insertion order
+	// (sim.Engine.PermuteTies, test binaries only). Only the claim table's
+	// tests set it.
+	tieSeed uint64
 }
 
 // runAcct is one experiment run's bookkeeping.
@@ -123,6 +128,9 @@ var registry = map[string]Experiment{}
 // for teardown when the experiment completes. Experiment code should call
 // this instead of env.Run directly.
 func runEnv(cfg RunConfig, env *platform.Env) sim.Time {
+	if cfg.tieSeed != 0 {
+		env.E.PermuteTies(cfg.tieSeed)
+	}
 	end := env.Run()
 	if cfg.acct != nil {
 		cfg.acct.elapsed += int64(end)

@@ -47,11 +47,13 @@ func runFig2(cfg RunConfig) *Result {
 func runFig3(cfg RunConfig) *Result {
 	r := &Result{ID: "fig3", Title: "Per-layer I/O time breakdown"}
 	layers := []string{"user", "filesystem", "iomap", "blockio", "completion"}
+	quick := cfg
+	quick.Quick = true
 	for _, op := range []nvme.Opcode{nvme.OpRead, nvme.OpWrite} {
 		t := metrics.NewTable("fig3-"+strings.ToLower(op.String()), fmt.Sprintf("Fig 3 (%s): layer fractions", op),
 			"stack", "user", "filesystem", "iomap", "blockio", "completion", "fs+iomap")
 		for _, k := range oskernel.Kinds() {
-			_, st := kernelThroughput(RunConfig{Quick: true, acct: cfg.acct}, k, 1, op, 4096)
+			_, st := kernelThroughput(quick, k, 1, op, 4096)
 			bd := st.LayerBreakdown()
 			row := []any{k.String()}
 			for _, l := range layers {

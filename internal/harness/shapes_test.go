@@ -232,13 +232,19 @@ func (b bound) String() string {
 // quick holds the quick-scale result of every experiment a claim reads.
 var quick map[string]*Result
 
-// quickResults runs the claims' experiments once per test binary, four at a
-// time.
+// quickResults runs the claims' experiments once per test binary.
 func quickResults(t *testing.T) map[string]*Result {
 	t.Helper()
-	if quick != nil {
-		return quick
+	if quick == nil {
+		quick = claimResults(t, RunConfig{Quick: true})
 	}
+	return quick
+}
+
+// claimResults runs every experiment a claim reads under cfg, four at a
+// time.
+func claimResults(t *testing.T, cfg RunConfig) map[string]*Result {
+	t.Helper()
 	var todo []Experiment
 	for i, c := range claims {
 		if e, ok := Get(c.exp); !ok {
@@ -247,21 +253,23 @@ func quickResults(t *testing.T) map[string]*Result {
 			todo = append(todo, e)
 		}
 	}
-	res, err := RunAll(todo, RunConfig{Quick: true}, 4, nil)
+	res, err := RunAll(todo, cfg, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quick = map[string]*Result{}
+	out := map[string]*Result{}
 	for i, r := range res {
-		quick[todo[i].ID] = r
+		out[todo[i].ID] = r
 	}
-	return quick
+	return out
 }
 
 // checkClaims runs the claims on exp ("" for every claim), one subtest each,
 // logging one line per claim: id, status, measured numbers and bound.
-func checkClaims(t *testing.T, exp string) {
-	res := quickResults(t)
+func checkClaims(t *testing.T, exp string) { checkClaimsOn(t, quickResults(t), exp) }
+
+// checkClaimsOn is checkClaims over the results res.
+func checkClaimsOn(t *testing.T, res map[string]*Result, exp string) {
 	for _, c := range claims {
 		if exp != "" && c.exp != exp {
 			continue
@@ -284,6 +292,21 @@ func checkClaims(t *testing.T, exp string) {
 
 // TestPaperShapes checks every claim at quick scale.
 func TestPaperShapes(t *testing.T) { checkClaims(t, "") }
+
+// TestPaperShapesPermutedTies checks every claim again with each engine's
+// simultaneous events dispatched in a seeded permutation of their insertion
+// order (sim.Engine.PermuteTies), under eight seeds. Which of two events due
+// at one instant runs first is arbitrary, so no claim may depend on it, and
+// every sort, GEMM and KV checksum must still verify: the experiments panic
+// on a verification failure, which fails the seed.
+func TestPaperShapesPermutedTies(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			checkClaimsOn(t, claimResults(t, RunConfig{Quick: true, tieSeed: seed}), "")
+		})
+	}
+}
 
 // The per-figure entry points: each checks its experiment's claims.
 func TestFig1Breakdown(t *testing.T)                 { checkClaims(t, "fig1") }

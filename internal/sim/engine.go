@@ -87,11 +87,59 @@ type Engine struct {
 	// onDispatch, set only in test binaries (OnDispatch), sees every event
 	// the engine runs.
 	onDispatch func(at Time, seq uint64, cb Callback)
+	// tieSeed, set only in test binaries (PermuteTies), replaces each
+	// event's tie-breaking sequence with a seeded permutation of it; 0 keeps
+	// insertion order.
+	tieSeed uint64
 }
 
 // testModes lets an engine take the observers and orderings that exist for
-// tests only (OnDispatch): true in test binaries, false in every other.
+// tests only (OnDispatch, PermuteTies): true in test binaries, false in
+// every other.
 var testModes = testing.Testing()
+
+// PermuteTies makes events due at the same instant dispatch in a seeded
+// permutation of their insertion order instead of in that order, from now
+// on and for the events already pending. Events due at different instants
+// keep their order. A model whose results depend on which of two
+// simultaneous events runs first shows it under a few seeds. It exists in
+// test binaries only; anywhere else it panics. seed must not be 0.
+func (e *Engine) PermuteTies(seed uint64) {
+	if !testModes {
+		panic("sim: PermuteTies outside a test binary")
+	}
+	if seed == 0 {
+		panic("sim: PermuteTies seed 0")
+	}
+	e.tieSeed = seed
+	var pending []event
+	for {
+		ev, ok := e.q.popMinUntil(MaxTime)
+		if !ok {
+			break
+		}
+		pending = append(pending, ev)
+	}
+	st := e.q.stats
+	for _, ev := range pending {
+		e.q.push(ev.at, permuteSeq(ev.seq, seed), ev.cb)
+	}
+	e.q.stats = st
+}
+
+// permuteSeq maps a sequence number to a tie-breaking key by a seeded
+// bijection on the key's 64-slotBits bits: an xor with the seed, then two
+// rounds of an odd multiply and an xor-shift, each invertible modulo
+// 2^(64-slotBits).
+func permuteSeq(seq, seed uint64) uint64 {
+	const mask = 1<<(64-slotBits) - 1
+	x := (seq ^ seed) & mask
+	x = x * 0x9e3779b97f4a7c15 & mask
+	x ^= x >> 19
+	x = x * 0xbf58476d1ce4e5b9 & mask
+	x ^= x >> 21
+	return x
+}
 
 // OnDispatch makes fn see every event the engine runs, as it runs: its due
 // time, its insertion sequence and its callback. It exists in test binaries
@@ -140,6 +188,10 @@ type Callback interface {
 // machines, timers, and process resumes (a *Proc's Run hands it control).
 func (e *Engine) ScheduleCallback(delay Time, cb Callback) {
 	e.seq++
+	if e.tieSeed != 0 {
+		e.q.push(e.now+max(delay, 0), permuteSeq(e.seq, e.tieSeed), cb)
+		return
+	}
 	if delay <= 0 {
 		e.q.pushNow(event{at: e.now, seq: e.seq, cb: cb})
 		return

@@ -472,3 +472,45 @@ func TestSignalRearmDuringFire(t *testing.T) {
 		t.Fatalf("second fire: rearmer ran %d times, woke %v; want 2 and [b c x]", r.runs, order)
 	}
 }
+
+// TestPermuteTies: under PermuteTies, events due at one instant — pending
+// ones, zero-delay ones and timed ones — run in a seeded permutation of
+// their insertion order; instants stay in order, every event runs once, and
+// OnDispatch sees each as it runs.
+func TestPermuteTies(t *testing.T) {
+	orders := map[string]bool{}
+	for seed := uint64(1); seed <= 8; seed++ {
+		e := New()
+		var got []int
+		for i := 0; i < 8; i++ {
+			e.Schedule(0, func() { got = append(got, i) })
+		}
+		e.PermuteTies(seed)
+		for i := 8; i < 16; i++ {
+			e.Schedule(100, func() { got = append(got, i) })
+		}
+		e.Schedule(50, func() {
+			for i := 16; i < 24; i++ {
+				e.Schedule(0, func() { got = append(got, i) })
+			}
+		})
+		seen := 0
+		e.OnDispatch(func(Time, uint64, Callback) { seen++ })
+		e.Run()
+		if seen != 25 || len(got) != 24 {
+			t.Fatalf("seed %d: %d dispatches, %d events ran, want 25 and 24", seed, seen, len(got))
+		}
+		ran := map[int]bool{}
+		for j, v := range got {
+			// 0–7 run at 0, 16–23 at 50, 8–15 at 100.
+			if lo := []int{0, 16, 8}[j/8]; v < lo || v >= lo+8 || ran[v] {
+				t.Fatalf("seed %d: order %v breaks the instants or repeats", seed, got)
+			}
+			ran[v] = true
+		}
+		orders[fmt.Sprint(got)] = true
+	}
+	if len(orders) < 4 {
+		t.Errorf("8 seeds gave %d distinct tie orders, want a permutation per seed", len(orders))
+	}
+}
