@@ -68,8 +68,8 @@ allocs:
 # must hash to its pinned sha256 below. A change that is meant to move the
 # model (or any quick-suite figure) updates the two pins in the same commit,
 # on purpose; every other change leaves them alone.
-DETERMINISM_SHA256 = 9c23b0f092082e3e4dc8583857a46156d5f6087a9f7ecefae6487388a17612c2
-DETERMINISM_FAULTS_SHA256 = 15315ee3e2e8f67bcc3af549f2e59b8bb9345848013023def1287b6cd0b5616e
+DETERMINISM_SHA256 = e814b14f00984bf5184f72460e7b7e59efecaf2b6437fb3d9a6ccb877c07257d
+DETERMINISM_FAULTS_SHA256 = 868b538fc630c34b0d3a1237165eeb5dbdf24d0a127fb959474e47c70141150b
 determinism:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/cambench" ./cmd/cambench && \

@@ -59,6 +59,9 @@ type GPU struct {
 	// threads is the pool of resident thread slots across all SMs; both
 	// compute kernels and (for BaM) I/O submission warps draw from it.
 	threads *sim.Resource
+	// grants carves the word each blocked kernel launch is told its thread
+	// grant in (sim.Resource.AcquireUpTo).
+	grants sim.FreeList[int64]
 
 	arena     *mem.Arena
 	space     *mem.Space
@@ -236,28 +239,14 @@ func (g *GPU) RunKernel(p *sim.Proc, spec KernelSpec) {
 	if g.cfg.KernelLaunchOverhead > 0 {
 		p.Sleep(g.cfg.KernelLaunchOverhead)
 	}
-	// Take the free slots now, or block until the minimum is available.
-	grant := g.threads.Available()
-	if grant > want {
-		grant = want
-	}
-	if grant < min || !g.threads.TryAcquire(grant) {
-		// Not enough free (or FIFO waiters ahead): block for the
-		// minimum, then top the grant up from whatever is free once
-		// admitted — a real scheduler would dispatch the waiting blocks
-		// onto SMs as they drain.
-		g.threads.Acquire(p, min)
-		grant = min
-	}
-	if grant < want {
-		extra := g.threads.Available()
-		if extra > want-grant {
-			extra = want - grant
-		}
-		if extra > 0 && g.threads.TryAcquire(extra) {
-			grant += extra
-		}
-	}
+	// Take the free slots now, up to want, or block until the minimum is
+	// available and then hold what the admitting release leaves over — a
+	// real scheduler would dispatch the waiting blocks onto SMs as they
+	// drain.
+	rec := g.grants.Get()
+	g.threads.AcquireUpTo(p, min, want, rec)
+	grant := *rec
+	g.grants.Put(rec)
 	dur := sim.Time(float64(spec.FullOccupancyTime) * float64(want) / float64(grant))
 	g.tracer.Emit(trace.KernelStart, g.Name, spec.Name, grant)
 	p.Sleep(dur)

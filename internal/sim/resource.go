@@ -23,6 +23,10 @@ type Resource struct {
 type resWaiter struct {
 	cb Callback
 	n  int64
+	// upTo and grant make the waiter elastic (AcquireUpTo): admitted with
+	// n, it tops up toward upTo, and *grant receives what it holds.
+	upTo  int64
+	grant *int64
 }
 
 // NewResource creates a resource with the given capacity (> 0).
@@ -83,6 +87,31 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	p.block()
 }
 
+// AcquireUpTo blocks p until min units are available, FIFO like Acquire,
+// then holds between min and max of them and reports how many in *grant.
+// Admitted at once it takes as many as are free, up to max; admitted by a
+// Release, it takes min and then — when that Release drains the queue — a
+// share of what is left once every waiter admitted with it holds its own
+// minimum, handed out in admission order. Deciding the top-up as the
+// waiters are admitted, not as each resumes, keeps the split independent
+// of the order in which the engine resumes them.
+func (r *Resource) AcquireUpTo(p *Proc, min, max int64, grant *int64) {
+	if min <= 0 || min > max || max > r.capacity {
+		panic("sim: AcquireUpTo bounds out of range on " + r.name)
+	}
+	if r.waiters.len() == 0 && r.inUse+min <= r.capacity {
+		*grant = r.capacity - r.inUse
+		if *grant > max {
+			*grant = max
+		}
+		r.integrate()
+		r.inUse += *grant
+		return
+	}
+	r.waiters.pushBack(resWaiter{cb: p, n: min, upTo: max, grant: grant})
+	p.block()
+}
+
 // AcquireCallback is the callback-machine form of Acquire: it reports true
 // if the units were taken immediately; otherwise the waiter is parked FIFO
 // (interleaved with process waiters) and cb runs via a zero-delay event
@@ -128,14 +157,29 @@ func (r *Resource) Release(n int64) {
 	if r.inUse < 0 {
 		panic("sim: Release below zero on " + r.name)
 	}
-	for r.waiters.len() > 0 {
-		w := r.waiters.front()
-		if r.inUse+w.n > r.capacity {
+	// Admit the waiters whose minimums fit, in order; what they leave over
+	// tops up the elastic ones only if none is left waiting.
+	k, use := 0, r.inUse
+	for ; k < r.waiters.len(); k++ {
+		w := r.waiters.at(k)
+		if use+w.n > r.capacity {
 			break
 		}
-		r.integrate()
+		use += w.n
+	}
+	spare := int64(0)
+	if k == r.waiters.len() {
+		spare = r.capacity - use
+	}
+	for ; k > 0; k-- {
+		w := r.waiters.popFront()
+		if w.grant != nil {
+			extra := min(w.upTo-w.n, spare)
+			spare -= extra
+			w.n += extra
+			*w.grant = w.n
+		}
 		r.inUse += w.n
 		r.e.ScheduleCallback(0, w.cb)
-		r.waiters.popFront()
 	}
 }

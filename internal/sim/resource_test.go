@@ -208,3 +208,70 @@ func TestResourceInvariantQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResourceAcquireUpTo: an elastic request admitted at once takes what is
+// free up to its max; requests a Release admits together hold their
+// minimums and split what is left in admission order — the same split
+// under every order the engine resumes them in — and none tops up while a
+// waiter stays queued.
+func TestResourceAcquireUpTo(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		e := New()
+		r := e.NewResource("r", 10)
+		var grants [4]int64
+		e.Go("holder", func(p *Proc) {
+			r.AcquireUpTo(p, 2, 8, &grants[0])
+			p.Sleep(100)
+			r.Release(grants[0])
+		})
+		for i, max := range []int64{4, 5} {
+			e.Go(fmt.Sprint("w", i), func(p *Proc) {
+				p.Sleep(Time(10 + i))
+				r.AcquireUpTo(p, 3, max, &grants[i+1])
+			})
+		}
+		e.Go("blocked", func(p *Proc) {
+			p.Sleep(20)
+			r.AcquireUpTo(p, 9, 9, &grants[3])
+		})
+		if seed != 0 {
+			e.PermuteTies(seed)
+		}
+		e.Run()
+		// At 0 the holder takes 8 of 10; w0 and w1 queue behind the
+		// missing minimum and the 9-unit request behind them. The release
+		// at 100 admits w0 and w1 with 3 each, but the 9 stays queued, so
+		// neither tops up.
+		if grants != [4]int64{8, 3, 3, 0} || r.InUse() != 6 || r.QueueLen() != 1 {
+			t.Fatalf("seed %d: grants %v, %d in use, %d queued; want [8 3 3 0], 6 and 1", seed, grants, r.InUse(), r.QueueLen())
+		}
+		e.Shutdown()
+
+		e = New()
+		r = e.NewResource("r", 10)
+		grants = [4]int64{}
+		e.Go("holder", func(p *Proc) {
+			r.AcquireUpTo(p, 2, 8, &grants[0])
+			p.Sleep(100)
+			r.Release(grants[0])
+		})
+		for i, max := range []int64{6, 6} {
+			e.Go(fmt.Sprint("w", i), func(p *Proc) {
+				p.Sleep(Time(10 + i))
+				r.AcquireUpTo(p, 3, max, &grants[i+1])
+				p.Sleep(50)
+				r.Release(grants[i+1])
+			})
+		}
+		if seed != 0 {
+			e.PermuteTies(seed)
+		}
+		e.Run()
+		// With nothing left queued, w0 and w1 hold 3 each and top up
+		// from the remaining 4 in admission order: w0 to its max of 6, w1
+		// by the one unit left.
+		if grants[1] != 6 || grants[2] != 4 || r.InUse() != 0 {
+			t.Fatalf("seed %d: grants %v, %d in use; want w0 6, w1 4 and 0", seed, grants, r.InUse())
+		}
+	}
+}

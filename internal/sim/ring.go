@@ -34,6 +34,9 @@ func (r *ring[T]) popFront() T {
 	return v
 }
 
+// at returns the i-th oldest element without removing it.
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
 // front returns the oldest element without removing it.
 func (r *ring[T]) front() *T { return &r.buf[r.head] }
 
