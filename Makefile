@@ -68,8 +68,8 @@ allocs:
 # must hash to its pinned sha256 below. A change that is meant to move the
 # model (or any quick-suite figure) updates the two pins in the same commit,
 # on purpose; every other change leaves them alone.
-DETERMINISM_SHA256 = e814b14f00984bf5184f72460e7b7e59efecaf2b6437fb3d9a6ccb877c07257d
-DETERMINISM_FAULTS_SHA256 = 868b538fc630c34b0d3a1237165eeb5dbdf24d0a127fb959474e47c70141150b
+DETERMINISM_SHA256 = a866e24156da82547fa9c0cb56fac84763de4b192a1bf9654d8f9998b1866d25
+DETERMINISM_FAULTS_SHA256 = a73956c6783a34fc9323f1bb55ff844210ce69038b33f1eea3281694a5b055cc
 determinism:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/cambench" ./cmd/cambench && \

@@ -596,27 +596,41 @@ func (m *Manager) dispatchBatch(b *Batch) {
 	} else {
 		m.stats.BytesWritten += int64(count) * blockBytes
 	}
-	m.batchRef(b, -1) // release the publishing hold
+	m.batchRef(b, -1, m.e.Now()) // release the publishing hold
 }
 
 // RequestDone implements spdk.Completion: fan one command completion into
-// the batch counter (reactor context).
+// the batch counter (reactor context). The batch finishes at its last
+// command's instant.
 func (m *Manager) RequestDone(r *spdk.Request) {
 	b := r.Tag.(*Batch)
 	if r.Status != nvme.StatusSuccess {
 		b.errors++
 		m.stats.FailedRequests++
 	}
-	m.batchRef(b, -1)
+	m.batchRef(b, -1, r.At)
 }
 
 // batchRef adjusts a batch's outstanding-command count, finishing the batch
-// when it reaches zero.
-func (m *Manager) batchRef(b *Batch, delta int) {
+// at instant at when it reaches zero.
+func (m *Manager) batchRef(b *Batch, delta int, at sim.Time) {
 	b.remaining += delta
-	if b.remaining == 0 {
-		m.finishBatch(b)
+	if b.remaining != 0 {
+		return
 	}
+	if now := m.e.Now(); at > now {
+		m.e.ScheduleCallback(at-now, (*batchFinish)(b))
+		return
+	}
+	m.finishBatch(b)
+}
+
+// batchFinish is a batch's finishing event, at its last command's instant.
+type batchFinish Batch
+
+func (f *batchFinish) Run() {
+	b := (*Batch)(f)
+	b.m.finishBatch(b)
 }
 
 // finishBatch runs (in reactor context) when the last request of a batch

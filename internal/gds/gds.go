@@ -82,6 +82,9 @@ type ioMachine struct {
 	addr      mem.Addr
 	remaining int
 	done      *sim.Signal
+	// issued marks the hardware path submitted: the machine's next Run is
+	// its last command's completion instant.
+	issued bool
 }
 
 // ioAsync claims the software-path window at call time (the path's
@@ -105,9 +108,15 @@ func (d *Driver) ioAsync(op nvme.Opcode, off, n int64, addr mem.Addr, done *sim.
 	d.e.ScheduleCallback(end-d.e.Now(), m)
 }
 
-// Run submits the hardware path once the software window closes
-// (engine-callback context).
+// Run submits the hardware path once the software window closes, and
+// fires done at the last command's completion instant (engine-callback
+// context).
 func (m *ioMachine) Run() {
+	if m.issued {
+		m.fire()
+		return
+	}
+	m.issued = true
 	d := m.d
 	// Hardware path: split on stripes and MDTS, direct to GPU.
 	off, n, addr := m.off, m.n, m.addr
@@ -132,20 +141,29 @@ func (m *ioMachine) Run() {
 		addr += mem.Addr(chunk)
 		n -= chunk
 	}
-	m.finish(-1)
+	m.finish(d.e.Now())
 }
 
 // RequestDone implements spdk.Completion: fan one NVMe completion into the
 // machine (reactor context).
-func (m *ioMachine) RequestDone(r *spdk.Request) { m.finish(-1) }
+func (m *ioMachine) RequestDone(r *spdk.Request) { m.finish(r.At) }
 
-func (m *ioMachine) finish(delta int) {
-	m.remaining += delta
-	if m.remaining != 0 {
+// finish drops one hold on the machine, a command that completed at instant
+// at or the submission's, and fires done at at once none is left.
+func (m *ioMachine) finish(at sim.Time) {
+	if m.remaining--; m.remaining != 0 {
 		return
 	}
-	done := m.done
-	m.done = nil
-	m.d.freeIO.Put(m)
+	if now := m.d.e.Now(); at > now {
+		m.d.e.ScheduleCallback(at-now, m)
+		return
+	}
+	m.fire()
+}
+
+func (m *ioMachine) fire() {
+	d, done := m.d, m.done
+	*m = ioMachine{}
+	d.freeIO.Put(m)
 	done.Fire()
 }

@@ -92,6 +92,12 @@ type RecoveryStats struct {
 // without allocating a closure or a signal per request. RequestDone must
 // copy out any fields it needs: a pooled request is recycled as soon as it
 // returns.
+//
+// A completion run delivers each request as it routes it, ahead of the
+// instant the per-request cost puts it at: RequestDone may run before r.At,
+// the completion's instant. A sink whose fan-in reaches zero schedules its
+// finishing work at r.At — one event per batch, where the reactor spends
+// none per request.
 type Completion interface {
 	RequestDone(r *Request)
 }
@@ -124,6 +130,10 @@ type Request struct {
 	// Tag carries the submitter's per-request context (a batch handle)
 	// through to Sink.RequestDone.
 	Tag any
+	// At is the instant the request completed on its reactor's timeline,
+	// set before Sink.RequestDone runs (see Completion). Done and OnDone
+	// fire at At.
+	At sim.Time
 
 	pooled bool
 	// attempts counts submissions (1 = first try).
@@ -373,11 +383,9 @@ func MaxTransfer() int64 { return maxXfer }
 // self-scheduled callback or a wake; the rest are internal sweep positions.
 const (
 	rpIterStart  uint8 = iota // top of a sweep: collect due retries
-	rpDrainDue                // submitting collected due retries
-	rpDrainQueue              // draining the app submission queue
-	rpPollCQ                  // polling owned completion queues
-	rpSubmitB                 // (resume) submit cost elapsed: push the SQE
-	rpCompleteB               // (resume) complete cost elapsed: route the CQE
+	rpSubmitRun               // submission run: due retries, then the app queue
+	rpPollCQ                  // completion runs, one queue pair at a time
+	rpPushHeld                // (resume) a held SQE's instant came: push it
 	rpExpire                  // scanning in-flight deadlines
 	rpExpireCont              // post-expiry dead-device check
 	rpIdleCheck               // end of sweep: idle accounting decision
@@ -387,8 +395,25 @@ const (
 
 // reactorStep is the reactor polling loop as an engine-callback state
 // machine. One sweep is retry drain, queue drain, CQ poll, deadline expiry
-// and idle accounting, in that order; every modelled CPU cost is one
-// self-scheduled callback and every blocking wait one signal callback.
+// and idle accounting, in that order.
+//
+// The reactor keeps its own clock, t, ahead of the engine's: a submission
+// run takes every queued request at once and pushes request i with the
+// arrival instant t0 + (i+1)·SPDKSubmitCost (ssd.Device.RingAt); a
+// completion run routes every CQE posted on one queue pair at once, request
+// j completing at t0 + (j+1)·SPDKCompleteCost plus the submit cost of each
+// deferred request it admitted. Each run costs one event, at its end, where
+// the sweep goes on exactly where a per-command loop would. Every command
+// and every completion keeps the instant the per-command loop gives it.
+//
+// Two exceptions spend an event where the loop did. A device with more
+// than one queue pair (several drivers on one SSD, as in abl-multigpu)
+// cannot take an SQE ahead of the clock — another host's command arriving
+// in between would be served after it — so such an SQE is pushed when its
+// instant comes. And an idle sweep parks on the wake at once instead of
+// spending an event on its poll iteration, unless a wake already stands
+// fired or a deadline falls inside the iteration; a wake that comes before
+// the iteration would have ended resumes the sweep at that end.
 type reactorStep struct {
 	r     *Reactor
 	phase uint8 // current sweep position / resume point
@@ -399,6 +424,9 @@ type reactorStep struct {
 	// progressed records whether the current sweep did any work; an idle
 	// sweep charges one poll iteration and parks.
 	progressed bool
+	// t is the reactor's clock: when the work done so far ends. It never
+	// trails the engine's.
+	t sim.Time
 
 	// due is the retry batch collected at rpIterStart (reused backing).
 	due    []*Request
@@ -407,17 +435,11 @@ type reactorStep struct {
 	// devIdx is the CQ-poll position within r.devs.
 	devIdx int
 
-	// subReq/subRet carry one submission across its calib.SPDKSubmitCost
-	// callback: the request being pushed and the phase to re-enter
-	// afterwards.
-	subReq *Request
-	subRet uint8
-
-	// creq/cdi/cstatus carry one completion across its calib.SPDKCompleteCost
-	// callback.
-	creq    *Request
-	cdi     int
-	cstatus nvme.Status
+	// held is a submission to a device shared with another host, waiting
+	// for the engine's clock to reach its instant; heldRet is the phase to
+	// re-enter once it is pushed.
+	held    *Request
+	heldRet uint8
 
 	// expDev/expCid are the deadline-scan position; expNow is the time the
 	// scan started, which deadlines are compared against even after
@@ -426,17 +448,21 @@ type reactorStep struct {
 	expNow         sim.Time
 
 	// wait is the idle wait on the wake signal, bounded by NextDeadline;
-	// waitStart is when it began, for the poll-cycle charge at wake-up.
+	// waitStart is when the idle poll iteration before it ends, from which
+	// the wait's poll cycles are charged.
 	wait      sim.DeadlineWait
 	waitStart sim.Time
 }
 
-// Run advances the sweep until it parks: on a cost callback (submit cost,
-// complete cost, idle iteration) or on the idle wake signal.
+// Run advances the sweep until it parks: at the end of a run, on an idle
+// iteration, or on the idle wake signal.
 func (s *reactorStep) Run() {
 	r := s.r
 	e := r.d.e
 	cfg := &r.d.cfg
+	if now := e.Now(); s.t < now {
+		s.t = now
+	}
 	for {
 		switch s.phase {
 		case rpIterStart:
@@ -445,10 +471,9 @@ func (s *reactorStep) Run() {
 				// Collect due retries before any submit call, because
 				// submit can grow r.retries again (fail-fast → deliver →
 				// a Sink that submits).
-				now := e.Now()
 				kept := r.retries[:0]
 				for _, re := range r.retries {
-					if re.at <= now {
+					if re.at <= s.t {
 						s.due = append(s.due, re.req)
 					} else {
 						kept = append(kept, re)
@@ -460,49 +485,50 @@ func (s *reactorStep) Run() {
 				}
 			}
 			s.dueIdx = 0
-			s.phase = rpDrainDue
+			s.phase = rpSubmitRun
 
-		case rpDrainDue:
-			// Re-submit retries whose backoff has elapsed.
-			if s.dueIdx == len(s.due) {
-				for i := range s.due {
-					s.due[i] = nil
+		case rpSubmitRun:
+			// Re-submit retries whose backoff has elapsed, then drain the
+			// app submissions, all in one run.
+			for s.dueIdx < len(s.due) {
+				req := s.due[s.dueIdx]
+				s.dueIdx++
+				if s.submit(req) {
+					return
 				}
+			}
+			if len(s.due) > 0 {
+				clear(s.due)
 				s.due = s.due[:0]
 				s.dueIdx = 0
-				s.phase = rpDrainQueue
-				continue
 			}
-			req := s.due[s.dueIdx]
-			s.dueIdx++
-			if s.submitA(req, rpDrainDue) {
+			for {
+				req, ok := r.queue.TryGet()
+				if !ok {
+					break
+				}
+				s.progressed = true
+				if s.submit(req) {
+					return
+				}
+			}
+			// The run ends: requests queued meanwhile are taken from there.
+			if s.endRun() {
 				return
 			}
-
-		case rpDrainQueue:
-			// Drain app submissions while slots are available.
-			req, ok := r.queue.TryGet()
-			if !ok {
-				s.devIdx = 0
-				s.phase = rpPollCQ
-				continue
-			}
-			s.progressed = true
-			if s.submitA(req, rpDrainQueue) {
-				return
-			}
+			s.devIdx = 0
+			s.phase = rpPollCQ
 
 		case rpPollCQ:
 			// Poll completions on every owned queue pair. A device can be
-			// reassigned (SetActiveReactors) while the sweep is suspended
-			// in submit/complete callbacks, so tolerate entries that moved
-			// away.
+			// reassigned (SetActiveReactors) while the sweep waits for a
+			// run's end, so tolerate entries that moved away.
 			if s.devIdx >= len(r.devs) {
 				if s.armed {
 					// Expire deadlines after polling, so a completion that
 					// raced its own timeout wins deterministically.
 					s.expDev, s.expCid = 0, 0
-					s.expNow = e.Now()
+					s.expNow = s.t
 					s.phase = rpExpire
 				} else {
 					s.phase = rpIdleCheck
@@ -515,79 +541,39 @@ func (s *reactorStep) Run() {
 				s.devIdx++
 				continue
 			}
-			cqe, ok := dq.qp.CQ.Poll()
-			if !ok {
-				s.devIdx++
-				continue
-			}
-			s.progressed = true
-			s.creq, s.cdi, s.cstatus = dq.tags.Free(cqe.CID), di, cqe.Status
-			s.phase = rpCompleteB
-			e.ScheduleCallback(calib.SPDKCompleteCost(), s)
-			return
-
-		case rpSubmitB:
-			// The submit cost elapsed: push the SQE and ring the doorbell.
-			r.Stat.Instructions += calib.SPDKSubmitInstr()
-			r.Stat.ChargeCycles(s.submitCycles)
-			req := s.subReq
-			s.subReq = nil
-			di := req.Dev
-			dq := &r.dq[di]
-			var deadline sim.Time
-			if s.armed {
-				deadline = e.Now() + cfg.CmdTimeout
-			}
-			cid := dq.tags.Alloc(req, deadline)
-			req.attempts++
-			if err := dq.qp.SQ.Push(nvme.SQE{
-				Opcode: req.Op, CID: cid, NSID: 1,
-				PRP1: uint64(req.Addr), SLBA: req.SLBA, NLB: req.NLB,
-			}); err != nil {
-				panic("spdk: SQ overflow despite slot limiter: " + err.Error())
-			}
-			// Writes whose source is host DRAM cost a DRAM read crossing
-			// when the device fetches the data.
-			if req.Op == nvme.OpWrite && r.isHostAddr(req.Addr) {
-				r.d.hm.ReserveTraffic(req.Bytes())
-			}
-			r.d.devs[di].Ring(dq.qp)
-			s.phase = s.subRet
-
-		case rpCompleteB:
-			// The complete cost elapsed: route the reaped CQE.
-			r.Stat.Instructions += calib.SPDKCompleteInstr()
-			r.Stat.ChargeCycles(s.completeCycles)
-			req := s.creq
-			s.creq = nil
-			dq := &r.dq[s.cdi]
-			// Reads that landed in host DRAM cost one DRAM write crossing.
-			if req.Op == nvme.OpRead && r.isHostAddr(req.Addr) {
-				r.d.hm.ReserveTraffic(req.Bytes())
-			}
-			req.Status = s.cstatus
-			r.Stat.Done(1)
-			dq.busy--
-			dq.consecTO = 0
-			if req.Status != nvme.StatusSuccess {
-				r.finishOrRetry(req)
-			} else {
-				r.deliver(req)
-			}
-			// Admit a deferred request if any, then resume polling the
-			// same device's CQ.
-			if next, ok := r.pending.TryGet(); ok {
-				if s.submitA(next, rpPollCQ) {
+			for {
+				cqe, ok := dq.qp.CQ.Poll()
+				if !ok {
+					break
+				}
+				s.progressed = true
+				s.t += calib.SPDKCompleteCost()
+				s.complete(dq, cqe)
+				// Admit a deferred request if any.
+				if next, ok := r.pending.TryGet(); ok && s.submit(next) {
 					return
 				}
 			}
-			s.phase = rpPollCQ
+			// The run ends; then the same pair is polled again, for the
+			// CQEs posted meanwhile.
+			if s.endRun() {
+				return
+			}
+			s.devIdx++
+
+		case rpPushHeld:
+			s.push(s.held)
+			s.held = nil
+			s.phase = s.heldRet
 
 		case rpExpire:
 			// Abort commands whose deadline passed, synthesizing
 			// StatusCmdTimeout completions and feeding them into retry or
 			// delivery.
 			if s.expDev >= len(r.devs) {
+				if s.endRun() {
+					return
+				}
 				s.phase = rpIdleCheck
 				continue
 			}
@@ -614,15 +600,13 @@ func (s *reactorStep) Run() {
 			req.Status = nvme.StatusCmdTimeout
 			dq.consecTO++
 			if th := cfg.FailThreshold; th > 0 && dq.consecTO >= th && !r.d.failed[di] {
-				r.markDeviceFailed(di)
+				r.markDeviceFailed(di, s.t)
 			}
-			r.finishOrRetry(req)
-			if next, ok := r.pending.TryGet(); ok {
-				if s.submitA(next, rpExpireCont) {
-					return
-				}
-			}
+			r.finishOrRetry(req, s.t)
 			s.phase = rpExpireCont
+			if next, ok := r.pending.TryGet(); ok && s.submit(next) {
+				return
+			}
 
 		case rpExpireCont:
 			// A device declared dead mid-scan is abandoned:
@@ -640,9 +624,19 @@ func (s *reactorStep) Run() {
 			}
 			// Idle: account one poll sweep, then sleep until either new
 			// submissions or a completion arrives.
+			iter := calib.SPDKPollIterCost() * sim.Time(len(r.devs))
 			r.Stat.Charge(calib.SPDKPollIterInstr()*float64(len(r.devs)), calib.SPDKIPC())
-			s.phase = rpIdleSlept
-			e.ScheduleCallback(calib.SPDKPollIterCost()*sim.Time(len(r.devs)), s)
+			s.waitStart = s.t + iter
+			if next := s.NextDeadline(); r.wakePending() || next > 0 && next <= s.waitStart {
+				// The iteration's end decides, as it comes.
+				s.phase = rpIdleSlept
+				e.ScheduleCallback(iter, s)
+				return
+			}
+			// Nothing can be pending at the iteration's end but what wakes
+			// the reactor first: park now (rpSigWake resumes a wake that
+			// comes early at the iteration's end).
+			s.park(r.wakeSignal())
 			return
 
 		case rpIdleSlept:
@@ -653,11 +647,8 @@ func (s *reactorStep) Run() {
 			// Wait until a submission or completion signal fires — or,
 			// when recovery is armed, until the earliest pending command
 			// deadline or retry backoff, whichever comes first.
-			start := e.Now()
-			s.waitStart = start
 			sig := r.wakeSignal()
-			next := s.NextDeadline()
-			if next > 0 && next <= start {
+			if next := s.NextDeadline(); next > 0 && next <= s.t {
 				// A deadline already due falls through without sleeping;
 				// the next sweep expires it.
 				s.phase = rpIterStart
@@ -671,11 +662,19 @@ func (s *reactorStep) Run() {
 				s.phase = rpIterStart
 				continue
 			}
-			s.phase = rpSigWake
-			s.wait.Park(sig, next)
+			s.park(sig)
 			return
 
 		case rpSigWake:
+			if s.t < s.waitStart {
+				// Woken during the idle iteration: the submission or post
+				// behind the wake is taken when the iteration ends, and
+				// the wake stays fired, as it would for a sweep that had
+				// not parked yet.
+				s.phase = rpIterStart
+				e.ScheduleCallback(s.waitStart-s.t, s)
+				return
+			}
 			// Woken by a submission or completion signal, or by a due
 			// deadline. Re-arm the persistent wake: anything fired after
 			// this reset is still visible in the queues this resweep
@@ -683,7 +682,7 @@ func (s *reactorStep) Run() {
 			r.wake.Reset()
 			// Charge the poll cycles a real poll-mode reactor would have
 			// burned through the wait.
-			if waited := e.Now() - s.waitStart; waited > 0 {
+			if waited := s.t - s.waitStart; waited > 0 {
 				iters := float64(waited) / float64(calib.SPDKPollIterCost()*sim.Time(len(r.devs))+1)
 				r.Stat.Charge(iters*calib.SPDKPollIterInstr()*float64(len(r.devs)), calib.SPDKIPC())
 			}
@@ -692,11 +691,30 @@ func (s *reactorStep) Run() {
 	}
 }
 
-// submitA is the pre-cost half of a submission: fail-fast and defer paths
-// complete synchronously (no virtual time passes); otherwise the request is
-// parked on s.subReq and the sweep resumes in rpSubmitB once the submit cost
-// elapses. Reports whether the sweep parked.
-func (s *reactorStep) submitA(req *Request, ret uint8) bool {
+// endRun ends a run whose work reaches past the engine's clock: the sweep
+// parks until the run's end, where it re-enters the current phase. Reports
+// whether it parked.
+func (s *reactorStep) endRun() bool {
+	now := s.r.d.e.Now()
+	if s.t == now {
+		return false
+	}
+	s.r.d.e.ScheduleCallback(s.t-now, s)
+	return true
+}
+
+// park waits on sig, the unfired wake signal, bounded by the next deadline.
+func (s *reactorStep) park(sig *sim.Signal) {
+	s.phase = rpSigWake
+	s.wait.Park(sig, s.NextDeadline())
+}
+
+// submit adds one request to the current run. Fail-fast and defer paths
+// complete without cost; otherwise the submit cost advances the reactor's
+// clock and the SQE is pushed with that instant. An SQE for a device other
+// hosts also submit to waits for the engine's clock instead (see
+// ssd.Device.RingAt): submit then parks the sweep and reports true.
+func (s *reactorStep) submit(req *Request) bool {
 	r := s.r
 	di := req.Dev
 	// A dead device answers nothing: fail fast instead of burning a
@@ -704,7 +722,7 @@ func (s *reactorStep) submitA(req *Request, ret uint8) bool {
 	if r.d.failed[di] {
 		req.Status = nvme.StatusDevFailed
 		r.d.rec.FastFails++
-		r.deliver(req)
+		r.deliver(req, s.t)
 		return false
 	}
 	// Respect the in-flight bound without blocking the reactor: requeue
@@ -715,16 +733,71 @@ func (s *reactorStep) submitA(req *Request, ret uint8) bool {
 		return false
 	}
 	dq.busy++
-	s.subReq = req
-	s.subRet = ret
-	s.phase = rpSubmitB
-	r.d.e.ScheduleCallback(calib.SPDKSubmitCost(), s)
-	return true
+	s.t += calib.SPDKSubmitCost()
+	if r.d.devs[di].QueuePairs() > 1 {
+		if now := r.d.e.Now(); s.t > now {
+			s.held, s.heldRet = req, s.phase
+			s.phase = rpPushHeld
+			r.d.e.ScheduleCallback(s.t-now, s)
+			return true
+		}
+	}
+	s.push(req)
+	return false
 }
 
-// finishOrRetry routes a failed command: retryable statuses re-submit with
-// exponential backoff until MaxRetries; everything else is delivered.
-func (r *Reactor) finishOrRetry(req *Request) {
+// push writes req's SQE and rings the doorbell at the reactor's clock.
+func (s *reactorStep) push(req *Request) {
+	r := s.r
+	r.Stat.Instructions += calib.SPDKSubmitInstr()
+	r.Stat.ChargeCycles(s.submitCycles)
+	di := req.Dev
+	dq := &r.dq[di]
+	var deadline sim.Time
+	if s.armed {
+		deadline = s.t + r.d.cfg.CmdTimeout
+	}
+	cid := dq.tags.Alloc(req, deadline)
+	req.attempts++
+	if err := dq.qp.SQ.Push(nvme.SQE{
+		Opcode: req.Op, CID: cid, NSID: 1,
+		PRP1: uint64(req.Addr), SLBA: req.SLBA, NLB: req.NLB,
+	}); err != nil {
+		panic("spdk: SQ overflow despite slot limiter: " + err.Error())
+	}
+	// Writes whose source is host DRAM cost a DRAM read crossing when the
+	// device fetches the data.
+	if req.Op == nvme.OpWrite && r.isHostAddr(req.Addr) {
+		r.d.hm.ReserveTrafficAt(req.Bytes(), s.t)
+	}
+	r.d.devs[di].RingAt(dq.qp, cid, s.t)
+}
+
+// complete routes one reaped CQE at the reactor's clock.
+func (s *reactorStep) complete(dq *devQueue, cqe nvme.CQE) {
+	r := s.r
+	r.Stat.Instructions += calib.SPDKCompleteInstr()
+	r.Stat.ChargeCycles(s.completeCycles)
+	req := dq.tags.Free(cqe.CID)
+	// Reads that landed in host DRAM cost one DRAM write crossing.
+	if req.Op == nvme.OpRead && r.isHostAddr(req.Addr) {
+		r.d.hm.ReserveTrafficAt(req.Bytes(), s.t)
+	}
+	req.Status = cqe.Status
+	r.Stat.Done(1)
+	dq.busy--
+	dq.consecTO = 0
+	if req.Status != nvme.StatusSuccess {
+		r.finishOrRetry(req, s.t)
+	} else {
+		r.deliver(req, s.t)
+	}
+}
+
+// finishOrRetry routes a command that failed at instant at: retryable
+// statuses re-submit with exponential backoff from at until MaxRetries;
+// everything else is delivered.
+func (r *Reactor) finishOrRetry(req *Request, at sim.Time) {
 	cfg := &r.d.cfg
 	if cfg.CmdTimeout > 0 && req.Status.Retryable() &&
 		req.attempts <= cfg.MaxRetries && !r.d.failed[req.Dev] {
@@ -732,17 +805,18 @@ func (r *Reactor) finishOrRetry(req *Request) {
 		r.d.rec.Retries++
 		r.d.tr.Emit(trace.IORetry, r.d.devs[req.Dev].Name,
 			fmt.Sprintf("%s attempt %d in %s", req.Op, req.attempts+1, backoff), int64(req.SLBA))
-		r.retries = append(r.retries, retryEntry{req: req, at: r.d.e.Now() + backoff})
+		r.retries = append(r.retries, retryEntry{req: req, at: at + backoff})
 		return
 	}
-	r.deliver(req)
+	r.deliver(req, at)
 }
 
-// deliver hands a finished request to its completion consumer: Sink
-// callback, then OnDone, then the Done signal. Only Sink-consumed pooled
-// requests recycle here — a Done waiter reads r.Status after resuming, so
-// recycling under it would zero the status; such a request is its waiter's.
-func (r *Reactor) deliver(req *Request) {
+// deliver hands a request finished at instant at to its completion
+// consumer: the Sink at once (it schedules what it does at req.At), else
+// OnDone and the Done signal at at. Only Sink-consumed pooled requests
+// recycle here — a Done waiter reads r.Status after resuming, so recycling
+// under it would zero the status; such a request is its waiter's.
+func (r *Reactor) deliver(req *Request, at sim.Time) {
 	if req.Status == nvme.StatusSuccess {
 		if req.attempts > 1 {
 			r.d.rec.Recovered++
@@ -750,6 +824,7 @@ func (r *Reactor) deliver(req *Request) {
 	} else {
 		r.d.rec.FailedRequests++
 	}
+	req.At = at
 	if req.Sink != nil {
 		req.Sink.RequestDone(req)
 		if req.pooled {
@@ -757,6 +832,18 @@ func (r *Reactor) deliver(req *Request) {
 		}
 		return
 	}
+	if now := r.d.e.Now(); at > now {
+		r.d.e.ScheduleCallback(at-now, (*doneAt)(req))
+		return
+	}
+	(*doneAt)(req).Run()
+}
+
+// doneAt is a request's completion event: OnDone, then the Done signal.
+type doneAt Request
+
+func (d *doneAt) Run() {
+	req := (*Request)(d)
 	if req.OnDone != nil {
 		req.OnDone()
 	}
@@ -765,9 +852,10 @@ func (r *Reactor) deliver(req *Request) {
 
 // markDeviceFailed declares device di dead: every in-flight command is
 // aborted and failed, queued work for it fails fast, and r.submit rejects
-// all future commands with StatusDevFailed. The engine degrades instead of
-// wedging — RAID0 callers observe per-request errors and accurate stats.
-func (r *Reactor) markDeviceFailed(di int) {
+// all future commands with StatusDevFailed, as of instant at. The engine
+// degrades instead of wedging — RAID0 callers observe per-request errors and
+// accurate stats.
+func (r *Reactor) markDeviceFailed(di int, at sim.Time) {
 	r.d.failed[di] = true
 	r.d.rec.DeviceFailures++
 	r.d.tr.Emit(trace.DeviceFail, r.d.devs[di].Name,
@@ -785,7 +873,7 @@ func (r *Reactor) markDeviceFailed(di int) {
 		dq.busy--
 		req.Status = nvme.StatusDevFailed
 		r.d.rec.FastFails++
-		r.deliver(req)
+		r.deliver(req, at)
 	}
 	// Backoff queue and deferred submissions for this device fail fast.
 	kept := r.retries[:0]
@@ -793,7 +881,7 @@ func (r *Reactor) markDeviceFailed(di int) {
 		if re.req.Dev == di {
 			re.req.Status = nvme.StatusDevFailed
 			r.d.rec.FastFails++
-			r.deliver(re.req)
+			r.deliver(re.req, at)
 			continue
 		}
 		kept = append(kept, re)
@@ -804,11 +892,25 @@ func (r *Reactor) markDeviceFailed(di int) {
 		if req.Dev == di {
 			req.Status = nvme.StatusDevFailed
 			r.d.rec.FastFails++
-			r.deliver(req)
+			r.deliver(req, at)
 			continue
 		}
 		r.pending.Put(req) // the survivors come round in their old order
 	}
+}
+
+// wakePending reports whether the wake signal, or a CQ post no relay
+// forwarded yet, stands fired: wakeSignal would return it fired.
+func (r *Reactor) wakePending() bool {
+	if r.wake.Fired() {
+		return true
+	}
+	for _, di := range r.devs {
+		if qp := r.dq[di].qp; qp != nil && qp.CQ.OnPost.Fired() {
+			return true
+		}
+	}
+	return false
 }
 
 // anythingPending reports whether there is immediate work.

@@ -74,8 +74,10 @@ type stagedMachine struct {
 	buf       *gpu.Buffer
 	bufOff, n int64
 	remaining int
-	copied    bool
-	onDone    sim.Callback
+	// landed marks a fan-in that reached zero ahead of the clock: the
+	// machine's next Run is its last command's completion instant.
+	landed bool
+	onDone sim.Callback
 }
 
 // submit issues the granule's MDTS-split commands with the machine as the
@@ -102,17 +104,29 @@ func (m *stagedMachine) submit(op nvme.Opcode) {
 		s.d.Submit(r)
 		off += chunk
 	}
-	m.fanin(-1)
+	m.fanin(s.d.e.Now())
 }
 
 // RequestDone implements Completion (reactor context).
-func (m *stagedMachine) RequestDone(r *Request) { m.fanin(-1) }
+func (m *stagedMachine) RequestDone(r *Request) { m.fanin(r.At) }
 
-func (m *stagedMachine) fanin(delta int) {
-	m.remaining += delta
-	if m.remaining != 0 {
+// fanin drops one hold on the machine, a command that completed at instant
+// at or the submission's; the last one moves the granule on at at.
+func (m *stagedMachine) fanin(at sim.Time) {
+	if m.remaining--; m.remaining != 0 {
 		return
 	}
+	if now := m.s.d.e.Now(); at > now {
+		m.landed = true
+		m.s.d.e.ScheduleCallback(at-now, m)
+		return
+	}
+	m.drained()
+}
+
+// drained moves the granule on once its last command completed: a read's
+// memcpy to the GPU, or a write's end.
+func (m *stagedMachine) drained() {
 	s := m.s
 	if m.read {
 		// All chunks landed in staging: one memcpy per granule moves it to
@@ -120,17 +134,22 @@ func (m *stagedMachine) fanin(delta int) {
 		s.d.hm.ReserveTraffic(m.n)
 		end := s.ce.ReserveCopy(m.n)
 		mem.PayloadCopy(m.buf.Payload(), m.bufOff, s.staging.Payload(), 0, m.n)
-		m.copied = true
 		s.d.e.ScheduleCallback(end-s.d.e.Now(), m)
 		return
 	}
 	m.finish()
 }
 
-// Run resumes the machine after a scheduled copy completes: for reads this
-// is the final hop; for writes it is the staging copy, which unblocks the
-// SSD submissions (engine-callback context).
+// Run resumes the machine at its last command's completion instant, or
+// after a scheduled copy completes: for reads this is the final hop; for
+// writes it is the staging copy, which unblocks the SSD submissions
+// (engine-callback context).
 func (m *stagedMachine) Run() {
+	if m.landed {
+		m.landed = false
+		m.drained()
+		return
+	}
 	if m.read {
 		m.finish()
 		return

@@ -132,8 +132,11 @@ type ioQueue struct {
 // cidSlot is everything the controller keeps per command identifier, in one
 // record so that a command touches one cache line of it.
 type cidSlot struct {
-	// submitAt is the fetch instant of the outstanding command, for latency
-	// accounting; timed is false while the slot is idle.
+	// submitAt is the arrival instant of the latest command with this
+	// identifier: its fetch, or the later instant RingAt published it at.
+	// Latency counts from it; timed is false while the slot is idle. A
+	// host reuses an identifier only after its command ended, so a stale
+	// submitAt is never after the next fetch.
 	submitAt sim.Time
 	timed    bool
 	// cmd is the command in flight, so Abort can cancel it.
@@ -212,11 +215,46 @@ func (d *Device) addQP(qp *nvme.QueuePair, depth uint32) {
 	d.qps = append(d.qps, &ioQueue{qp: qp, cids: make([]cidSlot, depth)})
 }
 
+// QueuePairs reports how many queue pairs the controller serves.
+func (d *Device) QueuePairs() int { return len(d.qps) }
+
+// SubmitTime reports the arrival instant of the latest command fetched with
+// identifier cid from qp, the instant its latency is counted from (0 if
+// none was).
+func (d *Device) SubmitTime(qp *nvme.QueuePair, cid uint16) sim.Time {
+	for _, q := range d.qps {
+		if q.qp == qp && int(cid) < len(q.cids) {
+			return q.cids[cid].submitAt
+		}
+	}
+	return 0
+}
+
 // Ring publishes new submissions on qp to the controller. Hosts call this
 // after one or more SQ.Push calls; it models the doorbell write.
 func (d *Device) Ring(qp *nvme.QueuePair) {
 	qp.SQ.Ring()
 	d.kickCtrl()
+}
+
+// RingAt is Ring for the entry with identifier cid, pushed last, whose
+// doorbell write lands at instant at, no earlier than now: a host that
+// accounts its own CPU time ahead of the engine's clock (the SPDK
+// reactor's submission run) publishes each entry with the instant its
+// submit cost ends. The controller executes the entry as of that instant —
+// frontend slot, submit stamp, fault draw and media-done time — and posts
+// an error it finds at fetch no earlier. Only the qp's host may write ahead
+// of the clock, and only while qp is the device's one queue pair: another
+// host's doorbell, rung between now and at, would otherwise be served after
+// an entry that arrived later.
+func (d *Device) RingAt(qp *nvme.QueuePair, cid uint16, at sim.Time) {
+	for _, q := range d.qps {
+		if q.qp == qp {
+			q.slot(cid).submitAt = at
+			break
+		}
+	}
+	d.Ring(qp)
 }
 
 // kickCtrl wakes the controller loop: a parked loop re-enters by direct
@@ -335,6 +373,7 @@ const (
 	cmdMediaDone uint8 = iota // media latency elapsed → reserve DMA
 	cmdDMADone                // DMA finished → move bytes, post CQE
 	cmdFlushDone              // flush frontend slot drained → post CQE
+	cmdFetchErr               // arrival instant reached → post the fetch error
 )
 
 // Run advances the command one phase (engine-callback context).
@@ -383,6 +422,9 @@ func (c *ioCmd) Run() {
 	case cmdFlushDone:
 		d.stats.FlushCmds++
 		d.finish(c, nvme.StatusSuccess)
+	case cmdFetchErr:
+		d.stats.ErrCmds++
+		d.finish(c, c.injStatus)
 	}
 }
 
@@ -413,18 +455,22 @@ func (d *Device) finish(c *ioCmd, status nvme.Status) {
 
 // execute runs one command to completion using engine callbacks (no
 // per-command process), so any number of commands overlap in the latency
-// pipeline while the frontend serializer enforces throughput.
+// pipeline while the frontend serializer enforces throughput. The command
+// is served as of its arrival instant: the fetch, or the later instant
+// RingAt published it at.
 func (d *Device) execute(q *ioQueue, sqe nvme.SQE) {
 	d.stats.currInFlight++
 	if d.stats.currInFlight > d.stats.MaxInFlight {
 		d.stats.MaxInFlight = d.stats.currInFlight
 	}
 	now := d.e.Now()
-	slot := q.noteSubmit(sqe.CID, now)
+	slot := q.slot(sqe.CID)
+	at := max(slot.submitAt, now)
+	slot.submitAt, slot.timed, slot.dropped = at, true, false
 
 	switch sqe.Opcode {
 	case nvme.OpFlush:
-		start := now
+		start := at
 		if d.frontBusyUntil > start {
 			start = d.frontBusyUntil
 		}
@@ -435,14 +481,12 @@ func (d *Device) execute(q *ioQueue, sqe nvme.SQE) {
 		return
 	case nvme.OpRead, nvme.OpWrite:
 	default:
-		d.stats.ErrCmds++
-		d.complete(q, &sqe, nvme.StatusInvalidOpcode)
+		d.fetchError(q, sqe, nvme.StatusInvalidOpcode, at)
 		return
 	}
 
 	if !d.store.InRange(sqe.SLBA, sqe.NLB) {
-		d.stats.ErrCmds++
-		d.complete(q, &sqe, nvme.StatusLBAOutOfRange)
+		d.fetchError(q, sqe, nvme.StatusLBAOutOfRange, at)
 		return
 	}
 	n := sqe.Bytes()
@@ -450,14 +494,13 @@ func (d *Device) execute(q *ioQueue, sqe nvme.SQE) {
 	// their own staging paths.
 	pay, payOff, _, err := d.space.ResolvePayload(mem.Addr(sqe.PRP1), int(n))
 	if err != nil {
-		d.stats.ErrCmds++
-		d.complete(q, &sqe, nvme.StatusDMAError)
+		d.fetchError(q, sqe, nvme.StatusDMAError, at)
 		return
 	}
 
 	// Fault-injection verdict: structurally valid commands consume exactly
 	// one draw from the device's private stream (nil injector → None).
-	dec := d.inj.Decide(now, sqe.Opcode)
+	dec := d.inj.Decide(at, sqe.Opcode)
 	if dec.Kind == fault.Drop {
 		// The controller loses the command: no CQE, ever. Clean up the
 		// bookkeeping so the slot is idle and mark the CID dropped so a
@@ -469,7 +512,7 @@ func (d *Device) execute(q *ioQueue, sqe nvme.SQE) {
 	}
 
 	// Frontend occupation caps IOPS / internal bandwidth.
-	start := now
+	start := at
 	if d.frontBusyUntil > start {
 		start = d.frontBusyUntil
 	}
@@ -509,15 +552,27 @@ func (d *Device) execute(q *ioQueue, sqe nvme.SQE) {
 	d.e.ScheduleCallback(mediaDone-now, c)
 }
 
-// noteSubmit records a command's submission instant and returns its slot,
-// growing the table if the host uses identifiers beyond the queue depth.
-func (q *ioQueue) noteSubmit(cid uint16, now sim.Time) *cidSlot {
+// fetchError completes a command the controller rejects at fetch, at its
+// arrival instant: at once when that is now, else by an event then, so the
+// command's latency is never negative.
+func (d *Device) fetchError(q *ioQueue, sqe nvme.SQE, status nvme.Status, at sim.Time) {
+	if now := d.e.Now(); at > now {
+		c := d.newCmd(q, sqe)
+		c.phase, c.injStatus = cmdFetchErr, status
+		d.e.ScheduleCallback(at-now, c)
+		return
+	}
+	d.stats.ErrCmds++
+	d.complete(q, &sqe, status)
+}
+
+// slot returns cid's slot, growing the table if the host uses identifiers
+// beyond the queue depth.
+func (q *ioQueue) slot(cid uint16) *cidSlot {
 	if int(cid) >= len(q.cids) {
 		q.cids = append(q.cids, make([]cidSlot, int(cid)+1-len(q.cids))...) // rare CID-range regrow when a host uses identifiers past queue depth
 	}
-	slot := &q.cids[cid]
-	slot.submitAt, slot.timed, slot.dropped = now, true, false
-	return slot
+	return &q.cids[cid]
 }
 
 // AbortResult reports what Device.Abort found for a CID.
