@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race vuln check check-fast loc shapes allocs determinism fuzz-smoke bench-test bench-layers bench-pair cover cover-smoke profile
+.PHONY: all build test vet race vuln check check-fast loc shapes events allocs determinism fuzz-smoke bench-test bench-layers bench-pair cover cover-smoke profile
 
 all: build
 
@@ -53,6 +53,16 @@ shapes:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) test ./internal/harness -run '^TestPaperShapes$$' -v > "$$tmp" 2>&1; st=$$?; \
 	sed -n 's/^ *shapes_test\.go:[0-9]*: //p' "$$tmp"; tail -n 1 "$$tmp"; exit $$st
+
+# events prints dispatched engine events per I/O by callback type: for the
+# cam-read-4k shape TestEventsPerIOPinned pins (12 SSDs, 16 batches of 1024
+# 4 KiB reads) and for the four 16-read batches of TestGoldenEventLogs (CAM,
+# BaM, staged SPDK, io_uring poll). The counts are exact and deterministic:
+# the counter a change to the events one simulated I/O costs is judged by.
+events:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) test ./internal/cam ./internal/harness -run '^(TestEventsPerIOPinned|TestGoldenEventLogs)$$' -v > "$$tmp" 2>&1; st=$$?; \
+	sed -n 's/^ *events_\(pinned\|golden\)_test\.go:[0-9]*: //p' "$$tmp"; grep -E '^(ok|FAIL)' "$$tmp"; exit $$st
 
 # allocs prints, one line per quick experiment, the heap objects it
 # allocates and the live heap it leaves behind, then the suite total against

@@ -58,9 +58,12 @@ func logEventMix(t *testing.T, kinds map[string]int, ios int) {
 	sort.Slice(names, func(i, j int) bool {
 		return kinds[names[i]] > kinds[names[j]] || kinds[names[i]] == kinds[names[j]] && names[i] < names[j]
 	})
+	total := 0
 	for _, k := range names {
-		t.Logf("cam-read-4k %-20s %6d events  %.3f per I/O", k, kinds[k], float64(kinds[k])/float64(ios))
+		total += kinds[k]
+		t.Logf("%-13s %-20s %6d events  %.3f per I/O", "cam-read-4k", k, kinds[k], float64(kinds[k])/float64(ios))
 	}
+	t.Logf("%-13s %-20s %6d events  %.3f per I/O", "cam-read-4k", "all", total, float64(total)/float64(ios))
 }
 
 // TestEventsPerIOPinned pins the event mix of the headline read path: the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -120,6 +121,27 @@ func eventLog(t *testing.T, shape int) []byte {
 	return log.Bytes()
 }
 
+// logEventMix logs a shape's events per I/O by callback type, most
+// frequent first (make events prints these lines).
+func logEventMix(t *testing.T, shape string, log []byte) {
+	kinds := map[string]int{}
+	lines := strings.Split(strings.TrimSuffix(string(log), "\n"), "\n")
+	for _, l := range lines {
+		kinds[l[strings.LastIndexByte(l, ' ')+1:]]++
+	}
+	names := make([]string, 0, len(kinds))
+	for k := range kinds {
+		names = append(names, k)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		return kinds[names[i]] > kinds[names[j]] || kinds[names[i]] == kinds[names[j]] && names[i] < names[j]
+	})
+	for _, k := range names {
+		t.Logf("%-13s %-20s %6d events  %.3f per I/O", shape, k, kinds[k], float64(kinds[k])/goldenIOs)
+	}
+	t.Logf("%-13s %-20s %6d events  %.3f per I/O", shape, "all", len(lines), float64(len(lines))/goldenIOs)
+}
+
 // TestGoldenEventLogs replays one 16-read batch on CAM, BaM, staged SPDK and
 // io_uring poll and compares every dispatched event — (due time, sequence,
 // callback type) — with the log committed under testdata/events. A change
@@ -130,6 +152,7 @@ func TestGoldenEventLogs(t *testing.T) {
 	for i, sh := range goldenShapes {
 		t.Run(sh.name, func(t *testing.T) {
 			got := eventLog(t, i)
+			logEventMix(t, sh.name, got)
 			path := filepath.Join("testdata", "events", sh.name+".log")
 			want, err := os.ReadFile(path)
 			if os.IsNotExist(err) {
