@@ -16,6 +16,9 @@ type instantSink struct {
 }
 
 func (s *instantSink) RequestDone(r *Request) {
+	if r.Status != nvme.StatusSuccess {
+		panic("request failed: " + r.Status.String())
+	}
 	s.now = append(s.now, s.e.Now())
 	s.at = append(s.at, r.At)
 }
@@ -51,6 +54,42 @@ func TestRunInstants(t *testing.T) {
 	}
 	if len(sink.at) != 6 {
 		t.Fatalf("%d of 6 reads delivered", len(sink.at))
+	}
+
+	// The same on a device two drivers share: its SQEs wait for their
+	// instants instead of being pushed ahead of the clock, and arrive at
+	// the same ones — so the other driver's read, arriving at 1025 ns,
+	// takes the frontend before the third, arriving at 1230 ns, and
+	// completes first.
+	r = newRig(1)
+	d = New(r.e, DefaultConfig(), r.hm, r.space, r.devs, 1)
+	other := New(r.e, DefaultConfig(), r.hm, r.space, r.devs, 1)
+	r.startAll(d)
+	other.Start()
+	if n := r.devs[0].QueuePairs(); n != 2 {
+		t.Fatalf("the shared device serves %d queue pairs, want 2", n)
+	}
+	buf = r.hm.Alloc("b", 4096)
+	sink = &instantSink{e: r.e}
+	for i := 0; i < 3; i++ {
+		d.Submit(&Request{Op: nvme.OpRead, SLBA: uint64(8 * i), NLB: 8, Addr: buf.Addr, Sink: sink})
+	}
+	late := &instantSink{e: r.e}
+	r.e.Go("other", func(p *sim.Proc) {
+		p.Sleep(S + S/2)
+		other.Submit(&Request{Op: nvme.OpRead, SLBA: 64, NLB: 8, Addr: buf.Addr, Sink: late})
+	})
+	r.e.Run()
+	if len(late.at) != 1 || len(sink.at) != 3 || late.at[0] >= sink.at[2] {
+		t.Errorf("shared device: the other driver's read completed at %v, the third at %v; want it first", late.at, sink.at)
+	}
+	for k := 0; k < 3; k++ {
+		if got, want := r.devs[0].SubmitTime(d.reactors[0].dq[0].qp, uint16(k)), sim.Time(k+1)*S; got != want {
+			t.Errorf("shared device: CID %d arrived at %v, want %v", k, got, want)
+		}
+	}
+	if len(sink.at) != 3 {
+		t.Fatalf("shared device: %d of 3 reads delivered", len(sink.at))
 	}
 
 	// Twelve 512 B reads on one fast device whose pair holds three: nine

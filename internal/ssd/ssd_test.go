@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"camsim/internal/calib"
 	"camsim/internal/hostmem"
 	"camsim/internal/mem"
 	"camsim/internal/nvme"
@@ -350,5 +351,57 @@ func TestStoreShortBuffer(t *testing.T) {
 	}
 	if err := writeLBA(s, 0, 2, make([]byte, nvme.LBASize)); err == nil {
 		t.Fatal("short write buffer accepted")
+	}
+}
+
+// TestRingAtServesAsOfTheInstant: an entry rung ahead of the clock is served
+// as of its instant — its latency counts from there and its media phase
+// starts no earlier — and an error found at fetch posts at the instant, not
+// at the fetch. Both are rung before the controller's first run, so the
+// instants also survive a doorbell that finds the controller busy.
+func TestRingAtServesAsOfTheInstant(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LatencyJitter = 0
+	r := newRig(t, cfg, 64)
+	if n := r.dev.QueuePairs(); n != 1 {
+		t.Fatalf("QueuePairs = %d, want 1", n)
+	}
+	buf := r.hm.Alloc("r", 4096)
+	const readAt, badAt = 5 * sim.Microsecond, 7 * sim.Microsecond
+	for _, c := range []struct {
+		sqe nvme.SQE
+		at  sim.Time
+	}{
+		{nvme.SQE{Opcode: nvme.OpRead, CID: 0, NSID: 1, PRP1: uint64(buf.Addr), NLB: 8}, readAt},
+		{nvme.SQE{Opcode: nvme.Opcode(0x7f), CID: 1, NSID: 1}, badAt},
+	} {
+		if err := r.qp.SQ.Push(c.sqe); err != nil {
+			t.Fatal(err)
+		}
+		r.dev.RingAt(r.qp, c.sqe.CID, c.at)
+	}
+	posted := map[uint16]sim.Time{}
+	r.e.Go("host", func(p *sim.Proc) {
+		for len(posted) < 2 {
+			if c, ok := r.qp.CQ.Poll(); ok {
+				posted[c.CID] = p.Now()
+				continue
+			}
+			if !r.qp.CQ.OnPost.Fired() {
+				p.Wait(r.qp.CQ.OnPost)
+			}
+			r.qp.CQ.OnPost.Reset()
+		}
+	})
+	r.e.Run()
+	if got := r.dev.SubmitTime(r.qp, 0); got != readAt {
+		t.Errorf("read arrived at %v, want %v", got, readAt)
+	}
+	st := r.dev.Stats()
+	if lat := posted[0] - readAt; st.ReadLatSum != lat || lat <= calib.SSDReadLatency() {
+		t.Errorf("read posted at %v: latency sum %v, want %v and above the %v media latency", posted[0], st.ReadLatSum, lat, calib.SSDReadLatency())
+	}
+	if posted[1] != badAt || st.ErrCmds != 1 {
+		t.Errorf("bad opcode posted at %v with %d error commands, want %v and 1", posted[1], st.ErrCmds, badAt)
 	}
 }
