@@ -87,28 +87,25 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	p.block()
 }
 
-// AcquireUpTo blocks p until min units are available, FIFO like Acquire,
-// then holds between min and max of them and reports how many in *grant.
-// Admitted at once it takes as many as are free, up to max; admitted by a
-// Release, it takes min and then — when that Release drains the queue — a
+// AcquireUpTo blocks p until lo units are available, FIFO like Acquire,
+// then holds between lo and hi of them and reports how many in *grant.
+// Admitted at once it takes as many as are free, up to hi; admitted by a
+// Release, it takes lo and then — when that Release drains the queue — a
 // share of what is left once every waiter admitted with it holds its own
 // minimum, handed out in admission order. Deciding the top-up as the
 // waiters are admitted, not as each resumes, keeps the split independent
 // of the order in which the engine resumes them.
-func (r *Resource) AcquireUpTo(p *Proc, min, max int64, grant *int64) {
-	if min <= 0 || min > max || max > r.capacity {
+func (r *Resource) AcquireUpTo(p *Proc, lo, hi int64, grant *int64) {
+	if lo <= 0 || lo > hi || hi > r.capacity {
 		panic("sim: AcquireUpTo bounds out of range on " + r.name)
 	}
-	if r.waiters.len() == 0 && r.inUse+min <= r.capacity {
-		*grant = r.capacity - r.inUse
-		if *grant > max {
-			*grant = max
-		}
+	if r.waiters.len() == 0 && r.inUse+lo <= r.capacity {
+		*grant = min(hi, r.capacity-r.inUse)
 		r.integrate()
 		r.inUse += *grant
 		return
 	}
-	r.waiters.pushBack(resWaiter{cb: p, n: min, upTo: max, grant: grant})
+	r.waiters.pushBack(resWaiter{cb: p, n: lo, upTo: hi, grant: grant})
 	p.block()
 }
 

@@ -218,9 +218,9 @@ func (d *Device) addQP(qp *nvme.QueuePair, depth uint32) {
 // QueuePairs reports how many queue pairs the controller serves.
 func (d *Device) QueuePairs() int { return len(d.qps) }
 
-// SubmitTime reports the arrival instant of the latest command fetched with
-// identifier cid from qp, the instant its latency is counted from (0 if
-// none was).
+// SubmitTime reports the arrival instant of the latest command with
+// identifier cid on qp, the instant its latency is counted from (0 if none
+// arrived).
 func (d *Device) SubmitTime(qp *nvme.QueuePair, cid uint16) sim.Time {
 	for _, q := range d.qps {
 		if q.qp == qp && int(cid) < len(q.cids) {
@@ -360,7 +360,8 @@ type ioCmd struct {
 	phase  uint8
 	// injStatus is a pre-drawn fault verdict: when non-success the command
 	// consumes its normal frontend and media time but moves no data and
-	// completes with this status.
+	// completes with this status. A cmdFetchErr command posts it at its
+	// arrival instant.
 	injStatus nvme.Status
 	// aborted marks a command the host gave up on (Device.Abort): it still
 	// runs its pipeline out but its CQE is suppressed, so the host can
