@@ -236,14 +236,14 @@ var quick map[string]*Result
 func quickResults(t *testing.T) map[string]*Result {
 	t.Helper()
 	if quick == nil {
-		quick = claimResults(t, RunConfig{Quick: true})
+		quick = claimResults(t, RunConfig{Quick: true}, 4)
 	}
 	return quick
 }
 
-// claimResults runs every experiment a claim reads under cfg, four at a
+// claimResults runs every experiment a claim reads under cfg, workers at a
 // time.
-func claimResults(t *testing.T, cfg RunConfig) map[string]*Result {
+func claimResults(t *testing.T, cfg RunConfig, workers int) map[string]*Result {
 	t.Helper()
 	var todo []Experiment
 	for i, c := range claims {
@@ -253,7 +253,7 @@ func claimResults(t *testing.T, cfg RunConfig) map[string]*Result {
 			todo = append(todo, e)
 		}
 	}
-	res, err := RunAll(todo, cfg, 4, nil)
+	res, err := RunAll(todo, cfg, workers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,12 +298,14 @@ func TestPaperShapes(t *testing.T) { checkClaims(t, "") }
 // order (sim.Engine.PermuteTies), under eight seeds. Which of two events due
 // at one instant runs first is arbitrary, so no claim may depend on it, and
 // every sort, GEMM and KV checksum must still verify: the experiments panic
-// on a verification failure, which fails the seed.
+// on a verification failure, which fails the seed. The seeds run in
+// parallel, each experiment after the other, so a seed holds one
+// experiment's memory at a time.
 func TestPaperShapesPermutedTies(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			checkClaimsOn(t, claimResults(t, RunConfig{Quick: true, tieSeed: seed}), "")
+			checkClaimsOn(t, claimResults(t, RunConfig{Quick: true, tieSeed: seed}, 1), "")
 		})
 	}
 }
