@@ -125,9 +125,9 @@ type Batch struct {
 	published sim.Time
 	completed sim.Time
 	errors    int
-	// remaining counts outstanding NVMe commands, plus one publishing hold
-	// while the polling thread is still submitting.
-	remaining int
+	// fan counts outstanding NVMe commands, plus one publishing hold while
+	// the polling thread is still submitting.
+	fan spdk.FanIn
 }
 
 // Run fires the batch's completion signal; the manager schedules the batch
@@ -171,6 +171,9 @@ type Manager struct {
 	fab   *pcie.Fabric
 	devs  []*ssd.Device
 	drv   *spdk.Driver
+	// sink receives the command completions: the manager itself, unless a
+	// test wraps it to watch each command's instant.
+	sink spdk.Completion
 
 	// The four sync regions (see package comment).
 	region1 *hostmem.Buffer // LBA arrays, MaxOutstanding slots
@@ -281,6 +284,7 @@ func New(e *sim.Engine, cfg Config, g *gpu.GPU, hm *hostmem.Memory, space *mem.S
 		batchQ:   sim.NewStore[*Batch](e, "cam.batches"),
 		slotRes:  e.NewResource("cam.slots", int64(cfg.MaxOutstanding)),
 	}
+	m.sink = m
 	m.r1 = m.region1.MakeEager()
 	m.r2 = m.region2.MakeEager()
 	m.r3 = m.region3.MakeEager()
@@ -569,7 +573,7 @@ func (m *Manager) dispatchBatch(b *Batch) {
 	blockLBAs := uint32(blockBytes / nvme.LBASize)
 	// Hold the fan-in counter above zero until every command of the
 	// batch is submitted, then drop the hold.
-	b.remaining = 1
+	b.fan.Add(1)
 	r1 := m.r1[int64(b.slot)*int64(m.cfg.MaxBatch)*8:]
 	for i := 0; i < count; i++ {
 		ent := r1[i*entry:]
@@ -582,8 +586,8 @@ func (m *Manager) dispatchBatch(b *Batch) {
 		req.Op, req.Dev, req.SLBA = nvop, dev, lba
 		req.NLB = blockLBAs
 		req.Addr = dest + mem.Addr(off)
-		req.Sink, req.Tag = m, b
-		b.remaining++
+		req.Sink, req.Tag = m.sink, b
+		b.fan.Add(1)
 		m.stats.Commands++
 		m.drv.Submit(req)
 	}
@@ -596,36 +600,22 @@ func (m *Manager) dispatchBatch(b *Batch) {
 	} else {
 		m.stats.BytesWritten += int64(count) * blockBytes
 	}
-	m.batchRef(b, -1, m.e.Now()) // release the publishing hold
+	b.fan.Release(m.e, m.e.Now(), (*batchFinish)(b)) // the publishing hold
 }
 
 // RequestDone implements spdk.Completion: fan one command completion into
-// the batch counter (reactor context). The batch finishes at its last
-// command's instant.
+// the batch counter (reactor context). The batch finishes at the latest
+// instant among its commands.
 func (m *Manager) RequestDone(r *spdk.Request) {
 	b := r.Tag.(*Batch)
 	if r.Status != nvme.StatusSuccess {
 		b.errors++
 		m.stats.FailedRequests++
 	}
-	m.batchRef(b, -1, r.At)
+	b.fan.Release(m.e, r.At, (*batchFinish)(b))
 }
 
-// batchRef adjusts a batch's outstanding-command count, finishing the batch
-// at instant at when it reaches zero.
-func (m *Manager) batchRef(b *Batch, delta int, at sim.Time) {
-	b.remaining += delta
-	if b.remaining != 0 {
-		return
-	}
-	if now := m.e.Now(); at > now {
-		m.e.ScheduleCallback(at-now, (*batchFinish)(b))
-		return
-	}
-	m.finishBatch(b)
-}
-
-// batchFinish is a batch's finishing event, at its last command's instant.
+// batchFinish is a batch's finishing event.
 type batchFinish Batch
 
 func (f *batchFinish) Run() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"camsim/internal/sim"
+	"camsim/internal/spdk"
 )
 
 // runPinnedRead drives the cam-read-4k shape at test scale: 12 SSDs, 16
@@ -75,7 +76,7 @@ func logEventMix(t *testing.T, kinds map[string]int, ios int) {
 // prints the mix by callback type.
 func TestEventsPerIOPinned(t *testing.T) {
 	const (
-		wantDispatched = 57889
+		wantDispatched = 57884
 		wantEnd        = sim.Time(3369055)
 	)
 	r, end, kinds := runPinnedRead(t, 16)
@@ -86,5 +87,65 @@ func TestEventsPerIOPinned(t *testing.T) {
 		t.Fatalf("dispatched %d events, clock %d ns; want %d and %d (%.2f events per I/O)",
 			qs.Dispatched, int64(end), uint64(wantDispatched), int64(wantEnd),
 			float64(qs.Dispatched)/float64(16*1024))
+	}
+}
+
+// instantSink records, per batch, the latest instant among its commands'
+// completions before handing each to the manager.
+type instantSink struct {
+	m    *Manager
+	last map[*Batch]sim.Time
+}
+
+func (s *instantSink) RequestDone(r *spdk.Request) {
+	b := r.Tag.(*Batch)
+	s.last[b] = max(s.last[b], r.At)
+	s.m.RequestDone(r)
+}
+
+// TestBatchFinishesAtItsLatestInstant: on the pinned shape's six reactors,
+// each running ahead of the engine on its own timeline, the last command
+// delivered to a batch need not carry its latest instant; the batch must
+// still finish exactly at that latest instant, never before a command's
+// completion.
+func TestBatchFinishesAtItsLatestInstant(t *testing.T) {
+	const ssds, batchBlocks, batches = 12, 256, 8
+	cfg := DefaultConfig(ssds)
+	cfg.MaxBatch = batchBlocks
+	r := newRig(ssds, cfg)
+	defer r.e.Shutdown()
+	if n := r.m.ActiveCores(); n < 2 {
+		t.Fatalf("%d reactors, want several", n)
+	}
+	sink := &instantSink{m: r.m, last: map[*Batch]sim.Time{}}
+	r.m.sink = sink
+	buf := r.m.Alloc("dst", batches*batchBlocks*cfg.BlockBytes)
+	rng := sim.NewRNG(3)
+	type done struct {
+		last, finished sim.Time
+	}
+	var got []done
+	r.e.Go("gpu", func(p *sim.Proc) {
+		var hs []*Batch
+		for b := 0; b < batches; b++ {
+			blocks := make([]uint64, batchBlocks)
+			for i := range blocks {
+				blocks[i] = uint64(rng.Int63n(1 << 22))
+			}
+			hs = append(hs, r.m.Prefetch(p, blocks, buf, int64(b)*batchBlocks*cfg.BlockBytes))
+		}
+		for _, b := range hs {
+			r.m.Synchronize(p, b)
+			got = append(got, done{sink.last[b], b.completed - r.fab.MMIODelay()})
+		}
+	})
+	r.e.Run()
+	if len(got) != batches {
+		t.Fatalf("%d batches finished, want %d", len(got), batches)
+	}
+	for i, d := range got {
+		if d.finished != d.last {
+			t.Errorf("batch %d finished at %d ns, its latest command completed at %d ns", i, int64(d.finished), int64(d.last))
+		}
 	}
 }

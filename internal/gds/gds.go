@@ -76,15 +76,12 @@ func (d *Driver) WriteAsync(off, n int64, srcAddr mem.Addr, done *sim.Signal) {
 // submissions with completion fan-in. Machines recycle through the driver's
 // free list.
 type ioMachine struct {
-	d         *Driver
-	op        nvme.Opcode
-	off, n    int64
-	addr      mem.Addr
-	remaining int
-	done      *sim.Signal
-	// issued marks the hardware path submitted: the machine's next Run is
-	// its last command's completion instant.
-	issued bool
+	d      *Driver
+	op     nvme.Opcode
+	off, n int64
+	addr   mem.Addr
+	fan    spdk.FanIn
+	done   *sim.Signal
 }
 
 // ioAsync claims the software-path window at call time (the path's
@@ -108,19 +105,13 @@ func (d *Driver) ioAsync(op nvme.Opcode, off, n int64, addr mem.Addr, done *sim.
 	d.e.ScheduleCallback(end-d.e.Now(), m)
 }
 
-// Run submits the hardware path once the software window closes, and
-// fires done at the last command's completion instant (engine-callback
-// context).
+// Run submits the hardware path once the software window closes
+// (engine-callback context).
 func (m *ioMachine) Run() {
-	if m.issued {
-		m.fire()
-		return
-	}
-	m.issued = true
 	d := m.d
 	// Hardware path: split on stripes and MDTS, direct to GPU.
 	off, n, addr := m.off, m.n, m.addr
-	m.remaining = 1 // submission hold, dropped below
+	m.fan.Add(1) // submission hold, dropped below
 	for n > 0 {
 		chunk := calib.RAID0Stripe() - off%calib.RAID0Stripe()
 		if chunk > n {
@@ -135,33 +126,24 @@ func (m *ioMachine) Run() {
 		r.NLB = uint32(chunk / nvme.LBASize)
 		r.Addr = addr
 		r.Sink, r.Tag = m, nil
-		m.remaining++
+		m.fan.Add(1)
 		d.nv.Submit(r)
 		off += chunk
 		addr += mem.Addr(chunk)
 		n -= chunk
 	}
-	m.finish(d.e.Now())
+	m.fan.Release(d.e, d.e.Now(), (*ioFire)(m))
 }
 
 // RequestDone implements spdk.Completion: fan one NVMe completion into the
 // machine (reactor context).
-func (m *ioMachine) RequestDone(r *spdk.Request) { m.finish(r.At) }
+func (m *ioMachine) RequestDone(r *spdk.Request) { m.fan.Release(m.d.e, r.At, (*ioFire)(m)) }
 
-// finish drops one hold on the machine, a command that completed at instant
-// at or the submission's, and fires done at at once none is left.
-func (m *ioMachine) finish(at sim.Time) {
-	if m.remaining--; m.remaining != 0 {
-		return
-	}
-	if now := m.d.e.Now(); at > now {
-		m.d.e.ScheduleCallback(at-now, m)
-		return
-	}
-	m.fire()
-}
+// ioFire fires the machine's done signal once its last command completed.
+type ioFire ioMachine
 
-func (m *ioMachine) fire() {
+func (f *ioFire) Run() {
+	m := (*ioMachine)(f)
 	d, done := m.d, m.done
 	*m = ioMachine{}
 	d.freeIO.Put(m)

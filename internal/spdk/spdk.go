@@ -95,11 +95,39 @@ type RecoveryStats struct {
 //
 // A completion run delivers each request as it routes it, ahead of the
 // instant the per-request cost puts it at: RequestDone may run before r.At,
-// the completion's instant. A sink whose fan-in reaches zero schedules its
-// finishing work at r.At — one event per batch, where the reactor spends
-// none per request.
+// the completion's instant. A sink that counts a batch down (FanIn)
+// finishes it at the latest instant among its requests — one event per
+// batch, where the reactor spends none per request.
 type Completion interface {
 	RequestDone(r *Request)
+}
+
+// FanIn counts a batch's outstanding holds down to zero and runs the
+// batch's finishing callback at the latest instant any hold was released
+// at. Each reactor delivers ahead of the engine's clock on its own
+// timeline, so with several reactors the last delivery need not carry the
+// latest instant.
+type FanIn struct {
+	n    int
+	last sim.Time
+}
+
+// Add takes n more holds.
+func (f *FanIn) Add(n int) { f.n += n }
+
+// Release drops one hold, released at instant at. Once none is left, done
+// runs at the latest instant: at once if that is now, else by one event.
+func (f *FanIn) Release(e *sim.Engine, at sim.Time, done sim.Callback) {
+	f.last = max(f.last, at)
+	if f.n--; f.n != 0 {
+		return
+	}
+	at, f.last = f.last, 0
+	if now := e.Now(); at > now {
+		e.ScheduleCallback(at-now, done)
+		return
+	}
+	done.Run()
 }
 
 // Request is one asynchronous NVMe command through the driver. A request

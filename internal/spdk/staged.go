@@ -73,11 +73,8 @@ type stagedMachine struct {
 	slba      uint64
 	buf       *gpu.Buffer
 	bufOff, n int64
-	remaining int
-	// landed marks a fan-in that reached zero ahead of the clock: the
-	// machine's next Run is its last command's completion instant.
-	landed bool
-	onDone sim.Callback
+	fan       FanIn
+	onDone    sim.Callback
 }
 
 // submit issues the granule's MDTS-split commands with the machine as the
@@ -87,7 +84,7 @@ func (m *stagedMachine) submit(op nvme.Opcode) {
 	if m.n > s.staging.Size() || m.n%nvme.LBASize != 0 {
 		panic("spdk: granule must be a multiple of 512 that fits the staging buffer")
 	}
-	m.remaining = 1 // submission hold
+	m.fan.Add(1) // submission hold
 	var off int64
 	for off < m.n {
 		chunk := m.n - off
@@ -100,33 +97,24 @@ func (m *stagedMachine) submit(op nvme.Opcode) {
 		r.NLB = uint32(chunk / nvme.LBASize)
 		r.Addr = s.staging.Addr + mem.Addr(off)
 		r.Sink = m
-		m.remaining++
+		m.fan.Add(1)
 		s.d.Submit(r)
 		off += chunk
 	}
-	m.fanin(s.d.e.Now())
+	m.fan.Release(s.d.e, s.d.e.Now(), (*stagedDrained)(m))
 }
 
 // RequestDone implements Completion (reactor context).
-func (m *stagedMachine) RequestDone(r *Request) { m.fanin(r.At) }
-
-// fanin drops one hold on the machine, a command that completed at instant
-// at or the submission's; the last one moves the granule on at at.
-func (m *stagedMachine) fanin(at sim.Time) {
-	if m.remaining--; m.remaining != 0 {
-		return
-	}
-	if now := m.s.d.e.Now(); at > now {
-		m.landed = true
-		m.s.d.e.ScheduleCallback(at-now, m)
-		return
-	}
-	m.drained()
+func (m *stagedMachine) RequestDone(r *Request) {
+	m.fan.Release(m.s.d.e, r.At, (*stagedDrained)(m))
 }
 
-// drained moves the granule on once its last command completed: a read's
-// memcpy to the GPU, or a write's end.
-func (m *stagedMachine) drained() {
+// stagedDrained moves the granule on once its last command completed: a
+// read's memcpy to the GPU, or a write's end.
+type stagedDrained stagedMachine
+
+func (d *stagedDrained) Run() {
+	m := (*stagedMachine)(d)
 	s := m.s
 	if m.read {
 		// All chunks landed in staging: one memcpy per granule moves it to
@@ -140,16 +128,10 @@ func (m *stagedMachine) drained() {
 	m.finish()
 }
 
-// Run resumes the machine at its last command's completion instant, or
-// after a scheduled copy completes: for reads this is the final hop; for
-// writes it is the staging copy, which unblocks the SSD submissions
-// (engine-callback context).
+// Run resumes the machine after a scheduled copy completes: for reads this
+// is the final hop; for writes it is the staging copy, which unblocks the
+// SSD submissions (engine-callback context).
 func (m *stagedMachine) Run() {
-	if m.landed {
-		m.landed = false
-		m.drained()
-		return
-	}
 	if m.read {
 		m.finish()
 		return
