@@ -26,8 +26,8 @@ func TestKVServeEarlyWaiterSeeds(t *testing.T) {
 // TestKVServePinned serves the benchmark's kv-serve shape on CAM and holds
 // the tier's decisions, the makespan and every session checksum to recorded
 // values (taken at a9ab219, re-recorded when a blocked kernel's thread
-// top-up moved to its admission and when the SPDK reactor began paying its
-// costs per run): a host-side change to internal/kvcache must reproduce
+// top-up moved to its admission, when the SPDK reactor began paying its
+// costs per run and when its host-DRAM crossings moved to their instants): a host-side change to internal/kvcache must reproduce
 // them bit for bit. Seeds 11 and 67 are two of the six that
 // bench/wl_kv.go folds away, so the benchmark's identity check never sees
 // them.
@@ -58,7 +58,7 @@ var kvPinned = []struct {
 	end    sim.Time
 	sums   [12]uint64
 }{
-	{1, [6]uint64{132143, 62005, 881, 62886, 27588, 61012}, 1071617488, [12]uint64{
+	{1, [6]uint64{132073, 62068, 888, 62956, 27589, 61083}, 1072070746, [12]uint64{
 		0xe0360a0ca2b54d5e, 0x1124e9224c4b9104, 0x220713a35c395b3f, 0xa315d21e186d1d79, 0xea19f021a0996e3e, 0x5b4abad6ad326add,
 		0x631f2a077eea6f2e, 0x3fbc1bbe090d4513, 0x57e36fec83335b70, 0x39567624d9a3dda9, 0x5b2f2adaaa678a7b, 0x6c5b746d5e9666c6}},
 	{11, [6]uint64{131959, 62197, 937, 63134, 27591, 61257}, 1070716432, [12]uint64{

@@ -111,11 +111,6 @@ func (b *Buffer) MakeEager() []byte { return b.pay.Bytes() }
 // streaming reads out of it each count as one crossing.
 func (m *Memory) ReserveTraffic(n int64) sim.Time { return m.link.Reserve(n) }
 
-// ReserveTrafficAt is ReserveTraffic for a crossing issued at instant at,
-// no earlier than now (a reactor accounting its CPU time ahead of the
-// clock).
-func (m *Memory) ReserveTrafficAt(n int64, at sim.Time) sim.Time { return m.link.ReserveAt(n, at) }
-
 // TotalTraffic reports all bytes that crossed DRAM.
 func (m *Memory) TotalTraffic() int64 { return m.link.TotalBytes() }
 

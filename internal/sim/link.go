@@ -40,12 +40,8 @@ func (l *Link) xferTime(n int64) Time {
 // Reserve books n bytes on the link and returns the virtual time the
 // transfer completes. It never blocks; callers schedule their own
 // continuation (or Sleep until the returned time).
-func (l *Link) Reserve(n int64) Time { return l.ReserveAt(n, l.e.now) }
-
-// ReserveAt is Reserve for a transfer issued at instant at, no earlier than
-// now: it starts no earlier than at.
-func (l *Link) ReserveAt(n int64, at Time) Time {
-	start := at
+func (l *Link) Reserve(n int64) Time {
+	start := l.e.now
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}

@@ -1,6 +1,7 @@
 package spdk
 
 import (
+	"slices"
 	"testing"
 
 	"camsim/internal/calib"
@@ -8,10 +9,11 @@ import (
 	"camsim/internal/sim"
 )
 
-// instantSink records each delivery: the engine's clock when the reactor
-// routed it, and the completion instant it carries.
+// instantSink records each delivery: its opcode, the engine's clock when
+// the reactor routed it, and the completion instant it carries.
 type instantSink struct {
 	e       *sim.Engine
+	op      []nvme.Opcode
 	now, at []sim.Time
 }
 
@@ -19,6 +21,7 @@ func (s *instantSink) RequestDone(r *Request) {
 	if r.Status != nvme.StatusSuccess {
 		panic("request failed: " + r.Status.String())
 	}
+	s.op = append(s.op, r.Op)
 	s.now = append(s.now, s.e.Now())
 	s.at = append(s.at, r.At)
 }
@@ -92,20 +95,20 @@ func TestRunInstants(t *testing.T) {
 		t.Fatalf("shared device: %d of 3 reads delivered", len(sink.at))
 	}
 
-	// Twelve 512 B reads on one fast device whose pair holds three: nine
-	// wait in the deferred queue, and the first nine completions each admit
-	// one. CQEs post faster than the reactor routes them, so runs route
-	// several.
+	// Twelve 512 B reads into GPU memory on one fast device whose pair
+	// holds three: nine wait in the deferred queue, and the first nine
+	// completions each admit one. CQEs post faster than the reactor routes
+	// them, so runs route several.
 	r = newRigIOPS(1, 10e6)
 	cfg := DefaultConfig()
 	cfg.QueueDepth = 4
 	d = New(r.e, cfg, r.hm, r.space, r.devs, 1)
 	r.startAll(d)
-	buf = r.hm.Alloc("b", 4096)
+	gbuf := r.g.AllocPinned("b", 4096)
 	sink = &instantSink{e: r.e}
 	const n, deferred = 12, 9
 	for i := 0; i < n; i++ {
-		d.Submit(&Request{Op: nvme.OpRead, SLBA: uint64(i), NLB: 1, Addr: buf.Addr, Sink: sink})
+		d.Submit(&Request{Op: nvme.OpRead, SLBA: uint64(i), NLB: 1, Addr: gbuf.Addr, Sink: sink})
 	}
 	r.e.Run()
 	if len(sink.at) != n {
@@ -129,5 +132,57 @@ func TestRunInstants(t *testing.T) {
 	}
 	if longest < 2 {
 		t.Errorf("no completion run routed more than one CQE; the check needs one")
+	}
+}
+
+// TestHostDRAMCrossingsAtTheirInstants: every reactor books the one host
+// DRAM link, a FIFO that fills no gaps, so a crossing booked ahead of the
+// clock would delay another reactor's earlier one. Reads into host DRAM
+// are therefore routed when their instant comes, and writes from it pushed
+// then, on two reactors at once: each read is delivered at the instant it
+// carries, and each write's SQE arrives at a reactor event.
+func TestHostDRAMCrossingsAtTheirInstants(t *testing.T) {
+	S := calib.SPDKSubmitCost()
+	r := newRigIOPS(2, 10e6)
+	d := New(r.e, DefaultConfig(), r.hm, r.space, r.devs, 2)
+	r.startAll(d)
+	buf := r.hm.Alloc("b", 4096)
+	var steps []sim.Time
+	r.e.OnDispatch(func(at sim.Time, _ uint64, cb sim.Callback) {
+		if _, ok := cb.(*reactorStep); ok {
+			steps = append(steps, at)
+		}
+	})
+	sink := &instantSink{e: r.e}
+	const n = 24
+	for i := 0; i < n; i++ {
+		op := nvme.OpRead
+		if i%4 >= 2 {
+			op = nvme.OpWrite
+		}
+		d.Submit(&Request{Op: op, Dev: i % 2, SLBA: uint64(i), NLB: 1, Addr: buf.Addr, Sink: sink})
+	}
+	r.e.Run()
+	if len(sink.at) != n {
+		t.Fatalf("%d of %d requests delivered", len(sink.at), n)
+	}
+	for k := range sink.at {
+		if sink.op[k] == nvme.OpRead && sink.now[k] != sink.at[k] {
+			t.Errorf("read delivery %d routed at %v, ahead of its instant %v", k, sink.now[k], sink.at[k])
+		}
+	}
+	// Each device has its own reactor, and CIDs 1 and 3 of each are
+	// writes, arriving in the reactor's first submission run.
+	for dev := 0; dev < 2; dev++ {
+		qp := d.reactors[dev].dq[dev].qp
+		for _, cid := range []uint16{1, 3} {
+			at := r.devs[dev].SubmitTime(qp, cid)
+			if want := sim.Time(cid+1) * S; at != want {
+				t.Errorf("device %d write CID %d arrived at %v, want %v", dev, cid, at, want)
+			}
+			if !slices.Contains(steps, at) {
+				t.Errorf("device %d write CID %d arrived at %v, between reactor events", dev, cid, at)
+			}
+		}
 	}
 }

@@ -164,6 +164,9 @@ type Request struct {
 	At sim.Time
 
 	pooled bool
+	// dram marks a buffer in host DRAM (set by Submit): the data crosses
+	// DRAM, a link every reactor shares, at the command's instant.
+	dram bool
 	// attempts counts submissions (1 = first try).
 	attempts int
 }
@@ -393,6 +396,8 @@ func (d *Driver) Submit(r *Request) {
 	if r.Sink == nil {
 		r.Done.Init(d.e, "spdkreq")
 	}
+	_, _, kind, err := d.space.ResolvePayload(r.Addr, 1)
+	r.dram = err == nil && kind == mem.HostDRAM
 	rc := d.reactorFor(r.Dev)
 	rc.queue.Put(r)
 	// Wake the reactor if it is idle-sleeping (idempotent when already
@@ -410,15 +415,16 @@ func MaxTransfer() int64 { return maxXfer }
 // reactorStep phases. Phases marked (resume) are re-entry points after a
 // self-scheduled callback or a wake; the rest are internal sweep positions.
 const (
-	rpIterStart  uint8 = iota // top of a sweep: collect due retries
-	rpSubmitRun               // submission run: due retries, then the app queue
-	rpPollCQ                  // completion runs, one queue pair at a time
-	rpPushHeld                // (resume) a held SQE's instant came: push it
-	rpExpire                  // scanning in-flight deadlines
-	rpExpireCont              // post-expiry dead-device check
-	rpIdleCheck               // end of sweep: idle accounting decision
-	rpIdleSlept               // (resume) idle poll-iteration cost elapsed
-	rpSigWake                 // (resume) woken by the wake signal or a due deadline
+	rpIterStart    uint8 = iota // top of a sweep: collect due retries
+	rpSubmitRun                 // submission run: due retries, then the app queue
+	rpPollCQ                    // completion runs, one queue pair at a time
+	rpPushHeld                  // (resume) a held SQE's instant came: push it
+	rpCompleteHeld              // (resume) a held CQE's instant came: route it
+	rpExpire                    // scanning in-flight deadlines
+	rpExpireCont                // post-expiry dead-device check
+	rpIdleCheck                 // end of sweep: idle accounting decision
+	rpIdleSlept                 // (resume) idle poll-iteration cost elapsed
+	rpSigWake                   // (resume) woken by the wake signal or a due deadline
 )
 
 // reactorStep is the reactor polling loop as an engine-callback state
@@ -434,14 +440,17 @@ const (
 // the sweep goes on exactly where a per-command loop would. Every command
 // and every completion keeps the instant the per-command loop gives it.
 //
-// Two exceptions spend an event where the loop did. A device with more
-// than one queue pair (several drivers on one SSD, as in abl-multigpu)
-// cannot take an SQE ahead of the clock — another host's command arriving
-// in between would be served after it — so such an SQE is pushed when its
-// instant comes. And an idle sweep parks on the wake at once instead of
-// spending an event on its poll iteration, unless a wake already stands
-// fired or a deadline falls inside the iteration; a wake that comes before
-// the iteration would have ended resumes the sweep at that end.
+// Work that books something shared beyond this reactor cannot be done
+// ahead of the clock — another host or reactor booking it in between, for
+// an earlier instant, would be served after it — so it waits for its
+// instant, one event each, where the loop spent one too: an SQE for a
+// device with more than one queue pair (several drivers on one SSD, as in
+// abl-multigpu), and an SQE or CQE whose data crosses host DRAM (the
+// hostmem link is FIFO and every reactor books it). And an idle sweep
+// parks on the wake at once instead of spending an event on its poll
+// iteration, unless a wake already stands fired or a deadline falls inside
+// the iteration; a wake that comes before the iteration would have ended
+// resumes the sweep at that end.
 type reactorStep struct {
 	r     *Reactor
 	phase uint8 // current sweep position / resume point
@@ -463,11 +472,13 @@ type reactorStep struct {
 	// devIdx is the CQ-poll position within r.devs.
 	devIdx int
 
-	// held is a submission to a device shared with another host, waiting
-	// for the engine's clock to reach its instant; heldRet is the phase to
-	// re-enter once it is pushed.
+	// held is a submission waiting for the engine's clock to reach its
+	// instant; heldRet is the phase to re-enter once it is pushed.
 	held    *Request
 	heldRet uint8
+	// heldCQE, on heldDQ, is a completion waiting likewise.
+	heldCQE nvme.CQE
+	heldDQ  *devQueue
 
 	// expDev/expCid are the deadline-scan position; expNow is the time the
 	// scan started, which deadlines are compared against even after
@@ -576,6 +587,12 @@ func (s *reactorStep) Run() {
 				}
 				s.progressed = true
 				s.t += calib.SPDKCompleteCost()
+				if now := e.Now(); s.t > now && dq.tags.Owner(cqe.CID).landsInDRAM() {
+					s.heldCQE, s.heldDQ = cqe, dq
+					s.phase = rpCompleteHeld
+					e.ScheduleCallback(s.t-now, s)
+					return
+				}
 				s.complete(dq, cqe)
 				// Admit a deferred request if any.
 				if next, ok := r.pending.TryGet(); ok && s.submit(next) {
@@ -593,6 +610,14 @@ func (s *reactorStep) Run() {
 			s.push(s.held)
 			s.held = nil
 			s.phase = s.heldRet
+
+		case rpCompleteHeld:
+			s.complete(s.heldDQ, s.heldCQE)
+			s.heldDQ = nil
+			s.phase = rpPollCQ
+			if next, ok := r.pending.TryGet(); ok && s.submit(next) {
+				return
+			}
 
 		case rpExpire:
 			// Abort commands whose deadline passed, synthesizing
@@ -762,7 +787,7 @@ func (s *reactorStep) submit(req *Request) bool {
 	}
 	dq.busy++
 	s.t += calib.SPDKSubmitCost()
-	if r.d.devs[di].QueuePairs() > 1 {
+	if r.d.devs[di].QueuePairs() > 1 || req.Op == nvme.OpWrite && req.dram {
 		if now := r.d.e.Now(); s.t > now {
 			s.held, s.heldRet = req, s.phase
 			s.phase = rpPushHeld
@@ -794,9 +819,9 @@ func (s *reactorStep) push(req *Request) {
 		panic("spdk: SQ overflow despite slot limiter: " + err.Error())
 	}
 	// Writes whose source is host DRAM cost a DRAM read crossing when the
-	// device fetches the data.
-	if req.Op == nvme.OpWrite && r.isHostAddr(req.Addr) {
-		r.d.hm.ReserveTrafficAt(req.Bytes(), s.t)
+	// device fetches the data; submit held them until their instant.
+	if req.Op == nvme.OpWrite && req.dram {
+		r.d.hm.ReserveTraffic(req.Bytes())
 	}
 	r.d.devs[di].RingAt(dq.qp, cid, s.t)
 }
@@ -807,9 +832,10 @@ func (s *reactorStep) complete(dq *devQueue, cqe nvme.CQE) {
 	r.Stat.Instructions += calib.SPDKCompleteInstr()
 	r.Stat.ChargeCycles(s.completeCycles)
 	req := dq.tags.Free(cqe.CID)
-	// Reads that landed in host DRAM cost one DRAM write crossing.
-	if req.Op == nvme.OpRead && r.isHostAddr(req.Addr) {
-		r.d.hm.ReserveTrafficAt(req.Bytes(), s.t)
+	// Reads that landed in host DRAM cost one DRAM write crossing; the
+	// poll held them until their instant.
+	if req.landsInDRAM() {
+		r.d.hm.ReserveTraffic(req.Bytes())
 	}
 	req.Status = cqe.Status
 	r.Stat.Done(1)
@@ -1031,8 +1057,5 @@ func (c *cqRelay) Run() {
 	c.r.wake.Fire()
 }
 
-// isHostAddr reports whether addr is host DRAM.
-func (r *Reactor) isHostAddr(addr mem.Addr) bool {
-	_, _, kind, err := r.d.space.ResolvePayload(addr, 1)
-	return err == nil && kind == mem.HostDRAM
-}
+// landsInDRAM reports whether the request is a read into host DRAM.
+func (r *Request) landsInDRAM() bool { return r.Op == nvme.OpRead && r.dram }
