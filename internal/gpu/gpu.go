@@ -59,9 +59,6 @@ type GPU struct {
 	// threads is the pool of resident thread slots across all SMs; both
 	// compute kernels and (for BaM) I/O submission warps draw from it.
 	threads *sim.Resource
-	// grants carves the word each blocked kernel launch is told its thread
-	// grant in (sim.Resource.AcquireUpTo).
-	grants sim.FreeList[int64]
 
 	arena     *mem.Arena
 	space     *mem.Space
@@ -243,10 +240,7 @@ func (g *GPU) RunKernel(p *sim.Proc, spec KernelSpec) {
 	// available and then hold what the admitting release leaves over — a
 	// real scheduler would dispatch the waiting blocks onto SMs as they
 	// drain.
-	rec := g.grants.Get()
-	g.threads.AcquireUpTo(p, min, want, rec)
-	grant := *rec
-	g.grants.Put(rec)
+	grant := g.threads.AcquireUpTo(p, min, want)
 	dur := sim.Time(float64(spec.FullOccupancyTime) * float64(want) / float64(grant))
 	g.tracer.Emit(trace.KernelStart, g.Name, spec.Name, grant)
 	p.Sleep(dur)

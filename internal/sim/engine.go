@@ -277,6 +277,9 @@ type Proc struct {
 	killed bool
 	// liveIdx is this process's index in e.live, -1 when not live.
 	liveIdx int
+	// grant is what Resource.AcquireUpTo admitted the blocked process
+	// with.
+	grant int64
 }
 
 // Name reports the name the process was started with.

@@ -23,10 +23,11 @@ type Resource struct {
 type resWaiter struct {
 	cb Callback
 	n  int64
-	// upTo and grant make the waiter elastic (AcquireUpTo): admitted with
-	// n, it tops up toward upTo, and *grant receives what it holds.
-	upTo  int64
-	grant *int64
+	// upTo and elastic make the waiter elastic (AcquireUpTo): admitted
+	// with n, it tops up toward upTo, and elastic.grant receives what it
+	// holds.
+	upTo    int64
+	elastic *Proc
 }
 
 // NewResource creates a resource with the given capacity (> 0).
@@ -88,25 +89,26 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 }
 
 // AcquireUpTo blocks p until lo units are available, FIFO like Acquire,
-// then holds between lo and hi of them and reports how many in *grant.
+// then holds between lo and hi of them and returns how many.
 // Admitted at once it takes as many as are free, up to hi; admitted by a
 // Release, it takes lo and then — when that Release drains the queue — a
 // share of what is left once every waiter admitted with it holds its own
 // minimum, handed out in admission order. Deciding the top-up as the
 // waiters are admitted, not as each resumes, keeps the split independent
 // of the order in which the engine resumes them.
-func (r *Resource) AcquireUpTo(p *Proc, lo, hi int64, grant *int64) {
+func (r *Resource) AcquireUpTo(p *Proc, lo, hi int64) int64 {
 	if lo <= 0 || lo > hi || hi > r.capacity {
 		panic("sim: AcquireUpTo bounds out of range on " + r.name)
 	}
 	if r.waiters.len() == 0 && r.inUse+lo <= r.capacity {
-		*grant = min(hi, r.capacity-r.inUse)
+		grant := min(hi, r.capacity-r.inUse)
 		r.integrate()
-		r.inUse += *grant
-		return
+		r.inUse += grant
+		return grant
 	}
-	r.waiters.pushBack(resWaiter{cb: p, n: lo, upTo: hi, grant: grant})
+	r.waiters.pushBack(resWaiter{cb: p, n: lo, upTo: hi, elastic: p})
 	p.block()
+	return p.grant
 }
 
 // AcquireCallback is the callback-machine form of Acquire: it reports true
@@ -170,11 +172,11 @@ func (r *Resource) Release(n int64) {
 	}
 	for ; k > 0; k-- {
 		w := r.waiters.popFront()
-		if w.grant != nil {
+		if w.elastic != nil {
 			extra := min(w.upTo-w.n, spare)
 			spare -= extra
 			w.n += extra
-			*w.grant = w.n
+			w.elastic.grant = w.n
 		}
 		r.inUse += w.n
 		r.e.ScheduleCallback(0, w.cb)

@@ -220,19 +220,19 @@ func TestResourceAcquireUpTo(t *testing.T) {
 		r := e.NewResource("r", 10)
 		var grants [4]int64
 		e.Go("holder", func(p *Proc) {
-			r.AcquireUpTo(p, 2, 8, &grants[0])
+			grants[0] = r.AcquireUpTo(p, 2, 8)
 			p.Sleep(100)
 			r.Release(grants[0])
 		})
 		for i, max := range []int64{4, 5} {
 			e.Go(fmt.Sprint("w", i), func(p *Proc) {
 				p.Sleep(Time(10 + i))
-				r.AcquireUpTo(p, 3, max, &grants[i+1])
+				grants[i+1] = r.AcquireUpTo(p, 3, max)
 			})
 		}
 		e.Go("blocked", func(p *Proc) {
 			p.Sleep(20)
-			r.AcquireUpTo(p, 9, 9, &grants[3])
+			grants[3] = r.AcquireUpTo(p, 9, 9)
 		})
 		if seed != 0 {
 			e.PermuteTies(seed)
@@ -251,14 +251,14 @@ func TestResourceAcquireUpTo(t *testing.T) {
 		r = e.NewResource("r", 10)
 		grants = [4]int64{}
 		e.Go("holder", func(p *Proc) {
-			r.AcquireUpTo(p, 2, 8, &grants[0])
+			grants[0] = r.AcquireUpTo(p, 2, 8)
 			p.Sleep(100)
 			r.Release(grants[0])
 		})
 		for i, max := range []int64{6, 6} {
 			e.Go(fmt.Sprint("w", i), func(p *Proc) {
 				p.Sleep(Time(10 + i))
-				r.AcquireUpTo(p, 3, max, &grants[i+1])
+				grants[i+1] = r.AcquireUpTo(p, 3, max)
 				p.Sleep(50)
 				r.Release(grants[i+1])
 			})
