@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race vuln check check-fast loc shapes events allocs determinism fuzz-smoke bench-test bench-layers bench-pair cover cover-smoke profile
+.PHONY: all build test vet race vuln check check-fast loc shapes shapes-permuted events allocs determinism fuzz-smoke bench-test bench-layers bench-pair cover cover-smoke profile
 
 all: build
 
@@ -54,6 +54,13 @@ shapes:
 	$(GO) test ./internal/harness -run '^TestPaperShapes$$' -v > "$$tmp" 2>&1; st=$$?; \
 	sed -n 's/^ *shapes_test\.go:[0-9]*: //p' "$$tmp"; tail -n 1 "$$tmp"; exit $$st
 
+# shapes-permuted checks every claim again under eight tie-order seeds
+# (TestPaperShapesPermutedTies, built only with the tieperm tag: ≈16 s on
+# two cores, too long for go test ./...). A claim that flips under a seed
+# depends on which of two simultaneous events runs first: a model bug.
+shapes-permuted:
+	$(GO) test -tags tieperm ./internal/harness -run '^TestPaperShapesPermutedTies$$'
+
 # events prints dispatched engine events per I/O by callback type: for the
 # cam-read-4k shape TestEventsPerIOPinned pins (12 SSDs, 16 batches of 1024
 # 4 KiB reads) and for the four 16-read batches of TestGoldenEventLogs (CAM,
@@ -78,8 +85,8 @@ allocs:
 # must hash to its pinned sha256 below. A change that is meant to move the
 # model (or any quick-suite figure) updates the two pins in the same commit,
 # on purpose; every other change leaves them alone.
-DETERMINISM_SHA256 = a866e24156da82547fa9c0cb56fac84763de4b192a1bf9654d8f9998b1866d25
-DETERMINISM_FAULTS_SHA256 = a73956c6783a34fc9323f1bb55ff844210ce69038b33f1eea3281694a5b055cc
+DETERMINISM_SHA256 = cd39e3e1f1ac7e4598f69c2a3e7dcdf9a92ce1e51d23d19620ab8161648eda83
+DETERMINISM_FAULTS_SHA256 = da8697bc6a991617a5d5269f83cbbc8bffa666e2118ffb229f8b89b55a38cbee
 determinism:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/cambench" ./cmd/cambench && \
