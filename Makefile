@@ -79,27 +79,16 @@ allocs:
 	$(GO) test ./internal/harness -run '^TestQuickExperimentsRetainLittleHeap$$' -v > "$$tmp" 2>&1; st=$$?; \
 	sed -n 's/^ *parallel_test\.go:[0-9]*: //p' "$$tmp"; tail -n 1 "$$tmp"; exit $$st
 
-# determinism is the stdout-identity gate: cambench built once, then the whole
-# quick suite at -parallel 1 and -parallel 8, with no fault plan and with
-# -faults 7:1e-4. Each pair must be byte-identical (≈12 s), and each output
-# must hash to its pinned sha256 below. A change that is meant to move the
-# model (or any quick-suite figure) updates the two pins in the same commit,
+# determinism is the stdout-identity gate (scripts/determinism.sh): cambench
+# built once, then the whole quick suite at -parallel 1 and -parallel 8, with
+# no fault plan and with -faults 7:1e-4. Each pair must be byte-identical
+# (≈12 s) and equal its golden file, testdata/quick.txt and
+# testdata/quick-faults.txt; a mismatch prints the diff of the first
+# experiment block that differs. A change that is meant to move the model
+# (or any quick-suite figure) re-records the two files in the same commit,
 # on purpose; every other change leaves them alone.
-DETERMINISM_SHA256 = cd39e3e1f1ac7e4598f69c2a3e7dcdf9a92ce1e51d23d19620ab8161648eda83
-DETERMINISM_FAULTS_SHA256 = da8697bc6a991617a5d5269f83cbbc8bffa666e2118ffb229f8b89b55a38cbee
 determinism:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o "$$tmp/cambench" ./cmd/cambench && \
-	for f in "" "-faults 7:1e-4"; do \
-		for p in 1 8; do \
-			"$$tmp/cambench" -exp all -quick -parallel $$p $$f > "$$tmp/p$$p" 2> "$$tmp/err" || { cat "$$tmp/err"; exit 1; }; \
-		done; \
-		cmp "$$tmp/p1" "$$tmp/p8" || { echo "determinism: -parallel 1 and -parallel 8 differ ($${f:-no faults})"; exit 1; }; \
-		got=$$(sha256sum < "$$tmp/p1" | cut -d' ' -f1); \
-		if [ -z "$$f" ]; then want=$(DETERMINISM_SHA256); else want=$(DETERMINISM_FAULTS_SHA256); fi; \
-		[ "$$got" = "$$want" ] || { echo "determinism: $${f:-no faults}: sha256 $$got, pinned $$want"; exit 1; }; \
-		echo "determinism: $${f:-no faults}: sha256 $$(echo $$got | cut -c1-16) at -parallel 1 and 8, as pinned"; \
-	done
+	GO=$(GO) bash scripts/determinism.sh
 
 # fuzz-smoke gives every fuzz target in the module FUZZTIME of fuzzing, one
 # target at a time (go test -fuzz takes one package and one target): the
