@@ -16,9 +16,9 @@ import (
 	"camsim/internal/bam"
 	"camsim/internal/cam"
 	"camsim/internal/gnn"
+	"camsim/internal/metrics"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
-	"camsim/internal/trace"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -108,15 +108,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *system == "cam" || *system == "both" {
 		env := platform.New(platform.Options{SSDs: *ssds})
-		ccfg := cam.DefaultConfig(*ssds)
-		ccfg.BlockBytes = d.FeatBytes()
-		ccfg.MaxBatch = 1 << 17
-		mgr := cam.New(env.E, ccfg, env.GPU, env.HM, env.Space, env.Fab, env.Devs)
-		var tracer *trace.Tracer
+		mgr := cam.New(env.E, gnn.CAMConfig(*ssds, d, tcfg), env.GPU, env.HM, env.Space, env.Fab, env.Devs)
+		var meter *metrics.Overlap
 		if *useTrace {
-			tracer = trace.New(env.E, 1<<16)
-			mgr.SetTracer(tracer)
-			env.GPU.SetTracer(tracer)
+			meter = metrics.NewOverlap(env.E)
+			mgr.SetOverlap(meter)
+			env.GPU.SetOverlap(meter)
 		}
 		tr := gnn.NewCAMTrainer(env, d, m, tcfg, mgr)
 		env.E.Go("train", func(p *sim.Proc) { camB = tr.RunIterations(p, *iters) })
@@ -124,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		env.E.Shutdown()
 		show("CAM", camB)
 		if *useTrace {
-			ioBusy, comp, overlap, span := tracer.OverlapReport()
+			ioBusy, comp, overlap, span := meter.Report()
 			fmt.Fprintf(stdout, "trace: span=%v io-busy=%v compute-busy=%v overlapped=%v (%.0f%% of compute hidden under I/O)\n",
 				span, ioBusy, comp, overlap, 100*float64(overlap)/float64(comp))
 		}

@@ -7,7 +7,8 @@ import (
 )
 
 // TestRunTrains runs one small iteration per system: every run prints its
-// per-iteration line, and the two together print the speedup.
+// per-iteration line, and the two together print the speedup. The trace
+// line is pinned byte for byte.
 func TestRunTrains(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -17,7 +18,11 @@ func TestRunTrains(t *testing.T) {
 		{name: "both", args: []string{"-nodes", "20000", "-iters", "1", "-ssds", "2"},
 			stdout: []string{"GIDS  GCN", "CAM   GCN", "CAM speedup over GIDS"}},
 		{name: "cam with trace", args: []string{"-nodes", "20000", "-iters", "1", "-ssds", "2", "-system", "cam", "-model", "gat", "-trace"},
-			stdout: []string{"CAM   GAT", "trace: span="}},
+			stdout: []string{"CAM   GAT", "\ntrace: span=34.562ms io-busy=31.125ms compute-busy=5.307ms overlapped=1.895ms (36% of compute hidden under I/O)\n"}},
+		// A 2048-seed minibatch samples ≈474 000 nodes: more than a CAM batch
+		// held when the trainer's config was sized by hand, which panicked.
+		{name: "cam at batch 2048", args: []string{"-iters", "1", "-ssds", "2", "-system", "cam", "-batch", "2048"},
+			stdout: []string{"CAM   GCN", "474483 nodes/iter"}},
 		{name: "gids on igb", args: []string{"-nodes", "20000", "-iters", "1", "-ssds", "2", "-system", "gids", "-dataset", "igb", "-model", "sage"},
 			stdout: []string{"GIDS  GRAPHSAGE  on IGB-full"}},
 	}

@@ -49,10 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// CAM: the pipelined trainer of Figure 7.
 	camEnv := platform.New(platform.Options{SSDs: 12})
 	defer camEnv.E.Shutdown()
-	ccfg := cam.DefaultConfig(len(camEnv.Devs))
-	ccfg.BlockBytes = dataset.FeatBytes()
-	ccfg.MaxBatch = 1 << 16
-	mgr := cam.New(camEnv.E, ccfg, camEnv.GPU, camEnv.HM, camEnv.Space, camEnv.Fab, camEnv.Devs)
+	mgr := cam.New(camEnv.E, gnn.CAMConfig(len(camEnv.Devs), dataset, tcfg), camEnv.GPU, camEnv.HM, camEnv.Space, camEnv.Fab, camEnv.Devs)
 	camTr := gnn.NewCAMTrainer(camEnv, dataset, model, tcfg, mgr)
 	var cb gnn.Breakdown
 	camEnv.E.Go("cam", func(p *sim.Proc) { cb = camTr.RunIterations(p, iters) })

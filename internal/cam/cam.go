@@ -32,12 +32,12 @@ import (
 	"camsim/internal/gpu"
 	"camsim/internal/hostmem"
 	"camsim/internal/mem"
+	"camsim/internal/metrics"
 	"camsim/internal/nvme"
 	"camsim/internal/pcie"
 	"camsim/internal/sim"
 	"camsim/internal/spdk"
 	"camsim/internal/ssd"
-	"camsim/internal/trace"
 )
 
 // Config tunes a CAM instance. The CPU polling thread's latency to notice a
@@ -210,7 +210,7 @@ type Manager struct {
 	activeCores int
 	wantCores   int
 	inFlight    int
-	tracer      *trace.Tracer
+	overlap     *metrics.Overlap
 
 	// busy/idle integration for dynamic adjustment
 	busySince  sim.Time
@@ -320,16 +320,9 @@ func New(e *sim.Engine, cfg Config, g *gpu.GPU, hm *hostmem.Memory, space *mem.S
 // BlockBytes reports the configured access granularity.
 func (m *Manager) BlockBytes() int64 { return m.cfg.BlockBytes }
 
-// SetTracer attaches an event tracer (nil disables tracing) and propagates
-// it to the backend driver and devices, so injected faults and recovery
-// decisions land on the same timeline as batch events.
-func (m *Manager) SetTracer(t *trace.Tracer) {
-	m.tracer = t
-	m.drv.SetTracer(t)
-	for _, d := range m.devs {
-		d.SetTracer(t)
-	}
-}
+// SetOverlap attaches an I/O-compute overlap meter that every batch marks
+// from publish to completion (nil detaches it).
+func (m *Manager) SetOverlap(o *metrics.Overlap) { m.overlap = o }
 
 // ActiveCores reports the reactor threads currently managing SSDs (the
 // polling thread is additional and not counted, matching §IV-H).
@@ -512,7 +505,7 @@ func (m *Manager) publish(p *sim.Proc, op Op, blocks []uint64, buf *gpu.Buffer, 
 	b.published = m.e.Now()
 
 	m.batchQ.Put(b)
-	m.tracer.Emit(trace.BatchPublish, "cam", op.String(), int64(b.Seq))
+	m.overlap.IO(1)
 	// The CPU polling thread notices after its pickup latency.
 	m.e.Schedule(calib.CAMPollPickup(), m.fireDoorbell)
 	return b
@@ -592,7 +585,6 @@ func (m *Manager) dispatchBatch(b *Batch) {
 		m.drv.Submit(req)
 	}
 	m.inFlight++
-	m.tracer.Emit(trace.BatchDispatch, "cam", op.String(), int64(b.Seq))
 	m.stats.Batches++
 	m.stats.Requests += uint64(count)
 	if nvop == nvme.OpRead {
@@ -639,7 +631,7 @@ func (m *Manager) finishBatch(b *Batch) {
 	if cur := binary.LittleEndian.Uint64(m.r4); b.Seq > cur {
 		binary.LittleEndian.PutUint64(m.r4, b.Seq)
 	}
-	m.tracer.Emit(trace.BatchComplete, "cam", b.Op.String(), int64(b.Seq))
+	m.overlap.IO(-1)
 	m.e.ScheduleCallback(m.fab.MMIODelay(), b)
 	m.freeSlots[m.slotPush%uint(len(m.freeSlots))] = b.slot
 	m.slotPush++
@@ -691,6 +683,5 @@ func (m *Manager) adjustCores() {
 			m.stats.CoreAdjustDown++
 		}
 		m.activeCores = want
-		m.tracer.Emit(trace.CoreAdjust, "cam", "reactors", int64(want))
 	}
 }

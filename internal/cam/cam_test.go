@@ -10,11 +10,11 @@ import (
 	"camsim/internal/gpu"
 	"camsim/internal/hostmem"
 	"camsim/internal/mem"
+	"camsim/internal/metrics"
 	"camsim/internal/nvme"
 	"camsim/internal/pcie"
 	"camsim/internal/sim"
 	"camsim/internal/ssd"
-	"camsim/internal/trace"
 )
 
 type rig struct {
@@ -428,9 +428,9 @@ func TestStatusErrorsSurfaceInStats(t *testing.T) {
 
 func TestTracerCapturesOverlap(t *testing.T) {
 	r := newRig(2, DefaultConfig(2))
-	tr := trace.New(r.e, 1024)
-	r.m.SetTracer(tr)
-	r.g.SetTracer(tr)
+	meter := metrics.NewOverlap(r.e)
+	r.m.SetOverlap(meter)
+	r.g.SetOverlap(meter)
 	dst := r.m.Alloc("dst", 2048*4096)
 	r.e.Go("kernel", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
@@ -440,14 +440,7 @@ func TestTracerCapturesOverlap(t *testing.T) {
 		}
 	})
 	r.e.Run()
-	count := map[trace.Kind]int{}
-	for _, ev := range tr.Events() {
-		count[ev.Kind]++
-	}
-	if count[trace.BatchPublish] != 3 || count[trace.BatchComplete] != 3 || count[trace.KernelStart] != 3 {
-		t.Fatalf("batch or kernel events missing: %v", count)
-	}
-	io, comp, overlap, span := tr.OverlapReport()
+	io, comp, overlap, span := meter.Report()
 	if overlap <= 0 {
 		t.Fatalf("no I/O-compute overlap recorded: io=%v comp=%v span=%v", io, comp, span)
 	}

@@ -164,9 +164,7 @@ func TestGIDSTrainerVerifiedRoundTrip(t *testing.T) {
 
 func TestCAMTrainerVerifiedRoundTrip(t *testing.T) {
 	_, env, d, cfg := smallSetup(t)
-	ccfg := cam.DefaultConfig(len(env.Devs))
-	ccfg.BlockBytes = d.FeatBytes()
-	mgr := cam.New(env.E, ccfg, env.GPU, env.HM, env.Space, env.Fab, env.Devs)
+	mgr := cam.New(env.E, CAMConfig(len(env.Devs), d, cfg), env.GPU, env.HM, env.Space, env.Fab, env.Devs)
 	tr := NewCAMTrainer(env, d, GCN, cfg, mgr)
 	tr.Verify = true
 	var b Breakdown
@@ -193,10 +191,7 @@ func TestCAMFasterThanGIDS(t *testing.T) {
 	envG.Run()
 
 	envC := platform.New(platform.Options{SSDs: 12})
-	ccfg := cam.DefaultConfig(len(envC.Devs))
-	ccfg.BlockBytes = d.FeatBytes()
-	ccfg.MaxBatch = 1 << 15
-	mgr := cam.New(envC.E, ccfg, envC.GPU, envC.HM, envC.Space, envC.Fab, envC.Devs)
+	mgr := cam.New(envC.E, CAMConfig(len(envC.Devs), d, cfg), envC.GPU, envC.HM, envC.Space, envC.Fab, envC.Devs)
 	trC := NewCAMTrainer(envC, d, GCN, cfg, mgr)
 	var bC Breakdown
 	envC.E.Go("t", func(p *sim.Proc) { bC = trC.RunIterations(p, 4) })

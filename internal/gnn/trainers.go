@@ -97,15 +97,31 @@ func NewGIDSTrainer(env *platform.Env, d Dataset, m Model, cfg TrainConfig, sys 
 // churning a fresh multi-megabyte arena per measured point.
 func (t *GIDSTrainer) Release() { t.featBuf.Free() }
 
-// maxBatchBytes sizes the feature buffer for the worst-case unique count.
-func maxBatchBytes(d Dataset, cfg TrainConfig) int64 {
+// maxBatchNodes is the worst-case unique node count of one sampled
+// minibatch: the seeds and every neighbour each hop can draw.
+func maxBatchNodes(cfg TrainConfig) int {
 	worst := cfg.Batch
 	mult := 1
 	for _, f := range cfg.Fanouts {
 		mult *= f
 		worst += cfg.Batch * mult
 	}
-	return int64(worst) * d.FeatBytes()
+	return worst
+}
+
+// maxBatchBytes sizes the feature buffer for the worst-case unique count.
+func maxBatchBytes(d Dataset, cfg TrainConfig) int64 {
+	return int64(maxBatchNodes(cfg)) * d.FeatBytes()
+}
+
+// CAMConfig is the manager configuration a CAMTrainer on ssds SSDs needs:
+// one block per feature row, and batches as large as the worst-case sampled
+// minibatch, so any Batch and Fanouts fit one prefetch.
+func CAMConfig(ssds int, d Dataset, cfg TrainConfig) cam.Config {
+	c := cam.DefaultConfig(ssds)
+	c.BlockBytes = d.FeatBytes()
+	c.MaxBatch = maxBatchNodes(cfg)
+	return c
 }
 
 // RunIterations executes iters training iterations and returns the stage

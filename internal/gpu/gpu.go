@@ -15,8 +15,8 @@ import (
 
 	"camsim/internal/calib"
 	"camsim/internal/mem"
+	"camsim/internal/metrics"
 	"camsim/internal/sim"
-	"camsim/internal/trace"
 )
 
 // Config describes the device. Its SM array and peak compute rate are
@@ -63,11 +63,12 @@ type GPU struct {
 	arena     *mem.Arena
 	space     *mem.Space
 	allocated int64
-	tracer    *trace.Tracer
+	overlap   *metrics.Overlap
 }
 
-// SetTracer attaches an event tracer (nil disables tracing).
-func (g *GPU) SetTracer(t *trace.Tracer) { g.tracer = t }
+// SetOverlap attaches an I/O-compute overlap meter that every kernel marks
+// (nil detaches it).
+func (g *GPU) SetOverlap(o *metrics.Overlap) { g.overlap = o }
 
 // New creates a GPU and claims its HBM window in the address space.
 func New(e *sim.Engine, name string, cfg Config, space *mem.Space) *GPU {
@@ -242,10 +243,10 @@ func (g *GPU) RunKernel(p *sim.Proc, spec KernelSpec) {
 	// drain.
 	grant := g.threads.AcquireUpTo(p, min, want)
 	dur := sim.Time(float64(spec.FullOccupancyTime) * float64(want) / float64(grant))
-	g.tracer.Emit(trace.KernelStart, g.Name, spec.Name, grant)
+	g.overlap.Compute(1)
 	p.Sleep(dur)
 	g.threads.Release(grant)
-	g.tracer.Emit(trace.KernelEnd, g.Name, spec.Name, grant)
+	g.overlap.Compute(-1)
 }
 
 // ComputeTime converts a FLOP count into full-occupancy kernel time under

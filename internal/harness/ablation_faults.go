@@ -81,26 +81,26 @@ func runAblFaults(cfg RunConfig) *Result {
 	t := metrics.NewTable("abl-faults", fmt.Sprintf("injected faults vs recovery (%d batches x %d blocks)", batches, perBatch),
 		"scenario", "GB/s", "inj err", "inj drop", "inj slow", "dead drops",
 		"timeouts", "retries", "recovered", "failed reqs", "failed batches", "dev failures")
-	var totals metrics.Counters
+	var inj fault.Stats
+	var rec spdk.RecoveryStats
 	for _, sc := range scenarios {
 		pt := runPlan(sc.plan)
 		t.AddRow(sc.name, pt.gbps,
 			pt.inj.Errors, pt.inj.Drops, pt.inj.Slows, pt.inj.DeadDrops,
 			pt.rec.Timeouts, pt.rec.Retries, pt.rec.Recovered,
 			pt.rec.FailedRequests, pt.cam.FailedBatches, pt.rec.DeviceFailures)
-		totals.Add("err", pt.inj.Errors)
-		totals.Add("drop", pt.inj.Drops)
-		totals.Add("slow", pt.inj.Slows)
-		totals.Add("dead", pt.inj.DeadDrops)
-		totals.Add("timeout", pt.rec.Timeouts)
-		totals.Add("retry", pt.rec.Retries)
-		totals.Add("recovered", pt.rec.Recovered)
-		totals.Add("failed", pt.rec.FailedRequests)
-		totals.Add("fastfail", pt.rec.FastFails)
+		inj.Add(pt.inj)
+		rec.Timeouts += pt.rec.Timeouts
+		rec.Retries += pt.rec.Retries
+		rec.Recovered += pt.rec.Recovered
+		rec.FailedRequests += pt.rec.FailedRequests
+		rec.FastFails += pt.rec.FastFails
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,
-		"totals: "+totals.String(),
+		fmt.Sprintf("totals: err=%d drop=%d slow=%d dead=%d timeout=%d retry=%d recovered=%d failed=%d fastfail=%d",
+			inj.Errors, inj.Drops, inj.Slows, inj.DeadDrops,
+			rec.Timeouts, rec.Retries, rec.Recovered, rec.FailedRequests, rec.FastFails),
 		"every batch completes — partial failure surfaces as per-block errors and FailedBatches, never a hang",
 		"dev drop-out: consecutive timeouts trip FailThreshold, then queued and future commands fail fast with dev-failed status")
 	return r

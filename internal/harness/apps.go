@@ -132,10 +132,7 @@ func runFig9(cfg RunConfig) *Result {
 			gt.Release()
 
 			cEnv := platform.New(platform.Options{SSDs: 12})
-			ccfg := cam.DefaultConfig(12)
-			ccfg.BlockBytes = d.FeatBytes()
-			ccfg.MaxBatch = 1 << 17
-			mgr := cam.New(cEnv.E, ccfg, cEnv.GPU, cEnv.HM, cEnv.Space, cEnv.Fab, cEnv.Devs)
+			mgr := cam.New(cEnv.E, gnn.CAMConfig(12, d, tcfg), cEnv.GPU, cEnv.HM, cEnv.Space, cEnv.Fab, cEnv.Devs)
 			ct := gnn.NewCAMTrainer(cEnv, d, m, tcfg, mgr)
 			var cb gnn.Breakdown
 			cEnv.E.Go("t", func(p *sim.Proc) { cb = ct.RunIterations(p, iters) })

@@ -10,7 +10,6 @@ import (
 	"camsim/internal/fault"
 	"camsim/internal/gemmx"
 	"camsim/internal/kvcache"
-	"camsim/internal/metrics"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
 	"camsim/internal/sortx"
@@ -43,27 +42,7 @@ func armBackend(c *cam.Config) { c.Backend.ArmRecovery() }
 // injected faults, recovery work, data-plane stats, virtual end time — as
 // one deterministic string.
 func chaosFingerprint(env *platform.Env, m *cam.Manager, end sim.Time) string {
-	var c metrics.Counters
-	fs := env.FaultStats()
-	c.Add("inj.err", fs.Errors)
-	c.Add("inj.drop", fs.Drops)
-	c.Add("inj.slow", fs.Slows)
-	c.Add("inj.dead", fs.DeadDrops)
-	rec := m.Driver().Recovery()
-	c.Add("rec.timeout", rec.Timeouts)
-	c.Add("rec.retry", rec.Retries)
-	c.Add("rec.recovered", rec.Recovered)
-	c.Add("rec.failed", rec.FailedRequests)
-	c.Add("rec.fastfail", rec.FastFails)
-	c.Add("rec.devfail", rec.DeviceFailures)
-	st := m.Stats()
-	c.Add("cam.batches", st.Batches)
-	c.Add("cam.requests", st.Requests)
-	c.Add("cam.failedreqs", st.FailedRequests)
-	c.Add("cam.rd", uint64(st.BytesRead))
-	c.Add("cam.wr", uint64(st.BytesWritten))
-	c.Add("end.ns", uint64(end))
-	return c.String()
+	return fmt.Sprintf("inj=%+v rec=%+v cam=%+v end=%d", env.FaultStats(), m.Driver().Recovery(), m.Stats(), end)
 }
 
 // chaosSort runs the quickstart sort workload under seed's fault schedule,
@@ -260,16 +239,7 @@ func chaosBaM(t *testing.T, seed uint64) (string, uint64) {
 	if st.FailedBlocks != failed {
 		t.Fatalf("seed %d: bam.Stats counts %d failed blocks, batches returned %d", seed, st.FailedBlocks, failed)
 	}
-	var c metrics.Counters
-	fs := env.FaultStats()
-	c.Add("inj.err", fs.Errors)
-	c.Add("inj.drop", fs.Drops)
-	c.Add("inj.slow", fs.Slows)
-	c.Add("inj.dead", fs.DeadDrops)
-	c.Add("bam.timeouts", st.Timeouts)
-	c.Add("bam.failed", st.FailedBlocks)
-	c.Add("end.ns", uint64(env.E.Now()))
-	return c.String(), st.Timeouts
+	return fmt.Sprintf("inj=%+v bam=%+v end=%d", env.FaultStats(), st, env.E.Now()), st.Timeouts
 }
 
 // TestChaosBaMSoak: BaM's timeout path under the same 16 schedules. Every

@@ -235,38 +235,6 @@ func trimFloat(v float64) string {
 	return fmt.Sprintf("%.4g", v)
 }
 
-// Counters is an ordered list of named integer counters: insertion order is
-// render order, so fault/recovery tables and determinism fingerprints come
-// out byte-identical on every run (a Go map would not).
-type Counters struct {
-	names []string
-	vals  []uint64
-}
-
-// Add appends (or accumulates into) the named counter.
-func (c *Counters) Add(name string, v uint64) {
-	for i, n := range c.names {
-		if n == name {
-			c.vals[i] += v
-			return
-		}
-	}
-	c.names = append(c.names, name)
-	c.vals = append(c.vals, v)
-}
-
-// String renders "name=value" pairs in insertion order, space-separated.
-func (c *Counters) String() string {
-	var b strings.Builder
-	for i, n := range c.names {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", n, c.vals[i])
-	}
-	return b.String()
-}
-
 // Bytes formats a byte count human-readably.
 func Bytes(n float64) string {
 	switch {

@@ -105,9 +105,7 @@ func TestFullPipelineOnSharedPlatform(t *testing.T) {
 	gids := gnn.NewGIDSTrainer(env, d, gnn.GCN, cfg, sys)
 	gids.Verify = true
 
-	ccfg := cam.DefaultConfig(4)
-	ccfg.BlockBytes = d.FeatBytes()
-	mgr := cam.New(env.E, ccfg, env.GPU, env.HM, env.Space, env.Fab, env.Devs)
+	mgr := cam.New(env.E, gnn.CAMConfig(4, d, cfg), env.GPU, env.HM, env.Space, env.Fab, env.Devs)
 	camTr := gnn.NewCAMTrainer(env, d, gnn.GCN, cfg, mgr)
 	camTr.Verify = true
 

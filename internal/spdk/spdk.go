@@ -24,7 +24,6 @@ import (
 	"camsim/internal/nvme"
 	"camsim/internal/sim"
 	"camsim/internal/ssd"
-	"camsim/internal/trace"
 )
 
 // Config calibrates the driver. The per-request CPU costs every reactor
@@ -248,8 +247,6 @@ type Driver struct {
 	failed []bool
 	// rec aggregates recovery actions across reactors.
 	rec RecoveryStats
-	// tr records timeout/retry/device-fail events; nil-safe.
-	tr *trace.Tracer
 }
 
 // New builds a driver with nThreads reactor threads; devices are assigned
@@ -308,9 +305,6 @@ func (d *Driver) putRequest(r *Request) {
 	*r = Request{}
 	d.reqFree.Put(r)
 }
-
-// SetTracer attaches a tracer for recovery events (nil disables).
-func (d *Driver) SetTracer(tr *trace.Tracer) { d.tr = tr }
 
 // Recovery returns a snapshot of the driver's error-recovery counters.
 func (d *Driver) Recovery() RecoveryStats { return d.rec }
@@ -648,8 +642,6 @@ func (s *reactorStep) Run() {
 			dq.tags.Free(cid)
 			dq.busy--
 			r.d.rec.Timeouts++
-			r.d.tr.Emit(trace.IOTimeout, r.d.devs[di].Name,
-				fmt.Sprintf("%s attempt %d", req.Op, req.attempts), int64(req.SLBA))
 			req.Status = nvme.StatusCmdTimeout
 			dq.consecTO++
 			if th := cfg.FailThreshold; th > 0 && dq.consecTO >= th && !r.d.failed[di] {
@@ -857,8 +849,6 @@ func (r *Reactor) finishOrRetry(req *Request, at sim.Time) {
 		req.attempts <= cfg.MaxRetries && !r.d.failed[req.Dev] {
 		backoff := cfg.RetryBackoff << (req.attempts - 1)
 		r.d.rec.Retries++
-		r.d.tr.Emit(trace.IORetry, r.d.devs[req.Dev].Name,
-			fmt.Sprintf("%s attempt %d in %s", req.Op, req.attempts+1, backoff), int64(req.SLBA))
 		r.retries = append(r.retries, retryEntry{req: req, at: at + backoff})
 		return
 	}
@@ -912,8 +902,6 @@ func (d *doneAt) Run() {
 func (r *Reactor) markDeviceFailed(di int, at sim.Time) {
 	r.d.failed[di] = true
 	r.d.rec.DeviceFailures++
-	r.d.tr.Emit(trace.DeviceFail, r.d.devs[di].Name,
-		fmt.Sprintf("dead after %d consecutive timeouts", r.dq[di].consecTO), int64(di))
 	dq := &r.dq[di]
 	for cid := range dq.tags.Depth() {
 		req := dq.tags.Owner(uint16(cid))

@@ -19,7 +19,6 @@ import (
 	"camsim/internal/nvme"
 	"camsim/internal/pcie"
 	"camsim/internal/sim"
-	"camsim/internal/trace"
 )
 
 // Config calibrates one SSD; the rates and latencies no caller varies are
@@ -104,8 +103,6 @@ type Device struct {
 	// succeeds (every call on it is nil-safe, so the hot path never
 	// branches on "faults enabled").
 	inj *fault.Injector
-	// tr records injected faults; nil-safe like everywhere else.
-	tr *trace.Tracer
 
 	// frontBusyUntil is the controller frontend serializer: one command
 	// at a time occupies it for its service time, capping IOPS and
@@ -186,9 +183,6 @@ func (d *Device) SetFaultInjector(in *fault.Injector) {
 
 // Injector reports the installed fault injector (nil when faults are off).
 func (d *Device) Injector() *fault.Injector { return d.inj }
-
-// SetTracer attaches a tracer for injected-fault events (nil disables).
-func (d *Device) SetTracer(tr *trace.Tracer) { d.tr = tr }
 
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
@@ -506,7 +500,6 @@ func (d *Device) execute(q *ioQueue, sqe nvme.SQE) {
 		// The controller loses the command: no CQE, ever. Clean up the
 		// bookkeeping so the slot is idle and mark the CID dropped so a
 		// host Abort learns nothing is coming.
-		d.tr.Emit(trace.FaultInject, d.Name, "drop "+sqe.Opcode.String(), int64(sqe.CID))
 		d.stats.currInFlight--
 		slot.timed, slot.dropped = false, true
 		return
@@ -535,12 +528,8 @@ func (d *Device) execute(q *ioQueue, sqe nvme.SQE) {
 
 	// Media latency pipeline (unbounded overlap).
 	lat := d.mediaLatency(sqe.Opcode)
-	switch dec.Kind {
-	case fault.Slow:
-		d.tr.Emit(trace.FaultInject, d.Name, "slow "+sqe.Opcode.String(), int64(sqe.CID))
+	if dec.Kind == fault.Slow {
 		lat = sim.Time(float64(lat) * dec.SlowFactor)
-	case fault.Err:
-		d.tr.Emit(trace.FaultInject, d.Name, "err "+sqe.Opcode.String(), int64(sqe.CID))
 	}
 	mediaDone := serviceDone + lat
 
