@@ -64,10 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cambench: -faults: %v\n", err)
 		return 1
 	}
-	// Installed before any experiment is constructed: platform.New wires
-	// injectors and the driver DefaultConfigs arm their recovery timers off
-	// this plan.
-	fault.SetDefault(plan)
 
 	if *list || *exp == "" {
 		fmt.Fprintln(stdout, "available experiments:")
@@ -80,7 +76,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	cfg := harness.RunConfig{Quick: *quick}
+	// Every machine the experiments build carries the plan's injectors,
+	// and the drivers over them arm their recovery from those.
+	cfg := harness.RunConfig{Quick: *quick, Faults: plan}
 	var toRun []harness.Experiment
 	if *exp == "all" {
 		toRun = harness.All()

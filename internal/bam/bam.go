@@ -18,7 +18,6 @@ import (
 	"slices"
 
 	"camsim/internal/calib"
-	"camsim/internal/fault"
 	"camsim/internal/gpu"
 	"camsim/internal/gpucache"
 	"camsim/internal/mem"
@@ -37,22 +36,19 @@ type Config struct {
 	QueueDepth uint32
 
 	// CmdTimeout is the per-command completion deadline for the GPU
-	// pollers; 0 (the default) disables timeout handling entirely.
-	// DefaultConfig arms it when a fault plan is installed. BaM has no
-	// retry path — the polling warps spin on CQs with no management
-	// thread to re-drive a command — so a timed-out command just counts
-	// its blocks as failed. The CPU-managed design recovers instead (see
-	// internal/spdk); the asymmetry is the point of the comparison.
+	// pollers; 0 (the default) disables timeout handling entirely. New
+	// sets it to calib.RecoveryDeadline when it is 0 and some device the
+	// system drives carries a fault injector. BaM has no retry path — the
+	// polling warps spin on CQs with no management thread to re-drive a
+	// command — so a timed-out command just counts its blocks as failed.
+	// The CPU-managed design recovers instead (see internal/spdk); the
+	// asymmetry is the point of the comparison.
 	CmdTimeout sim.Time
 }
 
 // DefaultConfig matches the paper's BaM evaluation settings.
 func DefaultConfig() Config {
-	cfg := Config{QueueDepth: calib.BaMQueueDepth()}
-	if fault.Default().Enabled() {
-		cfg.CmdTimeout = calib.RecoveryDeadline()
-	}
-	return cfg
+	return Config{QueueDepth: calib.BaMQueueDepth()}
 }
 
 // Stats counts BaM-side error handling.
@@ -115,6 +111,9 @@ func New(e *sim.Engine, cfg Config, g *gpu.GPU, devs []*ssd.Device) *System {
 	}
 	s := &System{e: e, cfg: cfg, g: g, devs: devs}
 	for i, d := range devs {
+		if d.Injector() != nil && s.cfg.CmdTimeout == 0 {
+			s.cfg.CmdTimeout = calib.RecoveryDeadline()
+		}
 		sqMem := g.Alloc(fmt.Sprintf("bam.sq%d", i), int64(cfg.QueueDepth)*nvme.SQESize)
 		cqMem := g.Alloc(fmt.Sprintf("bam.cq%d", i), int64(cfg.QueueDepth)*nvme.CQESize)
 		// Ring memory is marshalled into and parsed continuously — eager.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"camsim/internal/calib"
 	"camsim/internal/fault"
 	"camsim/internal/gpu"
 	"camsim/internal/mem"
@@ -13,7 +14,7 @@ import (
 )
 
 // faultRig mirrors newRig but installs one fault plan's injectors on every
-// device before the controllers start.
+// device (none for a nil plan) before the system is built.
 func faultRig(nDevs int, cfg Config, plan *fault.Plan) *rig {
 	e := sim.New()
 	space := mem.NewSpace()
@@ -32,6 +33,34 @@ func faultRig(nDevs int, cfg Config, plan *fault.Plan) *rig {
 		d.Start()
 	}
 	return &rig{e: e, g: g, devs: devs, sys: sys}
+}
+
+// TestNewArmsTimeoutFromFaultedDevices pins the arming rule: New sets
+// CmdTimeout to calib.RecoveryDeadline exactly when some device carries a
+// fault injector and the config leaves it at 0. A caller's deadline stays
+// as set, and a fault-free machine stays disarmed.
+func TestNewArmsTimeoutFromFaultedDevices(t *testing.T) {
+	plan := fault.NewPlan(1)
+	plan.ErrRate = 1e-4
+	explicit := DefaultConfig()
+	explicit.CmdTimeout = sim.Millisecond
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		plan *fault.Plan
+		want sim.Time
+	}{
+		{"fault-free", DefaultConfig(), nil, 0},
+		{"faulted", DefaultConfig(), plan, calib.RecoveryDeadline()},
+		{"explicit deadline", explicit, plan, sim.Millisecond},
+		{"explicit deadline, fault-free", explicit, nil, sim.Millisecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := faultRig(2, c.cfg, c.plan).sys.cfg.CmdTimeout; got != c.want {
+				t.Fatalf("CmdTimeout %v, want %v", got, c.want)
+			}
+		})
+	}
 }
 
 // TestInjectedErrorsCountFailedBlocks: BaM has no retry path, so every

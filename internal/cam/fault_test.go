@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"camsim/internal/calib"
 	"camsim/internal/fault"
 	"camsim/internal/gpu"
 	"camsim/internal/hostmem"
@@ -37,17 +38,11 @@ func faultRig(nDevs int, cfg Config, plan *fault.Plan) *rig {
 	return &rig{e: e, space: space, fab: fab, hm: hm, g: g, devs: devs, m: m}
 }
 
-// armedCAMConfig arms the backend recovery machinery the way
-// spdk.DefaultConfig does under a process-wide fault plan.
-func armedCAMConfig(nDevs int) Config {
-	cfg := DefaultConfig(nDevs)
-	cfg.Backend.ArmRecovery()
-	return cfg
-}
-
-// TestInjectedErrorsSurfaceOnBatch: without retries armed, every injected
-// media error must land on the batch handle — a GPU batch observes partial
-// failure instead of hanging or silently succeeding.
+// TestInjectedErrorsSurfaceOnBatch: with every command failing, the faulted
+// devices arm the backend's retries, each request is tried 1 + MaxRetries
+// times, and every request that runs out of retries lands on the batch
+// handle — a GPU batch observes partial failure instead of hanging or
+// silently succeeding.
 func TestInjectedErrorsSurfaceOnBatch(t *testing.T) {
 	plan := fault.NewPlan(7)
 	plan.ErrRate = 1
@@ -69,18 +64,18 @@ func TestInjectedErrorsSurfaceOnBatch(t *testing.T) {
 		t.Fatalf("FailedRequests = %d, want 16", st.FailedRequests)
 	}
 	inj := r.devs[0].Injector().Stats().Errors + r.devs[1].Injector().Stats().Errors
-	if inj != 16 {
-		t.Fatalf("injectors recorded %d errors, want 16", inj)
+	if want := uint64(16 * (1 + calib.SPDKMaxRetries())); inj != want {
+		t.Fatalf("injectors recorded %d errors, want %d", inj, want)
 	}
 }
 
 // TestRetriesRecoverInjectedErrors: with the management thread's retry path
-// armed, a 20% media-error rate is absorbed — the batch completes clean and
+// armed by the faulted devices, a 20% media-error rate is absorbed — the batch completes clean and
 // the recovery counters show the work it took. Deterministic for this seed.
 func TestRetriesRecoverInjectedErrors(t *testing.T) {
 	plan := fault.NewPlan(7)
 	plan.ErrRate = 0.2
-	r := faultRig(2, armedCAMConfig(2), plan)
+	r := faultRig(2, DefaultConfig(2), plan)
 	dst := r.m.Alloc("dst", 256*4096)
 	var b *Batch
 	r.e.Go("kernel", func(p *sim.Proc) {
@@ -106,7 +101,8 @@ func TestRetriesRecoverInjectedErrors(t *testing.T) {
 func TestDeviceDropOutDegradesBatch(t *testing.T) {
 	plan := fault.NewPlan(7)
 	plan.FailDev, plan.FailAt = 0, 0 // device 0 dead from the start
-	cfg := armedCAMConfig(2)
+	cfg := DefaultConfig(2)
+	cfg.Backend.ArmRecovery() // an explicit deadline: New leaves the policy below as set
 	cfg.Backend.MaxRetries = 1
 	cfg.Backend.FailThreshold = 2
 	r := faultRig(2, cfg, plan)
@@ -150,7 +146,7 @@ func TestFaultedRunReplaysDeterministically(t *testing.T) {
 	run := func() (sim.Time, Stats, spdk.RecoveryStats, fault.Stats) {
 		plan := fault.NewPlan(23)
 		plan.ErrRate, plan.DropRate, plan.SlowRate = 5e-3, 1e-3, 5e-3
-		r := faultRig(4, armedCAMConfig(4), plan)
+		r := faultRig(4, DefaultConfig(4), plan)
 		dst := r.m.Alloc("dst", 512*4096)
 		rng := sim.NewRNG(9)
 		r.e.Go("kernel", func(p *sim.Proc) {

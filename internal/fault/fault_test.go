@@ -278,17 +278,3 @@ func TestScheduleReplaysForAnySeed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDefaultPlanInstall(t *testing.T) {
-	old := Default()
-	defer SetDefault(old)
-	p, _ := ParseSpec("5:1e-3")
-	SetDefault(p)
-	if Default() != p || !Default().Enabled() {
-		t.Fatal("SetDefault did not install the plan")
-	}
-	SetDefault(nil)
-	if Default().Enabled() {
-		t.Fatal("nil default reports enabled")
-	}
-}

@@ -39,7 +39,7 @@ func runAblDynCores(cfg RunConfig) *Result {
 		endCores int
 	}
 	runOne := func(dynamic bool, cores int) outcome {
-		env := platform.New(platform.Options{SSDs: ssds})
+		env := cfg.newEnv(platform.Options{SSDs: ssds})
 		ccfg := cam.DefaultConfig(ssds)
 		ccfg.DynamicCores = dynamic
 		ccfg.Cores = cores

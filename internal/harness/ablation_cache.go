@@ -30,7 +30,7 @@ func runAblCache(cfg RunConfig) *Result {
 	}
 
 	runBaM := func(gen workload.Generator, withCache bool) (gbps float64, hitRate float64) {
-		env := platform.New(platform.Options{SSDs: ssds})
+		env := cfg.newEnv(platform.Options{SSDs: ssds})
 		arr := newBaM(env).NewArray(blockBytes)
 		var c *gpucache.Cache
 		if withCache {

@@ -33,7 +33,7 @@ func runAblFanin(cfg RunConfig) *Result {
 			MergeRate:  calib.MergeRate(),
 			Fanin:      fanin,
 		}
-		env := platform.New(platform.Options{SSDs: 12})
+		env := cfg.newEnv(platform.Options{SSDs: 12})
 		b := xfer.NewCAM(env, 65536, nil)
 		s := sortx.New(env, b, scfg)
 		var st sortx.Stats

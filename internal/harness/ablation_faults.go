@@ -20,9 +20,8 @@ func init() {
 // runAblFaults drives a CAM prefetch workload under escalating fault
 // schedules — media errors, silent drops, latency spikes, whole-device
 // drop-out — and reports what was injected against what the recovery
-// machinery did about it. Each scenario pins its own plan and arms the
-// backend's timers explicitly, so the table is identical whether or not the
-// process-wide -faults plan is set.
+// machinery did about it. Each scenario pins its own plan, which the run's
+// -faults plan never replaces, so the table is identical with or without it.
 func runAblFaults(cfg RunConfig) *Result {
 	r := &Result{ID: "abl-faults", Title: "Fault injection and recovery (CAM, 4 SSDs, 4KB reads)"}
 	batches := 32
@@ -41,10 +40,6 @@ func runAblFaults(cfg RunConfig) *Result {
 		ccfg := cam.DefaultConfig(ssds)
 		ccfg.MaxBatch = perBatch
 		ccfg.MaxOutstanding = 4
-		// The scenario plan arrives via platform.Options, not the
-		// process-wide default that DefaultConfig keys its arming off, so
-		// arm recovery explicitly.
-		ccfg.Backend.ArmRecovery()
 		l := load{nvme.OpRead, workload.NewUniform(5, 1<<20), perBatch, batches, 1}
 		v, env, mgr := camRun(cfg, platform.Options{SSDs: ssds, Faults: plan}, ccfg, l)
 		return point{

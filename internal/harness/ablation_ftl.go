@@ -33,7 +33,7 @@ func runAblFTL(cfg RunConfig) *Result {
 	}
 	runAt := func(util float64) point {
 		measure := func(charge bool) (float64, ssd.FTLStats) {
-			env := platform.New(platform.Options{SSDs: 1, SSD: func() ssd.Config {
+			env := cfg.newEnv(platform.Options{SSDs: 1, SSD: func() ssd.Config {
 				c := ssd.DefaultConfig()
 				c.CapacityBytes = 8 << 20 // 2 Ki logical pages: GC-active at this write volume
 				c.OverProvision = 0.08

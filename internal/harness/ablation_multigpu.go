@@ -33,7 +33,7 @@ func runAblMultiGPU(cfg RunConfig) *Result {
 	perBatch := 4096
 
 	runWith := func(gpus int) (aggregate float64, perGPU []float64) {
-		env := platform.New(platform.Options{SSDs: ssds})
+		env := cfg.newEnv(platform.Options{SSDs: ssds})
 		// Additional GPUs beyond the platform's default one.
 		gs := []*gpu.GPU{env.GPU}
 		for i := 1; i < gpus; i++ {

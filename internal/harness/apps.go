@@ -100,7 +100,7 @@ func runFig1(cfg RunConfig) *Result {
 	tcfg := gnn.DefaultTrainConfig()
 	tcfg.Batch = batch
 	for _, m := range gnn.Models() {
-		env := platform.New(platform.Options{SSDs: 12})
+		env := cfg.newEnv(platform.Options{SSDs: 12})
 		tr := gnn.NewGIDSTrainer(env, d, m, tcfg, newBaM(env))
 		var b gnn.Breakdown
 		env.E.Go("t", func(p *sim.Proc) { b = tr.RunIterations(p, iters) })
@@ -124,14 +124,14 @@ func runFig9(cfg RunConfig) *Result {
 	for _, ds := range gnnDatasets() {
 		d := ds.Scaled(nodes)
 		for _, m := range gnn.Models() {
-			gEnv := platform.New(platform.Options{SSDs: 12})
+			gEnv := cfg.newEnv(platform.Options{SSDs: 12})
 			gt := gnn.NewGIDSTrainer(gEnv, d, m, tcfg, newBaM(gEnv))
 			var gb gnn.Breakdown
 			gEnv.E.Go("t", func(p *sim.Proc) { gb = gt.RunIterations(p, iters) })
 			runEnv(cfg, gEnv)
 			gt.Release()
 
-			cEnv := platform.New(platform.Options{SSDs: 12})
+			cEnv := cfg.newEnv(platform.Options{SSDs: 12})
 			mgr := cam.New(cEnv.E, gnn.CAMConfig(12, d, tcfg), cEnv.GPU, cEnv.HM, cEnv.Space, cEnv.Fab, cEnv.Devs)
 			ct := gnn.NewCAMTrainer(cEnv, d, m, tcfg, mgr)
 			var cb gnn.Breakdown
@@ -172,7 +172,7 @@ func runFig10a(cfg RunConfig) *Result {
 			MergeRate:  calib.MergeRate(),
 		}
 		for _, sys := range []string{"CAM", "SPDK", "POSIX"} {
-			env := platform.New(platform.Options{SSDs: 12})
+			env := cfg.newEnv(platform.Options{SSDs: 12})
 			b, err := SortBackend(env, sys, scfg)
 			if err != nil {
 				panic(err)
@@ -205,7 +205,7 @@ func runFig10bc(cfg RunConfig) *Result {
 	t := metrics.NewTable("fig10bc", "Fig 10b,c: GEMM read throughput and execution time",
 		"system", "GB/s", "time ms")
 	for _, sys := range []string{"CAM", "BaM", "GDS", "SPDK"} {
-		env := platform.New(platform.Options{SSDs: 12})
+		env := cfg.newEnv(platform.Options{SSDs: 12})
 		b, err := GEMMBackend(env, sys, gcfg)
 		if err != nil {
 			panic(err)

@@ -33,11 +33,6 @@ func chaosPlan(seed uint64) *fault.Plan {
 	return p
 }
 
-// armBackend switches on the management thread's recovery machinery: the
-// soak's plans arrive via platform.Options, not the process-wide default
-// that spdk.DefaultConfig arms off.
-func armBackend(c *cam.Config) { c.Backend.ArmRecovery() }
-
 // chaosFingerprint renders everything observable about a faulted run —
 // injected faults, recovery work, data-plane stats, virtual end time — as
 // one deterministic string.
@@ -51,7 +46,7 @@ func chaosFingerprint(env *platform.Env, m *cam.Manager, end sim.Time) string {
 func chaosSort(t *testing.T, seed uint64) (string, uint64) {
 	t.Helper()
 	env := platform.New(platform.Options{SSDs: 3, Faults: chaosPlan(seed)})
-	b := xfer.NewCAM(env, 4096, armBackend)
+	b := xfer.NewCAM(env, 4096, nil)
 	s := sortx.New(env, b, sortx.Config{
 		NumInts: 16 << 10, RunBytes: 16 << 10, ChunkBytes: 4 << 10,
 		SortRate: 4e9, MergeRate: 8e9,
@@ -74,7 +69,7 @@ func chaosSort(t *testing.T, seed uint64) (string, uint64) {
 func chaosGEMM(t *testing.T, seed uint64) (string, uint64) {
 	t.Helper()
 	env := platform.New(platform.Options{SSDs: 3, Faults: chaosPlan(seed)})
-	b := xfer.NewCAM(env, 4096, armBackend)
+	b := xfer.NewCAM(env, 4096, nil)
 	m := gemmx.New(env, b, gemmx.Config{
 		N: 64, K: 64, M: 64, Tile: 32, ComputeRate: 100e12, RealMath: true,
 	})
@@ -109,7 +104,7 @@ func chaosKV(t *testing.T, seed uint64) (string, uint64, uint64) {
 		{Prompt: 256, Decode: 6},
 	}
 	env := platform.New(platform.Options{SSDs: 2, Faults: chaosPlan(seed)})
-	b := xfer.NewCAM(env, cfg.BlockBytes, armBackend)
+	b := xfer.NewCAM(env, cfg.BlockBytes, nil)
 	srv := kvcache.New(env, b, cfg, specs)
 	var verr error
 	env.E.Go("kv", func(p *sim.Proc) {
@@ -204,9 +199,7 @@ func chaosBaM(t *testing.T, seed uint64) (string, uint64) {
 	t.Helper()
 	const rounds, n, block = 4, 256, 4096
 	env := platform.New(platform.Options{SSDs: 3, Faults: chaosPlan(seed)})
-	cfg := bam.DefaultConfig()
-	cfg.CmdTimeout = 25 * sim.Millisecond // what DefaultConfig arms under a process-wide plan
-	sys := bam.New(env.E, cfg, env.GPU, env.Devs)
+	sys := bam.New(env.E, bam.DefaultConfig(), env.GPU, env.Devs)
 	arr := sys.NewArray(block)
 	src := env.GPU.Alloc("src", n*block)
 	dst := env.GPU.Alloc("dst", n*block)

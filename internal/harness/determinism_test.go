@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"testing"
-
-	"camsim/internal/fault"
 )
 
 // TestDoubleRunDeterminism is the dynamic twin of TestDeterminismRules (the
@@ -19,27 +17,26 @@ import (
 // sync-vs-async data paths (fig11), per-request CPU accounting (fig13), the
 // FTL's garbage collector (abl-ftl), and the KV-cache serving tier with its
 // concurrent spill/fill/prefetch machinery (kv). Each pair runs once clean
-// and once under each of two chaos-seeded process-wide fault plans (the
+// and once under each of two chaos-seeded plans in RunConfig.Faults (the
 // cambench -faults path): injection decisions, timeouts, retries and device
-// drop-out must replay exactly too. kv sits the faulted passes out: its BaM
-// arm has no retry path and panics on a lost block.
+// drop-out must replay exactly too. Every subtest runs in parallel with the
+// others, each pass with its own plan, so a plan leaking from one run into
+// another's machines shows up as a diff. kv sits the faulted passes out:
+// its BaM arm has no retry path and panics on a lost block.
 func TestDoubleRunDeterminism(t *testing.T) {
-	defer fault.SetDefault(nil)
 	for _, seed := range []uint64{0, 3, 11} {
 		prefix, names := "", []string{"fig2", "fig11", "fig13", "abl-ftl", "kv"}
-		var plan *fault.Plan
+		cfg := RunConfig{Quick: true}
 		if seed != 0 {
-			prefix, names, plan = fmt.Sprintf("faults%d/", seed), names[:4], chaosPlan(seed)
+			prefix, names, cfg.Faults = fmt.Sprintf("faults%d/", seed), names[:4], chaosPlan(seed)
 		}
-		fault.SetDefault(plan)
 		for _, id := range names {
-			id := id
 			t.Run(prefix+id, func(t *testing.T) {
+				t.Parallel()
 				e, ok := Get(id)
 				if !ok {
 					t.Fatalf("experiment %q not registered", id)
 				}
-				cfg := RunConfig{Quick: true}
 				first := e.Run(cfg)
 				second := e.Run(cfg)
 				if a, b := first.String(), second.String(); a != b {

@@ -157,7 +157,7 @@ func (l load) draw(blocks []uint64) {
 // camRun runs l through a CAM manager built from ccfg over a fresh platform,
 // into a buffer of depth batch slots, and reports bytes/s.
 func camRun(cfg RunConfig, opts platform.Options, ccfg cam.Config, l load) (float64, *platform.Env, *cam.Manager) {
-	env := platform.New(opts)
+	env := cfg.newEnv(opts)
 	mgr := cam.New(env.E, ccfg, env.GPU, env.HM, env.Space, env.Fab, env.Devs)
 	buf := mgr.Alloc("bench", int64(l.perBatch)*ccfg.BlockBytes*int64(l.depth))
 	env.E.Go("bench", func(p *sim.Proc) { l.onCAM(p, mgr, buf) })
@@ -203,7 +203,7 @@ func camThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64, cores, o
 
 // bamThroughput measures BaM array throughput.
 func bamThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64) float64 {
-	env := platform.New(platform.Options{SSDs: ssds})
+	env := cfg.newEnv(platform.Options{SSDs: ssds})
 	blockBytes := min(gran, spdk.MaxTransfer())
 	perBatch := min(4096, 64<<20/blockBytes)
 	batches := max(reqBudget(gran, cfg.Quick)*(gran/blockBytes)/perBatch, 2)
@@ -229,7 +229,7 @@ const stagingRegion = 4 << 20
 // regions of blockBytes commands.
 func spdkContigRun(cfg RunConfig, ssds int, op nvme.Opcode, blockBytes, regions int64, envOpts platform.Options) (float64, *platform.Env, *spdk.Driver) {
 	envOpts.SSDs = ssds
-	env := platform.New(envOpts)
+	env := cfg.newEnv(envOpts)
 	d := newSPDK(env)
 	region := int64(stagingRegion)
 	// Requests flow continuously through a sliding window (no per-region
@@ -312,7 +312,7 @@ func spdkContigRun(cfg RunConfig, ssds int, op nvme.Opcode, blockBytes, regions 
 // kernelThroughput measures a kernel I/O stack with parallel workers (the
 // paper's fio-style load) and reports bytes/s.
 func kernelThroughput(cfg RunConfig, kind oskernel.StackKind, ssds int, op nvme.Opcode, gran int64) (float64, *oskernel.Stack) {
-	env := platform.New(platform.Options{SSDs: ssds})
+	env := cfg.newEnv(platform.Options{SSDs: ssds})
 	st := oskernel.NewStack(env.E, kind, oskernel.DefaultConfig(kind), env.HM, env.Devs)
 	env.StartDevices()
 	workers := 32
@@ -352,7 +352,7 @@ func kernelThroughput(cfg RunConfig, kind oskernel.StackKind, ssds int, op nvme.
 // high queue depth (the "SPDK async" line of Fig 11 and the cost baseline
 // of Fig 13).
 func spdkRawThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64) (float64, *spdk.Driver) {
-	env := platform.New(platform.Options{SSDs: ssds})
+	env := cfg.newEnv(platform.Options{SSDs: ssds})
 	d := newSPDK(env)
 	buf := env.HM.Alloc("raw", gran)
 	l := load{op: op, gen: workload.NewUniform(13, 1<<21), perBatch: 1, batches: int(reqBudget(gran, cfg.Quick)), depth: 64 * ssds}

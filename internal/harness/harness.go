@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"camsim/internal/fault"
 	"camsim/internal/metrics"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
@@ -19,6 +20,10 @@ type RunConfig struct {
 	// Quick shrinks sweeps and workload sizes for CI; Full (-quick=false)
 	// is paper scale.
 	Quick bool
+	// Faults is the fault plan every machine of the run is built with
+	// (the -faults flag of cambench and camkv); nil runs fault-free. A
+	// machine whose platform.Options names its own plan keeps that one.
+	Faults *fault.Plan
 
 	// acct collects per-run virtual-time accounting and the engines to
 	// tear down when the experiment finishes. The registry wrapper
@@ -122,6 +127,16 @@ type Experiment struct {
 }
 
 var registry = map[string]Experiment{}
+
+// newEnv builds one of the run's machines from o, with the run's fault plan
+// when o names none. Experiment code should call this instead of
+// platform.New directly.
+func (cfg RunConfig) newEnv(o platform.Options) *platform.Env {
+	if o.Faults == nil {
+		o.Faults = cfg.Faults
+	}
+	return platform.New(o)
+}
 
 // runEnv drives env to quiescence, crediting the simulated span to the
 // running experiment's virtual-time accounting and registering the engine

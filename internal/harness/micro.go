@@ -70,7 +70,7 @@ func runFig3(cfg RunConfig) *Result {
 
 func runFig4(cfg RunConfig) *Result {
 	r := &Result{ID: "fig4", Title: "BaM SM utilization to saturate N SSDs"}
-	env := platform.New(platform.Options{SSDs: 1})
+	env := cfg.newEnv(platform.Options{SSDs: 1})
 	sys := newBaM(env)
 	f := metrics.NewFigure("fig4", "Fig 4: SM utilization for I/O", "SSDs", "SM %")
 	s := f.NewSeries("BaM")
@@ -314,7 +314,7 @@ func spdkScatteredThroughput(cfg RunConfig, ssds int, gran int64) float64 {
 // spdkScatteredRun is spdkScatteredThroughput's closed loops: workers
 // staging buffers taking turns over granules granules.
 func spdkScatteredRun(cfg RunConfig, ssds int, gran, workers, granules int64) (float64, *platform.Env) {
-	env := platform.New(platform.Options{SSDs: ssds})
+	env := cfg.newEnv(platform.Options{SSDs: ssds})
 	d := newSPDK(env)
 	total := granules * gran
 	chunk := min(gran, spdk.MaxTransfer())

@@ -130,10 +130,10 @@ func TestServeDeterministicReplay(t *testing.T) {
 // TestServeUnderFaults is the recovery asymmetry between the CPU-managed and
 // the GPU-managed control planes, executable. Under an aggressive plan of
 // media errors, dropped commands and latency spikes, CAM and SPDK (retries
-// armed by the plan, as under cambench -faults) still finish with clean
-// checksums. BaM has no retry path: it survives a plan that only slows
-// commands down, and under one that fails them the transfer that lost a block
-// says so instead of handing its frame over unfilled.
+// armed by the faulted devices, as under cambench -faults) still finish
+// with clean checksums. BaM has no retry path: it survives a plan that only
+// slows commands down, and under one that fails them the transfer that lost
+// a block says so instead of handing its frame over unfilled.
 func TestServeUnderFaults(t *testing.T) {
 	plan := func(err, drop, slow float64) *fault.Plan {
 		p := fault.NewPlan(7)
@@ -151,14 +151,10 @@ func TestServeUnderFaults(t *testing.T) {
 		{"BaM/err", "BaM", plan(2e-3, 0, 0), true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			// The process-wide plan is what arms the drivers' recovery
-			// (their DefaultConfigs read it) and wires the injectors.
-			fault.SetDefault(c.plan)
-			defer fault.SetDefault(nil)
 			var env *platform.Env
 			lost := func() (v any) {
 				defer func() { v = recover() }()
-				_, env = serveOnce(t, c.sys, nil) // fails the test on a checksum mismatch
+				_, env = serveOnce(t, c.sys, c.plan) // fails the test on a checksum mismatch
 				return nil
 			}()
 			if c.lost {

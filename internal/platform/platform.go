@@ -28,10 +28,11 @@ type Options struct {
 	MemoryChannels int
 	// Seed perturbs every device's private jitter stream.
 	Seed uint64
-	// Faults, when set, installs a per-device fault injector derived from
-	// the plan (see internal/fault). When nil, the process-wide plan from
-	// fault.SetDefault (the cambench -faults flag) applies; with neither,
-	// every command succeeds.
+	// Faults, when it injects anything, installs a per-device fault
+	// injector derived from the plan (see internal/fault); the spdk and bam
+	// drivers built over those devices arm their recovery from them. It is
+	// the only way a plan reaches a machine: nil means every command
+	// succeeds.
 	Faults *fault.Plan
 }
 
@@ -72,16 +73,12 @@ func New(o Options) *Env {
 		GPU:   gpu.New(e, "gpu0", gpu.DefaultConfig(), space),
 		CE:    gpu.NewCopyEngine(e, "h2d"),
 	}
-	plan := o.Faults
-	if plan == nil {
-		plan = fault.Default()
-	}
 	for i := 0; i < o.SSDs; i++ {
 		cfg := o.SSD
 		cfg.Seed = o.Seed*1000 + uint64(i) + 1
 		d := ssd.New(e, fmt.Sprintf("nvme%d", i), cfg, env.Fab, space)
-		if plan.Enabled() {
-			d.SetFaultInjector(plan.Injector(i))
+		if o.Faults.Enabled() {
+			d.SetFaultInjector(o.Faults.Injector(i))
 		}
 		env.Devs = append(env.Devs, d)
 	}

@@ -8,8 +8,8 @@ import (
 	"camsim/internal/sim"
 )
 
-// armedConfig is DefaultConfig with the recovery machinery switched on
-// explicitly (tests install plans per device, not via the process default).
+// armedConfig is DefaultConfig with a recovery policy of the tests' own: its
+// deadline is set, so New keeps every field as given.
 func armedConfig() Config {
 	cfg := DefaultConfig()
 	cfg.CmdTimeout = 5 * sim.Millisecond
@@ -232,19 +232,39 @@ func TestDeviceFailureDegradesGracefully(t *testing.T) {
 	}
 }
 
-// TestRecoveryDisabledMatchesBaseline: with no plan installed, DefaultConfig
-// must leave the recovery machinery disarmed so fault-free runs replay the
-// pre-fault-injection schedule exactly.
-func TestRecoveryDisabledMatchesBaseline(t *testing.T) {
-	if cfg := DefaultConfig(); cfg.CmdTimeout != 0 || cfg.MaxRetries != 0 {
-		t.Fatalf("DefaultConfig armed recovery without a fault plan: %+v", cfg)
-	}
-	old := fault.Default()
-	defer fault.SetDefault(old)
-	p, _ := fault.ParseSpec("1:1e-4")
-	fault.SetDefault(p)
-	if cfg := DefaultConfig(); cfg.CmdTimeout == 0 {
-		t.Fatal("DefaultConfig did not arm recovery under an installed fault plan")
+// TestNewArmsRecoveryFromFaultedDevices pins the one arming rule: New arms
+// the calibrated policy (ArmRecovery) exactly when some device it drives
+// carries a fault injector and the config leaves CmdTimeout at 0. A caller
+// who sets the deadline keeps its whole policy as given, and a fault-free
+// machine stays disarmed, so its runs replay the schedule of a driver
+// without the recovery machinery.
+func TestNewArmsRecoveryFromFaultedDevices(t *testing.T) {
+	armed := DefaultConfig()
+	armed.ArmRecovery()
+	explicit := armedConfig()
+	explicit.MaxRetries, explicit.FailThreshold = 1, 2
+	plan := fault.NewPlan(1)
+	plan.ErrRate = 1e-4
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		faulted bool // device 1 of 2 carries an injector
+		want    Config
+	}{
+		{"fault-free", DefaultConfig(), false, Config{QueueDepth: DefaultConfig().QueueDepth}},
+		{"one faulted device", DefaultConfig(), true, armed},
+		{"explicit policy", explicit, true, explicit},
+		{"explicit policy, fault-free", explicit, false, explicit},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(2)
+			if c.faulted {
+				r.devs[1].SetFaultInjector(plan.Injector(1))
+			}
+			if d := New(r.e, c.cfg, r.hm, r.space, r.devs, 1); d.cfg != c.want {
+				t.Fatalf("driver runs %+v, want %+v", d.cfg, c.want)
+			}
+		})
 	}
 }
 

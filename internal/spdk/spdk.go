@@ -18,7 +18,6 @@ import (
 
 	"camsim/internal/calib"
 	"camsim/internal/cpustat"
-	"camsim/internal/fault"
 	"camsim/internal/hostmem"
 	"camsim/internal/mem"
 	"camsim/internal/nvme"
@@ -37,8 +36,10 @@ type Config struct {
 	// CmdTimeout is the per-command completion deadline measured from SQE
 	// push. 0 (the default) disables the entire timeout/retry/fail-fast
 	// machinery — no deadline bookkeeping, no extra events — so fault-free
-	// runs replay byte-identically to builds without it. DefaultConfig
-	// arms it automatically when a fault plan is installed.
+	// runs replay byte-identically to builds without it. New arms the
+	// calibrated policy (ArmRecovery) when it is 0 and some device the
+	// driver drives carries a fault injector; a caller who sets it owns
+	// the recovery fields below as given.
 	CmdTimeout sim.Time
 	// MaxRetries bounds re-submissions of a retryable failed command
 	// (media error or timeout); structural errors never retry.
@@ -56,12 +57,7 @@ type Config struct {
 // stay under that cap, three sit at the knee and four get ≈75 % of their
 // demand (DESIGN §4 has the arithmetic).
 func DefaultConfig() Config {
-	cfg := Config{QueueDepth: calib.SPDKQueueDepth()}
-	// A process-wide fault plan arms recovery.
-	if fault.Default().Enabled() {
-		cfg.ArmRecovery()
-	}
-	return cfg
+	return Config{QueueDepth: calib.SPDKQueueDepth()}
 }
 
 // ArmRecovery switches on the timeout, retry and fail-fast machinery with
@@ -277,6 +273,9 @@ func New(e *sim.Engine, cfg Config, hm *hostmem.Memory, space *mem.Space, devs [
 		d.reactors = append(d.reactors, r)
 	}
 	for di, dev := range devs {
+		if dev.Injector() != nil && d.cfg.CmdTimeout == 0 {
+			d.cfg.ArmRecovery()
+		}
 		r := d.reactors[di%nThreads]
 		d.devOwner = append(d.devOwner, r.id)
 		r.devs = append(r.devs, di)
