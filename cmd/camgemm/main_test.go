@@ -44,7 +44,7 @@ func TestRunReportsFaults(t *testing.T) {
 // TestRunRejects: a bad flag is a usage error (2); a bad value exits 1 with
 // a message naming the flag before any backend is built — where -n 0 and
 // -tile 0 panicked, and -ssds 0 reported zero SSDs for a platform that
-// built its default twelve.
+// built its default twelve — and so does a multiply that loses a block.
 func TestRunRejects(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -60,6 +60,13 @@ func TestRunRejects(t *testing.T) {
 		{name: "n not a tile multiple", args: []string{"-n", "64", "-tile", "24"}, code: 1, stderr: "-n 64, -tile 24"},
 		{name: "tile not whole LBAs", args: []string{"-n", "48", "-tile", "24", "-backend", "spdk"}, code: 1, stderr: "-tile 24: gemmx: backend block 2304 is not whole 512-byte LBAs"},
 		{name: "zero ssds", args: []string{"-ssds", "0"}, code: 1, stderr: "-ssds 0"},
+		// A drop-out device the machine does not have was ignored.
+		{name: "faildev out of range", args: []string{"-ssds", "2", "-faults", "faildev=2,failat=0"}, code: 1,
+			stderr: "camgemm: -faults: faildev=2: the machine has 2 SSDs"},
+		// A lost BaM block is one line and exit 1, not a stack trace: BaM
+		// does not retry.
+		{name: "lost BaM block", args: []string{"-n", "64", "-tile", "16", "-ssds", "4", "-backend", "bam", "-faults", "7:1e-3"}, code: 1,
+			stderr: "camgemm: xfer(bam): 1 of 1 blocks failed; BaM has no retry path\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

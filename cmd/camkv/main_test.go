@@ -24,6 +24,14 @@ func TestRunRejects(t *testing.T) {
 		{name: "negative layers", args: []string{"-quick", "-layers", "-2"}, code: 1, stderr: "camkv: -layers -2: must not be negative"},
 		{name: "negative dram", args: []string{"-quick", "-dram", "-1"}, code: 1, stderr: "camkv: -dram -1: must not be negative"},
 		{name: "negative ctx", args: []string{"-quick", "-ctx", "-1"}, code: 1, stderr: "camkv: -ctx -1: must not be negative"},
+		// The quick scale's default machine has four SSDs: a drop-out
+		// device beyond them was ignored.
+		{name: "faildev out of range", args: []string{"-quick", "-faults", "faildev=4,failat=0"}, code: 1,
+			stderr: "camkv: -faults: faildev=4: the machine has 4 SSDs"},
+		// A lost BaM block is one line and exit 1, not a crash: BaM does
+		// not retry.
+		{name: "lost BaM block", args: []string{"-quick", "-backend", "bam", "-faults", "7:1e-3"}, code: 1,
+			stderr: "camkv: BaM: xfer(bam): 1 of 5 blocks failed; BaM has no retry path\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -62,5 +70,29 @@ func TestRunFixedOrder(t *testing.T) {
 	}
 	if strings.Contains(stdout.String(), "wall") || !strings.Contains(stderr.String(), "served in") {
 		t.Errorf("wall-clock diagnostics belong on stderr only:\nstdout: %s\nstderr: %s", stdout.String(), stderr.String())
+	}
+}
+
+// TestRunReportsLostBlock: when BaM loses a block with all three backends
+// in flight, the other two still print exactly what they print alone, and
+// the failure is one stderr line.
+func TestRunReportsLostBlock(t *testing.T) {
+	faulted := []string{"-quick", "-faults", "7:1e-3"}
+	var want bytes.Buffer
+	for _, b := range []string{"cam", "spdk"} {
+		var stderr bytes.Buffer
+		if code := run(append(faulted, "-backend", b), &want, &stderr); code != 0 {
+			t.Fatalf("-backend %s: exit code %d, stderr: %s", b, code, stderr.String())
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(append(faulted, "-parallel", "3"), &stdout, &stderr); code != 1 {
+		t.Errorf("exit code %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	if stdout.String() != want.String() {
+		t.Errorf("stdout =\n%s\nwant the CAM and SPDK blocks alone:\n%s", stdout.String(), want.String())
+	}
+	if !strings.Contains(stderr.String(), "camkv: BaM: xfer(bam): ") || strings.Count(stderr.String(), "\n") != 3 {
+		t.Errorf("stderr = %q, want two served lines and one BaM failure line", stderr.String())
 	}
 }

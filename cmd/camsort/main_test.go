@@ -51,6 +51,14 @@ func TestRunRejects(t *testing.T) {
 		{name: "spdk block below one byte", args: []string{"-keys", "65536", "-ssds", "4", "-chunk", "2", "-backend", "spdk"}, code: 1, stderr: []string{"-chunk 2", "backend block 0 must be positive"}},
 		{name: "zero ssds", args: []string{"-ssds", "0"}, code: 1, stderr: []string{"-ssds 0"}},
 		{name: "negative ssds", args: []string{"-ssds", "-1"}, code: 1, stderr: []string{"-ssds -1"}},
+		// A drop-out device the machine does not have was ignored: the
+		// sort ran clean with nothing dead.
+		{name: "faildev out of range", args: []string{"-ssds", "2", "-faults", "faildev=5,failat=0"}, code: 1,
+			stderr: []string{"camsort: -faults: faildev=5: the machine has 2 SSDs"}},
+		// A lost BaM block is one line and exit 1, not a stack trace: BaM
+		// does not retry.
+		{name: "lost BaM block", args: []string{"-keys", "65536", "-ssds", "4", "-chunk", "65536", "-backend", "bam", "-faults", "7:0.05"}, code: 1,
+			stderr: []string{"camsort: xfer(bam): 1 of 1 blocks failed; BaM has no retry path\n"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

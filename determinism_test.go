@@ -55,6 +55,9 @@ var wallClockFuncs = map[string]bool{
 //   - quickrand: a testing/quick Check or CheckEqual whose config is not a
 //     &quick.Config literal with a Rand, so the inputs would come from the
 //     clock; this one rule also reads the test files.
+//   - globalset: an assignment (or ++/--), outside an init function, to a
+//     package-level variable of the module (x or pkg.X); a run's settings
+//     travel in its configs, so concurrent runs cannot see each other's.
 //
 // The subtests run each rule on a snippet where it must fire and on one
 // where it must stay quiet, and check that an unmatched exemption is caught.
@@ -94,6 +97,11 @@ func TestDeterminismRules(t *testing.T) {
 		{"quick without Rand", `import q "testing/quick"; func f() error { return q.CheckEqual(func(int) int { return 0 }, func(int) int { return 0 }, &q.Config{MaxCount: 9}) }`, "quickrand"},
 		{"quick config variable", `import "testing/quick"; var c = &quick.Config{}; func f() error { return quick.Check(func(int) bool { return true }, c) }`, "quickrand"},
 		{"quick with Rand", `import ("math/rand"; "testing/quick"); func f() error { return quick.Check(func(int) bool { return true }, &quick.Config{Rand: rand.New(rand.NewSource(1))}) }`, ""},
+		{"global set", `var plan *int; func f(p *int) { plan = p }`, "globalset"},
+		{"qualified global set", `import "camsim/internal/harness"; func f() { harness.KVSystems = nil }`, "globalset"},
+		{"global counted", `var n int; func f() { n++ }`, "globalset"},
+		{"global set in init", `var n int; func init() { n = 1 }`, ""},
+		{"local and element set", `var m = map[int]int{}; func f() { n := 1; n = 2; m[n] = n }`, ""},
 	}
 	for _, s := range snippets {
 		t.Run(s.name, func(t *testing.T) {
@@ -285,6 +293,16 @@ func (c *moduleChecker) findings(p *checkedPkg, f *ast.File) []finding {
 			report(call, "droppederr", "the error of "+obj.Pkg().Name()+"."+obj.Name()+" is dropped; handle it or discard it with _ =")
 		}
 	}
+	globalSet := func(lhs ast.Expr) {
+		if sel, ok := lhs.(*ast.SelectorExpr); ok {
+			lhs = sel.Sel
+		}
+		id, _ := lhs.(*ast.Ident)
+		if v, ok := p.info.Uses[id].(*types.Var); ok && fn != "init" && v.Parent() == v.Pkg().Scope() &&
+			(v.Pkg().Path() == "camsim" || strings.HasPrefix(v.Pkg().Path(), "camsim/")) {
+			report(lhs, "globalset", "sets package-level "+v.Pkg().Name()+"."+v.Name()+"; pass the setting in a config instead")
+		}
+	}
 	out = append(out, c.quickRandFindings(f)...)
 	for _, decl := range f.Decls {
 		fn = ""
@@ -298,6 +316,12 @@ func (c *moduleChecker) findings(p *checkedPkg, f *ast.File) []finding {
 					obj.Type().(*types.Signature).Recv() == nil && wallClockFuncs[obj.Name()] {
 					report(n, "wallclock", "time."+obj.Name()+" reads the host clock; use the virtual clock (sim.Engine.Now)")
 				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					globalSet(lhs)
+				}
+			case *ast.IncDecStmt:
+				globalSet(n.X)
 			case *ast.ExprStmt:
 				if call, ok := n.X.(*ast.CallExpr); ok {
 					dropped(call)

@@ -13,7 +13,7 @@ import (
 // the waiter used to dereference a nil handle and crash the run. KVRun
 // panics on any verification failure.
 func TestKVServeEarlyWaiterSeeds(t *testing.T) {
-	def := kvDefaults(KVParams{}, false)
+	def := KVDefaults(KVParams{}, false)
 	want := uint64(def.Sessions * def.Decode)
 	for _, seed := range []uint64{2, 3} {
 		srv, _ := KVRun(RunConfig{}, KVParams{Seed: seed}, "CAM")

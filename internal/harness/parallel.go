@@ -68,7 +68,11 @@ func RunAll(exps []Experiment, cfg RunConfig, parallel int, progress func(Progre
 					return
 				}
 				start := time.Now()
-				r, err := runRecovered(exps[i], cfg)
+				var r *Result
+				err := Recovered(func() { r = exps[i].Run(cfg) })
+				if err != nil {
+					err = fmt.Errorf("%s: %w", exps[i].ID, err)
+				}
 				wall := time.Since(start)
 				mu.Lock()
 				results[i], errs[i] = r, err
@@ -90,12 +94,15 @@ func RunAll(exps []Experiment, cfg RunConfig, parallel int, progress func(Progre
 	return results, nil
 }
 
-// runRecovered runs one experiment, turning a panic out of it into an error.
-func runRecovered(e Experiment, cfg RunConfig) (r *Result, err error) {
+// Recovered runs f and returns what it panicked with as an error, nil if it
+// returned: a run that stops on a lost transfer or a failed integrity check
+// is reported as one line, not a stack trace.
+func Recovered(f func()) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			r, err = nil, fmt.Errorf("%s: %v", e.ID, v)
+			err = fmt.Errorf("%v", v)
 		}
 	}()
-	return e.Run(cfg), nil
+	f()
+	return nil
 }
