@@ -33,7 +33,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its streams and exit code as values: 0 on success, 1 on a
 // bad backend, fault spec or negative size or a backend that could not
-// finish serving, 2 on a usage error.
+// finish serving, 2 on a usage error (an unknown flag, or -parallel below 1).
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("camkv", flag.ContinueOnError)
 	flags.SetOutput(stderr)
@@ -54,6 +54,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if *parallel < 1 {
+		fmt.Fprintf(stderr, "camkv: -parallel %d: must be at least 1\n", *parallel)
 		return 2
 	}
 	for _, name := range []string{"sessions", "ctx", "steps", "layers", "dram", "ssds"} {
@@ -102,9 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err  error // what stopped the run (BaM's lost block), nil if it served
 	}
 	outs := make([]outcome, len(systems))
-	if *parallel < 1 {
-		*parallel = 1
-	}
 	sem := make(chan struct{}, *parallel)
 	done := make(chan int, len(systems))
 	for i, sys := range systems {

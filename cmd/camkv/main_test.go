@@ -15,6 +15,8 @@ func TestRunRejects(t *testing.T) {
 	}{
 		// The deleted knob is a usage error, not silently accepted.
 		{name: "no -shards", args: []string{"-shards", "1"}, code: 2, stderr: "flag provided but not defined: -shards"},
+		// -parallel below 1 was once served as 1; cambench rejects it too.
+		{name: "parallel below one", args: []string{"-quick", "-parallel", "-3"}, code: 2, stderr: "camkv: -parallel -3: must be at least 1\n"},
 		{name: "bad fault spec", args: []string{"-quick", "-faults", "bogus"}, code: 1, stderr: "camkv: -faults:"},
 		{name: "unknown backend", args: []string{"-quick", "-backend", "nosuch"}, code: 1, stderr: `unknown backend "nosuch"`},
 		// A negative size was once replaced by the scale default without a word.
