@@ -59,6 +59,10 @@ func TestRunRejects(t *testing.T) {
 		// does not retry.
 		{name: "lost BaM block", args: []string{"-keys", "65536", "-ssds", "4", "-chunk", "65536", "-backend", "bam", "-faults", "7:0.05"}, code: 1,
 			stderr: []string{"camsort: xfer(bam): 1 of 1 blocks failed; BaM has no retry path\n"}},
+		// So is a stripe the kernel stack failed under POSIX: the sort once
+		// ran on over the hole and failed its verification instead.
+		{name: "failed kernel stripe", args: []string{"-keys", "65536", "-ssds", "4", "-chunk", "65536", "-backend", "posix", "-faults", "7:0.05"}, code: 1,
+			stderr: []string{"camsort: xfer(posix): 1 of 1 granules failed; the kernel stack has no retry path\n"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -65,10 +65,30 @@ func Write(p *sim.Proc, b Backend, off, n int64, src *gpu.Buffer, srcOff int64) 
 
 // sigHandle is a transfer's completion signal as its Handle. Backends carve
 // them from a FreeList and never recycle one: nothing says when, or how many
-// times, a Handle is waited on.
-type sigHandle struct{ done sim.Signal }
+// times, a Handle is waited on. A machine that counts the units it lost (a
+// BaM batch, a staged transfer's granules) sets errs before the signal
+// fires. Neither BaM (bam.Config.CmdTimeout) nor the kernel stack under the
+// POSIX helper has a retry path, so Wait panics on a transfer with holes
+// rather than hand its buffer back as if it were filled; lost formats that
+// panic from errs and units.
+type sigHandle struct {
+	done        sim.Signal
+	units, errs int
+	lost        string
+}
 
-func (h *sigHandle) Wait(p *sim.Proc) { p.Wait(&h.done) }
+// BatchDone implements bam.BatchSink (engine-callback context).
+func (h *sigHandle) BatchDone(errs int) {
+	h.errs = errs
+	h.done.Fire()
+}
+
+func (h *sigHandle) Wait(p *sim.Proc) {
+	p.Wait(&h.done)
+	if h.errs > 0 {
+		panic(fmt.Sprintf(h.lost, h.errs, h.units))
+	}
+}
 
 // carve takes the handle of a new transfer on e from its backend's slab.
 func carve(fl *sim.FreeList[sigHandle], e *sim.Engine, name string) *sigHandle {
@@ -146,36 +166,13 @@ type BaMBackend struct {
 	env   *platform.Env
 	arr   *bam.Array
 	g     int64
-	sinks sim.FreeList[bamHandle]
-}
-
-// bamHandle is a BaM batch's completion as its Handle. The batch machine
-// reports how many blocks it lost, and BaM has no retry path by design
-// (bam.Config.CmdTimeout), so Wait panics on a batch with holes rather than
-// hand its buffer back as if it were filled.
-type bamHandle struct {
-	done         sim.Signal
-	blocks, errs int
-}
-
-// BatchDone implements bam.BatchSink (engine-callback context).
-func (h *bamHandle) BatchDone(errs int) {
-	h.errs = errs
-	h.done.Fire()
-}
-
-func (h *bamHandle) Wait(p *sim.Proc) {
-	p.Wait(&h.done)
-	if h.errs > 0 {
-		panic(fmt.Sprintf("xfer(bam): %d of %d blocks failed; BaM has no retry path", h.errs, h.blocks))
-	}
+	sinks sim.FreeList[sigHandle]
 }
 
 // carve takes the handle of a new batch of the given block count.
-func (b *BaMBackend) carve(blocks int) *bamHandle {
-	h := b.sinks.Get()
-	h.done.Init(b.env.E, "bamxfer")
-	h.blocks = blocks
+func (b *BaMBackend) carve(blocks int) *sigHandle {
+	h := carve(&b.sinks, b.env.E, "bamxfer")
+	h.units, h.lost = blocks, "xfer(bam): %d of %d blocks failed; BaM has no retry path"
 	return h
 }
 
@@ -208,8 +205,9 @@ func (b *BaMBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcO
 // transport that moves one granule through it, one granule at a time.
 type granuleHelper interface {
 	// move transfers block blk between the SSD array and buf at bufOff,
-	// then runs done (engine-callback context).
-	move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done sim.Callback)
+	// then runs done, first losing the granule on it if it failed
+	// (engine-callback context).
+	move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done *granuleSlot)
 }
 
 // staged is the machine the SPDK and POSIX backends share: a transfer is a
@@ -224,10 +222,12 @@ type staged struct {
 	pool  *sim.Store[*granuleSlot]
 	freeX sim.FreeList[stagedXfer]
 	sigs  sim.FreeList[sigHandle]
+	lost  string // the handles' panic; only the POSIX helper loses a granule
 }
 
 func newStaged(env *platform.Env, tag string, blockBytes int64) staged {
-	return staged{env: env, tag: tag, g: blockBytes, pool: sim.NewStore[*granuleSlot](env.E, tag+".helpers")}
+	return staged{env: env, tag: tag, g: blockBytes, pool: sim.NewStore[*granuleSlot](env.E, tag+".helpers"),
+		lost: "xfer(" + tag + "): %d of %d granules failed; the kernel stack has no retry path"}
 }
 
 func (s *staged) BlockBytes() int64                      { return s.g }
@@ -245,6 +245,7 @@ func (s *staged) start(read bool, blocks []uint64, buf *gpu.Buffer, off int64, o
 		return doneHandle{}
 	}
 	sig := carve(&s.sigs, s.env.E, s.tag)
+	sig.units, sig.lost = len(blocks), s.lost
 	x := s.freeX.Get()
 	x.s, x.read, x.buf, x.sig = s, read, buf, sig
 	x.next, x.remaining = 0, len(blocks)
@@ -292,6 +293,9 @@ type granuleSlot struct {
 	h granuleHelper
 	x *stagedXfer
 }
+
+// lose marks the granule k carries as failed, for its transfer's Wait.
+func (k *granuleSlot) lose() { k.x.sig.errs++ }
 
 // Run is the granule-complete continuation: the helper returns to the pool
 // and the last granule completes the transfer (engine-callback context).
@@ -365,7 +369,7 @@ type spdkHelper struct {
 }
 
 // move stages one granule (engine-callback context).
-func (h spdkHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done sim.Callback) {
+func (h spdkHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done *granuleSlot) {
 	dev, slba := h.b.locateBlock(blk)
 	if read {
 		h.st.ReadToGPUAsync(dev, slba, buf, bufOff, h.b.g, done)
@@ -450,64 +454,42 @@ func (b *POSIXBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, sr
 
 // posixHelper phases.
 const (
-	pgSubmit uint8 = iota // submit the next stripe chunk
-	pgWait                // wait for the next chunk completion
+	pgMoved  uint8 = iota // pread or pwrite done
 	pgCopied              // final (read) or initial (write) memcpy done
 )
 
 // posixHelper walks one granule at a time through the kernel stack over
-// its host buffer: for reads, stripe-chunked pread then one staging memcpy
-// to the GPU; for writes, the memcpy first, then chunked pwrite. Chunks
-// submit sequentially (the kernel path serializes them anyway) and their
-// completions are reaped in order, mirroring the synchronous worker.
+// its host buffer, as the synchronous worker does: for reads, pread then
+// one staging memcpy to the GPU; for writes, the memcpy first, then pwrite.
 type posixHelper struct {
 	b      *POSIXBackend
 	host   *hostmem.Buffer
 	read   bool
+	off    int64
 	buf    *gpu.Buffer
 	bufOff int64
-	done   sim.Callback
+	done   *granuleSlot
 	phase  uint8
-	reqs   []oskernel.Request
-	idx    int
+	io     oskernel.Range
 }
 
 // move starts one granule (engine-callback context).
-func (h *posixHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done sim.Callback) {
-	b := h.b
-	h.read, h.buf, h.bufOff, h.done = read, buf, bufOff, done
-	// Pre-build the stripe-boundary chunk list over the helper buffer; the
-	// stack re-arms a reused slot's Done signal on submit.
-	reqs, n := h.reqs[:cap(h.reqs)], 0
-	op := nvme.OpRead
-	if !read {
-		op = nvme.OpWrite
-	}
-	off, hostPay := int64(blk)*b.g, h.host.Payload()
-	var hostOff int64
-	for hostOff < b.g {
-		chunk := b.stack.StripeBytes() - off%b.stack.StripeBytes()
-		if chunk > b.g-hostOff {
-			chunk = b.g - hostOff
-		}
-		if n == len(reqs) {
-			reqs = append(reqs, oskernel.Request{})
-		}
-		r := &reqs[n]
-		r.Op, r.Offset, r.Pay, r.PayOff, r.N = op, off, hostPay, hostOff, chunk
-		n++
-		off += chunk
-		hostOff += chunk
-	}
-	h.reqs = reqs[:n]
-	h.idx = 0
+func (h *posixHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done *granuleSlot) {
+	h.read, h.off, h.buf, h.bufOff, h.done = read, int64(blk)*h.b.g, buf, bufOff, done
 	if read {
-		h.phase = pgSubmit
-		b.stack.SubmitAsync(&h.reqs[0], h)
+		h.kernel(nvme.OpRead)
 		return
 	}
 	// Write: stage GPU → host first (one DRAM write crossing + one memcpy).
 	h.stage(h.host.Payload(), 0, buf.Payload(), bufOff)
+}
+
+// kernel moves the granule between the SSD array and the host buffer; Run
+// resumes in pgMoved once the kernel stack has completed it.
+func (h *posixHelper) kernel(op nvme.Opcode) {
+	h.phase = pgMoved
+	h.b.stack.Start(&h.io, op, h.off, h.host.Payload(), 0, h.b.g)
+	h.io.Done.WaitCallback(0, h)
 }
 
 // stage is the staging memcpy (one DRAM crossing); Run resumes in pgCopied
@@ -523,22 +505,10 @@ func (h *posixHelper) stage(dst *mem.Payload, dstOff int64, src *mem.Payload, sr
 
 // Run advances the granule one phase (engine-callback context).
 func (h *posixHelper) Run() {
-	b := h.b
 	switch h.phase {
-	case pgSubmit: // chunk h.idx submitted
-		h.idx++
-		if h.idx < len(h.reqs) {
-			b.stack.SubmitAsync(&h.reqs[h.idx], h)
-			return
-		}
-		h.phase, h.idx = pgWait, 0
-		h.reqs[0].Done.WaitCallback(0, h)
-
-	case pgWait: // chunk h.idx completed
-		h.idx++
-		if h.idx < len(h.reqs) {
-			h.reqs[h.idx].Done.WaitCallback(0, h)
-			return
+	case pgMoved:
+		if h.io.Status != nvme.StatusSuccess {
+			h.done.lose()
 		}
 		if !h.read {
 			h.finish()
@@ -552,8 +522,7 @@ func (h *posixHelper) Run() {
 			h.finish()
 			return
 		}
-		h.phase, h.idx = pgSubmit, 0
-		b.stack.SubmitAsync(&h.reqs[0], h)
+		h.kernel(nvme.OpWrite)
 	}
 }
 

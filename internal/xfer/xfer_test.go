@@ -38,27 +38,37 @@ func backends(blockBytes int64) map[string]struct {
 	return out
 }
 
+// TestAllBackendsRoundTrip writes twelve 4 KiB blocks and reads them back on
+// every backend, and twelve 192 KiB granules on POSIX: one and a half RAID0
+// stripes each, so every other granule straddles a stripe boundary in its
+// middle and the kernel stack splits it there.
 func TestAllBackendsRoundTrip(t *testing.T) {
 	const bb = 4096
 	for name, bx := range backends(bb) {
-		name, bx := name, bx
-		t.Run(name, func(t *testing.T) {
-			n := int64(12 * bb) // spans all devices
-			src := bx.b.Alloc("src", n)
-			dst := bx.b.Alloc("dst", n)
-			rng := sim.NewRNG(77)
-			for i := range src.Bytes() {
-				src.Bytes()[i] = byte(rng.Uint64())
-			}
-			bx.env.E.Go("app", func(p *sim.Proc) {
-				Write(p, bx.b, 0, n, src, 0)
-				Read(p, bx.b, 0, n, dst, 0)
-			})
-			bx.env.Run()
-			if !bytes.Equal(src.Bytes(), dst.Bytes()) {
-				t.Fatalf("%s round trip mismatch", name)
-			}
-		})
+		t.Run(name, func(t *testing.T) { roundTrip(t, bx.env, bx.b, bb) })
+	}
+	t.Run("posix-192KiB", func(t *testing.T) {
+		env := platform.New(platform.Options{SSDs: 3})
+		roundTrip(t, env, NewPOSIX(env, 192<<10, 2), 192<<10)
+	})
+}
+
+// roundTrip writes 12 random blocks of bb bytes through b and reads them back.
+func roundTrip(t *testing.T, env *platform.Env, b Backend, bb int64) {
+	n := 12 * bb // spans all devices
+	src := b.Alloc("src", n)
+	dst := b.Alloc("dst", n)
+	rng := sim.NewRNG(77)
+	for i := range src.Bytes() {
+		src.Bytes()[i] = byte(rng.Uint64())
+	}
+	env.E.Go("app", func(p *sim.Proc) {
+		Write(p, b, 0, n, src, 0)
+		Read(p, b, 0, n, dst, 0)
+	})
+	env.Run()
+	if !bytes.Equal(src.Bytes(), dst.Bytes()) {
+		t.Fatalf("%s round trip mismatch", b.Name())
 	}
 }
 
