@@ -15,7 +15,6 @@ import (
 	"camsim/internal/oskernel"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
-	"camsim/internal/spdk"
 	"camsim/internal/xfer"
 )
 
@@ -29,9 +28,9 @@ const (
 
 // goldenShapes builds one 16-read batch per backend on env and returns the
 // check that it completed. Each shape is small enough that its whole event
-// log reads as a trace of one batch. The posix shape reads whole granules of
-// fig10a's POSIX size, 256 KiB or two RAID0 stripes, through the xfer
-// backend.
+// log reads as a trace of one batch. The spdk and posix shapes go through
+// their xfer backends, one helper per read on SPDK; posix reads whole
+// granules of fig10a's POSIX size, 256 KiB or two RAID0 stripes.
 var goldenShapes = []struct {
 	name string
 	run  func(t *testing.T, env *platform.Env, blocks []uint64) func()
@@ -64,19 +63,7 @@ var goldenShapes = []struct {
 		}
 	}},
 	{"spdk", func(t *testing.T, env *platform.Env, blocks []uint64) func() {
-		d := newSPDK(env)
-		buf := env.GPU.Alloc("golden", goldenIOs*goldenBlock)
-		c := &goldenCounter{}
-		for i, blk := range blocks {
-			st := spdk.NewStagedGPUIO(d, env.CE, goldenBlock)
-			dev, lba := int(blk%goldenSSDs), blk/goldenSSDs*(goldenBlock/512)
-			st.ReadToGPUAsync(dev, lba, buf, int64(i)*goldenBlock, goldenBlock, c)
-		}
-		return func() {
-			if c.n != goldenIOs {
-				t.Errorf("staged spdk: %d of %d granules landed", c.n, goldenIOs)
-			}
-		}
+		return goldenXferReads(t, env, xfer.NewSPDK(env, goldenBlock, goldenIOs), goldenBlock, blocks)
 	}},
 	{"io_uring-poll", func(t *testing.T, env *platform.Env, blocks []uint64) func() {
 		st := oskernel.NewStack(env.E, oskernel.IOUringPoll, oskernel.DefaultConfig(oskernel.IOUringPoll), env.HM, env.Devs)
@@ -99,26 +86,31 @@ var goldenShapes = []struct {
 	}},
 	{"posix", func(t *testing.T, env *platform.Env, blocks []uint64) func() {
 		const g = 256 << 10
-		b := xfer.NewPOSIX(env, g, 4)
-		env.StartDevices()
-		buf := b.Alloc("golden", goldenIOs*g)
-		n := 0
-		env.E.Go("gpu", func(p *sim.Proc) {
-			hs := make([]xfer.Handle, len(blocks))
-			for i, blk := range blocks {
-				hs[i] = b.StartRead(p, int64(blk)*g, g, buf, int64(i)*g)
-			}
-			for _, h := range hs {
-				h.Wait(p)
-				n++
-			}
-		})
-		return func() {
-			if n != goldenIOs {
-				t.Errorf("posix: %d of %d granules landed", n, goldenIOs)
-			}
-		}
+		return goldenXferReads(t, env, xfer.NewPOSIX(env, g, 4), g, blocks)
 	}},
+}
+
+// goldenXferReads starts one read of a g-byte granule per block through b,
+// all from one process, then waits for each in turn.
+func goldenXferReads(t *testing.T, env *platform.Env, b xfer.Backend, g int64, blocks []uint64) func() {
+	env.StartDevices()
+	buf := b.Alloc("golden", int64(len(blocks))*g)
+	n := 0
+	env.E.Go("gpu", func(p *sim.Proc) {
+		hs := make([]xfer.Handle, len(blocks))
+		for i, blk := range blocks {
+			hs[i] = b.StartRead(p, int64(blk)*g, g, buf, int64(i)*g)
+		}
+		for _, h := range hs {
+			h.Wait(p)
+			n++
+		}
+	})
+	return func() {
+		if n != len(blocks) {
+			t.Errorf("%s: %d of %d granules landed", b.Name(), n, len(blocks))
+		}
+	}
 }
 
 // goldenCounter counts completions.
@@ -167,10 +159,10 @@ func logEventMix(t *testing.T, shape string, log []byte) {
 	t.Logf("%-13s %-20s %6d events  %.3f per I/O", shape, "all", len(lines), float64(len(lines))/goldenIOs)
 }
 
-// TestGoldenEventLogs replays one 16-read batch on CAM, BaM, staged SPDK,
-// io_uring poll and the POSIX xfer backend and compares every dispatched
-// event — (due time, sequence, callback type) — with the log committed
-// under testdata/events. A change that moves the model's event order fails
+// TestGoldenEventLogs replays one 16-read batch on CAM, BaM, the SPDK and
+// POSIX xfer backends and io_uring poll and compares every dispatched event
+// — (due time, sequence, callback type) — with the log committed under
+// testdata/events. A change that moves the model's event order fails
 // here at the first event that differs; one that means to move it deletes
 // the log, reruns the test to record it afresh, and commits the new log,
 // whose diff is the review.
