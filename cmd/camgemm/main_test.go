@@ -44,7 +44,8 @@ func TestRunReportsFaults(t *testing.T) {
 // TestRunRejects: a bad flag is a usage error (2); a bad value exits 1 with
 // a message naming the flag before any backend is built — where -n 0 and
 // -tile 0 panicked, and -ssds 0 reported zero SSDs for a platform that
-// built its default twelve — and so does a multiply that loses a block.
+// built its default twelve — and so does a multiply that loses a block, on
+// every backend.
 func TestRunRejects(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -67,6 +68,14 @@ func TestRunRejects(t *testing.T) {
 		// does not retry.
 		{name: "lost BaM block", args: []string{"-n", "64", "-tile", "16", "-ssds", "4", "-backend", "bam", "-faults", "7:1e-3"}, code: 1,
 			stderr: "camgemm: xfer(bam): 1 of 1 blocks failed; BaM has no retry path\n"},
+		// So is a block a dead device lost past the driver's retries: the
+		// multiply once ran on over the hole and failed its verification.
+		{name: "dead device under GDS", args: []string{"-n", "256", "-tile", "64", "-verify", "-ssds", "4", "-backend", "gds", "-faults", "faildev=1,failat=0"}, code: 1,
+			stderr: "camgemm: xfer(gds): 1 command(s) of a 1-block transfer failed; the driver's retries did not recover them\n"},
+		{name: "dead device under SPDK", args: []string{"-n", "256", "-tile", "64", "-verify", "-ssds", "4", "-backend", "spdk", "-faults", "faildev=1,failat=0"}, code: 1,
+			stderr: "camgemm: xfer(spdk): 1 of 1 granules failed; the driver's retries did not recover them\n"},
+		{name: "dead device under CAM", args: []string{"-n", "256", "-tile", "64", "-verify", "-ssds", "4", "-backend", "cam", "-faults", "faildev=1,failat=0"}, code: 1,
+			stderr: "camgemm: xfer(cam): 1 of 1 blocks failed; the driver's retries did not recover them\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -63,6 +63,11 @@ func TestRunRejects(t *testing.T) {
 		// ran on over the hole and failed its verification instead.
 		{name: "failed kernel stripe", args: []string{"-keys", "65536", "-ssds", "4", "-chunk", "65536", "-backend", "posix", "-faults", "7:0.05"}, code: 1,
 			stderr: []string{"camsort: xfer(posix): 1 of 1 granules failed; the kernel stack has no retry path\n"}},
+		// And so is a block a dead device lost past the driver's retries.
+		{name: "dead device under SPDK", args: []string{"-keys", "65536", "-ssds", "4", "-chunk", "65536", "-backend", "spdk", "-faults", "faildev=1,failat=0"}, code: 1,
+			stderr: []string{"camsort: xfer(spdk): 1 of 4 granules failed; the driver's retries did not recover them\n"}},
+		{name: "dead device under CAM", args: []string{"-keys", "65536", "-ssds", "4", "-chunk", "65536", "-backend", "cam", "-faults", "faildev=1,failat=0"}, code: 1,
+			stderr: []string{"camsort: xfer(cam): 1 of 1 blocks failed; the driver's retries did not recover them\n"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -142,8 +142,16 @@ func (b *Batch) Errors() int { return b.errors }
 func (b *Batch) OK() bool { return b.errors == 0 }
 
 // Wait blocks p until the batch completes, as its manager's Synchronize
-// does; it makes a *Batch the handle package xfer deals in.
-func (b *Batch) Wait(p *sim.Proc) { b.m.synchronize(p, b) }
+// does; it makes a *Batch the handle package xfer deals in. Like every xfer
+// handle, it panics on a batch that lost blocks rather than hand its buffer
+// back as if it were filled; Synchronize, Errors and OK report losses as
+// data instead.
+func (b *Batch) Wait(p *sim.Proc) {
+	b.m.synchronize(p, b)
+	if b.errors > 0 {
+		panic(fmt.Sprintf("xfer(cam): %d of %d blocks failed; the driver's retries did not recover them", b.errors, b.Count))
+	}
+}
 
 // Latency reports publish-to-completion time (valid after completion).
 func (b *Batch) Latency() sim.Time { return b.completed - b.published }

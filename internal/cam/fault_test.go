@@ -69,6 +69,31 @@ func TestInjectedErrorsSurfaceOnBatch(t *testing.T) {
 	}
 }
 
+// TestWaitPanicsOnLostBlocks: Wait, the batch as an xfer handle, refuses to
+// hand back a buffer with holes, while Synchronize on the same batch returns
+// and leaves the losses to Errors and OK.
+func TestWaitPanicsOnLostBlocks(t *testing.T) {
+	plan := fault.NewPlan(7)
+	plan.ErrRate = 1
+	r := faultRig(2, DefaultConfig(2), plan)
+	dst := r.m.Alloc("dst", 16*4096)
+	var b *Batch
+	var got any
+	r.e.Go("kernel", func(p *sim.Proc) {
+		b = r.m.Prefetch(p, seqBlocks(16), dst, 0)
+		r.m.Synchronize(p, b)
+		defer func() { got = recover() }()
+		b.Wait(p)
+	})
+	r.e.Run()
+	if b.OK() || b.Errors() != 16 {
+		t.Fatalf("batch OK=%v errors=%d after Synchronize, want false and 16", b.OK(), b.Errors())
+	}
+	if want := "xfer(cam): 16 of 16 blocks failed; the driver's retries did not recover them"; got != want {
+		t.Fatalf("Wait panicked with %v, want %q", got, want)
+	}
+}
+
 // TestRetriesRecoverInjectedErrors: with the management thread's retry path
 // armed by the faulted devices, a 20% media-error rate is absorbed — the batch completes clean and
 // the recovery counters show the work it took. Deterministic for this seed.

@@ -58,35 +58,42 @@ func (d *Driver) locate(off int64) (dev int, lba uint64) {
 	return dev, uint64(devOff) / nvme.LBASize
 }
 
+// Sink receives a transfer's count of failed NVMe commands once every
+// command of it has completed (engine-callback context).
+type Sink interface {
+	BatchDone(errs int)
+}
+
 // ReadAsync starts a cuFileRead-style read of n bytes at file offset off into
 // GPU memory at dstAddr (must be GPU HBM). The software path walks every page
-// before the hardware transfer is allowed to start; done fires once every
+// before the hardware transfer is allowed to start; done runs once every
 // NVMe command of the transfer has completed.
-func (d *Driver) ReadAsync(off, n int64, dstAddr mem.Addr, done *sim.Signal) {
+func (d *Driver) ReadAsync(off, n int64, dstAddr mem.Addr, done Sink) {
 	d.ioAsync(nvme.OpRead, off, n, dstAddr, done)
 }
 
 // WriteAsync starts a cuFileWrite-style write from GPU memory.
-func (d *Driver) WriteAsync(off, n int64, srcAddr mem.Addr, done *sim.Signal) {
+func (d *Driver) WriteAsync(off, n int64, srcAddr mem.Addr, done Sink) {
 	d.ioAsync(nvme.OpWrite, off, n, srcAddr, done)
 }
 
 // ioMachine runs one cuFileRead/Write as a callback state machine: the
 // serialized software-path delay, then the stripe/MDTS-split hardware
-// submissions with completion fan-in. Machines recycle through the driver's
-// free list.
+// submissions with completion fan-in, counting the commands that failed.
+// Machines recycle through the driver's free list.
 type ioMachine struct {
 	d      *Driver
 	op     nvme.Opcode
 	off, n int64
 	addr   mem.Addr
 	fan    spdk.FanIn
-	done   *sim.Signal
+	errs   int
+	done   Sink
 }
 
 // ioAsync claims the software-path window at call time (the path's
 // serialization point) and parks the machine until it closes.
-func (d *Driver) ioAsync(op nvme.Opcode, off, n int64, addr mem.Addr, done *sim.Signal) {
+func (d *Driver) ioAsync(op nvme.Opcode, off, n int64, addr mem.Addr, done Sink) {
 	if n <= 0 || n%nvme.LBASize != 0 || off%nvme.LBASize != 0 {
 		panic(fmt.Sprintf("gds: unaligned io off=%d n=%d", off, n))
 	}
@@ -137,15 +144,21 @@ func (m *ioMachine) Run() {
 
 // RequestDone implements spdk.Completion: fan one NVMe completion into the
 // machine (reactor context).
-func (m *ioMachine) RequestDone(r *spdk.Request) { m.fan.Release(m.d.e, r.At, (*ioFire)(m)) }
+func (m *ioMachine) RequestDone(r *spdk.Request) {
+	if r.Status != nvme.StatusSuccess {
+		m.errs++
+	}
+	m.fan.Release(m.d.e, r.At, (*ioFire)(m))
+}
 
-// ioFire fires the machine's done signal once its last command completed.
+// ioFire hands the machine's failed-command count to its sink once its last
+// command completed.
 type ioFire ioMachine
 
 func (f *ioFire) Run() {
 	m := (*ioMachine)(f)
-	d, done := m.d, m.done
+	d, done, errs := m.d, m.done, m.errs
 	*m = ioMachine{}
 	d.freeIO.Put(m)
-	done.Fire()
+	done.BatchDone(errs)
 }

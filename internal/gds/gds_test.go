@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"camsim/internal/calib"
+	"camsim/internal/fault"
 	"camsim/internal/gpu"
 	"camsim/internal/hostmem"
 	"camsim/internal/mem"
@@ -21,7 +23,11 @@ type rig struct {
 	d    *Driver
 }
 
-func newRig(nDevs int) *rig {
+func newRig(nDevs int) *rig { return newFaultedRig(nDevs, nil) }
+
+// newFaultedRig builds the rig with plan's injectors on its devices, when
+// plan is not nil; the driver arms its recovery from them.
+func newFaultedRig(nDevs int, plan *fault.Plan) *rig {
 	e := sim.New()
 	space := mem.NewSpace()
 	fab := pcie.New(e, pcie.DefaultConfig())
@@ -32,6 +38,9 @@ func newRig(nDevs int) *rig {
 		c := ssd.DefaultConfig()
 		c.Seed = uint64(i + 1)
 		devs = append(devs, ssd.New(e, fmt.Sprintf("nvme%d", i), c, fab, space))
+		if plan != nil {
+			devs[i].SetFaultInjector(plan.Injector(i))
+		}
 	}
 	d := New(e, hm, space, devs)
 	for _, dev := range devs {
@@ -41,17 +50,31 @@ func newRig(nDevs int) *rig {
 	return &rig{e: e, g: g, hm: hm, devs: devs, d: d}
 }
 
-// read and write block p on one transfer.
-func (r *rig) read(p *sim.Proc, off, n int64, dst mem.Addr) {
-	done := r.e.NewSignal("read")
-	r.d.ReadAsync(off, n, dst, done)
-	p.Wait(done)
+// signalSink fires a signal when a transfer completes and keeps its
+// failed-command count.
+type signalSink struct {
+	done *sim.Signal
+	errs int
 }
 
-func (r *rig) write(p *sim.Proc, off, n int64, src mem.Addr) {
-	done := r.e.NewSignal("write")
-	r.d.WriteAsync(off, n, src, done)
-	p.Wait(done)
+func (s *signalSink) BatchDone(errs int) {
+	s.errs = errs
+	s.done.Fire()
+}
+
+// read and write block p on one transfer and report its failed commands.
+func (r *rig) read(p *sim.Proc, off, n int64, dst mem.Addr) int {
+	s := &signalSink{done: r.e.NewSignal("read")}
+	r.d.ReadAsync(off, n, dst, s)
+	p.Wait(s.done)
+	return s.errs
+}
+
+func (r *rig) write(p *sim.Proc, off, n int64, src mem.Addr) int {
+	s := &signalSink{done: r.e.NewSignal("write")}
+	r.d.WriteAsync(off, n, src, s)
+	p.Wait(s.done)
+	return s.errs
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {
@@ -64,12 +87,30 @@ func TestReadWriteRoundTrip(t *testing.T) {
 		src.Bytes()[i] = byte(rng.Uint64())
 	}
 	r.e.Go("app", func(p *sim.Proc) {
-		r.write(p, 0, n, src.Addr)
-		r.read(p, 0, n, dst.Addr)
+		if r.write(p, 0, n, src.Addr)+r.read(p, 0, n, dst.Addr) != 0 {
+			t.Error("a fault-free transfer reported failed commands")
+		}
 	})
 	r.e.Run()
 	if !bytes.Equal(src.Bytes(), dst.Bytes()) {
 		t.Fatal("GDS round trip mismatch")
+	}
+}
+
+// TestFailedCommandsReachTheSink: with every command failing, a read of five
+// stripes hands its sink all five of its commands as failed (the round trip
+// test pins zero on a fault-free machine).
+func TestFailedCommandsReachTheSink(t *testing.T) {
+	plan := fault.NewPlan(1)
+	plan.ErrRate = 1
+	r := newFaultedRig(3, plan)
+	n := 5 * calib.RAID0Stripe()
+	dst := r.g.Alloc("dst", n)
+	errs := -1
+	r.e.Go("app", func(p *sim.Proc) { errs = r.read(p, 0, n, dst.Addr) })
+	r.e.Run()
+	if errs != 5 {
+		t.Fatalf("sink got %d failed commands, want 5 (one per stripe)", errs)
 	}
 }
 

@@ -310,7 +310,8 @@ func spdkContigRun(cfg RunConfig, ssds int, op nvme.Opcode, blockBytes, regions 
 }
 
 // kernelThroughput measures a kernel I/O stack with parallel workers (the
-// paper's fio-style load) and reports bytes/s.
+// paper's fio-style load) and reports the bytes/s its successful requests
+// moved.
 func kernelThroughput(cfg RunConfig, kind oskernel.StackKind, ssds int, op nvme.Opcode, gran int64) (float64, *oskernel.Stack) {
 	env := cfg.newEnv(platform.Options{SSDs: ssds})
 	st := oskernel.NewStack(env.E, kind, oskernel.DefaultConfig(kind), env.HM, env.Devs)
@@ -323,7 +324,7 @@ func kernelThroughput(cfg RunConfig, kind oskernel.StackKind, ssds int, op nvme.
 	if per < 20 {
 		per = 20
 	}
-	total := int64(workers*per) * gran
+	var moved int64
 	rng := sim.NewRNG(11)
 	span := int64(ssds) << 30
 	for w := 0; w < workers; w++ {
@@ -336,16 +337,20 @@ func kernelThroughput(cfg RunConfig, kind oskernel.StackKind, ssds int, op nvme.
 			defer buf.Release()
 			for i := 0; i < per; i++ {
 				off := lr.Int63n(span/gran) * gran
+				var status nvme.Status
 				if op == nvme.OpRead {
-					st.ReadAtP(p, off, buf, 0, gran)
+					status = st.ReadAtP(p, off, buf, 0, gran)
 				} else {
-					st.WriteAtP(p, off, buf, 0, gran)
+					status = st.WriteAtP(p, off, buf, 0, gran)
+				}
+				if status == nvme.StatusSuccess {
+					moved += gran
 				}
 			}
 		})
 	}
 	end := runEnv(cfg, env)
-	return float64(total) / end.Seconds(), st
+	return float64(moved) / end.Seconds(), st
 }
 
 // spdkRawThroughput drives the raw asynchronous SPDK API to host memory at

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"camsim/internal/cam"
+	"camsim/internal/fault"
 	"camsim/internal/nvme"
+	"camsim/internal/oskernel"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
 	"camsim/internal/spdk"
@@ -180,4 +182,20 @@ func TestReqWindowRefusesRecordInFlight(t *testing.T) {
 		}
 	}()
 	w.submit(nil, spdk.Request{})
+}
+
+// TestKernelThroughputCountsOnlySuccess: the kernel stacks' fio-style load
+// reports the bytes its successful requests moved, so under a plan that
+// fails every command it reports 0 where the same load fault-free reports
+// its rate.
+func TestKernelThroughputCountsOnlySuccess(t *testing.T) {
+	plan := fault.NewPlan(1)
+	plan.ErrRate = 1
+	for _, op := range []nvme.Opcode{nvme.OpRead, nvme.OpWrite} {
+		clean, _ := kernelThroughput(RunConfig{Quick: true}, oskernel.POSIX, 1, op, 4096)
+		failed, _ := kernelThroughput(RunConfig{Quick: true, Faults: plan}, oskernel.POSIX, 1, op, 4096)
+		if clean <= 0 || failed != 0 {
+			t.Errorf("%s: %.0f B/s fault-free, %.0f B/s with every command failing; want positive and 0", op, clean, failed)
+		}
+	}
 }

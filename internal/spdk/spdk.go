@@ -8,9 +8,10 @@
 //   - Destination in host DRAM: the SSD DMAs straight into the user buffer
 //     (SPDK is zero-copy to host memory); one DRAM crossing is charged.
 //   - Destination in GPU HBM: SPDK cannot target GPU memory, so callers
-//     stage through a host buffer and a cudaMemcpyAsync (gpu.CopyEngine);
-//     the StagedGPUIO helper packages that flow and charges the second
-//     DRAM crossing. This staging is precisely the paper's Issue 2.
+//     stage through a host buffer and a cudaMemcpyAsync, which charges the
+//     second DRAM crossing: xfer's staged helpers package that flow for
+//     the SPDK and POSIX backends alike. This staging is precisely the
+//     paper's Issue 2.
 package spdk
 
 import (
@@ -234,10 +235,7 @@ type Driver struct {
 	devOwner []int
 	// reqFree recycles Sink-completed requests issued via GetRequest.
 	reqFree sim.FreeList[Request]
-	// stagedSeq numbers this driver's staging buffers so their names stay
-	// deterministic (a %p-based name would differ across ASLR'd runs).
-	stagedSeq int
-	started   bool
+	started bool
 
 	// failed marks devices declared dead after repeated timeouts.
 	failed []bool

@@ -22,7 +22,6 @@ type rig struct {
 	fab   *pcie.Fabric
 	devs  []*ssd.Device
 	g     *gpu.GPU
-	ce    *gpu.CopyEngine
 }
 
 func newRig(nDevs int) *rig { return newRigIOPS(nDevs, 0) }
@@ -36,7 +35,6 @@ func newRigIOPS(nDevs int, readIOPS float64) *rig {
 	fab := pcie.New(e, pcie.DefaultConfig())
 	hm := hostmem.New(e, space, hostmem.DefaultConfig())
 	g := gpu.New(e, "gpu0", gpu.DefaultConfig(), space)
-	ce := gpu.NewCopyEngine(e, "h2d")
 	var devs []*ssd.Device
 	for i := 0; i < nDevs; i++ {
 		cfg := ssd.DefaultConfig()
@@ -46,7 +44,7 @@ func newRigIOPS(nDevs int, readIOPS float64) *rig {
 		}
 		devs = append(devs, ssd.New(e, fmt.Sprintf("nvme%d", i), cfg, fab, space))
 	}
-	return &rig{e: e, space: space, hm: hm, fab: fab, devs: devs, g: g, ce: ce}
+	return &rig{e: e, space: space, hm: hm, fab: fab, devs: devs, g: g}
 }
 
 // effIOPS is the per-SSD effective 4 KiB read rate on the paper's
@@ -205,90 +203,6 @@ func TestGPUDirectAddressChargesNoDRAM(t *testing.T) {
 	}
 }
 
-// fireOnRun adapts a signal to the staged helper's completion callback.
-type fireOnRun struct{ s *sim.Signal }
-
-func (f fireOnRun) Run() { f.s.Fire() }
-
-func TestStagedReadToGPUDataAndTraffic(t *testing.T) {
-	// Both data-plane modes must land the same bytes with the same traffic.
-	var got [2][]byte
-	for mode, eager := range []bool{false, true} {
-		prev := mem.DefaultEager()
-		mem.SetDefaultEager(eager)
-		r := newRig(1)
-		d := New(r.e, DefaultConfig(), r.hm, r.space, r.devs, 1)
-		st := NewStagedGPUIO(d, r.ce, 1<<20)
-		r.startAll(d)
-		// Preload the SSD store with a pattern.
-		n := int64(256 << 10) // 2 MDTS commands
-		src := make([]byte, n)
-		rng := sim.NewRNG(3)
-		for i := range src {
-			src[i] = byte(rng.Uint64())
-		}
-		r.devs[0].Store().WriteLBAP(0, uint32(n/nvme.LBASize), mem.WrapBytes(src), 0)
-		gb := r.g.Alloc("dst", n)
-		done := r.e.NewSignal("granule")
-		r.e.Go("app", func(p *sim.Proc) {
-			st.ReadToGPUAsync(0, 0, gb, 0, n, fireOnRun{done})
-			p.Wait(done)
-		})
-		r.e.Run()
-		mem.SetDefaultEager(prev)
-		if !bytes.Equal(gb.Bytes(), src) {
-			t.Fatalf("staged read data mismatch (eager=%v)", eager)
-		}
-		// DMA write (n) + memcpy read (n): two crossings.
-		if got := r.hm.TotalTraffic(); got != 2*n {
-			t.Fatalf("DRAM traffic = %d, want %d (two crossings, eager=%v)", got, 2*n, eager)
-		}
-		if r.ce.Calls() != 1 {
-			t.Fatalf("memcpy calls = %d, want 1 per granule (eager=%v)", r.ce.Calls(), eager)
-		}
-		got[mode] = append([]byte(nil), gb.Bytes()...)
-	}
-	if !bytes.Equal(got[0], got[1]) {
-		t.Fatal("lazy and eager staged reads landed different bytes")
-	}
-}
-
-func TestStagedWriteFromGPU(t *testing.T) {
-	var stored [2][]byte
-	for mode, eager := range []bool{false, true} {
-		prev := mem.DefaultEager()
-		mem.SetDefaultEager(eager)
-		r := newRig(1)
-		d := New(r.e, DefaultConfig(), r.hm, r.space, r.devs, 1)
-		st := NewStagedGPUIO(d, r.ce, 1<<20)
-		r.startAll(d)
-		n := int64(64 << 10)
-		gb := r.g.Alloc("src", n)
-		for i := range gb.Bytes() {
-			gb.Bytes()[i] = byte(i % 253)
-		}
-		done := r.e.NewSignal("granule")
-		r.e.Go("app", func(p *sim.Proc) {
-			st.WriteFromGPUAsync(0, 128, gb, 0, n, fireOnRun{done})
-			p.Wait(done)
-		})
-		r.e.Run()
-		mem.SetDefaultEager(prev)
-		got := make([]byte, n)
-		r.devs[0].Store().ReadLBAP(128, uint32(n/nvme.LBASize), mem.WrapBytes(got), 0)
-		if !bytes.Equal(got, gb.Bytes()) {
-			t.Fatalf("staged write data mismatch (eager=%v)", eager)
-		}
-		if tr := r.hm.TotalTraffic(); tr != 2*n {
-			t.Fatalf("DRAM traffic = %d, want %d (eager=%v)", tr, 2*n, eager)
-		}
-		stored[mode] = got
-	}
-	if !bytes.Equal(stored[0], stored[1]) {
-		t.Fatal("lazy and eager staged writes stored different bytes")
-	}
-}
-
 func TestOversizeRequestPanics(t *testing.T) {
 	r := newRig(1)
 	d := New(r.e, DefaultConfig(), r.hm, r.space, r.devs, 1)
@@ -319,28 +233,6 @@ func TestStatsCountRequests(t *testing.T) {
 	}
 	if st.PerRequestInstructions() < 500 {
 		t.Fatalf("per-request instructions %.0f implausibly low", st.PerRequestInstructions())
-	}
-}
-
-// TestStagedBufferNamesDeterministic is the regression test for staging
-// buffers once named by formatting the driver pointer (%p), the bug the
-// pointerfmt rule of TestDeterminismRules now keeps out of every other
-// site: ASLR made the name differ between
-// identically-seeded runs, and every helper sharing a driver collided on
-// the same name. Names must be stable across runs and unique per helper.
-func TestStagedBufferNamesDeterministic(t *testing.T) {
-	r := newRig(1)
-	d := New(r.e, DefaultConfig(), r.hm, r.space, r.devs, 1)
-	a := NewStagedGPUIO(d, r.ce, 1<<20)
-	b := NewStagedGPUIO(d, r.ce, 1<<20)
-	if got, want := a.staging.Name, "spdk.staging.1"; got != want {
-		t.Errorf("first staging buffer name = %q, want %q", got, want)
-	}
-	if got, want := b.staging.Name, "spdk.staging.2"; got != want {
-		t.Errorf("second staging buffer name = %q, want %q", got, want)
-	}
-	if a.staging.Name == b.staging.Name {
-		t.Errorf("helpers sharing a driver must not collide on staging buffer names")
 	}
 }
 

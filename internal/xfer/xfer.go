@@ -65,19 +65,21 @@ func Write(p *sim.Proc, b Backend, off, n int64, src *gpu.Buffer, srcOff int64) 
 
 // sigHandle is a transfer's completion signal as its Handle. Backends carve
 // them from a FreeList and never recycle one: nothing says when, or how many
-// times, a Handle is waited on. A machine that counts the units it lost (a
-// BaM batch, a staged transfer's granules) sets errs before the signal
-// fires. Neither BaM (bam.Config.CmdTimeout) nor the kernel stack under the
-// POSIX helper has a retry path, so Wait panics on a transfer with holes
-// rather than hand its buffer back as if it were filled; lost formats that
-// panic from errs and units.
+// times, a Handle is waited on. The machine under it counts what it lost (a
+// BaM batch its blocks, a staged transfer its granules, a GDS transfer its
+// commands) and sets errs before the signal fires. Neither BaM
+// (bam.Config.CmdTimeout) nor the kernel stack has a retry path, and the
+// SPDK driver's retries cannot bring back a dead device, so Wait panics on a
+// transfer with holes rather than hand its buffer back as if it were
+// filled, as CAM's Batch.Wait does; lost formats that panic from errs and
+// units.
 type sigHandle struct {
 	done        sim.Signal
 	units, errs int
 	lost        string
 }
 
-// BatchDone implements bam.BatchSink (engine-callback context).
+// BatchDone implements bam.BatchSink and gds.Sink (engine-callback context).
 func (h *sigHandle) BatchDone(errs int) {
 	h.errs = errs
 	h.done.Fire()
@@ -201,33 +203,32 @@ func (b *BaMBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcO
 
 // ----- staged backends: SPDK and POSIX -----
 
-// granuleHelper is what a staged backend supplies: a bounce buffer plus the
-// transport that moves one granule through it, one granule at a time.
-type granuleHelper interface {
-	// move transfers block blk between the SSD array and buf at bufOff,
-	// then runs done, first losing the granule on it if it failed
-	// (engine-callback context).
-	move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done *granuleSlot)
-}
-
 // staged is the machine the SPDK and POSIX backends share: a transfer is a
 // list of (block id, buffer offset) granules dispatched in order onto a
 // pool of helpers, whose size bounds the granules in flight — the classic
 // pattern of keeping several staged transfers going per direction. Each
-// helper owns its bounce buffer, so concurrent granules never share one.
+// helper owns its host buffer, so concurrent granules never share one.
+// Exactly one of drv and stack is set: the SSD leg of the helpers.
 type staged struct {
 	env   *platform.Env
 	tag   string // scheme name in panics
 	g     int64
-	pool  *sim.Store[*granuleSlot]
+	drv   *spdk.Driver
+	stack *oskernel.Stack
+	pool  *sim.Store[*helper]
 	freeX sim.FreeList[stagedXfer]
 	sigs  sim.FreeList[sigHandle]
-	lost  string // the handles' panic; only the POSIX helper loses a granule
+	lost  string // the handles' panic
 }
 
-func newStaged(env *platform.Env, tag string, blockBytes int64) staged {
-	return staged{env: env, tag: tag, g: blockBytes, pool: sim.NewStore[*granuleSlot](env.E, tag+".helpers"),
-		lost: "xfer(" + tag + "): %d of %d granules failed; the kernel stack has no retry path"}
+// newStaged builds the shared machine; why says in the handles' panic why a
+// lost granule stays lost.
+func newStaged(env *platform.Env, tag string, blockBytes int64, why string) staged {
+	if blockBytes <= 0 || blockBytes%nvme.LBASize != 0 {
+		panic(fmt.Sprintf("xfer(%s): granule %d must be a positive multiple of %d", tag, blockBytes, nvme.LBASize))
+	}
+	return staged{env: env, tag: tag, g: blockBytes, pool: sim.NewStore[*helper](env.E, tag+".helpers"),
+		lost: "xfer(" + tag + "): %d of %d granules failed; " + why}
 }
 
 func (s *staged) BlockBytes() int64                      { return s.g }
@@ -274,35 +275,134 @@ type stagedXfer struct {
 
 // StoreItem receives a free helper from the pool and starts the next
 // granule on it (engine-callback context).
-func (x *stagedXfer) StoreItem(k *granuleSlot, ok bool) {
+func (x *stagedXfer) StoreItem(h *helper, ok bool) {
 	if !ok {
 		panic("xfer: helper pool closed mid-transfer")
 	}
 	i := x.next
 	x.next++
-	k.x = x
-	k.h.move(x.read, x.blocks[i], x.buf, x.offs[i], k)
+	h.move(x, x.blocks[i], x.offs[i])
 	if x.next < len(x.blocks) {
 		x.s.pool.GetCallback(x)
 	}
 }
 
-// granuleSlot is one pooled helper and, while it carries a granule, the
-// transfer that granule belongs to.
-type granuleSlot struct {
-	h granuleHelper
-	x *stagedXfer
+// helper phases.
+const (
+	hMoved  uint8 = iota // the SSD leg is done
+	hCopied              // the staging copy is done
+)
+
+// helper walks one granule at a time through its host buffer, as the
+// synchronous worker of a staged flow does: a read runs the SSD leg into the
+// buffer, then one staging memcpy to the GPU; a write runs the memcpy first,
+// then the SSD leg. Only the SSD leg depends on the backend: SPDK commands
+// split at the MDTS and fanned in, or one kernel-stack Range. A granule any
+// of whose commands failed is lost for its transfer's Wait.
+type helper struct {
+	s      *staged
+	host   *hostmem.Buffer
+	x      *stagedXfer // the transfer of the granule in flight
+	blk    uint64
+	bufOff int64
+	phase  uint8
+	failed bool
+	fan    spdk.FanIn
+	io     oskernel.Range
 }
 
-// lose marks the granule k carries as failed, for its transfer's Wait.
-func (k *granuleSlot) lose() { k.x.sig.errs++ }
+// move starts granule blk of x, at bufOff in its buffer (engine-callback
+// context).
+func (h *helper) move(x *stagedXfer, blk uint64, bufOff int64) {
+	h.x, h.blk, h.bufOff = x, blk, bufOff
+	if x.read {
+		h.ssd(nvme.OpRead)
+		return
+	}
+	// Write: stage GPU → host first (one DRAM write crossing + one memcpy).
+	h.stage(h.host.Payload(), 0, x.buf.Payload(), bufOff)
+}
 
-// Run is the granule-complete continuation: the helper returns to the pool
-// and the last granule completes the transfer (engine-callback context).
-func (k *granuleSlot) Run() {
-	x := k.x
-	k.x = nil
-	x.s.pool.Put(k)
+// ssd moves the granule between the SSD array and the host buffer; Run
+// resumes in hMoved once its last command has completed.
+func (h *helper) ssd(op nvme.Opcode) {
+	s := h.s
+	h.phase = hMoved
+	if s.stack != nil {
+		s.stack.Start(&h.io, op, int64(h.blk)*s.g, h.host.Payload(), 0, s.g)
+		h.io.Done.WaitCallback(0, h)
+		return
+	}
+	// SPDK: granules stripe round-robin across the devices.
+	nd := uint64(len(s.env.Devs))
+	dev, slba := int(h.blk%nd), h.blk/nd*uint64(s.g/nvme.LBASize)
+	h.fan.Add(1) // submission hold
+	for off := int64(0); off < s.g; off += spdk.MaxTransfer() {
+		r := s.drv.GetRequest()
+		r.Op, r.Dev = op, dev
+		r.SLBA = slba + uint64(off)/nvme.LBASize
+		r.NLB = uint32(min(s.g-off, spdk.MaxTransfer()) / nvme.LBASize)
+		r.Addr = h.host.Addr + mem.Addr(off)
+		r.Sink = h
+		h.fan.Add(1)
+		s.drv.Submit(r)
+	}
+	h.fan.Release(s.env.E, s.env.E.Now(), h)
+}
+
+// RequestDone implements spdk.Completion (reactor context): the granule
+// moves on at the latest instant among its commands.
+func (h *helper) RequestDone(r *spdk.Request) {
+	if r.Status != nvme.StatusSuccess {
+		h.failed = true
+	}
+	h.fan.Release(h.s.env.E, r.At, h)
+}
+
+// stage is the staging memcpy (one DRAM crossing); Run resumes in hCopied
+// when the copy engine finishes.
+func (h *helper) stage(dst *mem.Payload, dstOff int64, src *mem.Payload, srcOff int64) {
+	env, g := h.s.env, h.s.g
+	env.HM.ReserveTraffic(g)
+	end := env.CE.ReserveCopy(g)
+	mem.PayloadCopy(dst, dstOff, src, srcOff, g)
+	h.phase = hCopied
+	env.E.ScheduleCallback(end-env.E.Now(), h)
+}
+
+// Run advances the granule one phase (engine-callback context).
+func (h *helper) Run() {
+	read := h.x.read
+	switch h.phase {
+	case hMoved:
+		if h.s.stack != nil && h.io.Status != nvme.StatusSuccess { // a kernel stripe failed
+			h.failed = true
+		}
+		if !read {
+			h.finish()
+			return
+		}
+		// Read: stage host → GPU (one DRAM read crossing + one memcpy).
+		h.stage(h.x.buf.Payload(), h.bufOff, h.host.Payload(), 0)
+
+	case hCopied:
+		if read {
+			h.finish()
+			return
+		}
+		h.ssd(nvme.OpWrite)
+	}
+}
+
+// finish returns the helper to the pool, first losing its granule if it
+// failed; the last granule completes the transfer (engine-callback context).
+func (h *helper) finish() {
+	x := h.x
+	if h.failed {
+		x.sig.errs++
+	}
+	h.x, h.failed = nil, false
+	x.s.pool.Put(h)
 	x.remaining--
 	if x.remaining == 0 {
 		sig := x.sig
@@ -323,12 +423,13 @@ type SPDKBackend struct {
 func NewSPDK(env *platform.Env, blockBytes int64, helpers int) *SPDKBackend {
 	d := spdk.New(env.E, spdk.DefaultConfig(), env.HM, env.Space, env.Devs, (len(env.Devs)+1)/2)
 	d.Start()
-	b := &SPDKBackend{newStaged(env, "spdk", blockBytes)}
+	b := &SPDKBackend{newStaged(env, "spdk", blockBytes, "the driver's retries did not recover them")}
+	b.drv = d
 	if helpers <= 0 {
 		helpers = 4
 	}
-	for i := 0; i < helpers; i++ {
-		b.pool.Put(&granuleSlot{h: spdkHelper{b, spdk.NewStagedGPUIO(d, env.CE, blockBytes)}})
+	for i := 1; i <= helpers; i++ {
+		b.pool.Put(&helper{s: &b.staged, host: env.HM.Alloc(fmt.Sprintf("spdk.staging.%d", i), blockBytes)})
 	}
 	return b
 }
@@ -355,29 +456,6 @@ func (b *SPDKBackend) StartScatterList(p *sim.Proc, blocks []uint64, src *gpu.Bu
 	return b.start(false, blocks, src, 0, offs)
 }
 
-// locateBlock maps a granule's block id to its device and device LBA:
-// granules are striped round-robin across devices.
-func (b *SPDKBackend) locateBlock(blk uint64) (dev int, slba uint64) {
-	nd := uint64(len(b.env.Devs))
-	return int(blk % nd), blk / nd * uint64(b.g/nvme.LBASize)
-}
-
-// spdkHelper stages granules through one StagedGPUIO.
-type spdkHelper struct {
-	b  *SPDKBackend
-	st *spdk.StagedGPUIO
-}
-
-// move stages one granule (engine-callback context).
-func (h spdkHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done *granuleSlot) {
-	dev, slba := h.b.locateBlock(blk)
-	if read {
-		h.st.ReadToGPUAsync(dev, slba, buf, bufOff, h.b.g, done)
-	} else {
-		h.st.WriteFromGPUAsync(dev, slba, buf, bufOff, h.b.g, done)
-	}
-}
-
 // ----- GDS -----
 
 // GDSBackend adapts the gds.Driver.
@@ -386,6 +464,14 @@ type GDSBackend struct {
 	d    *gds.Driver
 	g    int64
 	sigs sim.FreeList[sigHandle]
+}
+
+// carve takes the handle of a new transfer of the given block count; the
+// driver's io machine counts the commands it lost.
+func (b *GDSBackend) carve(blocks int) *sigHandle {
+	h := carve(&b.sigs, b.env.E, "gdsxfer")
+	h.units, h.lost = blocks, "xfer(gds): %d command(s) of a %d-block transfer failed; the driver's retries did not recover them"
+	return h
 }
 
 // NewGDS builds the backend.
@@ -401,15 +487,15 @@ func (b *GDSBackend) Alloc(name string, n int64) *gpu.Buffer { return b.env.GPU.
 
 func (b *GDSBackend) StartRead(p *sim.Proc, off, n int64, dst *gpu.Buffer, dstOff int64) Handle {
 	checkAligned("gds", off, n, b.g)
-	h := carve(&b.sigs, b.env.E, "gdsxfer")
-	b.d.ReadAsync(off, n, dst.Addr+mem.Addr(dstOff), &h.done)
+	h := b.carve(int(n / b.g))
+	b.d.ReadAsync(off, n, dst.Addr+mem.Addr(dstOff), h)
 	return h
 }
 
 func (b *GDSBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcOff int64) Handle {
 	checkAligned("gds", off, n, b.g)
-	h := carve(&b.sigs, b.env.E, "gdsxfer")
-	b.d.WriteAsync(off, n, src.Addr+mem.Addr(srcOff), &h.done)
+	h := b.carve(int(n / b.g))
+	b.d.WriteAsync(off, n, src.Addr+mem.Addr(srcOff), h)
 	return h
 }
 
@@ -420,22 +506,21 @@ func (b *GDSBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcO
 // worker pool a traditional implementation uses.
 type POSIXBackend struct {
 	staged
-	stack *oskernel.Stack
 }
 
 // NewPOSIX builds the backend over a RAID0 kernel stack.
 func NewPOSIX(env *platform.Env, blockBytes int64, helpers int) *POSIXBackend {
 	st := oskernel.NewStack(env.E, oskernel.POSIX, oskernel.DefaultConfig(oskernel.POSIX), env.HM, env.Devs)
 	b := &POSIXBackend{
-		staged: newStaged(env, "posix", blockBytes),
-		stack:  st,
+		staged: newStaged(env, "posix", blockBytes, "the kernel stack has no retry path"),
 	}
+	b.stack = st
 	if helpers <= 0 {
 		helpers = 2
 	}
 	for i := 0; i < helpers; i++ {
 		hb := env.HM.Alloc(fmt.Sprintf("posix.helper%d", i), blockBytes)
-		b.pool.Put(&granuleSlot{h: &posixHelper{b: b, host: hb}})
+		b.pool.Put(&helper{s: &b.staged, host: hb})
 	}
 	return b
 }
@@ -450,84 +535,4 @@ func (b *POSIXBackend) StartRead(p *sim.Proc, off, n int64, dst *gpu.Buffer, dst
 func (b *POSIXBackend) StartWrite(p *sim.Proc, off, n int64, src *gpu.Buffer, srcOff int64) Handle {
 	checkAligned("posix", off, n, b.g)
 	return b.start(false, blockRange(off, n, b.g), src, srcOff, nil)
-}
-
-// posixHelper phases.
-const (
-	pgMoved  uint8 = iota // pread or pwrite done
-	pgCopied              // final (read) or initial (write) memcpy done
-)
-
-// posixHelper walks one granule at a time through the kernel stack over
-// its host buffer, as the synchronous worker does: for reads, pread then
-// one staging memcpy to the GPU; for writes, the memcpy first, then pwrite.
-type posixHelper struct {
-	b      *POSIXBackend
-	host   *hostmem.Buffer
-	read   bool
-	off    int64
-	buf    *gpu.Buffer
-	bufOff int64
-	done   *granuleSlot
-	phase  uint8
-	io     oskernel.Range
-}
-
-// move starts one granule (engine-callback context).
-func (h *posixHelper) move(read bool, blk uint64, buf *gpu.Buffer, bufOff int64, done *granuleSlot) {
-	h.read, h.off, h.buf, h.bufOff, h.done = read, int64(blk)*h.b.g, buf, bufOff, done
-	if read {
-		h.kernel(nvme.OpRead)
-		return
-	}
-	// Write: stage GPU → host first (one DRAM write crossing + one memcpy).
-	h.stage(h.host.Payload(), 0, buf.Payload(), bufOff)
-}
-
-// kernel moves the granule between the SSD array and the host buffer; Run
-// resumes in pgMoved once the kernel stack has completed it.
-func (h *posixHelper) kernel(op nvme.Opcode) {
-	h.phase = pgMoved
-	h.b.stack.Start(&h.io, op, h.off, h.host.Payload(), 0, h.b.g)
-	h.io.Done.WaitCallback(0, h)
-}
-
-// stage is the staging memcpy (one DRAM crossing); Run resumes in pgCopied
-// when the copy engine finishes.
-func (h *posixHelper) stage(dst *mem.Payload, dstOff int64, src *mem.Payload, srcOff int64) {
-	env, g := h.b.env, h.b.g
-	env.HM.ReserveTraffic(g)
-	end := env.CE.ReserveCopy(g)
-	mem.PayloadCopy(dst, dstOff, src, srcOff, g)
-	h.phase = pgCopied
-	env.E.ScheduleCallback(end-env.E.Now(), h)
-}
-
-// Run advances the granule one phase (engine-callback context).
-func (h *posixHelper) Run() {
-	switch h.phase {
-	case pgMoved:
-		if h.io.Status != nvme.StatusSuccess {
-			h.done.lose()
-		}
-		if !h.read {
-			h.finish()
-			return
-		}
-		// Read: stage host → GPU (one DRAM read crossing + one memcpy).
-		h.stage(h.buf.Payload(), h.bufOff, h.host.Payload(), 0)
-
-	case pgCopied:
-		if h.read {
-			h.finish()
-			return
-		}
-		h.kernel(nvme.OpWrite)
-	}
-}
-
-func (h *posixHelper) finish() {
-	done := h.done
-	h.buf, h.done = nil, nil
-	done.Run()
 }

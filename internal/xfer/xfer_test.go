@@ -2,11 +2,14 @@ package xfer
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"camsim/internal/bam"
 	"camsim/internal/cam"
 	"camsim/internal/gpu"
+	"camsim/internal/mem"
+	"camsim/internal/nvme"
 	"camsim/internal/pcie"
 	"camsim/internal/platform"
 	"camsim/internal/sim"
@@ -39,9 +42,10 @@ func backends(blockBytes int64) map[string]struct {
 }
 
 // TestAllBackendsRoundTrip writes twelve 4 KiB blocks and reads them back on
-// every backend, and twelve 192 KiB granules on POSIX: one and a half RAID0
+// every backend; twelve 192 KiB granules on POSIX: one and a half RAID0
 // stripes each, so every other granule straddles a stripe boundary in its
-// middle and the kernel stack splits it there.
+// middle and the kernel stack splits it there; and twelve 256 KiB granules
+// on SPDK, two MDTS commands each.
 func TestAllBackendsRoundTrip(t *testing.T) {
 	const bb = 4096
 	for name, bx := range backends(bb) {
@@ -50,6 +54,10 @@ func TestAllBackendsRoundTrip(t *testing.T) {
 	t.Run("posix-192KiB", func(t *testing.T) {
 		env := platform.New(platform.Options{SSDs: 3})
 		roundTrip(t, env, NewPOSIX(env, 192<<10, 2), 192<<10)
+	})
+	t.Run("spdk-256KiB", func(t *testing.T) {
+		env := platform.New(platform.Options{SSDs: 3})
+		roundTrip(t, env, NewSPDK(env, 256<<10, 4), 256<<10)
 	})
 }
 
@@ -69,6 +77,120 @@ func roundTrip(t *testing.T, env *platform.Env, b Backend, bb int64) {
 	env.Run()
 	if !bytes.Equal(src.Bytes(), dst.Bytes()) {
 		t.Fatalf("%s round trip mismatch", b.Name())
+	}
+}
+
+// stagedGranule is the staged tests' granule: two MDTS commands on SPDK.
+const stagedGranule = 256 << 10
+
+// TestStagedReadToGPUDataAndTraffic reads one granule through the SPDK
+// backend in both data-plane modes: the same bytes land, every byte crosses
+// host DRAM twice (the SSD's DMA into staging, the memcpy out of it) and the
+// granule is one memcpy however many commands it took.
+func TestStagedReadToGPUDataAndTraffic(t *testing.T) {
+	const n = stagedGranule
+	var got [2][]byte
+	for mode, eager := range []bool{false, true} {
+		prev := mem.DefaultEager()
+		mem.SetDefaultEager(eager)
+		env := platform.New(platform.Options{SSDs: 1})
+		b := NewSPDK(env, n, 1)
+		src := make([]byte, n)
+		rng := sim.NewRNG(3)
+		for i := range src {
+			src[i] = byte(rng.Uint64())
+		}
+		if err := env.Devs[0].Store().WriteLBAP(0, n/nvme.LBASize, mem.WrapBytes(src), 0); err != nil {
+			t.Fatal(err)
+		}
+		dst := b.Alloc("dst", n)
+		env.E.Go("app", func(p *sim.Proc) { Read(p, b, 0, n, dst, 0) })
+		env.Run()
+		mem.SetDefaultEager(prev)
+		if !bytes.Equal(dst.Bytes(), src) {
+			t.Fatalf("staged read data mismatch (eager=%v)", eager)
+		}
+		if tr := env.HM.TotalTraffic(); tr != 2*n {
+			t.Fatalf("DRAM traffic = %d, want %d (two crossings, eager=%v)", tr, 2*n, eager)
+		}
+		if c := env.CE.Calls(); c != 1 {
+			t.Fatalf("memcpy calls = %d, want 1 per granule (eager=%v)", c, eager)
+		}
+		got[mode] = append([]byte(nil), dst.Bytes()...)
+	}
+	if !bytes.Equal(got[0], got[1]) {
+		t.Fatal("lazy and eager staged reads landed different bytes")
+	}
+}
+
+// TestStagedWriteFromGPU writes one granule through the SPDK backend in both
+// data-plane modes: the device stores the same bytes, with two DRAM
+// crossings and one memcpy.
+func TestStagedWriteFromGPU(t *testing.T) {
+	const n = stagedGranule
+	var stored [2][]byte
+	for mode, eager := range []bool{false, true} {
+		prev := mem.DefaultEager()
+		mem.SetDefaultEager(eager)
+		env := platform.New(platform.Options{SSDs: 1})
+		b := NewSPDK(env, n, 1)
+		src := b.Alloc("src", n)
+		for i := range src.Bytes() {
+			src.Bytes()[i] = byte(i % 253)
+		}
+		env.E.Go("app", func(p *sim.Proc) { Write(p, b, n, n, src, 0) }) // block 1
+		env.Run()
+		mem.SetDefaultEager(prev)
+		got := make([]byte, n)
+		if err := env.Devs[0].Store().ReadLBAP(n/nvme.LBASize, n/nvme.LBASize, mem.WrapBytes(got), 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, src.Bytes()) {
+			t.Fatalf("staged write data mismatch (eager=%v)", eager)
+		}
+		if tr := env.HM.TotalTraffic(); tr != 2*n {
+			t.Fatalf("DRAM traffic = %d, want %d (eager=%v)", tr, 2*n, eager)
+		}
+		if c := env.CE.Calls(); c != 1 {
+			t.Fatalf("memcpy calls = %d, want 1 per granule (eager=%v)", c, eager)
+		}
+		stored[mode] = got
+	}
+	if !bytes.Equal(stored[0], stored[1]) {
+		t.Fatal("lazy and eager staged writes stored different bytes")
+	}
+}
+
+// TestStagedBufferNamesDeterministic is the regression test for staging
+// buffers once named by formatting the driver pointer (%p), the bug the
+// pointerfmt rule of TestDeterminismRules now keeps out of every other
+// site: ASLR made the name differ between identically-seeded runs, and
+// every helper sharing a driver collided on the same name. On both staged
+// backends, the helpers' host buffers are named in allocation order, the
+// same on every build and unique per helper.
+func TestStagedBufferNamesDeterministic(t *testing.T) {
+	names := func(mk func(env *platform.Env) *staged) []string {
+		s := mk(platform.New(platform.Options{SSDs: 2}))
+		var out []string
+		for h, ok := s.pool.TryGet(); ok; h, ok = s.pool.TryGet() {
+			out = append(out, h.host.Name)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		mk   func(env *platform.Env) *staged
+		want []string
+	}{
+		{func(env *platform.Env) *staged { return &NewSPDK(env, 4096, 3).staged },
+			[]string{"spdk.staging.1", "spdk.staging.2", "spdk.staging.3"}},
+		{func(env *platform.Env) *staged { return &NewPOSIX(env, 4096, 3).staged },
+			[]string{"posix.helper0", "posix.helper1", "posix.helper2"}},
+	} {
+		for build := 0; build < 2; build++ {
+			if got := names(c.mk); !slices.Equal(got, c.want) {
+				t.Errorf("build %d: helper buffers %q, want %q", build, got, c.want)
+			}
+		}
 	}
 }
 
