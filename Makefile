@@ -64,8 +64,8 @@ shapes-permuted:
 # events prints dispatched engine events per I/O by callback type: for the
 # cam-read-4k shape TestEventsPerIOPinned pins (12 SSDs, 16 batches of 1024
 # 4 KiB reads) and for the five 16-read batches of TestGoldenEventLogs (CAM,
-# BaM, staged SPDK, io_uring poll, and the POSIX xfer backend's 256 KiB
-# granules). The counts are exact and deterministic:
+# BaM, io_uring poll, the SPDK xfer backend, and the POSIX xfer backend's
+# 256 KiB granules). The counts are exact and deterministic:
 # the counter a change to the events one simulated I/O costs is judged by.
 events:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT; \
