@@ -163,8 +163,8 @@ type Stats struct {
 	Commands       uint64 // NVMe commands issued (one per block)
 	FailedRequests uint64
 	FailedBatches  uint64 // batches that completed with >= 1 failed block
-	BytesRead      int64
-	BytesWritten   int64
+	BytesRead      int64  // bytes of the read blocks that succeeded
+	BytesWritten   int64  // bytes of the written blocks that succeeded
 	CoreAdjustUp   uint64
 	CoreAdjustDown uint64
 }
@@ -595,11 +595,6 @@ func (m *Manager) dispatchBatch(b *Batch) {
 	m.inFlight++
 	m.stats.Batches++
 	m.stats.Requests += uint64(count)
-	if nvop == nvme.OpRead {
-		m.stats.BytesRead += int64(count) * blockBytes
-	} else {
-		m.stats.BytesWritten += int64(count) * blockBytes
-	}
 	b.fan.Release(m.e, m.e.Now(), (*batchFinish)(b)) // the publishing hold
 }
 
@@ -608,9 +603,14 @@ func (m *Manager) dispatchBatch(b *Batch) {
 // instant among its commands.
 func (m *Manager) RequestDone(r *spdk.Request) {
 	b := r.Tag.(*Batch)
-	if r.Status != nvme.StatusSuccess {
+	switch {
+	case r.Status != nvme.StatusSuccess:
 		b.errors++
 		m.stats.FailedRequests++
+	case r.Op == nvme.OpRead:
+		m.stats.BytesRead += int64(r.NLB) * nvme.LBASize
+	default:
+		m.stats.BytesWritten += int64(r.NLB) * nvme.LBASize
 	}
 	b.fan.Release(m.e, r.At, (*batchFinish)(b))
 }

@@ -92,8 +92,8 @@ func (l load) onBaM(p *sim.Proc, a *bam.Array, buf *gpu.Buffer) {
 
 // onSPDK submits block-byte requests to d, request i to device i%ssds and
 // every one to host address addr, waiting for the oldest whenever depth are
-// in flight.
-func (l load) onSPDK(p *sim.Proc, d *spdk.Driver, ssds int, block int64, addr mem.Addr) {
+// in flight. It reports the bytes the successful requests moved.
+func (l load) onSPDK(p *sim.Proc, d *spdk.Driver, ssds int, block int64, addr mem.Addr) int64 {
 	w := newReqWindow("onSPDK", l.depth)
 	for i := int64(0); i < l.blocks(); i++ {
 		w.submit(d, spdk.Request{
@@ -105,16 +105,19 @@ func (l load) onSPDK(p *sim.Proc, d *spdk.Driver, ssds int, block int64, addr me
 		w.waitNext(p)
 	}
 	w.drain(p)
+	return w.moved
 }
 
 // reqWindow is a closed loop's requests in flight: depth records allocated
 // once, request i in record i%depth. A record is the Done waiter's (it has
 // no Sink), so it is overwritten and resubmitted only after its previous
-// request's Done fired.
+// request's Done fired. A record's status is tallied when it is reused or
+// drained, so moved counts only the bytes of requests that succeeded.
 type reqWindow struct {
-	loop string
-	recs []spdk.Request
-	n    int // requests submitted
+	loop  string
+	recs  []spdk.Request
+	n     int   // requests submitted
+	moved int64 // bytes of the completed requests that succeeded
 }
 
 func newReqWindow(loop string, depth int) *reqWindow {
@@ -125,8 +128,11 @@ func newReqWindow(loop string, depth int) *reqWindow {
 // the record's previous request is still in flight.
 func (w *reqWindow) submit(d *spdk.Driver, req spdk.Request) {
 	r := &w.recs[w.n%len(w.recs)]
-	if w.n >= len(w.recs) && !r.Done.Fired() {
-		panic(fmt.Sprintf("harness: %s reuses request record %d while it is in flight", w.loop, w.n%len(w.recs)))
+	if w.n >= len(w.recs) {
+		if !r.Done.Fired() {
+			panic(fmt.Sprintf("harness: %s reuses request record %d while it is in flight", w.loop, w.n%len(w.recs)))
+		}
+		w.tally(r)
 	}
 	*r = req
 	w.n++
@@ -143,7 +149,16 @@ func (w *reqWindow) waitNext(p *sim.Proc) {
 // drain blocks p until every request taken has completed, oldest first.
 func (w *reqWindow) drain(p *sim.Proc) {
 	for i := max(0, w.n-len(w.recs)); i < w.n; i++ {
-		p.Wait(&w.recs[i%len(w.recs)].Done)
+		r := &w.recs[i%len(w.recs)]
+		p.Wait(&r.Done)
+		w.tally(r)
+	}
+}
+
+// tally adds a completed request's bytes to moved if it succeeded.
+func (w *reqWindow) tally(r *spdk.Request) {
+	if r.Status == nvme.StatusSuccess {
+		w.moved += int64(r.NLB) * nvme.LBASize
 	}
 }
 
@@ -155,7 +170,8 @@ func (l load) draw(blocks []uint64) {
 }
 
 // camRun runs l through a CAM manager built from ccfg over a fresh platform,
-// into a buffer of depth batch slots, and reports bytes/s.
+// into a buffer of depth batch slots, and reports the bytes/s its successful
+// blocks moved.
 func camRun(cfg RunConfig, opts platform.Options, ccfg cam.Config, l load) (float64, *platform.Env, *cam.Manager) {
 	env := cfg.newEnv(opts)
 	mgr := cam.New(env.E, ccfg, env.GPU, env.HM, env.Space, env.Fab, env.Devs)
@@ -166,7 +182,8 @@ func camRun(cfg RunConfig, opts platform.Options, ccfg cam.Config, l load) (floa
 	// build a fresh platform per point, and an unfreed multi-megabyte
 	// destination forces a fresh (cleared) allocation every time.
 	mgr.Free(buf)
-	return float64(l.blocks()*ccfg.BlockBytes) / end.Seconds(), env, mgr
+	st := mgr.Stats()
+	return float64(st.BytesRead+st.BytesWritten) / end.Seconds(), env, mgr
 }
 
 // bamRun runs l through a, an array of block-byte blocks over env, into a
@@ -226,7 +243,8 @@ func spdkContigThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64, e
 const stagingRegion = 4 << 20
 
 // spdkContigRun is spdkContigThroughput's closed loop over regions staging
-// regions of blockBytes commands.
+// regions of blockBytes commands; it reports the bytes/s its successful
+// commands moved.
 func spdkContigRun(cfg RunConfig, ssds int, op nvme.Opcode, blockBytes, regions int64, envOpts platform.Options) (float64, *platform.Env, *spdk.Driver) {
 	envOpts.SSDs = ssds
 	env := cfg.newEnv(envOpts)
@@ -240,7 +258,6 @@ func spdkContigRun(cfg RunConfig, ssds int, op nvme.Opcode, blockBytes, regions 
 	// memory-channel experiments bite. Three slots hide the copy latency
 	// completely at full rate.
 	perRegion := region / blockBytes
-	total := regions * region
 	staging := [3]*hostmem.Buffer{
 		env.HM.Alloc("stage0", region),
 		env.HM.Alloc("stage1", region),
@@ -275,9 +292,8 @@ func spdkContigRun(cfg RunConfig, ssds int, op nvme.Opcode, blockBytes, regions 
 		}
 	}
 	rng := sim.NewRNG(9)
-	depth := 64 * ssds
+	w := newReqWindow("spdkContigRun", 64*ssds)
 	env.E.Go("bench", func(p *sim.Proc) {
-		w := newReqWindow("spdkContigRun", depth)
 		for i := int64(0); i < regions*perRegion; i++ {
 			r := i / perRegion
 			if i%perRegion == 0 {
@@ -306,7 +322,7 @@ func spdkContigRun(cfg RunConfig, ssds int, op nvme.Opcode, blockBytes, regions 
 	for _, s := range staging {
 		s.Free()
 	}
-	return float64(total) / end.Seconds(), env, d
+	return float64(w.moved) / end.Seconds(), env, d
 }
 
 // kernelThroughput measures a kernel I/O stack with parallel workers (the
@@ -355,16 +371,17 @@ func kernelThroughput(cfg RunConfig, kind oskernel.StackKind, ssds int, op nvme.
 
 // spdkRawThroughput drives the raw asynchronous SPDK API to host memory at
 // high queue depth (the "SPDK async" line of Fig 11 and the cost baseline
-// of Fig 13).
+// of Fig 13), reporting the bytes/s its successful requests moved.
 func spdkRawThroughput(cfg RunConfig, ssds int, op nvme.Opcode, gran int64) (float64, *spdk.Driver) {
 	env := cfg.newEnv(platform.Options{SSDs: ssds})
 	d := newSPDK(env)
 	buf := env.HM.Alloc("raw", gran)
 	l := load{op: op, gen: workload.NewUniform(13, 1<<21), perBatch: 1, batches: int(reqBudget(gran, cfg.Quick)), depth: 64 * ssds}
-	env.E.Go("bench", func(p *sim.Proc) { l.onSPDK(p, d, ssds, gran, buf.Addr) })
+	var moved int64
+	env.E.Go("bench", func(p *sim.Proc) { moved = l.onSPDK(p, d, ssds, gran, buf.Addr) })
 	end := runEnv(cfg, env)
 	buf.Free()
-	return float64(l.blocks()*gran) / end.Seconds(), d
+	return float64(moved) / end.Seconds(), d
 }
 
 // newSPDK builds and starts a raw driver with the paper's

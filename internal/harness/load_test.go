@@ -199,3 +199,36 @@ func TestKernelThroughputCountsOnlySuccess(t *testing.T) {
 		}
 	}
 }
+
+// TestThroughputCountsOnlySuccess: CAM's closed loop and both SPDK closed
+// loops report the bytes their successful requests moved, so under a plan
+// that fails every command on 2 SSDs each reports 0 where the same load
+// fault-free reports its rate.
+func TestThroughputCountsOnlySuccess(t *testing.T) {
+	plan := fault.NewPlan(1)
+	plan.ErrRate = 1
+	runs := []struct {
+		name string
+		run  func(cfg RunConfig) float64
+	}{
+		{"camThroughput", func(cfg RunConfig) float64 {
+			v, _, _ := camThroughput(cfg, 2, nvme.OpRead, 4096, 0, 2, platform.Options{})
+			return v
+		}},
+		{"spdkRawThroughput", func(cfg RunConfig) float64 {
+			v, _ := spdkRawThroughput(cfg, 2, nvme.OpRead, 4096)
+			return v
+		}},
+		{"spdkContigThroughput", func(cfg RunConfig) float64 {
+			v, _, _ := spdkContigThroughput(cfg, 2, nvme.OpRead, 4096, platform.Options{})
+			return v
+		}},
+	}
+	for _, r := range runs {
+		clean := r.run(RunConfig{Quick: true})
+		failed := r.run(RunConfig{Quick: true, Faults: plan})
+		if clean <= 0 || failed != 0 {
+			t.Errorf("%s: %.0f B/s fault-free, %.0f B/s with every command failing; want positive and 0", r.name, clean, failed)
+		}
+	}
+}
