@@ -69,15 +69,16 @@ func logEventMix(t *testing.T, kinds map[string]int, ios int) {
 
 // TestEventsPerIOPinned pins the event mix of the headline read path: the
 // number of events dispatched and the final clock are the model's, so host
-// optimisations of the spdk → nvme → ssd path must leave both untouched. The
-// clock was recorded at 169899b (before the typed rings); the count when the
-// SPDK reactor began paying its submit and complete costs once per run
-// (84 512 before), which left the clock exactly where it was. make events
+// optimisations of the spdk → nvme → ssd path must leave both untouched.
+// Both were recorded when each SSD command became one event, its data
+// transfer booked at fetch on a fabric that fills gaps: 57 884 events and
+// 3 369 055 ns before (84 512 events at the same clock before the SPDK
+// reactor paid its submit and complete costs once per run). make events
 // prints the mix by callback type.
 func TestEventsPerIOPinned(t *testing.T) {
 	const (
-		wantDispatched = 57884
-		wantEnd        = sim.Time(3369055)
+		wantDispatched = 19120
+		wantEnd        = sim.Time(3376200)
 	)
 	r, end, kinds := runPinnedRead(t, 16)
 	defer r.e.Shutdown()

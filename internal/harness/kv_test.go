@@ -27,7 +27,8 @@ func TestKVServeEarlyWaiterSeeds(t *testing.T) {
 // the tier's decisions, the makespan and every session checksum to recorded
 // values (taken at a9ab219, re-recorded when a blocked kernel's thread
 // top-up moved to its admission, when the SPDK reactor began paying its
-// costs per run and when its host-DRAM crossings moved to their instants): a host-side change to internal/kvcache must reproduce
+// costs per run, when its host-DRAM crossings moved to their instants and
+// when each SSD command became one event): a host-side change to internal/kvcache must reproduce
 // them bit for bit. Seeds 11 and 67 are two of the six that
 // bench/wl_kv.go folds away, so the benchmark's identity check never sees
 // them.
@@ -58,13 +59,13 @@ var kvPinned = []struct {
 	end    sim.Time
 	sums   [12]uint64
 }{
-	{1, [6]uint64{132073, 62068, 888, 62956, 27589, 61083}, 1072070746, [12]uint64{
+	{1, [6]uint64{132032, 62107, 890, 62997, 27589, 61123}, 1070376591, [12]uint64{
 		0xe0360a0ca2b54d5e, 0x1124e9224c4b9104, 0x220713a35c395b3f, 0xa315d21e186d1d79, 0xea19f021a0996e3e, 0x5b4abad6ad326add,
 		0x631f2a077eea6f2e, 0x3fbc1bbe090d4513, 0x57e36fec83335b70, 0x39567624d9a3dda9, 0x5b2f2adaaa678a7b, 0x6c5b746d5e9666c6}},
-	{11, [6]uint64{131959, 62197, 937, 63134, 27591, 61257}, 1070716432, [12]uint64{
+	{11, [6]uint64{131855, 62303, 935, 63238, 27587, 61365}, 1073337668, [12]uint64{
 		0xd0acb57f834d8808, 0x8c53740ea575bab7, 0x6db908ac1b0b7ea5, 0xe2b8801b901135e5, 0x4e99f59b38c8966, 0xc6535c8dd9ce12b4,
 		0xc7d71e62f7ad1bb0, 0x49a763970755a8f1, 0xf72b3cb6a3173890, 0x32576dedb7f4f828, 0x3297e1b1ba0526d7, 0xf5dadfddcaa11731}},
-	{67, [6]uint64{132091, 62150, 879, 63029, 27582, 61162}, 1071591860, [12]uint64{
+	{67, [6]uint64{131973, 62287, 860, 63147, 27583, 61281}, 1070641147, [12]uint64{
 		0x6de230a9e3cb3723, 0xd84966731c894029, 0xc32a30403c329c0c, 0x293afae7eec4f6da, 0xf8abef15a89034a6, 0xc754791d0afe52ad,
 		0x7d4357cf6fd0b0d5, 0x5251b31e4e90d495, 0xded5b63a0bac022f, 0x20f0f0e2fe9abb5d, 0xe84a9da64ffc4285, 0x922a21d9e1a117f7}},
 }

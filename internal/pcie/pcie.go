@@ -37,7 +37,8 @@ func DefaultConfig() Config {
 }
 
 // Fabric is a shared bandwidth domain. All bulk DMA between devices flows
-// through it FIFO, which reproduces both the aggregate ceiling and the
+// through its one sim.Link, which fills the gaps between transfers booked
+// ahead of the clock and so reproduces both the aggregate ceiling and the
 // latency growth under contention.
 type Fabric struct {
 	cfg  Config
@@ -56,9 +57,17 @@ func New(e *sim.Engine, cfg Config) *Fabric {
 // to check their wiring: everything sharing a fabric must share its engine.
 func (f *Fabric) Engine() *sim.Engine { return f.link.Engine() }
 
-// ReserveDMA books a bulk transfer of n bytes and returns its completion
-// time; it never blocks the caller.
+// ReserveDMA books a bulk transfer of n bytes ready now and returns its
+// completion time; it never blocks the caller.
 func (f *Fabric) ReserveDMA(n int64) sim.Time { return f.link.Reserve(n) }
+
+// ReserveDMAFrom books a bulk transfer of n bytes ready at instant at (no
+// earlier than now) and returns the first instant it holds the fabric and
+// its completion time (sim.Link.ReserveFrom): an SSD books its data
+// transfer at fetch, for the instant its media phase ends.
+func (f *Fabric) ReserveDMAFrom(at sim.Time, n int64) (start, end sim.Time) {
+	return f.link.ReserveFrom(at, n)
+}
 
 // DMA blocks p for a bulk transfer of n bytes.
 func (f *Fabric) DMA(p *sim.Proc, n int64) { f.link.Transfer(p, n) }
