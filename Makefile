@@ -65,8 +65,9 @@ shapes-permuted:
 # cam-read-4k shape TestEventsPerIOPinned pins (12 SSDs, 16 batches of 1024
 # 4 KiB reads) and for the five 16-read batches of TestGoldenEventLogs (CAM,
 # BaM, io_uring poll, the SPDK xfer backend, and the POSIX xfer backend's
-# 256 KiB granules). The counts are exact and deterministic:
-# the counter a change to the events one simulated I/O costs is judged by.
+# 256 KiB granules, two NVMe commands each). Each SSD command is one
+# *ssd.ioCmd event. The counts are exact and deterministic: the counter a
+# change to the events one simulated I/O costs is judged by.
 events:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) test ./internal/cam ./internal/harness -run '^(TestEventsPerIOPinned|TestGoldenEventLogs)$$' -v > "$$tmp" 2>&1; st=$$?; \
@@ -93,8 +94,9 @@ determinism:
 
 # fuzz-smoke gives every fuzz target in the module FUZZTIME of fuzzing, one
 # target at a time (go test -fuzz takes one package and one target): the
-# differential checks behind the event queue, the payload plane, the ring
-# images, the batch paths and the kvcache tier keep finding nothing.
+# differential checks behind the event queue, link reservations, the
+# payload plane, the ring images, the batch paths and the kvcache tier keep
+# finding nothing.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	@n=0; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd); do \
@@ -112,8 +114,10 @@ bench-test:
 	cd bench && $(GO) test -short ./...
 
 # bench-layers runs the micro-benchmark of each layer on the spdk → nvme →
-# ssd command path — host ns and allocations per ring round trip, per read
-# command and per driver request — of the kvcache tier (seven touches to one
+# ssd → sim link command path — host ns and allocations per ring round
+# trip, per read command, per driver request and per link reservation (in
+# order, and twelve devices' jittered transfers booked ahead of the
+# clock) — of the kvcache tier (seven touches to one
 # evict+insert at 2048 frames), of the ssd store at rest (page-cell
 # write/read per 4 KiB block next to a plain-copy floor) and of mem's
 # payload at the tier's shape (a frame fill, a re-stamp or a stamp read at a
@@ -123,8 +127,8 @@ bench-test:
 # allocation-free; for numbers use the default and repeat.
 LAYER_BENCHTIME ?= 200000x
 bench-layers:
-	$(GO) test -run '^$$' -bench 'BenchmarkRingRoundtrip|BenchmarkReadCmd|BenchmarkStoreAtRest|BenchmarkSubmitReap|BenchmarkTierCycle|BenchmarkPayloadSplice' \
-		-benchtime $(LAYER_BENCHTIME) -cpu 1 ./internal/nvme ./internal/ssd ./internal/spdk ./internal/kvcache ./internal/mem
+	$(GO) test -run '^$$' -bench 'BenchmarkLinkReserve|BenchmarkRingRoundtrip|BenchmarkReadCmd|BenchmarkStoreAtRest|BenchmarkSubmitReap|BenchmarkTierCycle|BenchmarkPayloadSplice' \
+		-benchtime $(LAYER_BENCHTIME) -cpu 1 ./internal/sim ./internal/nvme ./internal/ssd ./internal/spdk ./internal/kvcache ./internal/mem
 
 # bench-pair is the procedure behind a performance claim: N alternating runs
 # of one BENCHMARK.json workload on BASE and on the working tree, each

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -266,6 +267,61 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if st.ReadLatSum == 0 || st.WriteLatSum == 0 {
 		t.Fatal("latency accounting missing")
+	}
+}
+
+// TestStageSumsAddUpToLatency: four devices on one fabric, each with 48
+// mixed reads and writes of 4–128 KiB queued at once, so commands wait for
+// the frontend and for the shared link. Fault-free, every device's stage
+// sums add up to its latency sums to the nanosecond, and the queueing
+// stages are not empty.
+func TestStageSumsAddUpToLatency(t *testing.T) {
+	e := sim.New()
+	space := mem.NewSpace()
+	fab := pcie.New(e, pcie.DefaultConfig())
+	hm := hostmem.New(e, space, hostmem.DefaultConfig())
+	buf := hm.Alloc("data", 128<<10)
+	rng := sim.NewRNG(3)
+	var devs []*Device
+	for i := 0; i < 4; i++ {
+		cfg := DefaultConfig()
+		cfg.Seed = uint64(i + 1)
+		d := New(e, fmt.Sprintf("nvme%d", i), cfg, fab, space)
+		qp := d.CreateQueuePair("qp0", hm.Alloc("sq", 64*nvme.SQESize).MakeEager(), hm.Alloc("cq", 64*nvme.CQESize).MakeEager(), 64)
+		d.Start()
+		for cid := uint16(0); cid < 48; cid++ {
+			op := nvme.OpRead
+			if rng.Int63n(3) == 0 {
+				op = nvme.OpWrite
+			}
+			sqe := nvme.SQE{Opcode: op, CID: cid, NSID: 1, PRP1: uint64(buf.Addr),
+				SLBA: uint64(rng.Int63n(1<<16)) * 8, NLB: uint32(8 << rng.Int63n(6))}
+			if err := qp.SQ.Push(sqe); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.Ring(qp)
+		devs = append(devs, d)
+	}
+	e.Run()
+	sum := func(s Stages) sim.Time { return s.FrontWait + s.Service + s.Media + s.LinkWait + s.DMA }
+	var frontWait, linkWait sim.Time
+	for _, d := range devs {
+		st := d.Stats()
+		if st.ReadCmds+st.WriteCmds != 48 || st.ErrCmds != 0 {
+			t.Fatalf("%s: %d reads, %d writes, %d errors; want 48 commands, no error", d.Name, st.ReadCmds, st.WriteCmds, st.ErrCmds)
+		}
+		if got := sum(st.ReadStages); got != st.ReadLatSum {
+			t.Errorf("%s: read stages %+v add up to %v, ReadLatSum %v", d.Name, st.ReadStages, got, st.ReadLatSum)
+		}
+		if got := sum(st.WriteStages); got != st.WriteLatSum {
+			t.Errorf("%s: write stages %+v add up to %v, WriteLatSum %v", d.Name, st.WriteStages, got, st.WriteLatSum)
+		}
+		frontWait += st.ReadStages.FrontWait + st.WriteStages.FrontWait
+		linkWait += st.ReadStages.LinkWait + st.WriteStages.LinkWait
+	}
+	if frontWait == 0 || linkWait == 0 {
+		t.Errorf("frontend wait %v, link wait %v: want both queueing stages exercised", frontWait, linkWait)
 	}
 }
 
