@@ -7,7 +7,7 @@ import (
 )
 
 // TestGatherSteadyStateAllocatesNothing is the allocation ceiling of the
-// BaM control plane: with the batch machines, fan-in records, CID rings,
+// BaM control plane: with the batch machines, CID rings,
 // deadline queues and the sync sink's signal at their high-water marks, a
 // synchronous Gather costs the host no object whatever the gather holds. A
 // per-request allocation in the batch machine or the device pollers shows

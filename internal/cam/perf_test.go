@@ -11,8 +11,8 @@ import (
 // marks, a Prefetch + Synchronize costs the host under one object whatever
 // the batch holds — the Batch is carved 64 to a slab with its signal inside
 // it and the one waiter sits in the signal's inline slot — and nothing per
-// request. A per-request allocation in dispatchBatch, RequestDone or
-// anything under them shows as a count that grows with the batch.
+// request. A per-request allocation in dispatchBatch, the spdk.Batch it
+// fills, or anything under them shows as a count that grows with the batch.
 func TestBatchAllocsIndependentOfSize(t *testing.T) {
 	const ceiling = 1
 	var got [2]float64

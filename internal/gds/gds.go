@@ -78,16 +78,14 @@ func (d *Driver) WriteAsync(off, n int64, srcAddr mem.Addr, done Sink) {
 }
 
 // ioMachine runs one cuFileRead/Write as a callback state machine: the
-// serialized software-path delay, then the stripe/MDTS-split hardware
-// submissions with completion fan-in, counting the commands that failed.
-// Machines recycle through the driver's free list.
+// serialized software-path delay, then one command batch split on stripes
+// and the MDTS. Machines recycle through the driver's free list.
 type ioMachine struct {
 	d      *Driver
 	op     nvme.Opcode
 	off, n int64
 	addr   mem.Addr
-	fan    spdk.FanIn
-	errs   int
+	io     spdk.Batch
 	done   Sink
 }
 
@@ -116,39 +114,19 @@ func (d *Driver) ioAsync(op nvme.Opcode, off, n int64, addr mem.Addr, done Sink)
 // (engine-callback context).
 func (m *ioMachine) Run() {
 	d := m.d
-	// Hardware path: split on stripes and MDTS, direct to GPU.
+	// Hardware path: split on stripes (the batch splits at the MDTS),
+	// direct to GPU.
 	off, n, addr := m.off, m.n, m.addr
-	m.fan.Add(1) // submission hold, dropped below
+	m.io.Open(d.nv, (*ioFire)(m))
 	for n > 0 {
-		chunk := calib.RAID0Stripe() - off%calib.RAID0Stripe()
-		if chunk > n {
-			chunk = n
-		}
-		if chunk > spdk.MaxTransfer() {
-			chunk = spdk.MaxTransfer()
-		}
+		chunk := min(calib.RAID0Stripe()-off%calib.RAID0Stripe(), n)
 		dev, lba := d.locate(off)
-		r := d.nv.GetRequest()
-		r.Op, r.Dev, r.SLBA = m.op, dev, lba
-		r.NLB = uint32(chunk / nvme.LBASize)
-		r.Addr = addr
-		r.Sink, r.Tag = m, nil
-		m.fan.Add(1)
-		d.nv.Submit(r)
+		m.io.Add(m.op, dev, lba, chunk, addr)
 		off += chunk
 		addr += mem.Addr(chunk)
 		n -= chunk
 	}
-	m.fan.Release(d.e, d.e.Now(), (*ioFire)(m))
-}
-
-// RequestDone implements spdk.Completion: fan one NVMe completion into the
-// machine (reactor context).
-func (m *ioMachine) RequestDone(r *spdk.Request) {
-	if r.Status != nvme.StatusSuccess {
-		m.errs++
-	}
-	m.fan.Release(m.d.e, r.At, (*ioFire)(m))
+	m.io.Close()
 }
 
 // ioFire hands the machine's failed-command count to its sink once its last
@@ -157,7 +135,7 @@ type ioFire ioMachine
 
 func (f *ioFire) Run() {
 	m := (*ioMachine)(f)
-	d, done, errs := m.d, m.done, m.errs
+	d, done, errs := m.d, m.done, m.io.Failed
 	*m = ioMachine{}
 	d.freeIO.Put(m)
 	done.BatchDone(errs)

@@ -83,47 +83,83 @@ type RecoveryStats struct {
 	DeviceFailures uint64 // devices declared dead
 }
 
-// Completion receives request completions in reactor context. Batch
-// clients (CAM) implement it to fan a run of completions into one counter
-// without allocating a closure or a signal per request. RequestDone must
-// copy out any fields it needs: a pooled request is recycled as soon as it
-// returns.
+// Completion receives request completions in reactor context. A Batch
+// implements it to count a run of completions down without allocating a
+// closure or a signal per request. RequestDone must copy out any fields it
+// needs: a pooled request is recycled as soon as it returns.
 //
 // A completion run delivers each request as it routes it, ahead of the
 // instant the per-request cost puts it at: RequestDone may run before r.At,
-// the completion's instant. A sink that counts a batch down (FanIn)
-// finishes it at the latest instant among its requests — one event per
-// batch, where the reactor spends none per request.
+// the completion's instant.
 type Completion interface {
 	RequestDone(r *Request)
 }
 
-// FanIn counts a batch's outstanding holds down to zero and runs the
-// batch's finishing callback at the latest instant any hold was released
-// at. Each reactor delivers ahead of the engine's clock on its own
-// timeline, so with several reactors the last delivery need not carry the
-// latest instant.
-type FanIn struct {
-	n    int
+// Batch is a set of commands that complete as one, the unit CAM publishes
+// and reports through region 4 (§III-B). It is its commands' Sink and runs
+// the batch's finishing callback at the latest instant among them: each
+// reactor delivers ahead of the engine's clock on its own timeline, so with
+// several reactors the last delivery need not carry the latest instant. One
+// event per batch, where the reactor spends none per request.
+type Batch struct {
+	d    *Driver
+	done sim.Callback
+	n    int // commands outstanding, plus the hold while Open
 	last sim.Time
+	// Failed counts the commands that ended with an error status; it is
+	// read once done has run and zeroed by the next Open.
+	Failed int
 }
 
-// Add takes n more holds.
-func (f *FanIn) Add(n int) { f.n += n }
+// Open starts a batch on d that runs done once Close has been called and
+// every command added has completed. It holds the batch open while
+// commands are still being added.
+func (b *Batch) Open(d *Driver, done sim.Callback) {
+	b.d, b.done, b.n, b.Failed = d, done, 1, 0
+}
 
-// Release drops one hold, released at instant at. Once none is left, done
+// Add submits n bytes of op at device dev, LBA slba, to or from addr,
+// split into commands of at most MaxTransfer bytes.
+func (b *Batch) Add(op nvme.Opcode, dev int, slba uint64, n int64, addr mem.Addr) {
+	for off := int64(0); off < n; off += maxXfer {
+		r := b.d.GetRequest()
+		r.Op, r.Dev = op, dev
+		r.SLBA = slba + uint64(off)/nvme.LBASize
+		r.NLB = uint32(min(n-off, maxXfer) / nvme.LBASize)
+		r.Addr = addr + mem.Addr(off)
+		r.Sink = b
+		b.n++
+		b.d.Submit(r)
+	}
+}
+
+// Close drops the hold Open took: with no command outstanding, done runs
+// now.
+func (b *Batch) Close() { b.release(b.d.e.Now()) }
+
+// RequestDone implements Completion: one command of the batch completed at
+// r.At (reactor context).
+func (b *Batch) RequestDone(r *Request) {
+	if r.Status != nvme.StatusSuccess {
+		b.Failed++
+	}
+	b.release(r.At)
+}
+
+// release drops one hold, released at instant at. Once none is left, done
 // runs at the latest instant: at once if that is now, else by one event.
-func (f *FanIn) Release(e *sim.Engine, at sim.Time, done sim.Callback) {
-	f.last = max(f.last, at)
-	if f.n--; f.n != 0 {
+func (b *Batch) release(at sim.Time) {
+	b.last = max(b.last, at)
+	if b.n--; b.n != 0 {
 		return
 	}
-	at, f.last = f.last, 0
+	at, b.last = b.last, 0
+	e := b.d.e
 	if now := e.Now(); at > now {
-		e.ScheduleCallback(at-now, done)
+		e.ScheduleCallback(at-now, b.done)
 		return
 	}
-	done.Run()
+	b.done.Run()
 }
 
 // Request is one asynchronous NVMe command through the driver. A request
@@ -151,9 +187,6 @@ type Request struct {
 	// Sink, if set, replaces Done/OnDone: the reactor calls RequestDone
 	// and then recycles the request if it came from the driver pool.
 	Sink Completion
-	// Tag carries the submitter's per-request context (a batch handle)
-	// through to Sink.RequestDone.
-	Tag any
 	// At is the instant the request completed on its reactor's timeline,
 	// set before Sink.RequestDone runs (see Completion). Done and OnDone
 	// fire at At.
@@ -382,7 +415,7 @@ func (d *Driver) Submit(r *Request) {
 	if r.Dev < 0 || r.Dev >= len(d.devs) {
 		panic("spdk: bad device index")
 	}
-	// Sink-driven requests fan completions into the submitter's counter;
+	// Sink-driven requests deliver to the submitter's sink (a Batch);
 	// everyone else gets a per-request signal to block on.
 	if r.Sink == nil {
 		r.Done.Init(d.e, "spdkreq")
