@@ -321,8 +321,8 @@ func TestDynamicCoresShrinkWhenComputeBound(t *testing.T) {
 		}
 	})
 	r.e.Run()
-	if r.m.ActiveCores() != cfg.MinCores {
-		t.Fatalf("compute-bound run ended with %d cores, want MinCores=%d", r.m.ActiveCores(), cfg.MinCores)
+	if r.m.ActiveCores() != r.m.minCores {
+		t.Fatalf("compute-bound run ended with %d cores, want the minimum %d", r.m.ActiveCores(), r.m.minCores)
 	}
 	if r.m.Stats().CoreAdjustDown == 0 {
 		t.Fatal("no downward adjustments recorded")
@@ -335,8 +335,8 @@ func TestDynamicCoresGrowWhenIOBound(t *testing.T) {
 	cfg.AdjustPeriod = 2
 	r := newRig(8, cfg)
 	// Force the pool low first, then hammer with I/O-only batches.
-	r.m.drv.SetActiveReactors(cfg.MinCores)
-	r.m.activeCores = cfg.MinCores
+	r.m.drv.SetActiveReactors(r.m.minCores)
+	r.m.activeCores = r.m.minCores
 	dst := r.m.Alloc("dst", 4096*4096)
 	r.e.Go("kernel", func(p *sim.Proc) {
 		for i := 0; i < 24; i++ {
@@ -345,8 +345,8 @@ func TestDynamicCoresGrowWhenIOBound(t *testing.T) {
 		}
 	})
 	r.e.Run()
-	if r.m.ActiveCores() != cfg.MaxCores {
-		t.Fatalf("I/O-bound run ended with %d cores, want MaxCores=%d", r.m.ActiveCores(), cfg.MaxCores)
+	if r.m.ActiveCores() != r.m.maxCores {
+		t.Fatalf("I/O-bound run ended with %d cores, want the maximum %d", r.m.ActiveCores(), r.m.maxCores)
 	}
 	if r.m.Stats().CoreAdjustUp == 0 {
 		t.Fatal("no upward adjustments recorded")
@@ -367,8 +367,8 @@ func TestCoresStayWithinBounds(t *testing.T) {
 				r.g.RunKernel(p, gpu.KernelSpec{Name: "c", Threads: 2048, FullOccupancyTime: sim.Time(rng.Int63n(int64(2 * sim.Millisecond)))})
 			}
 			r.m.PrefetchSynchronize(p)
-			if c := r.m.ActiveCores(); c < cfg.MinCores || c > cfg.MaxCores {
-				t.Errorf("active cores %d outside [%d,%d]", c, cfg.MinCores, cfg.MaxCores)
+			if c := r.m.ActiveCores(); c < r.m.minCores || c > r.m.maxCores {
+				t.Errorf("active cores %d outside [%d,%d]", c, r.m.minCores, r.m.maxCores)
 			}
 		}
 	})
