@@ -77,17 +77,19 @@ func (l load) onCAM(p *sim.Proc, m *cam.Manager, buf *gpu.Buffer) {
 }
 
 // onBaM gathers (or scatters) the batches through a, one at a time: a BaM
-// batch is synchronous, so depth does not apply.
-func (l load) onBaM(p *sim.Proc, a *bam.Array, buf *gpu.Buffer) {
+// batch is synchronous, so depth does not apply. It reports the blocks
+// that failed.
+func (l load) onBaM(p *sim.Proc, a *bam.Array, buf *gpu.Buffer) (failed int64) {
 	blocks := make([]uint64, l.perBatch)
 	for b := 0; b < l.batches; b++ {
 		l.draw(blocks)
 		if l.op == nvme.OpRead {
-			a.Gather(p, blocks, buf, 0)
+			failed += int64(a.Gather(p, blocks, buf, 0))
 		} else {
-			a.Scatter(p, blocks, buf, 0)
+			failed += int64(a.Scatter(p, blocks, buf, 0))
 		}
 	}
+	return failed
 }
 
 // onSPDK submits block-byte requests to d, request i to device i%ssds and
@@ -112,7 +114,8 @@ func (l load) onSPDK(p *sim.Proc, d *spdk.Driver, ssds int, block int64, addr me
 // once, request i in record i%depth. A record is the Done waiter's (it has
 // no Sink), so it is overwritten and resubmitted only after its previous
 // request's Done fired. A record's status is tallied when it is reused or
-// drained, so moved counts only the bytes of requests that succeeded.
+// drained, so moved counts only the bytes of requests that succeeded, each
+// once: drain leaves the window empty.
 type reqWindow struct {
 	loop  string
 	recs  []spdk.Request
@@ -153,6 +156,7 @@ func (w *reqWindow) drain(p *sim.Proc) {
 		p.Wait(&r.Done)
 		w.tally(r)
 	}
+	w.n = 0
 }
 
 // tally adds a completed request's bytes to moved if it succeeded.
@@ -187,13 +191,14 @@ func camRun(cfg RunConfig, opts platform.Options, ccfg cam.Config, l load) (floa
 }
 
 // bamRun runs l through a, an array of block-byte blocks over env, into a
-// one-batch buffer and reports bytes/s.
+// one-batch buffer and reports the bytes/s its successful blocks moved.
 func bamRun(cfg RunConfig, env *platform.Env, a *bam.Array, block int64, l load) float64 {
 	buf := env.GPU.Alloc("bench", int64(l.perBatch)*block)
-	env.E.Go("bench", func(p *sim.Proc) { l.onBaM(p, a, buf) })
+	var failed int64
+	env.E.Go("bench", func(p *sim.Proc) { failed = l.onBaM(p, a, buf) })
 	end := runEnv(cfg, env)
 	buf.Free()
-	return float64(l.blocks()*block) / end.Seconds()
+	return float64((l.blocks()-failed)*block) / end.Seconds()
 }
 
 // camThroughput measures CAM batch throughput over 4 Mi uniformly random

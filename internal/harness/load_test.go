@@ -200,10 +200,10 @@ func TestKernelThroughputCountsOnlySuccess(t *testing.T) {
 	}
 }
 
-// TestThroughputCountsOnlySuccess: CAM's closed loop and both SPDK closed
-// loops report the bytes their successful requests moved, so under a plan
-// that fails every command on 2 SSDs each reports 0 where the same load
-// fault-free reports its rate.
+// TestThroughputCountsOnlySuccess: the closed loops of CAM, BaM and the
+// three SPDK flows report the bytes their successful requests moved, so
+// under a plan that fails every command on 2 SSDs each reports 0 where the
+// same load fault-free reports its rate.
 func TestThroughputCountsOnlySuccess(t *testing.T) {
 	plan := fault.NewPlan(1)
 	plan.ErrRate = 1
@@ -221,6 +221,13 @@ func TestThroughputCountsOnlySuccess(t *testing.T) {
 		}},
 		{"spdkContigThroughput", func(cfg RunConfig) float64 {
 			v, _, _ := spdkContigThroughput(cfg, 2, nvme.OpRead, 4096, platform.Options{})
+			return v
+		}},
+		{"bamThroughput", func(cfg RunConfig) float64 {
+			return bamThroughput(cfg, 2, nvme.OpRead, 4096)
+		}},
+		{"spdkScatteredRun", func(cfg RunConfig) float64 {
+			v, _ := spdkScatteredRun(cfg, 2, 4096, 4, 64)
 			return v
 		}},
 	}

@@ -312,20 +312,22 @@ func spdkScatteredThroughput(cfg RunConfig, ssds int, gran int64) float64 {
 }
 
 // spdkScatteredRun is spdkScatteredThroughput's closed loops: workers
-// staging buffers taking turns over granules granules.
+// staging buffers taking turns over granules granules. It reports the
+// bytes/s their successful requests moved.
 func spdkScatteredRun(cfg RunConfig, ssds int, gran, workers, granules int64) (float64, *platform.Env) {
 	env := cfg.newEnv(platform.Options{SSDs: ssds})
 	d := newSPDK(env)
-	total := granules * gran
 	chunk := min(gran, spdk.MaxTransfer())
 	rng := sim.NewRNG(15)
+	wins := make([]*reqWindow, workers)
 	for w := int64(0); w < workers; w++ {
 		w := w
 		seed := rng.Uint64()
 		staging := env.HM.Alloc(fmt.Sprintf("sc%d", w), gran)
+		win := newReqWindow("spdkScatteredRun", int((gran+chunk-1)/chunk))
+		wins[w] = win
 		env.E.Go("bench", func(p *sim.Proc) {
 			lr := sim.NewRNG(seed)
-			win := newReqWindow("spdkScatteredRun", int((gran+chunk-1)/chunk))
 			var copyDone sim.Time
 			for gidx := w; gidx < granules; gidx += workers {
 				// The staging buffer must not be refilled while its
@@ -353,5 +355,9 @@ func spdkScatteredRun(cfg RunConfig, ssds int, gran, workers, granules int64) (f
 		})
 	}
 	end := runEnv(cfg, env)
-	return float64(total) / end.Seconds(), env
+	var moved int64
+	for _, win := range wins {
+		moved += win.moved
+	}
+	return float64(moved) / end.Seconds(), env
 }
