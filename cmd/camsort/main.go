@@ -25,8 +25,8 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its streams and exit code as values: 0 on a verified
-// sort, 1 on a bad backend, fault spec or sort shape, a lost transfer or a
-// failed verification, 2 on a usage error.
+// sort, 1 on a bad backend, fault spec or sort shape, a lost transfer, a
+// sort left unfinished or a failed verification, 2 on a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("camsort", flag.ContinueOnError)
 	flags.SetOutput(stderr)
@@ -88,13 +88,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	s := sortx.New(env, b, cfg)
 	var st sortx.Stats
 	var verr error
+	returned := false
 	env.E.Go("sort", func(p *sim.Proc) {
 		s.Fill(p, *seed)
 		st = s.Sort(p)
 		verr = s.Verify(p)
+		returned = true
 	})
 	if err := harness.Recovered(func() { env.Run() }); err != nil {
 		fmt.Fprintln(stderr, "camsort:", err)
+		return 1
+	}
+	if !returned {
+		// The machine went quiet with the sort blocked: an I/O it waits on
+		// never completes (the kernel stack has no deadline for a dead
+		// device).
+		fmt.Fprintf(stderr, "camsort: the sort on %s never finished: the simulation went idle at %v with the sort still blocked\n", b.Name(), env.E.Now())
 		return 1
 	}
 	if verr != nil {

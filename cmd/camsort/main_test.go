@@ -68,6 +68,11 @@ func TestRunRejects(t *testing.T) {
 			stderr: []string{"camsort: xfer(spdk): 1 of 4 granules failed; the driver's retries did not recover them\n"}},
 		{name: "dead device under CAM", args: []string{"-keys", "65536", "-ssds", "4", "-chunk", "65536", "-backend", "cam", "-faults", "faildev=1,failat=0"}, code: 1,
 			stderr: []string{"camsort: xfer(cam): 1 of 1 blocks failed; the driver's retries did not recover them\n"}},
+		// The kernel stack never completes a command to a dead device, so
+		// the run goes idle with the sort blocked: that is an unfinished
+		// sort, not a 0 ns one that verified.
+		{name: "dead device under POSIX", args: []string{"-keys", "65536", "-ssds", "4", "-chunk", "65536", "-backend", "posix", "-faults", "faildev=1,failat=0"}, code: 1,
+			stderr: []string{"camsort: the sort on POSIX never finished"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
